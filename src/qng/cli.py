@@ -324,20 +324,29 @@ def _iter_orders(args) -> list[int]:
     return [args.n]
 
 
+def _read_sources(path: str, orders: list[int], span: str) -> dict[int, list[Graph]]:
+    """The graphs of a graph6 file, grouped by order; every order must be in ``orders``."""
+    sources: dict[int, list[Graph]] = {n: [] for n in orders}
+    with open(path) as f:
+        for g in iter_graph6(f):
+            if g.n not in sources:
+                raise ValueError(f"stream graph of order {g.n} in a scan for n={span}")
+            sources[g.n].append(g)
+    return sources
+
+
 def _cmd_scan(args) -> int:
+    orders = _iter_orders(args)
+    sources = _read_sources(args.input, orders, args.n_range or str(args.n)) if args.input else {}
     results = []
-    for n in _iter_orders(args):
+    for n in orders:
         if args.predicate:
             check = build_predicate(args.predicate, n)
         elif args.thm:
             check = _resolve_check(args)
         else:
             raise UsageError("provide --predicate or --thm")
-        source = None
-        if args.input:
-            with open(args.input) as f:
-                source = list(iter_graph6(f))
-        results.append(scan(n, args.filter, check, source=source, jobs=args.jobs))
+        results.append(scan(n, args.filter, check, source=sources.get(n), jobs=args.jobs))
     if args.format == "json":
         text = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in results) + "\n"
     elif args.format == "csv":

@@ -3,12 +3,19 @@
 The canonical form of a graph is the smallest graph6 string obtainable by
 relabeling, where the minimum is searched over labelings compatible with
 iterated color refinement (individualization-refinement).  The search prunes
-on bit-string prefixes and on orbits of automorphisms discovered from ties,
-which keeps even vertex-transitive graphs cheap at these orders.
+on bit-string prefixes and, at every depth, on orbits of the automorphisms
+found at leaves with equal codes: a found automorphism that preserves a
+node's coloring maps one child subtree onto another, so one child per orbit
+is searched, and after each new automorphism the search resumes at the
+deepest node shared with the best leaf.  Vertex-transitive graphs such as
+K10 or E10 take a few milliseconds.
 
 Generation extends every (n-1)-vertex representative by one vertex joined to
-every neighbor subset, then deduplicates by canonical form; counts are
-cross-checked against reference values in the test suite.
+a neighbor subset.  The automorphisms found while labeling the parent
+generate its automorphism group; subsets in one orbit of that group give
+isomorphic children, so one subset per orbit is canonicalized, and the
+children are deduplicated by canonical form.  Counts are cross-checked
+against reference values in the test suite.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from .graph import (
 CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 
+# The set bits of every row of a graph within the canonical-form limit.
+_SET_BITS = tuple(tuple(bits(mask)) for mask in range(1 << CANONICAL_MAX))
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -41,122 +51,157 @@ class CanonicalForm:
     graph6: str
 
 
-def _refine(n: int, rows: Sequence[int], colors: list[int]) -> list[int]:
+def _refine(nbrs: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
     """Iterated invariant color refinement to a stable partition.
 
     A vertex signature is its color plus the per-color count of neighbors;
     re-ranking signatures in sorted order keeps the coloring canonical, and
     the primary sort on the old color preserves cell order between rounds.
+    A signature is packed into one integer, color above the counts and the
+    count of color 0 highest, with a field wide enough for any degree, so
+    integer order is the order of the (color, counts) tuples.
     """
+    n = len(nbrs)
+    width = n.bit_length()
     ncol = max(colors) + 1
-    while True:
-        sigs = []
-        for v in range(n):
-            cnt = [0] * ncol
-            m = rows[v]
-            while m:
-                low = m & -m
-                cnt[colors[low.bit_length() - 1]] += 1
-                m ^= low
-            sigs.append((colors[v], tuple(cnt)))
+    while ncol < n:  # a discrete coloring is stable
+        top = width * ncol
+        weight = [1 << (top - width * (c + 1)) for c in colors]
+        sigs = [(c << top) + sum(map(weight.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
         distinct = sorted(set(sigs))
         if len(distinct) == ncol:
             return colors
         rank = {s: i for i, s in enumerate(distinct)}
         colors = [rank[s] for s in sigs]
         ncol = len(distinct)
+    return colors
+
+
+def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]) -> None:
+    """Add to ``points`` the orbits of ``seeds`` under the group <gens>."""
+    stack = list(seeds)
+    while stack:
+        x = stack.pop()
+        for gamma in gens:
+            y = gamma[x]
+            if y not in points:
+                points.add(y)
+                stack.append(y)
+
+
+def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical labeling of ``g`` plus the automorphisms found on the way.
+
+    Each automorphism maps the best leaf's vertex order onto that of a later
+    leaf with the same column code; together they generate Aut(g).
+    """
+    n = g.n
+    if n > CANONICAL_MAX:
+        raise CapacityError(f"canonical forms limited to {CANONICAL_MAX} vertices")
+    if n == 1:
+        return (0,), []
+    nbrs = [_SET_BITS[row] for row in g.rows]
+
+    best_cols: list[int] = []
+    best_perm: list[int] = []
+    best_path: list[int] = []
+    path: list[int] = []  # vertices individualized on the way to the current node
+    gens: list[tuple[int, ...]] = []
+
+    def descend(colors: list[int]) -> int:
+        """Search below the node with stable coloring ``colors``.
+
+        Returns the depth of the node that should go on branching: ``n`` on
+        a plain return, a smaller depth after an automorphism was found.
+        """
+        nonlocal best_cols, best_perm, best_path
+        # Vertices by color; the leading singleton cells form the prefix and
+        # the first larger cell is the one to branch on.
+        order = sorted(range(n), key=colors.__getitem__)
+        if colors[order[-1]] == n - 1:  # discrete: a leaf
+            t = n
+        else:
+            t = 1
+            while colors[order[t]] == t:
+                t += 1
+            t -= 1
+            branch_cell = [v for v in order[t:] if colors[v] == t]
+        prefix = order[:t]
+        # Column j of the code holds the adjacencies of prefix[j] to
+        # prefix[0..j-1], the earliest vertex in the highest bit; prefix[i]
+        # has color i.
+        weight = [1 << (n - 1 - c) if c < t else 0 for c in colors]
+        cols = [sum(map(weight.__getitem__, nbrs[prefix[j]])) >> (n - j) for j in range(1, t)]
+        if best_perm:
+            common = min(len(cols), len(best_cols))
+            if cols[:common] > best_cols[:common]:
+                return n
+            state_equal = cols[:common] == best_cols[:common]
+        if t == n:
+            if not best_perm or not state_equal:
+                best_cols, best_perm, best_path = cols, prefix, path[:]
+                return n
+            # An equal leaf: best_perm[i] -> prefix[i] is an automorphism.  It
+            # maps the subtree of the best leaf's branch at the deepest common
+            # ancestor onto the current one, so the search resumes there.
+            gamma = [0] * n
+            for a, b in zip(best_perm, prefix):
+                gamma[a] = b
+            gens.append(tuple(gamma))
+            depth = 0
+            while best_path[depth] == path[depth]:
+                depth += 1
+            return depth
+        depth = len(path)
+        # A found automorphism that preserves this node's coloring maps the
+        # subtree of one child onto that of another with the same leaf
+        # codes, so one child per orbit of those automorphisms is searched.
+        fixing: list[tuple[int, ...]] = []
+        absorbed = 0
+        covered: set[int] = set()  # the orbits of the children searched so far
+        for v in branch_cell:
+            if absorbed < len(gens):
+                new = [gamma for gamma in gens[absorbed:]
+                       if list(map(colors.__getitem__, gamma)) == colors]
+                absorbed = len(gens)
+                if new:
+                    fixing += new
+                    _close(covered, list(covered), fixing)
+            if v in covered:
+                continue
+            covered.add(v)
+            if fixing:
+                _close(covered, (v,), fixing)
+            nc = [c if c <= t else c + 1 for c in colors]
+            for u in branch_cell:
+                if u != v:
+                    nc[u] = t + 1
+            path.append(v)
+            resume = descend(_refine(nbrs, nc))
+            path.pop()
+            if resume < depth:
+                return resume
+        return n
+
+    # The first round of refinement from one color ranks vertices by degree.
+    degrees = sorted({len(nb) for nb in nbrs})
+    descend(_refine(nbrs, [degrees.index(len(nb)) for nb in nbrs]))
+    return tuple(best_perm), gens
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Vertex order realizing the canonical form (position -> original vertex)."""
-    n, rows = g.n, g.rows
-    if n > CANONICAL_MAX:
-        raise CapacityError(f"canonical forms limited to {CANONICAL_MAX} vertices")
-    if n == 1:
-        return (0,)
-
-    best_cols: Optional[list[int]] = None
-    best_perm: Optional[list[int]] = None
-
-    # Union-find over vertices; automorphisms discovered at tie leaves merge
-    # orbits, which prunes equivalent branches at the top branching node.
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def descend(colors: list[int], branch_depth: int) -> None:
-        nonlocal best_cols, best_perm
-        k = max(colors) + 1
-        cells: list[list[int]] = [[] for _ in range(k)]
-        for v in range(n):
-            cells[colors[v]].append(v)
-        prefix: list[int] = []
-        branch_cell: Optional[list[int]] = None
-        for cell in cells:
-            if len(cell) == 1:
-                prefix.append(cell[0])
-            else:
-                branch_cell = cell
-                break
-        cols: list[int] = []
-        for j in range(1, len(prefix)):
-            w = prefix[j]
-            col = 0
-            for i in range(j):
-                col = (col << 1) | (rows[prefix[i]] >> w & 1)
-            cols.append(col)
-        state_equal = True
-        if best_cols is not None:
-            for mine, theirs in zip(cols, best_cols):
-                if mine < theirs:
-                    state_equal = False
-                    break
-                if mine > theirs:
-                    return
-        if branch_cell is None:
-            if best_cols is None or not state_equal:
-                best_cols = cols
-                best_perm = prefix
-            else:
-                for a, b in zip(best_perm, prefix):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-            return
-        cell_color = colors[branch_cell[0]]
-        tried: list[int] = []
-        for v in branch_cell:
-            if branch_depth == 0 and any(find(v) == find(u) for u in tried):
-                continue
-            tried.append(v)
-            nc = [c if c <= cell_color else c + 1 for c in colors]
-            for u in branch_cell:
-                if u != v:
-                    nc[u] = cell_color + 1
-            descend(_refine(n, rows, nc), branch_depth + 1)
-
-    descend(_refine(n, rows, [0] * n), 0)
-    assert best_perm is not None
-    return tuple(best_perm)
+    return _search(g)[0]
 
 
 def canonicalize(g: Graph) -> Graph:
     """The canonical representative of the isomorphism class of ``g``."""
     order = canonical_labeling(g)
-    pos = [0] * g.n
+    bit = [0] * g.n
     for i, v in enumerate(order):
-        pos[v] = i
-    new_rows = [0] * g.n
-    for i, v in enumerate(order):
-        row = 0
-        for u in bits(g.rows[v]):
-            row |= 1 << pos[u]
-        new_rows[i] = row
-    return _graph_unchecked(g.n, tuple(new_rows))
+        bit[v] = 1 << i
+    rows = tuple(sum(map(bit.__getitem__, _SET_BITS[g.rows[v]])) for v in order)
+    return _graph_unchecked(g.n, rows)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -189,6 +234,32 @@ def isomorphism_witness(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
 _ALL_GRAPHS: dict[int, list[Graph]] = {}
 
 
+def _orbit_representatives(m: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """The least vertex subset (as a bitmask) of each orbit of <gens> on 2^[m].
+
+    Subsets in one orbit of an automorphism group of the parent give
+    isomorphic children, so one canonicalization per orbit suffices.
+    """
+    size = 1 << m
+    if not gens:
+        return list(range(size))
+    images = []  # the action of each generator on subsets
+    for gamma in gens:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | (1 << gamma[low.bit_length() - 1])
+        images.append(image)
+    covered: set[int] = set()
+    reps = []
+    for s in range(size):
+        if s not in covered:
+            reps.append(s)
+            covered.add(s)
+            _close(covered, (s,), images)
+    return reps
+
+
 def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
     """One canonical representative per isomorphism class of order ``n``.
 
@@ -204,18 +275,18 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
         if n == 1:
             _ALL_GRAPHS[1] = [Graph(1, (0,))]
         else:
-            seen: dict[str, Graph] = {}
+            seen: dict[tuple[int, ...], Graph] = {}
             for parent in enumerate_graphs(n - 1):
                 base = parent.rows
-                for subset in range(1 << (n - 1)):
+                for subset in _orbit_representatives(n - 1, _search(parent)[1]):
                     rows = [
                         (base[i] | (1 << (n - 1))) if subset >> i & 1 else base[i]
                         for i in range(n - 1)
                     ]
                     rows.append(subset)
                     child = canonicalize(_graph_unchecked(n, tuple(rows)))
-                    seen.setdefault(to_graph6(child), child)
-            _ALL_GRAPHS[n] = [seen[key] for key in sorted(seen)]
+                    seen.setdefault(child.rows, child)
+            _ALL_GRAPHS[n] = sorted(seen.values(), key=to_graph6)
     graphs = _ALL_GRAPHS[n]
     if connected_only:
         return [g for g in graphs if is_connected(g)]

@@ -123,7 +123,7 @@ def _graph_unchecked(n: int, rows: tuple[int, ...]) -> Graph:
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
-    object.__setattr__(g, "m", sum(r.bit_count() for r in rows) // 2)
+    object.__setattr__(g, "m", sum(map(int.bit_count, rows)) // 2)
     return g
 
 

@@ -297,7 +297,6 @@ class RootCounter:
     def __init__(self, p: Poly):
         if is_zero(p):
             raise ValueError("zero polynomial")
-        self.poly = poly(p)
         tower = []
         cur = poly(p)
         while degree(cur) >= 1:
@@ -307,9 +306,6 @@ class RootCounter:
 
     def count_gt(self, x: Point) -> int:
         return sum(chain.count_gt(x) for chain in self.tower)
-
-    def count_ge(self, x: Fraction) -> int:
-        return self.count_gt(x) + multiplicity_at(self.poly, x)
 
     def count_distinct_halfopen(self, lo: Point, hi: Point) -> int:
         return self.tower[0].count_halfopen(lo, hi)

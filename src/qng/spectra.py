@@ -19,7 +19,7 @@ import numpy as np
 
 from . import polys
 from .graph import Graph, complement
-from .polys import Poly, RootWindow
+from .polys import Poly
 
 #: Default float screening tolerance for inequality checks.
 DEFAULT_TOL = 1e-9
@@ -221,11 +221,6 @@ def certify_qk(g: Graph, k: int, r) -> bool:
     counter = polys.RootCounter(p)
     above = counter.count_gt(r)
     return above < k <= above + mult
-
-
-def qk_window(g: Graph, k: int) -> RootWindow:
-    """Isolating window for the k-th largest Q-eigenvalue (with multiplicity)."""
-    return polys.isolate_kth_largest(q_char_poly(g).as_poly(), k)
 
 
 def compare_qk_with(g: Graph, k: int, c) -> int:

@@ -109,6 +109,36 @@ def test_scan_external_input(tmp_path, capsys):
     assert payload["equality"] == [canonical_form(cycle(6)).graph6]
 
 
+def test_scan_mixed_order_input(tmp_path, capsys):
+    import random
+
+    from qng.enumeration import enumerate_graphs
+    from qng.graph import relabel
+
+    rng = random.Random(6)
+    lines = []
+    for n in (6, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            lines.append(to_graph6(relabel(g, perm)))
+    rng.shuffle(lines)
+    stream = tmp_path / "mixed.g6"
+    stream.write_text("\n".join(lines) + "\n")
+    code, mixed, _ = run_cli(capsys, "scan", "--n-range", "6..7", "--thm", "1.2",
+                             "--input", str(stream))
+    assert code == 0
+    singles = ""
+    for n in ("6", "7"):
+        code, out, _ = run_cli(capsys, "scan", "--n", n, "--thm", "1.2")
+        assert code == 0
+        singles += out
+    assert mixed == singles
+    code, _, err = run_cli(capsys, "scan", "--n", "6", "--thm", "1.2", "--input", str(stream))
+    assert code == 1
+    assert "stream graph of order 7 in a scan for n=6" in err
+
+
 def test_proof_check_verb(capsys):
     code, out, _ = run_cli(capsys, "proof-check", "--thm", "1.5", "--n-range", "8..12")
     assert code == 0

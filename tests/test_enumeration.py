@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 
 import pytest
 
 from qng.enumeration import (
     CanonicalForm,
+    _orbit_representatives,
+    _search,
     canonical_form,
     canonical_labeling,
     canonicalize,
@@ -19,6 +23,7 @@ from qng.enumeration import (
 from qng.graph import (
     CapacityError,
     complete,
+    complete_bipartite,
     cycle,
     empty_graph,
     from_edges,
@@ -58,6 +63,84 @@ def test_canonical_constant_on_orbits(graphs_by_order, rng=random.Random(123)):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 assert canonical_form(relabel(g, perm)) == reference
+
+
+def _reference_refine(g, colors):
+    """Color refinement as the canonical form defines it: rank (color, counts)."""
+    while True:
+        ncol = max(colors) + 1
+        sigs = []
+        for v in range(g.n):
+            cnt = [0] * ncol
+            for u in range(g.n):
+                if g.has_edge(u, v):
+                    cnt[colors[u]] += 1
+            sigs.append((colors[v], tuple(cnt)))
+        distinct = sorted(set(sigs))
+        if len(distinct) == ncol:
+            return colors
+        colors = [distinct.index(s) for s in sigs]
+
+
+def _reference_labeling(g):
+    """The first leaf, in search order, of minimal graph6 in the unpruned tree."""
+    best = []
+
+    def walk(colors):
+        cells = [[v for v in range(g.n) if colors[v] == c] for c in range(max(colors) + 1)]
+        target = next((cell for cell in cells if len(cell) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in cells]
+            code = to_graph6(relabel(g, order))
+            if not best or code < best[0]:
+                best[:] = [code, tuple(order)]
+            return
+        c = colors[target[0]]
+        for v in target:
+            child = [x if x <= c else x + 1 for x in colors]
+            for u in target:
+                if u != v:
+                    child[u] = c + 1
+            walk(_reference_refine(g, child))
+
+    walk(_reference_refine(g, [0] * g.n))
+    return best[1]
+
+
+def test_canonical_labeling_matches_unpruned_search(graphs_by_order, rng=random.Random(5)):
+    graphs = [g for n in range(2, 7) for g in graphs_by_order[n]]
+    graphs += [random_graph(rng, n, p) for n in (7, 8) for p in (0.2, 0.5) for _ in range(10)]
+    graphs += [complete(7), cycle(8), complete_bipartite(3, 4), star(8)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert canonical_labeling(h) == _reference_labeling(h)
+
+
+# Frozen canonical forms: any change to the canonical-string definition breaks them.
+GOLDEN_FORMS = [
+    (complete(10), "I~~~~~~~w"),
+    (empty_graph(10), "I????????"),
+    (complete_bipartite(5, 5), "I?B~vrw}?"),
+    (from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8),
+                     (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]), "I?LRCecq?"),
+    (cycle(10), "I??XQa_o?"),
+]
+
+
+def test_canonical_form_golden_strings():
+    start = time.perf_counter()
+    for g, want in GOLDEN_FORMS:
+        assert canonical_form(g).graph6 == want
+    assert time.perf_counter() - start < 2
+
+
+def test_canonical_form_vertex_transitive_is_fast():
+    for g in (complete(10), empty_graph(10)):
+        start = time.perf_counter()
+        canonical_form(g)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_canonicalize_is_isomorphic_fixed_point():
@@ -110,6 +193,21 @@ def test_enumeration_matches_reference_atlas_class_for_class(graphs_by_order):
 def test_enumeration_count_n8(enum8):
     graphs, _ = enum8
     assert len(graphs) == 12346
+
+
+def test_generation_canonicalizes_one_subset_per_orbit(graphs_by_order):
+    """Orbit counts meet Burnside's count only if the found automorphisms generate Aut."""
+    rooted = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}  # OEIS A000666
+    for m, want in rooted.items():
+        got = sum(len(_orbit_representatives(m, _search(g)[1])) for g in graphs_by_order[m])
+        assert got == want
+
+
+def test_enumeration_n8_golden_digest(enum8):
+    graphs, _ = enum8
+    text = "\n".join(to_graph6(g) for g in graphs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "aff8dddabbc3d74f79ef9335e2a515a5455d4958c41e7b3ac4efc7a2d2299dba"
 
 
 def test_connected_count():
