@@ -7,15 +7,26 @@ counting via the iterated-gcd tower, isolation of the k-th largest real root
 by bisection, and exact comparison of roots of two polynomials.  Quadratic
 surds a + b*sqrt(d) are supported as evaluation points so that closed-form
 roots like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 can be certified without floats.
+
+``Fraction`` appears only at the boundary.  Inside, gcds, square-free parts,
+Sturm chains and evaluations work on primitive integer polynomials with
+Python ``int`` coefficients: remainders come from pseudo-division scaled by
+positive factors only, so every Sturm sign survives; a rational point a/b is
+evaluated as b^d p(a/b) by homogeneous Horner, and a surd (u + v sqrt(d))/D
+as D^d p(x) on integer pairs.  ``root_counter`` builds one ``RootCounter``
+per polynomial and hands it to every later caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Poly = list[Fraction]
+IntPoly = list[int]
 
 # Sentinels for evaluation at the ends of the real line.
 POS_INF = object()
@@ -78,10 +89,6 @@ def poly_scale(p: Poly, c: Fraction) -> Poly:
     return poly([a * c for a in p])
 
 
-def poly_derivative(p: Poly) -> Poly:
-    return poly([i * c for i, c in enumerate(p)][1:])
-
-
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if is_zero(q):
         raise ZeroDivisionError("polynomial division by zero")
@@ -100,52 +107,162 @@ def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return poly(quo), poly(rem)
 
 
-def poly_monic(p: Poly) -> Poly:
-    if is_zero(p):
-        return []
-    lead = p[-1]
-    return [c / lead for c in p]
+# ---------------------------------------------------------------------------
+# Integer polynomials
+
+
+def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Integers c and the least L > 0 with values = c / L."""
+    scale = lcm(*(c.denominator for c in values))
+    return [c.numerator * (scale // c.denominator) for c in values], scale
+
+
+def _scaled_ints(p: Sequence) -> tuple[IntPoly, int]:
+    """Integer coefficients c and the least L > 0 with p = c / L."""
+    ints, scale = _over_common_denominator(p)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    return ints, scale
+
+
+def _primitive(p: IntPoly) -> IntPoly:
+    """p divided by its (positive) content."""
+    content = gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _int_poly(p: Sequence) -> IntPoly:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    return _primitive(_scaled_ints(p)[0])
+
+
+def _int_derivative(p: IntPoly) -> IntPoly:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _int_rem(p: IntPoly, q: IntPoly) -> IntPoly:
+    """A positive multiple of the remainder of p by q, made primitive.
+
+    Pseudo-division that scales by |lc(q)| / g at each step, never by a
+    negative factor, so the result has the sign pattern of the true remainder.
+    """
+    r = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(r) > dq:
+        top = r[-1]
+        g = gcd(top, lead)
+        scale, factor = abs(lead) // g, top // g
+        if lead < 0:
+            factor = -factor
+        if scale != 1:
+            r = [scale * c for c in r]
+        shift = len(r) - 1 - dq
+        for i, c in enumerate(q):
+            r[shift + i] -= factor * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r)
+
+
+def _int_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    a, b = _primitive(p), _primitive(q)
+    while b:
+        a, b = b, _int_rem(a, b)
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _int_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p / q for a primitive q dividing p; the quotient is integral (Gauss)."""
+    r = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    quo = [0] * (len(p) - dq)
+    for shift in range(len(quo) - 1, -1, -1):
+        factor, rest = divmod(r[shift + dq], lead)
+        assert rest == 0, "inexact polynomial division"
+        quo[shift] = factor
+        if factor:
+            for i, c in enumerate(q):
+                r[shift + i] -= factor * c
+    assert not any(r), "inexact polynomial division"
+    return quo
+
+
+def _int_squarefree(p: IntPoly) -> IntPoly:
+    if len(p) < 3:
+        return p
+    return _int_exact_div(p, _int_gcd(p, _int_derivative(p)))
+
+
+def _int_value(p: IntPoly, a: int, b: int) -> int:
+    """b^deg(p) * p(a/b) for b > 0, by homogeneous Horner."""
+    acc = p[-1]
+    if b == 1:
+        for c in p[-2::-1]:
+            acc = acc * a + c
+        return acc
+    power = 1
+    for c in p[-2::-1]:
+        power *= b
+        acc = acc * a + c * power
+    return acc
+
+
+def _int_value_surd(p: IntPoly, u: int, v: int, d: int, den: int) -> tuple[int, int]:
+    """(A, B) with den^deg(p) * p((u + v*sqrt(d)) / den) = A + B*sqrt(d)."""
+    big, small = p[-1], 0
+    vd = v * d
+    power = 1
+    for c in p[-2::-1]:
+        power *= den
+        big, small = big * u + small * vd + c * power, big * v + small * u
+    return big, small
+
+
+def _monic(p: IntPoly) -> Poly:
+    lead = p[-1] if p else 1
+    return [Fraction(c, lead) for c in p]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor."""
-    a, b = list(p), list(q)
-    while not is_zero(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
+    return _monic(_int_gcd(_int_poly(p), _int_poly(q)))
 
 
 def squarefree_part(p: Poly) -> Poly:
-    if degree(p) < 1:
-        return poly_monic(p)
-    g = poly_gcd(p, poly_derivative(p))
-    if degree(g) == 0:
-        return poly_monic(p)
-    quo, rem = poly_divmod(p, g)
-    assert is_zero(rem)
-    return poly_monic(quo)
+    return _monic(_int_squarefree(_int_poly(p)))
 
 
 def poly_compose_linear(p: Poly, a: Fraction, b: Fraction) -> Poly:
-    """The polynomial x -> p(a*x + b)."""
-    acc: Poly = []
-    lin = poly([b, a])
-    for c in reversed(p):
-        acc = poly_add(poly_mul(acc, lin), poly([c]))
-    return acc
+    """The polynomial x -> p(a*x + b), by Horner's rule on integer numerators.
+
+    With p = P / L and a*x + b = (u*x + v) / den, the result is
+    sum_i P_i den^(n-i) (u*x + v)^i / (L den^n).
+    """
+    ints, scale = _scaled_ints(p)
+    (u, v), den = _over_common_denominator((Fraction(a), Fraction(b)))
+    acc: IntPoly = []
+    power = 1
+    for c in reversed(ints):
+        acc = [v * cur + u * prev for cur, prev in zip(acc + [0], [0] + acc)]
+        acc[0] += c * power
+        power *= den
+    return poly([Fraction(c, scale * power // den) for c in acc])
 
 
 def multiplicity_at(p: Poly, r: Fraction) -> int:
     """Exact multiplicity of ``r`` as a root of ``p`` (0 if not a root)."""
-    if is_zero(p):
+    cur = _int_poly(p)
+    if not cur:
         raise ValueError("zero polynomial")
     r = Fraction(r)
+    a, b = r.numerator, r.denominator
     mult = 0
-    cur = list(p)
-    while degree(cur) >= 1 and poly_eval(cur, r) == 0:
-        cur, rem = poly_divmod(cur, poly([-r, Fraction(1)]))
-        assert is_zero(rem)
+    while len(cur) > 1 and _int_value(cur, a, b) == 0:
+        cur = _int_exact_div(cur, [-a, b])
         mult += 1
     return mult
 
@@ -203,20 +320,7 @@ class Surd:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0 or d == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        return (1 if bigger_rational else -1) * (1 if a > 0 else -1)
+        return _surd_sign(self.a, self.b, self.d)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -227,11 +331,33 @@ class Surd:
         return float(self.a) + float(self.b) * sqrt(self.d)
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _surd_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rational a, b and integer d >= 0."""
+    if b == 0 or d == 0:
+        return _sign(a)
+    if a == 0:
+        return _sign(b)
+    if (a > 0) == (b > 0):
+        return _sign(a)
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        return 0
+    return _sign(a) if lhs > rhs else _sign(b)
+
+
 def poly_eval_surd(p: Poly, x: Surd) -> Surd:
-    acc = Surd(Fraction(0), Fraction(0), x.d)
-    for c in reversed(p):
-        acc = acc * x + Surd(Fraction(c), Fraction(0), x.d)
-    return acc
+    """p(x) exactly, by Horner's rule on integer numerators over one denominator."""
+    ints, scale = _scaled_ints(p)
+    if not ints:
+        return Surd(Fraction(0), Fraction(0), x.d)
+    (u, v), den = _over_common_denominator((x.a, x.b))
+    big, small = _int_value_surd(ints, u, v, x.d, den)
+    scale *= den ** (len(ints) - 1)
+    return Surd(Fraction(big, scale), Fraction(small, scale), x.d)
 
 
 Point = Union[Fraction, Surd, object]
@@ -241,42 +367,41 @@ Point = Union[Fraction, Surd, object]
 # Sturm chains and root counting
 
 
-def _sign_at(p: Poly, x: Point) -> int:
-    if is_zero(p):
-        return 0
+def _signs_at(chain: list[IntPoly], x: Point) -> list[int]:
     if x is POS_INF:
-        lead = p[-1]
-        return (lead > 0) - (lead < 0)
+        return [_sign(p[-1]) for p in chain]
     if x is NEG_INF:
-        lead = p[-1] if degree(p) % 2 == 0 else -p[-1]
-        return (lead > 0) - (lead < 0)
+        return [_sign(p[-1]) if len(p) % 2 else -_sign(p[-1]) for p in chain]
     if isinstance(x, Surd):
-        return poly_eval_surd(p, x).sign()
-    v = poly_eval(p, x)
-    return (v > 0) - (v < 0)
+        (u, v), den = _over_common_denominator((x.a, x.b))
+        return [_surd_sign(*_int_value_surd(p, u, v, x.d, den), x.d) for p in chain]
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return [_sign(_int_value(p, a, b)) for p in chain]
 
 
 class SturmChain:
     """Sturm chain of the square-free part of a polynomial.
 
     ``count_gt(x)`` and ``count_halfopen(lo, hi)`` return exact counts of
-    distinct real roots in (x, +inf) and (lo, hi] respectively.
+    distinct real roots in (x, +inf) and (lo, hi] respectively.  The chain
+    holds primitive integer polynomials, each a positive multiple of the
+    classical Sturm sequence's member.
     """
 
     def __init__(self, p: Poly):
-        sf = squarefree_part(p)
-        chain = [sf]
-        if degree(sf) >= 1:
-            chain.append(poly_monic(poly_derivative(sf)))
-            while degree(chain[-1]) >= 1:
-                _, rem = poly_divmod(chain[-2], chain[-1])
-                if is_zero(rem):
-                    break
-                chain.append(poly_monic(poly_neg(rem)))
-        self.chain = chain
+        self.chain = _sturm_sequence(_int_squarefree(_int_poly(p)))
+
+    @classmethod
+    def from_squarefree(cls, sf: IntPoly) -> "SturmChain":
+        """The chain of a square-free primitive integer polynomial."""
+        chain = cls.__new__(cls)
+        chain.chain = _sturm_sequence(sf)
+        return chain
 
     def variations(self, x: Point) -> int:
-        signs = [s for s in (_sign_at(p, x) for p in self.chain) if s != 0]
+        signs = [s for s in _signs_at(self.chain, x) if s != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def count_gt(self, x: Point) -> int:
@@ -286,22 +411,36 @@ class SturmChain:
         return self.variations(lo) - self.variations(hi)
 
 
+def _sturm_sequence(sf: IntPoly) -> list[IntPoly]:
+    chain = [sf]
+    if len(sf) > 1:
+        chain.append(_primitive(_int_derivative(sf)))
+        while len(chain[-1]) > 1:
+            rem = _int_rem(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return chain
+
+
 class RootCounter:
     """Multiplicity-aware root counting via the iterated-gcd tower.
 
     Level j of the tower is gcd applied j times starting from p; a root of
     multiplicity m appears in levels 0..m-1, so summing distinct counts over
-    the tower counts roots with multiplicity.
+    the tower counts roots with multiplicity.  Each level keeps the Sturm
+    chain of its square-free part, the quotient of the level by the next.
     """
 
     def __init__(self, p: Poly):
-        if is_zero(p):
+        cur = _int_poly(p)
+        if not cur:
             raise ValueError("zero polynomial")
         tower = []
-        cur = poly(p)
-        while degree(cur) >= 1:
-            tower.append(SturmChain(cur))
-            cur = poly_gcd(cur, poly_derivative(cur))
+        while len(cur) > 1:
+            nxt = _int_gcd(cur, _int_derivative(cur))
+            tower.append(SturmChain.from_squarefree(_int_exact_div(cur, nxt)))
+            cur = nxt
         self.tower = tower
 
     def count_gt(self, x: Point) -> int:
@@ -309,6 +448,17 @@ class RootCounter:
 
     def count_distinct_halfopen(self, lo: Point, hi: Point) -> int:
         return self.tower[0].count_halfopen(lo, hi)
+
+
+@lru_cache(maxsize=1 << 12)
+def root_counter(coeffs: tuple) -> RootCounter:
+    """The one shared ``RootCounter`` of the polynomial with these coefficients.
+
+    ``coeffs`` is the ascending coefficient tuple.  Counters never change
+    after construction, so every caller that meets the same polynomial again
+    reuses its tower.
+    """
+    return RootCounter(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +495,7 @@ def isolate_kth_largest(p: Poly, k: int) -> RootWindow:
     Requires p to have at least k real roots with multiplicity; characteristic
     polynomials of symmetric matrices always do.
     """
-    counter = RootCounter(p)
+    counter = root_counter(tuple(p))
     bound = cauchy_root_bound(p)
     lo, hi = -bound, bound
     if counter.count_gt(lo) < k:
@@ -365,8 +515,8 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int, max_iter: int = 512)
     """
     wa = isolate_kth_largest(pa, ka)
     wb = isolate_kth_largest(pb, kb)
-    common = poly_gcd(squarefree_part(pa), squarefree_part(pb))
-    common_chain = SturmChain(common) if degree(common) >= 1 else None
+    common = _int_gcd(wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0])
+    common_chain = SturmChain.from_squarefree(common) if len(common) > 1 else None
     for _ in range(max_iter):
         if wa.lo >= wb.hi:
             return 1

@@ -5,6 +5,12 @@ are used only for screening.  Whenever a quantity sits within the escalation
 window of a bound, decisions are re-made exactly: integer characteristic
 polynomials via the Faddeev-LeVerrier recurrence, Sturm-sequence root
 counting, and isolating-interval comparisons of algebraic eigenvalues.
+
+The exact layer computes in Python ``int``: the recurrence runs on integer
+rows (a rational matrix is scaled by its common denominator first), and root
+counting goes through ``polys.root_counter``, which builds one integer
+Sturm/gcd tower per characteristic polynomial.  ``Fraction`` appears only in
+``CharPoly.coeffs`` and in the rational arguments of the comparisons.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,7 +29,7 @@ from . import polys
 from .graph import Graph, complement
 from .polys import Poly
 
-#: Default float screening tolerance for inequality checks.
+#: Default float tolerance of the interlacing helpers; no verdict reads it.
 DEFAULT_TOL = 1e-9
 
 #: Any bound within this distance of equality is decided exactly.
@@ -31,7 +39,7 @@ MatrixLike = Union[np.ndarray, Sequence[Sequence]]
 
 
 def screening_tol() -> float:
-    """Float tolerance for inequality screening; QNG_TOL overrides the default."""
+    """Float tolerance of the interlacing helpers; QNG_TOL overrides the default."""
     raw = os.environ.get("QNG_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -144,36 +152,42 @@ class CharPoly:
         return polys.poly_eval(self.as_poly(), Fraction(x))
 
 
-def _exact_rows(mat: MatrixLike) -> list[list[Fraction]]:
-    if isinstance(mat, np.ndarray):
-        return [[Fraction(int(v)) for v in row] for row in mat]
-    return [[Fraction(v) for v in row] for row in mat]
+def _integer_rows(mat: MatrixLike) -> tuple[list[list[int]], int]:
+    """Rows of D*M as Python ints, for D the least common denominator of M."""
+    rows = mat.tolist() if isinstance(mat, np.ndarray) else [list(row) for row in mat]
+    if all(type(v) is int for row in rows for v in row):
+        return rows, 1
+    rows = [[Fraction(v) for v in row] for row in rows]
+    denom = lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * denom) for v in row] for row in rows], denom
 
 
 def char_poly_exact(mat: MatrixLike) -> CharPoly:
-    """Faddeev-LeVerrier recurrence over exact rationals.
+    """Faddeev-LeVerrier recurrence over Python integers.
 
     For M of order k: N_1 = M, c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I;
-    the characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  For
-    integer matrices every c_j is an integer.
+    the characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  For an
+    integer matrix every c_j is an integer and each division is exact.  A
+    rational M runs as the integer matrix D*M, whose coefficients are
+    D^j c_j, and is mapped back at the end.
     """
-    rows = _exact_rows(mat)
+    rows, denom = _integer_rows(mat)
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("matrix must be square")
-    coeffs_desc = [Fraction(1)]
-    acc = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    coeffs_desc = [1]
+    acc = [[int(i == j) for j in range(k)] for i in range(k)]
     for step in range(1, k + 1):
-        prod = [
-            [sum(rows[i][t] * acc[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-        c = -sum(prod[i][i] for i in range(k)) / step
+        cols = list(zip(*acc))
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        c, rest = divmod(-sum(prod[i][i] for i in range(k)), step)
+        assert rest == 0, "Faddeev-LeVerrier division is inexact"
         coeffs_desc.append(c)
         for i in range(k):
             prod[i][i] += c
         acc = prod
-    return CharPoly(tuple(reversed(coeffs_desc)))
+    scaled = [Fraction(c, denom ** j) for j, c in enumerate(coeffs_desc)]
+    return CharPoly(tuple(reversed(scaled)))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -214,21 +228,19 @@ def certify_qk(g: Graph, k: int, r) -> bool:
     if not 1 <= k <= g.n:
         return False
     r = Fraction(r)
-    p = q_char_poly(g).as_poly()
+    p = q_char_poly(g).coeffs
     mult = polys.multiplicity_at(p, r)
     if mult < 1:
         return False
-    counter = polys.RootCounter(p)
-    above = counter.count_gt(r)
+    above = polys.root_counter(p).count_gt(r)
     return above < k <= above + mult
 
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
     c = Fraction(c)
-    p = q_char_poly(g).as_poly()
-    counter = polys.RootCounter(p)
-    above = counter.count_gt(c)
+    p = q_char_poly(g).coeffs
+    above = polys.root_counter(p).count_gt(c)
     if above >= k:
         return 1
     if above + polys.multiplicity_at(p, c) >= k:

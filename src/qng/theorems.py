@@ -648,7 +648,7 @@ def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> list[Fraction]:
 
 
 def _count_gt_surd(p, x: Surd) -> int:
-    return polys.RootCounter(p).count_gt(x)
+    return polys.root_counter(tuple(p)).count_gt(x)
 
 
 def _verify_h_quotient(c: _Checks, sizes: tuple[int, int, int], expected, expected_co, label: str):

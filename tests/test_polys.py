@@ -58,6 +58,14 @@ def test_compose_linear():
     q = poly_compose_linear(p, F(-1), F(4))  # p(4 - x)
     for x in (F(0), F(1), F(7, 2)):
         assert poly_eval(q, x) == poly_eval(p, 4 - x)
+    rng = random.Random(37)
+    for _ in range(200):
+        p = poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
+        a, b = F(rng.randint(-4, 4), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 6))
+        q = poly_compose_linear(p, a, b)
+        assert polys.degree(q) == polys.degree(p) or a == 0
+        for x in (F(0), F(-3, 2), F(5, 3)):
+            assert poly_eval(q, x) == poly_eval(p, a * x + b)
 
 
 def test_sturm_counts_match_numpy(rng=random.Random(5)):
@@ -154,3 +162,86 @@ def test_sturm_chain_with_surd_endpoint():
     assert SturmChain(p).count_halfopen(s2, F(10)) == 1
     assert SturmChain(p).count_gt(s2) == 1
     assert SturmChain(p).variations(POS_INF) == 0
+
+
+# --- integer layer: Sturm signs, multiplicities, surd evaluation ---
+
+
+def _real_roots(p):
+    """Real roots by numpy, or None if some root is near-real or near-repeated."""
+    roots = np.roots([float(c) for c in reversed(p)])
+    if any(1e-9 < abs(r.imag) < 1e-4 for r in roots):
+        return None
+    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-9)
+    if any(b - a < 1e-6 for a, b in zip(real, real[1:])):
+        return None
+    return real
+
+
+def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
+    x2_plus_1 = poly([1, 0, 1])
+    assert SturmChain(x2_plus_1).count_gt(F(-3)) == 0
+    assert RootCounter(x2_plus_1).count_gt(F(-3)) == 0
+    p = poly_mul(x2_plus_1, from_roots([1, 1]))
+    assert SturmChain(p).count_gt(F(-3)) == 1
+    assert SturmChain(p).count_halfopen(F(-3), F(1)) == 1
+    assert RootCounter(p).count_gt(F(-3)) == 2
+    assert RootCounter(p).count_gt(F(1)) == 0
+    checked = 0
+    while checked < 300:
+        p = poly([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))])
+        if polys.degree(p) < 1:
+            continue
+        real = _real_roots(p)
+        if real is None or len(real) == polys.degree(p):
+            continue  # keep only polynomials with non-real roots
+        chain = SturmChain(p)
+        for _ in range(5):
+            x = F(rng.randint(-80, 80), rng.randint(1, 8))
+            if any(abs(r - x) < 1e-6 for r in real):
+                continue
+            assert chain.count_gt(x) == sum(1 for r in real if r > x), (p, x)
+        assert chain.count_halfopen(polys.NEG_INF, POS_INF) == len(real)
+        checked += 1
+
+
+def test_root_counter_against_multiplicities(rng=random.Random(23)):
+    for _ in range(150):
+        roots = [F(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(1, 4))]
+        roots += rng.choices(roots, k=rng.randint(0, 4))  # repeated roots
+        p = from_roots(roots)
+        quadratics = set()
+        for _ in range(rng.randint(0, 2)):  # factors without real roots
+            b = rng.randint(-4, 4)
+            q = (b * b + rng.randint(1, 3), 2 * b, 1)
+            quadratics.add(q)
+            p = poly_mul(p, poly(q))
+        p = polys.poly_scale(p, F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5])))
+        counter = RootCounter(p)
+        points = set(roots) | {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(6)}
+        for x in points:
+            assert counter.count_gt(x) == sum(1 for r in roots if r > x), (roots, x)
+            assert multiplicity_at(p, x) == roots.count(x)
+        distinct = set(roots)
+        assert counter.count_distinct_halfopen(F(-13), F(13)) == len(distinct)
+        want = from_roots(sorted(distinct))
+        for q in sorted(quadratics):
+            want = poly_mul(want, poly(q))
+        assert squarefree_part(p) == want
+
+
+def _naive_eval_surd(p, x):
+    acc = Surd(F(0), F(0), x.d)
+    for c in reversed(p):
+        acc = acc * x + Surd(F(c), F(0), x.d)
+    return acc
+
+
+def test_poly_eval_surd_matches_naive_horner(rng=random.Random(29)):
+    for _ in range(300):
+        p = poly([F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))])
+        x = Surd(F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12)),
+                 rng.randint(0, 60))
+        got = poly_eval_surd(p, x)
+        assert got == _naive_eval_surd(p, x)
+        assert isinstance(got.a, F) and isinstance(got.b, F) and got.d == x.d

@@ -60,7 +60,7 @@ def charpoly_oracle(m) -> list[F]:
     """det(xI - M) by direct cofactor expansion over polynomial entries."""
     k = len(m)
     grid = [
-        [polys.poly([-F(int(m[i][j])), 1]) if i == j else polys.poly([-F(int(m[i][j]))]) for j in range(k)]
+        [polys.poly([-F(m[i][j]), 1]) if i == j else polys.poly([-F(m[i][j])]) for j in range(k)]
         for i in range(k)
     ]
     return _det_poly(grid)
@@ -103,6 +103,27 @@ def test_char_poly_against_cofactor_oracle(graphs_by_order):
     for n in range(1, 6):
         for g in graphs_by_order[n]:
             assert q_char_poly(g).as_poly() == charpoly_oracle(q_matrix(g).tolist())
+
+
+def test_char_poly_rational_against_cofactor_oracle(rng=random.Random(31)):
+    for _ in range(120):
+        k = rng.randint(1, 5)
+        m = [[F(rng.randint(-7, 7), rng.choice([1, 1, 2, 3, 4, 6, 9])) for _ in range(k)] for _ in range(k)]
+        got = char_poly_exact(m)
+        assert got.coeffs == tuple(charpoly_oracle(m))
+        assert all(type(c) is F for c in got.coeffs)
+    assert char_poly_exact([[F(1, 2)]]).coeffs == (F(-1, 2), F(1))
+    assert char_poly_exact([[F(1, 2), F(1, 3)], [2, F(-5, 6)]]).coeffs == (F(-13, 12), F(1, 3), F(1))
+
+
+def test_root_counter_built_once_per_char_poly():
+    g = complete_bipartite(3, 4)
+    assert compare_qk_with(g, 2, 3) == 1
+    before = polys.root_counter.cache_info()
+    assert compare_qk_with(g, 2, 4) == 0
+    after = polys.root_counter.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
 
 
 def test_sturm_and_multiplicity_examples():
