@@ -10,19 +10,26 @@ is searched, and after each new automorphism the search resumes at the
 deepest node shared with the best leaf.  Vertex-transitive graphs such as
 K10 or E10 take a few milliseconds.
 
-Generation extends every (n-1)-vertex representative by one vertex joined to
-a neighbor subset.  The automorphisms found while labeling the parent
-generate its automorphism group; subsets in one orbit of that group give
-isomorphic children, so one subset per orbit is canonicalized, and the
-children are deduplicated by canonical form.  Counts are cross-checked
-against reference values in the test suite.
+Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  Every (n-1)-vertex representative is
+extended by one vertex joined to a neighbor subset, one subset per orbit of
+the parent's automorphism group (the automorphisms found while labeling the
+parent generate it).  A child is kept only if its new vertex lies in the
+automorphism orbit of an invariantly chosen deletion vertex: the first vertex,
+in canonical order, of the last cell of the root coloring.  Three tests of
+rising cost decide this: the new vertex must have maximum degree (read off
+the parent's degrees), it must lie in that last cell, and only then is the
+child searched and its new vertex checked against the orbit of the deletion
+vertex.  Every kept child is the only one of its class, so no child is
+deduplicated afterwards.  Counts are cross-checked against reference values
+in the test suite.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graph import (
     CapacityError,
@@ -89,11 +96,20 @@ def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]
                 stack.append(y)
 
 
-def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _root_coloring(nbrs: Sequence[Sequence[int]]) -> list[int]:
+    """The refined root coloring; its first round from one color ranks by degree."""
+    degrees = sorted({len(nb) for nb in nbrs})
+    return _refine(nbrs, [degrees.index(len(nb)) for nb in nbrs])
+
+
+def _search(
+    g: Graph, root: Optional[list[int]] = None
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Canonical labeling of ``g`` plus the automorphisms found on the way.
 
     Each automorphism maps the best leaf's vertex order onto that of a later
-    leaf with the same column code; together they generate Aut(g).
+    leaf with the same column code; together they generate Aut(g).  ``root``
+    is ``g``'s root coloring if the caller has already computed it.
     """
     n = g.n
     if n > CANONICAL_MAX:
@@ -183,9 +199,7 @@ def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
                 return resume
         return n
 
-    # The first round of refinement from one color ranks vertices by degree.
-    degrees = sorted({len(nb) for nb in nbrs})
-    descend(_refine(nbrs, [degrees.index(len(nb)) for nb in nbrs]))
+    descend(_root_coloring(nbrs) if root is None else root)
     return tuple(best_perm), gens
 
 
@@ -194,14 +208,18 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
     return _search(g)[0]
 
 
-def canonicalize(g: Graph) -> Graph:
-    """The canonical representative of the isomorphism class of ``g``."""
-    order = canonical_labeling(g)
+def _relabeled(g: Graph, order: Sequence[int]) -> Graph:
+    """``g`` with vertex ``order[i]`` renamed ``i``."""
     bit = [0] * g.n
     for i, v in enumerate(order):
         bit[v] = 1 << i
     rows = tuple(sum(map(bit.__getitem__, _SET_BITS[g.rows[v]])) for v in order)
     return _graph_unchecked(g.n, rows)
+
+
+def canonicalize(g: Graph) -> Graph:
+    """The canonical representative of the isomorphism class of ``g``."""
+    return _relabeled(g, canonical_labeling(g))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -234,15 +252,21 @@ def isomorphism_witness(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
 _ALL_GRAPHS: dict[int, list[Graph]] = {}
 
 
-def _orbit_representatives(m: int, gens: Sequence[Sequence[int]]) -> list[int]:
+def _orbit_representatives(
+    m: int, gens: Sequence[Sequence[int]], subsets: Optional[Sequence[int]] = None
+) -> list[int]:
     """The least vertex subset (as a bitmask) of each orbit of <gens> on 2^[m].
 
     Subsets in one orbit of an automorphism group of the parent give
-    isomorphic children, so one canonicalization per orbit suffices.
+    isomorphic children, so one child per orbit suffices.  ``subsets``, in
+    increasing order and a union of orbits, restricts the orbits to those it
+    holds; it defaults to all of 2^[m].
     """
     size = 1 << m
+    if subsets is None:
+        subsets = range(size)
     if not gens:
-        return list(range(size))
+        return list(subsets)
     images = []  # the action of each generator on subsets
     for gamma in gens:
         image = [0] * size
@@ -252,12 +276,64 @@ def _orbit_representatives(m: int, gens: Sequence[Sequence[int]]) -> list[int]:
         images.append(image)
     covered: set[int] = set()
     reps = []
-    for s in range(size):
+    for s in subsets:
         if s not in covered:
             reps.append(s)
             covered.add(s)
             _close(covered, (s,), images)
     return reps
+
+
+def _augment(
+    level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int
+) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+    """Canonical augmentation from order ``n - 1`` to order ``n``.
+
+    ``level`` pairs one graph per isomorphism class of order ``n - 1`` with
+    generators of its automorphism group.  Yields one canonical graph per
+    class of order ``n``, paired with generators of its automorphism group.
+    """
+    top = n - 1
+    new = 1 << top
+    for parent, parent_gens in level:
+        base = parent.rows
+        degree = [row.bit_count() for row in base]
+        dmax = max(degree)
+        at_max = sum(1 << v for v, d in enumerate(degree) if d == dmax)
+        # The new vertex, of degree |s|, must have maximum degree, so no
+        # vertex of the parent's maximum degree may gain an edge if |s|
+        # equals it.  Automorphisms keep degrees, so these subsets are a
+        # union of orbits.
+        subsets = [
+            s for s in range(new)
+            if s.bit_count() > dmax or (s.bit_count() == dmax and not s & at_max)
+        ]
+        for subset in _orbit_representatives(top, parent_gens, subsets):
+            rows = tuple(row | new if subset >> v & 1 else row for v, row in enumerate(base))
+            rows += (subset,)
+            # The deletion vertices are the last cell of the root coloring,
+            # a part of the maximum-degree cell.
+            root = _root_coloring([_SET_BITS[row] for row in rows])
+            last = root[top]
+            if last != max(root):
+                continue
+            child = _graph_unchecked(n, rows)
+            order, gens = _search(child, root)
+            # The new vertex must share an orbit with the canonical deletion
+            # vertex, the first of that cell in canonical order.
+            first = next(v for v in order if root[v] == last)
+            if first != top:
+                orbit = {first}
+                _close(orbit, (first,), gens)
+                if top not in orbit:
+                    continue
+            position = [0] * n
+            for i, v in enumerate(order):
+                position[v] = i
+            yield (
+                _relabeled(child, order),
+                [tuple(position[gamma[v]] for v in order) for gamma in gens],
+            )
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
@@ -271,22 +347,17 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
             f"built-in generation limited to 1..{ENUMERATE_MAX} vertices; "
             "ingest an external graph6 stream for larger orders"
         )
+    _ALL_GRAPHS.setdefault(1, [Graph(1, (0,))])
     if n not in _ALL_GRAPHS:
-        if n == 1:
-            _ALL_GRAPHS[1] = [Graph(1, (0,))]
-        else:
-            seen: dict[tuple[int, ...], Graph] = {}
-            for parent in enumerate_graphs(n - 1):
-                base = parent.rows
-                for subset in _orbit_representatives(n - 1, _search(parent)[1]):
-                    rows = [
-                        (base[i] | (1 << (n - 1))) if subset >> i & 1 else base[i]
-                        for i in range(n - 1)
-                    ]
-                    rows.append(subset)
-                    child = canonicalize(_graph_unchecked(n, tuple(rows)))
-                    seen.setdefault(child.rows, child)
-            _ALL_GRAPHS[n] = sorted(seen.values(), key=to_graph6)
+        # Extend the highest order built so far.  Only its graphs are searched
+        # for their automorphisms; each later order takes them from the search
+        # that accepted it, and the generators of order n are dropped at once.
+        k = max(m for m in _ALL_GRAPHS if m < n)
+        level = [(g, _search(g)[1]) for g in _ALL_GRAPHS[k]]
+        for m in range(k + 1, n):
+            level = list(_augment(level, m))
+            _ALL_GRAPHS[m] = sorted((g for g, _ in level), key=to_graph6)
+        _ALL_GRAPHS[n] = sorted((g for g, _ in _augment(level, n)), key=to_graph6)
     graphs = _ALL_GRAPHS[n]
     if connected_only:
         return [g for g in graphs if is_connected(g)]

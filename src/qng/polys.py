@@ -35,7 +35,7 @@ NEG_INF = object()
 
 def poly(coeffs: Sequence) -> Poly:
     """Normalize a coefficient sequence (ascending degree) to a Poly."""
-    p = [Fraction(c) for c in coeffs]
+    p = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while p and p[-1] == 0:
         p.pop()
     return p

@@ -51,13 +51,8 @@ def screening_tol() -> float:
 
 
 def a_matrix(g: Graph) -> np.ndarray:
-    mat = np.zeros((g.n, g.n), dtype=np.int64)
-    for v in range(g.n):
-        row = g.rows[v]
-        for u in range(g.n):
-            if row >> u & 1:
-                mat[v, u] = 1
-    return mat
+    """Adjacency matrix: entry (v, u) is bit u of row v."""
+    return (np.array(g.rows, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1
 
 
 def d_matrix(g: Graph) -> np.ndarray:

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from qng import enumeration
 from qng.enumeration import (
     CanonicalForm,
+    _augment,
     _orbit_representatives,
     _search,
     canonical_form,
@@ -201,6 +203,43 @@ def test_generation_canonicalizes_one_subset_per_orbit(graphs_by_order):
     for m, want in rooted.items():
         got = sum(len(_orbit_representatives(m, _search(g)[1])) for g in graphs_by_order[m])
         assert got == want
+
+
+def test_augmentation_accepts_each_class_once():
+    """Accepted children, before sorting, are distinct and one per class (OEIS A000088)."""
+    counts = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+    rooted = {2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}  # OEIS A000666
+    level = [(empty_graph(1), [])]
+    for n, want in counts.items():
+        level = list(_augment(level, n))
+        rows = [g.rows for g, _ in level]
+        assert len(set(rows)) == len(rows) == want
+        if n in rooted:
+            # The generators passed on, in the child's labels, generate its
+            # automorphism group, and the child is its own canonical form.
+            assert sum(len(_orbit_representatives(n, gens)) for _, gens in level) == rooted[n]
+            for g, gens in level:
+                assert canonicalize(g) == g
+                for gamma in gens:
+                    assert sorted(gamma) == list(range(n))
+                    assert all(g.has_edge(gamma[u], gamma[v]) for u, v in g.edges())
+
+
+def test_generation_search_count(monkeypatch):
+    """Full searches in a cold enumerate_graphs(7): K1 plus the 1,253 children
+    of orders 2..7 that pass the degree and root-cell filters."""
+    calls = []
+    search = enumeration._search
+
+    def counting(g, root=None):
+        calls.append(g.n)
+        return search(g, root)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
+    assert len(enumerate_graphs(7)) == 1044
+    assert len(calls) == 1254
+    assert calls.count(1) == 1
 
 
 def test_enumeration_n8_golden_digest(enum8):

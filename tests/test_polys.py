@@ -36,6 +36,16 @@ def from_roots(roots):
     return out
 
 
+def test_poly_normalizes_int_fraction_and_mixed_inputs():
+    want = [F(1), F(-2), F(3, 2)]
+    for coeffs in ([F(1), F(-2), F(3, 2), F(0), F(0)], [1, -2, F(3, 2), 0],
+                   [F(1), -2, F(3, 2)], [1, F(-4, 2), F(3, 2), F(0)]):
+        got = poly(coeffs)
+        assert got == want and all(type(c) is F for c in got)
+    assert poly([2, 0, 5, 0]) == poly([F(2), F(0), F(5)]) == [F(2), F(0), F(5)]
+    assert poly([0, F(0), 0]) == [] and poly([]) == []
+
+
 def test_divmod_and_gcd():
     p = from_roots([1, 2, 3])
     q = from_roots([2, 3, 5])

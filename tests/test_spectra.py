@@ -14,12 +14,14 @@ from qng.graph import (
     complete,
     complete_bipartite,
     cycle,
+    empty_graph,
     from_edges,
     path,
     star,
 )
 from qng.spectra import (
     CharPoly,
+    a_matrix,
     certify_qk,
     char_poly_exact,
     compare_q1,
@@ -70,6 +72,25 @@ def test_matrix_builders():
     assert q_matrix(complete(2)).tolist() == [[1, 1], [1, 1]]
     assert q_matrix(path(3)).tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     assert l_matrix(path(3)).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+
+
+def _a_matrix_by_bits(g):
+    """The adjacency matrix filled one bit test at a time."""
+    mat = np.zeros((g.n, g.n), dtype=np.int64)
+    for v in range(g.n):
+        for u in range(g.n):
+            if g.rows[v] >> u & 1:
+                mat[v, u] = 1
+    return mat
+
+
+def test_a_matrix_against_bit_loop(rng=random.Random(17)):
+    graphs = [complete(32), empty_graph(32), empty_graph(1), complete(1)]
+    graphs += [random_graph(rng, n, rng.random()) for n in range(1, 33) for _ in range(3)]
+    for g in graphs:
+        got, want = a_matrix(g), _a_matrix_by_bits(g)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_q_complement_identity(rng=random.Random(13)):
