@@ -27,6 +27,7 @@ from qng.theorems import (
     EQUALITY,
     NOT_APPLICABLE,
     STRICT,
+    VIOLATED,
     bipartite_equality_catalogue,
     check_lemma26,
     check_lemma27,
@@ -244,3 +245,12 @@ def test_proof_check_thm15_spot_values():
 def test_regular_extremal_prism():
     prism = cartesian_product(complete(3), complete(2))
     assert check_problem12(prism).verdict == EQUALITY
+
+
+def test_exact_verdicts_are_certified(graphs_by_order):
+    # floats only screen: every equality or violation is decided exactly
+    for n in range(1, 8):
+        for g in graphs_by_order[n]:
+            for r in run_all_checks(g):
+                if r.verdict in (EQUALITY, VIOLATED):
+                    assert r.certified, (r.graph6, r.bound, r.verdict)
