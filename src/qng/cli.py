@@ -16,7 +16,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import theorems
 from .enumeration import enumerate_graphs, resolve_filter, scan
 from .graph import (
     Graph,
@@ -35,17 +34,19 @@ from .graph import (
     star,
     to_graph6,
 )
-from .spectra import ng_sum, spectrum
+from .spectra import compare_sum_with, ng_sum, spectrum
 from .theorems import (
     EQUALITY,
-    STRICT,
+    RELATION_SIGNS,
     VIOLATED,
     BoundReport,
     THEOREM_CHECKS,
     check_ng_generic,
+    decide,
     proof_check_thm12,
     proof_check_thm15,
     run_all_checks,
+    screened_sign,
 )
 
 
@@ -146,48 +147,32 @@ def parse_bound_expr(text: str, n: int) -> Fraction:
     return total
 
 
-class OpenIntervalPredicate:
-    """Strict membership of the q_2 sum in (lo, hi); boundaries decided exactly."""
+class SumPredicate:
+    """The q_2 sum against rational bounds, each sign near a bound decided exactly.
 
-    def __init__(self, lo: Fraction, hi: Fraction):
-        self.lo, self.hi = lo, hi
-        self.__name__ = f"sum-open-interval {lo} {hi}"
+    ``sum-le B`` and ``sum-ge B`` give the verdict of ``theorems.decide``.
+    ``sum-eq B`` and ``sum-open-interval LO HI`` test membership: a graph whose
+    sum satisfies every relation is reported ``equality-certified``, any other
+    ``non-member``, and there the float screen may only reject.
+    """
 
-    def __call__(self, g: Graph) -> str:
-        from .spectra import ESCALATION_WINDOW, compare_sum_with
-
-        value = ng_sum(g, "Q", 2)
-        if not (float(self.lo) - ESCALATION_WINDOW < value < float(self.hi) + ESCALATION_WINDOW):
-            return "non-member"
-        if compare_sum_with(g, "Q", 2, self.lo) > 0 and compare_sum_with(g, "Q", 2, self.hi) < 0:
-            return "equality-certified"
-        return "non-member"
-
-
-class SumBoundPredicate:
-    """q_2 sum against a rational bound: sum-eq, sum-le or sum-ge."""
-
-    def __init__(self, kind: str, bound: Fraction):
-        self.kind, self.bound = kind, bound
-        self.__name__ = f"{kind} {bound}"
+    def __init__(self, name: str, relations: list[tuple[str, Fraction]], member: bool):
+        self.__name__ = name
+        self.relations, self.member = relations, member
 
     def __call__(self, g: Graph) -> str:
-        from .spectra import ESCALATION_WINDOW, compare_sum_with
-
         value = ng_sum(g, "Q", 2)
-        if self.kind == "sum-eq" and abs(value - float(self.bound)) > ESCALATION_WINDOW:
-            return "non-member"
-        if self.kind == "sum-le" and float(self.bound) - value > ESCALATION_WINDOW:
-            return STRICT
-        if self.kind == "sum-ge" and value - float(self.bound) > ESCALATION_WINDOW:
-            return STRICT
-        sign = compare_sum_with(g, "Q", 2, self.bound)
-        if sign == 0:
-            return EQUALITY
-        if self.kind == "sum-eq":
-            return "non-member"
-        inside = sign < 0 if self.kind == "sum-le" else sign > 0
-        return STRICT if inside else VIOLATED
+        if not self.member:
+            ((relation, bound),) = self.relations
+            return decide(g, self.__name__, value, bound,
+                          lambda: compare_sum_with(g, "Q", 2, bound), relation).verdict
+        for relation, bound in self.relations:
+            holds = RELATION_SIGNS[relation]
+            rejects = tuple(s for s in (-1, 1) if s not in holds)
+            sign, _ = screened_sign(value, float(bound), lambda: compare_sum_with(g, "Q", 2, bound), rejects)
+            if sign not in holds:
+                return "non-member"
+        return EQUALITY
 
 
 class NgSumCheck:
@@ -201,6 +186,9 @@ class NgSumCheck:
         return check_ng_generic(g, self.kind, self.k)
 
 
+_SUM_RELATIONS = {"sum-eq": "==", "sum-le": "<=", "sum-ge": ">="}
+
+
 def build_predicate(spec: str, n: int):
     """Named scan predicates over the q_2 Nordhaus-Gaddum sum.
 
@@ -211,9 +199,11 @@ def build_predicate(spec: str, n: int):
     tokens = spec.split()
     kind = tokens[0]
     if kind == "sum-open-interval" and len(tokens) == 3:
-        return OpenIntervalPredicate(parse_bound_expr(tokens[1], n), parse_bound_expr(tokens[2], n))
-    if kind in ("sum-eq", "sum-le", "sum-ge") and len(tokens) == 2:
-        return SumBoundPredicate(kind, parse_bound_expr(tokens[1], n))
+        lo, hi = (parse_bound_expr(t, n) for t in tokens[1:])
+        return SumPredicate(f"{kind} {lo} {hi}", [(">", lo), ("<", hi)], member=True)
+    if kind in _SUM_RELATIONS and len(tokens) == 2:
+        bound = parse_bound_expr(tokens[1], n)
+        return SumPredicate(f"{kind} {bound}", [(_SUM_RELATIONS[kind], bound)], member=kind == "sum-eq")
     raise UsageError(f"unknown predicate {spec!r}")
 
 

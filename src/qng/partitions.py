@@ -65,7 +65,7 @@ class QuotientMatrix:
             for j in range(i + 1, m):
                 val = float(self.entries[i][j]) * sqrt(sizes[i] / sizes[j])
                 sym[i][j] = sym[j][i] = val
-        return eigenvalues_sym(sym, source="Q")
+        return eigenvalues_sym(sym)
 
 
 def _q_row_sum_into(g: Graph, u: int, mask: int, diagonal: bool) -> int:
@@ -105,16 +105,11 @@ def is_equitable(g: Graph, blocks: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def interlaces(small, big, tol: float | None = None) -> bool:
+def interlaces(small, big, tol: float = 1e-9) -> bool:
     """Whether the smaller descending spectrum interlaces the bigger one.
 
-    Checks a_i >= b_i >= a_{n-m+i} for i = 1..m within the tolerance
-    (QNG_TOL or 1e-9 by default).
+    Checks a_i >= b_i >= a_{n-m+i} for i = 1..m within the float tolerance.
     """
-    if tol is None:
-        from .spectra import screening_tol
-
-        tol = screening_tol()
     svals = small.values if isinstance(small, Spectrum) else tuple(small)
     bvals = big.values if isinstance(big, Spectrum) else tuple(big)
     m, n = len(svals), len(bvals)
@@ -172,17 +167,12 @@ def duplicate_classes(g: Graph) -> list[DuplicateClass]:
     return out
 
 
-def edge_deletion_chain_holds(g: Graph, edge: tuple[int, int], tol: float | None = None) -> bool:
+def edge_deletion_chain_holds(g: Graph, edge: tuple[int, int], tol: float = 1e-9) -> bool:
     """Interleaved eigenvalue chain between Q(G) and Q(G - e).
 
     Verifies q_1(G) >= q_1(H) >= q_2(G) >= ... >= q_n(G) >= q_n(H) >= 0
-    within the tolerance (QNG_TOL or 1e-9 by default), for H the graph with
-    one edge removed.
+    within the float tolerance, for H the graph with one edge removed.
     """
-    if tol is None:
-        from .spectra import screening_tol
-
-        tol = screening_tol()
     u, v = edge
     if not g.has_edge(u, v):
         raise ValueError("not an edge")

@@ -15,13 +15,12 @@ Sturm/gcd tower per characteristic polynomial.  ``Fraction`` appears only in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,21 +28,10 @@ from . import polys
 from .graph import Graph, complement
 from .polys import Poly
 
-#: Default float tolerance of the interlacing helpers; no verdict reads it.
-DEFAULT_TOL = 1e-9
-
 #: Any bound within this distance of equality is decided exactly.
 ESCALATION_WINDOW = 1e-6
 
 MatrixLike = Union[np.ndarray, Sequence[Sequence]]
-
-
-def screening_tol() -> float:
-    """Float tolerance of the interlacing helpers; QNG_TOL overrides the default."""
-    raw = os.environ.get("QNG_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    return float(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +76,6 @@ class Spectrum:
     """Eigenvalues of a symmetric matrix, sorted in non-increasing order."""
 
     values: tuple[float, ...]
-    source: str
-    tol: float
 
     def value(self, k: int) -> float:
         """The k-th largest eigenvalue, 1-based."""
@@ -99,7 +85,7 @@ class Spectrum:
         return len(self.values)
 
 
-def eigenvalues_sym(mat: MatrixLike, source: str = "?", tol: float | None = None) -> Spectrum:
+def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
     """All eigenvalues of a symmetric matrix, descending."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -107,12 +93,12 @@ def eigenvalues_sym(mat: MatrixLike, source: str = "?", tol: float | None = None
     if not np.array_equal(arr, arr.T):
         raise ValueError("matrix must be symmetric")
     vals = np.linalg.eigvalsh(arr)[::-1]
-    return Spectrum(tuple(float(v) for v in vals), source, tol if tol is not None else screening_tol())
+    return Spectrum(tuple(float(v) for v in vals))
 
 
 @lru_cache(maxsize=1 << 15)
 def spectrum(g: Graph, kind: str = "Q") -> Spectrum:
-    return eigenvalues_sym(matrix_of_kind(g, kind), source=kind)
+    return eigenvalues_sym(matrix_of_kind(g, kind))
 
 
 def q_spectrum(g: Graph) -> Spectrum:
@@ -263,28 +249,35 @@ def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = 
     return polys.compare_kth_roots(pb, kc, reflected, g.n - k + 1)
 
 
-def compare_q2_sum_with(g: Graph, c) -> int:
-    """Exact sign of (q_2(G) + q_2(complement G)) - c for rational c."""
-    return compare_sum_with(g, "Q", 2, c)
-
-
 def compare_q1(g: Graph, h: Graph) -> int:
     """Exact sign of q_1(g) - q_1(h)."""
     return polys.compare_kth_roots(q_char_poly(g).as_poly(), 1, q_char_poly(h).as_poly(), 1)
 
 
+def rational_sqrt(q) -> Optional[Fraction]:
+    """The rational square root of ``q >= 0``, or None if it is irrational."""
+    q = Fraction(q)
+    num, den = isqrt(q.numerator), isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)
+
+
 def compare_sum_vs_radical(g: Graph, kind: str, k: int, base, rad) -> int:
     """Exact sign of (eigenvalue sum of g and complement) - (base + sqrt(rad)).
 
-    ``base`` and ``rad`` are rational with rad >= 0.  Interval refinement
-    separates the algebraic sum from the radical; an exact hit on an
-    irrational bound cannot terminate and raises ArithmeticError.
+    ``base`` and ``rad`` are rational with rad >= 0.  A square radicand makes
+    the bound rational and is decided by ``compare_sum_with``.  Otherwise
+    interval refinement separates the algebraic sum from the radical; an
+    exact hit on an irrational bound cannot terminate and raises
+    ArithmeticError.
     """
     base, rad = Fraction(base), Fraction(rad)
     if rad < 0:
         raise ValueError("radicand must be nonnegative")
-    if rad == 0:
-        return compare_sum_with(g, kind, k, base)
+    root = rational_sqrt(rad)
+    if root is not None:
+        return compare_sum_with(g, kind, k, base + root)
     wa = polys.isolate_kth_largest(kind_char_poly(g, kind).as_poly(), k)
     wb = polys.isolate_kth_largest(kind_char_poly(complement(g), kind).as_poly(), k)
     for _ in range(512):

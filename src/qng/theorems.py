@@ -1,10 +1,15 @@
 """Executable certifying predicates for the registered eigenvalue bounds.
 
 Each numbered bound on q_2(G) + q_2(complement G) (and the supporting lemma
-bounds) is a function from a graph to a structured BoundReport.  Floats only
-screen; any value within the escalation window of a bound is re-decided with
-exact arithmetic, and certified equalities are matched against the extremal
-families by canonical form, with an explicit isomorphism witness.
+bounds) is a function from a graph to a structured BoundReport: its
+hypotheses as plain tests, then one call of ``decide``, the bound driver.
+``decide`` takes the sign of value - bound from ``screened_sign``, where the
+float decides only a sign that satisfies the bound and lies more than
+``ESCALATION_WINDOW`` from it; every other sign comes from exact arithmetic,
+so every equality and every violation is certified.  The relation (``<=``,
+``<``, ``>=``, ``>``) is data.  Certified equalities are matched against the
+extremal families by canonical form, with an explicit isomorphism witness,
+and a lemma's equality characterization must hold exactly.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -14,7 +19,7 @@ discriminants, and the sign evaluations that locate roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
@@ -29,9 +34,9 @@ from .graph import (
     complete_bipartite,
     count_bipartite_components,
     cycle,
-    cartesian_product,
     disjoint_union,
     empty_graph,
+    from_graph6,
     h_graph,
     h_graph_blocks,
     has_balanced_bipartite_component,
@@ -56,6 +61,7 @@ from .spectra import (
     compare_sum_with,
     ng_sum,
     q_spectrum,
+    rational_sqrt,
 )
 
 STRICT = "strict"
@@ -110,71 +116,42 @@ def _na(g: Graph, bound: str, rhs, notes: str) -> BoundReport:
 # Extremal family catalogues
 
 
-def _safe_families(builders: list[tuple[str, Callable[[], Graph]]]) -> list[tuple[str, Graph]]:
-    out = []
-    for name, build in builders:
-        try:
-            out.append((name, build()))
-        except ValueError:
-            continue
-    return out
-
-
 @lru_cache(maxsize=256)
 def _lower_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    return tuple(
-        _safe_families(
-            [
-                ("K_n", lambda: complete(n)),
-                ("nK_1", lambda: empty_graph(n)),
-                ("K_{1,n-1}", lambda: star(n)),
-                ("K_{n-1}∪K_1", lambda: disjoint_union(complete(n - 1), empty_graph(1))),
-                ("(2K_1)∇K_{n-2}", lambda: join(empty_graph(2), complete(n - 2))),
-                ("K_2∪(n-2)K_1", lambda: disjoint_union(complete(2), empty_graph(n - 2))),
-            ]
-        )
+    return (
+        ("K_n", complete(n)),
+        ("nK_1", empty_graph(n)),
+        ("K_{1,n-1}", star(n)),
+        ("K_{n-1}∪K_1", disjoint_union(complete(n - 1), empty_graph(1))),
+        ("(2K_1)∇K_{n-2}", join(empty_graph(2), complete(n - 2))),
+        ("K_2∪(n-2)K_1", disjoint_union(complete(2), empty_graph(n - 2))),
     )
 
 
 @lru_cache(maxsize=256)
 def _upper_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    builders = []
     if n == 2:
-        builders.append(("K_2", lambda: complete(2)))
+        return (("K_2", complete(2)),)
     if n == 4:
-        builders.append(("P_4", lambda: path(4)))
-        builders.append(("C_4", lambda: cycle(4)))
-    return tuple(_safe_families(builders))
+        return (("P_4", path(4)), ("C_4", cycle(4)))
+    return ()
 
 
 @lru_cache(maxsize=256)
 def _cobar_disconnected_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    builders = [
-        ("(K_2∪K_{n-3})∇K_1", lambda: join(disjoint_union(complete(2), complete(n - 3)), empty_graph(1))),
-    ]
+    k2 = complete(2)
+    families = [("(K_2∪K_{n-3})∇K_1", join(disjoint_union(k2, complete(n - 3)), empty_graph(1)))]
     if n == 7:
-        builders.append(("(2K_2)∇(3K_1)", lambda: join(disjoint_union(complete(2), complete(2)), empty_graph(3))))
+        families.append(("(2K_2)∇(3K_1)", join(disjoint_union(k2, k2), empty_graph(3))))
     if n == 6:
-        builders.append(("K_{3,3}", lambda: complete_bipartite(3, 3)))
-        builders.append(
-            (
-                "(K_1∪K_2)∇(K_1∪K_2)",
-                lambda: join(
-                    disjoint_union(empty_graph(1), complete(2)),
-                    disjoint_union(empty_graph(1), complete(2)),
-                ),
-            )
-        )
-    return tuple(_safe_families(builders))
+        k1_k2 = disjoint_union(empty_graph(1), k2)
+        families += [("K_{3,3}", complete_bipartite(3, 3)), ("(K_1∪K_2)∇(K_1∪K_2)", join(k1_k2, k1_k2))]
+    return tuple(families)
 
 
-def regular_extremal_families() -> tuple[tuple[str, Graph], ...]:
-    return (
-        ("C_6", cycle(6)),
-        ("K_{3,3}", complete_bipartite(3, 3)),
-        ("K_3□K_2", cartesian_product(complete(3), complete(2))),
-        ("(2K_2)∇(3K_1)", join(disjoint_union(complete(2), complete(2)), empty_graph(3))),
-    )
+@lru_cache(maxsize=256)
+def _star_families(n: int) -> tuple[tuple[str, Graph], ...]:
+    return (("K_{1,n-1}", star(n)), ("complement-of-K_{1,n-1}", complement(star(n))))
 
 
 @lru_cache(maxsize=1)
@@ -188,8 +165,6 @@ def bipartite_equality_catalogue() -> tuple[str, ...]:
 def _bipartite_equality_families(n: int) -> tuple[tuple[str, Graph], ...]:
     if n != 6:
         return ()
-    from .graph import from_graph6
-
     k33 = canonical_form(complete_bipartite(3, 3)).graph6
     out = []
     for i, g6 in enumerate(bipartite_equality_catalogue(), start=1):
@@ -213,47 +188,72 @@ def _match_family(g: Graph, families) -> Optional[ExtremalCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# Generic sum-bound driver
+# The bound driver
+
+#: Signs of (value - bound) that satisfy each relation.
+RELATION_SIGNS = {"<=": (-1, 0), "<": (-1,), ">=": (0, 1), ">": (1,), "==": (0,)}
+
+#: The signs a float may decide: those that satisfy the relation strictly.
+_FLOAT_SIGNS = {rel: tuple(s for s in signs if s) for rel, signs in RELATION_SIGNS.items()}
 
 
-def _decide_sum_bound(g: Graph, rhs: Fraction, direction: str) -> tuple[str, bool, float]:
-    """Verdict on q_2(G) + q_2(complement) vs rhs; exact within the window."""
-    lhs = ng_sum(g, "Q", 2)
-    margin = lhs - float(rhs) if direction == "ge" else float(rhs) - lhs
-    if margin > ESCALATION_WINDOW:
-        return STRICT, False, lhs
-    sign = compare_sum_with(g, "Q", 2, rhs)
-    if sign == 0:
-        return EQUALITY, True, lhs
-    inside = sign > 0 if direction == "ge" else sign < 0
-    return (STRICT if inside else VIOLATED), True, lhs
+def screened_sign(approx: float, target: float, exact: Callable[[], int],
+                  trusted: tuple[int, ...] = (-1, 1)) -> tuple[int, bool]:
+    """Sign of value - target, and whether exact arithmetic decided it.
+
+    The float ``approx`` decides only a sign listed in ``trusted``, and only
+    when it is more than ``ESCALATION_WINDOW`` from ``target``.  Everything
+    else calls ``exact()``.
+    """
+    if approx - target > ESCALATION_WINDOW:
+        if 1 in trusted:
+            return 1, False
+    elif target - approx > ESCALATION_WINDOW and -1 in trusted:
+        return -1, False
+    return exact(), True
 
 
-def _sum_bound_report(
-    g: Graph,
-    bound: str,
-    rhs: Fraction,
-    direction: str,
-    families=(),
-    notes: str = "",
-) -> BoundReport:
-    verdict, certified, lhs = _decide_sum_bound(g, rhs, direction)
-    cert = None
-    family = None
-    lhs_exact = None
-    if verdict == EQUALITY:
-        lhs_exact = str(rhs)
-        cert = _match_family(g, families)
-        if cert is not None:
-            family = cert.family
-        elif families:
-            notes = (notes + " " if notes else "") + "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
-    if verdict == VIOLATED:
-        notes = (notes + " " if notes else "") + "BOUND VIOLATED (exactly confirmed)"
+def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *, families=(),
+           structure: Optional[bool] = None, violated: str = "BOUND VIOLATED (exactly confirmed)",
+           rhs_exact: Optional[str] = None) -> BoundReport:
+    """The report of ``value relation rhs`` for the quantity screened by ``lhs``.
+
+    ``exact()`` is the exact sign of value - rhs.  A certified equality is
+    matched against ``families``.  With ``structure`` given, equality must
+    hold exactly when it is true, and the float may not skip the exact step
+    while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
+    """
+    holds = RELATION_SIGNS[relation]
+    trusted = () if structure else _FLOAT_SIGNS[relation]
+    sign, certified = screened_sign(lhs, float(rhs), exact, trusted)
+    verdict, notes, cert = STRICT, "", None
+    if sign not in holds:
+        verdict, notes = VIOLATED, violated
+    elif structure is not None and (sign == 0) != structure:
+        verdict = VIOLATED
+        notes = f"equality characterization mismatch: equality={sign == 0}, structure={structure}"
+    elif sign == 0:
+        verdict = EQUALITY
+        if families:
+            cert = _match_family(g, families)
+            notes = "" if cert else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
     return BoundReport(
-        to_graph6(g), bound, lhs, rhs, verdict,
-        certified=certified, lhs_exact=lhs_exact, family=family,
-        certificate=cert, notes=notes,
+        to_graph6(g), bound, lhs, rhs, verdict, certified=certified,
+        lhs_exact=(rhs_exact or str(rhs)) if verdict == EQUALITY else None,
+        family=cert.family if cert else None, certificate=cert, notes=notes,
+    )
+
+
+def _sum_bound(g: Graph, bound: str, relation: str, base: Fraction, rad: Optional[Fraction] = None,
+               *, kind: str = "Q", k: int = 2, **options) -> BoundReport:
+    """The k-th eigenvalue sum of g and its complement against base, or base + sqrt(rad)."""
+    lhs = ng_sum(g, kind, k)
+    if rad is None:
+        return decide(g, bound, lhs, base, lambda: compare_sum_with(g, kind, k, base), relation, **options)
+    root = rational_sqrt(rad)
+    return decide(
+        g, bound, lhs, float(base) + sqrt(rad), lambda: compare_sum_vs_radical(g, kind, k, base, rad),
+        relation, rhs_exact=None if root is None else str(base + root), **options,
     )
 
 
@@ -266,7 +266,7 @@ def check_thm12(g: Graph) -> BoundReport:
     rhs = Fraction(g.n - 2)
     if g.n < 4:
         return _na(g, "thm-1.2", rhs, "requires n >= 4")
-    return _sum_bound_report(g, "thm-1.2", rhs, "ge", _lower_bound_families(g.n))
+    return _sum_bound(g, "thm-1.2", ">=", rhs, families=_lower_bound_families(g.n))
 
 
 def check_thm13(g: Graph) -> BoundReport:
@@ -276,7 +276,7 @@ def check_thm13(g: Graph) -> BoundReport:
         return _na(g, "thm-1.3", rhs, "requires n >= 2")
     if not is_connected(g):
         return _na(g, "thm-1.3", rhs, "requires a connected graph")
-    return _sum_bound_report(g, "thm-1.3", rhs, "le", _upper_bound_families(g.n))
+    return _sum_bound(g, "thm-1.3", "<=", rhs, families=_upper_bound_families(g.n))
 
 
 def check_problem12(g: Graph) -> BoundReport:
@@ -286,7 +286,7 @@ def check_problem12(g: Graph) -> BoundReport:
         return _na(g, "problem-1.2", rhs, "requires n >= 6")
     if not is_connected(g):
         return _na(g, "problem-1.2", rhs, "requires a connected graph")
-    return _sum_bound_report(g, "problem-1.2", rhs, "le")
+    return _sum_bound(g, "problem-1.2", "<=", rhs)
 
 
 def check_thm14(g: Graph) -> BoundReport:
@@ -298,7 +298,7 @@ def check_thm14(g: Graph) -> BoundReport:
         return _na(g, "thm-1.4", rhs, "requires a connected graph")
     if is_connected(complement(g)):
         return _na(g, "thm-1.4", rhs, "requires a disconnected complement")
-    return _sum_bound_report(g, "thm-1.4", rhs, "le", _cobar_disconnected_families(g.n))
+    return _sum_bound(g, "thm-1.4", "<=", rhs, families=_cobar_disconnected_families(g.n))
 
 
 def check_thm15(g: Graph) -> BoundReport:
@@ -310,7 +310,7 @@ def check_thm15(g: Graph) -> BoundReport:
         return _na(g, "thm-1.5", rhs, "requires a connected graph")
     if not is_bipartite(g):
         return _na(g, "thm-1.5", rhs, "requires a bipartite graph")
-    return _sum_bound_report(g, "thm-1.5", rhs, "le", _bipartite_equality_families(g.n))
+    return _sum_bound(g, "thm-1.5", "<=", rhs, families=_bipartite_equality_families(g.n))
 
 
 def check_thm16(g: Graph) -> BoundReport:
@@ -320,12 +320,9 @@ def check_thm16(g: Graph) -> BoundReport:
         return _na(g, "thm-1.6", rhs, "requires n >= 6")
     if not is_connected(g):
         return _na(g, "thm-1.6", rhs, "requires a connected graph")
-    q2f = q_spectrum(g).value(2)
-    if q2f > g.n - 3 + ESCALATION_WINDOW or (
-        q2f > g.n - 3 - ESCALATION_WINDOW and compare_qk_with(g, 2, g.n - 3) > 0
-    ):
+    if screened_sign(q_spectrum(g).value(2), g.n - 3, lambda: compare_qk_with(g, 2, g.n - 3))[0] > 0:
         return _na(g, "thm-1.6", rhs, "hypothesis q_2 <= n - 3 fails (certified)")
-    return _sum_bound_report(g, "thm-1.6", rhs, "le", _bipartite_equality_families(g.n))
+    return _sum_bound(g, "thm-1.6", "<=", rhs, families=_bipartite_equality_families(g.n))
 
 
 def check_regular_bound(g: Graph) -> BoundReport:
@@ -339,43 +336,16 @@ def check_regular_bound(g: Graph) -> BoundReport:
         return _na(g, name, None, "requires a non-complete graph")
     k = g.degree(0)
     rad = Fraction(2 * g.n * k * (g.n - k - 1), g.n - 1)
-    base = Fraction(g.n - 2)
-    rhs = float(base) + sqrt(rad)
-    lhs = ng_sum(g, "Q", 2)
-    if rhs - lhs > ESCALATION_WINDOW:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_sum_vs_radical(g, "Q", 2, base, rad)
-    verdict = STRICT if sign < 0 else VIOLATED
-    return BoundReport(
-        to_graph6(g), name, lhs, rhs, verdict, certified=True,
-        notes="" if sign < 0 else "STRICT BOUND VIOLATED (exactly confirmed)",
-    )
+    return _sum_bound(g, name, "<", Fraction(g.n - 2), rad,
+                      violated="STRICT BOUND VIOLATED (exactly confirmed)")
 
 
 def check_ng_q1(g: Graph) -> BoundReport:
     """Bound q_1(G) + q_1(complement G) <= 3n - 4, equality only for stars."""
-    name = "q1-sum"
     rhs = Fraction(3 * g.n - 4)
     if g.n < 2:
-        return _na(g, name, rhs, "requires n >= 2")
-    lhs = ng_sum(g, "Q", 1)
-    if float(rhs) - lhs > ESCALATION_WINDOW:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_sum_with(g, "Q", 1, rhs)
-    if sign == 0:
-        families = [("K_{1,n-1}", star(g.n)), ("complement-of-K_{1,n-1}", complement(star(g.n)))]
-        cert = _match_family(g, families)
-        notes = "" if cert else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
-        return BoundReport(
-            to_graph6(g), name, lhs, rhs, EQUALITY, certified=True,
-            lhs_exact=str(rhs), family=cert.family if cert else None,
-            certificate=cert, notes=notes,
-        )
-    verdict = STRICT if sign < 0 else VIOLATED
-    return BoundReport(
-        to_graph6(g), name, lhs, rhs, verdict, certified=True,
-        notes="" if sign < 0 else "BOUND VIOLATED (exactly confirmed)",
-    )
+        return _na(g, "q1-sum", rhs, "requires n >= 2")
+    return _sum_bound(g, "q1-sum", "<=", rhs, k=1, families=_star_families(g.n))
 
 
 def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
@@ -389,25 +359,11 @@ def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
         return _na(g, f"ng-{kind}{k}", None, f"k={k} outside 1..{n}")
     if kind == "Q" and k == 1:
         return check_ng_q1(g)
-    lhs = ng_sum(g, kind, k)
     if kind == "L" and k == 1:
-        rhs = Fraction(2 * n - 1)
-        if float(rhs) - lhs > ESCALATION_WINDOW:
-            return BoundReport(to_graph6(g), "ng-L1", lhs, rhs, STRICT)
-        sign = compare_sum_with(g, "L", 1, rhs)
-        verdict = EQUALITY if sign == 0 else (STRICT if sign < 0 else VIOLATED)
-        return BoundReport(to_graph6(g), "ng-L1", lhs, rhs, verdict, certified=True,
-                           lhs_exact=str(rhs) if sign == 0 else None)
+        return _sum_bound(g, "ng-L1", "<=", Fraction(2 * n - 1), kind="L", k=1)
     if kind == "A" and k == 2:
-        base = Fraction(-1)
-        rad = Fraction(n * n, 2) - n + 1
-        rhs = float(base) + sqrt(rad)
-        if rhs - lhs > ESCALATION_WINDOW:
-            return BoundReport(to_graph6(g), "ng-A2", lhs, rhs, STRICT)
-        sign = compare_sum_vs_radical(g, "A", 2, base, rad)
-        verdict = STRICT if sign < 0 else VIOLATED
-        return BoundReport(to_graph6(g), "ng-A2", lhs, rhs, verdict, certified=True)
-    return BoundReport(to_graph6(g), f"ng-{kind}{k}", lhs, None, NOT_APPLICABLE,
+        return _sum_bound(g, "ng-A2", "<=", Fraction(-1), Fraction(n * n, 2) - n + 1, kind="A")
+    return BoundReport(to_graph6(g), f"ng-{kind}{k}", ng_sum(g, kind, k), None, NOT_APPLICABLE,
                        notes="no registered bound for this kind/k")
 
 
@@ -417,125 +373,64 @@ def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
 
 def check_lemma26(g: Graph) -> BoundReport:
     """Degree bound on q_1 with equality iff regular or semi-regular bipartite."""
-    name = "lemma-2.6"
     if not is_connected(g) or g.m == 0:
-        return _na(g, name, None, "requires a connected graph with an edge")
+        return _na(g, "lemma-2.6", None, "requires a connected graph with an edge")
     rhs = max(
         Fraction(g.degree(u) ** 2 + sum(g.degree(v) for v in g.neighbors(u)), g.degree(u))
         for u in range(g.n)
     )
-    lhs = q_spectrum(g).value(1)
-    structural = is_regular(g) or is_semiregular_bipartite(g)
-    if float(rhs) - lhs > ESCALATION_WINDOW and not structural:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_qk_with(g, 1, rhs)
-    if sign > 0:
-        return BoundReport(to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
-                           notes="BOUND VIOLATED (exactly confirmed)")
-    if (sign == 0) != structural:
-        return BoundReport(
-            to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
-            notes="equality characterization mismatch: "
-            f"equality={sign == 0}, regular-or-semiregular-bipartite={structural}",
-        )
-    if sign == 0:
-        return BoundReport(to_graph6(g), name, lhs, rhs, EQUALITY, certified=True,
-                           lhs_exact=str(rhs))
-    return BoundReport(to_graph6(g), name, lhs, rhs, STRICT, certified=True)
+    return decide(g, "lemma-2.6", q_spectrum(g).value(1), rhs, lambda: compare_qk_with(g, 1, rhs), "<=",
+                  structure=is_regular(g) or is_semiregular_bipartite(g))
 
 
 def check_lemma27(g: Graph, edge: tuple[int, int]) -> BoundReport:
     """Strict growth of q_1 when a missing edge is added to a connected graph."""
-    name = "lemma-2.7"
     u, v = edge
     if not is_connected(g):
-        return _na(g, name, None, "requires a connected graph")
+        return _na(g, "lemma-2.7", None, "requires a connected graph")
     if g.has_edge(u, v) or u == v:
-        return _na(g, name, None, "requires a non-adjacent vertex pair")
+        return _na(g, "lemma-2.7", None, "requires a non-adjacent vertex pair")
     bigger = g.with_edge(u, v)
-    lhs = q_spectrum(bigger).value(1)
-    rhs = q_spectrum(g).value(1)
-    if lhs - rhs > ESCALATION_WINDOW:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_q1(bigger, g)
-    verdict = STRICT if sign > 0 else VIOLATED
-    return BoundReport(
-        to_graph6(g), name, lhs, rhs, verdict, certified=True,
-        notes="" if sign > 0 else "STRICT GROWTH VIOLATED (exactly confirmed)",
-    )
+    return decide(g, "lemma-2.7", q_spectrum(bigger).value(1), q_spectrum(g).value(1),
+                  lambda: compare_q1(bigger, g), ">", violated="STRICT GROWTH VIOLATED (exactly confirmed)")
 
 
 def check_lemma28(g: Graph) -> BoundReport:
     """q_2 <= n - 2 with equality iff the complement has a balanced bipartite
     component or at least two bipartite components."""
-    name = "lemma-2.8"
     rhs = Fraction(g.n - 2)
     if g.n < 2:
-        return _na(g, name, rhs, "requires n >= 2")
-    lhs = q_spectrum(g).value(2)
+        return _na(g, "lemma-2.8", rhs, "requires n >= 2")
     cobar = complement(g)
-    structural = has_balanced_bipartite_component(cobar) or count_bipartite_components(cobar) >= 2
-    if float(rhs) - lhs > ESCALATION_WINDOW and not structural:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_qk_with(g, 2, rhs)
-    if sign > 0:
-        return BoundReport(to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
-                           notes="BOUND VIOLATED (exactly confirmed)")
-    if (sign == 0) != structural:
-        return BoundReport(
-            to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
-            notes=f"equality characterization mismatch: equality={sign == 0}, structure={structural}",
-        )
-    if sign == 0:
-        return BoundReport(to_graph6(g), name, lhs, rhs, EQUALITY, certified=True,
-                           lhs_exact=str(rhs))
-    return BoundReport(to_graph6(g), name, lhs, rhs, STRICT, certified=True)
+    structure = has_balanced_bipartite_component(cobar) or count_bipartite_components(cobar) >= 2
+    return decide(g, "lemma-2.8", q_spectrum(g).value(2), rhs, lambda: compare_qk_with(g, 2, rhs), "<=",
+                  structure=structure)
 
 
 def check_lemma29(g: Graph) -> BoundReport:
     """q_2 >= d_2 - 1; equality forces d_1 = d_2 with top-degree vertices adjacent."""
-    name = "lemma-2.9"
     if g.n < 2:
-        return _na(g, name, None, "requires n >= 2")
+        return _na(g, "lemma-2.9", None, "requires n >= 2")
     degs = g.degree_sequence()
     rhs = Fraction(degs[1] - 1)
-    lhs = q_spectrum(g).value(2)
-    if lhs - float(rhs) > ESCALATION_WINDOW:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_qk_with(g, 2, rhs)
-    if sign < 0:
-        return BoundReport(to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
-                           notes="BOUND VIOLATED (exactly confirmed)")
-    if sign == 0:
+    report = decide(g, "lemma-2.9", q_spectrum(g).value(2), rhs, lambda: compare_qk_with(g, 2, rhs), ">=")
+    if report.verdict == EQUALITY:
         top = [v for v in range(g.n) if g.degree(v) == degs[0]]
         pairwise = all(g.has_edge(u, v) for i, u in enumerate(top) for v in top[i + 1:])
-        consequence = degs[0] == degs[1] and len(top) >= 2 and pairwise
-        if not consequence:
-            return BoundReport(
-                to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
+        if not (degs[0] == degs[1] and len(top) >= 2 and pairwise):
+            return replace(
+                report, verdict=VIOLATED, lhs_exact=None,
                 notes="equality consequence mismatch: top degrees must coincide and be pairwise adjacent",
             )
-        return BoundReport(to_graph6(g), name, lhs, rhs, EQUALITY, certified=True,
-                           lhs_exact=str(rhs))
-    return BoundReport(to_graph6(g), name, lhs, rhs, STRICT, certified=True)
+    return report
 
 
 def check_lemma210(g: Graph) -> BoundReport:
     """Least eigenvalue bound q_n >= 2m/(n-2) - n + 1 for n >= 6."""
-    name = "lemma-2.10"
     if g.n < 6:
-        return _na(g, name, None, "requires n >= 6")
+        return _na(g, "lemma-2.10", None, "requires n >= 6")
     rhs = Fraction(2 * g.m, g.n - 2) - g.n + 1
-    lhs = q_spectrum(g).value(g.n)
-    if lhs - float(rhs) > ESCALATION_WINDOW:
-        return BoundReport(to_graph6(g), name, lhs, rhs, STRICT)
-    sign = compare_qk_with(g, g.n, rhs)
-    if sign < 0:
-        return BoundReport(to_graph6(g), name, lhs, rhs, VIOLATED, certified=True,
-                           notes="BOUND VIOLATED (exactly confirmed)")
-    verdict = EQUALITY if sign == 0 else STRICT
-    return BoundReport(to_graph6(g), name, lhs, rhs, verdict, certified=True,
-                       lhs_exact=str(rhs) if sign == 0 else None)
+    return decide(g, "lemma-2.10", q_spectrum(g).value(g.n), rhs, lambda: compare_qk_with(g, g.n, rhs), ">=")
 
 
 THEOREM_CHECKS: dict[str, Callable[[Graph], BoundReport]] = {

@@ -109,6 +109,20 @@ def test_scan_external_input(tmp_path, capsys):
     assert payload["equality"] == [canonical_form(cycle(6)).graph6]
 
 
+def test_ng_a2_square_radicand_check_and_scan(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "check", "--thm", "ng", "--kind", "A", "--k", "2",
+                           "--graph6", "GKXc{w", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["certified"], payload["lhs_exact"]) == ("equality-certified", True, "4")
+    stream = tmp_path / "n8.g6"
+    stream.write_text("GKXc{w\nG?????\nG~~~~{\nGCQR@O\n")
+    code, out, _ = run_cli(capsys, "scan", "--n", "8", "--thm", "ng", "--kind", "A", "--k", "2",
+                           "--input", str(stream))
+    assert code == 0
+    assert "equality-certified=1 strict=3" in out and "equality: GKXc{w" in out
+
+
 def test_scan_mixed_order_input(tmp_path, capsys):
     import random
 

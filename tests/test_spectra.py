@@ -16,6 +16,7 @@ from qng.graph import (
     cycle,
     empty_graph,
     from_edges,
+    from_graph6,
     path,
     star,
 )
@@ -26,6 +27,7 @@ from qng.spectra import (
     char_poly_exact,
     compare_q1,
     compare_qk_with,
+    compare_sum_vs_radical,
     compare_sum_with,
     eigenvalues_sym,
     l_matrix,
@@ -34,7 +36,7 @@ from qng.spectra import (
     q_char_poly,
     q_matrix,
     q_spectrum,
-    screening_tol,
+    rational_sqrt,
     spectrum,
     sturm_count,
 )
@@ -212,17 +214,20 @@ def test_compare_helpers():
     assert compare_q1(path(4), path(4)) == 0
 
 
-def test_screening_tol_env(monkeypatch):
-    assert screening_tol() == 1e-9
-    monkeypatch.setenv("QNG_TOL", "1e-7")
-    assert screening_tol() == 1e-7
+def test_square_radicand_is_decided_exactly():
+    assert rational_sqrt(25) == 5 and rational_sqrt(F(9, 4)) == F(3, 2)
+    assert rational_sqrt(5) is None and rational_sqrt(F(25, 2)) is None
+    # lambda_2(G) + lambda_2(complement G) = 2 + 2 hits -1 + sqrt(25) exactly
+    g = from_graph6("GKXc{w")
+    assert compare_sum_vs_radical(g, "A", 2, -1, 25) == 0
+    assert compare_sum_vs_radical(g, "A", 2, -1, F(2401, 100)) == 1  # -1 + 4.9
+    assert compare_sum_vs_radical(g, "A", 2, -1, 26) == -1
 
 
 def test_spectrum_accessors():
     s = q_spectrum(complete(4))
     assert s.value(1) == max(s.values)
     assert len(s) == 4
-    assert isinstance(s.tol, float)
 
 
 def test_char_poly_type():

@@ -16,6 +16,7 @@ from qng.graph import (
     disjoint_union,
     empty_graph,
     from_edges,
+    from_graph6,
     h_graph,
     join,
     path,
@@ -43,9 +44,11 @@ from qng.theorems import (
     check_thm14,
     check_thm15,
     check_thm16,
+    decide,
     proof_check_thm12,
     proof_check_thm15,
     run_all_checks,
+    screened_sign,
 )
 
 PETERSEN = from_edges(
@@ -192,6 +195,50 @@ def test_ng_generic():
     assert check_ng_generic(cycle(5), "L", 1).verdict in (STRICT, EQUALITY)
     assert check_ng_generic(star(5), "Q", 1).verdict == EQUALITY
     assert check_ng_generic(cycle(5), "Q", 3).verdict == NOT_APPLICABLE
+
+
+def test_ng_a2_square_radicand_equality():
+    # n = 8: the bound -1 + sqrt(n^2/2 - n + 1) is -1 + sqrt(25) = 4
+    r = check_ng_generic(from_graph6("GKXc{w"), "A", 2)
+    assert (r.bound, r.verdict) == ("ng-A2", EQUALITY)
+    assert r.certified and r.lhs_exact == "4" and r.rhs == 4.0
+
+
+def test_screened_sign_trusts_only_listed_signs():
+    def exact():
+        calls.append(1)
+        return 0
+
+    calls = []
+    assert screened_sign(5.0, 1.0, exact) == (1, False)
+    assert screened_sign(-5.0, 1.0, exact, (-1,)) == (-1, False)
+    assert not calls
+    assert screened_sign(5.0, 1.0, exact, (-1,)) == (0, True)
+    assert screened_sign(1.0 + 1e-7, 1.0, exact) == (0, True)
+    assert len(calls) == 2
+
+
+def test_decide_relation_is_data():
+    def hit():
+        return 0
+
+    g = cycle(5)
+    assert decide(g, "b", 4.0, F(4), hit, "<=").verdict == EQUALITY
+    assert decide(g, "b", 4.0, F(4), hit, ">=").lhs_exact == "4"
+    strict = decide(g, "b", 4.0, 4.0, hit, "<")
+    assert (strict.verdict, strict.certified, strict.lhs_exact) == (VIOLATED, True, None)
+    assert decide(g, "b", 4.0, F(4), hit, ">", violated="GROWTH").notes == "GROWTH"
+    below = decide(g, "b", 1.0, F(4), lambda: -1, "<=")
+    assert (below.verdict, below.certified) == (STRICT, False)
+    # an equality characterization: no float shortcut while it holds, and it must match
+    assert decide(g, "b", 1.0, F(4), lambda: -1, "<=", structure=True).verdict == VIOLATED
+    assert decide(g, "b", 4.0, F(4), hit, "<=", structure=False).verdict == VIOLATED
+    assert decide(g, "b", 4.0, F(4), hit, "<=", structure=True).verdict == EQUALITY
+    # a certified equality outside the given families is flagged
+    other = decide(g, "b", 4.0, F(4), hit, "<=", families=(("K_5", complete(5)),))
+    assert other.family is None and other.notes == "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
+    same = decide(g, "b", 4.0, F(4), hit, "<=", families=(("C_5", cycle(5)),))
+    assert same.family == "C_5" and same.certificate.witness
 
 
 def test_run_all_checks():
