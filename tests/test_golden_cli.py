@@ -2,8 +2,11 @@
 
 The data file freezes what ``qng`` prints for ``check``/``report``/``scan`` in
 every format, a scan of every registered theorem over n = 4..7, the ``ng``
-sums, every scan predicate kind, a ``--jobs 2`` scan and a proof-check sweep.
-Regenerate it only for an intended change of output:
+sums, every scan predicate kind, a ``--jobs 2`` scan, a proof-check sweep and
+a scan of the external order-9 stream ``tests/data/stream9.g6`` under ``--jobs``
+1, 2 and 3.  Commands run from the repository root, so a stream path in the
+argv is relative to it.  Regenerate the file only for an intended change of
+output:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
@@ -13,12 +16,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 from qng.cli import main
 
-DATA = Path(__file__).parent / "data" / "golden_cli.json"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data" / "golden_cli.json"
 
 THEOREMS = ["1.2", "1.3", "1.4", "1.5", "1.6", "problem1.2", "regular", "2.6", "2.8", "2.9", "2.10"]
 
@@ -52,13 +57,21 @@ COMMANDS: list[list[str]] = [
     ["scan", "--n", "4", "--filter", "connected", "--predicate", "sum-le 0", "--format", "json"],
     ["scan", "--n", "7", "--filter", "connected", "--thm", "2.8", "--jobs", "2", "--format", "json"],
     ["proof-check", "--thm", "1.5", "--n-range", "8..12"],
+    *(["scan", "--n", "9", "--input", "tests/data/stream9.g6", "--filter", "connected",
+       "--thm", "problem1.2", "--jobs", jobs, "--format", fmt]
+      for jobs in ("1", "2", "3") for fmt in ("text", "json")),
 ]
 
 
 def run(argv: list[str]) -> dict:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
 
 
