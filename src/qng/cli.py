@@ -305,10 +305,15 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+_N_RANGE = re.compile(r"(\d+)\.\.(\d+)")
+
+
 def _iter_orders(args) -> list[int]:
     if args.n_range:
-        lo, hi = args.n_range.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        m = _N_RANGE.fullmatch(args.n_range.strip())
+        if m is None or int(m[1]) > int(m[2]):
+            raise UsageError(f"--n-range takes LO..HI with integers LO <= HI, got {args.n_range!r}")
+        return list(range(int(m[1]), int(m[2]) + 1))
     if args.n is None:
         raise UsageError("provide --n or --n-range")
     return [args.n]

@@ -23,21 +23,29 @@ child searched and its new vertex checked against the orbit of the deletion
 vertex.  Every kept child is the only one of its class, so no child is
 deduplicated afterwards.  Counts are cross-checked against reference values
 in the test suite.
+
+``scan`` filters its source lazily and cuts it into chunks of ``SCAN_CHUNK``
+graphs.  One helper evaluates a chunk: it screens the chunk's graphs and
+their complements with one batched float call (``spectra.prefill``), then
+runs the check on each graph.  With ``jobs`` > 1 the chunks go in order
+through ``Pool.imap``; workers receive the graphs and return only verdicts.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import spectra
 from .graph import (
     CapacityError,
     Graph,
     _graph_unchecked,
     bits,
     complement,
-    from_graph6,
     is_bipartite,
     is_connected,
     is_regular,
@@ -430,13 +438,47 @@ _EQUALITY_VERDICTS = {"equality-certified"}
 _VIOLATION_VERDICTS = {"violated"}
 
 
-def _scan_chunk(args) -> list[tuple[str, str]]:
-    lines, check = args
-    out = []
-    for line in lines:
-        g = from_graph6(line)
-        out.append((line, _verdict_of(check(g))))
-    return out
+#: Graphs per chunk of a scan: one batched float screen, and one pool task
+#: under ``jobs`` > 1.
+SCAN_CHUNK = 256
+
+
+def _evaluate(graphs: list[Graph], check: Callable[[Graph], object]) -> list[str]:
+    """The verdicts of ``check`` on ``graphs``, after one float screen of them all.
+
+    The screen is of the check's matrix kind (``check.kind``, else Q).
+    """
+    spectra.prefill(graphs, getattr(check, "kind", "Q"))
+    return [_verdict_of(check(g)) for g in graphs]
+
+
+def _scan_chunk(args) -> list[str]:
+    """Pool-worker entry point: the verdicts of one (graphs, check) chunk."""
+    return _evaluate(*args)
+
+
+def _verdict_chunks(
+    chunks: Iterable[list[Graph]], check: Callable[[Graph], object], jobs: int
+) -> Iterator[tuple[list[Graph], list[str]]]:
+    """Each chunk with its verdicts, in order; ``jobs`` > 1 evaluates in a pool.
+
+    Pool workers receive the graphs and send back only the verdicts, so the
+    chunks in flight wait in ``sent`` for their results.
+    """
+    if jobs <= 1:
+        for graphs in chunks:
+            yield graphs, _evaluate(graphs, check)
+        return
+    sent: deque[list[Graph]] = deque()
+
+    def tasks():
+        for graphs in chunks:
+            sent.append(graphs)
+            yield graphs, check
+
+    with multiprocessing.Pool(jobs) as pool:
+        for verdicts in pool.imap(_scan_chunk, tasks()):
+            yield sent.popleft(), verdicts
 
 
 def scan(
@@ -450,35 +492,33 @@ def scan(
     """Evaluate ``check`` on every filtered graph of order ``n``.
 
     ``source`` defaults to the built-in isomorph-free stream; pass graphs
-    parsed from an external graph6 file for orders beyond 8.  Results are
+    parsed from an external graph6 file for orders beyond 8.  The filtered
+    stream is read lazily in chunks of ``SCAN_CHUNK`` graphs.  Results are
     independent of ``jobs``: members are canonical forms in sorted order.
     """
     filter_name, accept = resolve_filter(graph_filter)
     predicate_name = getattr(check, "__name__", "custom")
-    stream = enumerate_graphs(n) if source is None else source
-    selected = []
-    for g in stream:
-        if g.n != n:
-            raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
-        if accept(g):
-            selected.append(g)
-    result = ScanResult(n, filter_name, predicate_name, total=len(selected))
-    if jobs > 1:
-        lines = [to_graph6(g) for g in selected]
-        chunk = max(1, len(lines) // (jobs * 8))
-        chunks = [(lines[i : i + chunk], check) for i in range(0, len(lines), chunk)]
-        with multiprocessing.Pool(jobs) as pool:
-            evaluated = [item for part in pool.map(_scan_chunk, chunks) for item in part]
-        pairs = [(from_graph6(line), verdict) for line, verdict in evaluated]
-    else:
-        pairs = [(g, _verdict_of(check(g))) for g in selected]
-    for g, verdict in pairs:
-        result.counts[verdict] = result.counts.get(verdict, 0) + 1
-        if verdict in _EQUALITY_VERDICTS or verdict in _VIOLATION_VERDICTS:
-            key = to_graph6(canonicalize(g)) if g.n <= CANONICAL_MAX else to_graph6(g)
-            target = result.equality if verdict in _EQUALITY_VERDICTS else result.violations
-            if key not in target:
-                target.append(key)
+    stream = iter(enumerate_graphs(n) if source is None else source)
+
+    def selected() -> Iterator[Graph]:
+        for g in stream:
+            if g.n != n:
+                raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
+            if accept(g):
+                yield g
+
+    graphs = selected()
+    chunks = iter(lambda: list(islice(graphs, SCAN_CHUNK)), [])
+    result = ScanResult(n, filter_name, predicate_name)
+    for chunk, verdicts in _verdict_chunks(chunks, check, jobs):
+        result.total += len(chunk)
+        for g, verdict in zip(chunk, verdicts):
+            result.counts[verdict] = result.counts.get(verdict, 0) + 1
+            if verdict in _EQUALITY_VERDICTS or verdict in _VIOLATION_VERDICTS:
+                key = to_graph6(canonicalize(g)) if g.n <= CANONICAL_MAX else to_graph6(g)
+                target = result.equality if verdict in _EQUALITY_VERDICTS else result.violations
+                if key not in target:
+                    target.append(key)
     result.equality.sort()
     result.violations.sort()
     return result

@@ -74,7 +74,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, g6={to_graph6(self)!r})"
 
     def __reduce__(self):
-        return (Graph, (self.n, self.rows))
+        return (_graph_unchecked, (self.n, self.rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -168,7 +168,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(~r & full & ~(1 << v) for v, r in enumerate(g.rows)))
+    return _graph_unchecked(g.n, tuple(full ^ r ^ (1 << v) for v, r in enumerate(g.rows)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -445,13 +445,17 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
+#: Each graph6 payload character as its six bits, most significant first.
+_GRAPH6_BITS = {63 + v: f"{v:06b}" for v in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
         raise Graph6Error("empty graph6 string")
-    if any(not 63 <= ord(c) <= 126 for c in s):
+    if min(s) < "?" or max(s) > "~":
         raise Graph6Error(f"character out of graph6 range in {text!r}")
     n = ord(s[0]) - 63
     if n == 63:
@@ -459,26 +463,28 @@ def from_graph6(text: str) -> Graph:
     if not 1 <= n <= MAX_VERTICES:
         raise CapacityError(f"graph6 order {n} outside 1..{MAX_VERTICES}")
     body = s[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) != need:
         raise Graph6Error(
             f"expected {need} payload characters for n={n}, got {len(body)}"
         )
-    bits_stream = []
-    for c in body:
-        val = ord(c) - 63
-        bits_stream.extend((val >> k) & 1 for k in range(5, -1, -1))
-    rows = [0] * n
-    i = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits_stream[i]:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            i += 1
-    if any(bits_stream[i:]):
+    # Bit i of the payload is the i-th bit of the upper triangle, column by
+    # column: column c holds the pairs (0, c), ..., (c - 1, c).
+    payload = int(body.translate(_GRAPH6_BITS)[::-1] or "0", 2)
+    if payload >> pairs:
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, rows)
+    rows = [0] * n
+    for col in range(1, n):
+        below = payload & ((1 << col) - 1)
+        payload >>= col
+        rows[col] = below
+        bit = 1 << col
+        while below:
+            low = below & -below
+            rows[low.bit_length() - 1] |= bit
+            below ^= low
+    return _graph_unchecked(n, tuple(rows))
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:

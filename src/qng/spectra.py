@@ -1,7 +1,11 @@
 """Spectra of graph matrices: float screening plus exact certification.
 
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
-are used only for screening.  Whenever a quantity sits within the escalation
+are used only for screening.  ``spectrum`` caches them by (graph, kind).
+``prefill`` screens many graphs and their complements at once: their
+matrices are stacked as one (B, n, n) array and go through one eigvalsh
+call, and a scan does this once per chunk.  A cache miss is screened the
+same way, as a batch of one.  Whenever a quantity sits within the escalation
 window of a bound, decisions are re-made exactly: integer characteristic
 polynomials via the Faddeev-LeVerrier recurrence, Sturm-sequence root
 counting, and isolating-interval comparisons of algebraic eigenvalues.
@@ -15,12 +19,13 @@ Sturm/gcd tower per characteristic polynomial.  ``Fraction`` appears only in
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -96,9 +101,75 @@ def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
     return Spectrum(tuple(float(v) for v in vals))
 
 
-@lru_cache(maxsize=1 << 15)
+def _stacked(graphs: Sequence[Graph], kind: str) -> np.ndarray:
+    """The kind-matrices of graphs of one order n, as one (B, n, n) float array."""
+    if kind not in _KIND_BUILDERS:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    n = graphs[0].n
+    adj = (np.array([g.rows for g in graphs], dtype=np.int64)[:, :, None] >> np.arange(n)) & 1
+    if kind == "A":
+        return adj.astype(float)
+    deg = adj.sum(axis=2)[:, :, None] * np.eye(n, dtype=np.int64)
+    return (deg + adj if kind == "Q" else deg - adj).astype(float)
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+#: The float spectra screened so far, by (graph, kind); the oldest go first.
+_SPECTRA: OrderedDict[tuple[Graph, str], Spectrum] = OrderedDict()
+_SPECTRA_MAX = 1 << 15
+_LOOKUPS = [0, 0]  # hits and misses of ``spectrum``
+
+
+def _screen(graphs: Sequence[Graph], kind: str) -> list[Spectrum]:
+    """Float spectra of the kind-matrices of graphs of one order, cached.
+
+    The stacked matrices go through one eigvalsh call.
+    """
+    out = [Spectrum(tuple(v)) for v in np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1].tolist()]
+    for g, spec in zip(graphs, out):
+        _SPECTRA[g, kind] = spec
+    while len(_SPECTRA) > _SPECTRA_MAX:
+        _SPECTRA.popitem(last=False)
+    return out
+
+
+def prefill(graphs: Iterable[Graph], kind: str = "Q") -> None:
+    """Screen ``graphs`` and their complements into the ``spectrum`` cache.
+
+    A scan calls this once per chunk, so the chunk costs one eigvalsh call
+    per order instead of two per graph; graphs already cached are skipped.
+    """
+    todo: dict[int, dict[Graph, None]] = {}
+    for g in graphs:
+        for h in (g, complement(g)):
+            if (h, kind) not in _SPECTRA:
+                todo.setdefault(h.n, {})[h] = None
+    for same in todo.values():
+        _screen(list(same), kind)
+
+
 def spectrum(g: Graph, kind: str = "Q") -> Spectrum:
-    return eigenvalues_sym(matrix_of_kind(g, kind))
+    """The float spectrum of the kind-matrix of g, from the cache if screened before."""
+    found = _SPECTRA.get((g, kind))
+    if found is None:
+        _LOOKUPS[1] += 1
+        return _screen((g,), kind)[0]
+    _LOOKUPS[0] += 1
+    return found
+
+
+def _cache_info() -> _CacheInfo:
+    return _CacheInfo(_LOOKUPS[0], _LOOKUPS[1], _SPECTRA_MAX, len(_SPECTRA))
+
+
+def _cache_clear() -> None:
+    _SPECTRA.clear()
+    _LOOKUPS[:] = [0, 0]
+
+
+spectrum.cache_info = _cache_info
+spectrum.cache_clear = _cache_clear
 
 
 def q_spectrum(g: Graph) -> Spectrum:

@@ -199,6 +199,14 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb", [["scan", "--thm", "ng"], ["proof-check", "--thm", "1.5"]])
+@pytest.mark.parametrize("span", ["6", "7..6", "6..", "a..b", "6..7..8"])
+def test_n_range_must_be_lo_dot_dot_hi(capsys, verb, span):
+    code, out, err = run_cli(capsys, *verb, "--n-range", span)
+    assert (code, out) == (1, "")
+    assert err == f"error: --n-range takes LO..HI with integers LO <= HI, got {span!r}\n"
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, "check", "--thm", "1.3", "--family", "C4",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import networkx as nx
@@ -144,6 +145,30 @@ def test_graph6_errors():
         from_graph6("C\x1f")  # character below range
     with pytest.raises(CapacityError):
         from_graph6(chr(40 + 63) + "?" * 130)  # n = 40 beyond the 32 cap
+
+
+def test_unchecked_constructions_match_validated_graph(rng=random.Random(41)):
+    """complement, the graph6 decoder and unpickling build without validation.
+
+    Each must give the rows, edge count, hash and equality of the validating
+    constructor ``Graph(n, rows)``.
+    """
+    for n in range(1, 33):
+        for _ in range(6):
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            full = (1 << n) - 1
+            cases = [
+                (complement(g), [full & ~row & ~(1 << v) for v, row in enumerate(g.rows)]),
+                (from_graph6(to_graph6(g)), list(g.rows)),
+                (pickle.loads(pickle.dumps(g)), list(g.rows)),
+            ]
+            for built, rows in cases:
+                ref = Graph(n, rows)
+                assert type(built.rows) is tuple
+                assert (built.n, built.rows, built.m, hash(built)) == (ref.n, ref.rows, ref.m, hash(ref))
+                assert built == ref and ref == built
+    with pytest.raises(Graph6Error, match="padding"):
+        from_graph6("B" + chr(63 + 0b111001))  # K3 plus a set padding bit
 
 
 def test_components_and_bipartite_examples():

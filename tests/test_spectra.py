@@ -21,6 +21,7 @@ from qng.graph import (
     star,
 )
 from qng.spectra import (
+    ESCALATION_WINDOW,
     CharPoly,
     a_matrix,
     certify_qk,
@@ -31,8 +32,10 @@ from qng.spectra import (
     compare_sum_with,
     eigenvalues_sym,
     l_matrix,
+    matrix_of_kind,
     multiplicity_at,
     ng_sum,
+    prefill,
     q_char_poly,
     q_matrix,
     q_spectrum,
@@ -228,6 +231,42 @@ def test_spectrum_accessors():
     s = q_spectrum(complete(4))
     assert s.value(1) == max(s.values)
     assert len(s) == 4
+
+
+def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8):
+    """The batched screen against one eigvalsh call per matrix, for n <= 8.
+
+    Every graph and its complement get the per-graph spectrum to within
+    1e-12, and no q_2 sum of a graph and its complement lies within 1e-12 of
+    either edge of the escalation window around the thm-1.2, thm-1.3 or
+    problem-1.2 bound.  So no float decision of ``screened_sign`` on those
+    bounds depends on which of the two computed the spectrum.
+    """
+    graphs = [g for n in range(1, 8) for g in graphs_by_order[n]] + enum8[0]
+    spectrum.cache_clear()
+    try:
+        for kind in "QAL":
+            prefill(graphs, kind)
+            before = spectrum.cache_info()
+            for g in graphs:
+                for h in (g, complement(g)):
+                    batched = spectrum(h, kind).values
+                    single = eigenvalues_sym(matrix_of_kind(h, kind)).values
+                    assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
+            after = spectrum.cache_info()
+            assert after.misses == before.misses
+            assert after.hits == before.hits + 2 * len(graphs)
+            if kind == "Q":
+                for g in filter(lambda g: g.n >= 4, graphs):
+                    value = ng_sum(g, "Q", 2)
+                    for rhs in (g.n - 2, 2 * g.n - 4, 2 * g.n - 5):
+                        assert abs(abs(value - rhs) - ESCALATION_WINDOW) > 1e-12, (g, rhs)
+        spectrum.cache_clear()
+        assert spectrum.cache_info()[:2] == (0, 0) and spectrum.cache_info().currsize == 0
+        spectrum(graphs[-1], "L")
+        assert spectrum.cache_info()[:2] == (0, 1)
+    finally:
+        spectrum.cache_clear()
 
 
 def test_char_poly_type():
