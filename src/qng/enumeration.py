@@ -498,7 +498,7 @@ def scan(
     """
     filter_name, accept = resolve_filter(graph_filter)
     predicate_name = getattr(check, "__name__", "custom")
-    stream = iter(enumerate_graphs(n) if source is None else source)
+    stream = enumerate_graphs(n) if source is None else source
 
     def selected() -> Iterator[Graph]:
         for g in stream:

@@ -479,11 +479,8 @@ def from_graph6(text: str) -> Graph:
         below = payload & ((1 << col) - 1)
         payload >>= col
         rows[col] = below
-        bit = 1 << col
-        while below:
-            low = below & -below
-            rows[low.bit_length() - 1] |= bit
-            below ^= low
+        for row in bits(below):
+            rows[row] |= 1 << col
     return _graph_unchecked(n, tuple(rows))
 
 

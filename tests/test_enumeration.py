@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -286,6 +287,27 @@ def test_scan_deterministic_and_parallel_agreement():
     assert parallel == first
     assert first.counts["equality-certified"] >= 1
     assert first.violations == []
+
+
+def test_scan_chunks_keep_their_order_under_jobs():
+    """Several chunks and a partial last one go through the pool in order.
+
+    The pool's task thread queues chunks while the caller tallies verdicts;
+    with more workers than cores and a short switch interval the result must
+    still equal the in-process scan, and a wrong-order graph in a late chunk
+    must still raise.
+    """
+    graphs = enumerate_graphs(7)
+    assert len(graphs) > 2 * enumeration.SCAN_CHUNK and len(graphs) % enumeration.SCAN_CHUNK
+    expected = scan(7, "all", check_thm12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert scan(7, "all", check_thm12, jobs=4) == expected
+        with pytest.raises(ValueError, match="order 6 in a scan for n=7"):
+            scan(7, "all", check_thm12, source=graphs + enumerate_graphs(6)[:1], jobs=2)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scan_external_source():
