@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from qng.graph import (
     from_graph6,
     path,
     star,
+    to_graph6,
 )
 from qng.spectra import (
     ESCALATION_WINDOW,
@@ -31,6 +33,7 @@ from qng.spectra import (
     compare_sum_vs_radical,
     compare_sum_with,
     eigenvalues_sym,
+    kind_char_poly,
     l_matrix,
     matrix_of_kind,
     multiplicity_at,
@@ -140,6 +143,22 @@ def test_char_poly_rational_against_cofactor_oracle(rng=random.Random(31)):
         assert all(type(c) is F for c in got.coeffs)
     assert char_poly_exact([[F(1, 2)]]).coeffs == (F(-1, 2), F(1))
     assert char_poly_exact([[F(1, 2), F(1, 3)], [2, F(-5, 6)]]).coeffs == (F(-13, 12), F(1, 3), F(1))
+
+
+#: sha256 of one line "graph6 kind c_0 c_1 ... c_n" per graph of order 1..7
+#: (enumeration order) and kind A, L, Q, with the exact coefficients of
+#: ``kind_char_poly``.
+CHAR_POLY_DIGEST = "2e02efcbf3c7ef9abdf9feec69de982854a22cdac4c8225c82504d702f4f570a"
+
+
+def test_kind_char_poly_digest(graphs_by_order):
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in graphs_by_order[n]:
+            for kind in "ALQ":
+                coeffs = " ".join(map(str, kind_char_poly(g, kind).coeffs))
+                digest.update(f"{to_graph6(g)} {kind} {coeffs}\n".encode())
+    assert digest.hexdigest() == CHAR_POLY_DIGEST
 
 
 def test_root_counter_built_once_per_char_poly():
