@@ -95,14 +95,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self.rows[u] >> v & 1
-        ]
-
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError("no self-loops")

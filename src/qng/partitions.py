@@ -130,8 +130,7 @@ def verify_quotient_eigen_containment(g: Graph, blocks: Sequence[Sequence[int]])
     if not is_equitable(g, blocks):
         raise ValueError("partition is not equitable")
     quot = quotient_matrix(g, blocks)
-    _, rem = polys.poly_divmod(q_char_poly(g).as_poly(), quot.char_poly().as_poly())
-    return polys.is_zero(rem)
+    return not polys.poly_rem(q_char_poly(g).as_poly(), quot.char_poly().as_poly())
 
 
 @dataclass(frozen=True)

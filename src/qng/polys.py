@@ -1,20 +1,25 @@
-"""Exact univariate polynomial arithmetic and real-root certification.
+"""Exact univariate polynomials over the integers and real-root certification.
 
-Polynomials are lists of ``Fraction`` coefficients in ascending degree order
-with no trailing zeros.  On top of the ring operations this module provides
-Sturm chains, root counting in half-open intervals, multiplicity-aware
-counting via the iterated-gcd tower, isolation of the k-th largest real root
-by bisection, and exact comparison of roots of two polynomials.  Quadratic
-surds a + b*sqrt(d) are supported as evaluation points so that closed-form
-roots like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 can be certified without floats.
+Polynomials are lists of Python ``int`` coefficients in ascending degree
+order with no trailing zeros.  Every exact question asked of a polynomial is
+about its roots, so a positive multiple serves as well as the polynomial
+itself: gcds, square-free parts, remainders and compositions come back
+primitive (content 1), and remainders come from pseudo-division scaled by
+positive factors only, so every Sturm sign survives.  ``integer_poly`` is the
+one converter from rational coefficients; only entry points that accept them
+call it.
 
-``Fraction`` appears only at the boundary.  Inside, gcds, square-free parts,
-Sturm chains and evaluations work on primitive integer polynomials with
-Python ``int`` coefficients: remainders come from pseudo-division scaled by
-positive factors only, so every Sturm sign survives; a rational point a/b is
-evaluated as b^d p(a/b) by homogeneous Horner, and a surd (u + v sqrt(d))/D
-as D^d p(x) on integer pairs.  ``root_counter`` builds one ``RootCounter``
-per polynomial and hands it to every later caller.
+On top of this ring the module provides Sturm chains, root counting in
+half-open intervals, multiplicity-aware counting via the iterated-gcd tower,
+isolation of the k-th largest real root by bisection, and exact comparison of
+roots of two polynomials.  ``root_counter`` builds one ``RootCounter`` per
+polynomial and hands it to every later caller.
+
+``Fraction`` appears only in points and values: a rational point a/b is
+evaluated as b^d p(a/b) by homogeneous Horner, bisection endpoints are
+rational, and quadratic surds a + b*sqrt(d) with rational a, b are evaluated
+as (u + v sqrt(d))/D on integer pairs, so closed-form roots like
+(n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified without floats.
 """
 
 from __future__ import annotations
@@ -25,122 +30,49 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence, Union
 
-Poly = list[Fraction]
-IntPoly = list[int]
+Poly = list[int]
 
 # Sentinels for evaluation at the ends of the real line.
 POS_INF = object()
 NEG_INF = object()
 
 
-def poly(coeffs: Sequence) -> Poly:
-    """Normalize a coefficient sequence (ascending degree) to a Poly."""
-    p = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def degree(p: Poly) -> int:
-    return len(p) - 1
-
-
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_neg(p: Poly) -> Poly:
-    return [-c for c in p]
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly(out)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    return poly([a * c for a in p])
-
-
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = degree(q)
-    lead = q[-1]
-    while len(rem) - 1 >= dq and rem:
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return poly(quo), poly(rem)
-
-
-# ---------------------------------------------------------------------------
-# Integer polynomials
-
-
 def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
-    """Integers c and the least L > 0 with values = c / L."""
+    """Integers c and the least L > 0 with values = c / L, for int or Fraction values."""
     scale = lcm(*(c.denominator for c in values))
     return [c.numerator * (scale // c.denominator) for c in values], scale
 
 
-def _scaled_ints(p: Sequence) -> tuple[IntPoly, int]:
-    """Integer coefficients c and the least L > 0 with p = c / L."""
-    ints, scale = _over_common_denominator(p)
-    while ints and ints[-1] == 0:
-        ints.pop()
-    return ints, scale
-
-
-def _primitive(p: IntPoly) -> IntPoly:
+def _primitive(p: Poly) -> Poly:
     """p divided by its (positive) content."""
     content = gcd(*p)
     return [c // content for c in p] if content > 1 else p
 
 
-def _int_poly(p: Sequence) -> IntPoly:
-    """The primitive integer polynomial that is a positive multiple of p."""
-    return _primitive(_scaled_ints(p)[0])
+def integer_poly(coeffs: Sequence) -> Poly:
+    """The primitive integer polynomial that is a positive multiple of rational ``coeffs``."""
+    p = _over_common_denominator([Fraction(c) for c in coeffs])[0]
+    while p and p[-1] == 0:
+        p.pop()
+    return _primitive(p)
 
 
-def _int_derivative(p: IntPoly) -> IntPoly:
+def _derivative(p: Poly) -> Poly:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _int_rem(p: IntPoly, q: IntPoly) -> IntPoly:
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def poly_rem(p: Poly, q: Poly) -> Poly:
     """A positive multiple of the remainder of p by q, made primitive.
 
     Pseudo-division that scales by |lc(q)| / g at each step, never by a
@@ -166,15 +98,15 @@ def _int_rem(p: IntPoly, q: IntPoly) -> IntPoly:
     return _primitive(r)
 
 
-def _int_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Primitive gcd with positive leading coefficient (primitive PRS)."""
     a, b = _primitive(p), _primitive(q)
     while b:
-        a, b = b, _int_rem(a, b)
+        a, b = b, poly_rem(a, b)
     return [-c for c in a] if a and a[-1] < 0 else a
 
 
-def _int_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
+def poly_exact_div(p: Poly, q: Poly) -> Poly:
     """p / q for a primitive q dividing p; the quotient is integral (Gauss)."""
     r = list(p)
     dq = len(q) - 1
@@ -191,13 +123,13 @@ def _int_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     return quo
 
 
-def _int_squarefree(p: IntPoly) -> IntPoly:
-    if len(p) < 3:
-        return p
-    return _int_exact_div(p, _int_gcd(p, _int_derivative(p)))
+def squarefree_part(p: Poly) -> Poly:
+    """The square-free part of p, primitive with a positive leading coefficient."""
+    sf = _primitive(poly_exact_div(p, poly_gcd(p, _derivative(p))))
+    return [-c for c in sf] if sf[-1] < 0 else sf
 
 
-def _int_value(p: IntPoly, a: int, b: int) -> int:
+def _value(p: Poly, a: int, b: int) -> int:
     """b^deg(p) * p(a/b) for b > 0, by homogeneous Horner."""
     acc = p[-1]
     if b == 1:
@@ -211,7 +143,7 @@ def _int_value(p: IntPoly, a: int, b: int) -> int:
     return acc
 
 
-def _int_value_surd(p: IntPoly, u: int, v: int, d: int, den: int) -> tuple[int, int]:
+def _value_surd(p: Poly, u: int, v: int, d: int, den: int) -> tuple[int, int]:
     """(A, B) with den^deg(p) * p((u + v*sqrt(d)) / den) = A + B*sqrt(d)."""
     big, small = p[-1], 0
     vd = v * d
@@ -222,57 +154,48 @@ def _int_value_surd(p: IntPoly, u: int, v: int, d: int, den: int) -> tuple[int, 
     return big, small
 
 
-def _monic(p: IntPoly) -> Poly:
-    lead = p[-1] if p else 1
-    return [Fraction(c, lead) for c in p]
+def poly_eval(p: Poly, x) -> Fraction:
+    """p(x) exactly, for an int or ``Fraction`` x."""
+    if not p:
+        return Fraction(0)
+    return Fraction(_value(p, x.numerator, x.denominator), x.denominator ** (len(p) - 1))
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    return _monic(_int_gcd(_int_poly(p), _int_poly(q)))
+def poly_compose_linear(p: Poly, a, b) -> Poly:
+    """A primitive positive multiple of x -> p(a*x + b), for rational a and b.
 
-
-def squarefree_part(p: Poly) -> Poly:
-    return _monic(_int_squarefree(_int_poly(p)))
-
-
-def poly_compose_linear(p: Poly, a: Fraction, b: Fraction) -> Poly:
-    """The polynomial x -> p(a*x + b), by Horner's rule on integer numerators.
-
-    With p = P / L and a*x + b = (u*x + v) / den, the result is
-    sum_i P_i den^(n-i) (u*x + v)^i / (L den^n).
+    With a*x + b = (u*x + v) / den this is sum_i p_i den^(n-i) (u*x + v)^i,
+    by Horner's rule.
     """
-    ints, scale = _scaled_ints(p)
-    (u, v), den = _over_common_denominator((Fraction(a), Fraction(b)))
-    acc: IntPoly = []
+    (u, v), den = _over_common_denominator((a, b))
+    acc: Poly = []
     power = 1
-    for c in reversed(ints):
+    for c in reversed(p):
         acc = [v * cur + u * prev for cur, prev in zip(acc + [0], [0] + acc)]
         acc[0] += c * power
         power *= den
-    return poly([Fraction(c, scale * power // den) for c in acc])
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return _primitive(acc)
 
 
-def multiplicity_at(p: Poly, r: Fraction) -> int:
-    """Exact multiplicity of ``r`` as a root of ``p`` (0 if not a root)."""
-    cur = _int_poly(p)
-    if not cur:
+def multiplicity_at(p: Poly, r) -> int:
+    """Exact multiplicity of the int or ``Fraction`` ``r`` as a root of ``p`` (0 if not a root)."""
+    if not p:
         raise ValueError("zero polynomial")
-    r = Fraction(r)
     a, b = r.numerator, r.denominator
     mult = 0
-    while len(cur) > 1 and _int_value(cur, a, b) == 0:
-        cur = _int_exact_div(cur, [-a, b])
+    while len(p) > 1 and _value(p, a, b) == 0:
+        p = poly_exact_div(p, [-a, b])
         mult += 1
     return mult
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
     """A rational B with every real root of ``p`` in (-B, B)."""
-    if degree(p) < 1:
+    if len(p) < 2:
         return Fraction(1)
-    lead = abs(p[-1])
-    return Fraction(1) + max(abs(c) for c in p[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +273,12 @@ def _surd_sign(a, b, d: int) -> int:
 
 
 def poly_eval_surd(p: Poly, x: Surd) -> Surd:
-    """p(x) exactly, by Horner's rule on integer numerators over one denominator."""
-    ints, scale = _scaled_ints(p)
-    if not ints:
+    """p(x) exactly, by Horner's rule on integer pairs over one denominator."""
+    if not p:
         return Surd(Fraction(0), Fraction(0), x.d)
     (u, v), den = _over_common_denominator((x.a, x.b))
-    big, small = _int_value_surd(ints, u, v, x.d, den)
-    scale *= den ** (len(ints) - 1)
+    big, small = _value_surd(p, u, v, x.d, den)
+    scale = den ** (len(p) - 1)
     return Surd(Fraction(big, scale), Fraction(small, scale), x.d)
 
 
@@ -367,18 +289,18 @@ Point = Union[Fraction, Surd, object]
 # Sturm chains and root counting
 
 
-def _signs_at(chain: list[IntPoly], x: Point) -> list[int]:
+def _signs_at(chain: list[Poly], x: Point) -> list[int]:
     if x is POS_INF:
         return [_sign(p[-1]) for p in chain]
     if x is NEG_INF:
         return [_sign(p[-1]) if len(p) % 2 else -_sign(p[-1]) for p in chain]
     if isinstance(x, Surd):
         (u, v), den = _over_common_denominator((x.a, x.b))
-        return [_surd_sign(*_int_value_surd(p, u, v, x.d, den), x.d) for p in chain]
+        return [_surd_sign(*_value_surd(p, u, v, x.d, den), x.d) for p in chain]
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     a, b = x.numerator, x.denominator
-    return [_sign(_int_value(p, a, b)) for p in chain]
+    return [_sign(_value(p, a, b)) for p in chain]
 
 
 class SturmChain:
@@ -391,10 +313,10 @@ class SturmChain:
     """
 
     def __init__(self, p: Poly):
-        self.chain = _sturm_sequence(_int_squarefree(_int_poly(p)))
+        self.chain = _sturm_sequence(squarefree_part(p))
 
     @classmethod
-    def from_squarefree(cls, sf: IntPoly) -> "SturmChain":
+    def from_squarefree(cls, sf: Poly) -> "SturmChain":
         """The chain of a square-free primitive integer polynomial."""
         chain = cls.__new__(cls)
         chain.chain = _sturm_sequence(sf)
@@ -411,12 +333,12 @@ class SturmChain:
         return self.variations(lo) - self.variations(hi)
 
 
-def _sturm_sequence(sf: IntPoly) -> list[IntPoly]:
+def _sturm_sequence(sf: Poly) -> list[Poly]:
     chain = [sf]
     if len(sf) > 1:
-        chain.append(_primitive(_int_derivative(sf)))
+        chain.append(_primitive(_derivative(sf)))
         while len(chain[-1]) > 1:
-            rem = _int_rem(chain[-2], chain[-1])
+            rem = poly_rem(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append([-c for c in rem])
@@ -433,13 +355,13 @@ class RootCounter:
     """
 
     def __init__(self, p: Poly):
-        cur = _int_poly(p)
+        cur = _primitive(list(p))
         if not cur:
             raise ValueError("zero polynomial")
         tower = []
         while len(cur) > 1:
-            nxt = _int_gcd(cur, _int_derivative(cur))
-            tower.append(SturmChain.from_squarefree(_int_exact_div(cur, nxt)))
+            nxt = poly_gcd(cur, _derivative(cur))
+            tower.append(SturmChain.from_squarefree(poly_exact_div(cur, nxt)))
             cur = nxt
         self.tower = tower
 
@@ -481,12 +403,6 @@ class RootWindow:
         else:
             self.hi = mid
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def refine_below(self, w: Fraction) -> None:
-        while self.width() >= w:
-            self.refine()
 
 
 def isolate_kth_largest(p: Poly, k: int) -> RootWindow:
@@ -515,7 +431,7 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int, max_iter: int = 512)
     """
     wa = isolate_kth_largest(pa, ka)
     wb = isolate_kth_largest(pb, kb)
-    common = _int_gcd(wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0])
+    common = poly_gcd(wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0])
     common_chain = SturmChain.from_squarefree(common) if len(common) > 1 else None
     for _ in range(max_iter):
         if wa.lo >= wb.hi:

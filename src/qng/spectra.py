@@ -11,10 +11,11 @@ polynomials via the Faddeev-LeVerrier recurrence, Sturm-sequence root
 counting, and isolating-interval comparisons of algebraic eigenvalues.
 
 The exact layer computes in Python ``int``: the recurrence runs on integer
-rows (a rational matrix is scaled by its common denominator first), and root
+rows (a rational matrix is scaled by its common denominator first), every
+comparison works on the integer polynomial ``CharPoly.as_poly()``, and root
 counting goes through ``polys.root_counter``, which builds one integer
 Sturm/gcd tower per characteristic polynomial.  ``Fraction`` appears only in
-``CharPoly.coeffs`` and in the rational arguments of the comparisons.
+the monic ``CharPoly.coeffs`` and in the rational bounds of the comparisons.
 """
 
 from __future__ import annotations
@@ -189,19 +190,21 @@ def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Exact monic characteristic polynomial det(xI - M), ascending coefficients."""
+    """Exact monic characteristic polynomial det(xI - M), ascending coefficients.
+
+    ``coeffs`` holds the exact rationals and ``ints`` the primitive integer
+    polynomial with the same roots; the two agree for an integer matrix.
+    """
 
     coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def as_poly(self) -> Poly:
-        return list(self.coeffs)
-
-    def eval(self, x) -> Fraction:
-        return polys.poly_eval(self.as_poly(), Fraction(x))
+        return list(self.ints)
 
 
 def _integer_rows(mat: MatrixLike) -> tuple[list[list[int]], int]:
@@ -221,7 +224,7 @@ def char_poly_exact(mat: MatrixLike) -> CharPoly:
     the characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  For an
     integer matrix every c_j is an integer and each division is exact.  A
     rational M runs as the integer matrix D*M, whose coefficients are
-    D^j c_j, and is mapped back at the end.
+    D^j c_j; they are divided back for ``coeffs`` and made integral for ``ints``.
     """
     rows, denom = _integer_rows(mat)
     k = len(rows)
@@ -238,8 +241,8 @@ def char_poly_exact(mat: MatrixLike) -> CharPoly:
         for i in range(k):
             prod[i][i] += c
         acc = prod
-    scaled = [Fraction(c, denom ** j) for j, c in enumerate(coeffs_desc)]
-    return CharPoly(tuple(reversed(scaled)))
+    coeffs = tuple(Fraction(c, denom ** j) for j, c in enumerate(coeffs_desc))[::-1]
+    return CharPoly(coeffs, tuple(coeffs_desc[::-1]) if denom == 1 else tuple(polys.integer_poly(coeffs)))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -255,18 +258,18 @@ def q_char_poly(g: Graph) -> CharPoly:
 # Exact root counting and certification
 
 
-def sturm_count(p: CharPoly | Poly, lo, hi) -> int:
+def sturm_count(p: CharPoly | Sequence, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("lo > hi")
-    coeffs = p.as_poly() if isinstance(p, CharPoly) else polys.poly(p)
+    coeffs = p.as_poly() if isinstance(p, CharPoly) else polys.integer_poly(p)
     return polys.SturmChain(coeffs).count_halfopen(lo, hi)
 
 
-def multiplicity_at(p: CharPoly | Poly, r) -> int:
+def multiplicity_at(p: CharPoly | Sequence, r) -> int:
     """Exact multiplicity of the rational ``r`` as a root."""
-    coeffs = p.as_poly() if isinstance(p, CharPoly) else polys.poly(p)
+    coeffs = p.as_poly() if isinstance(p, CharPoly) else polys.integer_poly(p)
     return polys.multiplicity_at(coeffs, Fraction(r))
 
 
@@ -280,19 +283,19 @@ def certify_qk(g: Graph, k: int, r) -> bool:
     if not 1 <= k <= g.n:
         return False
     r = Fraction(r)
-    p = q_char_poly(g).coeffs
+    p = q_char_poly(g).as_poly()
     mult = polys.multiplicity_at(p, r)
     if mult < 1:
         return False
-    above = polys.root_counter(p).count_gt(r)
+    above = polys.root_counter(tuple(p)).count_gt(r)
     return above < k <= above + mult
 
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
     c = Fraction(c)
-    p = q_char_poly(g).coeffs
-    above = polys.root_counter(p).count_gt(c)
+    p = q_char_poly(g).as_poly()
+    above = polys.root_counter(tuple(p)).count_gt(c)
     if above >= k:
         return 1
     if above + polys.multiplicity_at(p, c) >= k:
@@ -314,9 +317,9 @@ def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = 
     c = Fraction(c)
     p = kind_char_poly(g, kind).as_poly()
     pb = kind_char_poly(complement(g), kind).as_poly()
-    reflected = polys.poly_compose_linear(p, Fraction(-1), c)
+    reflected = polys.poly_compose_linear(p, -1, c)
     if reflected[-1] < 0:
-        reflected = polys.poly_neg(reflected)
+        reflected = [-a for a in reflected]
     return polys.compare_kth_roots(pb, kc, reflected, g.n - k + 1)
 
 

@@ -473,9 +473,10 @@ class _Checks:
         return not self.failures
 
 
-def _two_by_two_char(entries) -> list[Fraction]:
+def _two_by_two_char(entries, den: int = 1) -> list[int]:
+    """den^2 det(xI - M) for the 2x2 matrix M = entries / den with integer entries."""
     (a, b), (c, d) = entries
-    return polys.poly([a * d - b * c, -(a + d), Fraction(1)])
+    return [a * d - b * c, -(a + d) * den, den * den]
 
 
 def proof_check_thm12(n: int, d2: int) -> bool:
@@ -496,36 +497,37 @@ def proof_check_thm12(n: int, d2: int) -> bool:
     disc = n * n - (4 * d2 - 2) * n + 4 * d2 * d2 + 4 * d2 - 7
     c.expect(disc >= 0, "discriminant nonnegative")
 
-    b1 = ((F(n - 2), F(n - 2)), (F(1), F(2 * d2 - 1)))
+    b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
     root1 = Surd(F(n + 2 * d2 - 3, 2), F(-1, 2), disc)
     c.expect(polys.poly_eval_surd(_two_by_two_char(b1), root1).is_zero(), "lambda_2 closed form, first quotient")
 
-    b2 = ((F(n - 2), F(n - 2)), (F(1), F(2 * n - 2 * d2 - 3)))
+    b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
     root2 = Surd(F(3 * n - 2 * d2 - 5, 2), F(-1, 2), disc)
     c.expect(polys.poly_eval_surd(_two_by_two_char(b2), root2).is_zero(), "lambda_2 closed form, second quotient")
 
-    f = polys.poly([F(6 * n - 11), F(-(4 * n - 4)), F(4)])
-    c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, F(d2)), "discriminant reduces to f(d2)")
-    c.expect(polys.poly_eval(f, F(2)) == 13 - 2 * n, "f(2) evaluation")
-    c.expect(polys.poly_eval(f, F(n - 3)) == 13 - 2 * n, "f(n-3) evaluation")
+    f = [6 * n - 11, -(4 * n - 4), 4]
+    c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, d2), "discriminant reduces to f(d2)")
+    c.expect(polys.poly_eval(f, 2) == 13 - 2 * n, "f(2) evaluation")
+    c.expect(polys.poly_eval(f, n - 3) == 13 - 2 * n, "f(n-3) evaluation")
     if n >= 7:
         c.expect(13 - 2 * n < 0, "f sign for n >= 7")
 
-    gq = polys.poly([F(n * n - 4 * n + 4), F(-(n * n - 5 * n + 4)), F(n - 4)])
-    c.expect(polys.poly_eval(gq, F(2)) == -((n - 5) ** 2) + 5, "g(2) evaluation")
-    c.expect(polys.poly_eval(gq, F(n - 3)) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
+    gq = [n * n - 4 * n + 4, -(n * n - 5 * n + 4), n - 4]
+    c.expect(polys.poly_eval(gq, 2) == -((n - 5) ** 2) + 5, "g(2) evaluation")
+    c.expect(polys.poly_eval(gq, n - 3) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
     if n >= 8:
         c.expect(-((n - 5) ** 2) + 5 < 0, "g sign for n >= 8")
 
     for s in range(d2 - 1, n - 1):
-        b3 = ((F(n - 2), F(n - 2)), (F(1), F(2 * n - 2 * d2 - 5) + F(2 * s, n - 2)))
+        # the quotient ((n-2, n-2), (1, 2n - 2d2 - 5 + 2s/(n-2))), times n - 2
+        b3 = (((n - 2) ** 2, (n - 2) ** 2), (n - 2, (2 * n - 2 * d2 - 5) * (n - 2) + 2 * s))
         numer = (3 * n - 7) * (n - 2) - (2 * n - 4) * d2 + 2 * s
         det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
         delta = numer * numer - 4 * (n - 2) ** 2 * det
         c.expect(delta >= 0, f"third discriminant nonnegative at s={s}")
         root3 = Surd(F(numer, 2 * (n - 2)), F(-1, 2 * (n - 2)), delta)
         c.expect(
-            polys.poly_eval_surd(_two_by_two_char(b3), root3).is_zero(),
+            polys.poly_eval_surd(_two_by_two_char(b3, n - 2), root3).is_zero(),
             f"lambda_2 closed form, third quotient at s={s}",
         )
         xval = n * n - 5 * n + 2 * s + 6
@@ -533,13 +535,13 @@ def proof_check_thm12(n: int, d2: int) -> bool:
         quad = (n - 2) * d2 * d2 - xval * d2 + (n - 2) ** 2
         c.expect(delta - xval * xval == 4 * (n - 2) * quad, f"discriminant-threshold identity at s={s}")
         if s == d2 - 1:
-            c.expect(quad == polys.poly_eval(gq, F(d2)), "substitution s = d2 - 1 yields g(d2)")
+            c.expect(quad == polys.poly_eval(gq, d2), "substitution s = d2 - 1 yields g(d2)")
     return c.ok()
 
 
-def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> list[Fraction]:
+def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> list[int]:
     """Ascending coefficients, each given as a polynomial in n (ascending)."""
-    return polys.poly([Fraction(sum(a * n ** i for i, a in enumerate(row))) for row in coeff_rows])
+    return [sum(a * n ** i for i, a in enumerate(row)) for row in coeff_rows]
 
 
 def _count_gt_surd(p, x: Surd) -> int:
@@ -568,10 +570,6 @@ def _verify_h_quotient(c: _Checks, sizes: tuple[int, int, int], expected, expect
     return g, gc
 
 
-def _as_entries(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
 def proof_check_thm15(n: int) -> bool:
     """Exact verification of the quotient algebra behind the bipartite bound.
 
@@ -591,42 +589,36 @@ def proof_check_thm15(n: int) -> bool:
     beta2 = Surd(F(n - 2, 2), F(1, 2), disc)
 
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
-    expected = _as_entries(
-        [
-            (2, 0, 0, 1, 1),
-            (0, 1, 0, 1, 0),
-            (0, 0, 1, 0, 1),
-            (n - 5, 1, 0, n - 4, 0),
-            (n - 5, 0, 2, 0, n - 3),
-        ]
+    expected = (
+        (2, 0, 0, 1, 1),
+        (0, 1, 0, 1, 0),
+        (0, 0, 1, 0, 1),
+        (n - 5, 1, 0, n - 4, 0),
+        (n - 5, 0, 2, 0, n - 3),
     )
     _verify_h_quotient(c, (n - 5, 1, 2), expected, None, "(n-5,1,2)")
     phi = char_poly_exact(expected).as_poly()
     quartic = _poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
-    c.expect(phi == polys.poly_mul(polys.poly([0, 1]), quartic), "char poly x*f (n-5,1,2)")
-    c.expect(polys.poly_eval(quartic, F(n - 3)) == -(n - 5) * (n - 6), "f(n-3) evaluation")
+    c.expect(phi == polys.poly_mul([0, 1], quartic), "char poly x*f (n-5,1,2)")
+    c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
     c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
-    c.expect(-phi[4] == F(2 * n - 3), "quotient trace (n-5,1,2)")
+    c.expect(-phi[4] == 2 * n - 3, "quotient trace (n-5,1,2)")
     c.expect(3 * (n - 3) > 2 * n - 3, "trace rules out three roots above n-3")
 
     # -- double hub over blocks (n-4, 1, 1): q_2 equals (n-2+sqrt(n^2-8n+20))/2
-    expected2 = _as_entries(
-        [
-            (2, 0, 0, 1, 1),
-            (0, 1, 0, 1, 0),
-            (0, 0, 1, 0, 1),
-            (n - 4, 1, 0, n - 3, 0),
-            (n - 4, 0, 1, 0, n - 3),
-        ]
+    expected2 = (
+        (2, 0, 0, 1, 1),
+        (0, 1, 0, 1, 0),
+        (0, 0, 1, 0, 1),
+        (n - 4, 1, 0, n - 3, 0),
+        (n - 4, 0, 1, 0, n - 3),
     )
-    expected3 = _as_entries(
-        [
-            (2 * n - 8, 1, 1, 0, 0),
-            (n - 4, n - 2, 1, 0, 1),
-            (n - 4, 1, n - 2, 1, 0),
-            (0, 0, 1, 2, 1),
-            (0, 1, 0, 1, 2),
-        ]
+    expected3 = (
+        (2 * n - 8, 1, 1, 0, 0),
+        (n - 4, n - 2, 1, 0, 1),
+        (n - 4, 1, n - 2, 1, 0),
+        (0, 0, 1, 2, 1),
+        (0, 1, 0, 1, 2),
     )
     g2, g2c = _verify_h_quotient(c, (n - 4, 1, 1), expected2, expected3, "(n-4,1,1)")
     phi2 = char_poly_exact(expected2).as_poly()
@@ -648,7 +640,7 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(polys.poly_eval_surd(f2, beta2).is_zero(), "gamma_1' root formula")
     gamma2 = Surd(F(n - 2, 2), F(-1, 2), disc)
     c.expect(polys.poly_eval_surd(f2, gamma2).is_zero(), "gamma_2' root formula")
-    c.expect(polys.poly_eval(cubic, F(2 * n - 6)) == -4 * n + 16, "f_1(2n-6) evaluation")
+    c.expect(polys.poly_eval(cubic, 2 * n - 6) == -4 * n + 16, "f_1(2n-6) evaluation")
     c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
     f1_at = polys.poly_eval_surd(cubic, beta2)
     claim = Surd(F(-2 * (n - 4) * (n - 3)), F(2 * (n - 4)), disc)
@@ -667,31 +659,31 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(total.sign() == 1, "equal second eigenvalues stay below 2n-5")
 
     # -- single hub side empty, blocks (n-4, 0, 2)
-    expected4 = _as_entries([(2, 0, 1, 1), (0, 1, 0, 1), (n - 4, 0, n - 4, 0), (n - 4, 2, 0, n - 2)])
+    expected4 = ((2, 0, 1, 1), (0, 1, 0, 1), (n - 4, 0, n - 4, 0), (n - 4, 2, 0, n - 2))
     _verify_h_quotient(c, (n - 4, 0, 2), expected4, None, "(n-4,0,2)")
     phi4 = char_poly_exact(expected4).as_poly()
     cubic4 = _poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
-    c.expect(phi4 == polys.poly_mul(polys.poly([0, 1]), cubic4), "char poly x*f (n-4,0,2)")
-    c.expect(polys.poly_eval(cubic4, F(n - 3)) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
+    c.expect(phi4 == polys.poly_mul([0, 1], cubic4), "char poly x*f (n-4,0,2)")
+    c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
     c.expect(6 - n <= 0, "f(n-3) nonpositive, (n-4,0,2)")
     c.expect(3 * (n - 3) >= 2 * n - 3, "trace argument, (n-4,0,2)")
 
     # -- single hub side empty, blocks (n-3, 0, 1)
-    expected5 = _as_entries([(2, 0, 1, 1), (0, 1, 0, 1), (n - 3, 0, n - 3, 0), (n - 3, 1, 0, n - 2)])
-    expected6 = _as_entries([(2 * n - 7, 1, 0, 0), (n - 3, n - 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 1)])
+    expected5 = ((2, 0, 1, 1), (0, 1, 0, 1), (n - 3, 0, n - 3, 0), (n - 3, 1, 0, n - 2))
+    expected6 = ((2 * n - 7, 1, 0, 0), (n - 3, n - 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 1))
     g5, g5c = _verify_h_quotient(c, (n - 3, 0, 1), expected5, expected6, "(n-3,0,1)")
     phi5 = char_poly_exact(expected5).as_poly()
     cubic5 = _poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
-    c.expect(phi5 == polys.poly_mul(polys.poly([0, 1]), cubic5), "char poly x*g (n-3,0,1)")
-    c.expect(polys.poly_eval(cubic5, F(n) - F(5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
+    c.expect(phi5 == polys.poly_mul([0, 1], cubic5), "char poly x*g (n-3,0,1)")
+    c.expect(polys.poly_eval(cubic5, F(2 * n - 5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
     c.expect(F(-2 * n + 15, 8) < 0, "g(n-5/2) negative")
 
     phi6 = char_poly_exact(expected6).as_poly()
     quartic6 = _poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
     c.expect(phi6 == quartic6, "complement char poly (n-3,0,1)")
-    c.expect(polys.poly_eval(quartic6, F(2 * n - 6)) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
+    c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
     c.expect(-4 * (n - 3) * (n - 4) < 0, "phi(2n-6) negative")
-    val = polys.poly_eval(quartic6, F(n) - F(5, 2))
+    val = polys.poly_eval(quartic6, F(2 * n - 5, 2))
     c.expect(val == F(-(2 * n - 11) * (4 * n * n - 24 * n + 39), 16), "phi(n-5/2) evaluation")
     c.expect(val < 0, "phi(n-5/2) negative")
     if g5 is not None:

@@ -53,6 +53,30 @@ def random_graph(rng, n, p=0.5):
 
 
 # --- independent characteristic-polynomial oracle (cofactor expansion) ---
+# Polynomials here are ascending lists of Fraction, independent of qng.polys.
+
+
+def _trimmed(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _add(p, q, sign=1):
+    out = [F(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += sign * c
+    return _trimmed(out)
+
+
+def _mul(p, q):
+    out = [F(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trimmed(out)
 
 
 def _det_poly(mat):
@@ -61,18 +85,14 @@ def _det_poly(mat):
     total = []
     for j, entry in enumerate(mat[0]):
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = polys.poly_mul(entry, _det_poly(minor))
-        total = polys.poly_add(total, term) if j % 2 == 0 else polys.poly_sub(total, term)
+        total = _add(total, _mul(entry, _det_poly(minor)), 1 if j % 2 == 0 else -1)
     return total
 
 
 def charpoly_oracle(m) -> list[F]:
     """det(xI - M) by direct cofactor expansion over polynomial entries."""
     k = len(m)
-    grid = [
-        [polys.poly([-F(m[i][j]), 1]) if i == j else polys.poly([-F(m[i][j])]) for j in range(k)]
-        for i in range(k)
-    ]
+    grid = [[_trimmed([-F(m[i][j]), F(int(i == j))]) for j in range(k)] for i in range(k)]
     return _det_poly(grid)
 
 
@@ -292,8 +312,10 @@ def test_char_poly_type():
     p = q_char_poly(cycle(5))
     assert isinstance(p, CharPoly)
     assert p.degree == 5
-    assert p.eval(0) == p.coeffs[0]
-    assert p.eval(0) != 0  # C_5 has no bipartite component, so Q is nonsingular
+    assert p.as_poly() == list(p.coeffs)
+    value = polys.poly_eval(p.as_poly(), 0)
+    assert value == p.coeffs[0]
+    assert value != 0  # C_5 has no bipartite component, so Q is nonsingular
 
 
 def test_q_singular_iff_bipartite_component(graphs_by_order):
