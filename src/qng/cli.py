@@ -15,9 +15,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .enumeration import enumerate_graphs, resolve_filter, scan
 from .graph import (
+    GRAPH6_HEADER,
     Graph,
     Graph6Error,
     iter_graph6,
@@ -319,20 +321,38 @@ def _iter_orders(args) -> list[int]:
     return [args.n]
 
 
-def _read_sources(path: str, orders: list[int], span: str) -> dict[int, list[Graph]]:
-    """The graphs of a graph6 file, grouped by order; every order must be in ``orders``."""
-    sources: dict[int, list[Graph]] = {n: [] for n in orders}
-    with open(path) as f:
-        for g in iter_graph6(f):
-            if g.n not in sources:
-                raise ValueError(f"stream graph of order {g.n} in a scan for n={span}")
-            sources[g.n].append(g)
-    return sources
+def _graphs_of_order(lines: Iterable[str], n: int, orders: list[int], span: str) -> Iterator[Graph]:
+    """The order-n graphs of a graph6 stream, decoding no line of another order.
+
+    A line's order is read from its first character; a line whose order is
+    not in ``orders`` is an error.
+    """
+    for line in lines:
+        text = line.strip()
+        if not text:
+            continue
+        head = text.removeprefix(GRAPH6_HEADER).lstrip()[:1]
+        order = ord(head) - 63 if head else None
+        if order == n:
+            yield from_graph6(text)
+        elif order not in orders:
+            raise ValueError(f"stream graph of order {from_graph6(text).n} in a scan for n={span}")
+
+
+def _scan_order(args, n: int, orders: list[int], check):
+    """``scan`` of order n, over the ``--input`` file read lazily when one is given.
+
+    Under ``--n-range`` every order makes its own pass over the file.
+    """
+    if not args.input:
+        return scan(n, args.filter, check, jobs=args.jobs)
+    with open(args.input) as f:
+        source = iter_graph6(f) if args.n_range is None else _graphs_of_order(f, n, orders, args.n_range)
+        return scan(n, args.filter, check, source=source, jobs=args.jobs)
 
 
 def _cmd_scan(args) -> int:
     orders = _iter_orders(args)
-    sources = _read_sources(args.input, orders, args.n_range or str(args.n)) if args.input else {}
     results = []
     for n in orders:
         if args.predicate:
@@ -341,7 +361,7 @@ def _cmd_scan(args) -> int:
             check = _resolve_check(args)
         else:
             raise UsageError("provide --predicate or --thm")
-        results.append(scan(n, args.filter, check, source=sources.get(n), jobs=args.jobs))
+        results.append(_scan_order(args, n, orders, check))
     if args.format == "json":
         text = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in results) + "\n"
     elif args.format == "csv":

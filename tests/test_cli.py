@@ -153,6 +153,20 @@ def test_scan_mixed_order_input(tmp_path, capsys):
     assert "stream graph of order 7 in a scan for n=6" in err
 
 
+def test_scan_input_order_outside_range(tmp_path, capsys):
+    stream = tmp_path / "graphs.g6"
+    stream.write_text("\n".join(to_graph6(g) for g in (cycle(6), complete(7), path(8), cycle(7))) + "\n")
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, "scan", "--n-range", "6..7", "--thm", "1.2", "--jobs", jobs,
+                                 "--input", str(stream))
+        assert (code, out) == (1, "")
+        assert err == "error: stream graph of order 8 in a scan for n=6..7\n"
+        code, out, err = run_cli(capsys, "scan", "--n", "6", "--thm", "1.2", "--jobs", jobs,
+                                 "--input", str(stream))
+        assert (code, out) == (1, "")
+        assert err == "error: stream graph of order 7 in a scan for n=6\n"
+
+
 def test_proof_check_verb(capsys):
     code, out, _ = run_cli(capsys, "proof-check", "--thm", "1.5", "--n-range", "8..12")
     assert code == 0
