@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qng
 from qng.cli import main, parse_bound_expr, parse_family
 from qng.enumeration import canonical_form
 from qng.graph import (
@@ -230,9 +233,12 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_installed_entry_point():
+    # the child process imports the qng under test, also when only pytest's pythonpath has it
+    src = str(Path(qng.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "qng.cli", "check", "--thm", "1.2", "--family", "star 6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "equality-certified" in proc.stdout
