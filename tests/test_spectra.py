@@ -163,6 +163,7 @@ def test_char_poly_rational_against_cofactor_oracle(rng=random.Random(31)):
         assert all(type(c) is F for c in got.coeffs)
     assert char_poly_exact([[F(1, 2)]]).coeffs == (F(-1, 2), F(1))
     assert char_poly_exact([[F(1, 2), F(1, 3)], [2, F(-5, 6)]]).coeffs == (F(-13, 12), F(1, 3), F(1))
+    assert char_poly_exact([[F(1, 2), F(1, 3)], [2, F(-5, 6)]]).as_poly() == [-13, 4, 12]
 
 
 #: sha256 of one line "graph6 kind c_0 c_1 ... c_n" per graph of order 1..7
