@@ -9,6 +9,7 @@ counterexample); 1 is reserved for usage and format errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -19,10 +20,8 @@ from typing import Iterable, Iterator
 
 from .enumeration import enumerate_graphs, resolve_filter, scan
 from .graph import (
-    GRAPH6_HEADER,
     Graph,
     Graph6Error,
-    iter_graph6,
     complete,
     complete_bipartite,
     cycle,
@@ -30,6 +29,7 @@ from .graph import (
     disjoint_union,
     empty_graph,
     from_graph6,
+    graph6_order,
     h_graph,
     join,
     path,
@@ -324,44 +324,36 @@ def _iter_orders(args) -> list[int]:
 def _graphs_of_order(lines: Iterable[str], n: int, orders: list[int], span: str) -> Iterator[Graph]:
     """The order-n graphs of a graph6 stream, decoding no line of another order.
 
-    A line's order is read from its first character; a line whose order is
-    not in ``orders`` is an error.
+    A line whose order is not in ``orders`` is an error.
     """
     for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        head = text.removeprefix(GRAPH6_HEADER).lstrip()[:1]
-        order = ord(head) - 63 if head else None
+        order = graph6_order(line)
         if order == n:
-            yield from_graph6(text)
-        elif order not in orders:
-            raise ValueError(f"stream graph of order {from_graph6(text).n} in a scan for n={span}")
-
-
-def _scan_order(args, n: int, orders: list[int], check):
-    """``scan`` of order n, over the ``--input`` file read lazily when one is given.
-
-    Under ``--n-range`` every order makes its own pass over the file.
-    """
-    if not args.input:
-        return scan(n, args.filter, check, jobs=args.jobs)
-    with open(args.input) as f:
-        source = iter_graph6(f) if args.n_range is None else _graphs_of_order(f, n, orders, args.n_range)
-        return scan(n, args.filter, check, source=source, jobs=args.jobs)
+            yield from_graph6(line)
+        elif order is not None and order not in orders:
+            raise ValueError(f"stream graph of order {from_graph6(line).n} in a scan for n={span}")
 
 
 def _cmd_scan(args) -> int:
     orders = _iter_orders(args)
-    results = []
-    for n in orders:
-        if args.predicate:
-            check = build_predicate(args.predicate, n)
-        elif args.thm:
-            check = _resolve_check(args)
-        else:
-            raise UsageError("provide --predicate or --thm")
-        results.append(_scan_order(args, n, orders, check))
+    with contextlib.ExitStack() as stack:
+        f = stack.enter_context(open(args.input)) if args.input else None
+        if f is not None and len(orders) > 1 and not f.seekable():
+            raise UsageError("--n-range over several orders needs a seekable --input, which is read once per order")
+        results = []
+        for n in orders:
+            if args.predicate:
+                check = build_predicate(args.predicate, n)
+            elif args.thm:
+                check = _resolve_check(args)
+            else:
+                raise UsageError("provide --predicate or --thm")
+            source = None
+            if f is not None:
+                if n != orders[0]:
+                    f.seek(0)
+                source = _graphs_of_order(f, n, orders, args.n_range or str(args.n))
+            results.append(scan(n, args.filter, check, source=source, jobs=args.jobs))
     if args.format == "json":
         text = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in results) + "\n"
     elif args.format == "csv":

@@ -441,10 +441,23 @@ def to_graph6(g: Graph) -> str:
 _GRAPH6_BITS = {63 + v: f"{v:06b}" for v in range(64)}
 
 
-def from_graph6(text: str) -> Graph:
+def _graph6_body(text: str) -> str:
+    """A graph6 line without surrounding blanks or the optional ``>>graph6<<`` header."""
     s = text.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):].strip()
+    return s[len(GRAPH6_HEADER):].strip() if s.startswith(GRAPH6_HEADER) else s
+
+
+def graph6_order(text: str) -> Optional[int]:
+    """The order a graph6 line declares in its first character, None for a blank line.
+
+    Reads one character and validates nothing; ``from_graph6`` decodes and checks.
+    """
+    s = _graph6_body(text)
+    return ord(s[0]) - 63 if s else None
+
+
+def from_graph6(text: str) -> Graph:
+    s = _graph6_body(text)
     if not s:
         raise Graph6Error("empty graph6 string")
     if min(s) < "?" or max(s) > "~":
@@ -475,10 +488,3 @@ def from_graph6(text: str) -> Graph:
             rows[row] |= 1 << col
     return _graph_unchecked(n, tuple(rows))
 
-
-def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a one-graph-per-line graph6 stream, skipping blank lines."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield from_graph6(line)

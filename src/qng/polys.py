@@ -180,7 +180,11 @@ def poly_compose_linear(p: Poly, a, b) -> Poly:
 
 
 def multiplicity_at(p: Poly, r) -> int:
-    """Exact multiplicity of the int or ``Fraction`` ``r`` as a root of ``p`` (0 if not a root)."""
+    """Exact multiplicity of the int or ``Fraction`` ``r`` as a root of ``p`` (0 if not a root).
+
+    ``p`` is an ``int`` list with no trailing zeros; ``integer_poly`` makes one
+    from rational coefficients.
+    """
     if not p:
         raise ValueError("zero polynomial")
     a, b = r.numerator, r.denominator
@@ -309,7 +313,8 @@ class SturmChain:
     ``count_gt(x)`` and ``count_halfopen(lo, hi)`` return exact counts of
     distinct real roots in (x, +inf) and (lo, hi] respectively.  The chain
     holds primitive integer polynomials, each a positive multiple of the
-    classical Sturm sequence's member.
+    classical Sturm sequence's member.  ``p`` is a nonzero ``int`` list with
+    no trailing zeros; ``integer_poly`` makes one from rational coefficients.
     """
 
     def __init__(self, p: Poly):
@@ -352,6 +357,8 @@ class RootCounter:
     multiplicity m appears in levels 0..m-1, so summing distinct counts over
     the tower counts roots with multiplicity.  Each level keeps the Sturm
     chain of its square-free part, the quotient of the level by the next.
+    ``p`` is a nonzero ``int`` sequence with no trailing zeros; ``integer_poly``
+    makes one from rational coefficients.
     """
 
     def __init__(self, p: Poly):
@@ -402,7 +409,6 @@ class RootWindow:
             self.lo = mid
         else:
             self.hi = mid
-
 
 
 def isolate_kth_largest(p: Poly, k: int) -> RootWindow:

@@ -15,7 +15,7 @@ rows (a rational matrix is scaled by its common denominator first), every
 comparison works on the integer polynomial ``CharPoly.as_poly()``, and root
 counting goes through ``polys.root_counter``, which builds one integer
 Sturm/gcd tower per characteristic polynomial.  ``Fraction`` appears only in
-the monic ``CharPoly.coeffs`` and in the rational bounds of the comparisons.
+the monic ``CharPoly.coeffs`` view and in the rational bounds of the comparisons.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -190,18 +190,23 @@ def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Exact monic characteristic polynomial det(xI - M), ascending coefficients.
+    """Exact characteristic polynomial det(xI - M), ascending coefficients.
 
-    ``coeffs`` holds the exact rationals and ``ints`` the primitive integer
-    polynomial with the same roots; the two agree for an integer matrix.
+    ``ints`` is the primitive integer polynomial with positive leading
+    coefficient: det(xI - M) itself for an integer matrix, a positive
+    multiple of it for a rational one.  ``coeffs`` is the monic rational form.
     """
 
-    coeffs: tuple[Fraction, ...]
     ints: tuple[int, ...]
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        lead = self.ints[-1]
+        return tuple(Fraction(c, lead) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def as_poly(self) -> Poly:
         return list(self.ints)
@@ -224,7 +229,7 @@ def char_poly_exact(mat: MatrixLike) -> CharPoly:
     the characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  For an
     integer matrix every c_j is an integer and each division is exact.  A
     rational M runs as the integer matrix D*M, whose coefficients are
-    D^j c_j; they are divided back for ``coeffs`` and made integral for ``ints``.
+    D^j c_j; times D^(k-j) they give D^k det(xI - M), made primitive.
     """
     rows, denom = _integer_rows(mat)
     k = len(rows)
@@ -241,8 +246,11 @@ def char_poly_exact(mat: MatrixLike) -> CharPoly:
         for i in range(k):
             prod[i][i] += c
         acc = prod
-    coeffs = tuple(Fraction(c, denom ** j) for j, c in enumerate(coeffs_desc))[::-1]
-    return CharPoly(coeffs, tuple(coeffs_desc[::-1]) if denom == 1 else tuple(polys.integer_poly(coeffs)))
+    if denom != 1:
+        coeffs_desc = [c * denom ** (k - j) for j, c in enumerate(coeffs_desc)]
+        content = gcd(*coeffs_desc)
+        coeffs_desc = [c // content for c in coeffs_desc]
+    return CharPoly(tuple(coeffs_desc[::-1]))
 
 
 @lru_cache(maxsize=1 << 14)

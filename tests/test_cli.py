@@ -170,6 +170,41 @@ def test_scan_input_order_outside_range(tmp_path, capsys):
         assert err == "error: stream graph of order 7 in a scan for n=6\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_scan_input_from_pipe(tmp_path, capsys):
+    import threading
+
+    fifo = tmp_path / "graphs.fifo"
+    os.mkfifo(fifo)
+
+    def scan_through_pipe(text, *argv):
+        def feed():
+            try:
+                with open(fifo, "w") as w:
+                    w.write(text)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            return run_cli(capsys, "scan", "--thm", "1.2", *argv, "--input", str(fifo))
+        finally:
+            writer.join()
+
+    order6 = "".join(to_graph6(g) + "\n" for g in (cycle(6), complete(6), path(6), star(6)))
+    stream = tmp_path / "graphs.g6"
+    stream.write_text(order6)
+    for orders in (("--n", "6"), ("--n-range", "6..6")):
+        got = scan_through_pipe(order6, *orders)
+        assert got == run_cli(capsys, "scan", "--thm", "1.2", *orders, "--input", str(stream))
+        assert got[0] == 0 and "n=6" in got[1]
+    # a pipe cannot be rewound for a second order's pass
+    code, out, err = scan_through_pipe(order6 + to_graph6(cycle(7)) + "\n", "--n-range", "6..7")
+    assert (code, out) == (1, "")
+    assert "needs a seekable --input" in err
+
+
 def test_proof_check_verb(capsys):
     code, out, _ = run_cli(capsys, "proof-check", "--thm", "1.5", "--n-range", "8..12")
     assert code == 0
