@@ -17,7 +17,6 @@ from .graph import (
     cartesian_product,
     disjoint_union,
     empty_graph,
-    family,
     from_edges,
     from_graph6,
     h_graph,

@@ -25,9 +25,10 @@ deduplicated afterwards.  Counts are cross-checked against reference values
 in the test suite.
 
 ``scan`` filters its source lazily and cuts it into chunks of ``SCAN_CHUNK``
-graphs.  One helper evaluates a chunk: it screens the chunk's graphs and
-their complements with one batched float call (``spectra.prefill``), then
-runs the check on each graph.  With ``jobs`` > 1 the chunks go in order
+graphs.  One helper evaluates a chunk: it names the chunk to
+``spectra.set_chunk`` and runs the check on each graph; each matrix kind the
+check reads is then screened for the chunk's graphs and their complements in
+one batched float call.  With ``jobs`` > 1 the chunks go in order
 through ``Pool.imap``; workers receive the graphs and return only verdicts.
 """
 
@@ -344,7 +345,7 @@ def _augment(
             )
 
 
-def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
+def enumerate_graphs(n: int) -> list[Graph]:
     """One canonical representative per isomorphism class of order ``n``.
 
     Built-in generation is limited to n <= 8; larger orders must come from an
@@ -366,10 +367,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> list[Graph]:
             level = list(_augment(level, m))
             _ALL_GRAPHS[m] = sorted((g for g, _ in level), key=to_graph6)
         _ALL_GRAPHS[n] = sorted((g for g, _ in _augment(level, n)), key=to_graph6)
-    graphs = _ALL_GRAPHS[n]
-    if connected_only:
-        return [g for g in graphs if is_connected(g)]
-    return list(graphs)
+    return list(_ALL_GRAPHS[n])
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +442,12 @@ SCAN_CHUNK = 256
 
 
 def _evaluate(graphs: list[Graph], check: Callable[[Graph], object]) -> list[str]:
-    """The verdicts of ``check`` on ``graphs``, after one float screen of them all.
+    """The verdicts of ``check`` on ``graphs``, which form one chunk of float screening.
 
-    The screen is of the check's matrix kind (``check.kind``, else Q).
+    Each matrix kind the check reads is screened for the whole chunk at its
+    first ``spectra.spectrum`` miss, in one batched call.
     """
-    spectra.prefill(graphs, getattr(check, "kind", "Q"))
+    spectra.set_chunk(graphs)
     return [_verdict_of(check(g)) for g in graphs]
 
 

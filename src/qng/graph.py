@@ -270,34 +270,6 @@ def h_graph_blocks(s0: int, s1: int, s2: int) -> tuple[tuple[int, ...], ...]:
     return tuple(b for b in blocks if b)
 
 
-_FAMILY_ALIASES = {
-    "K": "complete",
-    "E": "empty",
-    "P": "path",
-    "C": "cycle",
-    "Kst": "complete_bipartite",
-    "star": "star",
-    "H": "h_graph",
-}
-
-
-def family(name: str, *params: int) -> Graph:
-    """Build a named family member, e.g. family('C', 4) or family('H', 2, 1, 1)."""
-    kind = _FAMILY_ALIASES.get(name, name)
-    builders = {
-        "complete": complete,
-        "empty": empty_graph,
-        "path": path,
-        "cycle": cycle,
-        "complete_bipartite": complete_bipartite,
-        "star": star,
-        "h_graph": h_graph,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown family {name!r}")
-    return builders[kind](*params)
-
-
 # ---------------------------------------------------------------------------
 # Connectivity and bipartite structure
 

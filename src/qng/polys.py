@@ -318,6 +318,8 @@ class SturmChain:
     """
 
     def __init__(self, p: Poly):
+        if not any(p):
+            raise ValueError("zero polynomial")
         self.chain = _sturm_sequence(squarefree_part(p))
 
     @classmethod
@@ -362,9 +364,9 @@ class RootCounter:
     """
 
     def __init__(self, p: Poly):
-        cur = _primitive(list(p))
-        if not cur:
+        if not any(p):
             raise ValueError("zero polynomial")
+        cur = _primitive(list(p))
         tower = []
         while len(cur) > 1:
             nxt = poly_gcd(cur, _derivative(cur))
@@ -428,7 +430,11 @@ def isolate_kth_largest(p: Poly, k: int) -> RootWindow:
     return window
 
 
-def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int, max_iter: int = 512) -> int:
+#: Bisection steps ``compare_kth_roots`` takes before it gives up.
+_COMPARE_MAX_ITER = 512
+
+
+def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int) -> int:
     """Exact sign of (k_a-th largest root of pa) - (k_b-th largest root of pb).
 
     Bisection separates the two isolating windows whenever the roots differ;
@@ -439,7 +445,7 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int, max_iter: int = 512)
     wb = isolate_kth_largest(pb, kb)
     common = poly_gcd(wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0])
     common_chain = SturmChain.from_squarefree(common) if len(common) > 1 else None
-    for _ in range(max_iter):
+    for _ in range(_COMPARE_MAX_ITER):
         if wa.lo >= wb.hi:
             return 1
         if wb.lo >= wa.hi:

@@ -1,14 +1,17 @@
 """Spectra of graph matrices: float screening plus exact certification.
 
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
-are used only for screening.  ``spectrum`` caches them by (graph, kind).
-``prefill`` screens many graphs and their complements at once: their
-matrices are stacked as one (B, n, n) array and go through one eigvalsh
-call, and a scan does this once per chunk.  A cache miss is screened the
-same way, as a batch of one.  Whenever a quantity sits within the escalation
-window of a bound, decisions are re-made exactly: integer characteristic
-polynomials via the Faddeev-LeVerrier recurrence, Sturm-sequence root
-counting, and isolating-interval comparisons of algebraic eigenvalues.
+are used only for screening.  ``spectrum`` is an ``lru_cache`` by (graph,
+kind), so later scans of the same graphs reuse their spectra.  A scan names
+each chunk with ``set_chunk``; the first miss of a kind on a chunk member
+stacks the kind-matrices of the chunk's graphs and their complements as one
+(B, n, n) array and screens them in one eigvalsh call, whatever kind the
+check reads.  A miss outside the chunk is screened alone.  ``_stacked`` is
+the one builder of A, D + A and D - A.  Whenever a quantity sits within the
+escalation window of a bound, decisions are re-made exactly: integer
+characteristic polynomials via the Faddeev-LeVerrier recurrence,
+Sturm-sequence root counting, and isolating-interval comparisons of
+algebraic eigenvalues.
 
 The exact layer computes in Python ``int``: the recurrence runs on integer
 rows (a rational matrix is scaled by its common denominator first), every
@@ -20,7 +23,6 @@ the monic ``CharPoly.coeffs`` view and in the rational bounds of the comparisons
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,33 +46,31 @@ MatrixLike = Union[np.ndarray, Sequence[Sequence]]
 # Matrix builders
 
 
-def a_matrix(g: Graph) -> np.ndarray:
-    """Adjacency matrix: entry (v, u) is bit u of row v."""
-    return (np.array(g.rows, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1
+def _stacked(graphs: Sequence[Graph], kind: str) -> np.ndarray:
+    """The kind-matrices of graphs of one order n, as one (B, n, n) int64 array.
+
+    Kind A is the adjacency matrix, whose entry (v, u) is bit u of row v; Q is
+    the signless Laplacian D + A and L the Laplacian D - A.
+    """
+    if kind not in ("A", "L", "Q"):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    n = graphs[0].n
+    adj = (np.array([g.rows for g in graphs], dtype=np.int64)[:, :, None] >> np.arange(n)) & 1
+    if kind == "A":
+        return adj
+    out = adj if kind == "Q" else -adj
+    diag = np.arange(n)
+    out[:, diag, diag] = adj.sum(axis=2)  # the diagonal of A is zero
+    return out
 
 
-def d_matrix(g: Graph) -> np.ndarray:
-    return np.diag(np.array(g.degrees(), dtype=np.int64))
+def matrix_of_kind(g: Graph, kind: str) -> np.ndarray:
+    return _stacked((g,), kind)[0]
 
 
 def q_matrix(g: Graph) -> np.ndarray:
     """Signless Laplacian D + A."""
-    return d_matrix(g) + a_matrix(g)
-
-
-def l_matrix(g: Graph) -> np.ndarray:
-    """Laplacian D - A."""
-    return d_matrix(g) - a_matrix(g)
-
-
-_KIND_BUILDERS = {"A": a_matrix, "L": l_matrix, "Q": q_matrix}
-
-
-def matrix_of_kind(g: Graph, kind: str) -> np.ndarray:
-    try:
-        return _KIND_BUILDERS[kind](g)
-    except KeyError:
-        raise ValueError(f"unknown matrix kind {kind!r}") from None
+    return matrix_of_kind(g, "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -102,75 +102,43 @@ def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
     return Spectrum(tuple(float(v) for v in vals))
 
 
-def _stacked(graphs: Sequence[Graph], kind: str) -> np.ndarray:
-    """The kind-matrices of graphs of one order n, as one (B, n, n) float array."""
-    if kind not in _KIND_BUILDERS:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    n = graphs[0].n
-    adj = (np.array([g.rows for g in graphs], dtype=np.int64)[:, :, None] >> np.arange(n)) & 1
-    if kind == "A":
-        return adj.astype(float)
-    deg = adj.sum(axis=2)[:, :, None] * np.eye(n, dtype=np.int64)
-    return (deg + adj if kind == "Q" else deg - adj).astype(float)
-
-
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-#: The float spectra screened so far, by (graph, kind); the oldest go first.
-_SPECTRA: OrderedDict[tuple[Graph, str], Spectrum] = OrderedDict()
-_SPECTRA_MAX = 1 << 15
-_LOOKUPS = [0, 0]  # hits and misses of ``spectrum``
+#: The current scan chunk: its graphs and their complements by order, and the
+#: spectra screened from it so far by (graph, kind).
+_CHUNK: dict[int, dict[Graph, None]] = {}
+_SCREENED: dict[tuple[Graph, str], Spectrum] = {}
 
 
 def _screen(graphs: Sequence[Graph], kind: str) -> list[Spectrum]:
-    """Float spectra of the kind-matrices of graphs of one order, cached.
+    """Float spectra of the kind-matrices of graphs of one order, in one eigvalsh call."""
+    return [Spectrum(tuple(v)) for v in np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1].tolist()]
 
-    The stacked matrices go through one eigvalsh call.
+
+def set_chunk(graphs: Iterable[Graph]) -> None:
+    """Make ``graphs`` and their complements the chunk ``spectrum`` screens at once.
+
+    A scan calls this once per chunk; it drops the previous chunk's spectra.
     """
-    out = [Spectrum(tuple(v)) for v in np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1].tolist()]
-    for g, spec in zip(graphs, out):
-        _SPECTRA[g, kind] = spec
-    while len(_SPECTRA) > _SPECTRA_MAX:
-        _SPECTRA.popitem(last=False)
-    return out
-
-
-def prefill(graphs: Iterable[Graph], kind: str = "Q") -> None:
-    """Screen ``graphs`` and their complements into the ``spectrum`` cache.
-
-    A scan calls this once per chunk, so the chunk costs one eigvalsh call
-    per order instead of two per graph; graphs already cached are skipped.
-    """
-    todo: dict[int, dict[Graph, None]] = {}
+    _CHUNK.clear()
+    _SCREENED.clear()
     for g in graphs:
         for h in (g, complement(g)):
-            if (h, kind) not in _SPECTRA:
-                todo.setdefault(h.n, {})[h] = None
-    for same in todo.values():
-        _screen(list(same), kind)
+            _CHUNK.setdefault(h.n, {})[h] = None
 
 
-def spectrum(g: Graph, kind: str = "Q") -> Spectrum:
-    """The float spectrum of the kind-matrix of g, from the cache if screened before."""
-    found = _SPECTRA.get((g, kind))
-    if found is None:
-        _LOOKUPS[1] += 1
+@lru_cache(maxsize=1 << 15)
+def spectrum(g: Graph, kind: str) -> Spectrum:
+    """The float spectrum of the kind-matrix of g.
+
+    On a miss, a member of the current chunk has every chunk member of its
+    order screened for ``kind`` in one eigvalsh call; any other graph is
+    screened alone.
+    """
+    members = _CHUNK.get(g.n, {})
+    if g not in members:
         return _screen((g,), kind)[0]
-    _LOOKUPS[0] += 1
-    return found
-
-
-def _cache_info() -> _CacheInfo:
-    return _CacheInfo(_LOOKUPS[0], _LOOKUPS[1], _SPECTRA_MAX, len(_SPECTRA))
-
-
-def _cache_clear() -> None:
-    _SPECTRA.clear()
-    _LOOKUPS[:] = [0, 0]
-
-
-spectrum.cache_info = _cache_info
-spectrum.cache_clear = _cache_clear
+    if (g, kind) not in _SCREENED:
+        _SCREENED.update(zip([(h, kind) for h in members], _screen(list(members), kind)))
+    return _SCREENED[g, kind]
 
 
 def q_spectrum(g: Graph) -> Spectrum:

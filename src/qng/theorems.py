@@ -89,9 +89,12 @@ class BoundReport:
     verdict: str
     certified: bool = False
     lhs_exact: Optional[str] = None
-    family: Optional[str] = None
     certificate: Optional[ExtremalCertificate] = None
     notes: str = ""
+
+    @property
+    def family(self) -> Optional[str]:
+        return self.certificate.family if self.certificate else None
 
     def to_dict(self) -> dict:
         return {
@@ -240,7 +243,7 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
     return BoundReport(
         to_graph6(g), bound, lhs, rhs, verdict, certified=certified,
         lhs_exact=(rhs_exact or str(rhs)) if verdict == EQUALITY else None,
-        family=cert.family if cert else None, certificate=cert, notes=notes,
+        certificate=cert, notes=notes,
     )
 
 

@@ -17,6 +17,7 @@ from qng.graph import (
     cartesian_product,
     disjoint_union,
     from_edges,
+    is_connected,
     relabel,
     star,
     to_graph6,
@@ -133,5 +134,5 @@ def test_enumerate_connected_counts_match_reference(graphs_by_order):
     # reference: connected graph counts 1, 1, 2, 6, 21, 112, 853
     reference = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n, want in reference.items():
-        got = len(enumerate_graphs(n, connected_only=True))
+        got = sum(map(is_connected, enumerate_graphs(n)))
         assert got == want

@@ -7,9 +7,10 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from qng import enumeration
+from qng import enumeration, spectra
 from qng.enumeration import (
     CanonicalForm,
     _augment,
@@ -30,12 +31,13 @@ from qng.graph import (
     cycle,
     empty_graph,
     from_edges,
+    is_connected,
     path,
     relabel,
     star,
     to_graph6,
 )
-from qng.theorems import check_thm12
+from qng.theorems import check_ng_generic, check_thm12
 
 
 def random_graph(rng, n, p=0.5):
@@ -251,8 +253,8 @@ def test_enumeration_n8_golden_digest(enum8):
 
 
 def test_connected_count():
-    assert len(enumerate_graphs(6, connected_only=True)) == 112
-    assert len(enumerate_graphs(4, connected_only=True)) == 6
+    assert sum(map(is_connected, enumerate_graphs(6))) == 112
+    assert sum(map(is_connected, enumerate_graphs(4))) == 6
 
 
 def test_enumeration_stream_is_canonical_and_unique(graphs_by_order):
@@ -308,6 +310,41 @@ def test_scan_chunks_keep_their_order_under_jobs():
             scan(7, "all", check_thm12, source=graphs + enumerate_graphs(6)[:1], jobs=2)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _ng_a2(g):
+    return check_ng_generic(g, "A", 2)
+
+
+def _ng_l1(g):
+    return check_ng_generic(g, "L", 1)
+
+
+@pytest.mark.parametrize("check", [_ng_a2, _ng_l1])
+def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
+    """A check without a ``kind`` attribute still gets one eigvalsh call per chunk.
+
+    The chunk's graphs and their complements are screened for A (or L) in one
+    batched call at the first miss, not one call per graph.
+    """
+    graphs = enumerate_graphs(7)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    assert not hasattr(check, "kind")
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spectra.spectrum.cache_clear()
+    assert scan(7, "all", check).total == len(graphs) == 1044
+    chunks = -(-len(graphs) // enumeration.SCAN_CHUNK)
+    assert len(calls) == chunks == 5
+    assert all(shape[0] > enumeration.SCAN_CHUNK for shape in calls[:-1])
+    # a second scan of the same graphs reads every spectrum from the cache
+    scan(7, "all", check)
+    assert len(calls) == chunks
 
 
 def test_scan_external_source():

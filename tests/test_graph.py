@@ -22,7 +22,6 @@ from qng.graph import (
     cartesian_product,
     disjoint_union,
     empty_graph,
-    family,
     from_edges,
     from_graph6,
     h_graph,
@@ -94,10 +93,6 @@ def test_cartesian_product_prism():
 
 def test_family_constructors():
     assert canon(cycle(4)) == canon(complete_bipartite(2, 2))
-    assert family("C", 4) == cycle(4)
-    assert family("Kst", 3, 3) == complete_bipartite(3, 3)
-    with pytest.raises(ValueError):
-        family("Z", 3)
 
 
 def test_h_graph_structure():

@@ -74,6 +74,17 @@ def test_squarefree_and_multiplicity():
     assert multiplicity_at(p, F(7)) == 0
 
 
+def test_zero_polynomial_is_rejected():
+    from qng.spectra import sturm_count
+
+    with pytest.raises(ValueError, match="zero polynomial"):
+        sturm_count([0, 0], 0, 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        SturmChain([])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        RootCounter([0])
+
+
 def test_compose_linear():
     p = [1, 2, 3]  # 3x^2 + 2x + 1
     q = poly_compose_linear(p, F(-1), F(4))  # p(4 - x)

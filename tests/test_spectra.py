@@ -25,7 +25,6 @@ from qng.graph import (
 from qng.spectra import (
     ESCALATION_WINDOW,
     CharPoly,
-    a_matrix,
     certify_qk,
     char_poly_exact,
     compare_q1,
@@ -34,15 +33,14 @@ from qng.spectra import (
     compare_sum_with,
     eigenvalues_sym,
     kind_char_poly,
-    l_matrix,
     matrix_of_kind,
     multiplicity_at,
     ng_sum,
-    prefill,
     q_char_poly,
     q_matrix,
     q_spectrum,
     rational_sqrt,
+    set_chunk,
     spectrum,
     sturm_count,
 )
@@ -99,7 +97,7 @@ def charpoly_oracle(m) -> list[F]:
 def test_matrix_builders():
     assert q_matrix(complete(2)).tolist() == [[1, 1], [1, 1]]
     assert q_matrix(path(3)).tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-    assert l_matrix(path(3)).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+    assert matrix_of_kind(path(3), "L").tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 
 def _a_matrix_by_bits(g):
@@ -116,7 +114,7 @@ def test_a_matrix_against_bit_loop(rng=random.Random(17)):
     graphs = [complete(32), empty_graph(32), empty_graph(1), complete(1)]
     graphs += [random_graph(rng, n, rng.random()) for n in range(1, 33) for _ in range(3)]
     for g in graphs:
-        got, want = a_matrix(g), _a_matrix_by_bits(g)
+        got, want = matrix_of_kind(g, "A"), _a_matrix_by_bits(g)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -274,7 +272,7 @@ def test_spectrum_accessors():
 
 
 def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8):
-    """The batched screen against one eigvalsh call per matrix, for n <= 8.
+    """The chunk screen against one eigvalsh call per matrix, for n <= 8.
 
     Every graph and its complement get the per-graph spectrum to within
     1e-12, and no q_2 sum of a graph and its complement lies within 1e-12 of
@@ -283,10 +281,11 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8):
     bounds depends on which of the two computed the spectrum.
     """
     graphs = [g for n in range(1, 8) for g in graphs_by_order[n]] + enum8[0]
+    members = {h for g in graphs for h in (g, complement(g))}
     spectrum.cache_clear()
     try:
+        set_chunk(graphs)
         for kind in "QAL":
-            prefill(graphs, kind)
             before = spectrum.cache_info()
             for g in graphs:
                 for h in (g, complement(g)):
@@ -294,8 +293,8 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8):
                     single = eigenvalues_sym(matrix_of_kind(h, kind)).values
                     assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
             after = spectrum.cache_info()
-            assert after.misses == before.misses
-            assert after.hits == before.hits + 2 * len(graphs)
+            assert after.misses == before.misses + len(members)
+            assert after.hits == before.hits + 2 * len(graphs) - len(members)
             if kind == "Q":
                 for g in filter(lambda g: g.n >= 4, graphs):
                     value = ng_sum(g, "Q", 2)
@@ -306,6 +305,7 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8):
         spectrum(graphs[-1], "L")
         assert spectrum.cache_info()[:2] == (0, 1)
     finally:
+        set_chunk(())
         spectrum.cache_clear()
 
 
