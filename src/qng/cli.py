@@ -64,6 +64,8 @@ class UsageError(ValueError):
 _ATOM = re.compile(
     r"^(?:K(?P<ks>\d+),(?P<kt>\d+)|K(?P<k>\d+)|P(?P<p>\d+)|C(?P<c>\d+)|E(?P<e>\d+)|(?P<nk>\d+)K1)$"
 )
+# Space-separated forms: first word -> (the form, its builder).
+_FORMS = {"star": ("star N", star), "H": ("H S0 S1 S2", h_graph)}
 
 
 def parse_family(text: str) -> Graph:
@@ -82,12 +84,12 @@ def parse_family(text: str) -> Graph:
             for part in parts[1:]:
                 out = builder(out, parse_family(part))
             return out
-    tokens = s.split()
-    if tokens[0] == "star":
-        return star(int(tokens[1]))
-    if tokens[0] == "H":
-        s0, s1, s2 = (int(t) for t in tokens[1:4])
-        return h_graph(s0, s1, s2)
+    name, *args = s.split()
+    if name in _FORMS:
+        form, build = _FORMS[name]
+        if len(args) != form.count(" ") or not all(a.isdecimal() for a in args):
+            raise UsageError(f"expected family {form!r}, got {text!r}")
+        return build(*map(int, args))
     m = _ATOM.match(s.replace(" ", ""))
     if m is None:
         raise UsageError(f"cannot parse family expression {text!r}")

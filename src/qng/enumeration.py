@@ -25,19 +25,22 @@ deduplicated afterwards.  Counts are cross-checked against reference values
 in the test suite.
 
 ``scan`` filters its source lazily and cuts it into chunks of ``SCAN_CHUNK``
-graphs.  One helper evaluates a chunk: it names the chunk to
-``spectra.set_chunk`` and runs the check on each graph; each matrix kind the
+graphs.  A chunk is the unit of result: one helper names it to
+``spectra.set_chunk``, runs the check on each graph (each matrix kind the
 check reads is then screened for the chunk's graphs and their complements in
-one batched float call.  With ``jobs`` > 1 the chunks go in order
-through ``Pool.imap``; workers receive the graphs and return only verdicts.
+one batched float call), and returns the chunk's tally, its verdict counts
+plus the canonical graph6 keys of its equality and violation graphs.  With
+``jobs`` > 1 the chunks go in order through ``Pool.imap``, and each worker
+returns only that tally.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import islice
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import islice, starmap
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import spectra
@@ -411,10 +414,10 @@ class ScanResult:
     n: int
     filter_name: str
     predicate_name: str
-    total: int = 0
-    counts: dict[str, int] = field(default_factory=dict)
-    equality: list[str] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    total: int
+    counts: dict[str, int]
+    equality: list[str]
+    violations: list[str]
 
     def to_dict(self) -> dict:
         return {
@@ -432,52 +435,37 @@ def _verdict_of(result) -> str:
     return getattr(result, "verdict", result)
 
 
-_EQUALITY_VERDICTS = {"equality-certified"}
-_VIOLATION_VERDICTS = {"violated"}
-
-
 #: Graphs per chunk of a scan: one batched float screen, and one pool task
 #: under ``jobs`` > 1.
 SCAN_CHUNK = 256
 
 
-def _evaluate(graphs: list[Graph], check: Callable[[Graph], object]) -> list[str]:
-    """The verdicts of ``check`` on ``graphs``, which form one chunk of float screening.
+def _tally(graphs: list[Graph], check: Callable[[Graph], object]) -> tuple[Counter, set[str], set[str]]:
+    """The verdict counts of ``check`` on one chunk of ``graphs``, plus the
+    canonical graph6 keys of its equality-certified and of its violated graphs.
 
     Each matrix kind the check reads is screened for the whole chunk at its
     first ``spectra.spectrum`` miss, in one batched call.
     """
     spectra.set_chunk(graphs)
-    return [_verdict_of(check(g)) for g in graphs]
+    counts: Counter = Counter()
+    keys: dict[str, set[str]] = {"equality-certified": set(), "violated": set()}
+    for g in graphs:
+        verdict = _verdict_of(check(g))
+        counts[verdict] += 1
+        if verdict in keys:
+            keys[verdict].add(to_graph6(canonicalize(g)) if g.n <= CANONICAL_MAX else to_graph6(g))
+    return counts, keys["equality-certified"], keys["violated"]
 
 
-def _scan_chunk(args) -> list[str]:
-    """Pool-worker entry point: the verdicts of one (graphs, check) chunk."""
-    return _evaluate(*args)
+def _scan_chunk(args) -> tuple[Counter, set[str], set[str]]:
+    """Pool-worker entry point: the tally of one (graphs, check) chunk.
 
-
-def _verdict_chunks(
-    chunks: Iterable[list[Graph]], check: Callable[[Graph], object], jobs: int
-) -> Iterator[tuple[list[Graph], list[str]]]:
-    """Each chunk with its verdicts, in order; ``jobs`` > 1 evaluates in a pool.
-
-    Pool workers receive the graphs and send back only the verdicts, so the
-    chunks in flight wait in ``sent`` for their results.
+    Only the pool calls it.  ``perfbench``'s tracer wraps it to collect each
+    worker's aggregates after every chunk, so an in-process scan calls
+    ``_tally`` directly and is not counted twice.
     """
-    if jobs <= 1:
-        for graphs in chunks:
-            yield graphs, _evaluate(graphs, check)
-        return
-    sent: deque[list[Graph]] = deque()
-
-    def tasks():
-        for graphs in chunks:
-            sent.append(graphs)
-            yield graphs, check
-
-    with multiprocessing.Pool(jobs) as pool:
-        for verdicts in pool.imap(_scan_chunk, tasks()):
-            yield sent.popleft(), verdicts
+    return _tally(*args)
 
 
 def scan(
@@ -492,7 +480,9 @@ def scan(
 
     ``source`` defaults to the built-in isomorph-free stream; pass graphs
     parsed from an external graph6 file for orders beyond 8.  The filtered
-    stream is read lazily in chunks of ``SCAN_CHUNK`` graphs.  Results are
+    stream is read lazily in chunks of ``SCAN_CHUNK`` graphs, and each chunk
+    is tallied where it is checked: in this process, or in a pool worker
+    under ``jobs`` > 1.  The tallies are merged in order, so results are
     independent of ``jobs``: members are canonical forms in sorted order.
     """
     filter_name, accept = resolve_filter(graph_filter)
@@ -507,17 +497,15 @@ def scan(
                 yield g
 
     graphs = selected()
-    chunks = iter(lambda: list(islice(graphs, SCAN_CHUNK)), [])
-    result = ScanResult(n, filter_name, predicate_name)
-    for chunk, verdicts in _verdict_chunks(chunks, check, jobs):
-        result.total += len(chunk)
-        for g, verdict in zip(chunk, verdicts):
-            result.counts[verdict] = result.counts.get(verdict, 0) + 1
-            if verdict in _EQUALITY_VERDICTS or verdict in _VIOLATION_VERDICTS:
-                key = to_graph6(canonicalize(g)) if g.n <= CANONICAL_MAX else to_graph6(g)
-                target = result.equality if verdict in _EQUALITY_VERDICTS else result.violations
-                if key not in target:
-                    target.append(key)
-    result.equality.sort()
-    result.violations.sort()
-    return result
+    tasks = ((chunk, check) for chunk in iter(lambda: list(islice(graphs, SCAN_CHUNK)), []))
+    counts: Counter = Counter()
+    equality: set[str] = set()
+    violations: set[str] = set()
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        tallies = pool.imap(_scan_chunk, tasks) if jobs > 1 else starmap(_tally, tasks)
+        for chunk_counts, chunk_equality, chunk_violations in tallies:
+            counts.update(chunk_counts)
+            equality |= chunk_equality
+            violations |= chunk_violations
+    return ScanResult(n, filter_name, predicate_name, counts.total(), dict(counts),
+                      sorted(equality), sorted(violations))

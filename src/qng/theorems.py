@@ -82,7 +82,7 @@ class ExtremalCertificate:
 class BoundReport:
     """Outcome of one bound predicate on one graph."""
 
-    graph6: str
+    graph: Graph
     bound: str
     lhs: Optional[float]
     rhs: object
@@ -91,6 +91,10 @@ class BoundReport:
     lhs_exact: Optional[str] = None
     certificate: Optional[ExtremalCertificate] = None
     notes: str = ""
+
+    @property
+    def graph6(self) -> str:
+        return to_graph6(self.graph)
 
     @property
     def family(self) -> Optional[str]:
@@ -112,7 +116,7 @@ class BoundReport:
 
 
 def _na(g: Graph, bound: str, rhs, notes: str) -> BoundReport:
-    return BoundReport(to_graph6(g), bound, None, rhs, NOT_APPLICABLE, notes=notes)
+    return BoundReport(g, bound, None, rhs, NOT_APPLICABLE, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +245,7 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
             cert = _match_family(g, families)
             notes = "" if cert else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
     return BoundReport(
-        to_graph6(g), bound, lhs, rhs, verdict, certified=certified,
+        g, bound, lhs, rhs, verdict, certified=certified,
         lhs_exact=(rhs_exact or str(rhs)) if verdict == EQUALITY else None,
         certificate=cert, notes=notes,
     )
@@ -366,7 +370,7 @@ def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
         return _sum_bound(g, "ng-L1", "<=", Fraction(2 * n - 1), kind="L", k=1)
     if kind == "A" and k == 2:
         return _sum_bound(g, "ng-A2", "<=", Fraction(-1), Fraction(n * n, 2) - n + 1, kind="A")
-    return BoundReport(to_graph6(g), f"ng-{kind}{k}", ng_sum(g, kind, k), None, NOT_APPLICABLE,
+    return BoundReport(g, f"ng-{kind}{k}", ng_sum(g, kind, k), None, NOT_APPLICABLE,
                        notes="no registered bound for this kind/k")
 
 

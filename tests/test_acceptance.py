@@ -12,7 +12,6 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from qng import polys
 from qng.cli import build_predicate

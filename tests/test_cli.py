@@ -251,6 +251,14 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("family", ["star", "star x", "star 6 7", "H 1 2", "H 1 2 3 4"])
+def test_malformed_family_forms(capsys, family):
+    code, out, err = run_cli(capsys, "check", "--thm", "1.2", "--family", family)
+    assert (code, out) == (1, "")
+    form = "star N" if family.startswith("star") else "H S0 S1 S2"
+    assert err == f"error: expected family {form!r}, got {family!r}\n"
+
+
 @pytest.mark.parametrize("verb", [["scan", "--thm", "ng"], ["proof-check", "--thm", "1.5"]])
 @pytest.mark.parametrize("span", ["6", "7..6", "6..", "a..b", "6..7..8"])
 def test_n_range_must_be_lo_dot_dot_hi(capsys, verb, span):

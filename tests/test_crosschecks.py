@@ -6,7 +6,6 @@ import random
 from fractions import Fraction as F
 
 import mpmath
-import pytest
 
 from qng.enumeration import canonical_form, enumerate_graphs
 from qng.graph import (
@@ -19,7 +18,6 @@ from qng.graph import (
     from_edges,
     is_connected,
     relabel,
-    star,
     to_graph6,
 )
 from qng.spectra import certify_qk, compare_qk_with, compare_sum_with, q_matrix, q_spectrum

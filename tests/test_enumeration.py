@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qng import enumeration, spectra
+from qng.cli import build_predicate
 from qng.enumeration import (
     CanonicalForm,
     _augment,
@@ -310,6 +311,14 @@ def test_scan_chunks_keep_their_order_under_jobs():
             scan(7, "all", check_thm12, source=graphs + enumerate_graphs(6)[:1], jobs=2)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_scan_violation_keys_come_back_from_workers():
+    check = build_predicate("sum-le 2n-5", 5)
+    expected = scan(5, "connected", check)
+    assert expected.counts == {"violated": 8, "equality-certified": 5, "strict": 8}
+    assert len(expected.violations) == 8 and len(expected.equality) == 5
+    assert scan(5, "connected", check, jobs=2) == expected
 
 
 def _ng_a2(g):

@@ -22,7 +22,10 @@ from qng.graph import (
     path,
     relabel,
     star,
+    to_graph6,
 )
+from qng import theorems
+from qng.enumeration import scan
 from qng.spectra import char_poly_exact, q_spectrum
 from qng.theorems import (
     EQUALITY,
@@ -251,6 +254,18 @@ def test_report_serialization():
     d = check_thm13(cycle(4)).to_dict()
     assert d["verdict"] == EQUALITY and d["family"] == "C_4"
     assert d["witness"] is not None and d["rhs"] == "4"
+
+
+def test_reports_encode_graph6_only_when_read(monkeypatch):
+    """A report keeps its graph; a scan, which reads only verdicts, encodes none."""
+    calls = []
+    encode = theorems.to_graph6
+    monkeypatch.setattr(theorems, "to_graph6", lambda g: calls.append(g) or encode(g))
+    assert scan(7, "all", check_thm12).total == 1044
+    assert calls == []
+    report = check_thm12(cycle(6))
+    assert report.graph6 == to_graph6(cycle(6))
+    assert calls == [cycle(6)]
 
 
 def test_proof_check_thm12_spot_values():
