@@ -26,7 +26,6 @@ from .graph import (
     to_graph6,
 )
 from .spectra import (
-    CharPoly,
     Spectrum,
     certify_qk,
     char_poly_exact,

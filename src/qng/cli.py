@@ -147,7 +147,10 @@ def parse_bound_expr(text: str, n: int) -> Fraction:
         coeff = {"": 1, "-": -1}.get(m.group("a"))
         total += (int(m.group("a")) if coeff is None else coeff) * n
     if m.group("b"):
-        total += Fraction(m.group("b"))
+        try:
+            total += Fraction(m.group("b"))
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in bound expression {text!r}") from None
     return total
 
 
@@ -200,13 +203,12 @@ def build_predicate(spec: str, n: int):
     sum-eq EXPR | sum-le EXPR | sum-ge EXPR: bound checks with exact
     escalation, reported through the standard verdict vocabulary.
     """
-    tokens = spec.split()
-    kind = tokens[0]
-    if kind == "sum-open-interval" and len(tokens) == 3:
-        lo, hi = (parse_bound_expr(t, n) for t in tokens[1:])
+    kind, *args = spec.split() or [""]
+    if kind == "sum-open-interval" and len(args) == 2:
+        lo, hi = (parse_bound_expr(t, n) for t in args)
         return SumPredicate(f"{kind} {lo} {hi}", [(">", lo), ("<", hi)], member=True)
-    if kind in _SUM_RELATIONS and len(tokens) == 2:
-        bound = parse_bound_expr(tokens[1], n)
+    if kind in _SUM_RELATIONS and len(args) == 1:
+        bound = parse_bound_expr(args[0], n)
         return SumPredicate(f"{kind} {bound}", [(_SUM_RELATIONS[kind], bound)], member=kind == "sum-eq")
     raise UsageError(f"unknown predicate {spec!r}")
 
@@ -473,7 +475,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, Graph6Error, ValueError) as exc:
+    except (UsageError, Graph6Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 from typing import Sequence
 
 from . import polys
 from .graph import Graph
-from .spectra import CharPoly, Spectrum, char_poly_exact, q_char_poly, q_spectrum
+from .spectra import Spectrum, char_poly_exact, eigenvalues_sym, q_char_poly, q_spectrum
 
 VertexPartition = tuple[tuple[int, ...], ...]
 
@@ -48,15 +49,11 @@ class QuotientMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def char_poly(self) -> CharPoly:
+    def char_poly(self) -> tuple[int, ...]:
         return char_poly_exact(self.entries)
 
     def spectrum(self) -> Spectrum:
         """Float eigenvalues via the similar symmetric matrix D^{1/2} B D^{-1/2}."""
-        from math import sqrt
-
-        from .spectra import eigenvalues_sym
-
         m = self.order
         sizes = self.block_sizes
         sym = [[0.0] * m for _ in range(m)]
@@ -130,7 +127,7 @@ def verify_quotient_eigen_containment(g: Graph, blocks: Sequence[Sequence[int]])
     if not is_equitable(g, blocks):
         raise ValueError("partition is not equitable")
     quot = quotient_matrix(g, blocks)
-    return not polys.poly_rem(q_char_poly(g).as_poly(), quot.char_poly().as_poly())
+    return not polys.poly_rem(q_char_poly(g), quot.char_poly())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Exact univariate polynomials over the integers and real-root certification.
 
 Polynomials are lists of Python ``int`` coefficients in ascending degree
-order with no trailing zeros.  Every exact question asked of a polynomial is
+order with no trailing zeros; functions that only read one also take the
+``int`` tuple that a characteristic polynomial is, and that keys
+``root_counter``.  Every exact question asked of a polynomial is
 about its roots, so a positive multiple serves as well as the polynomial
 itself: gcds, square-free parts, remainders and compositions come back
 primitive (content 1), and remainders come from pseudo-division scaled by
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 from typing import Sequence, Union
 
 Poly = list[int]
@@ -253,8 +255,6 @@ class Surd:
         return self.sign() == 0
 
     def __float__(self) -> float:
-        from math import sqrt
-
         return float(self.a) + float(self.b) * sqrt(self.d)
 
 

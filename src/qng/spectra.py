@@ -14,11 +14,12 @@ Sturm-sequence root counting, and isolating-interval comparisons of
 algebraic eigenvalues.
 
 The exact layer computes in Python ``int``: the recurrence runs on integer
-rows (a rational matrix is scaled by its common denominator first), every
-comparison works on the integer polynomial ``CharPoly.as_poly()``, and root
-counting goes through ``polys.root_counter``, which builds one integer
-Sturm/gcd tower per characteristic polynomial.  ``Fraction`` appears only in
-the monic ``CharPoly.coeffs`` view and in the rational bounds of the comparisons.
+rows (a rational matrix is scaled by its common denominator first), and a
+characteristic polynomial is its ascending ``int`` tuple, which every
+comparison hands to ``polys`` as it is.  Root counting goes through
+``polys.root_counter``, which builds one integer Sturm/gcd tower per
+characteristic polynomial.  ``Fraction`` appears only in the rational bounds
+of the comparisons.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 from . import polys
 from .graph import Graph, complement
-from .polys import Poly
 
 #: Any bound within this distance of equality is decided exactly.
 ESCALATION_WINDOW = 1e-6
@@ -156,30 +156,6 @@ def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
 # Exact characteristic polynomials
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Exact characteristic polynomial det(xI - M), ascending coefficients.
-
-    ``ints`` is the primitive integer polynomial with positive leading
-    coefficient: det(xI - M) itself for an integer matrix, a positive
-    multiple of it for a rational one.  ``coeffs`` is the monic rational form.
-    """
-
-    ints: tuple[int, ...]
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        lead = self.ints[-1]
-        return tuple(Fraction(c, lead) for c in self.ints)
-
-    @property
-    def degree(self) -> int:
-        return len(self.ints) - 1
-
-    def as_poly(self) -> Poly:
-        return list(self.ints)
-
-
 def _integer_rows(mat: MatrixLike) -> tuple[list[list[int]], int]:
     """Rows of D*M as Python ints, for D the least common denominator of M."""
     rows = mat.tolist() if isinstance(mat, np.ndarray) else [list(row) for row in mat]
@@ -190,14 +166,17 @@ def _integer_rows(mat: MatrixLike) -> tuple[list[list[int]], int]:
     return [[int(v * denom) for v in row] for row in rows], denom
 
 
-def char_poly_exact(mat: MatrixLike) -> CharPoly:
-    """Faddeev-LeVerrier recurrence over Python integers.
+def char_poly_exact(mat: MatrixLike) -> tuple[int, ...]:
+    """det(xI - M) as ascending integer coefficients, by Faddeev-LeVerrier.
 
     For M of order k: N_1 = M, c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I;
     the characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  For an
     integer matrix every c_j is an integer and each division is exact.  A
     rational M runs as the integer matrix D*M, whose coefficients are
-    D^j c_j; times D^(k-j) they give D^k det(xI - M), made primitive.
+    D^j c_j; times D^(k-j) they give D^k det(xI - M), made primitive.  So
+    the result is the primitive integer polynomial with positive leading
+    coefficient: det(xI - M) itself for an integer M, a positive multiple of
+    it for a rational one.
     """
     rows, denom = _integer_rows(mat)
     k = len(rows)
@@ -218,15 +197,15 @@ def char_poly_exact(mat: MatrixLike) -> CharPoly:
         coeffs_desc = [c * denom ** (k - j) for j, c in enumerate(coeffs_desc)]
         content = gcd(*coeffs_desc)
         coeffs_desc = [c // content for c in coeffs_desc]
-    return CharPoly(tuple(coeffs_desc[::-1]))
+    return tuple(coeffs_desc[::-1])
 
 
 @lru_cache(maxsize=1 << 14)
-def kind_char_poly(g: Graph, kind: str) -> CharPoly:
+def kind_char_poly(g: Graph, kind: str) -> tuple[int, ...]:
     return char_poly_exact(matrix_of_kind(g, kind))
 
 
-def q_char_poly(g: Graph) -> CharPoly:
+def q_char_poly(g: Graph) -> tuple[int, ...]:
     return kind_char_poly(g, "Q")
 
 
@@ -234,44 +213,32 @@ def q_char_poly(g: Graph) -> CharPoly:
 # Exact root counting and certification
 
 
-def sturm_count(p: CharPoly | Sequence, lo, hi) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
+def sturm_count(p: Sequence, lo, hi) -> int:
+    """Number of distinct real roots of rational ``p`` in the half-open interval (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("lo > hi")
-    coeffs = p.as_poly() if isinstance(p, CharPoly) else polys.integer_poly(p)
-    return polys.SturmChain(coeffs).count_halfopen(lo, hi)
+    return polys.SturmChain(polys.integer_poly(p)).count_halfopen(lo, hi)
 
 
-def multiplicity_at(p: CharPoly | Sequence, r) -> int:
-    """Exact multiplicity of the rational ``r`` as a root."""
-    coeffs = p.as_poly() if isinstance(p, CharPoly) else polys.integer_poly(p)
-    return polys.multiplicity_at(coeffs, Fraction(r))
+def multiplicity_at(p: Sequence, r) -> int:
+    """Exact multiplicity of the rational ``r`` as a root of rational ``p``."""
+    return polys.multiplicity_at(polys.integer_poly(p), Fraction(r))
 
 
 def certify_qk(g: Graph, k: int, r) -> bool:
     """Exact certificate that the k-th largest Q-eigenvalue equals rational r.
 
-    Requires r to be a root of the characteristic polynomial with fewer than
-    k eigenvalues strictly above it and at least k eigenvalues at or above
-    it, all counted with multiplicity.  Never consults floating point.
+    False for k outside 1..n.  Never consults floating point.
     """
-    if not 1 <= k <= g.n:
-        return False
-    r = Fraction(r)
-    p = q_char_poly(g).as_poly()
-    mult = polys.multiplicity_at(p, r)
-    if mult < 1:
-        return False
-    above = polys.root_counter(tuple(p)).count_gt(r)
-    return above < k <= above + mult
+    return 1 <= k <= g.n and compare_qk_with(g, k, r) == 0
 
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
     c = Fraction(c)
-    p = q_char_poly(g).as_poly()
-    above = polys.root_counter(tuple(p)).count_gt(c)
+    p = q_char_poly(g)
+    above = polys.root_counter(p).count_gt(c)
     if above >= k:
         return 1
     if above + polys.multiplicity_at(p, c) >= k:
@@ -291,17 +258,15 @@ def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = 
     if not 1 <= k <= g.n or not 1 <= kc <= g.n:
         raise ValueError(f"eigenvalue index outside 1..{g.n}")
     c = Fraction(c)
-    p = kind_char_poly(g, kind).as_poly()
-    pb = kind_char_poly(complement(g), kind).as_poly()
-    reflected = polys.poly_compose_linear(p, -1, c)
+    reflected = polys.poly_compose_linear(kind_char_poly(g, kind), -1, c)
     if reflected[-1] < 0:
         reflected = [-a for a in reflected]
-    return polys.compare_kth_roots(pb, kc, reflected, g.n - k + 1)
+    return polys.compare_kth_roots(kind_char_poly(complement(g), kind), kc, reflected, g.n - k + 1)
 
 
 def compare_q1(g: Graph, h: Graph) -> int:
     """Exact sign of q_1(g) - q_1(h)."""
-    return polys.compare_kth_roots(q_char_poly(g).as_poly(), 1, q_char_poly(h).as_poly(), 1)
+    return polys.compare_kth_roots(q_char_poly(g), 1, q_char_poly(h), 1)
 
 
 def rational_sqrt(q) -> Optional[Fraction]:
@@ -328,9 +293,9 @@ def compare_sum_vs_radical(g: Graph, kind: str, k: int, base, rad) -> int:
     root = rational_sqrt(rad)
     if root is not None:
         return compare_sum_with(g, kind, k, base + root)
-    wa = polys.isolate_kth_largest(kind_char_poly(g, kind).as_poly(), k)
-    wb = polys.isolate_kth_largest(kind_char_poly(complement(g), kind).as_poly(), k)
-    for _ in range(512):
+    wa = polys.isolate_kth_largest(kind_char_poly(g, kind), k)
+    wb = polys.isolate_kth_largest(kind_char_poly(complement(g), kind), k)
+    for _ in range(polys._COMPARE_MAX_ITER):
         tlo = wa.lo + wb.lo - base
         thi = wa.hi + wb.hi - base
         if thi < 0:

@@ -546,13 +546,18 @@ def proof_check_thm12(n: int, d2: int) -> bool:
     return c.ok()
 
 
-def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> list[int]:
-    """Ascending coefficients, each given as a polynomial in n (ascending)."""
-    return [sum(a * n ** i for i, a in enumerate(row)) for row in coeff_rows]
+def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> tuple[int, ...]:
+    """Ascending coefficients, each given as a polynomial in n (ascending).
+
+    A tuple, like the characteristic polynomials it is compared with.
+    """
+    return tuple(sum(a * n ** i for i, a in enumerate(row)) for row in coeff_rows)
 
 
-def _count_gt_surd(p, x: Surd) -> int:
-    return polys.root_counter(tuple(p)).count_gt(x)
+def _expect_duplicate_block(c: _Checks, g: Graph, kind: str, degree: int, size: int, label: str) -> None:
+    """Expect the duplicate class of vertex 0 in g to have this kind, degree and size."""
+    dup = [d for d in duplicate_classes(g) if 0 in d.vertices]
+    c.expect(bool(dup) and dup[0].kind == kind and dup[0].degree == degree and len(dup[0].vertices) == size, label)
 
 
 def _verify_h_quotient(c: _Checks, sizes: tuple[int, int, int], expected, expected_co, label: str):
@@ -604,9 +609,9 @@ def proof_check_thm15(n: int) -> bool:
         (n - 5, 0, 2, 0, n - 3),
     )
     _verify_h_quotient(c, (n - 5, 1, 2), expected, None, "(n-5,1,2)")
-    phi = char_poly_exact(expected).as_poly()
+    phi = char_poly_exact(expected)
     quartic = _poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
-    c.expect(phi == polys.poly_mul([0, 1], quartic), "char poly x*f (n-5,1,2)")
+    c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
     c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
     c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
     c.expect(-phi[4] == 2 * n - 3, "quotient trace (n-5,1,2)")
@@ -628,22 +633,18 @@ def proof_check_thm15(n: int) -> bool:
         (0, 1, 0, 1, 2),
     )
     g2, g2c = _verify_h_quotient(c, (n - 4, 1, 1), expected2, expected3, "(n-4,1,1)")
-    phi2 = char_poly_exact(expected2).as_poly()
+    phi2 = char_poly_exact(expected2)
     c.expect(polys.poly_eval_surd(phi2, beta2).is_zero(), "beta_2 is a quotient eigenvalue")
-    c.expect(_count_gt_surd(phi2, beta2) == 1, "exactly one quotient eigenvalue above beta_2")
+    c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
     c.expect((beta2 - 2).sign() == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
-        dup = [d for d in duplicate_classes(g2) if 0 in d.vertices]
-        c.expect(
-            bool(dup) and dup[0].kind == "independent" and dup[0].degree == 2 and len(dup[0].vertices) == n - 4,
-            "independent duplicate block of degree 2",
-        )
+        _expect_duplicate_block(c, g2, "independent", 2, n - 4, "independent duplicate block of degree 2")
         c.expect(abs(q_spectrum(g2).value(2) - float(beta2)) < 1e-8, "float q_2 matches beta_2")
 
-    phi3 = char_poly_exact(expected3).as_poly()
+    phi3 = char_poly_exact(expected3)
     cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
     f2 = _poly_in_n(n, [[-4, 1], [2, -1], [1]])
-    c.expect(phi3 == polys.poly_mul(cubic, f2), "complement char poly f_1*f_2")
+    c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
     c.expect(polys.poly_eval_surd(f2, beta2).is_zero(), "gamma_1' root formula")
     gamma2 = Surd(F(n - 2, 2), F(-1, 2), disc)
     c.expect(polys.poly_eval_surd(f2, gamma2).is_zero(), "gamma_2' root formula")
@@ -653,13 +654,11 @@ def proof_check_thm15(n: int) -> bool:
     claim = Surd(F(-2 * (n - 4) * (n - 3)), F(2 * (n - 4)), disc)
     c.expect((f1_at - claim).is_zero(), "f_1(gamma_1') closed form")
     c.expect(f1_at.sign() == -1, "f_1(gamma_1') negative")
-    c.expect(_count_gt_surd(phi3, beta2) == 1, "exactly one complement quotient eigenvalue above gamma_1'")
+    c.expect(polys.root_counter(phi3).count_gt(beta2) == 1, "exactly one complement quotient eigenvalue above gamma_1'")
     c.expect((beta2 - (n - 4)).sign() == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
     if g2c is not None:
-        dupc = [d for d in duplicate_classes(g2c) if 0 in d.vertices]
-        c.expect(
-            bool(dupc) and dupc[0].kind == "clique" and dupc[0].degree == n - 3 and len(dupc[0].vertices) == n - 4,
-            "clique duplicate block of degree n-3 in the complement",
+        _expect_duplicate_block(
+            c, g2c, "clique", n - 3, n - 4, "clique duplicate block of degree n-3 in the complement"
         )
         c.expect(abs(q_spectrum(g2c).value(2) - float(beta2)) < 1e-8, "float q_2 of complement matches gamma_1'")
     total = Surd(F(2 * n - 5), F(0), disc) - (beta2 + beta2)
@@ -668,9 +667,9 @@ def proof_check_thm15(n: int) -> bool:
     # -- single hub side empty, blocks (n-4, 0, 2)
     expected4 = ((2, 0, 1, 1), (0, 1, 0, 1), (n - 4, 0, n - 4, 0), (n - 4, 2, 0, n - 2))
     _verify_h_quotient(c, (n - 4, 0, 2), expected4, None, "(n-4,0,2)")
-    phi4 = char_poly_exact(expected4).as_poly()
+    phi4 = char_poly_exact(expected4)
     cubic4 = _poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
-    c.expect(phi4 == polys.poly_mul([0, 1], cubic4), "char poly x*f (n-4,0,2)")
+    c.expect(phi4 == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
     c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
     c.expect(6 - n <= 0, "f(n-3) nonpositive, (n-4,0,2)")
     c.expect(3 * (n - 3) >= 2 * n - 3, "trace argument, (n-4,0,2)")
@@ -679,13 +678,13 @@ def proof_check_thm15(n: int) -> bool:
     expected5 = ((2, 0, 1, 1), (0, 1, 0, 1), (n - 3, 0, n - 3, 0), (n - 3, 1, 0, n - 2))
     expected6 = ((2 * n - 7, 1, 0, 0), (n - 3, n - 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 1))
     g5, g5c = _verify_h_quotient(c, (n - 3, 0, 1), expected5, expected6, "(n-3,0,1)")
-    phi5 = char_poly_exact(expected5).as_poly()
+    phi5 = char_poly_exact(expected5)
     cubic5 = _poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
-    c.expect(phi5 == polys.poly_mul([0, 1], cubic5), "char poly x*g (n-3,0,1)")
+    c.expect(phi5 == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
     c.expect(polys.poly_eval(cubic5, F(2 * n - 5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
     c.expect(F(-2 * n + 15, 8) < 0, "g(n-5/2) negative")
 
-    phi6 = char_poly_exact(expected6).as_poly()
+    phi6 = char_poly_exact(expected6)
     quartic6 = _poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
     c.expect(phi6 == quartic6, "complement char poly (n-3,0,1)")
     c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
@@ -694,14 +693,6 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(val == F(-(2 * n - 11) * (4 * n * n - 24 * n + 39), 16), "phi(n-5/2) evaluation")
     c.expect(val < 0, "phi(n-5/2) negative")
     if g5 is not None:
-        dup5 = [d for d in duplicate_classes(g5) if 0 in d.vertices]
-        c.expect(
-            bool(dup5) and dup5[0].kind == "independent" and dup5[0].degree == 2 and len(dup5[0].vertices) == n - 3,
-            "independent duplicate block of degree 2, (n-3,0,1)",
-        )
-        dup5c = [d for d in duplicate_classes(g5c) if 0 in d.vertices]
-        c.expect(
-            bool(dup5c) and dup5c[0].kind == "clique" and dup5c[0].degree == n - 3 and len(dup5c[0].vertices) == n - 3,
-            "clique duplicate block in complement, (n-3,0,1)",
-        )
+        _expect_duplicate_block(c, g5, "independent", 2, n - 3, "independent duplicate block of degree 2, (n-3,0,1)")
+        _expect_duplicate_block(c, g5c, "clique", n - 3, n - 3, "clique duplicate block in complement, (n-3,0,1)")
     return c.ok()

@@ -307,7 +307,7 @@ def test_criterion_09_float_exact_agreement(graphs_by_order):
     for n in range(1, 7):
         for g in graphs_by_order[n]:
             floats = q_spectrum(g).values
-            p = q_char_poly(g).as_poly()
+            p = q_char_poly(g)
             counter = polys.RootCounter(p)
             bound = polys.cauchy_root_bound(p)
             assert counter.count_gt(-bound) == n  # count agreement

@@ -267,6 +267,18 @@ def test_n_range_must_be_lo_dot_dot_hi(capsys, verb, span):
     assert err == f"error: --n-range takes LO..HI with integers LO <= HI, got {span!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "5", "--predicate", "sum-le 3/0"],
+    ["scan", "--n", "5", "--predicate", " "],
+    ["scan", "--n", "6", "--input", "{tmp}/missing.g6", "--thm", "1.2"],
+    ["check", "--thm", "1.2", "--family", "K5", "--output", "{tmp}/missing/x"],
+], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir"])
+def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, "check", "--thm", "1.3", "--family", "C4",

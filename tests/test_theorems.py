@@ -273,7 +273,7 @@ def test_proof_check_thm12_spot_values():
     assert proof_check_thm12(7, 3)
     assert proof_check_thm12(8, 4)
     # closed form at n=6, d2=2 equals the smaller root of [[4, 4], [1, 3]]
-    p = char_poly_exact([[F(4), F(4)], [F(1), F(3)]]).as_poly()
+    p = char_poly_exact([[F(4), F(4)], [F(1), F(3)]])
     disc = 6 * 6 - (4 * 2 - 2) * 6 + 4 * 4 + 4 * 2 - 7
     lam2 = (6 + 2 * 2 - 3 - math.sqrt(disc)) / 2
     from qng.polys import poly_eval
@@ -302,6 +302,12 @@ def test_proof_check_thm15_spot_values():
     assert proof_check_thm15(9) and proof_check_thm15(10)
     with pytest.raises(ValueError):
         proof_check_thm15(7)
+
+
+def test_proof_check_thm15_needs_duplicate_blocks(monkeypatch):
+    """The duplicate-block checks run: with no duplicate classes the proof fails."""
+    monkeypatch.setattr(theorems, "duplicate_classes", lambda g: [])
+    assert not proof_check_thm15(10)
 
 
 def test_regular_extremal_prism():
