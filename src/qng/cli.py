@@ -210,6 +210,9 @@ def build_predicate(spec: str, n: int):
     if kind in _SUM_RELATIONS and len(args) == 1:
         bound = parse_bound_expr(args[0], n)
         return SumPredicate(f"{kind} {bound}", [(_SUM_RELATIONS[kind], bound)], member=kind == "sum-eq")
+    if kind == "sum-open-interval" or kind in _SUM_RELATIONS:
+        form = f"{kind} LO HI" if kind == "sum-open-interval" else f"{kind} EXPR"
+        raise UsageError(f"expected predicate {form!r}, got {spec!r}")
     raise UsageError(f"unknown predicate {spec!r}")
 
 

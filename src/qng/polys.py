@@ -13,9 +13,12 @@ call it.
 
 On top of this ring the module provides Sturm chains, root counting in
 half-open intervals, multiplicity-aware counting via the iterated-gcd tower,
-isolation of the k-th largest real root by bisection, and exact comparison of
-roots of two polynomials.  ``root_counter`` builds one ``RootCounter`` per
-polynomial and hands it to every later caller.
+isolation of the k-th largest real root, and exact comparison of roots of two
+polynomials.  ``root_counter`` builds one ``RootCounter`` per polynomial and
+hands it to every later caller.  Isolation starts from a small dyadic window
+around a float seed, such as the screened eigenvalue, when exact counts verify
+that the window holds the root and no other; otherwise it bisects from the
+Cauchy bound.  Floats pick only where to start: every sign comes from counts.
 
 ``Fraction`` appears only in points and values: a rational point a/b is
 evaluated as b^d p(a/b) by homogeneous Horner, bisection endpoints are
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, sqrt
+from math import gcd, isfinite, lcm, sqrt
 from typing import Sequence, Union
 
 Poly = list[int]
@@ -413,18 +416,43 @@ class RootWindow:
             self.hi = mid
 
 
-def isolate_kth_largest(p: Poly, k: int) -> RootWindow:
+#: A float seed opens the dyadic window ((m - 1) / SEED_SCALE, (m + 1) / SEED_SCALE]
+#: with m the nearest integer to seed * SEED_SCALE.  Its half-width 2^-20 is far
+#: above the error of a LAPACK eigenvalue of a graph matrix with 32 vertices.
+SEED_SCALE = 1 << 20
+
+
+def _seeded_window(counter: RootCounter, k: int, near: float) -> RootWindow | None:
+    """The window around ``near``, if exact counts show it isolates the k-th largest root."""
+    scaled = near * SEED_SCALE
+    if not isfinite(scaled):  # nan, an infinity, or too large to round
+        return None
+    m = round(scaled)
+    lo, hi = Fraction(m - 1, SEED_SCALE), Fraction(m + 1, SEED_SCALE)
+    if counter.count_distinct_halfopen(lo, hi) == 1 and counter.count_gt(lo) >= k > counter.count_gt(hi):
+        return RootWindow(lo, hi, k, counter)
+    return None
+
+
+def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindow:
     """Isolate the k-th largest real root of ``p`` counted with multiplicity.
+
+    A float ``near``, such as the screened eigenvalue, seeds the search: its
+    dyadic window is kept when exact counts show that it holds the k-th
+    largest root and no other distinct root.  Otherwise, or without a seed,
+    bisection starts from the Cauchy bound.  A seed only picks the start, so
+    every window returned isolates the same root.
 
     Requires p to have at least k real roots with multiplicity; characteristic
     polynomials of symmetric matrices always do.
     """
     counter = root_counter(tuple(p))
-    bound = cauchy_root_bound(p)
-    lo, hi = -bound, bound
-    if counter.count_gt(lo) < k:
-        raise ValueError(f"polynomial has fewer than {k} real roots")
-    window = RootWindow(lo, hi, k, counter)
+    window = None if near is None else _seeded_window(counter, k, near)
+    if window is None:
+        bound = cauchy_root_bound(p)
+        if counter.count_gt(-bound) < k:
+            raise ValueError(f"polynomial has fewer than {k} real roots")
+        window = RootWindow(-bound, bound, k, counter)
     while counter.count_distinct_halfopen(window.lo, window.hi) > 1:
         window.refine()
     return window
@@ -434,27 +462,30 @@ def isolate_kth_largest(p: Poly, k: int) -> RootWindow:
 _COMPARE_MAX_ITER = 512
 
 
-def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int) -> int:
+def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
+                      near_a: float | None = None, near_b: float | None = None) -> int:
     """Exact sign of (k_a-th largest root of pa) - (k_b-th largest root of pb).
 
-    Bisection separates the two isolating windows whenever the roots differ;
-    equality is certified by a shared root of gcd(pa, pb) lying in the
-    overlap of both windows.
+    ``near_a`` and ``near_b`` are optional float seeds for the two isolations
+    (see ``isolate_kth_largest``); they never change the sign.  Bisection
+    separates the two isolating windows whenever the roots differ; equality
+    is certified by a shared root of gcd(pa, pb) lying in the overlap of both
+    windows.  The gcd is built only once the windows overlap.
     """
-    wa = isolate_kth_largest(pa, ka)
-    wb = isolate_kth_largest(pb, kb)
-    common = poly_gcd(wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0])
-    common_chain = SturmChain.from_squarefree(common) if len(common) > 1 else None
+    wa = isolate_kth_largest(pa, ka, near_a)
+    wb = isolate_kth_largest(pb, kb, near_b)
+    common = None
     for _ in range(_COMPARE_MAX_ITER):
         if wa.lo >= wb.hi:
             return 1
         if wb.lo >= wa.hi:
             return -1
-        if common_chain is not None:
-            lo = max(wa.lo, wb.lo)
-            hi = min(wa.hi, wb.hi)
-            if lo < hi and common_chain.count_halfopen(lo, hi) >= 1:
-                return 0
+        if common is None:
+            sf_a, sf_b = wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0]
+            common = SturmChain.from_squarefree(poly_gcd(sf_a, sf_b))
+        # overlapping windows meet in the nonempty (max lo, min hi]
+        if common.count_halfopen(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) >= 1:
+            return 0
         wa.refine()
         wb.refine()
     raise ArithmeticError("root comparison did not converge")

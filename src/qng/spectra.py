@@ -11,7 +11,9 @@ the one builder of A, D + A and D - A.  Whenever a quantity sits within the
 escalation window of a bound, decisions are re-made exactly: integer
 characteristic polynomials via the Faddeev-LeVerrier recurrence,
 Sturm-sequence root counting, and isolating-interval comparisons of
-algebraic eigenvalues.
+algebraic eigenvalues.  Each isolating window starts around the screened
+float eigenvalue, exact Sturm counts verify that it isolates the eigenvalue,
+and the Cauchy root bound is the fallback start; a float never decides a sign.
 
 The exact layer computes in Python ``int``: the recurrence runs on integer
 rows (a rational matrix is scaled by its common denominator first), and a
@@ -253,20 +255,25 @@ def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = 
     largest root of the complement's characteristic polynomial and the k-th
     smallest root of p(c - x), where p belongs to the kind-matrix of G; equal
     roots are certified via a common factor, so equality is decided exactly.
+    The screened spectra seed both isolations; the seed of the root
+    c - lambda_k(G) of p(c - x) is c minus the float lambda_k(G).
     """
     kc = k if k_complement is None else k_complement
     if not 1 <= k <= g.n or not 1 <= kc <= g.n:
         raise ValueError(f"eigenvalue index outside 1..{g.n}")
     c = Fraction(c)
+    cg = complement(g)
     reflected = polys.poly_compose_linear(kind_char_poly(g, kind), -1, c)
     if reflected[-1] < 0:
         reflected = [-a for a in reflected]
-    return polys.compare_kth_roots(kind_char_poly(complement(g), kind), kc, reflected, g.n - k + 1)
+    return polys.compare_kth_roots(kind_char_poly(cg, kind), kc, reflected, g.n - k + 1,
+                                   spectrum(cg, kind).value(kc), float(c) - spectrum(g, kind).value(k))
 
 
 def compare_q1(g: Graph, h: Graph) -> int:
     """Exact sign of q_1(g) - q_1(h)."""
-    return polys.compare_kth_roots(q_char_poly(g), 1, q_char_poly(h), 1)
+    return polys.compare_kth_roots(q_char_poly(g), 1, q_char_poly(h), 1,
+                                   q_spectrum(g).value(1), q_spectrum(h).value(1))
 
 
 def rational_sqrt(q) -> Optional[Fraction]:
@@ -293,8 +300,9 @@ def compare_sum_vs_radical(g: Graph, kind: str, k: int, base, rad) -> int:
     root = rational_sqrt(rad)
     if root is not None:
         return compare_sum_with(g, kind, k, base + root)
-    wa = polys.isolate_kth_largest(kind_char_poly(g, kind), k)
-    wb = polys.isolate_kth_largest(kind_char_poly(complement(g), kind), k)
+    cg = complement(g)
+    wa = polys.isolate_kth_largest(kind_char_poly(g, kind), k, spectrum(g, kind).value(k))
+    wb = polys.isolate_kth_largest(kind_char_poly(cg, kind), k, spectrum(cg, kind).value(k))
     for _ in range(polys._COMPARE_MAX_ITER):
         tlo = wa.lo + wb.lo - base
         thi = wa.hi + wb.hi - base

@@ -259,6 +259,18 @@ def test_malformed_family_forms(capsys, family):
     assert err == f"error: expected family {form!r}, got {family!r}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("sum-le", "expected predicate 'sum-le EXPR', got 'sum-le'"),
+    ("sum-eq 2n-5 3", "expected predicate 'sum-eq EXPR', got 'sum-eq 2n-5 3'"),
+    ("sum-open-interval 3", "expected predicate 'sum-open-interval LO HI', got 'sum-open-interval 3'"),
+    ("sum-open-interval 3 4 5", "expected predicate 'sum-open-interval LO HI', got 'sum-open-interval 3 4 5'"),
+    ("sum-lt 3", "unknown predicate 'sum-lt 3'"),
+])
+def test_predicate_errors_name_the_form(capsys, spec, message):
+    code, out, err = run_cli(capsys, "scan", "--n", "5", "--predicate", spec)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("verb", [["scan", "--thm", "ng"], ["proof-check", "--thm", "1.5"]])
 @pytest.mark.parametrize("span", ["6", "7..6", "6..", "a..b", "6..7..8"])
 def test_n_range_must_be_lo_dot_dot_hi(capsys, verb, span):

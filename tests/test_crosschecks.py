@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 
+from qng import polys
 from qng.enumeration import canonical_form, enumerate_graphs
 from qng.graph import (
     complement,
@@ -20,7 +21,15 @@ from qng.graph import (
     relabel,
     to_graph6,
 )
-from qng.spectra import certify_qk, compare_qk_with, compare_sum_with, q_matrix, q_spectrum
+from qng.spectra import (
+    certify_qk,
+    compare_qk_with,
+    compare_sum_with,
+    kind_char_poly,
+    q_matrix,
+    q_spectrum,
+    spectrum,
+)
 
 
 def _mp_eigs(g):
@@ -134,3 +143,18 @@ def test_enumerate_connected_counts_match_reference(graphs_by_order):
     for n, want in reference.items():
         got = sum(map(is_connected, enumerate_graphs(n)))
         assert got == want
+
+
+def test_seeded_and_plain_isolation_agree(graphs_by_order):
+    """Windows seeded from the float spectrum isolate the same root as Cauchy-bound ones."""
+    for n in range(1, 7):
+        for g in graphs_by_order[n]:
+            for kind in ("A", "L", "Q"):
+                p = kind_char_poly(g, kind)
+                for k in range(1, n + 1):
+                    seeded = polys.isolate_kth_largest(p, k, spectrum(g, kind).value(k))
+                    plain = polys.isolate_kth_largest(p, k)
+                    assert seeded.hi - seeded.lo == F(2, polys.SEED_SCALE), (to_graph6(g), kind, k)
+                    for w in (seeded, plain):
+                        assert w.counter.count_distinct_halfopen(w.lo, w.hi) == 1
+                    assert max(seeded.lo, plain.lo) < min(seeded.hi, plain.hi), (to_graph6(g), kind, k)

@@ -161,18 +161,41 @@ def test_isolation_finds_kth_largest():
         isolate_kth_largest(p, 5)
 
 
+def test_isolation_from_seeds():
+    p = from_roots([1, 1, 3, 7])
+    width = F(2, polys.SEED_SCALE)
+    for k, root in ((1, 7), (2, 3), (3, 1), (4, 1)):
+        plain = isolate_kth_largest(p, k)
+        # a seed at the root, a repeated one for k = 3 and 4, keeps its window
+        seeded = isolate_kth_largest(p, k, root + 1e-9)
+        assert seeded.hi - seeded.lo == width and seeded.lo < root <= seeded.hi
+        assert seeded.counter.count_distinct_halfopen(seeded.lo, seeded.hi) == 1
+        # no number, between roots, far off, at another root: the Cauchy start
+        others = [float(r) for r in (1, 3, 7) if r != root]
+        for bad in [math.nan, math.inf, -math.inf, 2.0, 5.0, 1e6, -1e300, 1e308, *others]:
+            assert isolate_kth_largest(p, k, bad) == plain, (k, bad)
+    # two distinct roots in the seed's window
+    close = from_roots([0, F(1, 4 * polys.SEED_SCALE)])
+    assert isolate_kth_largest(close, 1, 0.0) == isolate_kth_largest(close, 1)
+    with pytest.raises(ValueError):
+        isolate_kth_largest(p, 5, 1.0)
+
+
 def test_compare_kth_roots():
-    pa = from_roots([1, 5])
-    pb = from_roots([2, 5])
-    assert compare_kth_roots(pa, 1, pb, 1) == 0  # 5 == 5
-    assert compare_kth_roots(pa, 2, pb, 2) == -1  # 1 < 2
-    assert compare_kth_roots(pb, 2, pa, 2) == 1
-    # irrational equality through a shared quadratic factor
     quad = [-2, 0, 1]  # x^2 - 2
-    pa = poly_mul(quad, from_roots([10]))
-    pb = poly_mul(quad, from_roots([-3]))
-    assert compare_kth_roots(pa, 2, pb, 1) == 0  # sqrt2 on both sides
-    assert compare_kth_roots(pa, 1, pb, 1) == 1
+    s2 = math.sqrt(2)
+    cases = [  # (pa, ka, root a, pb, kb, root b, sign)
+        (from_roots([1, 5]), 1, 5, from_roots([2, 5]), 1, 5, 0),
+        (from_roots([1, 5]), 2, 1, from_roots([2, 5]), 2, 2, -1),
+        (from_roots([2, 5]), 2, 2, from_roots([1, 5]), 2, 1, 1),
+        # irrational equality through a shared quadratic factor: sqrt2 on both sides
+        (poly_mul(quad, from_roots([10])), 2, s2, poly_mul(quad, from_roots([-3])), 1, s2, 0),
+        (poly_mul(quad, from_roots([10])), 1, 10, poly_mul(quad, from_roots([-3])), 1, s2, 1),
+    ]
+    for pa, ka, ra, pb, kb, rb, sign in cases:
+        for near in [(None, None), (ra, rb), (ra - 1e-12, rb + 1e-12), (math.nan, rb), (ra, -math.inf),
+                     (ra + 0.5, rb - 0.5)]:
+            assert compare_kth_roots(pa, ka, pb, kb, *near) == sign, (pa, ka, pb, kb, near)
 
 
 def test_surd_arithmetic_and_sign():
