@@ -2,27 +2,37 @@
 
 The canonical form of a graph is the smallest graph6 string obtainable by
 relabeling, where the minimum is searched over labelings compatible with
-iterated color refinement (individualization-refinement).  The search prunes
-on bit-string prefixes and, at every depth, on orbits of the automorphisms
-found at leaves with equal codes: a found automorphism that preserves a
-node's coloring maps one child subtree onto another, so one child per orbit
-is searched, and after each new automorphism the search resumes at the
-deepest node shared with the best leaf.  Vertex-transitive graphs such as
-K10 or E10 take a few milliseconds.
+iterated color refinement (individualization-refinement).  Refinement works
+against the cells that just split (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 60, 2014): a round counts neighbors only
+in the fragments the previous round split off, the last fragment of each old
+cell left out, which ranks vertices as full count vectors would.  The first
+round after individualizing ``v`` counts only the splitter ``{v}``; the root
+round counts the degree classes but the last.  The search prunes on
+bit-string prefixes and, at every depth, on orbits of known automorphisms: a
+known automorphism that preserves a node's coloring maps one child subtree
+onto another, so one child per orbit is searched.  The transpositions of
+twins (vertices with equal open or equal closed neighborhoods) are known
+before the search starts; the others are found at leaves with equal codes,
+and after each the search resumes at the deepest node shared with the best
+leaf.  Vertex-transitive graphs such as K10 or E10 take a few milliseconds.
 
 Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  Every (n-1)-vertex representative is
 extended by one vertex joined to a neighbor subset, one subset per orbit of
-the parent's automorphism group (the automorphisms found while labeling the
+the parent's automorphism group (the automorphisms known from labeling the
 parent generate it).  A child is kept only if its new vertex lies in the
 automorphism orbit of an invariantly chosen deletion vertex: the first vertex,
 in canonical order, of the last cell of the root coloring.  Three tests of
 rising cost decide this: the new vertex must have maximum degree (read off
-the parent's degrees), it must lie in that last cell, and only then is the
-child searched and its new vertex checked against the orbit of the deletion
-vertex.  Every kept child is the only one of its class, so no child is
-deduplicated afterwards.  Counts are cross-checked against reference values
-in the test suite.
+the parent's degrees), it must stay in that last cell while the root
+coloring is refined (cells never reorder, so refinement stops the moment it
+leaves), and only then is the child searched and its new vertex checked
+against the orbit of the deletion vertex.  Every kept child is the only one
+of its class, so no child is deduplicated afterwards.  Each order is sorted
+by the column codes the searches computed, which is graph6 order, and the
+last order's automorphisms are never translated to canonical labels.
+Counts are cross-checked against reference values in the test suite.
 
 ``scan`` filters its source lazily and cuts it into chunks of ``SCAN_CHUNK``
 graphs.  A chunk is the unit of result: one helper names it to
@@ -41,6 +51,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import spectra
@@ -70,30 +81,58 @@ class CanonicalForm:
     graph6: str
 
 
-def _refine(nbrs: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
+def _refine(
+    nbrs: Sequence[Sequence[int]],
+    colors: list[int],
+    splitters: Sequence[int],
+    watch: Optional[int] = None,
+) -> Optional[list[int]]:
     """Iterated invariant color refinement to a stable partition.
 
-    A vertex signature is its color plus the per-color count of neighbors;
-    re-ranking signatures in sorted order keeps the coloring canonical, and
-    the primary sort on the old color preserves cell order between rounds.
-    A signature is packed into one integer, color above the counts and the
-    count of color 0 highest, with a field wide enough for any degree, so
-    integer order is the order of the (color, counts) tuples.
+    A round ranks the vertex signatures (color, neighbor count per color) in
+    sorted order; the primary sort on the old color keeps cells in order, so
+    the coloring stays canonical.  ``colors`` must refine a coarser coloring
+    each of whose cells is a run of consecutive colors toward which every
+    cell of ``colors`` has constant counts; ``splitters`` are the colors of
+    those runs, the last of each left out.  Then only the counts toward the
+    splitters can differ within a cell, and the first difference of two full
+    count vectors lies at a splitter, since a run's last count is the run's
+    total minus the others.  So a signature packs only the splitter counts,
+    in color order with the first most significant (a field wide enough for
+    any degree, the color above them), and integer order ranks as the full
+    vectors would; each splitter vertex adds its field's unit to its
+    neighbors' signatures.  After a round the splitters are the fragments of
+    each cell that split, its last fragment left out.
+
+    If ``watch`` is a vertex, returns None as soon as it leaves the last
+    cell: cells never reorder, so it cannot return there.
     """
     n = len(nbrs)
     width = n.bit_length()
     ncol = max(colors) + 1
-    while ncol < n:  # a discrete coloring is stable
-        top = width * ncol
-        weight = [1 << (top - width * (c + 1)) for c in colors]
-        sigs = [(c << top) + sum(map(weight.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
+    while True:
+        if watch is not None and colors[watch] != ncol - 1:
+            return None
+        if not splitters or ncol == n:
+            return colors
+        top = width * len(splitters)
+        weight = [0] * ncol
+        for i, c in enumerate(splitters):
+            weight[c] = 1 << (top - width * (i + 1))
+        sigs = [c << top for c in colors]
+        for c, nb in zip(colors, nbrs):
+            w = weight[c]
+            if w:
+                for u in nb:
+                    sigs[u] += w
         distinct = sorted(set(sigs))
         if len(distinct) == ncol:
             return colors
         rank = {s: i for i, s in enumerate(distinct)}
-        colors = [rank[s] for s in sigs]
+        colors = list(map(rank.__getitem__, sigs))
+        cells = [s >> top for s in distinct]
+        splitters = [i for i in range(len(cells) - 1) if cells[i] == cells[i + 1]]
         ncol = len(distinct)
-    return colors
 
 
 def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]) -> None:
@@ -108,33 +147,69 @@ def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]
                 stack.append(y)
 
 
-def _root_coloring(nbrs: Sequence[Sequence[int]]) -> list[int]:
-    """The refined root coloring; its first round from one color ranks by degree."""
+def _root_coloring(nbrs: Sequence[Sequence[int]], watch: Optional[int] = None) -> Optional[list[int]]:
+    """The refined root coloring, from the degree classes in increasing order.
+
+    Every degree class has a constant count toward the one-cell coloring, so
+    the splitters are the degree classes but the last.  ``watch`` is as in
+    ``_refine``.
+    """
     degrees = sorted({len(nb) for nb in nbrs})
-    return _refine(nbrs, [degrees.index(len(nb)) for nb in nbrs])
+    rank = {d: i for i, d in enumerate(degrees)}
+    colors = [rank[len(nb)] for nb in nbrs]
+    return _refine(nbrs, colors, range(len(degrees) - 1), watch)
+
+
+def _twin_transpositions(rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """Transpositions of twins, which are automorphisms of the graph.
+
+    ``u`` and ``w`` are twins if they have the same open neighborhood (then
+    they are not adjacent) or the same closed one (then they are); the
+    transpositions of consecutive members of each such class generate its
+    symmetric group.
+    """
+    n = len(rows)
+    closed = [row | 1 << v for v, row in enumerate(rows)]
+    gens: list[tuple[int, ...]] = []
+    if len(set(rows)) == n == len(set(closed)):
+        return gens
+    for keys in (rows, closed):
+        seen: dict[int, int] = {}
+        for v, key in enumerate(keys):
+            u = seen.get(key)
+            if u is not None:
+                gamma = list(range(n))
+                gamma[u], gamma[v] = v, u
+                gens.append(tuple(gamma))
+            seen[key] = v
+    return gens
 
 
 def _search(
     g: Graph, root: Optional[list[int]] = None
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical labeling of ``g`` plus the automorphisms found on the way.
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
+    """Canonical labeling of ``g``, automorphisms of ``g`` and the column code.
 
-    Each automorphism maps the best leaf's vertex order onto that of a later
-    leaf with the same column code; together they generate Aut(g).  ``root``
-    is ``g``'s root coloring if the caller has already computed it.
+    The automorphisms are the transpositions of twins plus, for each later
+    leaf with the best leaf's column code, the map of the best leaf's vertex
+    order onto that leaf's; together they generate Aut(g).  The column code
+    is the canonical form's adjacency matrix, column by column; for graphs
+    of one order its lexicographic order is graph6 order.  ``root`` is
+    ``g``'s root coloring if the caller has already computed it.
     """
     n = g.n
     if n > CANONICAL_MAX:
         raise CapacityError(f"canonical forms limited to {CANONICAL_MAX} vertices")
     if n == 1:
-        return (0,), []
+        return (0,), [], ()
     nbrs = [_SET_BITS[row] for row in g.rows]
 
     best_cols: list[int] = []
     best_perm: list[int] = []
     best_path: list[int] = []
     path: list[int] = []  # vertices individualized on the way to the current node
-    gens: list[tuple[int, ...]] = []
+    # Twin transpositions prune from the first branching on, before any leaf.
+    gens = _twin_transpositions(g.rows)
 
     def descend(colors: list[int]) -> int:
         """Search below the node with stable coloring ``colors``.
@@ -200,19 +275,21 @@ def _search(
             covered.add(v)
             if fixing:
                 _close(covered, (v,), fixing)
+            # v takes color t ahead of the rest of its cell; this node's
+            # coloring is equitable, so {v} is the one splitter.
             nc = [c if c <= t else c + 1 for c in colors]
             for u in branch_cell:
                 if u != v:
                     nc[u] = t + 1
             path.append(v)
-            resume = descend(_refine(nbrs, nc))
+            resume = descend(_refine(nbrs, nc, (t,)))
             path.pop()
             if resume < depth:
                 return resume
         return n
 
     descend(_root_coloring(nbrs) if root is None else root)
-    return tuple(best_perm), gens
+    return tuple(best_perm), gens, tuple(best_cols)
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
@@ -297,13 +374,14 @@ def _orbit_representatives(
 
 
 def _augment(
-    level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int
-) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+    level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int, keep_gens: bool = True
+) -> Iterator[tuple[Graph, list[tuple[int, ...]], tuple[int, ...]]]:
     """Canonical augmentation from order ``n - 1`` to order ``n``.
 
     ``level`` pairs one graph per isomorphism class of order ``n - 1`` with
     generators of its automorphism group.  Yields one canonical graph per
-    class of order ``n``, paired with generators of its automorphism group.
+    class of order ``n``, with generators of its automorphism group (none
+    unless ``keep_gens``) and its column code, whose order is graph6 order.
     """
     top = n - 1
     new = 1 << top
@@ -324,28 +402,30 @@ def _augment(
             rows = tuple(row | new if subset >> v & 1 else row for v, row in enumerate(base))
             rows += (subset,)
             # The deletion vertices are the last cell of the root coloring,
-            # a part of the maximum-degree cell.
-            root = _root_coloring([_SET_BITS[row] for row in rows])
-            last = root[top]
-            if last != max(root):
+            # a part of the maximum-degree cell; refinement stops once the
+            # new vertex leaves it.
+            root = _root_coloring([_SET_BITS[row] for row in rows], top)
+            if root is None:
                 continue
             child = _graph_unchecked(n, rows)
-            order, gens = _search(child, root)
+            order, gens, code = _search(child, root)
             # The new vertex must share an orbit with the canonical deletion
             # vertex, the first of that cell in canonical order.
+            last = root[top]
             first = next(v for v in order if root[v] == last)
             if first != top:
                 orbit = {first}
                 _close(orbit, (first,), gens)
                 if top not in orbit:
                     continue
-            position = [0] * n
-            for i, v in enumerate(order):
-                position[v] = i
-            yield (
-                _relabeled(child, order),
-                [tuple(position[gamma[v]] for v in order) for gamma in gens],
-            )
+            if keep_gens:
+                position = [0] * n
+                for i, v in enumerate(order):
+                    position[v] = i
+                gens = [tuple(position[gamma[v]] for v in order) for gamma in gens]
+            else:
+                gens = []
+            yield _relabeled(child, order), gens, code
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -363,13 +443,14 @@ def enumerate_graphs(n: int) -> list[Graph]:
     if n not in _ALL_GRAPHS:
         # Extend the highest order built so far.  Only its graphs are searched
         # for their automorphisms; each later order takes them from the search
-        # that accepted it, and the generators of order n are dropped at once.
+        # that accepted it, and order n keeps none.  Each order is sorted by
+        # the column codes of its canonical forms, which is graph6 order.
         k = max(m for m in _ALL_GRAPHS if m < n)
         level = [(g, _search(g)[1]) for g in _ALL_GRAPHS[k]]
-        for m in range(k + 1, n):
-            level = list(_augment(level, m))
-            _ALL_GRAPHS[m] = sorted((g for g, _ in level), key=to_graph6)
-        _ALL_GRAPHS[n] = sorted((g for g, _ in _augment(level, n)), key=to_graph6)
+        for m in range(k + 1, n + 1):
+            children = sorted(_augment(level, m, keep_gens=m < n), key=itemgetter(2))
+            _ALL_GRAPHS[m] = [g for g, _, _ in children]
+            level = [(g, gens) for g, gens, _ in children]
     return list(_ALL_GRAPHS[n])
 
 

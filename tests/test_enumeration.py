@@ -27,12 +27,17 @@ from qng.enumeration import (
 )
 from qng.graph import (
     CapacityError,
+    bits,
+    cartesian_product,
+    complement,
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     empty_graph,
     from_edges,
     is_connected,
+    join,
     path,
     relabel,
     star,
@@ -122,6 +127,121 @@ def test_canonical_labeling_matches_unpruned_search(graphs_by_order, rng=random.
         rng.shuffle(perm)
         h = relabel(g, perm)
         assert canonical_labeling(h) == _reference_labeling(h)
+
+
+PETERSEN = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8),
+                           (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
+
+
+def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng=random.Random(9)):
+    """Every coloring ``_search`` and ``_root_coloring`` hand ``_refine``, which
+    counts only toward the splitters, refines as the full count vectors do.
+
+    Regular graphs are there because their degree partition has no splitter.
+    ``_root_coloring`` with a watched vertex returns the root coloring if the
+    vertex ends in its last cell and None otherwise.
+    """
+    graphs = [g for n in range(1, 7) for g in graphs_by_order[n]]
+    graphs += [random_graph(rng, n, p) for n in range(7, 11) for p in (0.3, 0.5, 0.7) for _ in range(4)]
+    graphs += [cycle(9), complete(8), complete_bipartite(4, 4), PETERSEN,
+               cartesian_product(cycle(3), cycle(3)), cartesian_product(cycle(4), path(2))]
+    calls = []
+    refine = enumeration._refine
+
+    def recording(nbrs, colors, splitters, watch=None):
+        result = refine(nbrs, colors, splitters, watch)
+        calls.append((colors, result))
+        return result
+
+    monkeypatch.setattr(enumeration, "_refine", recording)
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        calls.clear()
+        _search(h)
+        assert len(calls) >= (h.n > 1)
+        for colors, result in calls:
+            assert result == _reference_refine(h, colors)
+        nbrs = [tuple(bits(row)) for row in h.rows]
+        root = _reference_refine(h, [0] * h.n)
+        assert enumeration._root_coloring(nbrs) == root
+        for v in range(h.n):
+            assert enumeration._root_coloring(nbrs, v) == (root if root[v] == max(root) else None)
+
+
+def _threshold(creation):
+    """The threshold graph whose vertex i joins every earlier one iff creation[i] is '1'."""
+    return from_edges(len(creation), [(u, v) for v, bit in enumerate(creation) if bit == "1"
+                                      for u in range(v)])
+
+
+def _group_order(n, gens):
+    """The order of the permutation group generated by ``gens``."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for gamma in gens:
+            q = tuple(gamma[x] for x in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
+TWIN_HEAVY = [
+    star(10),  # K_{1,9}
+    complete_bipartite(5, 5),
+    complement(from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])),  # K_{2,2,2,2}
+    join(disjoint_union(complete(2), complete(2)), empty_graph(3)),  # (2K_2)∇(3K_1)
+    join(disjoint_union(complete(2), complete(5)), complete(1)),  # (K_2∪K_5)∇K_1
+    _threshold("01101001"),
+    _threshold("00110011"),
+    _threshold("0101011"),
+    complete(10),
+    empty_graph(10),
+    # smaller members of the n = 10 families, small enough for the unpruned search
+    star(7),
+    complete_bipartite(3, 4),
+    complete(6),
+    empty_graph(6),
+]
+
+
+def test_twin_transpositions_seed_the_search(monkeypatch, rng=random.Random(31)):
+    """On twin-heavy graphs the seeded search keeps the canonical labeling and
+    returns generators of the whole automorphism group, twins first.
+
+    The unpruned reference search has 28,800 leaves or more on K_{1,9},
+    K_{5,5}, K10 and E10, so there the labeling is compared with the search
+    run without twin seeds instead.
+    """
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    search = enumeration._search
+    for g in TWIN_HEAVY:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        labeling, gens, _ = search(h)
+        twins = enumeration._twin_transpositions(h.rows)
+        assert twins and gens[:len(twins)] == twins
+        for gamma in gens:
+            assert sorted(gamma) == list(range(h.n))
+            assert all(h.has_edge(gamma[u], gamma[v]) for u, v in h.edges())
+        if h.n <= 8:
+            assert labeling == _reference_labeling(h)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(h.n))
+            nxg.add_edges_from(h.edges())
+            assert _group_order(h.n, gens) == len(list(GraphMatcher(nxg, nxg).isomorphisms_iter()))
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(enumeration, "_twin_transpositions", lambda rows: [])
+                assert labeling == search(h)[0]
 
 
 # Frozen canonical forms: any change to the canonical-string definition breaks them.
@@ -215,7 +335,7 @@ def test_augmentation_accepts_each_class_once():
     rooted = {2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}  # OEIS A000666
     level = [(empty_graph(1), [])]
     for n, want in counts.items():
-        level = list(_augment(level, n))
+        level = [(g, gens) for g, gens, _ in _augment(level, n)]
         rows = [g.rows for g, _ in level]
         assert len(set(rows)) == len(rows) == want
         if n in rooted:
@@ -244,6 +364,36 @@ def test_generation_search_count(monkeypatch):
     assert len(enumerate_graphs(7)) == 1044
     assert len(calls) == 1254
     assert calls.count(1) == 1
+
+
+def test_generation_refine_count(monkeypatch):
+    """Refinement calls in a cold enumerate_graphs(7), with its 1,254 searches.
+
+    Twin seeds take the count from 7,673 down to 4,583.  Of the 1,639
+    children's root colorings, 386 stop early because the new vertex left
+    the last cell.  A lost pruning fails here, not only in a timing.
+    """
+    refines = []
+    searches = []
+    refine = enumeration._refine
+    search = enumeration._search
+
+    def counting_refine(nbrs, colors, splitters, watch=None):
+        result = refine(nbrs, colors, splitters, watch)
+        refines.append((watch is not None, result is None))
+        return result
+
+    def counting_search(g, root=None):
+        searches.append(g.n)
+        return search(g, root)
+
+    monkeypatch.setattr(enumeration, "_refine", counting_refine)
+    monkeypatch.setattr(enumeration, "_search", counting_search)
+    monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
+    assert len(enumerate_graphs(7)) == 1044
+    assert len(searches) == 1254
+    assert len(refines) == 4583
+    assert refines.count((True, False)) == 1253 and refines.count((True, True)) == 386
 
 
 def test_enumeration_n8_golden_digest(enum8):
