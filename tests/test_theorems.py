@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -25,6 +28,7 @@ from qng.graph import (
     to_graph6,
 )
 from qng import theorems
+from qng.cli import _resolve_check
 from qng.enumeration import scan
 from qng.spectra import char_poly_exact, q_spectrum
 from qng.theorems import (
@@ -322,3 +326,47 @@ def test_exact_verdicts_are_certified(graphs_by_order):
             for r in run_all_checks(g):
                 if r.verdict in (EQUALITY, VIOLATED):
                     assert r.certified, (r.graph6, r.bound, r.verdict)
+
+
+#: sha256 of the five scan results ``json.dumps(scan(n, "all", check).to_dict(),
+#: sort_keys=True)`` for n = 4..8, joined by newlines.  A scan that raises
+#: contributes ``ArithmeticError: <message>`` instead (ng-A2 at n = 4, where the
+#: sum of P4 equals the irrational bound -1 + sqrt(5)).
+SCAN_DIGESTS = {
+    "1.2": "37d114ffe41107723600e36706f7416fc48d23f2fb47b4a52289471411a4e9f0",
+    "1.3": "d5765453002bd886a6e32aed7d47381dd3534164d09647e6da520a593898a667",
+    "1.4": "576272e4e7b80c37e7ecb0644582852201f02b50776ab3f7dedd557d6eaecd11",
+    "1.5": "cd0a3dabe1dd40272fee90a3198964dac5f818b315e22226f6a5e409d26280e8",
+    "1.6": "01c4bdf153bbf3f7b4a2041f24428feeff3b124ee819e8deec01503df89d477f",
+    "problem1.2": "3e46431b0746ac886d8b41513681088a786811d11a9b1a376dd5f7ddea27698b",
+    "regular": "ee96a4382ff5f96ec23e89e95a533899b7c61bb730be7efd950544c3d0b14e74",
+    "2.6": "d31bf77346af398559e1498ed7f7205a955fd92ab3da9a5d74e35880a405a0d1",
+    "2.8": "b8898c5380c8ac719b13eb14379692526017a415e8172aa9df753deb086844d6",
+    "2.9": "c04fc6a951f3dbbd3022384dcb47ec0c54cd7e2eeeb9fc054135d4f6bc3d1ae6",
+    "2.10": "e95f3f993ce260ab9da91d807244f5e63b1dab4e9f1d390bb454d45bbd9c4fa0",
+    "q1-sum": "3907bad637c913a0927ff6a8ce8af82ec2a9aeadfb377ea449694cabe4bc3d09",
+    "ng-A2": "8fd0619e864e8840a3c67e3f65710b0309d6afe763f0ba246397acbb61670f52",
+    "ng-L1": "7e7d8f7da389976b6bbc47263801e21d4bd5e090a0b41a3dfe26f0eb038ae8ba",
+    "ng-Q3": "4cf61c5c7d626b382e0d187177d4119e6259d6de7cf78a9fa836513fd7501894",
+}
+
+
+def _scan_check(key: str):
+    """The check a scan key names: a registry entry, q1-sum, or `--thm ng` as the CLI resolves it."""
+    if key in theorems.THEOREM_CHECKS:
+        return theorems.THEOREM_CHECKS[key]
+    if key == "q1-sum":
+        return check_ng_q1
+    return _resolve_check(argparse.Namespace(thm="ng", kind=key[3], k=int(key[4:])))
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_DIGESTS))
+def test_scan_digests_are_pinned(key, graphs_by_order, enum8):
+    check = _scan_check(key)
+    texts = []
+    for n in range(4, 9):
+        try:
+            texts.append(json.dumps(scan(n, "all", check, jobs=1).to_dict(), sort_keys=True))
+        except ArithmeticError as exc:
+            texts.append(f"ArithmeticError: {exc}")
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == SCAN_DIGESTS[key]
