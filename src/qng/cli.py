@@ -43,8 +43,8 @@ from .theorems import (
     VIOLATED,
     BoundReport,
     THEOREM_CHECKS,
-    check_ng_generic,
-    decide,
+    SumBound,
+    ng_check,
     proof_check_thm12,
     proof_check_thm15,
     run_all_checks,
@@ -155,24 +155,19 @@ def parse_bound_expr(text: str, n: int) -> Fraction:
 
 
 class SumPredicate:
-    """The q_2 sum against rational bounds, each sign near a bound decided exactly.
+    """Membership of the q_2 sum in the set cut out by rational bounds.
 
-    ``sum-le B`` and ``sum-ge B`` give the verdict of ``theorems.decide``.
-    ``sum-eq B`` and ``sum-open-interval LO HI`` test membership: a graph whose
-    sum satisfies every relation is reported ``equality-certified``, any other
-    ``non-member``, and there the float screen may only reject.
+    A graph whose sum satisfies every relation is reported ``equality-certified``,
+    any other ``non-member``.  The float screen may only reject, so every sign
+    near a bound is decided exactly.
     """
 
-    def __init__(self, name: str, relations: list[tuple[str, Fraction]], member: bool):
+    def __init__(self, name: str, relations: list[tuple[str, Fraction]]):
         self.__name__ = name
-        self.relations, self.member = relations, member
+        self.relations = relations
 
     def __call__(self, g: Graph) -> str:
         value = ng_sum(g, "Q", 2)
-        if not self.member:
-            ((relation, bound),) = self.relations
-            return decide(g, self.__name__, value, bound,
-                          lambda: compare_sum_with(g, "Q", 2, bound), relation).verdict
         for relation, bound in self.relations:
             holds = RELATION_SIGNS[relation]
             rejects = tuple(s for s in (-1, 1) if s not in holds)
@@ -182,34 +177,26 @@ class SumPredicate:
         return EQUALITY
 
 
-class NgSumCheck:
-    """Single-graph Nordhaus-Gaddum check for a fixed matrix kind and index."""
-
-    def __init__(self, kind: str, k: int):
-        self.kind, self.k = kind, k
-        self.__name__ = f"ng-{kind}{k}"
-
-    def __call__(self, g: Graph) -> BoundReport:
-        return check_ng_generic(g, self.kind, self.k)
-
-
 _SUM_RELATIONS = {"sum-eq": "==", "sum-le": "<=", "sum-ge": ">="}
 
 
 def build_predicate(spec: str, n: int):
     """Named scan predicates over the q_2 Nordhaus-Gaddum sum.
 
-    sum-open-interval LO HI: strict membership, boundary decided exactly.
-    sum-eq EXPR | sum-le EXPR | sum-ge EXPR: bound checks with exact
-    escalation, reported through the standard verdict vocabulary.
+    sum-open-interval LO HI | sum-eq EXPR: membership, boundary decided exactly.
+    sum-le EXPR | sum-ge EXPR: a bound-table row, reported through the
+    standard verdict vocabulary.
     """
     kind, *args = spec.split() or [""]
     if kind == "sum-open-interval" and len(args) == 2:
         lo, hi = (parse_bound_expr(t, n) for t in args)
-        return SumPredicate(f"{kind} {lo} {hi}", [(">", lo), ("<", hi)], member=True)
+        return SumPredicate(f"{kind} {lo} {hi}", [(">", lo), ("<", hi)])
     if kind in _SUM_RELATIONS and len(args) == 1:
         bound = parse_bound_expr(args[0], n)
-        return SumPredicate(f"{kind} {bound}", [(_SUM_RELATIONS[kind], bound)], member=kind == "sum-eq")
+        name = f"{kind} {bound}"
+        if kind == "sum-eq":
+            return SumPredicate(name, [("==", bound)])
+        return SumBound(name, name, _SUM_RELATIONS[kind], (0, bound))
     if kind == "sum-open-interval" or kind in _SUM_RELATIONS:
         form = f"{kind} LO HI" if kind == "sum-open-interval" else f"{kind} EXPR"
         raise UsageError(f"expected predicate {form!r}, got {spec!r}")
@@ -277,11 +264,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _resolve_check(args):
-    if args.thm == "ng":
-        return NgSumCheck(args.kind, args.k)
-    if args.thm not in THEOREM_CHECKS:
-        raise UsageError(f"unknown theorem name {args.thm!r}")
-    return THEOREM_CHECKS[args.thm]
+    return ng_check(args.kind, args.k) if args.thm == "ng" else THEOREM_CHECKS[args.thm]
 
 
 def _format_reports(args, reports: list[BoundReport]) -> str:
@@ -342,6 +325,8 @@ def _graphs_of_order(lines: Iterable[str], n: int, orders: list[int], span: str)
 
 
 def _cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs takes a positive number of worker processes, got {args.jobs}")
     orders = _iter_orders(args)
     with contextlib.ExitStack() as stack:
         f = stack.enter_context(open(args.input)) if args.input else None

@@ -1,13 +1,20 @@
 """Executable certifying predicates for the registered eigenvalue bounds.
 
-Each numbered bound on q_2(G) + q_2(complement G) (and the supporting lemma
-bounds) is a function from a graph to a structured BoundReport: its
-hypotheses as plain tests, then one call of ``decide``, the bound driver.
-``decide`` takes the sign of value - bound from ``screened_sign``, where the
-float decides only a sign that satisfies the bound and lies more than
-``ESCALATION_WINDOW`` from it; every other sign comes from exact arithmetic,
-so every equality and every violation is certified.  The relation (``<=``,
-``<``, ``>=``, ``>``) is data.  Certified equalities are matched against the
+The sum bounds are one table.  Theorems 1.2-1.6, Problem 1.2, the regular
+bound and the registered Nordhaus-Gaddum sums all read
+lambda_k(G) + lambda_k(complement G) relation a*n + b (+ sqrt(rad)) under a few
+hypotheses, so each is a ``SumBound`` row: minimum order, named
+``HYPOTHESES`` (a scan filter's name means that ``enumeration.FILTERS``
+entry), matrix kind and index, relation, bound, extremal families and
+violation text.  A row is called like the function it replaced and keeps its
+name.  The lemmas, whose equality characterizations do not fit that shape,
+stay functions.
+
+Every check ends in one call of ``decide``, the bound driver.  It takes the
+sign of value - bound from ``screened_sign``, where the float decides only a
+sign that satisfies the bound and lies more than ``ESCALATION_WINDOW`` from
+it; every other sign comes from exact arithmetic, so every equality and every
+violation is certified.  Certified equalities are matched against the
 extremal families by canonical form, with an explicit isomorphism witness,
 and a lemma's equality characterization must hold exactly.
 
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib.resources import files
 from math import sqrt
 from typing import Callable, Optional
@@ -40,7 +47,6 @@ from .graph import (
     h_graph,
     h_graph_blocks,
     has_balanced_bipartite_component,
-    is_bipartite,
     is_connected,
     is_regular,
     is_semiregular_bipartite,
@@ -49,7 +55,7 @@ from .graph import (
     star,
     to_graph6,
 )
-from .enumeration import CANONICAL_MAX, canonical_form, isomorphism_witness
+from .enumeration import CANONICAL_MAX, FILTERS, canonical_form, isomorphism_witness
 from .partitions import duplicate_classes, is_equitable, quotient_matrix
 from .polys import Surd
 from .spectra import (
@@ -251,127 +257,131 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
     )
 
 
-def _sum_bound(g: Graph, bound: str, relation: str, base: Fraction, rad: Optional[Fraction] = None,
-               *, kind: str = "Q", k: int = 2, **options) -> BoundReport:
-    """The k-th eigenvalue sum of g and its complement against base, or base + sqrt(rad)."""
-    lhs = ng_sum(g, kind, k)
-    if rad is None:
-        return decide(g, bound, lhs, base, lambda: compare_sum_with(g, kind, k, base), relation, **options)
-    root = rational_sqrt(rad)
-    return decide(
-        g, bound, lhs, float(base) + sqrt(rad), lambda: compare_sum_vs_radical(g, kind, k, base, rad),
-        relation, rhs_exact=None if root is None else str(base + root), **options,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Main bound predicates
+# The sum bounds as data
 
 
-def check_thm12(g: Graph) -> BoundReport:
-    """Lower bound q_2(G) + q_2(complement G) >= n - 2 for n >= 4."""
-    rhs = Fraction(g.n - 2)
-    if g.n < 4:
-        return _na(g, "thm-1.2", rhs, "requires n >= 4")
-    return _sum_bound(g, "thm-1.2", ">=", rhs, families=_lower_bound_families(g.n))
+def _non_complete(g: Graph) -> bool:
+    return g.m < g.n * (g.n - 1) // 2
 
 
-def check_thm13(g: Graph) -> BoundReport:
-    """Upper bound q_2(G) + q_2(complement G) <= 2n - 4 for connected graphs."""
-    rhs = Fraction(2 * g.n - 4)
-    if g.n < 2:
-        return _na(g, "thm-1.3", rhs, "requires n >= 2")
-    if not is_connected(g):
-        return _na(g, "thm-1.3", rhs, "requires a connected graph")
-    return _sum_bound(g, "thm-1.3", "<=", rhs, families=_upper_bound_families(g.n))
+def _q2_at_most_n_minus_3(g: Graph) -> bool:
+    return screened_sign(q_spectrum(g).value(2), g.n - 3, lambda: compare_qk_with(g, 2, g.n - 3))[0] <= 0
 
 
-def check_problem12(g: Graph) -> BoundReport:
-    """Open upper bound q_2(G) + q_2(complement G) <= 2n - 5, connected, n >= 6."""
-    rhs = Fraction(2 * g.n - 5)
-    if g.n < 6:
-        return _na(g, "problem-1.2", rhs, "requires n >= 6")
-    if not is_connected(g):
-        return _na(g, "problem-1.2", rhs, "requires a connected graph")
-    return _sum_bound(g, "problem-1.2", "<=", rhs)
+#: Named hypotheses of the sum bounds: a test, and the note of a graph that
+#: fails it.  A hypothesis that is also a scan filter is that filter.
+HYPOTHESES: dict[str, tuple[Callable[[Graph], bool], str]] = {
+    "connected": (FILTERS["connected"], "requires a connected graph"),
+    "cobar-disconnected": (FILTERS["cobar-disconnected"], "requires a disconnected complement"),
+    "bipartite": (FILTERS["bipartite"], "requires a bipartite graph"),
+    "regular": (FILTERS["regular"], "requires a regular graph"),
+    "non-complete": (_non_complete, "requires a non-complete graph"),
+    "q2<=n-3": (_q2_at_most_n_minus_3, "hypothesis q_2 <= n - 3 fails (certified)"),
+}
 
 
-def check_thm14(g: Graph) -> BoundReport:
-    """The 2n - 5 upper bound when the complement is disconnected."""
-    rhs = Fraction(2 * g.n - 5)
-    if g.n < 6:
-        return _na(g, "thm-1.4", rhs, "requires n >= 6")
-    if not is_connected(g):
-        return _na(g, "thm-1.4", rhs, "requires a connected graph")
-    if is_connected(complement(g)):
-        return _na(g, "thm-1.4", rhs, "requires a disconnected complement")
-    return _sum_bound(g, "thm-1.4", "<=", rhs, families=_cobar_disconnected_families(g.n))
+@dataclass(frozen=True)
+class SumBound:
+    """A row of the bound table: lambda_k(G) + lambda_k(complement G) against a*n + b.
+
+    ``rhs`` is ``(a, b)``; with ``rad``, a function of the graph, the bound is
+    a*n + b + sqrt(rad(g)).  Called on a graph, the row is its own check: a
+    graph below ``min_n`` or failing a hypothesis of ``requires`` (in order)
+    is not applicable, and otherwise ``decide`` compares the sum.  ``rad`` and
+    ``families`` (extremal families by n) are module-level functions, so a
+    row pickles into scan workers.  ``name`` is the row's ``__name__``.
+    """
+
+    name: str
+    bound: str
+    relation: str
+    rhs: tuple
+    rad: Optional[Callable[[Graph], Fraction]] = None
+    min_n: int = 0
+    requires: tuple[str, ...] = ()
+    kind: str = "Q"
+    k: int = 2
+    families: Optional[Callable[[int], tuple]] = None
+    violated: str = "BOUND VIOLATED (exactly confirmed)"
+
+    def __post_init__(self):
+        # named like a function: scans print __name__, and functools.wraps copies both for pickling by reference
+        object.__setattr__(self, "__name__", self.name)
+        object.__setattr__(self, "__qualname__", self.name)
+
+    def __call__(self, g: Graph) -> BoundReport:
+        a, b = self.rhs
+        base = Fraction(a * g.n + b)
+        if g.n < self.min_n:
+            return _na(g, self.bound, None if self.rad else base, f"requires n >= {self.min_n}")
+        for name in self.requires:
+            test, note = HYPOTHESES[name]
+            if not test(g):
+                return _na(g, self.bound, None if self.rad else base, note)
+        lhs, kind, k = ng_sum(g, self.kind, self.k), self.kind, self.k
+        options = {"relation": self.relation, "violated": self.violated,
+                   "families": self.families(g.n) if self.families else ()}
+        if self.rad is None:
+            return decide(g, self.bound, lhs, base, lambda: compare_sum_with(g, kind, k, base), **options)
+        rad = self.rad(g)
+        root = rational_sqrt(rad)
+        return decide(g, self.bound, lhs, float(base) + sqrt(rad),
+                      lambda: compare_sum_vs_radical(g, kind, k, base, rad),
+                      rhs_exact=None if root is None else str(base + root), **options)
 
 
-def check_thm15(g: Graph) -> BoundReport:
-    """The 2n - 5 upper bound for connected bipartite graphs."""
-    rhs = Fraction(2 * g.n - 5)
-    if g.n < 6:
-        return _na(g, "thm-1.5", rhs, "requires n >= 6")
-    if not is_connected(g):
-        return _na(g, "thm-1.5", rhs, "requires a connected graph")
-    if not is_bipartite(g):
-        return _na(g, "thm-1.5", rhs, "requires a bipartite graph")
-    return _sum_bound(g, "thm-1.5", "<=", rhs, families=_bipartite_equality_families(g.n))
-
-
-def check_thm16(g: Graph) -> BoundReport:
-    """The 2n - 5 upper bound for connected graphs with q_2(G) <= n - 3."""
-    rhs = Fraction(2 * g.n - 5)
-    if g.n < 6:
-        return _na(g, "thm-1.6", rhs, "requires n >= 6")
-    if not is_connected(g):
-        return _na(g, "thm-1.6", rhs, "requires a connected graph")
-    if screened_sign(q_spectrum(g).value(2), g.n - 3, lambda: compare_qk_with(g, 2, g.n - 3))[0] > 0:
-        return _na(g, "thm-1.6", rhs, "hypothesis q_2 <= n - 3 fails (certified)")
-    return _sum_bound(g, "thm-1.6", "<=", rhs, families=_bipartite_equality_families(g.n))
-
-
-def check_regular_bound(g: Graph) -> BoundReport:
-    """Strict bound q_2 sum < n - 2 + sqrt(2nk(n-k-1)/(n-1)) for k-regular graphs."""
-    name = "regular-bound"
-    if not is_connected(g):
-        return _na(g, name, None, "requires a connected graph")
-    if not is_regular(g):
-        return _na(g, name, None, "requires a regular graph")
-    if g.m == g.n * (g.n - 1) // 2:
-        return _na(g, name, None, "requires a non-complete graph")
+def _regular_radicand(g: Graph) -> Fraction:
     k = g.degree(0)
-    rad = Fraction(2 * g.n * k * (g.n - k - 1), g.n - 1)
-    return _sum_bound(g, name, "<", Fraction(g.n - 2), rad,
-                      violated="STRICT BOUND VIOLATED (exactly confirmed)")
+    return Fraction(2 * g.n * k * (g.n - k - 1), g.n - 1)
 
 
-def check_ng_q1(g: Graph) -> BoundReport:
-    """Bound q_1(G) + q_1(complement G) <= 3n - 4, equality only for stars."""
-    rhs = Fraction(3 * g.n - 4)
-    if g.n < 2:
-        return _na(g, "q1-sum", rhs, "requires n >= 2")
-    return _sum_bound(g, "q1-sum", "<=", rhs, k=1, families=_star_families(g.n))
+def _ng_a2_radicand(g: Graph) -> Fraction:
+    return Fraction(g.n * g.n, 2) - g.n + 1
+
+
+# Theorems 1.2-1.6 and Problem 1.2 bound q_2(G) + q_2(complement G); the
+# regular bound is strict, n - 2 + sqrt(2nk(n-k-1)/(n-1)) for k-regular G.
+check_thm12 = SumBound("check_thm12", "thm-1.2", ">=", (1, -2), min_n=4, families=_lower_bound_families)
+check_thm13 = SumBound("check_thm13", "thm-1.3", "<=", (2, -4), min_n=2, requires=("connected",),
+                       families=_upper_bound_families)
+check_problem12 = SumBound("check_problem12", "problem-1.2", "<=", (2, -5), min_n=6, requires=("connected",))
+check_thm14 = SumBound("check_thm14", "thm-1.4", "<=", (2, -5), min_n=6,
+                       requires=("connected", "cobar-disconnected"), families=_cobar_disconnected_families)
+check_thm15 = SumBound("check_thm15", "thm-1.5", "<=", (2, -5), min_n=6, requires=("connected", "bipartite"),
+                       families=_bipartite_equality_families)
+check_thm16 = SumBound("check_thm16", "thm-1.6", "<=", (2, -5), min_n=6, requires=("connected", "q2<=n-3"),
+                       families=_bipartite_equality_families)
+check_regular_bound = SumBound("check_regular_bound", "regular-bound", "<", (1, -2), _regular_radicand,
+                               requires=("connected", "regular", "non-complete"),
+                               violated="STRICT BOUND VIOLATED (exactly confirmed)")
+# q_1(G) + q_1(complement G) <= 3n - 4, with equality only for stars.
+check_ng_q1 = SumBound("check_ng_q1", "q1-sum", "<=", (3, -4), min_n=2, k=1, families=_star_families)
+
+#: The rows of ``check_ng_generic`` by (kind, k).
+NG_BOUNDS = {
+    ("Q", 1): check_ng_q1,
+    ("L", 1): SumBound("ng-L1", "ng-L1", "<=", (2, -1), kind="L", k=1),
+    ("A", 2): SumBound("ng-A2", "ng-A2", "<=", (0, -1), _ng_a2_radicand, kind="A"),
+}
 
 
 def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
-    """Nordhaus-Gaddum sum of the k-th eigenvalue against its registered bound.
-
-    (Q, 1): <= 3n - 4.  (A, 2): <= -1 + sqrt(n^2/2 - n + 1).  (L, 1): <= 2n - 1.
-    Other combinations report the value with no bound attached.
-    """
-    n = g.n
-    if not 1 <= k <= n:
-        return _na(g, f"ng-{kind}{k}", None, f"k={k} outside 1..{n}")
-    if kind == "Q" and k == 1:
-        return check_ng_q1(g)
-    if kind == "L" and k == 1:
-        return _sum_bound(g, "ng-L1", "<=", Fraction(2 * n - 1), kind="L", k=1)
-    if kind == "A" and k == 2:
-        return _sum_bound(g, "ng-A2", "<=", Fraction(-1), Fraction(n * n, 2) - n + 1, kind="A")
+    """Nordhaus-Gaddum sum of the k-th eigenvalue against its row in ``NG_BOUNDS``,
+    or reported with no bound attached when (kind, k) has none."""
+    if not 1 <= k <= g.n:
+        return _na(g, f"ng-{kind}{k}", None, f"k={k} outside 1..{g.n}")
+    if (kind, k) in NG_BOUNDS:
+        return NG_BOUNDS[kind, k](g)
     return BoundReport(g, f"ng-{kind}{k}", ng_sum(g, kind, k), None, NOT_APPLICABLE,
                        notes="no registered bound for this kind/k")
+
+
+def ng_check(kind: str, k: int) -> Callable[[Graph], BoundReport]:
+    """``check_ng_generic`` at one kind and k: a picklable check named ng-{kind}{k}."""
+    check = partial(check_ng_generic, kind=kind, k=k)
+    check.__name__ = f"ng-{kind}{k}"
+    return check
 
 
 # ---------------------------------------------------------------------------

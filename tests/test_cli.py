@@ -279,6 +279,13 @@ def test_n_range_must_be_lo_dot_dot_hi(capsys, verb, span):
     assert err == f"error: --n-range takes LO..HI with integers LO <= HI, got {span!r}\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_scan_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "scan", "--n", "5", "--thm", "1.2", "--jobs", jobs)
+    assert (code, out) == (1, "")
+    assert err == f"error: --jobs takes a positive number of worker processes, got {jobs}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--n", "5", "--predicate", "sum-le 3/0"],
     ["scan", "--n", "5", "--predicate", " "],

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -29,12 +31,13 @@ from qng.graph import (
 )
 from qng import theorems
 from qng.cli import _resolve_check
-from qng.enumeration import scan
+from qng.enumeration import FILTERS, scan
 from qng.spectra import char_poly_exact, q_spectrum
 from qng.theorems import (
     EQUALITY,
     NOT_APPLICABLE,
     STRICT,
+    THEOREM_CHECKS,
     VIOLATED,
     bipartite_equality_catalogue,
     check_lemma26,
@@ -209,6 +212,56 @@ def test_ng_a2_square_radicand_equality():
     r = check_ng_generic(from_graph6("GKXc{w"), "A", 2)
     assert (r.bound, r.verdict) == ("ng-A2", EQUALITY)
     assert r.certified and r.lhs_exact == "4" and r.rhs == 4.0
+
+
+@pytest.mark.parametrize("check, g, rhs, note", [
+    pytest.param(check_thm12, path(3), F(1), "requires n >= 4", id="thm-1.2-P3"),
+    pytest.param(check_thm13, empty_graph(3), F(2), "requires a connected graph", id="thm-1.3-3K1"),
+    pytest.param(check_problem12, path(5), F(5), "requires n >= 6", id="problem-1.2-P5"),
+    pytest.param(check_thm14, cycle(6), F(7), "requires a disconnected complement", id="thm-1.4-C6"),
+    pytest.param(check_thm14, empty_graph(6), F(7), "requires a connected graph", id="thm-1.4-6K1"),
+    pytest.param(check_thm15, path(5), F(5), "requires n >= 6", id="thm-1.5-P5"),
+    pytest.param(check_thm15, complete(6), F(7), "requires a bipartite graph", id="thm-1.5-K6"),
+    pytest.param(check_thm16, complete(6), F(7), "hypothesis q_2 <= n - 3 fails (certified)", id="thm-1.6-K6"),
+    pytest.param(check_regular_bound, complete(1), None, "requires a non-complete graph", id="regular-K1"),
+    pytest.param(check_regular_bound, path(4), None, "requires a regular graph", id="regular-P4"),
+    pytest.param(check_regular_bound, empty_graph(4), None, "requires a connected graph", id="regular-4K1"),
+    pytest.param(check_ng_q1, complete(1), F(-1), "requires n >= 2", id="q1-sum-K1"),
+    pytest.param(lambda g: check_ng_generic(g, "A", 2), complete(1), None, "k=2 outside 1..1", id="ng-A2-K1"),
+])
+def test_not_applicable_reports(check, g, rhs, note):
+    """A failed hypothesis names itself; the rhs is the rational bound, or None for a radical one."""
+    r = check(g)
+    assert (r.verdict, r.lhs, r.certified, r.notes) == (NOT_APPLICABLE, None, False, note)
+    assert r.rhs == rhs and type(r.rhs) is type(rhs)
+
+
+def test_unregistered_ng_sum_reports_its_value():
+    r = check_ng_generic(cycle(5), "Q", 3)
+    assert (r.bound, r.verdict, r.rhs, r.notes) == ("ng-Q3", NOT_APPLICABLE, None, "no registered bound for this kind/k")
+    assert r.lhs == pytest.approx(5.236067977499788)
+
+
+def test_checks_keep_their_names_and_pickle(monkeypatch):
+    """Scans print a check's __name__ and tracers look it up by that name; rows travel to pool workers."""
+    rows = [*THEOREM_CHECKS.values(), check_ng_q1, *theorems.NG_BOUNDS.values()]
+    for check in THEOREM_CHECKS.values():
+        assert getattr(theorems, check.__name__) is check
+    assert theorems.check_ng_q1.__name__ == "check_ng_q1"
+    assert theorems.check_ng_generic.__name__ == "check_ng_generic"
+    for row in rows:
+        copy = pickle.loads(pickle.dumps(row))
+        if isinstance(row, theorems.SumBound):
+            assert copy == row and copy.__name__ == row.__name__
+            assert copy(cycle(6)) == row(cycle(6))
+    ng = pickle.loads(pickle.dumps(theorems.ng_check("A", 2)))
+    assert ng.__name__ == "ng-A2" and ng(cycle(5)) == check_ng_generic(cycle(5), "A", 2)
+    for name in ("connected", "cobar-disconnected", "bipartite", "regular"):
+        assert theorems.HYPOTHESES[name][0] is FILTERS[name]
+    # a row wrapped like a function and put in its place still pickles by reference
+    wrapped = functools.wraps(check_thm12)(lambda g: check_thm12(g))
+    monkeypatch.setattr(theorems, "check_thm12", wrapped)
+    assert pickle.loads(pickle.dumps(wrapped)) is wrapped
 
 
 def test_screened_sign_trusts_only_listed_signs():
