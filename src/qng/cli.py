@@ -311,15 +311,15 @@ def _iter_orders(args) -> list[int]:
     return [args.n]
 
 
-def _graphs_of_order(lines: Iterable[str], n: int, orders: list[int], span: str) -> Iterator[Graph]:
-    """The order-n graphs of a graph6 stream, decoding no line of another order.
+def _graphs_of_order(lines: Iterable[str], n: int, orders: list[int], span: str) -> Iterator[str]:
+    """The order-n lines of a graph6 stream, as text: ``scan`` decodes them in its chunks.
 
     A line whose order is not in ``orders`` is an error.
     """
     for line in lines:
         order = graph6_order(line)
         if order == n:
-            yield from_graph6(line)
+            yield line
         elif order is not None and order not in orders:
             raise ValueError(f"stream graph of order {from_graph6(line).n} in a scan for n={span}")
 

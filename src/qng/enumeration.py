@@ -34,13 +34,17 @@ by the column codes the searches computed, which is graph6 order, and the
 last order's automorphisms are never translated to canonical labels.
 Counts are cross-checked against reference values in the test suite.
 
-``scan`` filters its source lazily and cuts it into chunks of ``SCAN_CHUNK``
-graphs.  A chunk is the unit of result: one helper names it to
-``spectra.set_chunk``, runs the check on each graph (each matrix kind the
-check reads is then screened for the chunk's graphs and their complements in
-one batched float call), and returns the chunk's tally, its verdict counts
-plus the canonical graph6 keys of its equality and violation graphs.  With
-``jobs`` > 1 the chunks go in order through ``Pool.imap``, and each worker
+``scan`` reads its source lazily and cuts it into chunks of ``SCAN_CHUNK``
+items, graphs or the graph6 lines of an external stream.  A chunk is where
+each graph is handled once: one helper decodes the chunk's lines in one
+batch (``graph.decode_graph6``), drops the graphs its filter rejects, names
+the rest to ``spectra.set_chunk``, which builds each one's complement, runs
+the check on each graph (each matrix kind the check reads is then screened
+for the chunk's graphs and their complements in one batched float call), and
+returns the chunk's tally, its verdict counts plus the canonical graph6 keys
+of its equality and violation graphs.  A bound-table row does not re-test a
+hypothesis that the filter is.  With ``jobs`` > 1 the chunks go in order
+through ``Pool.imap``, as text and with the filter as given, and each worker
 returns only that tally.
 """
 
@@ -60,7 +64,7 @@ from .graph import (
     Graph,
     _graph_unchecked,
     bits,
-    complement,
+    decode_graph6,
     is_bipartite,
     is_connected,
     is_regular,
@@ -463,7 +467,7 @@ def _filter_all(g: Graph) -> bool:
 
 
 def _filter_cobar_disconnected(g: Graph) -> bool:
-    return not is_connected(complement(g))
+    return not is_connected(spectra.complement_of(g))
 
 
 FILTERS: dict[str, Callable[[Graph], bool]] = {
@@ -480,12 +484,14 @@ def resolve_filter(spec) -> tuple[str, Callable[[Graph], bool]]:
     if callable(spec):
         return getattr(spec, "__name__", "custom"), spec
     names = [part.strip() for part in str(spec).split(",") if part.strip()]
-    funcs = []
-    for name in names:
-        if name not in FILTERS:
-            raise ValueError(f"unknown filter {name!r}")
-        funcs.append(FILTERS[name])
-    return ",".join(names) or "all", lambda g: all(f(g) for f in funcs)
+    for part in names:
+        if part not in FILTERS:
+            raise ValueError(f"unknown filter {part!r}")
+    name = ",".join(names) or "all"
+    funcs = [FILTERS[part] for part in names if part != "all"]
+    if len(funcs) <= 1:
+        return name, funcs[0] if funcs else _filter_all
+    return name, lambda g: all(f(g) for f in funcs)
 
 
 @dataclass
@@ -516,18 +522,54 @@ def _verdict_of(result) -> str:
     return getattr(result, "verdict", result)
 
 
-#: Graphs per chunk of a scan: one batched float screen, and one pool task
-#: under ``jobs`` > 1.
+#: Source items per chunk of a scan: one pool task under ``jobs`` > 1, and
+#: one batched decode and float screen.
 SCAN_CHUNK = 256
 
 
-def _tally(graphs: list[Graph], check: Callable[[Graph], object]) -> tuple[Counter, set[str], set[str]]:
-    """The verdict counts of ``check`` on one chunk of ``graphs``, plus the
-    canonical graph6 keys of its equality-certified and of its violated graphs.
+def _chunk_graphs(items: list) -> list[Graph]:
+    """A chunk's graphs: graph6 lines decoded in one batch, graphs as they are."""
+    return decode_graph6(items) if items and isinstance(items[0], str) else items
 
-    Each matrix kind the check reads is screened for the whole chunk at its
-    first ``spectra.spectrum`` miss, in one batched call.
+
+def _chunks(stream: Iterator) -> Iterator[list]:
+    """``stream`` in lists of ``SCAN_CHUNK`` items.
+
+    If reading the stream fails, the lines of the unfinished chunk are
+    decoded first, so a malformed line read before the failure is the error
+    raised: the error of the first bad line in stream order.
     """
+    while True:
+        chunk: list = []
+        try:
+            for item in islice(stream, SCAN_CHUNK):
+                chunk.append(item)
+        except Exception:
+            _chunk_graphs(chunk)
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+def _tally(items: list, n: int, graph_filter, check: Callable[[Graph], object]
+           ) -> tuple[Counter, set[str], set[str]]:
+    """The verdict counts of ``check`` on the filtered graphs of one chunk,
+    plus the canonical graph6 keys of its equality-certified and of its
+    violated graphs.
+
+    ``items`` are graphs or graph6 lines of order ``n``; lines are decoded
+    here, in one batch.  ``graph_filter`` is resolved here too.  Each matrix
+    kind the check reads is screened for the filtered graphs at its first
+    ``spectra.spectrum`` miss, in one batched call.
+    """
+    graphs = _chunk_graphs(items)
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
+    _, accept = resolve_filter(graph_filter)
+    if accept is not _filter_all:
+        graphs = list(filter(accept, graphs))
     spectra.set_chunk(graphs)
     counts: Counter = Counter()
     keys: dict[str, set[str]] = {"equality-certified": set(), "violated": set()}
@@ -540,7 +582,7 @@ def _tally(graphs: list[Graph], check: Callable[[Graph], object]) -> tuple[Count
 
 
 def _scan_chunk(args) -> tuple[Counter, set[str], set[str]]:
-    """Pool-worker entry point: the tally of one (graphs, check) chunk.
+    """Pool-worker entry point: the tally of one (items, n, filter, check) chunk.
 
     Only the pool calls it.  ``perfbench``'s tracer wraps it to collect each
     worker's aggregates after every chunk, so an in-process scan calls
@@ -554,31 +596,30 @@ def scan(
     graph_filter,
     check: Callable[[Graph], object],
     *,
-    source: Optional[Iterable[Graph]] = None,
+    source: Optional[Iterable] = None,
     jobs: int = 1,
 ) -> ScanResult:
     """Evaluate ``check`` on every filtered graph of order ``n``.
 
-    ``source`` defaults to the built-in isomorph-free stream; pass graphs
-    parsed from an external graph6 file for orders beyond 8.  The filtered
-    stream is read lazily in chunks of ``SCAN_CHUNK`` graphs, and each chunk
-    is tallied where it is checked: in this process, or in a pool worker
-    under ``jobs`` > 1.  The tallies are merged in order, so results are
-    independent of ``jobs``: members are canonical forms in sorted order.
+    ``source`` defaults to the built-in isomorph-free stream; for orders
+    beyond 8 pass graphs, or the graph6 lines of an external stream (a
+    source yields one or the other).  The source is read lazily in chunks of
+    ``SCAN_CHUNK`` items, and each chunk is decoded, filtered and tallied
+    where it is checked: in this process, or in a pool worker under ``jobs``
+    > 1.  A chunk carries lines as text and the filter as given, so a named
+    filter is resolved in the worker; a callable filter, like the check,
+    must pickle under ``jobs`` > 1.  A check with an ``assuming`` method (a
+    bound-table row) is first told the filter's names, so it does not test a
+    hypothesis the filter has established.  The tallies are merged in order,
+    so results are independent of ``jobs``: members are canonical forms in
+    sorted order.
     """
-    filter_name, accept = resolve_filter(graph_filter)
+    filter_name, _ = resolve_filter(graph_filter)
     predicate_name = getattr(check, "__name__", "custom")
-    stream = enumerate_graphs(n) if source is None else source
-
-    def selected() -> Iterator[Graph]:
-        for g in stream:
-            if g.n != n:
-                raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
-            if accept(g):
-                yield g
-
-    graphs = selected()
-    tasks = ((chunk, check) for chunk in iter(lambda: list(islice(graphs, SCAN_CHUNK)), []))
+    if not callable(graph_filter) and hasattr(check, "assuming"):
+        check = check.assuming(filter_name.split(","))
+    stream = iter(enumerate_graphs(n) if source is None else source)
+    tasks = ((chunk, n, graph_filter, check) for chunk in _chunks(stream))
     counts: Counter = Counter()
     equality: set[str] = set()
     violations: set[str] = set()

@@ -4,12 +4,16 @@ Adjacency is stored as one bitmask row per vertex, which keeps complementation,
 neighborhood tests and component searches to a handful of integer operations.
 The module also provides the named graph families used throughout the bound
 checkers, the usual operators (complement, union, join, Cartesian product),
-structural predicates around bipartiteness and the graph6 text codec.
+structural predicates around bipartiteness and the graph6 text codec, whose
+decoder takes a batch of lines and unpacks their payloads with numpy.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 MAX_VERTICES = 32
 
@@ -409,10 +413,6 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-#: Each graph6 payload character as its six bits, most significant first.
-_GRAPH6_BITS = {63 + v: f"{v:06b}" for v in range(64)}
-
-
 def _graph6_body(text: str) -> str:
     """A graph6 line without surrounding blanks or the optional ``>>graph6<<`` header."""
     s = text.strip()
@@ -422,13 +422,14 @@ def _graph6_body(text: str) -> str:
 def graph6_order(text: str) -> Optional[int]:
     """The order a graph6 line declares in its first character, None for a blank line.
 
-    Reads one character and validates nothing; ``from_graph6`` decodes and checks.
+    Reads one character and validates nothing; ``decode_graph6`` decodes and checks.
     """
     s = _graph6_body(text)
     return ord(s[0]) - 63 if s else None
 
 
-def from_graph6(text: str) -> Graph:
+def _graph6_checked(text: str) -> tuple[str, int]:
+    """The body of a graph6 line and its order, after every check but the padding bits."""
     s = _graph6_body(text)
     if not s:
         raise Graph6Error("empty graph6 string")
@@ -439,24 +440,65 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error("long-form vertex counts (>62) are not supported")
     if not 1 <= n <= MAX_VERTICES:
         raise CapacityError(f"graph6 order {n} outside 1..{MAX_VERTICES}")
-    body = s[1:]
-    pairs = n * (n - 1) // 2
-    need = (pairs + 5) // 6
-    if len(body) != need:
-        raise Graph6Error(
-            f"expected {need} payload characters for n={n}, got {len(body)}"
-        )
-    # Bit i of the payload is the i-th bit of the upper triangle, column by
-    # column: column c holds the pairs (0, c), ..., (c - 1, c).
-    payload = int(body.translate(_GRAPH6_BITS)[::-1] or "0", 2)
-    if payload >> pairs:
-        raise Graph6Error("nonzero padding bits")
-    rows = [0] * n
-    for col in range(1, n):
-        below = payload & ((1 << col) - 1)
-        payload >>= col
-        rows[col] = below
-        for row in bits(below):
-            rows[row] |= 1 << col
-    return _graph_unchecked(n, tuple(rows))
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - 1 != need:
+        raise Graph6Error(f"expected {need} payload characters for n={n}, got {len(s) - 1}")
+    return s, n
 
+
+@lru_cache(maxsize=MAX_VERTICES)
+def _pair_weights(n: int) -> np.ndarray:
+    """The (pairs, n) matrix that turns the upper-triangle bits of order n into rows.
+
+    Payload bit i is the i-th pair of the upper triangle, column by column
+    (column c holds the pairs (0, c), ..., (c - 1, c)); the pair (r, c) adds
+    1 << c to row r and 1 << r to row c.
+    """
+    weights = np.zeros((n * (n - 1) // 2, n), dtype=np.int64)
+    i = 0
+    for col in range(1, n):
+        for row in range(col):
+            weights[i, row] = 1 << col
+            weights[i, col] = 1 << row
+            i += 1
+    return weights
+
+
+def decode_graph6(lines: Iterable[str]) -> list[Graph]:
+    """Decode graph6 lines, the payloads of each order as one numpy batch.
+
+    Every line gets the checks of ``from_graph6``, which is this decoder on a
+    batch of one; a batch with a malformed line raises the error of its
+    first malformed line.
+    """
+    checked: list[tuple[str, int]] = []
+    error = None
+    for text in lines:
+        try:
+            checked.append(_graph6_checked(text))
+        except ValueError as exc:
+            error = exc
+            break
+    positions: dict[int, list[int]] = {}
+    for i, (_, n) in enumerate(checked):
+        positions.setdefault(n, []).append(i)
+    graphs: list = [None] * len(checked)
+    for n, where in positions.items():
+        pairs = n * (n - 1) // 2
+        text = "".join(checked[i][0] for i in where).encode("ascii")
+        codes = np.frombuffer(text, dtype=np.uint8).reshape(len(where), -1)[:, 1:] - 63
+        # each payload character is six bits, most significant first
+        payload = np.unpackbits(codes[:, :, None], axis=2)[:, :, 2:].reshape(len(where), -1)
+        if payload[:, pairs:].any():
+            # every checked line comes before the line of ``error``
+            raise Graph6Error("nonzero padding bits")
+        rows = payload[:, :pairs].astype(np.int64) @ _pair_weights(n)
+        for i, row in zip(where, rows.tolist()):
+            graphs[i] = _graph_unchecked(n, tuple(row))
+    if error is not None:
+        raise error
+    return graphs
+
+
+def from_graph6(text: str) -> Graph:
+    return decode_graph6((text,))[0]

@@ -3,7 +3,9 @@
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
 are used only for screening.  ``spectrum`` is an ``lru_cache`` by (graph,
 kind), so later scans of the same graphs reuse their spectra.  A scan names
-each chunk with ``set_chunk``; the first miss of a kind on a chunk member
+each chunk with ``set_chunk``, which builds each member's complement once;
+``complement_of`` hands it to every reader (``ng_sum``, the exact sum
+comparisons, the lemmas).  The first miss of a kind on a chunk member
 stacks the kind-matrices of the chunk's graphs and their complements as one
 (B, n, n) array and screens them in one eigvalsh call, whatever kind the
 check reads.  A miss outside the chunk is screened alone.  ``_stacked`` is
@@ -104,9 +106,9 @@ def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
     return Spectrum(tuple(float(v) for v in vals))
 
 
-#: The current scan chunk: its graphs and their complements by order, and the
-#: spectra screened from it so far by (graph, kind).
-_CHUNK: dict[int, dict[Graph, None]] = {}
+#: The current scan chunk: each member and each member's complement, mapped to
+#: its complement, and the spectra screened from it so far by (graph, kind).
+_CHUNK: dict[Graph, Graph] = {}
 _SCREENED: dict[tuple[Graph, str], Spectrum] = {}
 
 
@@ -118,13 +120,21 @@ def _screen(graphs: Sequence[Graph], kind: str) -> list[Spectrum]:
 def set_chunk(graphs: Iterable[Graph]) -> None:
     """Make ``graphs`` and their complements the chunk ``spectrum`` screens at once.
 
-    A scan calls this once per chunk; it drops the previous chunk's spectra.
+    A scan calls this once per chunk; it builds each graph's complement once,
+    for ``complement_of``, and drops the previous chunk's spectra.
     """
     _CHUNK.clear()
     _SCREENED.clear()
     for g in graphs:
-        for h in (g, complement(g)):
-            _CHUNK.setdefault(h.n, {})[h] = None
+        h = complement(g)
+        _CHUNK[g] = h
+        _CHUNK.setdefault(h, g)
+
+
+def complement_of(g: Graph) -> Graph:
+    """The complement of ``g``: the chunk's own for a chunk member, else built anew."""
+    h = _CHUNK.get(g)
+    return complement(g) if h is None else h
 
 
 @lru_cache(maxsize=1 << 15)
@@ -135,11 +145,11 @@ def spectrum(g: Graph, kind: str) -> Spectrum:
     order screened for ``kind`` in one eigvalsh call; any other graph is
     screened alone.
     """
-    members = _CHUNK.get(g.n, {})
-    if g not in members:
+    if g not in _CHUNK:
         return _screen((g,), kind)[0]
     if (g, kind) not in _SCREENED:
-        _SCREENED.update(zip([(h, kind) for h in members], _screen(list(members), kind)))
+        members = [h for h in _CHUNK if h.n == g.n]
+        _SCREENED.update(zip([(h, kind) for h in members], _screen(members, kind)))
     return _SCREENED[g, kind]
 
 
@@ -151,7 +161,7 @@ def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
     """k-th eigenvalue of the kind-matrix of g plus the same of its complement."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} outside 1..{g.n}")
-    return spectrum(g, kind).value(k) + spectrum(complement(g), kind).value(k)
+    return spectrum(g, kind).value(k) + spectrum(complement_of(g), kind).value(k)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +272,7 @@ def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = 
     if not 1 <= k <= g.n or not 1 <= kc <= g.n:
         raise ValueError(f"eigenvalue index outside 1..{g.n}")
     c = Fraction(c)
-    cg = complement(g)
+    cg = complement_of(g)
     reflected = polys.poly_compose_linear(kind_char_poly(g, kind), -1, c)
     if reflected[-1] < 0:
         reflected = [-a for a in reflected]
@@ -300,7 +310,7 @@ def compare_sum_vs_radical(g: Graph, kind: str, k: int, base, rad) -> int:
     root = rational_sqrt(rad)
     if root is not None:
         return compare_sum_with(g, kind, k, base + root)
-    cg = complement(g)
+    cg = complement_of(g)
     wa = polys.isolate_kth_largest(kind_char_poly(g, kind), k, spectrum(g, kind).value(k))
     wb = polys.isolate_kth_largest(kind_char_poly(cg, kind), k, spectrum(cg, kind).value(k))
     for _ in range(polys._COMPARE_MAX_ITER):

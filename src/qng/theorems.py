@@ -65,6 +65,7 @@ from .spectra import (
     compare_qk_with,
     compare_sum_vs_radical,
     compare_sum_with,
+    complement_of,
     ng_sum,
     q_spectrum,
     rational_sqrt,
@@ -310,6 +311,15 @@ class SumBound:
         object.__setattr__(self, "__name__", self.name)
         object.__setattr__(self, "__qualname__", self.name)
 
+    def assuming(self, established) -> "SumBound":
+        """This row for graphs that passed the scan filters named in ``established``.
+
+        A hypothesis of that name is that filter (``HYPOTHESES``), so the
+        row returned, which keeps the name, does not test it again.
+        """
+        requires = tuple(name for name in self.requires if name not in established)
+        return self if requires == self.requires else replace(self, requires=requires)
+
     def __call__(self, g: Graph) -> BoundReport:
         a, b = self.rhs
         base = Fraction(a * g.n + b)
@@ -418,7 +428,7 @@ def check_lemma28(g: Graph) -> BoundReport:
     rhs = Fraction(g.n - 2)
     if g.n < 2:
         return _na(g, "lemma-2.8", rhs, "requires n >= 2")
-    cobar = complement(g)
+    cobar = complement_of(g)
     structure = has_balanced_bipartite_component(cobar) or count_bipartite_components(cobar) >= 2
     return decide(g, "lemma-2.8", q_spectrum(g).value(2), rhs, lambda: compare_qk_with(g, 2, rhs), "<=",
                   structure=structure)

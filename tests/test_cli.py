@@ -316,3 +316,32 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "equality-certified" in proc.stdout
+
+
+def _valid_lines(n, count, seed):
+    import random
+
+    from qng.graph import from_edges
+
+    rng = random.Random(seed)
+    return [to_graph6(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n, bad, later, error", [
+    (9, "H~~", ["H" + "?" * 5 + "!"], "expected 6 payload characters for n=9, got 2"),
+    (8, "G????@", ["G~~"], "nonzero padding bits"),
+    (9, "H?????!", ["H~~"], "character out of graph6 range in 'H?????!\\n'"),
+    (9, "H~~", ["G~~~~~~~~"], "expected 6 payload characters for n=9, got 2"),
+], ids=["payload-length", "padding-bits", "character-range", "before-an-order-error"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_input_reports_the_first_bad_line(tmp_path, capsys, n, bad, later, error, jobs):
+    """A bad line after a full chunk, followed in its chunk by another error
+    and then by good lines, is the one reported, in process and from a worker."""
+    lines = _valid_lines(n, 300, 5) + [bad] + later + _valid_lines(n, 20, 6)
+    stream = tmp_path / "bad.g6"
+    stream.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "scan", "--n", str(n), "--filter", "connected", "--thm", "problem1.2",
+                             "--jobs", jobs, "--input", str(stream))
+    assert (code, out) == (1, "")
+    assert err == f"error: {error}\n"

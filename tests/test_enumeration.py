@@ -6,11 +6,12 @@ import hashlib
 import random
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qng import enumeration, spectra
+from qng import enumeration, graph, spectra, theorems
 from qng.cli import build_predicate
 from qng.enumeration import (
     CanonicalForm,
@@ -533,3 +534,59 @@ def test_scan_external_stream_order_9():
     assert result.total == 4
     assert result.violations == []
     assert result.counts.get("violated", 0) == 0
+
+
+def _per_graph_tally(graphs, check):
+    """The verdict counts and canonical keys of ``check(g)`` called on each graph alone."""
+    spectra.set_chunk(())
+    counts = Counter()
+    keys = {"equality-certified": set(), "violated": set()}
+    for g in graphs:
+        verdict = check(g).verdict
+        counts[verdict] += 1
+        if verdict in keys:
+            keys[verdict].add(canonical_form(g).graph6)
+    return dict(counts), sorted(keys["equality-certified"]), sorted(keys["violated"])
+
+
+def test_scan_of_graphs_next_to_their_complements(graphs_by_order):
+    """A chunk whose members include labelled complements of other members.
+
+    Every registered check scans such a source to the counts and keys of
+    per-graph calls, in process and under a pool.
+    """
+    checks = {**theorems.THEOREM_CHECKS, "q1-sum": theorems.check_ng_q1, "ng-A2": _ng_a2, "ng-L1": _ng_l1}
+    for n in range(1, 8):
+        source = [h for g in graphs_by_order[n] for h in (g, complement(g))]
+        for key, check in checks.items():
+            try:
+                expected = _per_graph_tally(source, check)
+            except ArithmeticError:  # ng-A2 at n = 4: P4 sits on the irrational bound
+                with pytest.raises(ArithmeticError):
+                    scan(n, "all", check, source=source)
+                continue
+            for jobs in (1, 2) if n == 7 else (1,):
+                result = scan(n, "all", check, source=source, jobs=jobs)
+                assert (result.counts, result.equality, result.violations) == expected, (n, key, jobs)
+
+
+def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enum8):
+    """``scan(8, "connected", check_problem12)``: the filter's connectivity test
+    is the only one (the row assumes it), and each scanned graph is
+    complemented once, for both the screen and the sum."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(graph, "component_masks", counted("component_masks", graph.component_masks))
+    complement_counted = counted("complement", graph.complement)
+    for module in (graph, spectra, theorems, enumeration):
+        if hasattr(module, "complement"):
+            monkeypatch.setattr(module, "complement", complement_counted)
+    result = scan(8, "connected", theorems.check_problem12)
+    assert (result.total, len(enum8[0])) == (11_117, 12_346)
+    assert calls == {"component_masks": 12_346, "complement": 11_117}

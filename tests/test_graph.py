@@ -20,6 +20,7 @@ from qng.graph import (
     count_bipartite_components,
     cycle,
     cartesian_product,
+    decode_graph6,
     disjoint_union,
     empty_graph,
     from_edges,
@@ -238,3 +239,66 @@ def test_join_size_identity(rng=random.Random(11)):
         h = random_graph(rng, rng.randint(1, 6))
         j = join(g, h)
         assert j.m == g.m + h.m + g.n * h.n
+
+
+def _reference_rows(text):
+    """Rows of a graph6 line by the definition: six bits per character, the
+    upper triangle column by column, no numpy."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):].strip()
+    n = ord(s[0]) - 63
+    payload = [(ord(c) - 63) >> k & 1 for c in s[1:] for k in range(5, -1, -1)]
+    rows = [0] * n
+    i = 0
+    for col in range(1, n):
+        for row in range(col):
+            if payload[i]:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            i += 1
+    return n, rows
+
+
+def test_batched_decoder_equals_from_graph6(graphs_by_order, enum8, rng=random.Random(29)):
+    """One batch per source against ``from_graph6`` line by line and a plain decoder."""
+    relabelled = []
+    for g in [g for n in range(1, 8) for g in graphs_by_order[n]] + enum8[0]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled.append(to_graph6(relabel(g, perm)))
+    with open("tests/data/stream9.g6") as f:
+        stream9 = list(f)
+    wide = [to_graph6(random_graph(rng, n, rng.uniform(0.2, 0.9))) for n in range(10, 33) for _ in range(8)]
+    wide.append(to_graph6(complete(32)))  # rows fill 32 bits
+    framed = [f"{pad}{'>>graph6<<' * header}{pad2}{line}{pad}"
+              for line in ("@", "A_", "C~", "Dhc", stream9[0].strip())
+              for header in (0, 1) for pad, pad2 in (("", ""), (" ", ""), ("\t", " "), ("", "\n"))]
+    for lines in (relabelled, stream9, wide, framed, relabelled[::97] + wide[::5] + framed):
+        batch = decode_graph6(lines)
+        assert len(batch) == len(lines)
+        for line, g in zip(lines, batch):
+            assert g == from_graph6(line)
+            assert (g.n, list(g.rows)) == _reference_rows(line)
+            assert g.m == sum(r.bit_count() for r in g.rows) // 2
+    assert max(max(g.rows) for g in decode_graph6(wide)) == (1 << 32) - 2  # row 0 of K32
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("H~~", "expected 6 payload characters for n=9, got 2"),
+    ("G????@", "nonzero padding bits"),
+    ("H????!?", "character out of graph6 range in 'H????!?'"),
+    ("   ", "empty graph6 string"),
+    ("~??", "long-form vertex counts (>62) are not supported"),
+    (chr(40 + 63) + "?" * 130, "graph6 order 40 outside 1..32"),
+])
+def test_batched_decoder_reports_the_first_bad_line(bad, error):
+    good = [to_graph6(cycle(9)), to_graph6(path(8))]
+    later = ["G~~~~~~~~", "B" + chr(63 + 0b111001), "C\x7f"]
+    decoders = [lambda: from_graph6(bad)]
+    decoders += [lambda lines=lines: decode_graph6(lines)
+                 for lines in ([bad], good + [bad] + later, good + [bad] + later[::-1])]
+    for decode in decoders:
+        with pytest.raises(ValueError) as info:
+            decode()
+        assert str(info.value) == error

@@ -264,6 +264,21 @@ def test_checks_keep_their_names_and_pickle(monkeypatch):
     assert pickle.loads(pickle.dumps(wrapped)) is wrapped
 
 
+def test_rows_assume_the_hypotheses_their_scan_filter_established(graphs_by_order):
+    """A row told the scan filter's names skips those hypotheses, keeps its
+    name and pickles; on graphs that pass the filter its reports are unchanged."""
+    row = check_thm14.assuming(["connected", "regular"])
+    assert (row.requires, row.__name__) == (("cobar-disconnected",), "check_thm14")
+    assert pickle.loads(pickle.dumps(row)) == row
+    assert check_thm12.assuming(["connected"]) is check_thm12
+    assert check_problem12.assuming(["all"]) is check_problem12
+    connected = [g for g in graphs_by_order[6] + graphs_by_order[7] if FILTERS["connected"](g)]
+    for check in (check_thm13, check_thm14, check_thm15, check_problem12, check_regular_bound):
+        assumed = check.assuming(["connected"])
+        assert "connected" not in assumed.requires
+        assert [assumed(g) for g in connected] == [check(g) for g in connected]
+
+
 def test_screened_sign_trusts_only_listed_signs():
     def exact():
         calls.append(1)
