@@ -43,7 +43,7 @@ from .partitions import (
     quotient_matrix,
     verify_quotient_eigen_containment,
 )
-from .enumeration import CanonicalForm, ScanResult, canonical_form, enumerate_graphs, scan
+from .enumeration import ScanResult, canonical_form, enumerate_graphs, scan
 from .theorems import BoundReport, ExtremalCertificate, proof_check_thm12, proof_check_thm15
 
 __version__ = "0.1.0"

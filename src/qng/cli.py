@@ -3,7 +3,8 @@
 Output is byte-deterministic for a fixed command and input, including under
 ``--jobs`` parallelism.  Exit status 0 means every verdict was strict,
 equality-certified or not-applicable; 2 flags a violated verdict (a
-counterexample); 1 is reserved for usage and format errors.
+counterexample); 1 is reserved for usage and format errors, the argument
+parser's own included, each reported as one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ from .theorems import (
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: one line, exit 1."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +142,13 @@ def _load_graph(args) -> Graph:
 # Predicates for scans
 
 
-_EXPR = re.compile(r"^(?:(?P<a>-?\d*)\*?n)?(?P<b>[+-]?\d+(?:/\d+)?)?$")
+# An optional n term (a coefficient, with '*' only after digits) and an
+# optional constant, which carries its sign after an n term.
+_EXPR = re.compile(r"^(?:(?P<a>-?\d*)(?:(?<=\d)\*)?n(?=[+-]|$))?(?P<b>[+-]?\d+(?:/\d+)?)?$")
 
 
 def parse_bound_expr(text: str, n: int) -> Fraction:
-    """Evaluate expressions like '2n-5', 'n-2', '7' at a given order n."""
+    """Evaluate expressions like '2n-5', '2*n-5', 'n-2', '3/2', '7' at a given order n."""
     m = _EXPR.match(text.replace(" ", ""))
     if m is None or (m.group("a") is None and not m.group("b")):
         raise UsageError(f"cannot parse bound expression {text!r}")
@@ -394,7 +404,7 @@ def _cmd_proof_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qng",
         description="Signless-Laplacian Nordhaus-Gaddum bound verification",
     )

@@ -1,21 +1,24 @@
 """Isomorph-free generation of small graphs, canonical forms and scan drivers.
 
-The canonical form of a graph is the smallest graph6 string obtainable by
-relabeling, where the minimum is searched over labelings compatible with
-iterated color refinement (individualization-refinement).  Refinement works
-against the cells that just split (McKay & Piperno, "Practical graph
-isomorphism, II", J. Symb. Comput. 60, 2014): a round counts neighbors only
-in the fragments the previous round split off, the last fragment of each old
-cell left out, which ranks vertices as full count vectors would.  The first
-round after individualizing ``v`` counts only the splitter ``{v}``; the root
-round counts the degree classes but the last.  The search prunes on
-bit-string prefixes and, at every depth, on orbits of known automorphisms: a
-known automorphism that preserves a node's coloring maps one child subtree
-onto another, so one child per orbit is searched.  The transpositions of
-twins (vertices with equal open or equal closed neighborhoods) are known
-before the search starts; the others are found at leaves with equal codes,
-and after each the search resumes at the deepest node shared with the best
-leaf.  Vertex-transitive graphs such as K10 or E10 take a few milliseconds.
+The canonical form of a graph (``canonical_form``) is the smallest graph6
+string obtainable by relabeling, where the minimum is searched over labelings
+compatible with iterated color refinement (individualization-refinement).
+Refinement works against the cells that just split (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014): a round counts
+neighbors only in the fragments the previous round split off, the last
+fragment of each old cell left out, which ranks vertices as full count
+vectors would.  The first round after individualizing ``v`` counts only the
+splitter ``{v}``; the root round counts the degree classes but the last.  The
+search prunes on bit-string prefixes and, at every depth, on orbits of known
+automorphisms: a known automorphism that preserves a node's coloring maps one
+child subtree onto another, so one child per orbit is searched.  The
+transpositions of twins (``graph.twin_classes``: vertices with equal open or
+equal closed neighborhoods) are known before the search starts; the others
+are found at leaves with equal codes, and after each the search resumes at
+the deepest node shared with the best leaf.  Vertex-transitive graphs such as
+K10 or E10 take a few milliseconds.  ``isomorphism_witness`` composes two
+canonical labelings and checks the map edge by edge; for graphs of equal
+order and size that check alone decides isomorphism.
 
 Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  Every (n-1)-vertex representative is
@@ -44,7 +47,7 @@ for the chunk's graphs and their complements in one batched float call), and
 returns the chunk's tally, its verdict counts plus the canonical graph6 keys
 of its equality and violation graphs.  A bound-table row does not re-test a
 hypothesis that the filter is.  With ``jobs`` > 1 the chunks go in order
-through ``Pool.imap``, as text and with the filter as given, and each worker
+through ``Pool.imap``, as text and with the filter by name, and each worker
 returns only that tally.
 """
 
@@ -69,6 +72,7 @@ from .graph import (
     is_connected,
     is_regular,
     to_graph6,
+    twin_classes,
 )
 
 CANONICAL_MAX = 10
@@ -76,13 +80,6 @@ ENUMERATE_MAX = 8
 
 # The set bits of every row of a graph within the canonical-form limit.
 _SET_BITS = tuple(tuple(bits(mask)) for mask in range(1 << CANONICAL_MAX))
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Relabeling-invariant graph6 string; equal iff the graphs are isomorphic."""
-
-    graph6: str
 
 
 def _refine(
@@ -167,25 +164,17 @@ def _root_coloring(nbrs: Sequence[Sequence[int]], watch: Optional[int] = None) -
 def _twin_transpositions(rows: Sequence[int]) -> list[tuple[int, ...]]:
     """Transpositions of twins, which are automorphisms of the graph.
 
-    ``u`` and ``w`` are twins if they have the same open neighborhood (then
-    they are not adjacent) or the same closed one (then they are); the
-    transpositions of consecutive members of each such class generate its
-    symmetric group.
+    The transpositions of consecutive members of each twin class
+    (``graph.twin_classes``) generate its symmetric group.
     """
     n = len(rows)
-    closed = [row | 1 << v for v, row in enumerate(rows)]
     gens: list[tuple[int, ...]] = []
-    if len(set(rows)) == n == len(set(closed)):
-        return gens
-    for keys in (rows, closed):
-        seen: dict[int, int] = {}
-        for v, key in enumerate(keys):
-            u = seen.get(key)
-            if u is not None:
+    for classes in twin_classes(rows):
+        for members in classes:
+            for u, v in zip(members, members[1:]):
                 gamma = list(range(n))
                 gamma[u], gamma[v] = v, u
                 gens.append(tuple(gamma))
-            seen[key] = v
     return gens
 
 
@@ -315,8 +304,9 @@ def canonicalize(g: Graph) -> Graph:
     return _relabeled(g, canonical_labeling(g))
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    return CanonicalForm(to_graph6(canonicalize(g)))
+def canonical_form(g: Graph) -> str:
+    """The graph6 string of ``canonicalize(g)``: equal iff the graphs are isomorphic."""
+    return to_graph6(canonicalize(g))
 
 
 def isomorphism_witness(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
@@ -479,11 +469,9 @@ FILTERS: dict[str, Callable[[Graph], bool]] = {
 }
 
 
-def resolve_filter(spec) -> tuple[str, Callable[[Graph], bool]]:
-    """Resolve a filter name (comma-joined names are intersected) or callable."""
-    if callable(spec):
-        return getattr(spec, "__name__", "custom"), spec
-    names = [part.strip() for part in str(spec).split(",") if part.strip()]
+def resolve_filter(spec: str) -> tuple[str, Callable[[Graph], bool]]:
+    """Resolve a filter name; comma-joined names are intersected."""
+    names = [part.strip() for part in spec.split(",") if part.strip()]
     for part in names:
         if part not in FILTERS:
             raise ValueError(f"unknown filter {part!r}")
@@ -552,14 +540,14 @@ def _chunks(stream: Iterator) -> Iterator[list]:
         yield chunk
 
 
-def _tally(items: list, n: int, graph_filter, check: Callable[[Graph], object]
+def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], object]
            ) -> tuple[Counter, set[str], set[str]]:
     """The verdict counts of ``check`` on the filtered graphs of one chunk,
     plus the canonical graph6 keys of its equality-certified and of its
     violated graphs.
 
     ``items`` are graphs or graph6 lines of order ``n``; lines are decoded
-    here, in one batch.  ``graph_filter`` is resolved here too.  Each matrix
+    here, in one batch.  The filter name is resolved here too.  Each matrix
     kind the check reads is screened for the filtered graphs at its first
     ``spectra.spectrum`` miss, in one batched call.
     """
@@ -577,7 +565,7 @@ def _tally(items: list, n: int, graph_filter, check: Callable[[Graph], object]
         verdict = _verdict_of(check(g))
         counts[verdict] += 1
         if verdict in keys:
-            keys[verdict].add(to_graph6(canonicalize(g)) if g.n <= CANONICAL_MAX else to_graph6(g))
+            keys[verdict].add(canonical_form(g) if g.n <= CANONICAL_MAX else to_graph6(g))
     return counts, keys["equality-certified"], keys["violated"]
 
 
@@ -593,7 +581,7 @@ def _scan_chunk(args) -> tuple[Counter, set[str], set[str]]:
 
 def scan(
     n: int,
-    graph_filter,
+    graph_filter: str,
     check: Callable[[Graph], object],
     *,
     source: Optional[Iterable] = None,
@@ -606,17 +594,17 @@ def scan(
     source yields one or the other).  The source is read lazily in chunks of
     ``SCAN_CHUNK`` items, and each chunk is decoded, filtered and tallied
     where it is checked: in this process, or in a pool worker under ``jobs``
-    > 1.  A chunk carries lines as text and the filter as given, so a named
-    filter is resolved in the worker; a callable filter, like the check,
-    must pickle under ``jobs`` > 1.  A check with an ``assuming`` method (a
-    bound-table row) is first told the filter's names, so it does not test a
-    hypothesis the filter has established.  The tallies are merged in order,
-    so results are independent of ``jobs``: members are canonical forms in
-    sorted order.
+    > 1.  ``graph_filter`` is a filter name (``resolve_filter``); a chunk
+    carries lines as text and the filter by name, so it is resolved in the
+    worker, and the check must pickle under ``jobs`` > 1.  A check with an
+    ``assuming`` method (a bound-table row) is first told the filter's names,
+    so it does not test a hypothesis the filter has established.  The
+    tallies are merged in order, so results are independent of ``jobs``:
+    members are canonical forms in sorted order.
     """
     filter_name, _ = resolve_filter(graph_filter)
     predicate_name = getattr(check, "__name__", "custom")
-    if not callable(graph_filter) and hasattr(check, "assuming"):
+    if hasattr(check, "assuming"):
         check = check.assuming(filter_name.split(","))
     stream = iter(enumerate_graphs(n) if source is None else source)
     tasks = ((chunk, n, graph_filter, check) for chunk in _chunks(stream))

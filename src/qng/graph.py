@@ -4,8 +4,11 @@ Adjacency is stored as one bitmask row per vertex, which keeps complementation,
 neighborhood tests and component searches to a handful of integer operations.
 The module also provides the named graph families used throughout the bound
 checkers, the usual operators (complement, union, join, Cartesian product),
-structural predicates around bipartiteness and the graph6 text codec, whose
-decoder takes a batch of lines and unpacks their payloads with numpy.
+the graph6 text codec, whose decoder takes a batch of lines and unpacks their
+payloads with numpy, and one routine per vertex structure: ``twin_classes``
+groups vertices by open and by closed neighborhood, and
+``component_colorings`` walks and 2-colors the components once for every
+bipartiteness predicate.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ class Graph6Error(ValueError):
     """Raised on malformed graph6 input."""
 
 
+def _check_order(n: int) -> None:
+    """Raise ``CapacityError`` unless a graph may have ``n`` vertices."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in increasing order."""
     while mask:
@@ -46,8 +55,7 @@ class Graph:
     __slots__ = ("n", "rows", "m")
 
     def __init__(self, n: int, rows: Sequence[int]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise CapacityError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        _check_order(n)
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError("row count does not match vertex count")
@@ -146,18 +154,6 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
     return Graph(n, rows)
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on ``vertices``, relabeled to 0..len-1 in given order."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    rows = [0] * len(vertices)
-    for v, i in pos.items():
-        for u in bits(g.rows[v]):
-            j = pos.get(u)
-            if j is not None:
-                rows[i] |= 1 << j
-    return Graph(len(vertices), rows)
-
-
 # ---------------------------------------------------------------------------
 # Operators
 
@@ -208,21 +204,25 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def path(n: int) -> Graph:
+    _check_order(n)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
+    _check_order(n)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -298,54 +298,48 @@ def component_masks(g: Graph) -> list[int]:
     return out
 
 
-def components(g: Graph) -> list[Graph]:
-    return [induced_subgraph(g, list(bits(mask))) for mask in component_masks(g)]
-
-
 def is_connected(g: Graph) -> bool:
     return len(component_masks(g)) == 1
 
 
-def _two_color_component(g: Graph, start: int) -> Optional[tuple[int, int]]:
-    """Breadth-first 2-coloring of the component of ``start``.
+def component_colorings(g: Graph) -> list[Optional[tuple[int, int]]]:
+    """Per component, ordered by least vertex: its two color classes as masks,
+    the least vertex's class first, or None when it has an odd cycle.
 
-    Returns the two color-class masks, or None if an odd cycle is hit.
+    The classes are the even and odd breadth-first layers from the least
+    vertex; an edge inside one of them closes an odd cycle.
     """
-    color0 = 1 << start
-    color1 = 0
-    frontier = 1 << start
-    side = 0
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.rows[u]
-        nxt &= ~(color0 | color1)
-        if side == 0:
-            color1 |= nxt
-        else:
-            color0 |= nxt
-        frontier = nxt
-        side ^= 1
-    for u in bits(color0):
-        if g.rows[u] & color0:
-            return None
-    for u in bits(color1):
-        if g.rows[u] & color1:
-            return None
-    return color0, color1
+    rows = g.rows
+    seen = 0
+    out: list[Optional[tuple[int, int]]] = []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        classes = [1 << v, 0]
+        frontier = 1 << v
+        side = 0
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= rows[u]
+            side ^= 1
+            frontier = nxt & ~(classes[0] | classes[1])
+            classes[side] |= frontier
+        seen |= classes[0] | classes[1]
+        odd = any(rows[u] & cls for cls in classes for u in bits(cls))
+        out.append(None if odd else (classes[0], classes[1]))
+    return out
 
 
 def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A proper 2-coloring (A, B) of the whole graph, or None if not bipartite."""
-    part_a = 0
-    part_b = 0
-    for mask in component_masks(g):
-        start = (mask & -mask).bit_length() - 1
-        colored = _two_color_component(g, start)
-        if colored is None:
-            return None
-        part_a |= colored[0]
-        part_b |= colored[1]
+    colorings = component_colorings(g)
+    if None in colorings:
+        return None
+    part_a = part_b = 0
+    for a, b in colorings:
+        part_a |= a
+        part_b |= b
     return tuple(bits(part_a)), tuple(bits(part_b))
 
 
@@ -355,12 +349,7 @@ def is_bipartite(g: Graph) -> bool:
 
 def count_bipartite_components(g: Graph) -> int:
     """Number of bipartite components; an isolated vertex counts as one."""
-    count = 0
-    for mask in component_masks(g):
-        start = (mask & -mask).bit_length() - 1
-        if _two_color_component(g, start) is not None:
-            count += 1
-    return count
+    return sum(c is not None for c in component_colorings(g))
 
 
 def has_balanced_bipartite_component(g: Graph) -> bool:
@@ -368,12 +357,25 @@ def has_balanced_bipartite_component(g: Graph) -> bool:
 
     An isolated vertex has classes of sizes (1, 0) and is never balanced.
     """
-    for mask in component_masks(g):
-        start = (mask & -mask).bit_length() - 1
-        colored = _two_color_component(g, start)
-        if colored is not None and colored[0].bit_count() == colored[1].bit_count():
-            return True
-    return False
+    return any(c is not None and c[0].bit_count() == c[1].bit_count() for c in component_colorings(g))
+
+
+def twin_classes(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The twin classes of the graph with adjacency ``rows``: the vertex sets of
+    two or more members sharing an open neighborhood (pairwise non-adjacent),
+    then those sharing a closed one (pairwise adjacent).
+
+    Each list is ordered by least member, and each class is in increasing order.
+    """
+    n = len(rows)
+    out = []
+    for keys in (rows, [row | 1 << v for v, row in enumerate(rows)]):
+        groups: dict[int, list[int]] = {}
+        if len(set(keys)) < n:
+            for v, key in enumerate(keys):
+                groups.setdefault(key, []).append(v)
+        out.append([members for members in groups.values() if len(members) > 1])
+    return out[0], out[1]
 
 
 def is_regular(g: Graph) -> bool:

@@ -2,9 +2,11 @@
 
 Quotient entries are exact rationals so that root-placement arguments (for
 example sign evaluations of quotient characteristic polynomials) never pass
-through floats.  Interlacing of float spectra is provided for screening, and
-eigenvalue containment for equitable partitions is verified by exact
-polynomial division.
+through floats.  One table of per-vertex Q-row sums into each block feeds
+both the quotient matrix and the equitability test.  Interlacing of float
+spectra is provided for screening, and eigenvalue containment for equitable
+partitions is verified by exact polynomial division.  Duplicate-vertex
+classes are the twin classes of ``graph.twin_classes``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import sqrt
 from typing import Sequence
 
 from . import polys
-from .graph import Graph
+from .graph import Graph, twin_classes
 from .spectra import Spectrum, char_poly_exact, eigenvalues_sym, q_char_poly, q_spectrum
 
 VertexPartition = tuple[tuple[int, ...], ...]
@@ -65,41 +67,33 @@ class QuotientMatrix:
         return eigenvalues_sym(sym)
 
 
-def _q_row_sum_into(g: Graph, u: int, mask: int, diagonal: bool) -> int:
-    total = (g.rows[u] & mask).bit_count()
-    if diagonal:
-        total += g.degree(u)
-    return total
+def _block_sums(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[VertexPartition, list[list[list[int]]]]:
+    """The validated partition and its table of Q-row sums: ``sums[i][k][j]`` is
+    the sum of the Q(G) row of the k-th vertex of X_i over the columns in X_j."""
+    norm = validate_partition(g, blocks)
+    masks = [sum(1 << v for v in block) for block in norm]
+
+    def row_sums(u: int) -> list[int]:
+        row = g.rows[u]
+        return [(row & mask).bit_count() + (row.bit_count() if mask >> u & 1 else 0) for mask in masks]
+
+    return norm, [[row_sums(u) for u in block] for block in norm]
 
 
 def quotient_matrix(g: Graph, blocks: Sequence[Sequence[int]]) -> QuotientMatrix:
     """Exact quotient of Q(G): entry (i, j) averages block rows of X_i into X_j."""
-    norm = validate_partition(g, blocks)
-    masks = [sum(1 << v for v in block) for block in norm]
-    m = len(norm)
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            total = sum(
-                _q_row_sum_into(g, u, masks[j], i == j and (masks[j] >> u & 1) > 0)
-                for u in norm[i]
-            )
-            row.append(Fraction(total, len(norm[i])))
-        entries.append(tuple(row))
-    return QuotientMatrix(tuple(entries), tuple(len(b) for b in norm))
+    norm, sums = _block_sums(g, blocks)
+    entries = tuple(
+        tuple(Fraction(sum(column), len(block)) for column in zip(*rows))
+        for block, rows in zip(norm, sums)
+    )
+    return QuotientMatrix(entries, tuple(len(b) for b in norm))
 
 
 def is_equitable(g: Graph, blocks: Sequence[Sequence[int]]) -> bool:
     """True when every vertex of X_i has the same Q-row sum into X_j, all i, j."""
-    norm = validate_partition(g, blocks)
-    masks = [sum(1 << v for v in block) for block in norm]
-    for i, block in enumerate(norm):
-        for j, mask in enumerate(masks):
-            sums = {_q_row_sum_into(g, u, mask, i == j) for u in block}
-            if len(sums) > 1:
-                return False
-    return True
+    _, sums = _block_sums(g, blocks)
+    return all(len(set(column)) == 1 for rows in sums for column in zip(*rows))
 
 
 def interlaces(small, big, tol: float = 1e-9) -> bool:
@@ -143,22 +137,13 @@ def duplicate_classes(g: Graph) -> list[DuplicateClass]:
     """Maximal duplicate-vertex classes, each tagged clique or independent.
 
     Two non-adjacent vertices are duplicates when their neighborhoods are
-    equal; two adjacent ones when their closed neighborhoods are equal.  A
-    vertex can belong to at most one class of one kind, so grouping by the
-    (closed) neighborhood bitmask yields exactly the maximal classes.
+    equal; two adjacent ones when their closed neighborhoods are equal.  These
+    are the twin classes of ``graph.twin_classes``, open and closed.
     """
-    open_groups: dict[int, list[int]] = {}
-    closed_groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        open_groups.setdefault(g.rows[v], []).append(v)
-        closed_groups.setdefault(g.rows[v] | (1 << v), []).append(v)
-    out = []
-    for key, members in open_groups.items():
-        if len(members) >= 2:
-            out.append(DuplicateClass(tuple(members), "independent", key.bit_count()))
-    for key, members in closed_groups.items():
-        if len(members) >= 2:
-            out.append(DuplicateClass(tuple(members), "clique", key.bit_count() - 1))
+    independent, clique = twin_classes(g.rows)
+    out = [DuplicateClass(tuple(members), kind, g.degree(members[0]))
+           for kind, classes in (("independent", independent), ("clique", clique))
+           for members in classes]
     out.sort(key=lambda c: c.vertices)
     return out
 

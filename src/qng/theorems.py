@@ -14,9 +14,9 @@ Every check ends in one call of ``decide``, the bound driver.  It takes the
 sign of value - bound from ``screened_sign``, where the float decides only a
 sign that satisfies the bound and lies more than ``ESCALATION_WINDOW`` from
 it; every other sign comes from exact arithmetic, so every equality and every
-violation is certified.  Certified equalities are matched against the
-extremal families by canonical form, with an explicit isomorphism witness,
-and a lemma's equality characterization must hold exactly.
+violation is certified.  A certified equality is matched against the
+extremal families by an explicit isomorphism witness, and a lemma's
+equality characterization must hold exactly.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -39,14 +39,13 @@ from .graph import (
     complement,
     complete,
     complete_bipartite,
-    count_bipartite_components,
+    component_colorings,
     cycle,
     disjoint_union,
     empty_graph,
     from_graph6,
     h_graph,
     h_graph_blocks,
-    has_balanced_bipartite_component,
     is_connected,
     is_regular,
     is_semiregular_bipartite,
@@ -179,7 +178,7 @@ def bipartite_equality_catalogue() -> tuple[str, ...]:
 def _bipartite_equality_families(n: int) -> tuple[tuple[str, Graph], ...]:
     if n != 6:
         return ()
-    k33 = canonical_form(complete_bipartite(3, 3)).graph6
+    k33 = canonical_form(complete_bipartite(3, 3))
     out = []
     for i, g6 in enumerate(bipartite_equality_catalogue(), start=1):
         name = "K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}"
@@ -190,13 +189,9 @@ def _bipartite_equality_families(n: int) -> tuple[tuple[str, Graph], ...]:
 def _match_family(g: Graph, families) -> Optional[ExtremalCertificate]:
     if g.n > CANONICAL_MAX:
         return None
-    target = canonical_form(g).graph6
     for name, member in families:
-        if member.n != g.n or member.m != g.m:
-            continue
-        if canonical_form(member).graph6 == target:
-            witness = isomorphism_witness(g, member)
-            assert witness is not None, "canonical forms matched but no witness"
+        witness = isomorphism_witness(g, member)
+        if witness is not None:
             return ExtremalCertificate(name, witness)
     return None
 
@@ -428,8 +423,8 @@ def check_lemma28(g: Graph) -> BoundReport:
     rhs = Fraction(g.n - 2)
     if g.n < 2:
         return _na(g, "lemma-2.8", rhs, "requires n >= 2")
-    cobar = complement_of(g)
-    structure = has_balanced_bipartite_component(cobar) or count_bipartite_components(cobar) >= 2
+    bipartite = [c for c in component_colorings(complement_of(g)) if c is not None]
+    structure = len(bipartite) >= 2 or any(a.bit_count() == b.bit_count() for a, b in bipartite)
     return decide(g, "lemma-2.8", q_spectrum(g).value(2), rhs, lambda: compare_qk_with(g, 2, rhs), "<=",
                   structure=structure)
 

@@ -69,7 +69,7 @@ from qng.theorems import (
 
 
 def canon(g) -> str:
-    return canonical_form(g).graph6
+    return canonical_form(g)
 
 
 def canon_set(graphs) -> set[str]:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,9 @@ def test_parse_bound_expr():
     assert parse_bound_expr("n-2", 6) == 4
     assert parse_bound_expr("7", 6) == 7
     assert parse_bound_expr("3n-4", 5) == 11
+    forms = {"2n-5": 7, "2*n-5": 7, "n": 6, "-n+3": -3, "3/2": Fraction(3, 2),
+             "n+1/2": Fraction(13, 2), "+5": 5, "7": 7, "n-1": 5}
+    assert {text: parse_bound_expr(text, 6) for text in forms} == forms
     with pytest.raises(ValueError):
         parse_bound_expr("x+1", 6)
 
@@ -109,7 +113,7 @@ def test_scan_external_input(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["total"] == 2
-    assert payload["equality"] == [canonical_form(cycle(6)).graph6]
+    assert payload["equality"] == [canonical_form(cycle(6))]
 
 
 def test_ng_a2_square_radicand_check_and_scan(tmp_path, capsys):
@@ -291,7 +295,18 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["scan", "--n", "5", "--predicate", " "],
     ["scan", "--n", "6", "--input", "{tmp}/missing.g6", "--thm", "1.2"],
     ["check", "--thm", "1.2", "--family", "K5", "--output", "{tmp}/missing/x"],
-], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir"])
+    ["scan", "--n", "4", "--thm", "1.2", "--format", "xml"],
+    ["check", "--family", "K3"],
+    ["scan", "--n", "x", "--thm", "1.2"],
+    ["scan", "--n", "6", "--predicate", "sum-le 2n5"],
+    ["scan", "--n", "6", "--predicate", "sum-le n5"],
+    ["scan", "--n", "6", "--predicate", "sum-le *n"],
+    ["check", "--thm", "1.3", "--family", "K99999999999999999999"],
+    ["check", "--thm", "1.3", "--family", "E99999999999999999999"],
+    ["check", "--thm", "1.3", "--family", "99999999999999999999K1"],
+], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
+        "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
+        "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")

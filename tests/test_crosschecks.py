@@ -109,7 +109,7 @@ def test_canonical_form_high_symmetry_stress(rng=random.Random(2024)):
             perm = list(range(8))
             rng.shuffle(perm)
             assert canonical_form(relabel(g, perm)) == reference
-        forms.append(reference.graph6)
+        forms.append(reference)
     # the two cube constructions coincide; everything else is distinct
     assert forms[6] == forms[8]
     distinct = {forms[i] for i in range(8)}
@@ -133,7 +133,7 @@ def test_canonical_form_identifies_circulants():
     assert canonical_form(c13) == canonical_form(k44)
     # adjacency spectra {4, sqrt2 x2, 0, -sqrt2 x2, -2 x2}, {4, 2, 0 x3, -2 x3}
     # and K_{4,4}'s are pairwise different, so these three must separate
-    forms = {canonical_form(g).graph6 for g in (c12, k44, cube_co)}
+    forms = {canonical_form(g) for g in (c12, k44, cube_co)}
     assert len(forms) == 3
 
 

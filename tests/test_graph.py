@@ -16,7 +16,8 @@ from qng.graph import (
     complement,
     complete,
     complete_bipartite,
-    components,
+    component_colorings,
+    component_masks,
     count_bipartite_components,
     cycle,
     cartesian_product,
@@ -37,12 +38,13 @@ from qng.graph import (
     relabel,
     star,
     to_graph6,
+    twin_classes,
 )
 from qng.enumeration import canonical_form
 
 
 def canon(g):
-    return canonical_form(g).graph6
+    return canonical_form(g)
 
 
 def random_graph(rng, n, p=0.5):
@@ -169,8 +171,7 @@ def test_unchecked_constructions_match_validated_graph(rng=random.Random(41)):
 
 def test_components_and_bipartite_examples():
     g = disjoint_union(complete(2), empty_graph(4))
-    comps = components(g)
-    assert len(comps) == 5
+    assert len(component_masks(g)) == 5
     assert count_bipartite_components(g) == 5
     assert has_balanced_bipartite_component(g)  # the K_2
 
@@ -194,6 +195,56 @@ def test_bipartition_is_proper_coloring(graphs_by_order):
                 for i, u in enumerate(side):
                     for v in side[i + 1:]:
                         assert not g.has_edge(u, v)
+
+
+def _networkx(g):
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.n))
+    return nxg
+
+
+def _pairwise_twin_classes(nxg, closed):
+    """Classes of two or more vertices with equal open (or closed) neighborhoods,
+    each vertex compared with every other one."""
+    def hood(v):
+        return set(nxg[v]) | ({v} if closed else set())
+
+    classes = {tuple(u for u in nxg if hood(u) == hood(v)) for v in nxg}
+    return sorted(c for c in classes if len(c) > 1)
+
+
+def test_twin_classes_match_pairwise_comparison(graphs_and_complements):
+    for g in graphs_and_complements:
+        nxg = _networkx(g)
+        open_classes, closed_classes = twin_classes(g.rows)
+        assert [tuple(c) for c in open_classes] == _pairwise_twin_classes(nxg, closed=False)
+        assert [tuple(c) for c in closed_classes] == _pairwise_twin_classes(nxg, closed=True)
+
+
+def test_component_colorings_match_networkx(graphs_and_complements):
+    for g in graphs_and_complements:
+        nxg = _networkx(g)
+        comps = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
+        colorings = component_colorings(g)
+        assert len(colorings) == len(comps)
+        balanced = False
+        for comp, coloring in zip(comps, colorings):
+            sub = nxg.subgraph(comp)
+            assert (coloring is not None) == nx.is_bipartite(sub)
+            if coloring is None:
+                continue
+            # a connected bipartite graph has one 2-coloring up to the swap
+            color = nx.bipartite.color(sub)
+            first = {v for v in comp if color[v] == color[comp[0]]}
+            assert coloring == (sum(1 << v for v in first), sum(1 << v for v in set(comp) - first))
+            balanced |= 2 * len(first) == len(comp)
+        assert count_bipartite_components(g) == sum(nx.is_bipartite(nxg.subgraph(c)) for c in comps)
+        assert has_balanced_bipartite_component(g) == balanced
+        parts = bipartition(g)
+        assert (parts is not None) == nx.is_bipartite(nxg)
+        if parts is not None:
+            assert sorted(parts[0] + parts[1]) == list(range(g.n))
+            assert not any(nxg.has_edge(u, v) for side in parts for u in side for v in side)
 
 
 def test_semiregular_bipartite():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qng.graph import (
+    complement,
     complete,
     cycle,
     disjoint_union,
@@ -173,6 +174,53 @@ def test_duplicate_class_multiplicity_small(graphs_by_order):
             for cls in duplicate_classes(g):
                 target = cls.degree - 1 if cls.kind == "clique" else cls.degree
                 assert multiplicity_at(q_char_poly(g), target) >= len(cls.vertices) - 1
+
+
+def test_duplicate_classes_match_pairwise_comparison(graphs_and_complements):
+    for g in graphs_and_complements:
+        hoods = [set(g.neighbors(v)) for v in range(g.n)]
+        want = set()
+        for kind, closed in (("independent", False), ("clique", True)):
+            for v in range(g.n):
+                cls = tuple(u for u in range(g.n)
+                            if hoods[u] | ({u} if closed else set()) == hoods[v] | ({v} if closed else set()))
+                if len(cls) > 1:
+                    want.add(DuplicateClass(cls, kind, len(hoods[v])))
+        classes = duplicate_classes(g)
+        assert set(classes) == want and len(classes) == len(want)
+        assert [c.vertices for c in classes] == sorted(c.vertices for c in classes)
+
+
+def _per_vertex_q_sums(g, blocks):
+    """Row sums of the Q(G) matrix, entry by entry: sums[i][k][j] for the k-th vertex of X_i into X_j."""
+    def q(u, w):
+        return g.degree(u) if u == w else int(g.has_edge(u, w))
+
+    return [[[sum(q(u, w) for w in other) for other in blocks] for u in block] for block in blocks]
+
+
+def _expect_quotient(g, blocks):
+    sums = _per_vertex_q_sums(g, blocks)
+    entries = tuple(tuple(F(sum(row[j] for row in rows), len(block)) for j in range(len(blocks)))
+                    for block, rows in zip(blocks, sums))
+    equitable = all(len({row[j] for row in rows}) == 1 for rows in sums for j in range(len(blocks)))
+    quot = quotient_matrix(g, blocks)
+    assert (quot.entries, quot.block_sizes) == (entries, tuple(map(len, blocks)))
+    assert is_equitable(g, blocks) == equitable
+    return equitable
+
+
+def test_quotient_and_equitable_match_per_vertex_sums(graphs_and_complements):
+    for sizes in [(s0, s1, s2) for s0 in range(4) for s1 in range(3) for s2 in range(3) if s0 + s1 + s2]:
+        g = h_graph(*sizes)
+        assert _expect_quotient(g, h_graph_blocks(*sizes))
+        _expect_quotient(complement(g), h_graph_blocks(*sizes))
+    rng = random.Random(1515)
+    seen = set()
+    for g in graphs_and_complements:
+        for _ in range(3):
+            seen.add(_expect_quotient(g, random_partition(rng, g.n)))
+    assert seen == {False, True}
 
 
 def test_edge_deletion_chain_examples():
