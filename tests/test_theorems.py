@@ -438,3 +438,22 @@ def test_scan_digests_are_pinned(key, graphs_by_order, enum8):
         except ArithmeticError as exc:
             texts.append(f"ArithmeticError: {exc}")
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == SCAN_DIGESTS[key]
+
+
+#: sha256 of the three scan results ``json.dumps(scan(n, "connected", check,
+#: jobs=2).to_dict(), sort_keys=True)`` for n = 6..8, joined by newlines: the
+#: rows whose first hypothesis is the scan filter, scanned in pool workers.
+CONNECTED_SCAN_DIGESTS = {
+    "1.3": "bc6fcb90edc3c83dc775084252afee381cec5a1a2f8dda677d155b3239da6942",
+    "1.4": "60cc50467439bd16b37e6f13952ac9b085ae1831b66c32838b5ccac21ce4a49c",
+    "1.5": "d5651433fd38425bf722b75dc1e995fa3ace25c496a79a2d299ef2c4e01ed350",
+    "1.6": "8f17804f60b74afbdc41c1683ab7df610cf07fa5ad340a0e97b54c9155aa9194",
+    "problem1.2": "0fb6be9a32de16396688f6ee27ab4d9862444d87ba76aef8a0d417880cadbea3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONNECTED_SCAN_DIGESTS))
+def test_connected_scan_digests_are_pinned(key, enum8):
+    check = THEOREM_CHECKS[key]
+    texts = [json.dumps(scan(n, "connected", check, jobs=2).to_dict(), sort_keys=True) for n in range(6, 9)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CONNECTED_SCAN_DIGESTS[key]
