@@ -42,11 +42,14 @@ items, graphs or the graph6 lines of an external stream.  A chunk is where
 each graph is handled once: one helper decodes the chunk's lines in one
 batch (``graph.decode_graph6``), drops the graphs its filter rejects, names
 the rest to ``spectra.set_chunk``, which builds each one's complement, runs
-the check on each graph (each matrix kind the check reads is then screened
-for the chunk's graphs and their complements in one batched float call), and
-returns the chunk's tally, its verdict counts plus the canonical graph6 keys
-of its equality and violation graphs.  A bound-table row does not re-test a
-hypothesis that the filter is.  With ``jobs`` > 1 the chunks go in order
+the check (each matrix kind the check reads is then screened for the chunk's
+graphs and their complements in one batched float call), drops the chunk
+again, and returns the chunk's tally, its verdict counts plus the canonical
+graph6 keys of its equality and violation graphs.  A bound-table row gets
+the whole chunk through its ``verdicts`` method and builds reports only for
+the graphs its float screen leaves undecided; any other check is called on
+each graph.  A bound-table row does not re-test a hypothesis that the
+filter is.  With ``jobs`` > 1 the chunks go in order
 through ``Pool.imap``, as text and with the filter by name, and each worker
 returns only that tally.
 """
@@ -547,9 +550,12 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     violated graphs.
 
     ``items`` are graphs or graph6 lines of order ``n``; lines are decoded
-    here, in one batch.  The filter name is resolved here too.  Each matrix
-    kind the check reads is screened for the filtered graphs at its first
-    ``spectra.spectrum`` miss, in one batched call.
+    here, in one batch.  The filter name is resolved here too.  A check with
+    a ``verdicts`` method (a bound-table row) is handed the whole chunk;
+    any other is called on each graph.  Each matrix kind either reads is
+    screened for the chunk's graphs and their complements at its first read,
+    in one batched call.  The chunk is dropped from ``spectra`` when the
+    tally ends, also on an error.
     """
     graphs = _chunk_graphs(items)
     for g in graphs:
@@ -559,14 +565,18 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     if accept is not _filter_all:
         graphs = list(filter(accept, graphs))
     spectra.set_chunk(graphs)
-    counts: Counter = Counter()
+    try:
+        if hasattr(check, "verdicts"):
+            verdicts = check.verdicts(graphs)
+        else:
+            verdicts = [_verdict_of(check(g)) for g in graphs]
+    finally:
+        spectra.set_chunk(())
     keys: dict[str, set[str]] = {"equality-certified": set(), "violated": set()}
-    for g in graphs:
-        verdict = _verdict_of(check(g))
-        counts[verdict] += 1
+    for g, verdict in zip(graphs, verdicts):
         if verdict in keys:
             keys[verdict].add(canonical_form(g) if g.n <= CANONICAL_MAX else to_graph6(g))
-    return counts, keys["equality-certified"], keys["violated"]
+    return Counter(verdicts), keys["equality-certified"], keys["violated"]
 
 
 def _scan_chunk(args) -> tuple[Counter, set[str], set[str]]:

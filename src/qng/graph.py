@@ -49,10 +49,11 @@ class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
     Instances are immutable and hashable; all operators return new graphs.
-    ``rows[v]`` is the neighborhood of ``v`` as a bitmask.
+    ``rows[v]`` is the neighborhood of ``v`` as a bitmask.  The hash of
+    ``(n, rows)`` is computed once, when the graph is built.
     """
 
-    __slots__ = ("n", "rows", "m")
+    __slots__ = ("n", "rows", "m", "_hash")
 
     def __init__(self, n: int, rows: Sequence[int]):
         _check_order(n)
@@ -72,6 +73,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "m", sum(r.bit_count() for r in rows) // 2)
+        object.__setattr__(self, "_hash", hash((n, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -80,7 +82,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, g6={to_graph6(self)!r})"
@@ -128,6 +130,7 @@ def _graph_unchecked(n: int, rows: tuple[int, ...]) -> Graph:
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
     object.__setattr__(g, "m", sum(map(int.bit_count, rows)) // 2)
+    object.__setattr__(g, "_hash", hash((n, rows)))
     return g
 
 

@@ -1,21 +1,25 @@
 """Spectra of graph matrices: float screening plus exact certification.
 
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
-are used only for screening.  ``spectrum`` is an ``lru_cache`` by (graph,
-kind), so later scans of the same graphs reuse their spectra.  A scan names
-each chunk with ``set_chunk``, which builds each member's complement once;
-``complement_of`` hands it to every reader (``ng_sum``, the exact sum
-comparisons, the lemmas).  The first miss of a kind on a chunk member
-stacks the kind-matrices of the chunk's graphs and their complements as one
-(B, n, n) array and screens them in one eigvalsh call, whatever kind the
-check reads.  A miss outside the chunk is screened alone.  ``_stacked`` is
-the one builder of A, D + A and D - A.  Whenever a quantity sits within the
-escalation window of a bound, decisions are re-made exactly: integer
-characteristic polynomials via the Faddeev-LeVerrier recurrence,
-Sturm-sequence root counting, and isolating-interval comparisons of
-algebraic eigenvalues.  Each isolating window starts around the screened
-float eigenvalue, exact Sturm counts verify that it isolates the eigenvalue,
-and the Cauchy root bound is the fallback start; a float never decides a sign.
+are used only for screening.  A scan names each chunk with ``set_chunk``,
+which builds each member's complement once; ``complement_of`` hands it to
+every reader (``ng_sum``, the exact sum comparisons, the lemmas).  The first
+read of a kind on a chunk member stacks the kind-matrices of the chunk's
+graphs and their complements as one (B, n, n) array and screens them in one
+eigvalsh call, whatever kind the check reads; the chunk keeps that array
+until the scan drops the chunk, and the last 16 screens are cached by their
+members, so another scan of the same chunk reads its screen again.
+``chunk_sums`` reads the eigenvalue sums of a graph and its complement off
+the screen for a whole chunk at once, and ``spectrum``, an ``lru_cache`` by
+(graph, kind), reads one member's row; a graph outside the chunk is
+screened alone.  ``_stacked`` is the one builder of A, D + A and D - A.
+Whenever a quantity sits within the escalation window of a bound, decisions
+are re-made exactly: integer characteristic polynomials via the
+Faddeev-LeVerrier recurrence, Sturm-sequence root counting, and
+isolating-interval comparisons of algebraic eigenvalues.  Each isolating
+window starts around the screened float eigenvalue, exact Sturm counts
+verify that it isolates the eigenvalue, and the Cauchy root bound is the
+fallback start; a float never decides a sign.
 
 The exact layer computes in Python ``int``: the recurrence runs on integer
 rows (a rational matrix is scaled by its common denominator first), and a
@@ -107,21 +111,23 @@ def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
 
 
 #: The current scan chunk: each member and each member's complement, mapped to
-#: its complement, and the spectra screened from it so far by (graph, kind).
+#: its complement; and the chunk's screens by (order, kind): each member's row
+#: in one array of eigenvalues, each row descending.
 _CHUNK: dict[Graph, Graph] = {}
-_SCREENED: dict[tuple[Graph, str], Spectrum] = {}
+_SCREENED: dict[tuple[int, str], tuple[dict[Graph, int], np.ndarray]] = {}
 
 
-def _screen(graphs: Sequence[Graph], kind: str) -> list[Spectrum]:
-    """Float spectra of the kind-matrices of graphs of one order, in one eigvalsh call."""
-    return [Spectrum(tuple(v)) for v in np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1].tolist()]
+def _screen(graphs: Sequence[Graph], kind: str) -> np.ndarray:
+    """Float spectra of the kind-matrices of graphs of one order, in one eigvalsh call, rows descending."""
+    return np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1]
 
 
 def set_chunk(graphs: Iterable[Graph]) -> None:
     """Make ``graphs`` and their complements the chunk ``spectrum`` screens at once.
 
-    A scan calls this once per chunk; it builds each graph's complement once,
-    for ``complement_of``, and drops the previous chunk's spectra.
+    A scan calls this once per chunk, and with no graphs when the chunk is
+    done; it builds each graph's complement once, for ``complement_of``, and
+    drops the previous chunk's screens.
     """
     _CHUNK.clear()
     _SCREENED.clear()
@@ -137,20 +143,50 @@ def complement_of(g: Graph) -> Graph:
     return complement(g) if h is None else h
 
 
+@lru_cache(maxsize=16)
+def _screen_members(members: tuple[Graph, ...], kind: str) -> tuple[dict[Graph, int], np.ndarray]:
+    """Each member's row and the kind spectra of ``members``, graphs of one order.
+
+    Cached by the members, so a later scan of the same chunk, such as
+    another check over the same graphs, reads the screen again.
+    """
+    return {h: i for i, h in enumerate(members)}, _screen(members, kind)
+
+
+def _chunk_screen(n: int, kind: str) -> tuple[dict[Graph, int], np.ndarray]:
+    """The chunk members of order n, by row, and their kind spectra."""
+    screen = _SCREENED.get((n, kind))
+    if screen is None:
+        screen = _SCREENED[n, kind] = _screen_members(tuple(h for h in _CHUNK if h.n == n), kind)
+    return screen
+
+
 @lru_cache(maxsize=1 << 15)
 def spectrum(g: Graph, kind: str) -> Spectrum:
     """The float spectrum of the kind-matrix of g.
 
-    On a miss, a member of the current chunk has every chunk member of its
-    order screened for ``kind`` in one eigvalsh call; any other graph is
-    screened alone.
+    A member of the current chunk reads its row of the chunk's screen for
+    ``kind`` (every chunk member of its order, in one eigvalsh call); any
+    other graph is screened alone.
     """
     if g not in _CHUNK:
-        return _screen((g,), kind)[0]
-    if (g, kind) not in _SCREENED:
-        members = [h for h in _CHUNK if h.n == g.n]
-        _SCREENED.update(zip([(h, kind) for h in members], _screen(members, kind)))
-    return _SCREENED[g, kind]
+        return Spectrum(tuple(_screen((g,), kind)[0].tolist()))
+    rows, values = _chunk_screen(g.n, kind)
+    return Spectrum(tuple(values[rows[g]].tolist()))
+
+
+def chunk_sums(graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
+    """``ng_sum(g, kind, k)`` for members ``g`` of the current chunk, of one order, as one array.
+
+    The values are those ``spectrum`` reads, from the same screen of the
+    chunk, added in the same float64 arithmetic, so each equals ``ng_sum``.
+    """
+    n = graphs[0].n
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
+    rows, values = _chunk_screen(n, kind)
+    column = values[:, k - 1]
+    return column[[rows[g] for g in graphs]] + column[[rows[_CHUNK[g]] for g in graphs]]
 
 
 def q_spectrum(g: Graph) -> Spectrum:

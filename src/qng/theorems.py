@@ -13,10 +13,14 @@ stay functions.
 Every check ends in one call of ``decide``, the bound driver.  It takes the
 sign of value - bound from ``screened_sign``, where the float decides only a
 sign that satisfies the bound and lies more than ``ESCALATION_WINDOW`` from
-it; every other sign comes from exact arithmetic, so every equality and every
-violation is certified.  A certified equality is matched against the
-extremal families by an explicit isomorphism witness, and a lemma's
-equality characterization must hold exactly.
+it (``float_sign``, the one copy of that rule); every other sign comes from
+exact arithmetic, so every equality and every violation is certified.  A
+certified equality is matched against the extremal families by an explicit
+isomorphism witness, and a lemma's equality characterization must hold
+exactly.  A scan hands a row a whole chunk (``SumBound.verdicts``): the
+row's float screen of the chunk is one comparison of an array of sums under
+the same rule, and only the graphs it leaves undecided are checked one by
+one.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -31,7 +35,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from importlib.resources import files
 from math import sqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import polys
 from .graph import (
@@ -60,6 +66,7 @@ from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
     char_poly_exact,
+    chunk_sums,
     compare_q1,
     compare_qk_with,
     compare_sum_vs_radical,
@@ -206,20 +213,28 @@ RELATION_SIGNS = {"<=": (-1, 0), "<": (-1,), ">=": (0, 1), ">": (1,), "==": (0,)
 _FLOAT_SIGNS = {rel: tuple(s for s in signs if s) for rel, signs in RELATION_SIGNS.items()}
 
 
+def float_sign(approx, target, trusted: tuple[int, ...] = (-1, 1)):
+    """The sign of approx - target that the float decides, or 0 where it may not.
+
+    A float decides a sign only if it is listed in ``trusted`` and ``approx``
+    lies more than ``ESCALATION_WINDOW`` from ``target``.  ``approx`` and
+    ``target`` are floats or float64 arrays; on arrays the sign is taken
+    elementwise, with the same IEEE subtraction and comparison.
+    """
+    above = int(1 in trusted) * (approx - target > ESCALATION_WINDOW)
+    below = int(-1 in trusted) * (target - approx > ESCALATION_WINDOW)
+    return above - below
+
+
 def screened_sign(approx: float, target: float, exact: Callable[[], int],
                   trusted: tuple[int, ...] = (-1, 1)) -> tuple[int, bool]:
     """Sign of value - target, and whether exact arithmetic decided it.
 
-    The float ``approx`` decides only a sign listed in ``trusted``, and only
-    when it is more than ``ESCALATION_WINDOW`` from ``target``.  Everything
+    The float ``approx`` decides the signs ``float_sign`` allows; everything
     else calls ``exact()``.
     """
-    if approx - target > ESCALATION_WINDOW:
-        if 1 in trusted:
-            return 1, False
-    elif target - approx > ESCALATION_WINDOW and -1 in trusted:
-        return -1, False
-    return exact(), True
+    sign = float_sign(approx, target, trusted)
+    return (sign, False) if sign else (exact(), True)
 
 
 def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *, families=(),
@@ -284,9 +299,10 @@ class SumBound:
     ``rhs`` is ``(a, b)``; with ``rad``, a function of the graph, the bound is
     a*n + b + sqrt(rad(g)).  Called on a graph, the row is its own check: a
     graph below ``min_n`` or failing a hypothesis of ``requires`` (in order)
-    is not applicable, and otherwise ``decide`` compares the sum.  ``rad`` and
-    ``families`` (extremal families by n) are module-level functions, so a
-    row pickles into scan workers.  ``name`` is the row's ``__name__``.
+    is not applicable, and otherwise ``decide`` compares the sum.  A scan
+    hands a whole chunk to ``verdicts`` instead.  ``rad`` and ``families``
+    (extremal families by n) are module-level functions, so a row pickles
+    into scan workers.  ``name`` is the row's ``__name__``.
     """
 
     name: str
@@ -314,6 +330,33 @@ class SumBound:
         """
         requires = tuple(name for name in self.requires if name not in established)
         return self if requires == self.requires else replace(self, requires=requires)
+
+    def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
+        """``[self(g).verdict for g in graphs]`` for members of the current scan chunk.
+
+        ``graphs`` are members of the ``spectra`` chunk, all of one order.  A
+        graph below ``min_n`` or failing a hypothesis is not applicable, and
+        no report is built.  The sums of the others are read from the chunk's
+        screen as one array (``spectra.chunk_sums``) and compared with the
+        bound at once under the float rule of ``decide`` (``float_sign``):
+        a sign the float decides satisfies the relation strictly, so the
+        graph is strict.  Only the graphs left undecided, and those with
+        k > n, which raise as they do alone, are called one by one.
+        """
+        out = [NOT_APPLICABLE if g.n < self.min_n or not all(HYPOTHESES[name][0](g) for name in self.requires)
+               else None for g in graphs]
+        screened = [i for i, g in enumerate(graphs) if out[i] is None and self.k <= g.n]
+        if screened:
+            n = graphs[screened[0]].n
+            a, b = self.rhs
+            target = float(Fraction(a * n + b))
+            if self.rad is not None:
+                target = np.array([target + sqrt(self.rad(graphs[i])) for i in screened])
+            sums = chunk_sums([graphs[i] for i in screened], self.kind, self.k)
+            for i, sign in zip(screened, float_sign(sums, target, _FLOAT_SIGNS[self.relation]).tolist()):
+                if sign:
+                    out[i] = STRICT
+        return [self(g).verdict if verdict is None else verdict for g, verdict in zip(graphs, out)]
 
     def __call__(self, g: Graph) -> BoundReport:
         a, b = self.rhs

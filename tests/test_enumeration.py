@@ -506,6 +506,29 @@ def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
     assert len(calls) == chunks
 
 
+def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
+    """A bound-table row screens each chunk in one eigvalsh call, and another
+    row's scan of the same graphs reads those screens again; only the
+    escalated graphs' spectra go into the ``spectrum`` cache."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    graphs = enumerate_graphs(7)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spectra._screen_members.cache_clear()
+    spectra.spectrum.cache_clear()
+    first = scan(7, "all", check_thm12)
+    assert len(calls) == -(-len(graphs) // enumeration.SCAN_CHUNK) == 5
+    second = scan(7, "all", theorems.check_ng_q1)
+    assert second.total == first.total == len(graphs) and len(calls) == 5
+    escalated = first.counts["equality-certified"] + second.counts["equality-certified"]
+    assert spectra.spectrum.cache_info().currsize <= 2 * escalated
+
+
 def test_scan_external_source():
     graphs = enumerate_graphs(4)
     result = scan(4, "all", check_thm12, source=graphs)
@@ -589,3 +612,32 @@ def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enu
     result = scan(8, "connected", theorems.check_problem12)
     assert (result.total, len(enum8[0])) == (11_117, 12_346)
     assert calls == {"component_masks": 12_346, "complement": 11_117}
+
+
+def test_scan_drops_its_last_chunk(monkeypatch):
+    """After a scan, and after a scan that raised, a spectrum of a graph of the
+    last chunk is screened alone, not with the stale chunk."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    last = enumerate_graphs(7)[-1]
+    scan(7, "all", theorems.check_lemma26)
+
+    def failing(g):
+        if g == last:
+            raise RuntimeError("check failed")
+        return theorems.check_lemma26(g)
+
+    for done in ("returned", "raised"):
+        spectra.spectrum.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        spectra.spectrum(last, "A")
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert shapes == [(1, 7, 7)], done
+        del shapes[:]
+        with pytest.raises(RuntimeError, match="check failed"):
+            scan(7, "all", failing)

@@ -353,3 +353,16 @@ def test_batched_decoder_reports_the_first_bad_line(bad, error):
         with pytest.raises(ValueError) as info:
             decode()
         assert str(info.value) == error
+
+
+def test_hash_is_set_on_every_construction_path(rng=random.Random(32)):
+    """The hash kept in its slot is the hash of (n, rows), however the graph was made."""
+    from qng.graph import _graph_unchecked
+
+    for n in range(1, 33):
+        g = Graph(n, from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]).rows)
+        made = [g, _graph_unchecked(n, g.rows), complement(g), from_graph6(to_graph6(g)),
+                decode_graph6([to_graph6(g), to_graph6(complement(g))])[1], pickle.loads(pickle.dumps(g))]
+        for h in made:
+            assert hash(h) == hash((h.n, h.rows)), n
+        assert hash(made[1]) == hash(made[3]) == hash(made[5]) == hash(g)

@@ -8,8 +8,11 @@ import hashlib
 import json
 import math
 import pickle
+import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from qng.graph import (
@@ -29,12 +32,13 @@ from qng.graph import (
     star,
     to_graph6,
 )
-from qng import theorems
-from qng.cli import _resolve_check
+from qng import spectra, theorems
+from qng.cli import _resolve_check, build_predicate
 from qng.enumeration import FILTERS, scan
-from qng.spectra import char_poly_exact, q_spectrum
+from qng.spectra import char_poly_exact, ng_sum, q_spectrum
 from qng.theorems import (
     EQUALITY,
+    NG_BOUNDS,
     NOT_APPLICABLE,
     STRICT,
     THEOREM_CHECKS,
@@ -457,3 +461,121 @@ def test_connected_scan_digests_are_pinned(key, enum8):
     check = THEOREM_CHECKS[key]
     texts = [json.dumps(scan(n, "connected", check, jobs=2).to_dict(), sort_keys=True) for n in range(6, 9)]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CONNECTED_SCAN_DIGESTS[key]
+
+
+# ---------------------------------------------------------------------------
+# The chunk path of the bound rows
+
+
+#: Every bound-table row, as a function of the order (the CLI's rows depend on it).
+CHUNK_ROWS = {
+    **{row.name: (lambda n, row=row: row) for row in (
+        check_thm12, check_thm13, check_problem12, check_thm14, check_thm15, check_thm16,
+        check_regular_bound, check_ng_q1, NG_BOUNDS["L", 1], NG_BOUNDS["A", 2])},
+    "sum-le 2n-5": functools.partial(build_predicate, "sum-le 2n-5"),
+    "sum-ge n-2": functools.partial(build_predicate, "sum-ge n-2"),
+}
+
+
+def _calls_spied(monkeypatch) -> list:
+    """The graphs ``SumBound.__call__`` is called on from now on."""
+    called = []
+    call = theorems.SumBound.__call__
+
+    def spy(self, g):
+        called.append(g)
+        return call(self, g)
+
+    monkeypatch.setattr(theorems.SumBound, "__call__", spy)
+    return called
+
+
+@pytest.mark.parametrize("key", sorted(CHUNK_ROWS))
+def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch):
+    """For every graph of order <= 7, under the filters ``all`` and ``connected``:
+    the chunk's verdicts are the rows' own, its screened sums are ``ng_sum``
+    exactly, only the graphs whose report exact arithmetic decided are called
+    one by one, and a chunk on which a row raises raises the same error."""
+    called = _calls_spied(monkeypatch)
+    for n in range(1, 8):
+        for name in ("all", "connected"):
+            row = CHUNK_ROWS[key](n).assuming([name])
+            graphs = list(filter(FILTERS[name], graphs_by_order[n]))
+            spectra.spectrum.cache_clear()
+            spectra.set_chunk(graphs)
+            try:
+                try:
+                    reports = [row(g) for g in graphs]
+                except (ArithmeticError, ValueError) as exc:  # ng-A2: k > n at n = 1, and P4 on -1 + sqrt(5)
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        row.verdicts(graphs)
+                    continue
+                escalated = [g for g, r in zip(graphs, reports) if r.certified]
+                del called[:]
+                assert row.verdicts(graphs) == [r.verdict for r in reports], (key, n, name)
+                assert called == escalated, (key, n, name)
+                screened = [g for g, r in zip(graphs, reports) if r.lhs is not None]
+                if screened:
+                    sums = spectra.chunk_sums(screened, row.kind, row.k).tolist()
+                    assert sums == [ng_sum(g, row.kind, row.k) for g in screened], (key, n, name)
+            finally:
+                spectra.set_chunk(())
+
+
+def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=random.Random(16)):
+    """Relabelled copies of H`Kxx~~ (float q_2 sum 13.000000000000004 against
+    2n - 5 = 13) among float-decided order-9 graphs, and P4 and C4 among the
+    connected order-4 graphs under thm-1.3: only those go to ``__call__``."""
+    extremal = from_graph6("H`Kxx~~")
+    copies = [relabel(extremal, rng.sample(range(9), 9)) for _ in range(3)]
+    order9 = [complete(9), cycle(9), star(9), path(9), complete_bipartite(4, 5)] + copies
+    rng.shuffle(order9)
+    paw, diamond = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), complete(4).without_edge(0, 1)
+    order4 = [star(4), path(4), complete(4), cycle(4), paw, diamond]
+    called = _calls_spied(monkeypatch)
+    for row, graphs, undecided in ((check_problem12, order9, copies), (check_thm13, order4, [path(4), cycle(4)])):
+        spectra.set_chunk(graphs)
+        try:
+            a, b = row.rhs
+            bound = float(a * graphs[0].n + b)
+            escalated = [g for g in graphs if screened_sign(ng_sum(g), bound, lambda: 0, (-1,))[1]]
+            assert sorted(map(to_graph6, escalated)) == sorted(map(to_graph6, undecided))
+            del called[:]
+            verdicts = row.verdicts(graphs)
+            assert called == escalated
+            assert [v for g, v in zip(graphs, verdicts) if g in undecided] == [EQUALITY] * len(undecided)
+            assert [v for g, v in zip(graphs, verdicts) if g not in undecided] == [STRICT] * (
+                len(graphs) - len(undecided))
+        finally:
+            spectra.set_chunk(())
+    assert ng_sum(extremal) == 13.000000000000004
+
+
+def test_chunk_guards():
+    """A row with k > n raises as it does alone; rows pickle with their chunk entry point."""
+    k1 = complete(1)
+    row = NG_BOUNDS["A", 2]
+    with pytest.raises(ValueError) as alone:
+        row(k1)
+    spectra.set_chunk([k1])
+    try:
+        with pytest.raises(ValueError) as chunk:
+            row.verdicts([k1])
+        assert check_thm12.verdicts([k1]) == [NOT_APPLICABLE]  # below min_n, as alone
+    finally:
+        spectra.set_chunk(())
+    assert str(chunk.value) == str(alone.value) == "k=2 outside 1..1"
+    copy = pickle.loads(pickle.dumps(check_thm16.assuming(["connected"])))
+    assert copy == check_thm16.assuming(["connected"]) and copy.verdicts
+
+
+def test_float_sign_is_one_rule_for_floats_and_arrays():
+    """The float decides a trusted sign beyond the window, elementwise on arrays."""
+    w = theorems.ESCALATION_WINDOW
+    approx = [5.0, 3.0, 4.0, 4.0 + w / 2, 4.0 - w / 2, 4.0 + 2 * w, 4.0 - 2 * w, float("nan")]
+    for trusted, expected in (((-1, 1), [1, -1, 0, 0, 0, 1, -1, 0]), ((-1,), [0, -1, 0, 0, 0, 0, -1, 0]),
+                              ((1,), [1, 0, 0, 0, 0, 1, 0, 0]), ((), [0] * 8)):
+        assert [theorems.float_sign(a, 4.0, trusted) for a in approx] == expected
+        assert theorems.float_sign(np.array(approx), 4.0, trusted).tolist() == expected
+        assert theorems.float_sign(np.array(approx), np.full(8, 4.0), trusted).tolist() == expected
+        assert [screened_sign(a, 4.0, lambda: 7, trusted)[0] for a in approx] == [s or 7 for s in expected]
