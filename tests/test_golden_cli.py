@@ -4,7 +4,7 @@ The data file freezes what ``qng`` prints for ``check``/``report``/``scan`` in
 every format, a scan of every registered theorem over n = 4..7, the ``ng``
 sums, every scan predicate kind, a ``--jobs 2`` scan, a proof-check sweep and
 a scan of the external order-9 stream ``tests/data/stream9.g6`` under ``--jobs``
-1, 2 and 3.  Commands run from the repository root, so a stream path in the
+1, 2 and 3, and a ``cobar-disconnected`` scan under ``--jobs 2``.  Commands run from the repository root, so a stream path in the
 argv is relative to it.  Regenerate the file only for an intended change of
 output:
 
@@ -60,6 +60,7 @@ COMMANDS: list[list[str]] = [
     *(["scan", "--n", "9", "--input", "tests/data/stream9.g6", "--filter", "connected",
        "--thm", "problem1.2", "--jobs", jobs, "--format", fmt]
       for jobs in ("1", "2", "3") for fmt in ("text", "json")),
+    ["scan", "--n-range", "6..7", "--filter", "cobar-disconnected", "--thm", "1.4", "--jobs", "2"],
 ]
 
 
