@@ -40,18 +40,18 @@ Counts are cross-checked against reference values in the test suite.
 ``scan`` reads its source lazily and cuts it into chunks of ``SCAN_CHUNK``
 items, graphs or the graph6 lines of an external stream.  A chunk is where
 each graph is handled once: one helper decodes the chunk's lines in one
-batch (``graph.decode_graph6``), drops the graphs its filter rejects, names
-the rest to ``spectra.set_chunk``, which builds each one's complement, runs
-the check (each matrix kind the check reads is then screened for the chunk's
-graphs and their complements in one batched float call), drops the chunk
-again, and returns the chunk's tally, its verdict counts plus the canonical
-graph6 keys of its equality and violation graphs.  A bound-table row gets
-the whole chunk through its ``verdicts`` method and builds reports only for
-the graphs its float screen leaves undecided; any other check is called on
-each graph.  A bound-table row does not re-test a hypothesis that the
-filter is.  With ``jobs`` > 1 the chunks go in order
-through ``Pool.imap``, as text and with the filter by name, and each worker
-returns only that tally.
+batch (``graph.decode_graph6``), names them and then the graphs its filter
+keeps to ``spectra.set_chunk`` (a complement is built once, whoever reads
+it first), runs the check (each matrix kind it reads is then screened for
+the chunk's graphs and their complements in one batched float call), drops
+the chunk again, and returns the chunk's tally, its verdict counts plus the
+canonical graph6 keys of its equality and violation graphs.  A bound-table
+row gets the whole chunk through its ``verdicts`` method and builds reports
+only for the graphs its float screen leaves undecided; any other check is
+called on each graph.  A bound-table row does not re-test a hypothesis that
+the filter is.  With ``jobs`` > 1 the chunks go in order through
+``Pool.imap``, as text and with the filter by name, and each worker returns
+only that tally.
 """
 
 from __future__ import annotations
@@ -550,22 +550,23 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     violated graphs.
 
     ``items`` are graphs or graph6 lines of order ``n``; lines are decoded
-    here, in one batch.  The filter name is resolved here too.  A check with
-    a ``verdicts`` method (a bound-table row) is handed the whole chunk;
-    any other is called on each graph.  Each matrix kind either reads is
-    screened for the chunk's graphs and their complements at its first read,
-    in one batched call.  The chunk is dropped from ``spectra`` when the
-    tally ends, also on an error.
+    here, in one batch.  The filter name is resolved here too; ``spectra``
+    has the decoded graphs as its chunk while the filter runs, so a
+    complement the filter reads is built once, and then the graphs it keeps.
+    A check with a ``verdicts`` method (a bound-table row) is handed the
+    whole chunk; any other is called on each graph.  The chunk is dropped
+    from ``spectra`` when the tally ends, also on an error.
     """
     graphs = _chunk_graphs(items)
     for g in graphs:
         if g.n != n:
             raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
     _, accept = resolve_filter(graph_filter)
-    if accept is not _filter_all:
-        graphs = list(filter(accept, graphs))
     spectra.set_chunk(graphs)
     try:
+        if accept is not _filter_all:
+            graphs = list(filter(accept, graphs))
+            spectra.set_chunk(graphs)
         if hasattr(check, "verdicts"):
             verdicts = check.verdicts(graphs)
         else:

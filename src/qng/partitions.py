@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import polys
 from .graph import Graph, twin_classes
-from .spectra import Spectrum, char_poly_exact, eigenvalues_sym, q_char_poly, q_spectrum
+from .spectra import Spectrum, char_poly_exact, eigenvalues_sym, kind_char_poly, spectrum
 
 VertexPartition = tuple[tuple[int, ...], ...]
 
@@ -121,7 +121,7 @@ def verify_quotient_eigen_containment(g: Graph, blocks: Sequence[Sequence[int]])
     if not is_equitable(g, blocks):
         raise ValueError("partition is not equitable")
     quot = quotient_matrix(g, blocks)
-    return not polys.poly_rem(q_char_poly(g), quot.char_poly())
+    return not polys.poly_rem(kind_char_poly(g, "Q"), quot.char_poly())
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ def edge_deletion_chain_holds(g: Graph, edge: tuple[int, int], tol: float = 1e-9
     u, v = edge
     if not g.has_edge(u, v):
         raise ValueError("not an edge")
-    gv = q_spectrum(g).values
-    hv = q_spectrum(g.without_edge(u, v)).values
+    gv = spectrum(g, "Q").values
+    hv = spectrum(g.without_edge(u, v), "Q").values
     merged = [x for pair in zip(gv, hv) for x in pair]
     descending = all(a >= b - tol for a, b in zip(merged, merged[1:]))
     return descending and merged[-1] >= -tol

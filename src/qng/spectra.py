@@ -1,18 +1,19 @@
 """Spectra of graph matrices: float screening plus exact certification.
 
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
-are used only for screening.  A scan names each chunk with ``set_chunk``,
-which builds each member's complement once; ``complement_of`` hands it to
-every reader (``ng_sum``, the exact sum comparisons, the lemmas).  The first
-read of a kind on a chunk member stacks the kind-matrices of the chunk's
-graphs and their complements as one (B, n, n) array and screens them in one
-eigvalsh call, whatever kind the check reads; the chunk keeps that array
-until the scan drops the chunk, and the last 16 screens are cached by their
-members, so another scan of the same chunk reads its screen again.
-``chunk_sums`` reads the eigenvalue sums of a graph and its complement off
-the screen for a whole chunk at once, and ``spectrum``, an ``lru_cache`` by
-(graph, kind), reads one member's row; a graph outside the chunk is
-screened alone.  ``_stacked`` is the one builder of A, D + A and D - A.
+are used only for screening.  A scan names each chunk with ``set_chunk``;
+``complement_of`` builds a member's complement once, at its first read (a
+scan filter's, a check's, or the chunk's first screen).  The first read of
+a kind on a chunk member stacks the kind-matrices of the chunk's graphs and
+their complements as one (B, n, n) array and screens them in one eigvalsh
+call.  ``chunk_sums`` reads the eigenvalue sums of a graph and its
+complement off that screen for a whole chunk at once, and ``spectrum``
+reads one member's row; a graph outside the chunk is screened alone.  The
+screen is the one store of float spectra: ``_SCREENED`` holds the chunk's
+own until the scan drops it (keyed by its members instead, every
+``spectrum`` call would hash a tuple of up to 512 graphs), and
+``_screen_members`` the last 16 by their members, so another scan of the
+same chunk reads its screen again.  ``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
 Faddeev-LeVerrier recurrence, Sturm-sequence root counting, and
@@ -26,8 +27,9 @@ rows (a rational matrix is scaled by its common denominator first), and a
 characteristic polynomial is its ascending ``int`` tuple, which every
 comparison hands to ``polys`` as it is.  Root counting goes through
 ``polys.root_counter``, which builds one integer Sturm/gcd tower per
-characteristic polynomial.  ``Fraction`` appears only in the rational bounds
-of the comparisons.
+characteristic polynomial.  ``kind_char_poly`` caches the polynomials, which
+the registered checks' scans of the same graphs read again.  ``Fraction``
+appears only in the rational bounds of the comparisons.
 """
 
 from __future__ import annotations
@@ -110,10 +112,11 @@ def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
     return Spectrum(tuple(float(v) for v in vals))
 
 
-#: The current scan chunk: each member and each member's complement, mapped to
-#: its complement; and the chunk's screens by (order, kind): each member's row
-#: in one array of eigenvalues, each row descending.
-_CHUNK: dict[Graph, Graph] = {}
+#: The current scan chunk: each member mapped to its complement (None before
+#: its first read), then each built complement mapped to its member; and the
+#: chunk's screens by (order, kind): each member's row in one array of
+#: eigenvalues, each row descending.
+_CHUNK: dict[Graph, Optional[Graph]] = {}
 _SCREENED: dict[tuple[int, str], tuple[dict[Graph, int], np.ndarray]] = {}
 
 
@@ -125,43 +128,46 @@ def _screen(graphs: Sequence[Graph], kind: str) -> np.ndarray:
 def set_chunk(graphs: Iterable[Graph]) -> None:
     """Make ``graphs`` and their complements the chunk ``spectrum`` screens at once.
 
-    A scan calls this once per chunk, and with no graphs when the chunk is
-    done; it builds each graph's complement once, for ``complement_of``, and
-    drops the previous chunk's screens.
+    A scan calls this with a chunk's graphs as decoded, with those its
+    filter keeps, and with none when the chunk is done.  A graph that stays
+    in the chunk keeps its complement, so one a filter read is built once.
     """
+    chunk = {g: _CHUNK.get(g) for g in graphs}
     _CHUNK.clear()
     _SCREENED.clear()
-    for g in graphs:
-        h = complement(g)
-        _CHUNK[g] = h
-        _CHUNK.setdefault(h, g)
+    _CHUNK.update(chunk)
+    _CHUNK.update({h: g for g, h in chunk.items() if h is not None})
 
 
 def complement_of(g: Graph) -> Graph:
-    """The complement of ``g``: the chunk's own for a chunk member, else built anew."""
+    """The complement of ``g``: built once for a chunk member, else built anew."""
     h = _CHUNK.get(g)
-    return complement(g) if h is None else h
+    if h is None:
+        h = complement(g)
+        if g in _CHUNK:
+            _CHUNK[g], _CHUNK[h] = h, g
+    return h
 
 
 @lru_cache(maxsize=16)
 def _screen_members(members: tuple[Graph, ...], kind: str) -> tuple[dict[Graph, int], np.ndarray]:
-    """Each member's row and the kind spectra of ``members``, graphs of one order.
-
-    Cached by the members, so a later scan of the same chunk, such as
-    another check over the same graphs, reads the screen again.
-    """
+    """Each member's row and the kind spectra of ``members``, graphs of one order."""
     return {h: i for i, h in enumerate(members)}, _screen(members, kind)
 
 
 def _chunk_screen(n: int, kind: str) -> tuple[dict[Graph, int], np.ndarray]:
-    """The chunk members of order n, by row, and their kind spectra."""
+    """The chunk members of order n, each followed by its complement, by row, and their kind spectra.
+
+    Every complement is built first, so no later read adds a member, and
+    the order does not depend on which complements were read before.
+    """
     screen = _SCREENED.get((n, kind))
     if screen is None:
-        screen = _SCREENED[n, kind] = _screen_members(tuple(h for h in _CHUNK if h.n == n), kind)
+        members = dict.fromkeys(h for g in list(_CHUNK) if g.n == n for h in (g, complement_of(g)))
+        screen = _SCREENED[n, kind] = _screen_members(tuple(members), kind)
     return screen
 
 
-@lru_cache(maxsize=1 << 15)
 def spectrum(g: Graph, kind: str) -> Spectrum:
     """The float spectrum of the kind-matrix of g.
 
@@ -187,10 +193,6 @@ def chunk_sums(graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
     rows, values = _chunk_screen(n, kind)
     column = values[:, k - 1]
     return column[[rows[g] for g in graphs]] + column[[rows[_CHUNK[g]] for g in graphs]]
-
-
-def q_spectrum(g: Graph) -> Spectrum:
-    return spectrum(g, "Q")
 
 
 def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
@@ -253,10 +255,6 @@ def kind_char_poly(g: Graph, kind: str) -> tuple[int, ...]:
     return char_poly_exact(matrix_of_kind(g, kind))
 
 
-def q_char_poly(g: Graph) -> tuple[int, ...]:
-    return kind_char_poly(g, "Q")
-
-
 # ---------------------------------------------------------------------------
 # Exact root counting and certification
 
@@ -285,7 +283,7 @@ def certify_qk(g: Graph, k: int, r) -> bool:
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
     c = Fraction(c)
-    p = q_char_poly(g)
+    p = kind_char_poly(g, "Q")
     above = polys.root_counter(p).count_gt(c)
     if above >= k:
         return 1
@@ -318,8 +316,8 @@ def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = 
 
 def compare_q1(g: Graph, h: Graph) -> int:
     """Exact sign of q_1(g) - q_1(h)."""
-    return polys.compare_kth_roots(q_char_poly(g), 1, q_char_poly(h), 1,
-                                   q_spectrum(g).value(1), q_spectrum(h).value(1))
+    return polys.compare_kth_roots(kind_char_poly(g, "Q"), 1, kind_char_poly(h, "Q"), 1,
+                                   spectrum(g, "Q").value(1), spectrum(h, "Q").value(1))
 
 
 def rational_sqrt(q) -> Optional[Fraction]:

@@ -73,8 +73,8 @@ from .spectra import (
     compare_sum_with,
     complement_of,
     ng_sum,
-    q_spectrum,
     rational_sqrt,
+    spectrum,
 )
 
 STRICT = "strict"
@@ -277,7 +277,7 @@ def _non_complete(g: Graph) -> bool:
 
 
 def _q2_at_most_n_minus_3(g: Graph) -> bool:
-    return screened_sign(q_spectrum(g).value(2), g.n - 3, lambda: compare_qk_with(g, 2, g.n - 3))[0] <= 0
+    return screened_sign(spectrum(g, "Q").value(2), g.n - 3, lambda: compare_qk_with(g, 2, g.n - 3))[0] <= 0
 
 
 #: Named hypotheses of the sum bounds: a test, and the note of a graph that
@@ -444,7 +444,7 @@ def check_lemma26(g: Graph) -> BoundReport:
         Fraction(g.degree(u) ** 2 + sum(g.degree(v) for v in g.neighbors(u)), g.degree(u))
         for u in range(g.n)
     )
-    return decide(g, "lemma-2.6", q_spectrum(g).value(1), rhs, lambda: compare_qk_with(g, 1, rhs), "<=",
+    return decide(g, "lemma-2.6", spectrum(g, "Q").value(1), rhs, lambda: compare_qk_with(g, 1, rhs), "<=",
                   structure=is_regular(g) or is_semiregular_bipartite(g))
 
 
@@ -456,7 +456,7 @@ def check_lemma27(g: Graph, edge: tuple[int, int]) -> BoundReport:
     if g.has_edge(u, v) or u == v:
         return _na(g, "lemma-2.7", None, "requires a non-adjacent vertex pair")
     bigger = g.with_edge(u, v)
-    return decide(g, "lemma-2.7", q_spectrum(bigger).value(1), q_spectrum(g).value(1),
+    return decide(g, "lemma-2.7", spectrum(bigger, "Q").value(1), spectrum(g, "Q").value(1),
                   lambda: compare_q1(bigger, g), ">", violated="STRICT GROWTH VIOLATED (exactly confirmed)")
 
 
@@ -468,7 +468,7 @@ def check_lemma28(g: Graph) -> BoundReport:
         return _na(g, "lemma-2.8", rhs, "requires n >= 2")
     bipartite = [c for c in component_colorings(complement_of(g)) if c is not None]
     structure = len(bipartite) >= 2 or any(a.bit_count() == b.bit_count() for a, b in bipartite)
-    return decide(g, "lemma-2.8", q_spectrum(g).value(2), rhs, lambda: compare_qk_with(g, 2, rhs), "<=",
+    return decide(g, "lemma-2.8", spectrum(g, "Q").value(2), rhs, lambda: compare_qk_with(g, 2, rhs), "<=",
                   structure=structure)
 
 
@@ -478,7 +478,7 @@ def check_lemma29(g: Graph) -> BoundReport:
         return _na(g, "lemma-2.9", None, "requires n >= 2")
     degs = g.degree_sequence()
     rhs = Fraction(degs[1] - 1)
-    report = decide(g, "lemma-2.9", q_spectrum(g).value(2), rhs, lambda: compare_qk_with(g, 2, rhs), ">=")
+    report = decide(g, "lemma-2.9", spectrum(g, "Q").value(2), rhs, lambda: compare_qk_with(g, 2, rhs), ">=")
     if report.verdict == EQUALITY:
         top = [v for v in range(g.n) if g.degree(v) == degs[0]]
         pairwise = all(g.has_edge(u, v) for i, u in enumerate(top) for v in top[i + 1:])
@@ -495,7 +495,7 @@ def check_lemma210(g: Graph) -> BoundReport:
     if g.n < 6:
         return _na(g, "lemma-2.10", None, "requires n >= 6")
     rhs = Fraction(2 * g.m, g.n - 2) - g.n + 1
-    return decide(g, "lemma-2.10", q_spectrum(g).value(g.n), rhs, lambda: compare_qk_with(g, g.n, rhs), ">=")
+    return decide(g, "lemma-2.10", spectrum(g, "Q").value(g.n), rhs, lambda: compare_qk_with(g, g.n, rhs), ">=")
 
 
 THEOREM_CHECKS: dict[str, Callable[[Graph], BoundReport]] = {
@@ -697,7 +697,7 @@ def proof_check_thm15(n: int) -> bool:
     c.expect((beta2 - 2).sign() == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
         _expect_duplicate_block(c, g2, "independent", 2, n - 4, "independent duplicate block of degree 2")
-        c.expect(abs(q_spectrum(g2).value(2) - float(beta2)) < 1e-8, "float q_2 matches beta_2")
+        c.expect(abs(spectrum(g2, "Q").value(2) - float(beta2)) < 1e-8, "float q_2 matches beta_2")
 
     phi3 = char_poly_exact(expected3)
     cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
@@ -718,7 +718,7 @@ def proof_check_thm15(n: int) -> bool:
         _expect_duplicate_block(
             c, g2c, "clique", n - 3, n - 4, "clique duplicate block of degree n-3 in the complement"
         )
-        c.expect(abs(q_spectrum(g2c).value(2) - float(beta2)) < 1e-8, "float q_2 of complement matches gamma_1'")
+        c.expect(abs(spectrum(g2c, "Q").value(2) - float(beta2)) < 1e-8, "float q_2 of complement matches gamma_1'")
     total = Surd(F(2 * n - 5), F(0), disc) - (beta2 + beta2)
     c.expect(total.sign() == 1, "equal second eigenvalues stay below 2n-5")
 

@@ -42,10 +42,10 @@ from qng.spectra import (
     compare_sum_with,
     eigenvalues_sym,
     multiplicity_at,
+    kind_char_poly,
     ng_sum,
-    q_char_poly,
     q_matrix,
-    q_spectrum,
+    spectrum,
 )
 from qng.theorems import (
     EQUALITY,
@@ -226,8 +226,8 @@ def test_criterion_08_lemma_suite(graphs_by_order):
     for n in range(2, 8):
         for g in graphs_by_order[n]:
             gc = complement(g)
-            upper = q_spectrum(g).value(2) + q_spectrum(gc).value(n)
-            lower = q_spectrum(g).value(2) + q_spectrum(gc).value(2)
+            upper = spectrum(g, "Q").value(2) + spectrum(gc, "Q").value(n)
+            lower = spectrum(g, "Q").value(2) + spectrum(gc, "Q").value(2)
             assert upper <= n - 2 + tol and lower >= n - 2 - tol
             if abs(upper - (n - 2)) <= 1e-6:
                 assert compare_sum_with(g, "Q", 2, n - 2, k_complement=n) <= 0
@@ -242,12 +242,12 @@ def test_criterion_08_lemma_suite(graphs_by_order):
         k = rng.randint(1, n)
         subset = sorted(rng.sample(range(n), k))
         sub = q_matrix(g)[np.ix_(subset, subset)]
-        assert interlaces(eigenvalues_sym(sub), q_spectrum(g))
+        assert interlaces(eigenvalues_sym(sub), spectrum(g, "Q"))
         blocks = [[] for _ in range(rng.randint(1, n))]
         for v in range(n):
             blocks[rng.randrange(len(blocks))].append(v)
         blocks = [tuple(b) for b in blocks if b]
-        assert interlaces(quotient_matrix(g, blocks).spectrum(), q_spectrum(g))
+        assert interlaces(quotient_matrix(g, blocks).spectrum(), spectrum(g, "Q"))
         done += 1
 
     # full edge-deletion chains (2.4)
@@ -261,7 +261,7 @@ def test_criterion_08_lemma_suite(graphs_by_order):
         for g in graphs_by_order[n]:
             for cls in duplicate_classes(g):
                 target = cls.degree - 1 if cls.kind == "clique" else cls.degree
-                assert multiplicity_at(q_char_poly(g), target) >= len(cls.vertices) - 1
+                assert multiplicity_at(kind_char_poly(g, "Q"), target) >= len(cls.vertices) - 1
 
     # q_1 degree bound with equality characterization (2.6)
     for n in range(2, 8):
@@ -306,8 +306,8 @@ def test_criterion_09_float_exact_agreement(graphs_by_order):
     width = F(1, 10**9)
     for n in range(1, 7):
         for g in graphs_by_order[n]:
-            floats = q_spectrum(g).values
-            p = q_char_poly(g)
+            floats = spectrum(g, "Q").values
+            p = kind_char_poly(g, "Q")
             counter = polys.RootCounter(p)
             bound = polys.cauchy_root_bound(p)
             assert counter.count_gt(-bound) == n  # count agreement
@@ -353,9 +353,9 @@ def test_criterion_10_micro_censuses(graphs_by_order, enum8):
                 continue
             if d2 + bd2 - 1 != n - 2:
                 continue
-            if abs(q_spectrum(g).value(2) - d2) > 1e-6:
+            if abs(spectrum(g, "Q").value(2) - d2) > 1e-6:
                 continue
-            if abs(q_spectrum(gc).value(2) - (bd2 - 1)) > 1e-6:
+            if abs(spectrum(gc, "Q").value(2) - (bd2 - 1)) > 1e-6:
                 continue
             if certify_qk(g, 2, d2) and certify_qk(gc, 2, bd2 - 1):
                 hits.add(canon(g))
@@ -368,7 +368,7 @@ def test_criterion_10_micro_censuses(graphs_by_order, enum8):
         for h in graphs_by_order[half]:
             if not is_connected(h):
                 continue
-            if q_spectrum(h).value(1) >= n - 3 - 1e-6 and compare_qk_with(h, 1, n - 3) >= 0:
+            if spectrum(h, "Q").value(1) >= n - 3 - 1e-6 and compare_qk_with(h, 1, n - 3) >= 0:
                 hits.add(canon(h))
         expected = canon_set([complete(half), join(complete(half - 2), empty_graph(2))])
         assert hits == expected, n
@@ -414,7 +414,7 @@ def test_soundness_lemma_float_screen_n8(enum8):
     graphs8, _ = enum8
     tol = 1e-6
     for g in graphs8:
-        spec = q_spectrum(g)
+        spec = spectrum(g, "Q")
         degs = g.degree_sequence()
         assert spec.value(2) >= degs[1] - 1 - tol
         assert spec.value(2) <= 6 + tol

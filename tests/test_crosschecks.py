@@ -27,7 +27,6 @@ from qng.spectra import (
     compare_sum_with,
     kind_char_poly,
     q_matrix,
-    q_spectrum,
     spectrum,
 )
 
@@ -79,7 +78,7 @@ def test_certify_qk_sweep_small(graphs_by_order):
     """Every near-integer float eigenvalue certifies at its integer, and only there."""
     for n in range(2, 6):
         for g in graphs_by_order[n]:
-            vals = q_spectrum(g).values
+            vals = spectrum(g, "Q").values
             for k, v in enumerate(vals, start=1):
                 r = round(v)
                 if abs(v - r) < 1e-9:

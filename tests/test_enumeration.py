@@ -496,20 +496,21 @@ def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
 
     assert not hasattr(check, "kind")
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    spectra.spectrum.cache_clear()
+    spectra._screen_members.cache_clear()
     assert scan(7, "all", check).total == len(graphs) == 1044
     chunks = -(-len(graphs) // enumeration.SCAN_CHUNK)
     assert len(calls) == chunks == 5
     assert all(shape[0] > enumeration.SCAN_CHUNK for shape in calls[:-1])
-    # a second scan of the same graphs reads every spectrum from the cache
+    # a second scan of the same graphs reads every spectrum from the cached chunk screens
     scan(7, "all", check)
     assert len(calls) == chunks
 
 
 def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
     """A bound-table row screens each chunk in one eigvalsh call, and another
-    row's scan of the same graphs reads those screens again; only the
-    escalated graphs' spectra go into the ``spectrum`` cache."""
+    row's scan of the same graphs reads those screens again; the escalated
+    graphs read their spectra off the same screens, each chunk's graphs and
+    their complements stacked once."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -520,13 +521,38 @@ def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
     graphs = enumerate_graphs(7)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     spectra._screen_members.cache_clear()
-    spectra.spectrum.cache_clear()
     first = scan(7, "all", check_thm12)
     assert len(calls) == -(-len(graphs) // enumeration.SCAN_CHUNK) == 5
     second = scan(7, "all", theorems.check_ng_q1)
     assert second.total == first.total == len(graphs) and len(calls) == 5
-    escalated = first.counts["equality-certified"] + second.counts["equality-certified"]
-    assert spectra.spectrum.cache_info().currsize <= 2 * escalated
+    assert first.counts["equality-certified"] + second.counts["equality-certified"] > 0
+    chunks = [graphs[i:i + enumeration.SCAN_CHUNK] for i in range(0, len(graphs), enumeration.SCAN_CHUNK)]
+    assert [shape[0] for shape in calls] == [len({h for g in chunk for h in (g, complement(g))}) for chunk in chunks]
+
+
+def test_registered_scans_share_the_chunk_screens(monkeypatch):
+    """The 14 registered checks scan the order-7 graphs off 15 screens: each
+    of the 5 chunks once per kind, Q, A and L.  A second pass of all 14
+    reads the cached screens again and makes no eigvalsh call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    checks = [*theorems.THEOREM_CHECKS.values(), theorems.check_ng_q1,
+              theorems.ng_check("A", 2), theorems.ng_check("L", 1)]
+    assert len(checks) == 14
+    graphs = enumerate_graphs(7)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spectra._screen_members.cache_clear()
+    for _ in range(2):
+        for check in checks:
+            assert scan(7, "all", check).total == len(graphs)
+        assert len(calls) == 5 * 3
+    # Q, then A (ng-A2), then L (ng-L1): the same chunks, stacked with their complements
+    assert calls[:5] == calls[5:10] == calls[10:]
 
 
 def test_scan_external_source():
@@ -593,9 +619,14 @@ def test_scan_of_graphs_next_to_their_complements(graphs_by_order):
 
 
 def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enum8):
-    """``scan(8, "connected", check_problem12)``: the filter's connectivity test
-    is the only one (the row assumes it), and each scanned graph is
-    complemented once, for both the screen and the sum."""
+    """A scan at n = 8 tests a hypothesis its filter is only in the filter
+    (the row assumes it), and complements each graph once: under
+    ``connected`` each scanned graph, for both the screen and the sum; under
+    ``cobar-disconnected`` each graph, whose complement the filter tests
+    and, if it passes, the screen and the sum read.  Thm 1.4's row also
+    requires a connected graph, which it tests for the 1,229 graphs the
+    filter passes and once more in the per-graph call of its one escalated
+    graph."""
     calls = Counter()
 
     def counted(name, fn):
@@ -609,9 +640,14 @@ def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enu
     for module in (graph, spectra, theorems, enumeration):
         if hasattr(module, "complement"):
             monkeypatch.setattr(module, "complement", complement_counted)
-    result = scan(8, "connected", theorems.check_problem12)
-    assert (result.total, len(enum8[0])) == (11_117, 12_346)
-    assert calls == {"component_masks": 12_346, "complement": 11_117}
+    for name, check, scanned, expected in (
+        ("connected", theorems.check_problem12, 11_117, {"component_masks": 12_346, "complement": 11_117}),
+        ("cobar-disconnected", theorems.check_thm14, 1_229, {"component_masks": 13_576, "complement": 12_346}),
+    ):
+        calls.clear()
+        result = scan(8, name, check)
+        assert (result.total, len(enum8[0])) == (scanned, 12_346)
+        assert calls == expected, name
 
 
 def test_scan_drops_its_last_chunk(monkeypatch):
@@ -633,7 +669,6 @@ def test_scan_drops_its_last_chunk(monkeypatch):
         return theorems.check_lemma26(g)
 
     for done in ("returned", "raised"):
-        spectra.spectrum.cache_clear()
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         spectra.spectrum(last, "A")
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)

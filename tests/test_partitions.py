@@ -31,7 +31,7 @@ from qng.partitions import (
     validate_partition,
     verify_quotient_eigen_containment,
 )
-from qng.spectra import eigenvalues_sym, multiplicity_at, q_char_poly, q_matrix, q_spectrum
+from qng.spectra import eigenvalues_sym, kind_char_poly, multiplicity_at, q_matrix, spectrum
 
 
 def random_graph(rng, n, p=0.5):
@@ -90,7 +90,7 @@ def test_is_equitable_examples():
 
 
 def test_interlaces_examples():
-    big = q_spectrum(cycle(5))
+    big = spectrum(cycle(5), "Q")
     q = q_matrix(cycle(5))
     for i in range(5):
         for j in range(i + 1, 5):
@@ -112,7 +112,7 @@ def test_quotient_interlacing_random(graphs_by_order, enum8, rng=random.Random(2
         g = rng.choice(pool[n])
         blocks = random_partition(rng, n)
         quot = quotient_matrix(g, blocks)
-        assert interlaces(quot.spectrum(), q_spectrum(g))
+        assert interlaces(quot.spectrum(), spectrum(g, "Q"))
         pairs += 1
 
 
@@ -173,7 +173,7 @@ def test_duplicate_class_multiplicity_small(graphs_by_order):
         for g in graphs_by_order[n]:
             for cls in duplicate_classes(g):
                 target = cls.degree - 1 if cls.kind == "clique" else cls.degree
-                assert multiplicity_at(q_char_poly(g), target) >= len(cls.vertices) - 1
+                assert multiplicity_at(kind_char_poly(g, "Q"), target) >= len(cls.vertices) - 1
 
 
 def test_duplicate_classes_match_pairwise_comparison(graphs_and_complements):

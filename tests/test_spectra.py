@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from qng import polys
+from qng import polys, spectra
 from qng.graph import (
     complement,
     complete,
@@ -36,9 +37,7 @@ from qng.spectra import (
     matrix_of_kind,
     multiplicity_at,
     ng_sum,
-    q_char_poly,
     q_matrix,
-    q_spectrum,
     rational_sqrt,
     set_chunk,
     spectrum,
@@ -130,8 +129,8 @@ def test_q_complement_identity(rng=random.Random(13)):
 def test_eigenvalues_sym():
     s = eigenvalues_sym(q_matrix(complete(4)))
     assert np.allclose(s.values, (6, 2, 2, 2), atol=1e-12)
-    assert abs(q_spectrum(path(4)).value(2) - 2) < 1e-10
-    assert abs(q_spectrum(star(6)).value(2) - 1) < 1e-10
+    assert abs(spectrum(path(4), "Q").value(2) - 2) < 1e-10
+    assert abs(spectrum(star(6), "Q").value(2) - 1) < 1e-10
     with pytest.raises(ValueError):
         eigenvalues_sym([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
@@ -149,7 +148,7 @@ def test_char_poly_examples():
 def test_char_poly_against_cofactor_oracle(graphs_by_order):
     for n in range(1, 6):
         for g in graphs_by_order[n]:
-            assert q_char_poly(g) == tuple(charpoly_oracle(q_matrix(g).tolist()))
+            assert kind_char_poly(g, "Q") == tuple(charpoly_oracle(q_matrix(g).tolist()))
 
 
 def test_char_poly_rational_against_cofactor_oracle(rng=random.Random(31)):
@@ -192,11 +191,11 @@ def test_root_counter_built_once_per_char_poly():
 
 
 def test_sturm_and_multiplicity_examples():
-    assert multiplicity_at(q_char_poly(complete(6)), 4) == 5
-    assert sturm_count(q_char_poly(cycle(4)), 3, 5) == 1
-    assert multiplicity_at(q_char_poly(star(6)), 1) == 4
+    assert multiplicity_at(kind_char_poly(complete(6), "Q"), 4) == 5
+    assert sturm_count(kind_char_poly(cycle(4), "Q"), 3, 5) == 1
+    assert multiplicity_at(kind_char_poly(star(6), "Q"), 1) == 4
     with pytest.raises(ValueError):
-        sturm_count(q_char_poly(cycle(4)), 5, 3)
+        sturm_count(kind_char_poly(cycle(4), "Q"), 5, 3)
 
 
 def test_certify_qk_examples():
@@ -220,13 +219,13 @@ def test_ng_sum_examples():
 def test_trace_and_psd_invariants(graphs_by_order):
     for n in range(1, 7):
         for g in graphs_by_order[n]:
-            spec = q_spectrum(g)
+            spec = spectrum(g, "Q")
             assert sum(spec.values) == pytest.approx(2 * g.m, abs=n * 1e-9)
             assert spec.values[-1] >= -1e-9
             lspec = spectrum(g, "L")
             assert lspec.values[-1] >= -1e-9
             # exact trace via the x^{n-1} coefficient
-            p = q_char_poly(g)
+            p = kind_char_poly(g, "Q")
             assert -p[n - 1] == 2 * g.m
 
 
@@ -234,8 +233,8 @@ def test_weyl_consistency_small(graphs_by_order):
     for n in range(2, 7):
         for g in graphs_by_order[n]:
             gc = complement(g)
-            upper = q_spectrum(g).value(2) + q_spectrum(gc).value(g.n)
-            lower = q_spectrum(g).value(2) + q_spectrum(gc).value(2)
+            upper = spectrum(g, "Q").value(2) + spectrum(gc, "Q").value(g.n)
+            lower = spectrum(g, "Q").value(2) + spectrum(gc, "Q").value(2)
             assert upper <= n - 2 + 1e-8
             assert lower >= n - 2 - 1e-8
             if abs(upper - (n - 2)) <= 1e-6:
@@ -267,51 +266,57 @@ def test_square_radicand_is_decided_exactly():
 
 
 def test_spectrum_accessors():
-    s = q_spectrum(complete(4))
+    s = spectrum(complete(4), "Q")
     assert s.value(1) == max(s.values)
     assert len(s) == 4
 
 
-def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8):
+def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
     """The chunk screen against one eigvalsh call per matrix, for n <= 8.
 
     Every graph and its complement get the per-graph spectrum to within
     1e-12, and no q_2 sum of a graph and its complement lies within 1e-12 of
     either edge of the escalation window around the thm-1.2, thm-1.3 or
     problem-1.2 bound.  So no float decision of ``screened_sign`` on those
-    bounds depends on which of the two computed the spectrum.
+    bounds depends on which of the two computed the spectrum.  Each kind
+    screens the chunk in one stacked eigvalsh call per order.
     """
     graphs = [g for n in range(1, 8) for g in graphs_by_order[n]] + enum8[0]
-    members = {h for g in graphs for h in (g, complement(g))}
-    spectrum.cache_clear()
+    members = Counter(h.n for h in {h for g in graphs for h in (g, complement(g))})
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        if a.ndim == 3:
+            stacks.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spectra._screen_members.cache_clear()
     try:
         set_chunk(graphs)
         for kind in "QAL":
-            before = spectrum.cache_info()
+            del stacks[:]
             for g in graphs:
                 for h in (g, complement(g)):
                     batched = spectrum(h, kind).values
                     single = eigenvalues_sym(matrix_of_kind(h, kind)).values
                     assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
-            after = spectrum.cache_info()
-            assert after.misses == before.misses + len(members)
-            assert after.hits == before.hits + 2 * len(graphs) - len(members)
+            assert sorted(stacks) == sorted((count, n, n) for n, count in members.items()), kind
             if kind == "Q":
                 for g in filter(lambda g: g.n >= 4, graphs):
                     value = ng_sum(g, "Q", 2)
                     for rhs in (g.n - 2, 2 * g.n - 4, 2 * g.n - 5):
                         assert abs(abs(value - rhs) - ESCALATION_WINDOW) > 1e-12, (g, rhs)
-        spectrum.cache_clear()
-        assert spectrum.cache_info()[:2] == (0, 0) and spectrum.cache_info().currsize == 0
+        del stacks[:]
         spectrum(graphs[-1], "L")
-        assert spectrum.cache_info()[:2] == (0, 1)
+        assert stacks == []
     finally:
         set_chunk(())
-        spectrum.cache_clear()
 
 
 def test_char_poly_type():
-    p = q_char_poly(cycle(5))
+    p = kind_char_poly(cycle(5), "Q")
     assert type(p) is tuple and all(type(c) is int for c in p)
     hash(p)  # a cache key, like the root_counter key it is passed as
     assert len(p) - 1 == 5
@@ -325,5 +330,5 @@ def test_q_singular_iff_bipartite_component(graphs_by_order):
 
     for n in range(1, 7):
         for g in graphs_by_order[n]:
-            mult0 = multiplicity_at(q_char_poly(g), 0)
+            mult0 = multiplicity_at(kind_char_poly(g, "Q"), 0)
             assert mult0 == count_bipartite_components(g)

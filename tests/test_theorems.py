@@ -35,7 +35,7 @@ from qng.graph import (
 from qng import spectra, theorems
 from qng.cli import _resolve_check, build_predicate
 from qng.enumeration import FILTERS, scan
-from qng.spectra import char_poly_exact, ng_sum, q_spectrum
+from qng.spectra import char_poly_exact, ng_sum, spectrum
 from qng.theorems import (
     EQUALITY,
     NG_BOUNDS,
@@ -112,8 +112,8 @@ def test_thm14_examples():
     r = check_thm14(g)
     assert (r.verdict, r.family) == (EQUALITY, "(2K_2)∇(3K_1)")
     # the split behind the equality: q_2 = 5 and complement q_2 = 4 at n = 7
-    assert abs(q_spectrum(g).value(2) - 5) < 1e-9
-    assert abs(q_spectrum(complement(g)).value(2) - 4) < 1e-9
+    assert abs(spectrum(g, "Q").value(2) - 5) < 1e-9
+    assert abs(spectrum(complement(g), "Q").value(2) - 4) < 1e-9
 
     g = join(disjoint_union(complete(2), complete(3)), empty_graph(1))
     assert (check_thm14(g).verdict, check_thm14(g).family) == (EQUALITY, "(K_2∪K_{n-3})∇K_1")
@@ -192,7 +192,7 @@ def test_lemma29_examples():
 def test_lemma210_examples():
     r = check_lemma210(complete(6))
     assert r.verdict == STRICT and r.rhs == F(5, 2)
-    assert q_spectrum(complete(6)).value(6) == pytest.approx(4, abs=1e-9)
+    assert spectrum(complete(6), "Q").value(6) == pytest.approx(4, abs=1e-9)
     assert check_lemma210(path(5)).verdict == NOT_APPLICABLE
 
 
@@ -366,7 +366,7 @@ def test_proof_check_thm15_spot_values():
     # n = 9: beta_2 = (7 + sqrt 29)/2 matches the float q_2 of the hub graph
     beta = (9 - 2 + math.sqrt(9 * 9 - 8 * 9 + 20)) / 2
     assert beta == pytest.approx((7 + math.sqrt(29)) / 2)
-    assert q_spectrum(h_graph(5, 1, 1)).value(2) == pytest.approx(beta, abs=1e-8)
+    assert spectrum(h_graph(5, 1, 1), "Q").value(2) == pytest.approx(beta, abs=1e-8)
     # n = 9: f(n-3) = -(n-5)(n-6) = -12
     assert -(9 - 5) * (9 - 6) == -12
     # n = 10: the complement quartic at 2n-6 = 14 evaluates to -4*7*6 = -168
@@ -501,7 +501,6 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
         for name in ("all", "connected"):
             row = CHUNK_ROWS[key](n).assuming([name])
             graphs = list(filter(FILTERS[name], graphs_by_order[n]))
-            spectra.spectrum.cache_clear()
             spectra.set_chunk(graphs)
             try:
                 try:
