@@ -389,6 +389,8 @@ def _cmd_proof_check(args) -> int:
     outcomes = []
     for n in _iter_orders(args):
         if args.thm == "1.2":
+            if n < 4:
+                raise UsageError(f"proof-check --thm 1.2 requires n >= 4, got n={n}")
             ok = all(proof_check_thm12(n, d2) for d2 in range(1, n - 1))
         elif args.thm == "1.5":
             ok = proof_check_thm15(n)
@@ -414,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph6", help="graph6 encoding of the input graph")
         p.add_argument("--family", help="family expression, e.g. 'K3,3', 'C6', 'H 2 1 1', 'join(K2;E3)'")
 
-    def add_common(p):
-        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    def add_common(p, formats=("json", "csv", "text")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to a file instead of stdout")
 
     p = sub.add_parser("spectrum", help="eigenvalues of a graph matrix")
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thm", required=True, choices=["1.2", "1.5"])
     p.add_argument("--n", type=int)
     p.add_argument("--n-range", dest="n_range")
-    add_common(p)
+    add_common(p, formats=("json", "text"))
     p.set_defaults(func=_cmd_proof_check)
 
     return parser

@@ -11,14 +11,17 @@ positive factors only, so every Sturm sign survives.  ``integer_poly`` is the
 one converter from rational coefficients; only entry points that accept them
 call it.
 
-On top of this ring the module provides Sturm chains, root counting in
-half-open intervals, multiplicity-aware counting via the iterated-gcd tower,
-isolation of the k-th largest real root, and exact comparison of roots of two
-polynomials.  ``root_counter`` builds one ``RootCounter`` per polynomial and
-hands it to every later caller.  Isolation starts from a small dyadic window
-around a float seed, such as the screened eigenvalue, when exact counts verify
-that the window holds the root and no other; otherwise it bisects from the
-Cauchy bound.  Floats pick only where to start: every sign comes from counts.
+On top of this ring one object counts roots: a ``RootCounter`` holds the
+iterated-gcd tower of a polynomial, one Sturm sequence per level, and answers
+the three questions asked of it: distinct roots in a half-open interval,
+roots above a point counted with multiplicity, and the multiplicity of a
+rational.  ``root_counter`` builds one per polynomial and hands it to every
+later caller.  On the counters rest isolation of the k-th largest real root
+and exact comparison of roots of two polynomials.  Isolation starts from a
+small dyadic window around a float seed, such as the screened eigenvalue,
+when exact counts verify that the window holds the root and no other;
+otherwise it bisects from the Cauchy bound.  Floats pick only where to start:
+every sign comes from counts.
 
 ``Fraction`` appears only in points and values: a rational point a/b is
 evaluated as b^d p(a/b) by homogeneous Horner, bisection endpoints are
@@ -128,12 +131,6 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
     return quo
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """The square-free part of p, primitive with a positive leading coefficient."""
-    sf = _primitive(poly_exact_div(p, poly_gcd(p, _derivative(p))))
-    return [-c for c in sf] if sf[-1] < 0 else sf
-
-
 def _value(p: Poly, a: int, b: int) -> int:
     """b^deg(p) * p(a/b) for b > 0, by homogeneous Horner."""
     acc = p[-1]
@@ -182,22 +179,6 @@ def poly_compose_linear(p: Poly, a, b) -> Poly:
     while acc and acc[-1] == 0:
         acc.pop()
     return _primitive(acc)
-
-
-def multiplicity_at(p: Poly, r) -> int:
-    """Exact multiplicity of the int or ``Fraction`` ``r`` as a root of ``p`` (0 if not a root).
-
-    ``p`` is an ``int`` list with no trailing zeros; ``integer_poly`` makes one
-    from rational coefficients.
-    """
-    if not p:
-        raise ValueError("zero polynomial")
-    a, b = r.numerator, r.denominator
-    mult = 0
-    while len(p) > 1 and _value(p, a, b) == 0:
-        p = poly_exact_div(p, [-a, b])
-        mult += 1
-    return mult
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -293,7 +274,7 @@ Point = Union[Fraction, Surd, object]
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and root counting
+# Sturm sequences and root counting
 
 
 def _signs_at(chain: list[Poly], x: Point) -> list[int]:
@@ -310,39 +291,6 @@ def _signs_at(chain: list[Poly], x: Point) -> list[int]:
     return [_sign(_value(p, a, b)) for p in chain]
 
 
-class SturmChain:
-    """Sturm chain of the square-free part of a polynomial.
-
-    ``count_gt(x)`` and ``count_halfopen(lo, hi)`` return exact counts of
-    distinct real roots in (x, +inf) and (lo, hi] respectively.  The chain
-    holds primitive integer polynomials, each a positive multiple of the
-    classical Sturm sequence's member.  ``p`` is a nonzero ``int`` list with
-    no trailing zeros; ``integer_poly`` makes one from rational coefficients.
-    """
-
-    def __init__(self, p: Poly):
-        if not any(p):
-            raise ValueError("zero polynomial")
-        self.chain = _sturm_sequence(squarefree_part(p))
-
-    @classmethod
-    def from_squarefree(cls, sf: Poly) -> "SturmChain":
-        """The chain of a square-free primitive integer polynomial."""
-        chain = cls.__new__(cls)
-        chain.chain = _sturm_sequence(sf)
-        return chain
-
-    def variations(self, x: Point) -> int:
-        signs = [s for s in _signs_at(self.chain, x) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    def count_gt(self, x: Point) -> int:
-        return self.variations(x) - self.variations(POS_INF)
-
-    def count_halfopen(self, lo: Point, hi: Point) -> int:
-        return self.variations(lo) - self.variations(hi)
-
-
 def _sturm_sequence(sf: Poly) -> list[Poly]:
     chain = [sf]
     if len(sf) > 1:
@@ -355,33 +303,51 @@ def _sturm_sequence(sf: Poly) -> list[Poly]:
     return chain
 
 
+def _variations(chain: list[Poly], x: Point) -> int:
+    """Sign changes of a Sturm sequence at x, zeros dropped."""
+    signs = [s for s in _signs_at(chain, x) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 class RootCounter:
     """Multiplicity-aware root counting via the iterated-gcd tower.
 
-    Level j of the tower is gcd applied j times starting from p; a root of
-    multiplicity m appears in levels 0..m-1, so summing distinct counts over
-    the tower counts roots with multiplicity.  Each level keeps the Sturm
-    chain of its square-free part, the quotient of the level by the next.
-    ``p`` is a nonzero ``int`` sequence with no trailing zeros; ``integer_poly``
-    makes one from rational coefficients.
+    Level j of the tower is gcd applied j times starting from p, made to
+    lead positively; a root of multiplicity m appears in levels 0..m-1, so
+    summing distinct counts over the tower counts roots with multiplicity.
+    Each level keeps the Sturm sequence of its square-free part, the quotient
+    of the level by the next; level 0's first member is the square-free part
+    of p.  A nonzero constant has an empty tower.  ``p`` is a nonzero ``int``
+    sequence with no trailing zeros; ``integer_poly`` makes one from rational
+    coefficients.
     """
 
     def __init__(self, p: Poly):
         if not any(p):
             raise ValueError("zero polynomial")
-        cur = _primitive(list(p))
+        cur = _primitive(list(p) if p[-1] > 0 else [-c for c in p])
         tower = []
         while len(cur) > 1:
             nxt = poly_gcd(cur, _derivative(cur))
-            tower.append(SturmChain.from_squarefree(poly_exact_div(cur, nxt)))
+            tower.append(_sturm_sequence(poly_exact_div(cur, nxt)))
             cur = nxt
         self.tower = tower
 
     def count_gt(self, x: Point) -> int:
-        return sum(chain.count_gt(x) for chain in self.tower)
+        """Real roots above x, counted with multiplicity."""
+        return sum(_variations(chain, x) - _variations(chain, POS_INF) for chain in self.tower)
 
     def count_distinct_halfopen(self, lo: Point, hi: Point) -> int:
-        return self.tower[0].count_halfopen(lo, hi)
+        """Distinct real roots in (lo, hi]."""
+        if not self.tower:
+            return 0
+        chain = self.tower[0]
+        return _variations(chain, lo) - _variations(chain, hi)
+
+    def multiplicity(self, r) -> int:
+        """Exact multiplicity of the int or ``Fraction`` r as a root (0 if not a root)."""
+        a, b = r.numerator, r.denominator
+        return sum(1 for chain in self.tower if _value(chain[0], a, b) == 0)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -481,10 +447,9 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
         if wb.lo >= wa.hi:
             return -1
         if common is None:
-            sf_a, sf_b = wa.counter.tower[0].chain[0], wb.counter.tower[0].chain[0]
-            common = SturmChain.from_squarefree(poly_gcd(sf_a, sf_b))
+            common = _sturm_sequence(poly_gcd(wa.counter.tower[0][0], wb.counter.tower[0][0]))
         # overlapping windows meet in the nonempty (max lo, min hi]
-        if common.count_halfopen(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) >= 1:
+        if _variations(common, max(wa.lo, wb.lo)) > _variations(common, min(wa.hi, wb.hi)):
             return 0
         wa.refine()
         wb.refine()

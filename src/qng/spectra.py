@@ -25,9 +25,9 @@ fallback start; a float never decides a sign.
 The exact layer computes in Python ``int``: the recurrence runs on integer
 rows (a rational matrix is scaled by its common denominator first), and a
 characteristic polynomial is its ascending ``int`` tuple, which every
-comparison hands to ``polys`` as it is.  Root counting goes through
-``polys.root_counter``, which builds one integer Sturm/gcd tower per
-characteristic polynomial.  ``kind_char_poly`` caches the polynomials, which
+comparison hands to ``polys`` as it is.  Root counting, ``sturm_count`` and
+``multiplicity_at`` included, goes through ``polys.root_counter``, which
+builds one integer Sturm/gcd tower per polynomial.  ``kind_char_poly`` caches the polynomials, which
 the registered checks' scans of the same graphs read again.  ``Fraction``
 appears only in the rational bounds of the comparisons.
 """
@@ -264,12 +264,12 @@ def sturm_count(p: Sequence, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("lo > hi")
-    return polys.SturmChain(polys.integer_poly(p)).count_halfopen(lo, hi)
+    return polys.root_counter(tuple(polys.integer_poly(p))).count_distinct_halfopen(lo, hi)
 
 
 def multiplicity_at(p: Sequence, r) -> int:
     """Exact multiplicity of the rational ``r`` as a root of rational ``p``."""
-    return polys.multiplicity_at(polys.integer_poly(p), Fraction(r))
+    return polys.root_counter(tuple(polys.integer_poly(p))).multiplicity(Fraction(r))
 
 
 def certify_qk(g: Graph, k: int, r) -> bool:
@@ -283,11 +283,11 @@ def certify_qk(g: Graph, k: int, r) -> bool:
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
     c = Fraction(c)
-    p = kind_char_poly(g, "Q")
-    above = polys.root_counter(p).count_gt(c)
+    counter = polys.root_counter(kind_char_poly(g, "Q"))
+    above = counter.count_gt(c)
     if above >= k:
         return 1
-    if above + polys.multiplicity_at(p, c) >= k:
+    if above + counter.multiplicity(c) >= k:
         return 0
     return -1
 

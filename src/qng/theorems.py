@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from importlib.resources import files
 from math import sqrt
 from typing import Callable, Optional, Sequence
@@ -136,7 +136,6 @@ def _na(g: Graph, bound: str, rhs, notes: str) -> BoundReport:
 # Extremal family catalogues
 
 
-@lru_cache(maxsize=256)
 def _lower_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
     return (
         ("K_n", complete(n)),
@@ -148,7 +147,6 @@ def _lower_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
     )
 
 
-@lru_cache(maxsize=256)
 def _upper_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
     if n == 2:
         return (("K_2", complete(2)),)
@@ -157,7 +155,6 @@ def _upper_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
     return ()
 
 
-@lru_cache(maxsize=256)
 def _cobar_disconnected_families(n: int) -> tuple[tuple[str, Graph], ...]:
     k2 = complete(2)
     families = [("(K_2∪K_{n-3})∇K_1", join(disjoint_union(k2, complete(n - 3)), empty_graph(1)))]
@@ -169,19 +166,16 @@ def _cobar_disconnected_families(n: int) -> tuple[tuple[str, Graph], ...]:
     return tuple(families)
 
 
-@lru_cache(maxsize=256)
 def _star_families(n: int) -> tuple[tuple[str, Graph], ...]:
     return (("K_{1,n-1}", star(n)), ("complement-of-K_{1,n-1}", complement(star(n))))
 
 
-@lru_cache(maxsize=1)
 def bipartite_equality_catalogue() -> tuple[str, ...]:
     """Frozen canonical forms of the order-6 bipartite extremal graphs."""
     text = (files("qng") / "data" / "bipartite_equality_n6.g6").read_text()
     return tuple(line.strip() for line in text.splitlines() if line.strip())
 
 
-@lru_cache(maxsize=256)
 def _bipartite_equality_families(n: int) -> tuple[tuple[str, Graph], ...]:
     if n != 6:
         return ()
@@ -237,15 +231,16 @@ def screened_sign(approx: float, target: float, exact: Callable[[], int],
     return (sign, False) if sign else (exact(), True)
 
 
-def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *, families=(),
-           structure: Optional[bool] = None, violated: str = "BOUND VIOLATED (exactly confirmed)",
-           rhs_exact: Optional[str] = None) -> BoundReport:
+def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *,
+           families: Optional[Callable[[int], tuple]] = None, structure: Optional[bool] = None,
+           violated: str = "BOUND VIOLATED (exactly confirmed)", rhs_exact: Optional[str] = None) -> BoundReport:
     """The report of ``value relation rhs`` for the quantity screened by ``lhs``.
 
     ``exact()`` is the exact sign of value - rhs.  A certified equality is
-    matched against ``families``.  With ``structure`` given, equality must
-    hold exactly when it is true, and the float may not skip the exact step
-    while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
+    matched against ``families(g.n)``, built only then.  With ``structure``
+    given, equality must hold exactly when it is true, and the float may not
+    skip the exact step while it is true.  ``rhs_exact`` is the exact text of
+    a float ``rhs``.
     """
     holds = RELATION_SIGNS[relation]
     trusted = () if structure else _FLOAT_SIGNS[relation]
@@ -258,8 +253,9 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
         notes = f"equality characterization mismatch: equality={sign == 0}, structure={structure}"
     elif sign == 0:
         verdict = EQUALITY
-        if families:
-            cert = _match_family(g, families)
+        catalogue = families(g.n) if families else ()
+        if catalogue:
+            cert = _match_family(g, catalogue)
             notes = "" if cert else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
     return BoundReport(
         g, bound, lhs, rhs, verdict, certified=certified,
@@ -368,8 +364,7 @@ class SumBound:
             if not test(g):
                 return _na(g, self.bound, None if self.rad else base, note)
         lhs, kind, k = ng_sum(g, self.kind, self.k), self.kind, self.k
-        options = {"relation": self.relation, "violated": self.violated,
-                   "families": self.families(g.n) if self.families else ()}
+        options = {"relation": self.relation, "violated": self.violated, "families": self.families}
         if self.rad is None:
             return decide(g, self.bound, lhs, base, lambda: compare_sum_with(g, kind, k, base), **options)
         rad = self.rad(g)

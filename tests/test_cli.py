@@ -304,9 +304,13 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["check", "--thm", "1.3", "--family", "K99999999999999999999"],
     ["check", "--thm", "1.3", "--family", "E99999999999999999999"],
     ["check", "--thm", "1.3", "--family", "99999999999999999999K1"],
+    ["proof-check", "--thm", "1.2", "--n", "2"],
+    ["proof-check", "--thm", "1.2", "--n-range", "0..2"],
+    ["proof-check", "--thm", "1.5", "--n", "8", "--format", "csv"],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
-        "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1"])
+        "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
+        "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")

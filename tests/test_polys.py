@@ -13,13 +13,11 @@ from qng import polys
 from qng.polys import (
     POS_INF,
     RootCounter,
-    SturmChain,
     Surd,
     cauchy_root_bound,
     compare_kth_roots,
     integer_poly,
     isolate_kth_largest,
-    multiplicity_at,
     poly_compose_linear,
     poly_eval,
     poly_eval_surd,
@@ -27,8 +25,8 @@ from qng.polys import (
     poly_gcd,
     poly_mul,
     poly_rem,
-    squarefree_part,
 )
+from qng.spectra import multiplicity_at, sturm_count
 
 
 def from_roots(roots):
@@ -66,21 +64,18 @@ def test_divmod_and_gcd():
 
 def test_squarefree_and_multiplicity():
     p = poly_mul(from_roots([2, 2, 2]), from_roots([5]))
-    assert squarefree_part(p) == from_roots([2, 5])
-    assert squarefree_part([-6 * c for c in p]) == from_roots([2, 5])
-    assert multiplicity_at(p, F(2)) == 3
-    assert multiplicity_at(p, 2) == 3
-    assert multiplicity_at(p, F(5)) == 1
-    assert multiplicity_at(p, F(7)) == 0
+    counter = RootCounter(p)
+    assert counter.tower[0][0] == from_roots([2, 5])
+    assert RootCounter([-6 * c for c in p]).tower[0][0] == from_roots([2, 5])
+    assert counter.multiplicity(F(2)) == 3
+    assert counter.multiplicity(2) == 3
+    assert counter.multiplicity(F(5)) == 1
+    assert counter.multiplicity(F(7)) == 0
 
 
 def test_zero_polynomial_is_rejected():
-    from qng.spectra import sturm_count
-
     with pytest.raises(ValueError, match="zero polynomial"):
         sturm_count([0, 0], 0, 1)
-    with pytest.raises(ValueError, match="zero polynomial"):
-        SturmChain([])
     with pytest.raises(ValueError, match="zero polynomial"):
         RootCounter([0])
 
@@ -113,12 +108,11 @@ def test_sturm_counts_match_numpy(rng=random.Random(5)):
     for _ in range(100):
         roots = sorted(rng.randint(-6, 6) for _ in range(rng.randint(1, 6)))
         p = from_roots(roots)
-        chain = SturmChain(p)
+        counter = RootCounter(p)
         distinct = sorted(set(roots))
         for lo, hi in [(-10, 10), (-3, 2), (0, 6), (-10, -4)]:
             want = sum(1 for r in distinct if lo < r <= hi)
-            assert chain.count_halfopen(F(lo), F(hi)) == want
-        counter = RootCounter(p)
+            assert counter.count_distinct_halfopen(F(lo), F(hi)) == want
         for x in (-10, -2, 0, 3):
             want = sum(1 for r in roots if r > x)
             assert counter.count_gt(F(x)) == want
@@ -126,10 +120,10 @@ def test_sturm_counts_match_numpy(rng=random.Random(5)):
 
 def test_halfopen_convention_at_root_endpoints():
     p = from_roots([0, 4])
-    chain = SturmChain(p)
-    assert chain.count_halfopen(F(0), F(4)) == 1  # 0 excluded, 4 included
-    assert chain.count_halfopen(F(-1), F(0)) == 1
-    assert chain.count_halfopen(F(-1), F(4)) == 2
+    counter = RootCounter(p)
+    assert counter.count_distinct_halfopen(F(0), F(4)) == 1  # 0 excluded, 4 included
+    assert counter.count_distinct_halfopen(F(-1), F(0)) == 1
+    assert counter.count_distinct_halfopen(F(-1), F(4)) == 2
 
 
 def test_cauchy_bound_really_bounds(rng=random.Random(9)):
@@ -179,6 +173,10 @@ def test_isolation_from_seeds():
     assert isolate_kth_largest(close, 1, 0.0) == isolate_kth_largest(close, 1)
     with pytest.raises(ValueError):
         isolate_kth_largest(p, 5, 1.0)
+    # a nonzero constant has no roots, with a seed or without
+    with pytest.raises(ValueError, match="fewer than 1 real roots"):
+        isolate_kth_largest([5], 1, 0.5)
+    assert sturm_count([5], 0, 1) == 0 and multiplicity_at([5], 2) == 0
 
 
 def test_compare_kth_roots():
@@ -225,9 +223,8 @@ def test_sturm_chain_with_surd_endpoint():
     counter = RootCounter(p)
     s2 = Surd(F(0), F(1), 2)
     assert counter.count_gt(s2) == 1
-    assert SturmChain(p).count_halfopen(s2, F(10)) == 1
-    assert SturmChain(p).count_gt(s2) == 1
-    assert SturmChain(p).variations(POS_INF) == 0
+    assert counter.count_distinct_halfopen(s2, F(10)) == 1
+    assert counter.count_distinct_halfopen(s2, POS_INF) == 1
 
 
 # --- integer layer: Sturm signs, multiplicities, surd evaluation ---
@@ -246,11 +243,11 @@ def _real_roots(p):
 
 def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
     x2_plus_1 = [1, 0, 1]
-    assert SturmChain(x2_plus_1).count_gt(F(-3)) == 0
+    assert RootCounter(x2_plus_1).count_distinct_halfopen(F(-3), POS_INF) == 0
     assert RootCounter(x2_plus_1).count_gt(F(-3)) == 0
     p = poly_mul(x2_plus_1, from_roots([1, 1]))
-    assert SturmChain(p).count_gt(F(-3)) == 1
-    assert SturmChain(p).count_halfopen(F(-3), F(1)) == 1
+    assert RootCounter(p).count_distinct_halfopen(F(-3), POS_INF) == 1
+    assert RootCounter(p).count_distinct_halfopen(F(-3), F(1)) == 1
     assert RootCounter(p).count_gt(F(-3)) == 2
     assert RootCounter(p).count_gt(F(1)) == 0
     checked = 0
@@ -261,13 +258,13 @@ def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
         real = _real_roots(p)
         if real is None or len(real) == len(p) - 1:
             continue  # keep only polynomials with non-real roots
-        chain = SturmChain(p)
+        counter = RootCounter(p)
         for _ in range(5):
             x = F(rng.randint(-80, 80), rng.randint(1, 8))
             if any(abs(r - x) < 1e-6 for r in real):
                 continue
-            assert chain.count_gt(x) == sum(1 for r in real if r > x), (p, x)
-        assert chain.count_halfopen(polys.NEG_INF, POS_INF) == len(real)
+            assert counter.count_distinct_halfopen(x, POS_INF) == sum(1 for r in real if r > x), (p, x)
+        assert counter.count_distinct_halfopen(polys.NEG_INF, POS_INF) == len(real)
         checked += 1
 
 
@@ -288,13 +285,13 @@ def test_root_counter_against_multiplicities(rng=random.Random(23)):
         points = set(roots) | {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(6)}
         for x in points:
             assert counter.count_gt(x) == sum(1 for r in roots if r > x), (roots, x)
-            assert multiplicity_at(p, x) == roots.count(x)
+            assert counter.multiplicity(x) == roots.count(x)
         distinct = set(roots)
         assert counter.count_distinct_halfopen(F(-13), F(13)) == len(distinct)
         want = from_roots(sorted(distinct))
         for q in sorted(quadratics):
             want = poly_mul(want, list(q))
-        assert squarefree_part(p) == want
+        assert counter.tower[0][0] == want
 
 
 def _naive_eval_surd(p, x):

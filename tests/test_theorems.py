@@ -314,9 +314,9 @@ def test_decide_relation_is_data():
     assert decide(g, "b", 4.0, F(4), hit, "<=", structure=False).verdict == VIOLATED
     assert decide(g, "b", 4.0, F(4), hit, "<=", structure=True).verdict == EQUALITY
     # a certified equality outside the given families is flagged
-    other = decide(g, "b", 4.0, F(4), hit, "<=", families=(("K_5", complete(5)),))
+    other = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("K_5", complete(5)),))
     assert other.family is None and other.notes == "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
-    same = decide(g, "b", 4.0, F(4), hit, "<=", families=(("C_5", cycle(5)),))
+    same = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("C_5", cycle(5)),))
     assert same.family == "C_5" and same.certificate.witness
 
 
