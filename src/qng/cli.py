@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream isomorphism-class representatives")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--filter", default="all")
-    add_common(p)
+    add_common(p, formats=("text",))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("scan", help="evaluate a predicate over all graphs of an order")

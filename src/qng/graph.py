@@ -350,19 +350,6 @@ def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
 
 
-def count_bipartite_components(g: Graph) -> int:
-    """Number of bipartite components; an isolated vertex counts as one."""
-    return sum(c is not None for c in component_colorings(g))
-
-
-def has_balanced_bipartite_component(g: Graph) -> bool:
-    """True if some component is bipartite with equal color classes.
-
-    An isolated vertex has classes of sizes (1, 0) and is never balanced.
-    """
-    return any(c is not None and c[0].bit_count() == c[1].bit_count() for c in component_colorings(g))
-
-
 def twin_classes(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """The twin classes of the graph with adjacency ``rows``: the vertex sets of
     two or more members sharing an open neighborhood (pairwise non-adjacent),

@@ -16,8 +16,9 @@ iterated-gcd tower of a polynomial, one Sturm sequence per level, and answers
 the three questions asked of it: distinct roots in a half-open interval,
 roots above a point counted with multiplicity, and the multiplicity of a
 rational.  ``root_counter`` builds one per polynomial and hands it to every
-later caller.  On the counters rest isolation of the k-th largest real root
-and exact comparison of roots of two polynomials.  Isolation starts from a
+later caller.  On the counters rest isolation of the k-th largest real root,
+exact comparison of roots of two polynomials, and exact comparison of the
+sum of two such roots with a rational or surd bound.  Isolation starts from a
 small dyadic window around a float seed, such as the screened eigenvalue,
 when exact counts verify that the window holds the root and no other;
 otherwise it bisects from the Cauchy bound.  Floats pick only where to start:
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite, lcm, sqrt
+from math import gcd, isfinite, isqrt, lcm, sqrt
 from typing import Sequence, Union
 
 Poly = list[int]
@@ -163,24 +164,6 @@ def poly_eval(p: Poly, x) -> Fraction:
     return Fraction(_value(p, x.numerator, x.denominator), x.denominator ** (len(p) - 1))
 
 
-def poly_compose_linear(p: Poly, a, b) -> Poly:
-    """A primitive positive multiple of x -> p(a*x + b), for rational a and b.
-
-    With a*x + b = (u*x + v) / den this is sum_i p_i den^(n-i) (u*x + v)^i,
-    by Horner's rule.
-    """
-    (u, v), den = _over_common_denominator((a, b))
-    acc: Poly = []
-    power = 1
-    for c in reversed(p):
-        acc = [v * cur + u * prev for cur, prev in zip(acc + [0], [0] + acc)]
-        acc[0] += c * power
-        power *= den
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return _primitive(acc)
-
-
 def cauchy_root_bound(p: Poly) -> Fraction:
     """A rational B with every real root of ``p`` in (-B, B)."""
     if len(p) < 2:
@@ -268,6 +251,41 @@ def poly_eval_surd(p: Poly, x: Surd) -> Surd:
     big, small = _value_surd(p, u, v, x.d, den)
     scale = den ** (len(p) - 1)
     return Surd(Fraction(big, scale), Fraction(small, scale), x.d)
+
+
+def _surd_parts(c) -> tuple[Fraction, Fraction, int]:
+    """(a, b, d) with c = a + b*sqrt(d), for a rational or ``Surd`` c."""
+    return (c.a, c.b, c.d) if isinstance(c, Surd) else (Fraction(c), Fraction(0), 0)
+
+
+def base_plus_sqrt(base, rad) -> Union[Fraction, Surd]:
+    """base + sqrt(rad) for rational base and rad = p/q >= 0 in lowest terms: a ``Fraction``
+    when rad is a rational square (p*q is a square), else the ``Surd`` base + sqrt(p*q)/q."""
+    pq = rad.numerator * rad.denominator
+    root = isqrt(pq)
+    return base + Fraction(root, rad.denominator) if root * root == pq else Surd(base, Fraction(1, rad.denominator), pq)
+
+
+def reflection_norm(p: Sequence[int], c) -> Poly:
+    """The primitive, positively leading N in Z[x] with a root c - alpha for each root alpha of p.
+
+    ``c`` is rational or a ``Surd`` a + b*sqrt(d).  Horner's rule on integer
+    pairs writes den^deg(p) * p(c - x) = A(x) + sqrt(d)*B(x), with
+    c - x = (u - den*x + v*sqrt(d)) / den.  N is A for b = 0, else the norm
+    A^2 - d*B^2, whose roots are the c - alpha and their conjugates.
+    """
+    a, b, d = _surd_parts(c)
+    (u, v), den = _over_common_denominator((a, b))
+    big: Poly = []
+    small: Poly = []
+    power = 1
+    for coeff in reversed(p):
+        big, small = ([u * x - den * y + v * d * s for x, y, s in zip(big + [0], [0] + big, small + [0])],
+                      [u * s - den * y + v * x for x, s, y in zip(big + [0], small + [0], [0] + small)])
+        big[0] += coeff * power
+        power *= den
+    norm = _primitive(big if v == 0 else [x - d * y for x, y in zip(poly_mul(big, big), poly_mul(small, small))])
+    return [-x for x in norm] if norm[-1] < 0 else norm
 
 
 Point = Union[Fraction, Surd, object]
@@ -424,7 +442,7 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
     return window
 
 
-#: Bisection steps ``compare_kth_roots`` takes before it gives up.
+#: Bisection steps ``compare_kth_roots`` and ``compare_root_sum`` take before they give up.
 _COMPARE_MAX_ITER = 512
 
 
@@ -454,3 +472,39 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
         wa.refine()
         wb.refine()
     raise ArithmeticError("root comparison did not converge")
+
+
+def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
+                     near_a: float | None = None, near_b: float | None = None) -> int:
+    """Exact sign of alpha + beta - c: alpha the k_a-th largest root of pa, beta
+    the k_b-th of pb, c rational or a ``Surd``, seeds as in ``compare_kth_roots``.
+
+    Bisection decides the sign once the window (alpha.lo + beta.lo,
+    alpha.hi + beta.hi] of the sum lies on one side of c.  Equality is
+    certified by N = ``reflection_norm(pa, c)``, built only once the window
+    holds c: a root of gcd(pb, N) in beta's window is beta, and if N has one
+    distinct root in the hull of beta's window and c minus alpha's, beta and
+    c - alpha are that root.
+    """
+    a, b, d = _surd_parts(c)
+    wa = isolate_kth_largest(pa, ka, near_a)
+    wb = isolate_kth_largest(pb, kb, near_b)
+    norm = common = None
+    for _ in range(_COMPARE_MAX_ITER):
+        if _surd_sign(wa.lo + wb.lo - a, -b, d) >= 0:
+            return 1
+        if _surd_sign(wa.hi + wb.hi - a, -b, d) < 0:
+            return -1
+        if norm is None:
+            norm = root_counter(tuple(reflection_norm(pa, c)))
+            common = _sturm_sequence(poly_gcd(wb.counter.tower[0][0], norm.tower[0][0]))
+        if _variations(common, wb.lo) > _variations(common, wb.hi):
+            # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
+            low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo
+            lo = wb.lo if _surd_sign(wb.lo - low, -b, d) <= 0 else Surd(low, b, d)
+            hi = wb.hi if _surd_sign(wb.hi - high, -b, d) >= 0 else Surd(high, b, d)
+            if norm.count_distinct_halfopen(lo, hi) == 1:
+                return 0
+        wa.refine()
+        wb.refine()
+    raise ArithmeticError("root sum comparison did not converge")

@@ -29,7 +29,7 @@ comparison hands to ``polys`` as it is.  Root counting, ``sturm_count`` and
 ``multiplicity_at`` included, goes through ``polys.root_counter``, which
 builds one integer Sturm/gcd tower per polynomial.  ``kind_char_poly`` caches the polynomials, which
 the registered checks' scans of the same graphs read again.  ``Fraction``
-appears only in the rational bounds of the comparisons.
+and ``polys.Surd`` appear only in the bounds of the comparisons.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -293,25 +293,14 @@ def compare_qk_with(g: Graph, k: int, c) -> int:
 
 
 def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = None) -> int:
-    """Exact sign of (k-th eigenvalue of g plus k_complement-th of complement) - c.
-
-    Writes the sum condition as a comparison between the k_complement-th
-    largest root of the complement's characteristic polynomial and the k-th
-    smallest root of p(c - x), where p belongs to the kind-matrix of G; equal
-    roots are certified via a common factor, so equality is decided exactly.
-    The screened spectra seed both isolations; the seed of the root
-    c - lambda_k(G) of p(c - x) is c minus the float lambda_k(G).
-    """
+    """Exact sign of (k-th eigenvalue of g plus k_complement-th of complement) - c, for c rational
+    or a ``polys.Surd``, by ``polys.compare_root_sum`` seeded with the screened spectra."""
     kc = k if k_complement is None else k_complement
     if not 1 <= k <= g.n or not 1 <= kc <= g.n:
         raise ValueError(f"eigenvalue index outside 1..{g.n}")
-    c = Fraction(c)
     cg = complement_of(g)
-    reflected = polys.poly_compose_linear(kind_char_poly(g, kind), -1, c)
-    if reflected[-1] < 0:
-        reflected = [-a for a in reflected]
-    return polys.compare_kth_roots(kind_char_poly(cg, kind), kc, reflected, g.n - k + 1,
-                                   spectrum(cg, kind).value(kc), float(c) - spectrum(g, kind).value(k))
+    return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), kc, c,
+                                  spectrum(g, kind).value(k), spectrum(cg, kind).value(kc))
 
 
 def compare_q1(g: Graph, h: Graph) -> int:
@@ -319,44 +308,3 @@ def compare_q1(g: Graph, h: Graph) -> int:
     return polys.compare_kth_roots(kind_char_poly(g, "Q"), 1, kind_char_poly(h, "Q"), 1,
                                    spectrum(g, "Q").value(1), spectrum(h, "Q").value(1))
 
-
-def rational_sqrt(q) -> Optional[Fraction]:
-    """The rational square root of ``q >= 0``, or None if it is irrational."""
-    q = Fraction(q)
-    num, den = isqrt(q.numerator), isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return Fraction(num, den)
-
-
-def compare_sum_vs_radical(g: Graph, kind: str, k: int, base, rad) -> int:
-    """Exact sign of (eigenvalue sum of g and complement) - (base + sqrt(rad)).
-
-    ``base`` and ``rad`` are rational with rad >= 0.  A square radicand makes
-    the bound rational and is decided by ``compare_sum_with``.  Otherwise
-    interval refinement separates the algebraic sum from the radical; an
-    exact hit on an irrational bound cannot terminate and raises
-    ArithmeticError.
-    """
-    base, rad = Fraction(base), Fraction(rad)
-    if rad < 0:
-        raise ValueError("radicand must be nonnegative")
-    root = rational_sqrt(rad)
-    if root is not None:
-        return compare_sum_with(g, kind, k, base + root)
-    cg = complement_of(g)
-    wa = polys.isolate_kth_largest(kind_char_poly(g, kind), k, spectrum(g, kind).value(k))
-    wb = polys.isolate_kth_largest(kind_char_poly(cg, kind), k, spectrum(cg, kind).value(k))
-    for _ in range(polys._COMPARE_MAX_ITER):
-        tlo = wa.lo + wb.lo - base
-        thi = wa.hi + wb.hi - base
-        if thi < 0:
-            return -1
-        if tlo >= 0:
-            if thi * thi < rad:
-                return -1
-            if tlo * tlo > rad:
-                return 1
-        wa.refine()
-        wb.refine()
-    raise ArithmeticError("cannot separate eigenvalue sum from radical bound")

@@ -69,11 +69,9 @@ from .spectra import (
     chunk_sums,
     compare_q1,
     compare_qk_with,
-    compare_sum_vs_radical,
     compare_sum_with,
     complement_of,
     ng_sum,
-    rational_sqrt,
     spectrum,
 )
 
@@ -327,6 +325,15 @@ class SumBound:
         requires = tuple(name for name in self.requires if name not in established)
         return self if requires == self.requires else replace(self, requires=requires)
 
+    def _inapplicable(self, g: Graph) -> Optional[str]:
+        """The note of a graph below ``min_n`` or failing a hypothesis of ``requires``, else None."""
+        if g.n < self.min_n:
+            return f"requires n >= {self.min_n}"
+        for test, note in map(HYPOTHESES.__getitem__, self.requires):
+            if not test(g):
+                return note
+        return None
+
     def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
         """``[self(g).verdict for g in graphs]`` for members of the current scan chunk.
 
@@ -337,10 +344,10 @@ class SumBound:
         bound at once under the float rule of ``decide`` (``float_sign``):
         a sign the float decides satisfies the relation strictly, so the
         graph is strict.  Only the graphs left undecided, and those with
-        k > n, which raise as they do alone, are called one by one.
+        k > n, which raise as they do alone, are reported one by one, with
+        no hypothesis tested again.
         """
-        out = [NOT_APPLICABLE if g.n < self.min_n or not all(HYPOTHESES[name][0](g) for name in self.requires)
-               else None for g in graphs]
+        out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
         screened = [i for i, g in enumerate(graphs) if out[i] is None and self.k <= g.n]
         if screened:
             n = graphs[screened[0]].n
@@ -352,26 +359,28 @@ class SumBound:
             for i, sign in zip(screened, float_sign(sums, target, _FLOAT_SIGNS[self.relation]).tolist()):
                 if sign:
                     out[i] = STRICT
-        return [self(g).verdict if verdict is None else verdict for g, verdict in zip(graphs, out)]
+        return [self._report(g).verdict if verdict is None else verdict for g, verdict in zip(graphs, out)]
 
     def __call__(self, g: Graph) -> BoundReport:
+        note = self._inapplicable(g)
+        if note is None:
+            return self._report(g)
         a, b = self.rhs
-        base = Fraction(a * g.n + b)
-        if g.n < self.min_n:
-            return _na(g, self.bound, None if self.rad else base, f"requires n >= {self.min_n}")
-        for name in self.requires:
-            test, note = HYPOTHESES[name]
-            if not test(g):
-                return _na(g, self.bound, None if self.rad else base, note)
-        lhs, kind, k = ng_sum(g, self.kind, self.k), self.kind, self.k
-        options = {"relation": self.relation, "violated": self.violated, "families": self.families}
-        if self.rad is None:
-            return decide(g, self.bound, lhs, base, lambda: compare_sum_with(g, kind, k, base), **options)
-        rad = self.rad(g)
-        root = rational_sqrt(rad)
-        return decide(g, self.bound, lhs, float(base) + sqrt(rad),
-                      lambda: compare_sum_vs_radical(g, kind, k, base, rad),
-                      rhs_exact=None if root is None else str(base + root), **options)
+        return _na(g, self.bound, None if self.rad else Fraction(a * g.n + b), note)
+
+    def _report(self, g: Graph) -> BoundReport:
+        """The report on a graph the row applies to, against its bound built once: the base,
+        or base + sqrt(rad) from ``polys.base_plus_sqrt``, a ``Fraction`` or a ``Surd``."""
+        a, b = self.rhs
+        base = bound = rhs = Fraction(a * g.n + b)
+        text = None
+        if self.rad is not None:
+            rad = self.rad(g)
+            bound, rhs = polys.base_plus_sqrt(base, rad), float(base) + sqrt(rad)
+            text = f"{base}+sqrt({rad})" if isinstance(bound, Surd) else str(bound)
+        kind, k = self.kind, self.k
+        return decide(g, self.bound, ng_sum(g, kind, k), rhs, lambda: compare_sum_with(g, kind, k, bound),
+                      self.relation, families=self.families, violated=self.violated, rhs_exact=text)
 
 
 def _regular_radicand(g: Graph) -> Fraction:

@@ -307,10 +307,13 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["proof-check", "--thm", "1.2", "--n", "2"],
     ["proof-check", "--thm", "1.2", "--n-range", "0..2"],
     ["proof-check", "--thm", "1.5", "--n", "8", "--format", "csv"],
+    ["enumerate", "--n", "3", "--format", "json"],
+    ["enumerate", "--n", "3", "--format", "csv"],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
-        "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv"])
+        "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv",
+        "enumerate-json", "enumerate-csv"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")

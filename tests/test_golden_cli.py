@@ -4,8 +4,10 @@ The data file freezes what ``qng`` prints for ``check``/``report``/``scan`` in
 every format, a scan of every registered theorem over n = 4..7, the ``ng``
 sums, every scan predicate kind, a ``--jobs 2`` scan, a proof-check sweep and
 a scan of the external order-9 stream ``tests/data/stream9.g6`` under ``--jobs``
-1, 2 and 3, and a ``cobar-disconnected`` scan under ``--jobs 2``.  Commands run from the repository root, so a stream path in the
-argv is relative to it.  Regenerate the file only for an intended change of
+1, 2 and 3, a ``cobar-disconnected`` scan under ``--jobs 2``, and the ``ng``
+check and scan of P4, whose lambda_2 sum equals the irrational bound
+-1 + sqrt(5).  Commands run from the repository root, so a stream path in
+the argv is relative to it.  Regenerate the file only for an intended change of
 output:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
@@ -61,6 +63,8 @@ COMMANDS: list[list[str]] = [
        "--thm", "problem1.2", "--jobs", jobs, "--format", fmt]
       for jobs in ("1", "2", "3") for fmt in ("text", "json")),
     ["scan", "--n-range", "6..7", "--filter", "cobar-disconnected", "--thm", "1.4", "--jobs", "2"],
+    ["check", "--thm", "ng", "--kind", "A", "--k", "2", "--family", "P4", "--format", "json"],
+    ["scan", "--n", "4", "--thm", "ng", "--kind", "A", "--k", "2"],
 ]
 
 

@@ -18,7 +18,6 @@ from qng.graph import (
     complete_bipartite,
     component_colorings,
     component_masks,
-    count_bipartite_components,
     cycle,
     cartesian_product,
     decode_graph6,
@@ -28,7 +27,6 @@ from qng.graph import (
     from_graph6,
     h_graph,
     h_graph_blocks,
-    has_balanced_bipartite_component,
     is_bipartite,
     is_connected,
     is_regular,
@@ -172,15 +170,15 @@ def test_unchecked_constructions_match_validated_graph(rng=random.Random(41)):
 def test_components_and_bipartite_examples():
     g = disjoint_union(complete(2), empty_graph(4))
     assert len(component_masks(g)) == 5
-    assert count_bipartite_components(g) == 5
-    assert has_balanced_bipartite_component(g)  # the K_2
+    colorings = component_colorings(g)
+    assert None not in colorings and len(colorings) == 5
+    assert [(a.bit_count(), b.bit_count()) for a, b in colorings].count((1, 1)) == 1  # the K_2 is balanced
 
     a, b = bipartition(complete_bipartite(3, 3))
     assert (len(a), len(b)) == (3, 3)
 
     g = disjoint_union(complete(5), empty_graph(1))
-    assert count_bipartite_components(g) == 1  # just the isolated vertex
-    assert not has_balanced_bipartite_component(g)
+    assert component_colorings(g) == [None, (1 << 5, 0)]  # just the isolated vertex, unbalanced
 
     assert bipartition(complete(3)) is None
 
@@ -238,8 +236,9 @@ def test_component_colorings_match_networkx(graphs_and_complements):
             first = {v for v in comp if color[v] == color[comp[0]]}
             assert coloring == (sum(1 << v for v in first), sum(1 << v for v in set(comp) - first))
             balanced |= 2 * len(first) == len(comp)
-        assert count_bipartite_components(g) == sum(nx.is_bipartite(nxg.subgraph(c)) for c in comps)
-        assert has_balanced_bipartite_component(g) == balanced
+        bipartite = [c for c in colorings if c is not None]
+        assert len(bipartite) == sum(nx.is_bipartite(nxg.subgraph(c)) for c in comps)
+        assert any(a.bit_count() == b.bit_count() for a, b in bipartite) == balanced
         parts = bipartition(g)
         assert (parts is not None) == nx.is_bipartite(nxg)
         if parts is not None:

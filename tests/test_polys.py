@@ -16,15 +16,16 @@ from qng.polys import (
     Surd,
     cauchy_root_bound,
     compare_kth_roots,
+    compare_root_sum,
     integer_poly,
     isolate_kth_largest,
-    poly_compose_linear,
     poly_eval,
     poly_eval_surd,
     poly_exact_div,
     poly_gcd,
     poly_mul,
     poly_rem,
+    reflection_norm,
 )
 from qng.spectra import multiplicity_at, sturm_count
 
@@ -81,27 +82,54 @@ def test_zero_polynomial_is_rejected():
 
 
 def test_compose_linear():
+    """``reflection_norm``: at a rational c, the primitive multiple of p(c - x)
+    that leads positively; at a surd c, a primitive positive polynomial of twice the degree
+    with c - alpha and its conjugate as roots, for every root alpha of p."""
     p = [1, 2, 3]  # 3x^2 + 2x + 1
-    q = poly_compose_linear(p, F(-1), F(4))  # p(4 - x)
+    q = reflection_norm(p, F(4))  # p(4 - x)
     assert q == [57, -26, 3]
     for x in (F(0), F(1), F(7, 2)):
         assert poly_eval(q, x) == poly_eval(p, 4 - x)
+    assert reflection_norm(p, Surd(F(4), F(0), 7)) == q
     rng = random.Random(37)
     for _ in range(200):
-        p = integer_poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
-        a, b = F(rng.randint(-4, 4), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 6))
-        q = poly_compose_linear(p, a, b)
-        if a == 0:
-            assert q == integer_poly([poly_eval(p, b)])
-            continue
-        assert len(q) == len(p) and (not q or math.gcd(*q) == 1)
-        if not p:
-            continue
-        # q = r * p(a x + b) with r > 0, checked at deg + 1 points and the old ones
-        r = F(q[-1]) / (p[-1] * a ** (len(p) - 1))
-        assert r > 0
+        p = integer_poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))] + [1])
+        c = F(rng.randint(-9, 9), rng.randint(1, 6))
+        q = reflection_norm(p, c)
+        assert len(q) == len(p) and math.gcd(*q) == 1 and q[-1] > 0
+        # q = r * p(c - x), checked at deg + 1 points and the old ones
+        r = F(q[-1]) / (p[-1] * (-1) ** (len(p) - 1))
         for x in [F(0), F(-3, 2), F(5, 3)] + list(range(1, len(p) + 1)):
-            assert poly_eval(q, x) == r * poly_eval(p, a * x + b)
+            assert poly_eval(q, x) == r * poly_eval(p, c - x)
+    for _ in range(100):
+        d = rng.choice((2, 3, 5, 7))
+        c = Surd(F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)), d)
+        e, f = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 5), rng.randint(1, 3))
+        rational = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        p = integer_poly([e * e - f * f * d, -2 * e, 1])  # roots e +- f sqrt(d)
+        for root in rational:
+            p = poly_mul(p, [-root.numerator, root.denominator])
+        q = reflection_norm(p, c)
+        assert len(q) == 2 * len(p) - 1 and math.gcd(*q) == 1 and q[-1] > 0
+        for alpha in rational + [Surd(e, f, d), Surd(e, -f, d)]:
+            for point in (c, Surd(c.a, -c.b, d)):
+                assert poly_eval_surd(q, point - alpha).is_zero(), (p, c, alpha)
+
+
+def test_compare_root_sum_decides_rational_and_surd_bounds():
+    golden = [-1, -1, 1]  # x^2 - x - 1, roots phi = (1 + sqrt 5)/2 and psi = (1 - sqrt 5)/2
+    tiny = F(1, 1 << 40)
+    for c, signs in (
+        (Surd(F(1), F(1), 5), (0, -1)),  # phi + phi = 1 + sqrt 5 > phi + psi
+        (F(1), (1, 0)),  # phi + psi = 1
+        (Surd(F(1), F(0), 5), (1, 0)),
+        (Surd(F(-1), F(1), 4), (1, 0)),  # -1 + sqrt 4 = 1
+        (Surd(F(1) + tiny, F(1), 5), (-1, -1)),
+        (Surd(F(1) - tiny, F(1), 5), (1, -1)),
+    ):
+        assert [compare_root_sum(golden, 1, golden, kb, c) for kb in (1, 2)] == list(signs), c
+    # seeds never change the sign
+    assert compare_root_sum(golden, 1, golden, 1, Surd(F(1), F(1), 5), 1.618, 1.6180339) == 0
 
 
 def test_sturm_counts_match_numpy(rng=random.Random(5)):

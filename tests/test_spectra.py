@@ -16,6 +16,7 @@ from qng.graph import (
     complement,
     complete,
     complete_bipartite,
+    component_colorings,
     cycle,
     empty_graph,
     from_edges,
@@ -30,7 +31,6 @@ from qng.spectra import (
     char_poly_exact,
     compare_q1,
     compare_qk_with,
-    compare_sum_vs_radical,
     compare_sum_with,
     eigenvalues_sym,
     kind_char_poly,
@@ -38,7 +38,6 @@ from qng.spectra import (
     multiplicity_at,
     ng_sum,
     q_matrix,
-    rational_sqrt,
     set_chunk,
     spectrum,
     sturm_count,
@@ -256,13 +255,62 @@ def test_compare_helpers():
 
 
 def test_square_radicand_is_decided_exactly():
-    assert rational_sqrt(25) == 5 and rational_sqrt(F(9, 4)) == F(3, 2)
-    assert rational_sqrt(5) is None and rational_sqrt(F(25, 2)) is None
+    assert polys.base_plus_sqrt(-1, 25) == 4 and polys.base_plus_sqrt(0, F(9, 4)) == F(3, 2)
+    assert polys.base_plus_sqrt(-1, 5) == polys.Surd(F(-1), F(1), 5)
+    assert polys.base_plus_sqrt(0, F(25, 2)) == polys.Surd(F(0), F(1, 2), 50)
     # lambda_2(G) + lambda_2(complement G) = 2 + 2 hits -1 + sqrt(25) exactly
     g = from_graph6("GKXc{w")
-    assert compare_sum_vs_radical(g, "A", 2, -1, 25) == 0
-    assert compare_sum_vs_radical(g, "A", 2, -1, F(2401, 100)) == 1  # -1 + 4.9
-    assert compare_sum_vs_radical(g, "A", 2, -1, 26) == -1
+    assert compare_sum_with(g, "A", 2, polys.Surd(F(-1), F(1), 25)) == 0
+    assert compare_sum_with(g, "A", 2, polys.Surd(F(-1), F(1, 100), 2401 * 100)) == 1  # -1 + sqrt(2401/100)
+    assert compare_sum_with(g, "A", 2, polys.Surd(F(-1), F(1), 26)) == -1
+
+
+def _reflected(p, c):
+    """p(c - x) for rational c, as ascending Fractions, by Horner's rule."""
+    acc = []
+    for coeff in reversed(p):
+        acc = [c * cur - prev for cur, prev in zip(acc + [0], [0] + acc)]
+        acc[0] += coeff
+    return acc
+
+
+def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random(19)):
+    """``compare_sum_with`` for n <= 6, kinds Q, L, A and seeded k.
+
+    A rational bound c, on the sum, on one side of it by 2^-24, or random,
+    gets the sign of the comparison the bound was once decided by:
+    the k_complement-th largest root of the complement's polynomial against
+    the (n - k + 1)-th largest root of p(c - x).  A surd bound b + s*sqrt(d)
+    gets the float sign wherever it lies more than 1e-6 from the sum, and is
+    hit exactly only where the float sum is on it.
+    """
+    hits = Counter()
+    for n in range(1, 7):
+        for g in graphs_by_order[n]:
+            cg = complement(g)
+            for kind in "QLA":
+                k = rng.randint(1, n)
+                kc = rng.choice((k, n))
+                value = spectrum(g, kind).value(k) + spectrum(cg, kind).value(kc)
+                near = F(round(2 * value), 2)
+                for c in (near, near + rng.choice((-1, 1)) * F(1, 1 << 24), F(rng.randint(-20, 40), rng.randint(1, 7))):
+                    reflected = polys.integer_poly(_reflected(kind_char_poly(g, kind), c))
+                    expected = polys.compare_kth_roots(kind_char_poly(cg, kind), kc, reflected, n - k + 1,
+                                                       spectrum(cg, kind).value(kc), float(c) - spectrum(g, kind).value(k))
+                    got = compare_sum_with(g, kind, k, c, k_complement=kc)
+                    assert got == expected, (to_graph6(g), kind, k, kc, c)
+                    hits["rational"] += got == 0
+                for d in (5, rng.choice((2, 3, 6, 7, 13))):
+                    s = rng.choice((F(1), F(1, 2)))
+                    bound = polys.Surd(F(round(2 * (value - float(s) * math.sqrt(d))), 2), s, d)
+                    got = compare_sum_with(g, kind, k, bound, k_complement=kc)
+                    gap = value - float(bound)
+                    if abs(gap) > 1e-6:
+                        assert got == (gap > 0) - (gap < 0), (to_graph6(g), kind, k, kc, bound)
+                    if got == 0:
+                        assert abs(gap) < 1e-9, (to_graph6(g), kind, k, kc, bound)
+                        hits["surd"] += 1
+    assert hits["rational"] > 100 and hits["surd"] > 0, hits
 
 
 def test_spectrum_accessors():
@@ -326,9 +374,7 @@ def test_char_poly_type():
 
 
 def test_q_singular_iff_bipartite_component(graphs_by_order):
-    from qng.graph import count_bipartite_components
-
     for n in range(1, 7):
         for g in graphs_by_order[n]:
             mult0 = multiplicity_at(kind_char_poly(g, "Q"), 0)
-            assert mult0 == count_bipartite_components(g)
+            assert mult0 == sum(c is not None for c in component_colorings(g))

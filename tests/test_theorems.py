@@ -10,6 +10,7 @@ import math
 import pickle
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -42,7 +43,9 @@ from qng.theorems import (
     NOT_APPLICABLE,
     STRICT,
     THEOREM_CHECKS,
+    SumBound,
     VIOLATED,
+    _ng_a2_radicand,
     bipartite_equality_catalogue,
     check_lemma26,
     check_lemma27,
@@ -216,6 +219,20 @@ def test_ng_a2_square_radicand_equality():
     r = check_ng_generic(from_graph6("GKXc{w"), "A", 2)
     assert (r.bound, r.verdict) == ("ng-A2", EQUALITY)
     assert r.certified and r.lhs_exact == "4" and r.rhs == 4.0
+
+
+def test_ng_a2_irrational_equality_on_p4():
+    # n = 4: lambda_2 of P4 and of its complement P4 is (sqrt(5) - 1)/2, so the sum is -1 + sqrt(5)
+    r = check_ng_generic(path(4), "A", 2)
+    assert (r.bound, r.verdict, r.certified, r.lhs_exact) == ("ng-A2", EQUALITY, True, "-1+sqrt(5)")
+    assert r.rhs == -1.0 + math.sqrt(5)
+
+
+def test_exact_hit_on_a_strict_radical_row_is_a_certified_violation():
+    row = SumBound("ng-A2-strict", "ng-A2-strict", "<", (0, -1), _ng_a2_radicand, kind="A")
+    r = row(path(4))
+    assert (r.verdict, r.certified, r.notes) == (VIOLATED, True, "BOUND VIOLATED (exactly confirmed)")
+    assert row(cycle(5)).verdict == STRICT
 
 
 @pytest.mark.parametrize("check, g, rhs, note", [
@@ -401,9 +418,7 @@ def test_exact_verdicts_are_certified(graphs_by_order):
 
 
 #: sha256 of the five scan results ``json.dumps(scan(n, "all", check).to_dict(),
-#: sort_keys=True)`` for n = 4..8, joined by newlines.  A scan that raises
-#: contributes ``ArithmeticError: <message>`` instead (ng-A2 at n = 4, where the
-#: sum of P4 equals the irrational bound -1 + sqrt(5)).
+#: sort_keys=True)`` for n = 4..8, joined by newlines.
 SCAN_DIGESTS = {
     "1.2": "37d114ffe41107723600e36706f7416fc48d23f2fb47b4a52289471411a4e9f0",
     "1.3": "d5765453002bd886a6e32aed7d47381dd3534164d09647e6da520a593898a667",
@@ -417,7 +432,7 @@ SCAN_DIGESTS = {
     "2.9": "c04fc6a951f3dbbd3022384dcb47ec0c54cd7e2eeeb9fc054135d4f6bc3d1ae6",
     "2.10": "e95f3f993ce260ab9da91d807244f5e63b1dab4e9f1d390bb454d45bbd9c4fa0",
     "q1-sum": "3907bad637c913a0927ff6a8ce8af82ec2a9aeadfb377ea449694cabe4bc3d09",
-    "ng-A2": "8fd0619e864e8840a3c67e3f65710b0309d6afe763f0ba246397acbb61670f52",
+    "ng-A2": "99bf52bda88040fe8853774ac6e5a9606b8edf7ae0bac2ffdd8068e3aa79078c",
     "ng-L1": "7e7d8f7da389976b6bbc47263801e21d4bd5e090a0b41a3dfe26f0eb038ae8ba",
     "ng-Q3": "4cf61c5c7d626b382e0d187177d4119e6259d6de7cf78a9fa836513fd7501894",
 }
@@ -435,12 +450,7 @@ def _scan_check(key: str):
 @pytest.mark.parametrize("key", sorted(SCAN_DIGESTS))
 def test_scan_digests_are_pinned(key, graphs_by_order, enum8):
     check = _scan_check(key)
-    texts = []
-    for n in range(4, 9):
-        try:
-            texts.append(json.dumps(scan(n, "all", check, jobs=1).to_dict(), sort_keys=True))
-        except ArithmeticError as exc:
-            texts.append(f"ArithmeticError: {exc}")
+    texts = [json.dumps(scan(n, "all", check, jobs=1).to_dict(), sort_keys=True) for n in range(4, 9)]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == SCAN_DIGESTS[key]
 
 
@@ -478,15 +488,15 @@ CHUNK_ROWS = {
 
 
 def _calls_spied(monkeypatch) -> list:
-    """The graphs ``SumBound.__call__`` is called on from now on."""
+    """The graphs a row reports on one by one (``SumBound._report``) from now on."""
     called = []
-    call = theorems.SumBound.__call__
+    report = theorems.SumBound._report
 
     def spy(self, g):
         called.append(g)
-        return call(self, g)
+        return report(self, g)
 
-    monkeypatch.setattr(theorems.SumBound, "__call__", spy)
+    monkeypatch.setattr(theorems.SumBound, "_report", spy)
     return called
 
 
@@ -505,7 +515,7 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
             try:
                 try:
                     reports = [row(g) for g in graphs]
-                except (ArithmeticError, ValueError) as exc:  # ng-A2: k > n at n = 1, and P4 on -1 + sqrt(5)
+                except ValueError as exc:  # ng-A2: k > n at n = 1
                     with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                         row.verdicts(graphs)
                     continue
@@ -524,7 +534,7 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
 def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=random.Random(16)):
     """Relabelled copies of H`Kxx~~ (float q_2 sum 13.000000000000004 against
     2n - 5 = 13) among float-decided order-9 graphs, and P4 and C4 among the
-    connected order-4 graphs under thm-1.3: only those go to ``__call__``."""
+    connected order-4 graphs under thm-1.3: only those are reported one by one."""
     extremal = from_graph6("H`Kxx~~")
     copies = [relabel(extremal, rng.sample(range(9), 9)) for _ in range(3)]
     order9 = [complete(9), cycle(9), star(9), path(9), complete_bipartite(4, 5)] + copies
@@ -548,6 +558,32 @@ def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=ran
         finally:
             spectra.set_chunk(())
     assert ng_sum(extremal) == 13.000000000000004
+
+
+def test_chunk_tests_each_hypothesis_once_per_graph(graphs_by_order, monkeypatch):
+    """Thm 1.6's row on whole chunks at n = 6, 7: the graphs the float leaves
+    undecided are reported without testing ``connected`` or ``q2<=n-3``
+    again, so each hypothesis runs at most once per graph."""
+    calls = Counter()
+    for name in check_thm16.requires:
+        test, note = theorems.HYPOTHESES[name]
+
+        def spy(g, name=name, test=test):
+            calls[name, g] += 1
+            return test(g)
+
+        monkeypatch.setitem(theorems.HYPOTHESES, name, (spy, note))
+    called = _calls_spied(monkeypatch)
+    for n in (6, 7):
+        graphs = graphs_by_order[n]
+        spectra.set_chunk(graphs)
+        try:
+            check_thm16.verdicts(graphs)
+        finally:
+            spectra.set_chunk(())
+    assert called, "no graph was left to exact arithmetic"
+    assert max(calls.values()) == 1
+    assert {g for name, g in calls if name == "connected"} == set(graphs_by_order[6] + graphs_by_order[7])
 
 
 def test_chunk_guards():
