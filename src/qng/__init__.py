@@ -44,6 +44,6 @@ from .partitions import (
     verify_quotient_eigen_containment,
 )
 from .enumeration import ScanResult, canonical_form, enumerate_graphs, scan
-from .theorems import BoundReport, ExtremalCertificate, proof_check_thm12, proof_check_thm15
+from .theorems import BoundReport, proof_check_thm12, proof_check_thm15
 
 __version__ = "0.1.0"

@@ -344,12 +344,7 @@ def _cmd_scan(args) -> int:
             raise UsageError("--n-range over several orders needs a seekable --input, which is read once per order")
         results = []
         for n in orders:
-            if args.predicate:
-                check = build_predicate(args.predicate, n)
-            elif args.thm:
-                check = _resolve_check(args)
-            else:
-                raise UsageError("provide --predicate or --thm")
+            check = build_predicate(args.predicate, n) if args.thm is None else _resolve_check(args)
             source = None
             if f is not None:
                 if n != orders[0]:
@@ -371,11 +366,9 @@ def _cmd_scan(args) -> int:
     else:
         lines = []
         for r in results:
-            counts = " ".join(f"{k}={v}" for k, v in sorted(r.counts.items()))
-            lines.append(
-                f"n={r.n} filter={r.filter_name} predicate={r.predicate_name} "
-                f"total={r.total} {counts}"
-            )
+            counts = (f"{k}={v}" for k, v in sorted(r.counts.items()))
+            lines.append(" ".join((f"n={r.n} filter={r.filter_name} predicate={r.predicate_name}",
+                                   f"total={r.total}", *counts)))
             if r.equality:
                 lines.append("  equality: " + " ".join(r.equality))
             if r.violations:
@@ -451,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", dest="n_range", help="inclusive range, e.g. 6..8")
     p.add_argument("--filter", default="all",
                    help="comma-joined: all, connected, bipartite, regular, cobar-disconnected")
-    p.add_argument("--predicate", help="e.g. 'sum-open-interval 5 6', 'sum-eq 2n-5'")
-    p.add_argument("--thm", choices=sorted(THEOREM_CHECKS) + ["ng"])
+    check = p.add_mutually_exclusive_group(required=True)
+    check.add_argument("--predicate", help="e.g. 'sum-open-interval 5 6', 'sum-eq 2n-5'")
+    check.add_argument("--thm", choices=sorted(THEOREM_CHECKS) + ["ng"])
     p.add_argument("--kind", choices=["A", "L", "Q"], default="Q")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--jobs", type=int, default=1)

@@ -15,8 +15,10 @@ child subtree onto another, so one child per orbit is searched.  The
 transpositions of twins (``graph.twin_classes``: vertices with equal open or
 equal closed neighborhoods) are known before the search starts; the others
 are found at leaves with equal codes, and after each the search resumes at
-the deepest node shared with the best leaf.  Vertex-transitive graphs such as
-K10 or E10 take a few milliseconds.  ``isomorphism_witness`` composes two
+the deepest node shared with the best leaf.  Canonical forms, isomorphism
+witnesses and scan keys cover every graph ``graph.Graph`` can hold (up to
+``graph.MAX_VERTICES`` vertices); vertex-transitive graphs such as K32, E32
+or K16,16 take a few milliseconds.  ``isomorphism_witness`` composes two
 canonical labelings and checks the map edge by edge; for graphs of equal
 order and size that check alone decides isomorphism.
 
@@ -78,11 +80,17 @@ from .graph import (
     twin_classes,
 )
 
-CANONICAL_MAX = 10
 ENUMERATE_MAX = 8
 
-# The set bits of every row of a graph within the canonical-form limit.
-_SET_BITS = tuple(tuple(bits(mask)) for mask in range(1 << CANONICAL_MAX))
+# The set bits of every row of a graph within the generation limit.
+_SET_BITS = tuple(tuple(bits(mask)) for mask in range(1 << ENUMERATE_MAX))
+
+
+def _neighbours(g: Graph) -> list[tuple[int, ...]]:
+    """The neighbours of each vertex, from ``_SET_BITS`` while ``g`` fits it."""
+    if g.n <= ENUMERATE_MAX:
+        return [_SET_BITS[row] for row in g.rows]
+    return [tuple(bits(row)) for row in g.rows]
 
 
 def _refine(
@@ -194,11 +202,9 @@ def _search(
     ``g``'s root coloring if the caller has already computed it.
     """
     n = g.n
-    if n > CANONICAL_MAX:
-        raise CapacityError(f"canonical forms limited to {CANONICAL_MAX} vertices")
     if n == 1:
         return (0,), [], ()
-    nbrs = [_SET_BITS[row] for row in g.rows]
+    nbrs = _neighbours(g)
 
     best_cols: list[int] = []
     best_perm: list[int] = []
@@ -298,7 +304,8 @@ def _relabeled(g: Graph, order: Sequence[int]) -> Graph:
     bit = [0] * g.n
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    rows = tuple(sum(map(bit.__getitem__, _SET_BITS[g.rows[v]])) for v in order)
+    nbrs = _neighbours(g)
+    rows = tuple(sum(map(bit.__getitem__, nbrs[v])) for v in order)
     return _graph_unchecked(g.n, rows)
 
 
@@ -576,7 +583,7 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     keys: dict[str, set[str]] = {"equality-certified": set(), "violated": set()}
     for g, verdict in zip(graphs, verdicts):
         if verdict in keys:
-            keys[verdict].add(canonical_form(g) if g.n <= CANONICAL_MAX else to_graph6(g))
+            keys[verdict].add(canonical_form(g))
     return Counter(verdicts), keys["equality-certified"], keys["violated"]
 
 

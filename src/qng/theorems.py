@@ -41,6 +41,7 @@ import numpy as np
 
 from . import polys
 from .graph import (
+    MAX_VERTICES,
     Graph,
     complement,
     complete,
@@ -60,7 +61,7 @@ from .graph import (
     star,
     to_graph6,
 )
-from .enumeration import CANONICAL_MAX, FILTERS, canonical_form, isomorphism_witness
+from .enumeration import FILTERS, canonical_form, isomorphism_witness
 from .partitions import duplicate_classes, is_equitable, quotient_matrix
 from .polys import Surd
 from .spectra import (
@@ -82,14 +83,6 @@ NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
-class ExtremalCertificate:
-    """A matched extremal family plus a verified isomorphism onto it."""
-
-    family: str
-    witness: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Outcome of one bound predicate on one graph."""
 
@@ -100,16 +93,13 @@ class BoundReport:
     verdict: str
     certified: bool = False
     lhs_exact: Optional[str] = None
-    certificate: Optional[ExtremalCertificate] = None
+    family: Optional[str] = None  # the matched extremal family of an equality
+    witness: Optional[tuple[int, ...]] = None  # a verified isomorphism onto it
     notes: str = ""
 
     @property
     def graph6(self) -> str:
         return to_graph6(self.graph)
-
-    @property
-    def family(self) -> Optional[str]:
-        return self.certificate.family if self.certificate else None
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +111,7 @@ class BoundReport:
             "certified": self.certified,
             "lhs_exact": self.lhs_exact,
             "family": self.family,
-            "witness": list(self.certificate.witness) if self.certificate else None,
+            "witness": None if self.witness is None else list(self.witness),
             "notes": self.notes,
         }
 
@@ -185,13 +175,12 @@ def _bipartite_equality_families(n: int) -> tuple[tuple[str, Graph], ...]:
     return tuple(out)
 
 
-def _match_family(g: Graph, families) -> Optional[ExtremalCertificate]:
-    if g.n > CANONICAL_MAX:
-        return None
+def _match_family(g: Graph, families) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first family ``g`` is isomorphic to, with a verified isomorphism onto it."""
     for name, member in families:
         witness = isomorphism_witness(g, member)
         if witness is not None:
-            return ExtremalCertificate(name, witness)
+            return name, witness
     return None
 
 
@@ -243,7 +232,7 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
     holds = RELATION_SIGNS[relation]
     trusted = () if structure else _FLOAT_SIGNS[relation]
     sign, certified = screened_sign(lhs, float(rhs), exact, trusted)
-    verdict, notes, cert = STRICT, "", None
+    verdict, notes, match = STRICT, "", None
     if sign not in holds:
         verdict, notes = VIOLATED, violated
     elif structure is not None and (sign == 0) != structure:
@@ -253,12 +242,13 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
         verdict = EQUALITY
         catalogue = families(g.n) if families else ()
         if catalogue:
-            cert = _match_family(g, catalogue)
-            notes = "" if cert else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
+            match = _match_family(g, catalogue)
+            notes = "" if match else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
+    family, witness = match or (None, None)
     return BoundReport(
         g, bound, lhs, rhs, verdict, certified=certified,
         lhs_exact=(rhs_exact or str(rhs)) if verdict == EQUALITY else None,
-        certificate=cert, notes=notes,
+        family=family, witness=witness, notes=notes,
     )
 
 
@@ -625,11 +615,12 @@ def _expect_duplicate_block(c: _Checks, g: Graph, kind: str, degree: int, size: 
 def _verify_h_quotient(c: _Checks, sizes: tuple[int, int, int], expected, expected_co, label: str):
     """Cross-check parametric quotient entries against a concrete graph.
 
-    Only possible while the graph fits the 32-vertex representation; the
-    parametric sweep beyond that continues on the fixed-size matrices alone.
+    Only possible while the graph fits the ``MAX_VERTICES`` representation;
+    the parametric sweep beyond that continues on the fixed-size matrices
+    alone.
     """
     s0, s1, s2 = sizes
-    if s0 + s1 + s2 + 2 > 32:
+    if s0 + s1 + s2 + 2 > MAX_VERTICES:
         return None, None
     g = h_graph(s0, s1, s2)
     blocks = h_graph_blocks(s0, s1, s2)

@@ -309,15 +309,23 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["proof-check", "--thm", "1.5", "--n", "8", "--format", "csv"],
     ["enumerate", "--n", "3", "--format", "json"],
     ["enumerate", "--n", "3", "--format", "csv"],
+    ["scan", "--n", "4", "--thm", "1.2", "--predicate", "sum-eq 2"],
+    ["scan", "--n", "4"],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
         "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv",
-        "enumerate-json", "enumerate-csv"])
+        "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_empty_scan_line_ends_in_its_total(tmp_path, capsys):
+    (tmp_path / "empty.g6").write_text("")
+    code, out, _ = run_cli(capsys, "scan", "--n", "11", "--input", str(tmp_path / "empty.g6"), "--thm", "1.2")
+    assert (code, out) == (0, "n=11 filter=all predicate=check_thm12 total=0\n")
 
 
 def test_output_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_canonical_form_golden_strings():
 
 
 def test_canonical_form_vertex_transitive_is_fast():
-    for g in (complete(10), empty_graph(10)):
+    for g in (complete(10), empty_graph(10), complete(32), empty_graph(32), complete_bipartite(16, 16)):
         start = time.perf_counter()
         canonical_form(g)
         assert time.perf_counter() - start < 0.1
@@ -278,8 +279,111 @@ def test_canonicalize_is_isomorphic_fixed_point():
 
 
 def test_canonical_capacity():
+    """Canonical forms reach every order a graph may have."""
+    for n in (11, graph.MAX_VERTICES):
+        moved = relabel(star(n), [*range(1, n), 0])
+        assert canonical_form(moved) == canonical_form(star(n)) != canonical_form(path(n))
+        assert canonicalize(complete(n)) == complete(n)
+        assert isomorphism_witness(moved, star(n))[n - 1] == 0
     with pytest.raises(CapacityError):
-        canonical_form(empty_graph(11))
+        empty_graph(graph.MAX_VERTICES + 1)
+
+
+def _edges_where(n, adjacent):
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)])
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return _edges_where(q, lambda u, v: (u - v) % q in squares)
+
+
+def _triangular(m, switched=()):
+    """T(m), the line graph of K_m, Seidel-switched on the edges ``switched`` of K_m."""
+    pairs = [(a, b) for b in range(m) for a in range(b)]
+    inside = {pairs.index(tuple(sorted(e))) for e in switched}
+    return _edges_where(len(pairs), lambda u, v: (len(set(pairs[u]) & set(pairs[v])) == 1)
+                        != ((u in inside) != (v in inside)))
+
+
+def _generalized_petersen(m, k):
+    edges = [(i, (i + 1) % m) for i in range(m)] + [(i, m + i) for i in range(m)]
+    return from_edges(2 * m, edges + [(m + i, m + (i + k) % m) for i in range(m)])
+
+
+def _random_regular(d, n, seed):
+    import networkx as nx
+
+    return from_edges(n, nx.random_regular_graph(d, n, seed=seed).edges())
+
+
+def _regular_graphs():
+    """Strongly regular and regular graphs of 13 to 32 vertices, by name."""
+    shrikhande_steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return {
+        "Paley(13)": _paley(13), "Paley(17)": _paley(17), "Paley(29)": _paley(29),
+        "rook 4x4": cartesian_product(complete(4), complete(4)), "rook 5x5": cartesian_product(complete(5), complete(5)),
+        "Shrikhande": _edges_where(16, lambda u, v: ((u // 4 - v // 4) % 4, (u - v) % 4) in shrikhande_steps),
+        "Clebsch": _edges_where(16, lambda u, v: (u ^ v).bit_count() == 1 or u ^ v == 15),
+        "Q4": _edges_where(16, lambda u, v: (u ^ v).bit_count() == 1),
+        "Q5": _edges_where(32, lambda u, v: (u ^ v).bit_count() == 1),
+        "T(7)": _triangular(7), "T(8)": _triangular(8), "Kneser(7,2)": complement(_triangular(7)),
+        # The three Chang graphs: T(8) switched on 4K_2, on C_8 and on C_3 + C_5.
+        "Chang 4K2": _triangular(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        "Chang C8": _triangular(8, [(i, (i + 1) % 8) for i in range(8)]),
+        "Chang C3+C5": _triangular(8, [(0, 1), (1, 2), (0, 2), *((3 + i, 3 + (i + 1) % 5) for i in range(5))]),
+        "GP(8,3)": _generalized_petersen(8, 3), "GP(10,2)": _generalized_petersen(10, 2),
+        "GP(10,3)": _generalized_petersen(10, 3), "GP(12,5)": _generalized_petersen(12, 5),
+        "GP(16,3)": _generalized_petersen(16, 3), "GP(16,5)": _generalized_petersen(16, 5),
+        "C32": cycle(32), "K16,16": complete_bipartite(16, 16),
+        "3-regular 32a": _random_regular(3, 32, 1), "3-regular 32b": _random_regular(3, 32, 2),
+        "4-regular 30a": _random_regular(4, 30, 3), "4-regular 30b": _random_regular(4, 30, 4),
+    }
+
+
+def test_canonical_forms_of_regular_graphs_up_to_32_vertices(rng=random.Random(2024)):
+    """Forms are labeling-invariant and separate cospectral strongly regular graphs.
+
+    Shrikhande and rook 4x4 are both SRG(16, 6, 2, 2); T(8) and the three
+    Chang graphs are SRG(28, 12, 6, 4).  GP(16, 3) and GP(16, 5) are
+    isomorphic (3 * 5 = -1 mod 16), and so are Paley(13) and its complement.
+    ``networkx.is_isomorphic`` (VF2) is the reference on pairs of equal degree
+    sequence, each graph against a relabeled copy of itself included; the
+    Chang graphs, where VF2 takes seconds, are told apart by the forms alone.
+    """
+    import networkx as nx
+
+    graphs = _regular_graphs()
+    forms = {}
+    for name, g in graphs.items():
+        forms[name] = canonical_form(g)
+        co = canonical_form(complement(g))
+        for _ in range(2):
+            order = rng.sample(range(g.n), g.n)
+            assert canonical_form(relabel(g, order)) == forms[name], name
+            assert canonical_form(complement(relabel(g, order))) == co, name
+    assert forms["Shrikhande"] != forms["rook 4x4"]
+    chang = [name for name in graphs if name.startswith("Chang")]
+    assert len({forms[name] for name in ["T(8)", *chang]}) == 4
+    assert forms["GP(16,3)"] == forms["GP(16,5)"]
+    assert canonical_form(complement(graphs["Paley(13)"])) == forms["Paley(13)"]
+    assert len(set(forms.values())) == len(forms) - 1
+
+    def as_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    names = sorted(set(graphs) - set(chang))
+    pairs = [(a, b) for a in names for b in names
+             if a <= b and sorted(graphs[a].degrees()) == sorted(graphs[b].degrees())]
+    assert len(pairs) > len(names)
+    for a, b in pairs:
+        g, h = graphs[a], relabel(graphs[b], rng.sample(range(graphs[b].n), graphs[b].n))
+        same = canonical_form(g) == canonical_form(h)
+        assert nx.is_isomorphic(as_nx(g), as_nx(h)) == same, (a, b)
+        assert (isomorphism_witness(g, h) is not None) == same, (a, b)
 
 
 def test_isomorphism_witness():
@@ -582,6 +686,16 @@ def test_scan_external_stream_order_9():
     assert result.total == 4
     assert result.violations == []
     assert result.counts.get("violated", 0) == 0
+
+
+def test_scan_keys_an_order_11_stream_by_canonical_form():
+    """Two labelings of K_{1,10} are one equality class, in the pool too."""
+    lines = (Path(__file__).parent / "data" / "star11.g6").read_text().split()
+    assert len(set(lines)) == 2 and canonical_form(star(11)) not in lines
+    for jobs in (1, 2):
+        result = scan(11, "all", check_thm12, source=lines, jobs=jobs)
+        assert result.counts == {"equality-certified": 2}
+        assert result.equality == [canonical_form(star(11))]
 
 
 def _per_graph_tally(graphs, check):

@@ -6,7 +6,8 @@ sums, every scan predicate kind, a ``--jobs 2`` scan, a proof-check sweep and
 a scan of the external order-9 stream ``tests/data/stream9.g6`` under ``--jobs``
 1, 2 and 3, a ``cobar-disconnected`` scan under ``--jobs 2``, and the ``ng``
 check and scan of P4, whose lambda_2 sum equals the irrational bound
--1 + sqrt(5).  Commands run from the repository root, so a stream path in
+-1 + sqrt(5), and the thm-1.2 check of K_{1,10} and a scan of two labelings
+of it, ``tests/data/star11.g6``, which give one equality class.  Commands run from the repository root, so a stream path in
 the argv is relative to it.  Regenerate the file only for an intended change of
 output:
 
@@ -65,6 +66,8 @@ COMMANDS: list[list[str]] = [
     ["scan", "--n-range", "6..7", "--filter", "cobar-disconnected", "--thm", "1.4", "--jobs", "2"],
     ["check", "--thm", "ng", "--kind", "A", "--k", "2", "--family", "P4", "--format", "json"],
     ["scan", "--n", "4", "--thm", "ng", "--kind", "A", "--k", "2"],
+    ["check", "--thm", "1.2", "--family", "star 11"],
+    ["scan", "--n", "11", "--input", "tests/data/star11.g6", "--thm", "1.2"],
 ]
 
 

@@ -88,11 +88,25 @@ def test_thm12_examples():
 def test_thm12_witness_is_edge_preserving():
     g = relabel(star(6), [3, 0, 5, 1, 4, 2])
     r = check_thm12(g)
-    assert r.verdict == EQUALITY and r.certificate is not None
-    w = r.certificate.witness
+    assert r.verdict == EQUALITY and r.witness is not None
+    w = r.witness
     for u, v in g.edges():
         assert star(6).has_edge(w[u], w[v])
     assert sorted(w) == list(range(6))
+
+
+@pytest.mark.parametrize("n", [11, 20, 32])
+def test_extremal_families_match_past_order_10(n, rng=random.Random(20)):
+    """Each extremal family's equality is matched to it, with a verified witness."""
+    for check, families in ((check_thm12, theorems._lower_bound_families),
+                            (check_ng_q1, theorems._star_families),
+                            (check_thm14, theorems._cobar_disconnected_families)):
+        for name, member in families(n):
+            g = relabel(member, rng.sample(range(n), n))
+            r = check(g)
+            assert (r.verdict, r.family, r.notes) == (EQUALITY, name, ""), name
+            assert sorted(r.witness) == list(range(n))
+            assert all(member.has_edge(r.witness[u], r.witness[v]) for u, v in g.edges()), name
 
 
 def test_thm13_examples():
@@ -334,7 +348,7 @@ def test_decide_relation_is_data():
     other = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("K_5", complete(5)),))
     assert other.family is None and other.notes == "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
     same = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("C_5", cycle(5)),))
-    assert same.family == "C_5" and same.certificate.witness
+    assert same.family == "C_5" and same.witness
 
 
 def test_run_all_checks():
