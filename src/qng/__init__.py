@@ -35,14 +35,7 @@ from .spectra import (
     q_matrix,
     sturm_count,
 )
-from .partitions import (
-    QuotientMatrix,
-    duplicate_classes,
-    interlaces,
-    is_equitable,
-    quotient_matrix,
-    verify_quotient_eigen_containment,
-)
+from .partitions import is_equitable, quotient_matrix
 from .enumeration import ScanResult, canonical_form, enumerate_graphs, scan
 from .theorems import BoundReport, proof_check_thm12, proof_check_thm15
 

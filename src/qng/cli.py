@@ -131,11 +131,7 @@ def _split_args(inner: str) -> list[str]:
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "graph6", None):
-        return from_graph6(args.graph6)
-    if getattr(args, "family", None):
-        return parse_family(args.family)
-    raise UsageError("provide --graph6 or --family")
+    return from_graph6(args.graph6) if args.graph6 is not None else parse_family(args.family)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +307,12 @@ _N_RANGE = re.compile(r"(\d+)\.\.(\d+)")
 
 
 def _iter_orders(args) -> list[int]:
-    if args.n_range:
-        m = _N_RANGE.fullmatch(args.n_range.strip())
-        if m is None or int(m[1]) > int(m[2]):
-            raise UsageError(f"--n-range takes LO..HI with integers LO <= HI, got {args.n_range!r}")
-        return list(range(int(m[1]), int(m[2]) + 1))
-    if args.n is None:
-        raise UsageError("provide --n or --n-range")
-    return [args.n]
+    if args.n_range is None:
+        return [args.n]
+    m = _N_RANGE.fullmatch(args.n_range.strip())
+    if m is None or int(m[1]) > int(m[2]):
+        raise UsageError(f"--n-range takes LO..HI with integers LO <= HI, got {args.n_range!r}")
+    return list(range(int(m[1]), int(m[2]) + 1))
 
 
 def _graphs_of_order(lines: Iterable[str], n: int, orders: list[int], span: str) -> Iterator[str]:
@@ -406,8 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_graph_args(p):
-        p.add_argument("--graph6", help="graph6 encoding of the input graph")
-        p.add_argument("--family", help="family expression, e.g. 'K3,3', 'C6', 'H 2 1 1', 'join(K2;E3)'")
+        graph = p.add_mutually_exclusive_group(required=True)
+        graph.add_argument("--graph6", help="graph6 encoding of the input graph")
+        graph.add_argument("--family", help="family expression, e.g. 'K3,3', 'C6', 'H 2 1 1', 'join(K2;E3)'")
+
+    def add_order_args(p):
+        orders = p.add_mutually_exclusive_group(required=True)
+        orders.add_argument("--n", type=int)
+        orders.add_argument("--n-range", dest="n_range", help="inclusive range, e.g. 6..8")
 
     def add_common(p, formats=("json", "csv", "text")):
         p.add_argument("--format", choices=formats, default="text")
@@ -440,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("scan", help="evaluate a predicate over all graphs of an order")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-range", dest="n_range", help="inclusive range, e.g. 6..8")
+    add_order_args(p)
     p.add_argument("--filter", default="all",
                    help="comma-joined: all, connected, bipartite, regular, cobar-disconnected")
     check = p.add_mutually_exclusive_group(required=True)
@@ -456,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("proof-check", help="verify the parametric quotient algebra")
     p.add_argument("--thm", required=True, choices=["1.2", "1.5"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-range", dest="n_range")
+    add_order_args(p)
     add_common(p, formats=("json", "text"))
     p.set_defaults(func=_cmd_proof_check)
 

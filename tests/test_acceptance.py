@@ -29,18 +29,13 @@ from qng.graph import (
     path,
     star,
     to_graph6,
+    twin_classes,
 )
-from qng.partitions import (
-    duplicate_classes,
-    edge_deletion_chain_holds,
-    interlaces,
-    quotient_matrix,
-)
+from qng.partitions import quotient_matrix
 from qng.spectra import (
     certify_qk,
     compare_qk_with,
     compare_sum_with,
-    eigenvalues_sym,
     multiplicity_at,
     kind_char_poly,
     ng_sum,
@@ -234,34 +229,49 @@ def test_criterion_08_lemma_suite(graphs_by_order):
             if abs(lower - (n - 2)) <= 1e-6:
                 assert compare_sum_with(g, "Q", 2, n - 2) >= 0
 
+    def interlaces(small, big):
+        """b_i <= a_i and b_i >= a_{n-m+i} for i = 1..m, for the descending spectra
+        a of order n and b of order m."""
+        small, big = np.sort(small)[::-1], np.sort(big)[::-1]
+        m, n = len(small), len(big)
+        return bool(np.all(small <= big[:m] + tol) and np.all(small >= big[n - m:] - tol))
+
     # principal submatrices and random-partition quotients interlace (2.2, 2.3)
     done = 0
     while done < 200:
         n = rng.randint(2, 7)
         g = rng.choice(graphs_by_order[n])
+        q = q_matrix(g)
         k = rng.randint(1, n)
         subset = sorted(rng.sample(range(n), k))
-        sub = q_matrix(g)[np.ix_(subset, subset)]
-        assert interlaces(eigenvalues_sym(sub), spectrum(g, "Q"))
+        assert interlaces(np.linalg.eigvalsh(q[np.ix_(subset, subset)]), np.linalg.eigvalsh(q))
         blocks = [[] for _ in range(rng.randint(1, n))]
         for v in range(n):
             blocks[rng.randrange(len(blocks))].append(v)
         blocks = [tuple(b) for b in blocks if b]
-        assert interlaces(quotient_matrix(g, blocks).spectrum(), spectrum(g, "Q"))
+        # the quotient B is similar to the symmetric D^{1/2} B D^{-1/2}, D the block sizes
+        root = np.sqrt([len(b) for b in blocks])
+        sym = np.array(quotient_matrix(g, blocks), dtype=float) * root[:, None] / root[None, :]
+        assert interlaces(np.linalg.eigvalsh(sym), np.linalg.eigvalsh(q))
         done += 1
 
-    # full edge-deletion chains (2.4)
+    # full edge-deletion chains (2.4): q_1(G) >= q_1(G-e) >= q_2(G) >= ... >= q_n(G) >= q_n(G-e) >= 0
     for n in range(2, 8):
         for g in graphs_by_order[n]:
             for edge in g.edges():
-                assert edge_deletion_chain_holds(g, edge, tol=tol)
+                gv, hv = spectrum(g, "Q").values, spectrum(g.without_edge(*edge), "Q").values
+                chain = np.ravel(np.column_stack((gv, hv)))
+                assert np.all(np.diff(chain) <= tol) and chain[-1] >= -tol
 
-    # duplicate-class multiplicity (2.5), exact
+    # duplicate-class multiplicity (2.5), exact: s open (closed) twins of degree d give
+    # the Q-eigenvalue d (d - 1) at least s - 1 times
     for n in range(2, 8):
         for g in graphs_by_order[n]:
-            for cls in duplicate_classes(g):
-                target = cls.degree - 1 if cls.kind == "clique" else cls.degree
-                assert multiplicity_at(kind_char_poly(g, "Q"), target) >= len(cls.vertices) - 1
+            independent, clique = twin_classes(g.rows)
+            for shift, classes in ((0, independent), (1, clique)):
+                for members in classes:
+                    target = g.degree(members[0]) - shift
+                    assert multiplicity_at(kind_char_poly(g, "Q"), target) >= len(members) - 1
 
     # q_1 degree bound with equality characterization (2.6)
     for n in range(2, 8):

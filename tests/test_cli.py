@@ -311,11 +311,18 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["enumerate", "--n", "3", "--format", "csv"],
     ["scan", "--n", "4", "--thm", "1.2", "--predicate", "sum-eq 2"],
     ["scan", "--n", "4"],
+    ["check", "--thm", "1.2", "--graph6", "C~", "--family", "K5"],
+    ["report", "--graph6", "C~", "--family", "K5"],
+    ["spectrum", "--graph6", "C~", "--family", "K5"],
+    ["scan", "--n", "3", "--n-range", "4..4", "--thm", "1.2"],
+    ["proof-check", "--thm", "1.2", "--n", "5", "--n-range", "6..6"],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
         "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv",
-        "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check"])
+        "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check",
+        "check-graph6-and-family", "report-graph6-and-family", "spectrum-graph6-and-family",
+        "scan-n-and-n-range", "proof-check-n-and-n-range"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")

@@ -1,4 +1,5 @@
-"""Quotient matrices, equitable partitions, interlacing, duplicate classes."""
+"""Quotient matrices and equitable partitions, with the lemmas they carry: quotient
+interlacing, eigenvalue containment and duplicate-class multiplicity."""
 
 from __future__ import annotations
 
@@ -21,17 +22,10 @@ from qng.graph import (
     path,
     star,
 )
-from qng.partitions import (
-    DuplicateClass,
-    duplicate_classes,
-    edge_deletion_chain_holds,
-    interlaces,
-    is_equitable,
-    quotient_matrix,
-    validate_partition,
-    verify_quotient_eigen_containment,
-)
-from qng.spectra import eigenvalues_sym, kind_char_poly, multiplicity_at, q_matrix, spectrum
+from qng import polys
+from qng.graph import twin_classes
+from qng.partitions import is_equitable, quotient_matrix, validate_partition
+from qng.spectra import char_poly_exact, kind_char_poly, multiplicity_at, q_matrix
 
 
 def random_graph(rng, n, p=0.5):
@@ -44,6 +38,26 @@ def random_partition(rng, n):
     for v in range(n):
         blocks[rng.randrange(k)].append(v)
     return [tuple(b) for b in blocks if b]
+
+
+def quotient_eigenvalues(g, blocks):
+    """Eigenvalues of the quotient of Q(G), from the similar symmetric matrix D^{1/2} B D^{-1/2}."""
+    root = np.sqrt([len(b) for b in blocks])
+    quot = np.array(quotient_matrix(g, blocks), dtype=float)
+    return np.linalg.eigvalsh(quot * root[:, None] / root[None, :])
+
+
+def interlaces(small, big, tol=1e-9):
+    """Whether b_i <= a_i and b_i >= a_{n-m+i} for i = 1..m, where a (length n) and
+    b (length m) are the two spectra in descending order."""
+    small, big = np.sort(small)[::-1], np.sort(big)[::-1]
+    m, n = len(small), len(big)
+    return bool(np.all(small <= big[:m] + tol) and np.all(small >= big[n - m:] - tol))
+
+
+def contains_quotient_eigenvalues(g, blocks):
+    """Exact: the quotient char poly divides the char poly of Q(G)."""
+    return not polys.poly_rem(kind_char_poly(g, "Q"), char_poly_exact(quotient_matrix(g, blocks)))
 
 
 def test_validate_partition_errors():
@@ -59,14 +73,12 @@ def test_validate_partition_errors():
 def test_quotient_center_plus_matching():
     # hub joined to a perfect matching on 4 vertices: rows ((4, 4), (1, 3))
     g = join(empty_graph(1), disjoint_union(complete(2), complete(2)))
-    quot = quotient_matrix(g, [(0,), (1, 2, 3, 4)])
-    assert quot.entries == ((F(4), F(4)), (F(1), F(3)))
+    assert quotient_matrix(g, [(0,), (1, 2, 3, 4)]) == ((F(4), F(4)), (F(1), F(3)))
 
 
 def test_quotient_h_graph_reproduces_parametric_rows():
     n = 6
-    quot = quotient_matrix(h_graph(n - 4, 1, 1), h_graph_blocks(n - 4, 1, 1))
-    assert quot.entries == (
+    assert quotient_matrix(h_graph(n - 4, 1, 1), h_graph_blocks(n - 4, 1, 1)) == (
         (F(2), F(0), F(0), F(1), F(1)),
         (F(0), F(1), F(0), F(1), F(0)),
         (F(0), F(0), F(1), F(0), F(1)),
@@ -77,8 +89,7 @@ def test_quotient_h_graph_reproduces_parametric_rows():
 
 def test_quotient_single_block_is_average_row_sum():
     for g in (cycle(5), path(4), complete(6)):
-        quot = quotient_matrix(g, [tuple(range(g.n))])
-        assert quot.entries == ((F(4 * g.m, g.n),),)
+        assert quotient_matrix(g, [tuple(range(g.n))]) == ((F(4 * g.m, g.n),),)
 
 
 def test_is_equitable_examples():
@@ -87,19 +98,6 @@ def test_is_equitable_examples():
         assert is_equitable(g, h_graph_blocks(*sizes))
     assert is_equitable(star(6), [(0,), (1, 2, 3, 4, 5)])
     assert not is_equitable(path(4), [(0, 1), (2, 3)])
-
-
-def test_interlaces_examples():
-    big = spectrum(cycle(5), "Q")
-    q = q_matrix(cycle(5))
-    for i in range(5):
-        for j in range(i + 1, 5):
-            sub = q[np.ix_([i, j], [i, j])]
-            assert interlaces(eigenvalues_sym(sub), big)
-    assert interlaces(big, big)
-    assert not interlaces((10.0,), (5.0, 1.0))
-    with pytest.raises(ValueError):
-        interlaces((1.0, 0.0), (1.0,))
 
 
 def test_quotient_interlacing_random(graphs_by_order, enum8, rng=random.Random(23)):
@@ -111,8 +109,7 @@ def test_quotient_interlacing_random(graphs_by_order, enum8, rng=random.Random(2
         n = rng.randint(2, 8)
         g = rng.choice(pool[n])
         blocks = random_partition(rng, n)
-        quot = quotient_matrix(g, blocks)
-        assert interlaces(quot.spectrum(), spectrum(g, "Q"))
+        assert interlaces(quotient_eigenvalues(g, blocks), np.linalg.eigvalsh(q_matrix(g)))
         pairs += 1
 
 
@@ -122,20 +119,16 @@ def test_weighted_symmetry_exact(graphs_by_order, rng=random.Random(29)):
         g = rng.choice(graphs_by_order[n])
         blocks = random_partition(rng, n)
         quot = quotient_matrix(g, blocks)
-        sizes = quot.block_sizes
-        for i in range(quot.order):
-            for j in range(quot.order):
-                assert quot.entries[i][j] * sizes[i] == quot.entries[j][i] * sizes[j]
+        for i, bi in enumerate(blocks):
+            for j, bj in enumerate(blocks):
+                assert quot[i][j] * len(bi) == quot[j][i] * len(bj)
 
 
 def test_containment_examples():
-    assert verify_quotient_eigen_containment(star(6), [(0,), (1, 2, 3, 4, 5)])
-    quot = quotient_matrix(star(6), [(0,), (1, 2, 3, 4, 5)])
-    assert quot.entries == ((F(5), F(5)), (F(1), F(1)))  # roots 6 and 0
-    assert verify_quotient_eigen_containment(h_graph(2, 1, 1), h_graph_blocks(2, 1, 1))
-    assert verify_quotient_eigen_containment(complete(5), [tuple(range(5))])
-    with pytest.raises(ValueError):
-        verify_quotient_eigen_containment(path(4), [(0, 1), (2, 3)])
+    assert contains_quotient_eigenvalues(star(6), [(0,), (1, 2, 3, 4, 5)])
+    assert quotient_matrix(star(6), [(0,), (1, 2, 3, 4, 5)]) == ((F(5), F(5)), (F(1), F(1)))  # roots 6 and 0
+    assert contains_quotient_eigenvalues(h_graph(2, 1, 1), h_graph_blocks(2, 1, 1))
+    assert contains_quotient_eigenvalues(complete(5), [tuple(range(5))])
 
 
 def test_containment_all_equitable_partitions_up_to_5(graphs_by_order):
@@ -153,42 +146,31 @@ def test_containment_all_equitable_partitions_up_to_5(graphs_by_order):
         for g in graphs_by_order[n]:
             for blocks in all_partitions(list(range(n))):
                 if is_equitable(g, blocks):
-                    assert verify_quotient_eigen_containment(g, blocks)
+                    assert contains_quotient_eigenvalues(g, blocks)
+
+
+def duplicate_blocks(g):
+    """(kind, degree, size) of each duplicate-vertex class: the open twin classes
+    are independent sets, the closed ones cliques."""
+    independent, clique = twin_classes(g.rows)
+    return [(kind, g.degree(members[0]), len(members))
+            for kind, classes in (("independent", independent), ("clique", clique)) for members in classes]
 
 
 def test_duplicate_classes_examples():
-    classes = duplicate_classes(star(6))
-    assert classes == [DuplicateClass((1, 2, 3, 4, 5), "independent", 1)]
-
-    g = join(empty_graph(2), complete(4))
-    classes = duplicate_classes(g)
-    kinds = {(c.kind, c.degree, len(c.vertices)) for c in classes}
-    assert kinds == {("independent", 4, 2), ("clique", 5, 4)}
-
-    assert duplicate_classes(cycle(5)) == []
+    assert duplicate_blocks(star(6)) == [("independent", 1, 5)]
+    assert duplicate_blocks(join(empty_graph(2), complete(4))) == [("independent", 4, 2), ("clique", 5, 4)]
+    assert duplicate_blocks(cycle(5)) == []
 
 
 def test_duplicate_class_multiplicity_small(graphs_by_order):
+    """Lemma 2.5: a class of s duplicates of degree d gives Q-eigenvalue d (independent)
+    or d - 1 (clique) with multiplicity at least s - 1."""
     for n in range(2, 7):
         for g in graphs_by_order[n]:
-            for cls in duplicate_classes(g):
-                target = cls.degree - 1 if cls.kind == "clique" else cls.degree
-                assert multiplicity_at(kind_char_poly(g, "Q"), target) >= len(cls.vertices) - 1
-
-
-def test_duplicate_classes_match_pairwise_comparison(graphs_and_complements):
-    for g in graphs_and_complements:
-        hoods = [set(g.neighbors(v)) for v in range(g.n)]
-        want = set()
-        for kind, closed in (("independent", False), ("clique", True)):
-            for v in range(g.n):
-                cls = tuple(u for u in range(g.n)
-                            if hoods[u] | ({u} if closed else set()) == hoods[v] | ({v} if closed else set()))
-                if len(cls) > 1:
-                    want.add(DuplicateClass(cls, kind, len(hoods[v])))
-        classes = duplicate_classes(g)
-        assert set(classes) == want and len(classes) == len(want)
-        assert [c.vertices for c in classes] == sorted(c.vertices for c in classes)
+            for kind, degree, size in duplicate_blocks(g):
+                target = degree - 1 if kind == "clique" else degree
+                assert multiplicity_at(kind_char_poly(g, "Q"), target) >= size - 1
 
 
 def _per_vertex_q_sums(g, blocks):
@@ -204,8 +186,7 @@ def _expect_quotient(g, blocks):
     entries = tuple(tuple(F(sum(row[j] for row in rows), len(block)) for j in range(len(blocks)))
                     for block, rows in zip(blocks, sums))
     equitable = all(len({row[j] for row in rows}) == 1 for rows in sums for j in range(len(blocks)))
-    quot = quotient_matrix(g, blocks)
-    assert (quot.entries, quot.block_sizes) == (entries, tuple(map(len, blocks)))
+    assert quotient_matrix(g, blocks) == entries
     assert is_equitable(g, blocks) == equitable
     return equitable
 
@@ -221,10 +202,3 @@ def test_quotient_and_equitable_match_per_vertex_sums(graphs_and_complements):
         for _ in range(3):
             seen.add(_expect_quotient(g, random_partition(rng, g.n)))
     assert seen == {False, True}
-
-
-def test_edge_deletion_chain_examples():
-    assert edge_deletion_chain_holds(cycle(5), (0, 1))
-    assert edge_deletion_chain_holds(complete(5), (2, 3))
-    with pytest.raises(ValueError):
-        edge_deletion_chain_holds(path(3), (0, 2))

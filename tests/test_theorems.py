@@ -32,6 +32,7 @@ from qng.graph import (
     relabel,
     star,
     to_graph6,
+    twin_classes,
 )
 from qng import spectra, theorems
 from qng.cli import _resolve_check, build_predicate
@@ -413,8 +414,15 @@ def test_proof_check_thm15_spot_values():
 
 def test_proof_check_thm15_needs_duplicate_blocks(monkeypatch):
     """The duplicate-block checks run: with no duplicate classes the proof fails."""
-    monkeypatch.setattr(theorems, "duplicate_classes", lambda g: [])
+    monkeypatch.setattr(theorems, "twin_classes", lambda rows: ([], []))
     assert not proof_check_thm15(10)
+
+
+@pytest.mark.parametrize("n", [8, 10, 32])
+def test_proof_check_thm15_needs_the_duplicate_kinds(monkeypatch, n):
+    """An independent block read as a clique, and the reverse, fails the proof."""
+    monkeypatch.setattr(theorems, "twin_classes", lambda rows: twin_classes(rows)[::-1])
+    assert not proof_check_thm15(n)
 
 
 def test_regular_extremal_prism():
