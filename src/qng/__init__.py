@@ -25,16 +25,7 @@ from .graph import (
     star,
     to_graph6,
 )
-from .spectra import (
-    Spectrum,
-    certify_qk,
-    char_poly_exact,
-    eigenvalues_sym,
-    multiplicity_at,
-    ng_sum,
-    q_matrix,
-    sturm_count,
-)
+from .spectra import Spectrum, char_poly_exact, ng_sum, q_matrix
 from .partitions import is_equitable, quotient_matrix
 from .enumeration import ScanResult, canonical_form, enumerate_graphs, scan
 from .theorems import BoundReport, proof_check_thm12, proof_check_thm15

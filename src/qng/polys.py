@@ -7,9 +7,7 @@ order with no trailing zeros; functions that only read one also take the
 about its roots, so a positive multiple serves as well as the polynomial
 itself: gcds, square-free parts, remainders and compositions come back
 primitive (content 1), and remainders come from pseudo-division scaled by
-positive factors only, so every Sturm sign survives.  ``integer_poly`` is the
-one converter from rational coefficients; only entry points that accept them
-call it.
+positive factors only, so every Sturm sign survives.
 
 On top of this ring one object counts roots: a ``RootCounter`` holds the
 iterated-gcd tower of a polynomial, one Sturm sequence per level, and answers
@@ -41,9 +39,8 @@ from typing import Sequence, Union
 
 Poly = list[int]
 
-# Sentinels for evaluation at the ends of the real line.
+# Sentinel for evaluation at the top end of the real line.
 POS_INF = object()
-NEG_INF = object()
 
 
 def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
@@ -56,14 +53,6 @@ def _primitive(p: Poly) -> Poly:
     """p divided by its (positive) content."""
     content = gcd(*p)
     return [c // content for c in p] if content > 1 else p
-
-
-def integer_poly(coeffs: Sequence) -> Poly:
-    """The primitive integer polynomial that is a positive multiple of rational ``coeffs``."""
-    p = _over_common_denominator([Fraction(c) for c in coeffs])[0]
-    while p and p[-1] == 0:
-        p.pop()
-    return _primitive(p)
 
 
 def _derivative(p: Poly) -> Poly:
@@ -298,8 +287,6 @@ Point = Union[Fraction, Surd, object]
 def _signs_at(chain: list[Poly], x: Point) -> list[int]:
     if x is POS_INF:
         return [_sign(p[-1]) for p in chain]
-    if x is NEG_INF:
-        return [_sign(p[-1]) if len(p) % 2 else -_sign(p[-1]) for p in chain]
     if isinstance(x, Surd):
         (u, v), den = _over_common_denominator((x.a, x.b))
         return [_surd_sign(*_value_surd(p, u, v, x.d, den), x.d) for p in chain]
@@ -336,8 +323,7 @@ class RootCounter:
     Each level keeps the Sturm sequence of its square-free part, the quotient
     of the level by the next; level 0's first member is the square-free part
     of p.  A nonzero constant has an empty tower.  ``p`` is a nonzero ``int``
-    sequence with no trailing zeros; ``integer_poly`` makes one from rational
-    coefficients.
+    sequence with no trailing zeros.
     """
 
     def __init__(self, p: Poly):

@@ -22,14 +22,14 @@ window starts around the screened float eigenvalue, exact Sturm counts
 verify that it isolates the eigenvalue, and the Cauchy root bound is the
 fallback start; a float never decides a sign.
 
-The exact layer computes in Python ``int``: the recurrence runs on integer
-rows (a rational matrix is scaled by its common denominator first), and a
-characteristic polynomial is its ascending ``int`` tuple, which every
-comparison hands to ``polys`` as it is.  Root counting, ``sturm_count`` and
-``multiplicity_at`` included, goes through ``polys.root_counter``, which
-builds one integer Sturm/gcd tower per polynomial.  ``kind_char_poly`` caches the polynomials, which
-the registered checks' scans of the same graphs read again.  ``Fraction``
-and ``polys.Surd`` appear only in the bounds of the comparisons.
+The exact layer computes in Python ``int``: the recurrence runs on the
+integer rows of a graph matrix or of a quotient with integer entries, and
+a characteristic polynomial is its ascending ``int`` tuple, which every
+comparison hands to ``polys`` as it is.  Root counting goes through
+``polys.root_counter``, which builds one integer Sturm/gcd tower per
+polynomial.  ``kind_char_poly`` caches the polynomials, which the
+registered checks' scans of the same graphs read again.  ``Fraction`` and
+``polys.Surd`` appear only in the bounds of the comparisons.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +47,6 @@ from .graph import Graph, complement
 
 #: Any bound within this distance of equality is decided exactly.
 ESCALATION_WINDOW = 1e-6
-
-MatrixLike = Union[np.ndarray, Sequence[Sequence]]
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +93,6 @@ class Spectrum:
     def value(self, k: int) -> float:
         """The k-th largest eigenvalue, 1-based."""
         return self.values[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def eigenvalues_sym(mat: MatrixLike) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, descending."""
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.array_equal(arr, arr.T):
-        raise ValueError("matrix must be symmetric")
-    vals = np.linalg.eigvalsh(arr)[::-1]
-    return Spectrum(tuple(float(v) for v in vals))
 
 
 #: The current scan chunk: each member mapped to its complement (None before
@@ -206,32 +189,21 @@ def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
 # Exact characteristic polynomials
 
 
-def _integer_rows(mat: MatrixLike) -> tuple[list[list[int]], int]:
-    """Rows of D*M as Python ints, for D the least common denominator of M."""
-    rows = mat.tolist() if isinstance(mat, np.ndarray) else [list(row) for row in mat]
-    if all(type(v) is int for row in rows for v in row):
-        return rows, 1
-    rows = [[Fraction(v) for v in row] for row in rows]
-    denom = lcm(*(v.denominator for row in rows for v in row))
-    return [[int(v * denom) for v in row] for row in rows], denom
-
-
-def char_poly_exact(mat: MatrixLike) -> tuple[int, ...]:
+def char_poly_exact(mat: np.ndarray | Sequence[Sequence[int]]) -> tuple[int, ...]:
     """det(xI - M) as ascending integer coefficients, by Faddeev-LeVerrier.
 
-    For M of order k: N_1 = M, c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I;
-    the characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  For an
-    integer matrix every c_j is an integer and each division is exact.  A
-    rational M runs as the integer matrix D*M, whose coefficients are
-    D^j c_j; times D^(k-j) they give D^k det(xI - M), made primitive.  So
-    the result is the primitive integer polynomial with positive leading
-    coefficient: det(xI - M) itself for an integer M, a positive multiple of
-    it for a rational one.
+    M is a square integer ndarray or a sequence of rows of Python ``int``;
+    any other entry (a ``Fraction``, a float) raises ``ValueError``.  For M
+    of order k: N_1 = M, c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I; the
+    characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  Every c_j is
+    an integer and each division is exact.
     """
-    rows, denom = _integer_rows(mat)
+    rows = mat.tolist() if isinstance(mat, np.ndarray) else [list(row) for row in mat]
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("matrix must be square")
+    if not all(type(v) is int for row in rows for v in row):
+        raise ValueError("matrix entries must be int")
     coeffs_desc = [1]
     acc = [[int(i == j) for j in range(k)] for i in range(k)]
     for step in range(1, k + 1):
@@ -243,10 +215,6 @@ def char_poly_exact(mat: MatrixLike) -> tuple[int, ...]:
         for i in range(k):
             prod[i][i] += c
         acc = prod
-    if denom != 1:
-        coeffs_desc = [c * denom ** (k - j) for j, c in enumerate(coeffs_desc)]
-        content = gcd(*coeffs_desc)
-        coeffs_desc = [c // content for c in coeffs_desc]
     return tuple(coeffs_desc[::-1])
 
 
@@ -256,28 +224,7 @@ def kind_char_poly(g: Graph, kind: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact root counting and certification
-
-
-def sturm_count(p: Sequence, lo, hi) -> int:
-    """Number of distinct real roots of rational ``p`` in the half-open interval (lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("lo > hi")
-    return polys.root_counter(tuple(polys.integer_poly(p))).count_distinct_halfopen(lo, hi)
-
-
-def multiplicity_at(p: Sequence, r) -> int:
-    """Exact multiplicity of the rational ``r`` as a root of rational ``p``."""
-    return polys.root_counter(tuple(polys.integer_poly(p))).multiplicity(Fraction(r))
-
-
-def certify_qk(g: Graph, k: int, r) -> bool:
-    """Exact certificate that the k-th largest Q-eigenvalue equals rational r.
-
-    False for k outside 1..n.  Never consults floating point.
-    """
-    return 1 <= k <= g.n and compare_qk_with(g, k, r) == 0
+# Exact comparisons
 
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
@@ -292,15 +239,14 @@ def compare_qk_with(g: Graph, k: int, c) -> int:
     return -1
 
 
-def compare_sum_with(g: Graph, kind: str, k: int, c, k_complement: int | None = None) -> int:
-    """Exact sign of (k-th eigenvalue of g plus k_complement-th of complement) - c, for c rational
+def compare_sum_with(g: Graph, kind: str, k: int, c) -> int:
+    """Exact sign of (k-th eigenvalue of g plus k-th of its complement) - c, for c rational
     or a ``polys.Surd``, by ``polys.compare_root_sum`` seeded with the screened spectra."""
-    kc = k if k_complement is None else k_complement
-    if not 1 <= k <= g.n or not 1 <= kc <= g.n:
+    if not 1 <= k <= g.n:
         raise ValueError(f"eigenvalue index outside 1..{g.n}")
     cg = complement_of(g)
-    return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), kc, c,
-                                  spectrum(g, kind).value(k), spectrum(cg, kind).value(kc))
+    return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), k, c,
+                                  spectrum(g, kind).value(k), spectrum(cg, kind).value(k))
 
 
 def compare_q1(g: Graph, h: Graph) -> int:

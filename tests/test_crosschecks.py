@@ -22,7 +22,6 @@ from qng.graph import (
     to_graph6,
 )
 from qng.spectra import (
-    certify_qk,
     compare_qk_with,
     compare_sum_with,
     kind_char_poly,
@@ -70,8 +69,7 @@ def test_compare_qk_against_mpmath(graphs_by_order, rng=random.Random(7)):
         if abs(eig - mpmath.nint(eig)) < mpmath.mpf("1e-30"):
             r = int(mpmath.nint(eig))
             assert compare_qk_with(g, k, r) == 0
-            assert certify_qk(g, k, r)
-            assert not certify_qk(g, k, r + 3)
+            assert compare_qk_with(g, k, r + 3) != 0
 
 
 def test_certify_qk_sweep_small(graphs_by_order):
@@ -82,9 +80,9 @@ def test_certify_qk_sweep_small(graphs_by_order):
             for k, v in enumerate(vals, start=1):
                 r = round(v)
                 if abs(v - r) < 1e-9:
-                    assert certify_qk(g, k, r), (to_graph6(g), k, r)
+                    assert compare_qk_with(g, k, r) == 0, (to_graph6(g), k, r)
                 else:
-                    assert not certify_qk(g, k, r), (to_graph6(g), k, r)
+                    assert compare_qk_with(g, k, r) != 0, (to_graph6(g), k, r)
 
 
 HIGH_SYMMETRY_8 = [

@@ -1,9 +1,11 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every public
+top-level function or class of ``qng`` is used by ``qng`` itself.
 
-No linter is part of the toolchain, so the check walks the AST itself: an
+No linter is part of the toolchain, so the checks walk the AST themselves: an
 imported name counts as used when it appears as a name anywhere in the
-module or in its ``__all__``.  ``qng/__init__.py`` only re-exports and is
-skipped.
+module or in its ``__all__``; a definition counts as used when its name
+appears as a name or an attribute in ``src/qng`` outside the definition.
+``qng/__init__.py`` only re-exports and is skipped.
 """
 
 from __future__ import annotations
@@ -14,10 +16,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "qng").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-)
+SOURCES = sorted(p for p in (ROOT / "src" / "qng").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SOURCES + list((ROOT / "tests").glob("*.py")))
+
+#: Public definitions that ``qng`` itself does not call, each kept on purpose.
+UNCALLED_ON_PURPOSE = {
+    "spectra.q_matrix": "Q(G) = D + A by its name in the paper, exported for users and the tests",
+    "graph.relabel": "the tests' relabeler, independent of the canonical-labeling code",
+    "theorems.check_lemma27": "Lemma 2.7 of the paper, checked per (graph, non-edge) pair by the tests",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +55,26 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public top-level def or class in ``sources`` (module name to
+    source) whose name no code of ``sources`` reads as a name or attribute outside that definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    tops = [top for tree in trees.values() for top in tree.body]
+    reads = {id(top): {ref.id if isinstance(ref, ast.Name) else ref.attr
+                       for ref in ast.walk(top) if isinstance(ref, (ast.Name, ast.Attribute))} for top in tops}
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name[0] != "_"
+            and not any(node.name in reads[id(top)] for top in tops if top is not node)]
+
+
+def test_uncalled_definitions_are_found():
+    sources = {"a": "def f():\n    return f()\n\nclass C:\n    pass\n\ndef _g():\n    pass\n",
+               "b": "import a\n\ndef h():\n    return a.C\n"}
+    assert uncalled_definitions(sources) == ["a.f", "b.h"]
+
+
+def test_every_public_definition_is_called_by_qng():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert sorted(uncalled_definitions(sources)) == sorted(UNCALLED_ON_PURPOSE)

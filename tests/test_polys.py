@@ -17,7 +17,6 @@ from qng.polys import (
     cauchy_root_bound,
     compare_kth_roots,
     compare_root_sum,
-    integer_poly,
     isolate_kth_largest,
     poly_eval,
     poly_eval_surd,
@@ -27,26 +26,23 @@ from qng.polys import (
     poly_rem,
     reflection_norm,
 )
-from qng.spectra import multiplicity_at, sturm_count
+
+
+def scaled(coeffs):
+    """The integer polynomial L * coeffs, L the least common denominator of rational coeffs, trailing zeros dropped."""
+    scale = math.lcm(*(F(c).denominator for c in coeffs))
+    p = [int(c * scale) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
 def from_roots(roots):
     """The primitive integer polynomial with these rational roots, positive leading coefficient."""
     out = [1]
-    for r in roots:
-        out = poly_mul(out, integer_poly([-F(r), 1]))
+    for r in map(F, roots):
+        out = poly_mul(out, [-r.numerator, r.denominator])  # primitive factors have a primitive product
     return out
-
-
-def test_poly_normalizes_int_fraction_and_mixed_inputs():
-    want = [2, -4, 3]
-    for coeffs in ([F(1), F(-2), F(3, 2), F(0), F(0)], [1, -2, F(3, 2), 0],
-                   [F(1), -2, F(3, 2)], [1, F(-4, 2), F(3, 2), F(0)], [4, -8, 6]):
-        got = integer_poly(coeffs)
-        assert got == want and all(type(c) is int for c in got)
-    assert integer_poly([2, 0, 5, 0]) == integer_poly([F(2), F(0), F(5)]) == [2, 0, 5]
-    assert integer_poly([F(-1, 2), F(-3, 4)]) == [-2, -3]  # a positive multiple keeps the sign
-    assert integer_poly([0, F(0), 0]) == [] and integer_poly([]) == []
 
 
 def test_divmod_and_gcd():
@@ -76,7 +72,7 @@ def test_squarefree_and_multiplicity():
 
 def test_zero_polynomial_is_rejected():
     with pytest.raises(ValueError, match="zero polynomial"):
-        sturm_count([0, 0], 0, 1)
+        polys.root_counter((0, 0))
     with pytest.raises(ValueError, match="zero polynomial"):
         RootCounter([0])
 
@@ -93,7 +89,7 @@ def test_compose_linear():
     assert reflection_norm(p, Surd(F(4), F(0), 7)) == q
     rng = random.Random(37)
     for _ in range(200):
-        p = integer_poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))] + [1])
+        p = scaled([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))] + [1])
         c = F(rng.randint(-9, 9), rng.randint(1, 6))
         q = reflection_norm(p, c)
         assert len(q) == len(p) and math.gcd(*q) == 1 and q[-1] > 0
@@ -106,7 +102,7 @@ def test_compose_linear():
         c = Surd(F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)), d)
         e, f = F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(1, 5), rng.randint(1, 3))
         rational = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
-        p = integer_poly([e * e - f * f * d, -2 * e, 1])  # roots e +- f sqrt(d)
+        p = scaled([e * e - f * f * d, -2 * e, 1])  # roots e +- f sqrt(d)
         for root in rational:
             p = poly_mul(p, [-root.numerator, root.denominator])
         q = reflection_norm(p, c)
@@ -157,11 +153,8 @@ def test_halfopen_convention_at_root_endpoints():
 def test_cauchy_bound_really_bounds(rng=random.Random(9)):
     for _ in range(50):
         coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))] + [rng.randint(1, 9)]
-        p = integer_poly(coeffs)
-        if len(p) < 2:
-            continue
-        bound = float(cauchy_root_bound(p))
-        roots = np.roots(list(reversed([float(c) for c in p])))
+        bound = float(cauchy_root_bound(coeffs))
+        roots = np.roots(list(reversed([float(c) for c in coeffs])))
         real = [r.real for r in roots if abs(r.imag) < 1e-9]
         assert all(abs(r) < bound + 1e-9 for r in real)
 
@@ -204,7 +197,8 @@ def test_isolation_from_seeds():
     # a nonzero constant has no roots, with a seed or without
     with pytest.raises(ValueError, match="fewer than 1 real roots"):
         isolate_kth_largest([5], 1, 0.5)
-    assert sturm_count([5], 0, 1) == 0 and multiplicity_at([5], 2) == 0
+    constant = polys.root_counter((5,))
+    assert constant.count_distinct_halfopen(F(0), F(1)) == 0 and constant.multiplicity(2) == 0
 
 
 def test_compare_kth_roots():
@@ -280,7 +274,7 @@ def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
     assert RootCounter(p).count_gt(F(1)) == 0
     checked = 0
     while checked < 300:
-        p = integer_poly([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))])
+        p = scaled([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))])
         if len(p) < 2:
             continue
         real = _real_roots(p)
@@ -292,7 +286,7 @@ def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
             if any(abs(r - x) < 1e-6 for r in real):
                 continue
             assert counter.count_distinct_halfopen(x, POS_INF) == sum(1 for r in real if r > x), (p, x)
-        assert counter.count_distinct_halfopen(polys.NEG_INF, POS_INF) == len(real)
+        assert counter.count_distinct_halfopen(-cauchy_root_bound(p), POS_INF) == len(real)
         checked += 1
 
 
@@ -331,7 +325,7 @@ def _naive_eval_surd(p, x):
 
 def test_poly_eval_surd_matches_naive_horner(rng=random.Random(29)):
     for _ in range(300):
-        p = integer_poly([F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))])
+        p = scaled([F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))])
         x = Surd(F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12)),
                  rng.randint(0, 60))
         got = poly_eval_surd(p, x)

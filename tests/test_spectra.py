@@ -27,20 +27,16 @@ from qng.graph import (
 )
 from qng.spectra import (
     ESCALATION_WINDOW,
-    certify_qk,
     char_poly_exact,
     compare_q1,
     compare_qk_with,
     compare_sum_with,
-    eigenvalues_sym,
     kind_char_poly,
     matrix_of_kind,
-    multiplicity_at,
     ng_sum,
     q_matrix,
     set_chunk,
     spectrum,
-    sturm_count,
 )
 
 
@@ -125,42 +121,32 @@ def test_q_complement_identity(rng=random.Random(13)):
         assert (total == q_matrix(complete(n))).all()
 
 
-def test_eigenvalues_sym():
-    s = eigenvalues_sym(q_matrix(complete(4)))
-    assert np.allclose(s.values, (6, 2, 2, 2), atol=1e-12)
-    assert abs(spectrum(path(4), "Q").value(2) - 2) < 1e-10
-    assert abs(spectrum(star(6), "Q").value(2) - 1) < 1e-10
-    with pytest.raises(ValueError):
-        eigenvalues_sym([[0, 1], [2, 0]])
-    with pytest.raises(ValueError):
-        eigenvalues_sym([[0, 1, 0], [1, 0, 1]])
-
-
 def test_char_poly_examples():
     assert char_poly_exact(q_matrix(complete(2))) == (0, -2, 1)
     assert char_poly_exact(q_matrix(cycle(4))) == (0, -16, 20, -8, 1)
-    # rational input path: the primitive multiple of x - 1/2
-    half = char_poly_exact([[F(1, 2)]])
-    assert half == (-1, 2)
+
+
+def test_char_poly_takes_int64_arrays_and_int_rows():
+    """The two shapes passed to it: a graph matrix and a closed-form quotient of ints."""
+    m = q_matrix(path(3))
+    assert m.dtype == np.int64
+    rows = tuple(tuple(row) for row in m.tolist())
+    assert char_poly_exact(m) == char_poly_exact(rows) == (0, 3, -4, 1)  # x(x - 1)(x - 3)
+    got = char_poly_exact(((2, 0, 1), (0, 1, 1), (3, 1, 5)))
+    assert all(type(c) is int for c in got) and got == tuple(charpoly_oracle([[2, 0, 1], [0, 1, 1], [3, 1, 5]]))
+
+
+def test_char_poly_rejects_non_int_entries():
+    for bad in ([[F(1, 2)]], [[F(1), 0], [0, 1]], [[1.0, 0], [0, 1]], np.eye(2), np.array([[1.5]]),
+                [[0, 1], [1]], [[0, 1, 0], [1, 0, 1]], np.ones((2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            char_poly_exact(bad)
 
 
 def test_char_poly_against_cofactor_oracle(graphs_by_order):
     for n in range(1, 6):
         for g in graphs_by_order[n]:
             assert kind_char_poly(g, "Q") == tuple(charpoly_oracle(q_matrix(g).tolist()))
-
-
-def test_char_poly_rational_against_cofactor_oracle(rng=random.Random(31)):
-    for _ in range(120):
-        k = rng.randint(1, 5)
-        m = [[F(rng.randint(-7, 7), rng.choice([1, 1, 2, 3, 4, 6, 9])) for _ in range(k)] for _ in range(k)]
-        got = char_poly_exact(m)
-        # the primitive integer multiple with positive leading coefficient
-        assert all(type(c) is int for c in got)
-        assert got[-1] > 0 and math.gcd(*got) == 1
-        assert tuple(F(c, got[-1]) for c in got) == tuple(charpoly_oracle(m))
-    assert char_poly_exact([[F(1, 2)]]) == (-1, 2)
-    assert char_poly_exact([[F(1, 2), F(1, 3)], [2, F(-5, 6)]]) == (-13, 4, 12)
 
 
 #: sha256 of one line "graph6 kind c_0 c_1 ... c_n" per graph of order 1..7
@@ -189,21 +175,22 @@ def test_root_counter_built_once_per_char_poly():
     assert after.hits == before.hits + 1
 
 
+def _counter(g):
+    return polys.root_counter(kind_char_poly(g, "Q"))
+
+
 def test_sturm_and_multiplicity_examples():
-    assert multiplicity_at(kind_char_poly(complete(6), "Q"), 4) == 5
-    assert sturm_count(kind_char_poly(cycle(4), "Q"), 3, 5) == 1
-    assert multiplicity_at(kind_char_poly(star(6), "Q"), 1) == 4
-    with pytest.raises(ValueError):
-        sturm_count(kind_char_poly(cycle(4), "Q"), 5, 3)
+    assert _counter(complete(6)).multiplicity(4) == 5
+    assert _counter(cycle(4)).count_distinct_halfopen(F(3), F(5)) == 1
+    assert _counter(star(6)).multiplicity(1) == 4
 
 
 def test_certify_qk_examples():
-    assert certify_qk(star(6), 2, 1)
-    assert certify_qk(cycle(4), 2, 2)
-    assert not certify_qk(complete(6), 1, 9)
-    assert certify_qk(complete(6), 1, 10)
-    assert not certify_qk(cycle(5), 2, 2)  # q_2(C_5) is irrational
-    assert not certify_qk(cycle(4), 0, 1)
+    assert compare_qk_with(star(6), 2, 1) == 0
+    assert compare_qk_with(cycle(4), 2, 2) == 0
+    assert compare_qk_with(complete(6), 1, 9) != 0
+    assert compare_qk_with(complete(6), 1, 10) == 0
+    assert compare_qk_with(cycle(5), 2, 2) != 0  # q_2(C_5) is irrational
 
 
 def test_ng_sum_examples():
@@ -237,7 +224,8 @@ def test_weyl_consistency_small(graphs_by_order):
             assert upper <= n - 2 + 1e-8
             assert lower >= n - 2 - 1e-8
             if abs(upper - (n - 2)) <= 1e-6:
-                assert compare_sum_with(g, "Q", 2, n - 2, k_complement=g.n) <= 0
+                assert polys.compare_root_sum(kind_char_poly(g, "Q"), 2, kind_char_poly(gc, "Q"), n, F(n - 2),
+                                              spectrum(g, "Q").value(2), spectrum(gc, "Q").value(n)) <= 0
             if abs(lower - (n - 2)) <= 1e-6:
                 assert compare_sum_with(g, "Q", 2, n - 2) >= 0
 
@@ -266,20 +254,29 @@ def test_square_radicand_is_decided_exactly():
 
 
 def _reflected(p, c):
-    """p(c - x) for rational c, as ascending Fractions, by Horner's rule."""
+    """A positive integer multiple of p(c - x) for rational c, by Horner's rule over Fractions."""
     acc = []
     for coeff in reversed(p):
         acc = [c * cur - prev for cur, prev in zip(acc + [0], [0] + acc)]
         acc[0] += coeff
-    return acc
+    scale = math.lcm(*(x.denominator for x in acc))
+    return [int(x * scale) for x in acc]
+
+
+def _sum_sign(g, cg, kind, k, kc, c):
+    """``compare_sum_with`` where both indices are k, else ``compare_root_sum`` seeded the same way."""
+    if kc == k:
+        return compare_sum_with(g, kind, k, c)
+    return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), kc, c,
+                                  spectrum(g, kind).value(k), spectrum(cg, kind).value(kc))
 
 
 def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random(19)):
-    """``compare_sum_with`` for n <= 6, kinds Q, L, A and seeded k.
+    """``compare_sum_with`` and ``compare_root_sum`` for n <= 6, kinds Q, L, A and seeded k.
 
     A rational bound c, on the sum, on one side of it by 2^-24, or random,
     gets the sign of the comparison the bound was once decided by:
-    the k_complement-th largest root of the complement's polynomial against
+    the kc-th largest root of the complement's polynomial against
     the (n - k + 1)-th largest root of p(c - x).  A surd bound b + s*sqrt(d)
     gets the float sign wherever it lies more than 1e-6 from the sum, and is
     hit exactly only where the float sum is on it.
@@ -294,16 +291,16 @@ def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random
                 value = spectrum(g, kind).value(k) + spectrum(cg, kind).value(kc)
                 near = F(round(2 * value), 2)
                 for c in (near, near + rng.choice((-1, 1)) * F(1, 1 << 24), F(rng.randint(-20, 40), rng.randint(1, 7))):
-                    reflected = polys.integer_poly(_reflected(kind_char_poly(g, kind), c))
+                    reflected = _reflected(kind_char_poly(g, kind), c)
                     expected = polys.compare_kth_roots(kind_char_poly(cg, kind), kc, reflected, n - k + 1,
                                                        spectrum(cg, kind).value(kc), float(c) - spectrum(g, kind).value(k))
-                    got = compare_sum_with(g, kind, k, c, k_complement=kc)
+                    got = _sum_sign(g, cg, kind, k, kc, c)
                     assert got == expected, (to_graph6(g), kind, k, kc, c)
                     hits["rational"] += got == 0
                 for d in (5, rng.choice((2, 3, 6, 7, 13))):
                     s = rng.choice((F(1), F(1, 2)))
                     bound = polys.Surd(F(round(2 * (value - float(s) * math.sqrt(d))), 2), s, d)
-                    got = compare_sum_with(g, kind, k, bound, k_complement=kc)
+                    got = _sum_sign(g, cg, kind, k, kc, bound)
                     gap = value - float(bound)
                     if abs(gap) > 1e-6:
                         assert got == (gap > 0) - (gap < 0), (to_graph6(g), kind, k, kc, bound)
@@ -316,7 +313,9 @@ def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random
 def test_spectrum_accessors():
     s = spectrum(complete(4), "Q")
     assert s.value(1) == max(s.values)
-    assert len(s) == 4
+    assert len(s.values) == 4
+    assert abs(spectrum(path(4), "Q").value(2) - 2) < 1e-10
+    assert abs(spectrum(star(6), "Q").value(2) - 1) < 1e-10
 
 
 def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
@@ -348,7 +347,7 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
             for g in graphs:
                 for h in (g, complement(g)):
                     batched = spectrum(h, kind).values
-                    single = eigenvalues_sym(matrix_of_kind(h, kind)).values
+                    single = eigvalsh(matrix_of_kind(h, kind))[::-1]
                     assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
             assert sorted(stacks) == sorted((count, n, n) for n, count in members.items()), kind
             if kind == "Q":
@@ -376,5 +375,5 @@ def test_char_poly_type():
 def test_q_singular_iff_bipartite_component(graphs_by_order):
     for n in range(1, 7):
         for g in graphs_by_order[n]:
-            mult0 = multiplicity_at(kind_char_poly(g, "Q"), 0)
+            mult0 = _counter(g).multiplicity(0)
             assert mult0 == sum(c is not None for c in component_colorings(g))

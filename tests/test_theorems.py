@@ -381,7 +381,7 @@ def test_proof_check_thm12_spot_values():
     assert proof_check_thm12(7, 3)
     assert proof_check_thm12(8, 4)
     # closed form at n=6, d2=2 equals the smaller root of [[4, 4], [1, 3]]
-    p = char_poly_exact([[F(4), F(4)], [F(1), F(3)]])
+    p = char_poly_exact([[4, 4], [1, 3]])
     disc = 6 * 6 - (4 * 2 - 2) * 6 + 4 * 4 + 4 * 2 - 7
     lam2 = (6 + 2 * 2 - 3 - math.sqrt(disc)) / 2
     from qng.polys import poly_eval
