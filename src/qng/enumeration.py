@@ -45,13 +45,14 @@ each graph is handled once: one helper decodes the chunk's lines in one
 batch (``graph.decode_graph6``), names them and then the graphs its filter
 keeps to ``spectra.set_chunk`` (a complement is built once, whoever reads
 it first), runs the check (each matrix kind it reads is then screened for
-the chunk's graphs and their complements in one batched float call), drops
-the chunk again, and returns the chunk's tally, its verdict counts plus the
-canonical graph6 keys of its equality and violation graphs.  A bound-table
-row gets the whole chunk through its ``verdicts`` method and builds reports
-only for the graphs its float screen leaves undecided; any other check is
-called on each graph.  A bound-table row does not re-test a hypothesis that
-the filter is.  With ``jobs`` > 1 the chunks go in order through
+the chunk's graphs in one batched float call, and for the complements it
+reads in one more), drops the chunk again, and returns the chunk's tally,
+its verdict counts plus the canonical graph6 keys of its equality and
+violation graphs.  A bound-table row gets the whole chunk through its
+``verdicts`` method and complements, and builds reports for, only the
+graphs its float screen leaves undecided; any other check is called on
+each graph.  A bound-table row does not re-test a hypothesis that the
+filter is.  With ``jobs`` > 1 the chunks go in order through
 ``Pool.imap``, as text and with the filter by name, and each worker returns
 only that tally.
 """

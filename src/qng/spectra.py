@@ -3,17 +3,24 @@
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
 are used only for screening.  A scan names each chunk with ``set_chunk``;
 ``complement_of`` builds a member's complement once, at its first read (a
-scan filter's, a check's, or the chunk's first screen).  The first read of
-a kind on a chunk member stacks the kind-matrices of the chunk's graphs and
-their complements as one (B, n, n) array and screens them in one eigvalsh
-call.  ``chunk_sums`` reads the eigenvalue sums of a graph and its
-complement off that screen for a whole chunk at once, and ``spectrum``
-reads one member's row; a graph outside the chunk is screened alone.  The
-screen is the one store of float spectra: ``_SCREENED`` holds the chunk's
-own until the scan drops it (keyed by its members instead, every
-``spectrum`` call would hash a tuple of up to 512 graphs), and
-``_screen_members`` the last 16 by their members, so another scan of the
-same chunk reads its screen again.  ``_stacked`` builds A, D + A and D - A.
+scan filter's, a check's, or a screen's).  The first read of a kind on a
+chunk member stacks the kind-matrices of the chunk's graphs of its order as
+one (B, n, n) array and screens them in one eigvalsh call; the complements
+are screened only when read, in one more call.  ``chunk_sum_bounds`` reads
+an interval of each member's sum lambda_k(G) + lambda_k(complement G) off
+the members' screen alone: M(complement G) = cI + sJ - M(G), J rank one, so
+Weyl's inequalities place the complement's eigenvalue between two of G's
+(for L, J commutes with L(G) and the interval is a point).  ``chunk_sums``
+reads the sums of given members off the screen of the members and their
+complements, screening the complements of only those members; ``spectrum``
+reads one row, and its first read of a complement's row screens every
+remaining complement of the chunk in one call.  A graph outside the chunk
+is screened alone.  The screen is the one store of float spectra:
+``_SCREENED`` holds the chunk's own until the scan drops it (keyed by its
+members instead, every ``spectrum`` call would hash a tuple of up to 256
+graphs), and ``_screen_members`` the last 16 by their members, the
+complements screened since included, so another scan of the same chunk
+reads its screen again.  ``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
 Faddeev-LeVerrier recurrence, Sturm-sequence root counting, and
@@ -95,31 +102,56 @@ class Spectrum:
         return self.values[k - 1]
 
 
-#: The current scan chunk: each member mapped to its complement (None before
-#: its first read), then each built complement mapped to its member; and the
-#: chunk's screens by (order, kind): each member's row in one array of
-#: eigenvalues, each row descending.
-_CHUNK: dict[Graph, Optional[Graph]] = {}
-_SCREENED: dict[tuple[int, str], tuple[dict[Graph, int], np.ndarray]] = {}
-
-
 def _screen(graphs: Sequence[Graph], kind: str) -> np.ndarray:
     """Float spectra of the kind-matrices of graphs of one order, in one eigvalsh call, rows descending."""
     return np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1]
 
 
+class _Screen:
+    """The kind spectra of a chunk's members of one order, then of the complements read so far.
+
+    ``rows`` maps each screened graph to its row of ``values``; ``add``
+    screens more graphs in one eigvalsh call and appends their rows.
+    """
+
+    def __init__(self, members: Sequence[Graph], kind: str):
+        self.kind = kind
+        self.rows = {h: i for i, h in enumerate(members)}
+        self.values = _screen(members, kind)
+
+    def add(self, graphs: Iterable[Graph]) -> None:
+        new = [h for h in dict.fromkeys(graphs) if h not in self.rows]
+        if new:
+            self.rows.update(zip(new, range(len(self.rows), len(self.rows) + len(new))))
+            self.values = np.concatenate((self.values, _screen(new, self.kind)))
+
+    def column(self, graphs: Sequence[Graph], k: int) -> np.ndarray:
+        """The k-th largest eigenvalue of each of ``graphs``, all screened already."""
+        return self.values[[self.rows[h] for h in graphs], k - 1]
+
+
+#: The current scan chunk: each member mapped to its complement (None before
+#: its first read), then each built complement mapped to its member; the
+#: members in order; and the chunk's screens by (order, kind).
+_CHUNK: dict[Graph, Optional[Graph]] = {}
+_MEMBERS: tuple[Graph, ...] = ()
+_SCREENED: dict[tuple[int, str], _Screen] = {}
+
+
 def set_chunk(graphs: Iterable[Graph]) -> None:
-    """Make ``graphs`` and their complements the chunk ``spectrum`` screens at once.
+    """Make ``graphs`` the chunk ``spectrum`` screens at once.
 
     A scan calls this with a chunk's graphs as decoded, with those its
     filter keeps, and with none when the chunk is done.  A graph that stays
     in the chunk keeps its complement, so one a filter read is built once.
     """
+    global _MEMBERS
     chunk = {g: _CHUNK.get(g) for g in graphs}
     _CHUNK.clear()
     _SCREENED.clear()
     _CHUNK.update(chunk)
     _CHUNK.update({h: g for g, h in chunk.items() if h is not None})
+    _MEMBERS = tuple(chunk)
 
 
 def complement_of(g: Graph) -> Graph:
@@ -133,21 +165,16 @@ def complement_of(g: Graph) -> Graph:
 
 
 @lru_cache(maxsize=16)
-def _screen_members(members: tuple[Graph, ...], kind: str) -> tuple[dict[Graph, int], np.ndarray]:
-    """Each member's row and the kind spectra of ``members``, graphs of one order."""
-    return {h: i for i, h in enumerate(members)}, _screen(members, kind)
+def _screen_members(members: tuple[Graph, ...], kind: str) -> _Screen:
+    """The kind screen of ``members``, graphs of one order, with the complements later added to it."""
+    return _Screen(members, kind)
 
 
-def _chunk_screen(n: int, kind: str) -> tuple[dict[Graph, int], np.ndarray]:
-    """The chunk members of order n, each followed by its complement, by row, and their kind spectra.
-
-    Every complement is built first, so no later read adds a member, and
-    the order does not depend on which complements were read before.
-    """
+def _chunk_screen(n: int, kind: str) -> _Screen:
+    """The kind screen of the chunk's members of order n."""
     screen = _SCREENED.get((n, kind))
     if screen is None:
-        members = dict.fromkeys(h for g in list(_CHUNK) if g.n == n for h in (g, complement_of(g)))
-        screen = _SCREENED[n, kind] = _screen_members(tuple(members), kind)
+        screen = _SCREENED[n, kind] = _screen_members(tuple(g for g in _MEMBERS if g.n == n), kind)
     return screen
 
 
@@ -155,33 +182,73 @@ def spectrum(g: Graph, kind: str) -> Spectrum:
     """The float spectrum of the kind-matrix of g.
 
     A member of the current chunk reads its row of the chunk's screen for
-    ``kind`` (every chunk member of its order, in one eigvalsh call); any
-    other graph is screened alone.
+    ``kind`` (every member of its order, in one eigvalsh call).  A member's
+    complement that is not screened yet has the complements of every member
+    of its order screened with it, in one more call; any other graph is
+    screened alone.
     """
     if g not in _CHUNK:
         return Spectrum(tuple(_screen((g,), kind)[0].tolist()))
-    rows, values = _chunk_screen(g.n, kind)
-    return Spectrum(tuple(values[rows[g]].tolist()))
+    screen = _chunk_screen(g.n, kind)
+    if g not in screen.rows:
+        screen.add([complement_of(h) for h in _MEMBERS if h.n == g.n])
+    return Spectrum(tuple(screen.values[screen.rows[g]].tolist()))
+
+
+def _check_index(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
+
+
+def chunk_sum_bounds(graphs: Sequence[Graph], kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays lo, hi with lo <= ``ng_sum(g, kind, k)`` <= hi for members ``g`` of the
+    current chunk, of one order, read off the members' screen only: no complement
+    is built or screened.
+
+    The kind-matrix of the complement is M(complement G) = cI + sJ - M(G), J the
+    all-ones matrix, with (c, s) = (-1, 1) for A and (n - 2, 1) for Q (the
+    paper's Q(G) + Q(complement G) = Q(K_n)) and (n, -1) for L.  Let
+    b_1 >= ... >= b_n be the eigenvalues of cI - M(G), b_i = c - mu_{n+1-i}.
+    J is rank one and positive semidefinite with eigenvalue n, so by Weyl's
+    inequalities b_k <= lambda_k(complement G) <= b_{k-1} for A and Q, with
+    b_1 + n as the upper bound at k = 1.  For L, J commutes with L(G) and
+    vanishes on the eigenvectors orthogonal to the all-ones vector, so
+    lambda_k(L(complement G)) = n - mu_{n-k} for k < n, and 0 for k = n:
+    lo = hi.  The bounds hold for the exact spectra; the floats carry
+    rounding errors far below ``ESCALATION_WINDOW``.
+    """
+    n = graphs[0].n
+    _check_index(n, k)
+    screen = _chunk_screen(n, kind)
+    own = screen.column(graphs, k)
+    if kind == "L":
+        point = own + (n - screen.column(graphs, n - k) if k < n else 0.0)
+        return point, point
+    c = -1 if kind == "A" else n - 2
+    lo = own + (c - screen.column(graphs, n + 1 - k))
+    hi = lo + n if k == 1 else own + (c - screen.column(graphs, n + 2 - k))
+    return lo, hi
 
 
 def chunk_sums(graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
     """``ng_sum(g, kind, k)`` for members ``g`` of the current chunk, of one order, as one array.
 
-    The values are those ``spectrum`` reads, from the same screen of the
-    chunk, added in the same float64 arithmetic, so each equals ``ng_sum``.
+    The complements of ``graphs`` not screened yet are screened in one
+    eigvalsh call.  The values are those ``spectrum`` reads, from the same
+    screen of the chunk, added in the same float64 arithmetic, so each
+    equals ``ng_sum``.
     """
     n = graphs[0].n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
-    rows, values = _chunk_screen(n, kind)
-    column = values[:, k - 1]
-    return column[[rows[g] for g in graphs]] + column[[rows[_CHUNK[g]] for g in graphs]]
+    _check_index(n, k)
+    screen = _chunk_screen(n, kind)
+    others = [complement_of(g) for g in graphs]
+    screen.add(others)
+    return screen.column(graphs, k) + screen.column(others, k)
 
 
 def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
     """k-th eigenvalue of the kind-matrix of g plus the same of its complement."""
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside 1..{g.n}")
+    _check_index(g.n, k)
     return spectrum(g, kind).value(k) + spectrum(complement_of(g), kind).value(k)
 
 

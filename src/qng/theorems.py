@@ -18,9 +18,11 @@ exact arithmetic, so every equality and every violation is certified.  A
 certified equality is matched against the extremal families by an explicit
 isomorphism witness, and a lemma's equality characterization must hold
 exactly.  A scan hands a row a whole chunk (``SumBound.verdicts``): the
-row's float screen of the chunk is one comparison of an array of sums under
-the same rule, and only the graphs it leaves undecided are checked one by
-one.
+row's float screen of the chunk compares arrays under the same rule, first
+an interval of each sum read off the graph's own spectrum (the paper's
+Weyl step on Q(G) + Q(complement G) = Q(K_n), graph by graph), then the
+sums of the graphs that leaves undecided, the only ones complemented; only
+the graphs still undecided are checked one by one.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -68,6 +70,7 @@ from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
     char_poly_exact,
+    chunk_sum_bounds,
     chunk_sums,
     compare_q1,
     compare_qk_with,
@@ -330,24 +333,34 @@ class SumBound:
 
         ``graphs`` are members of the ``spectra`` chunk, all of one order.  A
         graph below ``min_n`` or failing a hypothesis is not applicable, and
-        no report is built.  The sums of the others are read from the chunk's
-        screen as one array (``spectra.chunk_sums``) and compared with the
-        bound at once under the float rule of ``decide`` (``float_sign``):
-        a sign the float decides satisfies the relation strictly, so the
-        graph is strict.  Only the graphs left undecided, and those with
-        k > n, which raise as they do alone, are reported one by one, with
-        no hypothesis tested again.
+        no report is built.  The others are screened as one array, in two
+        steps, each under the float rule of ``decide`` (``float_sign``); a
+        sign the float decides satisfies the relation strictly, so the graph
+        is strict.  First the interval of each sum that the graph's own
+        spectrum gives (``spectra.chunk_sum_bounds``, Weyl's inequalities on
+        M(G) + M(complement G) = cI + sJ): its lower end decides a sign
+        above the bound, its upper end one below.  Only the graphs that
+        leaves undecided have their complements screened, and their sums
+        (``spectra.chunk_sums``) compared.  The graphs left undecided then,
+        and those with k > n, which raise as they do alone, are reported one
+        by one, with no hypothesis tested again.
         """
         out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
         screened = [i for i, g in enumerate(graphs) if out[i] is None and self.k <= g.n]
         if screened:
-            n = graphs[screened[0]].n
+            pending = [graphs[i] for i in screened]
             a, b = self.rhs
-            target = float(Fraction(a * n + b))
-            if self.rad is not None:
-                target = np.array([target + sqrt(self.rad(graphs[i])) for i in screened])
-            sums = chunk_sums([graphs[i] for i in screened], self.kind, self.k)
-            for i, sign in zip(screened, float_sign(sums, target, _FLOAT_SIGNS[self.relation]).tolist()):
+            target = float(Fraction(a * pending[0].n + b))
+            targets = np.array([target + sqrt(self.rad(g)) if self.rad else target for g in pending])
+            trusted = _FLOAT_SIGNS[self.relation]
+            lo, hi = chunk_sum_bounds(pending, self.kind, self.k)
+            signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
+                hi, targets, tuple(s for s in trusted if s < 0))
+            undecided = np.flatnonzero(signs == 0)
+            if undecided.size:
+                sums = chunk_sums([pending[j] for j in undecided], self.kind, self.k)
+                signs[undecided] = float_sign(sums, targets[undecided], trusted)
+            for i, sign in zip(screened, signs.tolist()):
                 if sign:
                     out[i] = STRICT
         return [self._report(g).verdict if verdict is None else verdict for g, verdict in zip(graphs, out)]

@@ -583,14 +583,8 @@ def _ng_l1(g):
     return check_ng_generic(g, "L", 1)
 
 
-@pytest.mark.parametrize("check", [_ng_a2, _ng_l1])
-def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
-    """A check without a ``kind`` attribute still gets one eigvalsh call per chunk.
-
-    The chunk's graphs and their complements are screened for A (or L) in one
-    batched call at the first miss, not one call per graph.
-    """
-    graphs = enumerate_graphs(7)
+def _eigvalsh_stacks(monkeypatch) -> list:
+    """The shapes of the eigvalsh calls from now on, with the cached chunk screens dropped."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -598,65 +592,85 @@ def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
         calls.append(a.shape)
         return eigvalsh(a)
 
-    assert not hasattr(check, "kind")
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     spectra._screen_members.cache_clear()
+    return calls
+
+
+def _member_and_complement_stacks(graphs) -> list[int]:
+    """Per chunk, its graphs, then their complements that are not among them."""
+    chunks = [graphs[i:i + enumeration.SCAN_CHUNK] for i in range(0, len(graphs), enumeration.SCAN_CHUNK)]
+    return [size for chunk in chunks for size in (len(chunk), len({complement(g) for g in chunk} - set(chunk)))]
+
+
+@pytest.mark.parametrize("check", [_ng_a2, _ng_l1])
+def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
+    """A check without a ``kind`` attribute still screens a chunk in batched calls.
+
+    The chunk's graphs are screened for A (or L) in one call at the first
+    read, and their complements in one more at the first read of one: two
+    calls per chunk, not one per graph, and no matrix twice.
+    """
+    graphs = enumerate_graphs(7)
+    assert not hasattr(check, "kind")
+    calls = _eigvalsh_stacks(monkeypatch)
     assert scan(7, "all", check).total == len(graphs) == 1044
-    chunks = -(-len(graphs) // enumeration.SCAN_CHUNK)
-    assert len(calls) == chunks == 5
-    assert all(shape[0] > enumeration.SCAN_CHUNK for shape in calls[:-1])
+    assert len(calls) == 2 * -(-len(graphs) // enumeration.SCAN_CHUNK) == 10
+    assert [shape[0] for shape in calls] == _member_and_complement_stacks(graphs) == [256, 256] * 4 + [20, 20]
     # a second scan of the same graphs reads every spectrum from the cached chunk screens
     scan(7, "all", check)
-    assert len(calls) == chunks
+    assert len(calls) == 10
 
 
 def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
-    """A bound-table row screens each chunk in one eigvalsh call, and another
-    row's scan of the same graphs reads those screens again; the escalated
-    graphs read their spectra off the same screens, each chunk's graphs and
-    their complements stacked once."""
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
-
+    """A bound-table row screens each chunk's graphs in one eigvalsh call, and
+    the complements of only those its one-spectrum interval leaves undecided
+    in one more; another row's scan of the same graphs reads those screens
+    again and stacks only the complements it needs that are not screened."""
     graphs = enumerate_graphs(7)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    spectra._screen_members.cache_clear()
+    calls = _eigvalsh_stacks(monkeypatch)
     first = scan(7, "all", check_thm12)
-    assert len(calls) == -(-len(graphs) // enumeration.SCAN_CHUNK) == 5
+    # per chunk: its 256 (last: 20) graphs, then the complements of the 3, 0, 0, 3 and 2 undecided
+    assert [shape[0] for shape in calls] == [256, 3, 256, 256, 256, 3, 20, 2]
     second = scan(7, "all", theorems.check_ng_q1)
-    assert second.total == first.total == len(graphs) and len(calls) == 5
+    assert second.total == first.total == len(graphs)
+    assert [shape[0] for shape in calls[8:]] == [199, 232, 252, 246, 18]
     assert first.counts["equality-certified"] + second.counts["equality-certified"] > 0
-    chunks = [graphs[i:i + enumeration.SCAN_CHUNK] for i in range(0, len(graphs), enumeration.SCAN_CHUNK)]
-    assert [shape[0] for shape in calls] == [len({h for g in chunk for h in (g, complement(g))}) for chunk in chunks]
 
 
 def test_registered_scans_share_the_chunk_screens(monkeypatch):
-    """The 14 registered checks scan the order-7 graphs off 15 screens: each
-    of the 5 chunks once per kind, Q, A and L.  A second pass of all 14
-    reads the cached screens again and makes no eigvalsh call."""
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
-
+    """The 14 registered checks scan the order-7 graphs off 15 member screens,
+    each of the 5 chunks once per kind, Q, A and L, and 29 complement screens:
+    a bound-table row stacks the complements its interval leaves undecided,
+    a check called on each graph all of a chunk's complements at its first
+    read of one, and a lemma, which reads no complement spectrum, none.  A
+    second pass of all 14 reads the cached screens again and makes no
+    eigvalsh call."""
     checks = [*theorems.THEOREM_CHECKS.values(), theorems.check_ng_q1,
               theorems.ng_check("A", 2), theorems.ng_check("L", 1)]
     assert len(checks) == 14
     graphs = enumerate_graphs(7)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    spectra._screen_members.cache_clear()
-    for _ in range(2):
-        for check in checks:
-            assert scan(7, "all", check).total == len(graphs)
-        assert len(calls) == 5 * 3
-    # Q, then A (ng-A2), then L (ng-L1): the same chunks, stacked with their complements
-    assert calls[:5] == calls[5:10] == calls[10:]
+    calls = _eigvalsh_stacks(monkeypatch)
+    stacks = {}
+    for check in checks:
+        done = len(calls)
+        assert scan(7, "all", check).total == len(graphs)
+        if len(calls) > done:
+            stacks[check.__name__] = [shape[0] for shape in calls[done:]]
+    assert stacks == {
+        "check_thm12": [256, 3, 256, 256, 256, 3, 20, 2],
+        "check_thm13": [1],
+        "check_thm14": [4, 11, 4, 3],
+        "check_thm15": [2, 3],
+        "check_problem12": [8, 11, 4, 1],
+        "check_ng_q1": [184, 207, 244, 242, 18],
+        "ng-A2": _member_and_complement_stacks(graphs),
+        "ng-L1": _member_and_complement_stacks(graphs),
+    }
+    assert len(calls) == 15 + 29 == 44
+    for check in checks:
+        scan(7, "all", check)
+    assert len(calls) == 44
 
 
 def test_scan_external_source():
@@ -729,12 +743,13 @@ def test_scan_of_graphs_next_to_their_complements(graphs_by_order):
 
 def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enum8):
     """A scan at n = 8 tests a hypothesis its filter is only in the filter
-    (the row assumes it), and complements each graph once: under
-    ``connected`` each scanned graph, for both the screen and the sum; under
-    ``cobar-disconnected`` each graph, whose complement the filter tests
-    and, if it passes, the screen and the sum read.  Thm 1.4's row also
-    requires a connected graph, which it tests once for each of the 1,229
-    graphs the filter passes, its one escalated graph included."""
+    (the row assumes it), and complements a graph at most once: under
+    ``connected`` only the 67 of 11,117 scanned graphs whose one-spectrum
+    interval leaves problem-1.2 undecided, for both their screen and their
+    sum; under ``cobar-disconnected`` each graph, whose complement the
+    filter tests and, if it passes, the screen and the sum read.  Thm 1.4's
+    row also requires a connected graph, which it tests once for each of
+    the 1,229 graphs the filter passes, its one escalated graph included."""
     calls = Counter()
 
     def counted(name, fn):
@@ -749,7 +764,7 @@ def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enu
         if hasattr(module, "complement"):
             monkeypatch.setattr(module, "complement", complement_counted)
     for name, check, scanned, expected in (
-        ("connected", theorems.check_problem12, 11_117, {"component_masks": 12_346, "complement": 11_117}),
+        ("connected", theorems.check_problem12, 11_117, {"component_masks": 12_346, "complement": 67}),
         ("cobar-disconnected", theorems.check_thm14, 1_229, {"component_masks": 13_575, "complement": 12_346}),
     ):
         calls.clear()

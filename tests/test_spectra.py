@@ -28,9 +28,11 @@ from qng.graph import (
 from qng.spectra import (
     ESCALATION_WINDOW,
     char_poly_exact,
+    chunk_sum_bounds,
     compare_q1,
     compare_qk_with,
     compare_sum_with,
+    complement_of,
     kind_char_poly,
     matrix_of_kind,
     ng_sum,
@@ -322,14 +324,18 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
     """The chunk screen against one eigvalsh call per matrix, for n <= 8.
 
     Every graph and its complement get the per-graph spectrum to within
-    1e-12, and no q_2 sum of a graph and its complement lies within 1e-12 of
-    either edge of the escalation window around the thm-1.2, thm-1.3 or
-    problem-1.2 bound.  So no float decision of ``screened_sign`` on those
-    bounds depends on which of the two computed the spectrum.  Each kind
-    screens the chunk in one stacked eigvalsh call per order.
+    1e-12.  No q_2 sum of a graph and its complement, and no end of its
+    one-spectrum interval that a row compares (the lower end for thm-1.2,
+    the upper end for thm-1.3 and problem-1.2), lies within 1e-12 of either
+    edge of the escalation window around the bound.  So no float decision
+    of those rows depends on which of the two computed the spectrum, or on
+    how a batch was stacked.  Each kind screens the chunk's members in one
+    stacked eigvalsh call per order, and at the first read of a complement
+    the complements that are not members in one more.
     """
     graphs = [g for n in range(1, 8) for g in graphs_by_order[n]] + enum8[0]
-    members = Counter(h.n for h in {h for g in graphs for h in (g, complement(g))})
+    members = Counter(g.n for g in set(graphs))
+    others = Counter(h.n for h in {complement(g) for g in graphs} - set(graphs))
     stacks = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -345,21 +351,49 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
         for kind in "QAL":
             del stacks[:]
             for g in graphs:
-                for h in (g, complement(g)):
+                for h in (g, complement_of(g)):
                     batched = spectrum(h, kind).values
                     single = eigvalsh(matrix_of_kind(h, kind))[::-1]
                     assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
-            assert sorted(stacks) == sorted((count, n, n) for n, count in members.items()), kind
+            assert sorted(stacks) == sorted((count, n, n) for counts in (members, others)
+                                            for n, count in counts.items()), kind
             if kind == "Q":
-                for g in filter(lambda g: g.n >= 4, graphs):
-                    value = ng_sum(g, "Q", 2)
-                    for rhs in (g.n - 2, 2 * g.n - 4, 2 * g.n - 5):
-                        assert abs(abs(value - rhs) - ESCALATION_WINDOW) > 1e-12, (g, rhs)
+                for n in range(4, 9):
+                    order = [g for g in graphs if g.n == n]
+                    lo, hi = chunk_sum_bounds(order, "Q", 2)
+                    for g, low, high in zip(order, lo.tolist(), hi.tolist()):
+                        value = ng_sum(g, "Q", 2)
+                        for x, rhs in ((value, n - 2), (value, 2 * n - 4), (value, 2 * n - 5),
+                                       (low, n - 2), (high, 2 * n - 4), (high, 2 * n - 5)):
+                            assert abs(abs(x - rhs) - ESCALATION_WINDOW) > 1e-12, (g, x, rhs)
         del stacks[:]
         spectrum(graphs[-1], "L")
         assert stacks == []
     finally:
         set_chunk(())
+
+
+def test_one_spectrum_bounds_contain_the_sum(graphs_by_order, rng=random.Random(23)):
+    """``chunk_sum_bounds`` against ``ng_sum`` for every graph of order <= 7 and
+    seeded random graphs of order 9..32, for every kind and k: lo <= sum <= hi
+    within 1e-9.  For L the interval is the sum itself (J commutes with L(G)),
+    to within 1e-12 at n <= 7."""
+    samples = [graphs_by_order[n] for n in range(1, 8)]
+    samples += [[random_graph(rng, n, rng.uniform(0.2, 0.8)) for _ in range(4)] for n in range(9, 33)]
+    for graphs in samples:
+        n = graphs[0].n
+        set_chunk(graphs)
+        try:
+            for kind in "AQL":
+                for k in range(1, n + 1):
+                    lo, hi = chunk_sum_bounds(graphs, kind, k)
+                    for g, low, high in zip(graphs, lo.tolist(), hi.tolist()):
+                        value = ng_sum(g, kind, k)
+                        assert low - 1e-9 <= value <= high + 1e-9, (to_graph6(g), kind, k, low, value, high)
+                        if kind == "L":
+                            assert low == high and abs(low - value) <= (1e-12 if n <= 7 else 1e-9), (to_graph6(g), k)
+        finally:
+            set_chunk(())
 
 
 def test_char_poly_type():

@@ -582,6 +582,37 @@ def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=ran
     assert ng_sum(extremal) == 13.000000000000004
 
 
+def test_ng_l1_screen_builds_complements_only_for_exact_reports(graphs_by_order, monkeypatch):
+    """The ng-L1 row's screen reads lambda_1(L(complement G)) = n - mu_{n-1}(G)
+    off the graph's own spectrum, so for n <= 7 it builds a complement only
+    for a graph whose report exact arithmetic decides: at n = 7 the 88
+    equality graphs, and none of the other 956."""
+    built = []
+    build = spectra.complement
+
+    def spy(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(spectra, "complement", spy)
+    row = NG_BOUNDS["L", 1]
+    for n in range(1, 8):
+        graphs = graphs_by_order[n]
+        spectra.set_chunk(graphs)
+        try:
+            exact = [g for g in graphs if row(g).certified]
+        finally:
+            spectra.set_chunk(())
+        del built[:]
+        spectra.set_chunk(graphs)
+        try:
+            verdicts = row.verdicts(graphs)
+        finally:
+            spectra.set_chunk(())
+        assert built == exact, n
+    assert (len(exact), Counter(verdicts)) == (88, {STRICT: 956, EQUALITY: 88})
+
+
 def test_chunk_tests_each_hypothesis_once_per_graph(graphs_by_order, monkeypatch):
     """Thm 1.6's row on whole chunks at n = 6, 7: the graphs the float leaves
     undecided are reported without testing ``connected`` or ``q2<=n-3``
