@@ -40,6 +40,7 @@ from .graph import (
 from .spectra import compare_sum_with, ng_sum, spectrum
 from .theorems import (
     EQUALITY,
+    NOT_APPLICABLE,
     RELATION_SIGNS,
     VIOLATED,
     BoundReport,
@@ -164,8 +165,8 @@ class SumPredicate:
     """Membership of the q_2 sum in the set cut out by rational bounds.
 
     A graph whose sum satisfies every relation is reported ``equality-certified``,
-    any other ``non-member``.  The float screen may only reject, so every sign
-    near a bound is decided exactly.
+    any other ``non-member``, and a graph with no q_2 ``not-applicable``.  The
+    float screen may only reject, so every sign near a bound is decided exactly.
     """
 
     def __init__(self, name: str, relations: list[tuple[str, Fraction]]):
@@ -173,6 +174,8 @@ class SumPredicate:
         self.relations = relations
 
     def __call__(self, g: Graph) -> str:
+        if g.n < 2:
+            return NOT_APPLICABLE
         value = ng_sum(g, "Q", 2)
         for relation, bound in self.relations:
             holds = RELATION_SIGNS[relation]

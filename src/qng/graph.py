@@ -3,17 +3,21 @@
 Adjacency is stored as one bitmask row per vertex, which keeps complementation,
 neighborhood tests and component searches to a handful of integer operations.
 The module also provides the named graph families used throughout the bound
-checkers, the usual operators (complement, union, join, Cartesian product),
-the graph6 text codec, whose decoder takes a batch of lines and unpacks their
-payloads with numpy, and one routine per vertex structure: ``twin_classes``
-groups vertices by open and by closed neighborhood, and
-``component_colorings`` walks and 2-colors the components once for every
-bipartiteness predicate.
+checkers, ``BlowUp`` (cells that are cliques or cocliques, each pair joined
+completely or not at all: its graph, complement and integer Q-quotient over
+the cells, the last for cells of any size), the usual operators (complement,
+union, join, Cartesian product), the graph6 text codec, whose decoder takes a
+batch of lines and unpacks their payloads with numpy, and one routine per
+vertex structure: ``twin_classes`` groups vertices by open and by closed
+neighborhood, and ``component_colorings`` walks and 2-colors the components
+once for every bipartiteness predicate.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -245,36 +249,74 @@ def star(n: int) -> Graph:
     return complete_bipartite(1, n - 1)
 
 
-def h_graph(s0: int, s1: int, s2: int) -> Graph:
-    """Bipartite graph on independent blocks S0, S1, S2 plus two hubs u, v.
+@dataclass(frozen=True)
+class BlowUp:
+    """A graph on cells, consecutive vertex ranges of the positive ``sizes``: a cell is a
+    clique where ``cliques`` flags it, else a coclique, and ``joins`` holds the pairs
+    (i, j), i < j, of cells joined by every edge; the other pairs have none."""
 
-    u is adjacent to S0 and S1, v to S0 and S2, and u is not adjacent to v.
-    Vertices are laid out in the order S0, S1, S2, u, v so that the block
-    partition of the vertex set is deterministic.
-    """
+    sizes: tuple[int, ...]
+    cliques: tuple[bool, ...]
+    joins: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        k = len(self.sizes)
+        if len(self.cliques) != k or min(self.sizes, default=0) < 1 or not all(0 <= i < j < k for i, j in self.joins):
+            raise ValueError("a blow-up needs positive cell sizes, a clique flag per cell and pairs i < j of cells")
+
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex blocks, one consecutive range per cell."""
+        return tuple(tuple(range(end - size, end)) for size, end in zip(self.sizes, accumulate(self.sizes)))
+
+    def graph(self) -> Graph:
+        """The blown-up graph; up to 32 vertices."""
+        n = sum(self.sizes)
+        if n > MAX_VERTICES:
+            raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
+        cells = self.cells()
+        masks = [((1 << len(cell)) - 1) << cell[0] for cell in cells]
+        outside = [0] * len(cells)
+        for i, j in self.joins:
+            outside[i] |= masks[j]
+            outside[j] |= masks[i]
+        return _graph_unchecked(n, tuple(outside[i] | (mask ^ (1 << v) if clique else 0)
+                                         for i, (cell, mask, clique) in enumerate(zip(cells, masks, self.cliques))
+                                         for v in cell))
+
+    def complement(self) -> "BlowUp":
+        """The blow-up of the complement: clique and coclique cells swap, as do joined and unjoined pairs."""
+        k = len(self.sizes)
+        pairs = frozenset((i, j) for i in range(k) for j in range(i + 1, k))
+        return BlowUp(self.sizes, tuple(not c for c in self.cliques), pairs - self.joins)
+
+    def quotient(self) -> tuple[tuple[int, ...], ...]:
+        """The integer Q-quotient over the cells, for cells of any size: entry (i, j),
+        i != j, is s_j if the cells are joined, else 0, and entry (i, i) the degree of
+        a vertex of cell i plus its neighbours inside the cell (s_i - 1 in a clique)."""
+        k = len(self.sizes)
+        rows = [[0] * k for _ in range(k)]
+        for i, j in self.joins:
+            rows[i][j], rows[j][i] = self.sizes[j], self.sizes[i]
+        for i, row in enumerate(rows):
+            row[i] = sum(row) + 2 * (self.sizes[i] - 1) * self.cliques[i]
+        return tuple(map(tuple, rows))
+
+
+def double_hub(s0: int, s1: int, s2: int) -> BlowUp:
+    """The bipartite blow-up on cocliques S0, S1, S2 and two hubs u, v, its cells
+    in that order with the empty ones dropped: u is joined to S0 and S1, v to S0
+    and S2, and u is not joined to v."""
     if min(s0, s1, s2) < 0 or s0 + s1 + s2 < 1:
         raise ValueError("block sizes must be nonnegative with positive total")
-    n = s0 + s1 + s2 + 2
-    if n > MAX_VERTICES:
-        raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
-    u, v = n - 2, n - 1
-    edges = [(w, u) for w in range(s0)] + [(w, v) for w in range(s0)]
-    edges += [(s0 + w, u) for w in range(s1)]
-    edges += [(s0 + s1 + w, v) for w in range(s2)]
-    return from_edges(n, edges)
+    sizes = (s0, s1, s2, 1, 1)
+    index = {old: new for new, old in enumerate(i for i, size in enumerate(sizes) if size)}
+    joins = frozenset((index[i], index[j]) for i, j in ((0, 3), (0, 4), (1, 3), (2, 4)) if i in index)
+    return BlowUp(tuple(size for size in sizes if size), (False,) * len(index), joins)
 
 
-def h_graph_blocks(s0: int, s1: int, s2: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition (S0, S1, S2, {u}, {v}) of h_graph, empty blocks dropped."""
-    u, v = s0 + s1 + s2, s0 + s1 + s2 + 1
-    blocks = [
-        tuple(range(s0)),
-        tuple(range(s0, s0 + s1)),
-        tuple(range(s0 + s1, s0 + s1 + s2)),
-        (u,),
-        (v,),
-    ]
-    return tuple(b for b in blocks if b)
+def h_graph(s0: int, s1: int, s2: int) -> Graph:
+    """The graph of ``double_hub(s0, s1, s2)``: vertices S0, S1, S2, u, v in order."""
+    return double_hub(s0, s1, s2).graph()
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,7 @@ def compare_qk_with(g: Graph, k: int, c) -> int:
 def compare_sum_with(g: Graph, kind: str, k: int, c) -> int:
     """Exact sign of (k-th eigenvalue of g plus k-th of its complement) - c, for c rational
     or a ``polys.Surd``, by ``polys.compare_root_sum`` seeded with the screened spectra."""
-    if not 1 <= k <= g.n:
-        raise ValueError(f"eigenvalue index outside 1..{g.n}")
+    _check_index(g.n, k)
     cg = complement_of(g)
     return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), k, c,
                                   spectrum(g, kind).value(k), spectrum(cg, kind).value(k))

@@ -27,7 +27,10 @@ the graphs still undecided are checked one by one.
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
 forms for second-largest quotient eigenvalues, polynomial identities between
-discriminants, and the sign evaluations that locate roots.
+discriminants, and the sign evaluations that locate roots.  Theorem 1.5's
+quotients are those of ``graph.BlowUp`` cells, each cross-checked on the
+blown-up graph while it fits 32 vertices; Theorem 1.2's three 2x2 matrices
+are bounds in d2 and s, not quotients of a blow-up, and are written out.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from . import polys
 from .graph import (
     MAX_VERTICES,
+    BlowUp,
     Graph,
     complement,
     complete,
@@ -51,10 +55,9 @@ from .graph import (
     component_colorings,
     cycle,
     disjoint_union,
+    double_hub,
     empty_graph,
     from_graph6,
-    h_graph,
-    h_graph_blocks,
     is_connected,
     is_regular,
     is_semiregular_bipartite,
@@ -320,33 +323,34 @@ class SumBound:
         return self if requires == self.requires else replace(self, requires=requires)
 
     def _inapplicable(self, g: Graph) -> Optional[str]:
-        """The note of a graph below ``min_n`` or failing a hypothesis of ``requires``, else None."""
+        """The note of a graph below ``min_n``, failing a hypothesis of ``requires``
+        or with fewer than k vertices, else None."""
         if g.n < self.min_n:
             return f"requires n >= {self.min_n}"
         for test, note in map(HYPOTHESES.__getitem__, self.requires):
             if not test(g):
                 return note
-        return None
+        return None if 1 <= self.k <= g.n else f"k={self.k} outside 1..{g.n}"
 
     def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
         """``[self(g).verdict for g in graphs]`` for members of the current scan chunk.
 
         ``graphs`` are members of the ``spectra`` chunk, all of one order.  A
-        graph below ``min_n`` or failing a hypothesis is not applicable, and
-        no report is built.  The others are screened as one array, in two
-        steps, each under the float rule of ``decide`` (``float_sign``); a
-        sign the float decides satisfies the relation strictly, so the graph
-        is strict.  First the interval of each sum that the graph's own
-        spectrum gives (``spectra.chunk_sum_bounds``, Weyl's inequalities on
-        M(G) + M(complement G) = cI + sJ): its lower end decides a sign
-        above the bound, its upper end one below.  Only the graphs that
-        leaves undecided have their complements screened, and their sums
-        (``spectra.chunk_sums``) compared.  The graphs left undecided then,
-        and those with k > n, which raise as they do alone, are reported one
-        by one, with no hypothesis tested again.
+        graph below ``min_n``, failing a hypothesis or with fewer than k
+        vertices is not applicable, and no report is built.  The others are
+        screened as one array, in two steps, each under the float rule of
+        ``decide`` (``float_sign``); a sign the float decides satisfies the
+        relation strictly, so the graph is strict.  First the interval of
+        each sum that the graph's own spectrum gives
+        (``spectra.chunk_sum_bounds``, Weyl's inequalities on M(G) +
+        M(complement G) = cI + sJ): its lower end decides a sign above the
+        bound, its upper end one below.  Only the graphs that leaves
+        undecided have their complements screened, and their sums
+        (``spectra.chunk_sums``) compared.  The graphs left undecided then
+        are reported one by one, with no hypothesis tested again.
         """
         out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
-        screened = [i for i, g in enumerate(graphs) if out[i] is None and self.k <= g.n]
+        screened = [i for i, verdict in enumerate(out) if verdict is None]
         if screened:
             pending = [graphs[i] for i in screened]
             a, b = self.rhs
@@ -434,7 +438,10 @@ def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
 
 
 def ng_check(kind: str, k: int) -> Callable[[Graph], BoundReport]:
-    """``check_ng_generic`` at one kind and k: a picklable check named ng-{kind}{k}."""
+    """A picklable check named ng-{kind}{k}: the row of (kind, k) in ``NG_BOUNDS``, so
+    a scan hands it whole chunks, else ``check_ng_generic`` at that kind and k."""
+    if (kind, k) in NG_BOUNDS:
+        return replace(NG_BOUNDS[kind, k], name=f"ng-{kind}{k}")
     check = partial(check_ng_generic, kind=kind, k=k)
     check.__name__ = f"ng-{kind}{k}"
     return check
@@ -532,18 +539,12 @@ def run_all_checks(g: Graph) -> list[BoundReport]:
 # Parametric proof-step verification
 
 
-class _Checks:
-    """Collects named boolean checks; bool() is the conjunction."""
-
-    def __init__(self):
-        self.failures: list[str] = []
+class _Checks(list):
+    """The labels of the failed checks: a proof check holds when it is empty."""
 
     def expect(self, condition: bool, label: str) -> None:
         if not condition:
-            self.failures.append(label)
-
-    def ok(self) -> bool:
-        return not self.failures
+            self.append(label)
 
 
 def _two_by_two_char(entries, den: int = 1) -> list[int]:
@@ -609,7 +610,7 @@ def proof_check_thm12(n: int, d2: int) -> bool:
         c.expect(delta - xval * xval == 4 * (n - 2) * quad, f"discriminant-threshold identity at s={s}")
         if s == d2 - 1:
             c.expect(quad == polys.poly_eval(gq, d2), "substitution s = d2 - 1 yields g(d2)")
-    return c.ok()
+    return not c
 
 
 def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> tuple[int, ...]:
@@ -620,48 +621,32 @@ def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(sum(a * n ** i for i, a in enumerate(row)) for row in coeff_rows)
 
 
-def _expect_duplicate_block(c: _Checks, g: Graph, kind: str, degree: int, size: int, label: str) -> None:
-    """Expect the duplicate class of vertex 0 in g to have this kind, degree and size.
-
-    Open twin classes are independent sets, closed ones cliques.
-    """
-    independent, clique = twin_classes(g.rows)
-    classes = independent if kind == "independent" else clique
-    block = next((members for members in classes if members[0] == 0), [])
-    c.expect(len(block) == size and g.degree(0) == degree, label)
-
-
-def _verify_h_quotient(c: _Checks, sizes: tuple[int, int, int], expected, expected_co, label: str):
-    """Cross-check parametric quotient entries against a concrete graph.
-
-    Only possible while the graph fits the ``MAX_VERTICES`` representation;
-    the parametric sweep beyond that continues on the fixed-size matrices
-    alone.
-    """
-    s0, s1, s2 = sizes
-    if s0 + s1 + s2 + 2 > MAX_VERTICES:
-        return None, None
-    g = h_graph(s0, s1, s2)
-    blocks = h_graph_blocks(s0, s1, s2)
-    c.expect(quotient_matrix(g, blocks) == expected, f"quotient entries {label}")
-    c.expect(is_equitable(g, blocks), f"equitable blocks {label}")
-    gc = complement(g)
-    if expected_co is not None:
-        c.expect(quotient_matrix(gc, blocks) == expected_co, f"complement quotient entries {label}")
-        c.expect(is_equitable(gc, blocks), f"equitable complement blocks {label}")
-    return g, gc
+def _blow_up_quotient(c: _Checks, b: BlowUp, label: str) -> tuple[tuple[tuple[int, ...], ...], Optional[Graph]]:
+    """``b.quotient()``, and the graph of ``b`` cross-checked against it while it fits 32
+    vertices, else None: its cells are equitable, with that quotient, and each cell of two
+    or more vertices lies in one twin class, closed for a clique and open for a coclique."""
+    quotient = b.quotient()
+    if sum(b.sizes) > MAX_VERTICES:
+        return quotient, None
+    g, cells = b.graph(), b.cells()
+    c.expect(quotient_matrix(g, cells) == quotient and is_equitable(g, cells), f"equitable cells {label}")
+    classes = twin_classes(g.rows)
+    c.expect(all(any(set(cell) <= set(members) for members in classes[clique])
+                 for cell, clique in zip(cells, b.cliques) if len(cell) > 1), f"twin cells {label}")
+    return quotient, g
 
 
 def proof_check_thm15(n: int) -> bool:
     """Exact verification of the quotient algebra behind the bipartite bound.
 
-    Reproduces the block quotient matrices of the four relevant double-hub
-    bipartite graphs and complements, matches every characteristic polynomial
-    coefficient-for-coefficient against the closed forms in n, verifies all
-    root formulas and sign evaluations exactly, and certifies the two
-    second-eigenvalue equalities by exact root isolation.  While the orders
-    fit the 32-vertex graph type the matrices are also rebuilt from actual
-    graphs; beyond that the sweep continues on the fixed-size matrices.
+    Computes the cell quotient matrices of the four relevant double-hub
+    bipartite blow-ups and of two of their complements, matches every
+    characteristic polynomial coefficient-for-coefficient against the closed
+    forms in n, verifies all root formulas and sign evaluations exactly, and
+    certifies the two second-eigenvalue equalities by exact root isolation.
+    While the orders fit the 32-vertex graph type each quotient is also
+    cross-checked on the blown-up graph; beyond that the sweep continues on
+    the quotients alone.
     """
     if n < 8:
         raise ValueError("requires n >= 8")
@@ -671,15 +656,7 @@ def proof_check_thm15(n: int) -> bool:
     beta2 = Surd(F(n - 2, 2), F(1, 2), disc)
 
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
-    expected = (
-        (2, 0, 0, 1, 1),
-        (0, 1, 0, 1, 0),
-        (0, 0, 1, 0, 1),
-        (n - 5, 1, 0, n - 4, 0),
-        (n - 5, 0, 2, 0, n - 3),
-    )
-    _verify_h_quotient(c, (n - 5, 1, 2), expected, None, "(n-5,1,2)")
-    phi = char_poly_exact(expected)
+    phi = char_poly_exact(_blow_up_quotient(c, double_hub(n - 5, 1, 2), "(n-5,1,2)")[0])
     quartic = _poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
     c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
     c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
@@ -688,30 +665,17 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(3 * (n - 3) > 2 * n - 3, "trace rules out three roots above n-3")
 
     # -- double hub over blocks (n-4, 1, 1): q_2 equals (n-2+sqrt(n^2-8n+20))/2
-    expected2 = (
-        (2, 0, 0, 1, 1),
-        (0, 1, 0, 1, 0),
-        (0, 0, 1, 0, 1),
-        (n - 4, 1, 0, n - 3, 0),
-        (n - 4, 0, 1, 0, n - 3),
-    )
-    expected3 = (
-        (2 * n - 8, 1, 1, 0, 0),
-        (n - 4, n - 2, 1, 0, 1),
-        (n - 4, 1, n - 2, 1, 0),
-        (0, 0, 1, 2, 1),
-        (0, 1, 0, 1, 2),
-    )
-    g2, g2c = _verify_h_quotient(c, (n - 4, 1, 1), expected2, expected3, "(n-4,1,1)")
-    phi2 = char_poly_exact(expected2)
+    hub2 = double_hub(n - 4, 1, 1)
+    quotient2, g2 = _blow_up_quotient(c, hub2, "(n-4,1,1)")
+    quotient3, g2c = _blow_up_quotient(c, hub2.complement(), "complement (n-4,1,1)")
+    phi2 = char_poly_exact(quotient2)
     c.expect(polys.poly_eval_surd(phi2, beta2).is_zero(), "beta_2 is a quotient eigenvalue")
     c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
     c.expect((beta2 - 2).sign() == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
-        _expect_duplicate_block(c, g2, "independent", 2, n - 4, "independent duplicate block of degree 2")
         c.expect(abs(spectrum(g2, "Q").value(2) - float(beta2)) < 1e-8, "float q_2 matches beta_2")
 
-    phi3 = char_poly_exact(expected3)
+    phi3 = char_poly_exact(quotient3)
     cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
     f2 = _poly_in_n(n, [[-4, 1], [2, -1], [1]])
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
@@ -727,17 +691,12 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(polys.root_counter(phi3).count_gt(beta2) == 1, "exactly one complement quotient eigenvalue above gamma_1'")
     c.expect((beta2 - (n - 4)).sign() == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
     if g2c is not None:
-        _expect_duplicate_block(
-            c, g2c, "clique", n - 3, n - 4, "clique duplicate block of degree n-3 in the complement"
-        )
         c.expect(abs(spectrum(g2c, "Q").value(2) - float(beta2)) < 1e-8, "float q_2 of complement matches gamma_1'")
     total = Surd(F(2 * n - 5), F(0), disc) - (beta2 + beta2)
     c.expect(total.sign() == 1, "equal second eigenvalues stay below 2n-5")
 
     # -- single hub side empty, blocks (n-4, 0, 2)
-    expected4 = ((2, 0, 1, 1), (0, 1, 0, 1), (n - 4, 0, n - 4, 0), (n - 4, 2, 0, n - 2))
-    _verify_h_quotient(c, (n - 4, 0, 2), expected4, None, "(n-4,0,2)")
-    phi4 = char_poly_exact(expected4)
+    phi4 = char_poly_exact(_blow_up_quotient(c, double_hub(n - 4, 0, 2), "(n-4,0,2)")[0])
     cubic4 = _poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
     c.expect(phi4 == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
     c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
@@ -745,16 +704,14 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(3 * (n - 3) >= 2 * n - 3, "trace argument, (n-4,0,2)")
 
     # -- single hub side empty, blocks (n-3, 0, 1)
-    expected5 = ((2, 0, 1, 1), (0, 1, 0, 1), (n - 3, 0, n - 3, 0), (n - 3, 1, 0, n - 2))
-    expected6 = ((2 * n - 7, 1, 0, 0), (n - 3, n - 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 1))
-    g5, g5c = _verify_h_quotient(c, (n - 3, 0, 1), expected5, expected6, "(n-3,0,1)")
-    phi5 = char_poly_exact(expected5)
+    hub5 = double_hub(n - 3, 0, 1)
+    phi5 = char_poly_exact(_blow_up_quotient(c, hub5, "(n-3,0,1)")[0])
     cubic5 = _poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
     c.expect(phi5 == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
     c.expect(polys.poly_eval(cubic5, F(2 * n - 5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
     c.expect(F(-2 * n + 15, 8) < 0, "g(n-5/2) negative")
 
-    phi6 = char_poly_exact(expected6)
+    phi6 = char_poly_exact(_blow_up_quotient(c, hub5.complement(), "complement (n-3,0,1)")[0])
     quartic6 = _poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
     c.expect(phi6 == quartic6, "complement char poly (n-3,0,1)")
     c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
@@ -762,7 +719,4 @@ def proof_check_thm15(n: int) -> bool:
     val = polys.poly_eval(quartic6, F(2 * n - 5, 2))
     c.expect(val == F(-(2 * n - 11) * (4 * n * n - 24 * n + 39), 16), "phi(n-5/2) evaluation")
     c.expect(val < 0, "phi(n-5/2) negative")
-    if g5 is not None:
-        _expect_duplicate_block(c, g5, "independent", 2, n - 3, "independent duplicate block of degree 2, (n-3,0,1)")
-        _expect_duplicate_block(c, g5c, "clique", n - 3, n - 3, "clique duplicate block in complement, (n-3,0,1)")
-    return c.ok()
+    return not c

@@ -89,6 +89,22 @@ def test_scan_verb_interval_counts(capsys):
     assert len(payload["equality"]) == 8
 
 
+def test_scan_predicates_at_one_vertex_are_not_applicable(capsys):
+    """A graph with no second eigenvalue is not applicable to every q_2 predicate, as
+    ``check --thm ng`` reports it, instead of ending the scan in an error."""
+    code, out, err = run_cli(capsys, "scan", "--n-range", "1..4", "--predicate", "sum-ge n-2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "n=1 filter=all predicate=sum-ge -1 total=1 not-applicable=1"
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("n=")] == ["n=1", "n=2", "n=3", "n=4"]
+    for predicate in ("sum-le 3", "sum-eq 3", "sum-open-interval 1 2"):
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "scan", "--n", "1", "--predicate", predicate, "--jobs", jobs)
+            assert (code, err) == (0, "")
+            assert out == f"n=1 filter=all predicate={predicate} total=1 not-applicable=1\n"
+    code, out, _ = run_cli(capsys, "check", "--thm", "ng", "--kind", "A", "--k", "2", "--family", "K1")
+    assert (code, out) == (0, "@ ng-A2: not-applicable lhs=None rhs=None (k=2 outside 1..1)\n")
+
+
 def test_scan_determinism_under_jobs(capsys):
     base = run_cli(capsys, "scan", "--n", "5", "--filter", "connected",
                    "--thm", "1.2", "--format", "json")

@@ -640,12 +640,11 @@ def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
 
 def test_registered_scans_share_the_chunk_screens(monkeypatch):
     """The 14 registered checks scan the order-7 graphs off 15 member screens,
-    each of the 5 chunks once per kind, Q, A and L, and 29 complement screens:
-    a bound-table row stacks the complements its interval leaves undecided,
-    a check called on each graph all of a chunk's complements at its first
-    read of one, and a lemma, which reads no complement spectrum, none.  A
-    second pass of all 14 reads the cached screens again and makes no
-    eigvalsh call."""
+    each of the 5 chunks once per kind, Q, A and L, and 23 complement screens:
+    a bound-table row, ``ng_check``'s rows included, stacks the complements
+    its interval leaves undecided (ng-A2 none), and a lemma, which reads no
+    complement spectrum, none.  A second pass of all 14 reads the cached
+    screens again and makes no eigvalsh call."""
     checks = [*theorems.THEOREM_CHECKS.values(), theorems.check_ng_q1,
               theorems.ng_check("A", 2), theorems.ng_check("L", 1)]
     assert len(checks) == 14
@@ -664,13 +663,13 @@ def test_registered_scans_share_the_chunk_screens(monkeypatch):
         "check_thm15": [2, 3],
         "check_problem12": [8, 11, 4, 1],
         "check_ng_q1": [184, 207, 244, 242, 18],
-        "ng-A2": _member_and_complement_stacks(graphs),
-        "ng-L1": _member_and_complement_stacks(graphs),
+        "ng-A2": [256, 256, 256, 256, 20],
+        "ng-L1": [256, 41, 256, 28, 256, 9, 256, 10, 20],
     }
-    assert len(calls) == 15 + 29 == 44
+    assert len(calls) == 15 + 23 == 38
     for check in checks:
         scan(7, "all", check)
-    assert len(calls) == 44
+    assert len(calls) == 38
 
 
 def test_scan_external_source():

@@ -22,11 +22,11 @@ from qng.graph import (
     cartesian_product,
     decode_graph6,
     disjoint_union,
+    double_hub,
     empty_graph,
     from_edges,
     from_graph6,
     h_graph,
-    h_graph_blocks,
     is_bipartite,
     is_connected,
     is_regular,
@@ -109,7 +109,12 @@ def test_h_graph_structure():
 
     g = h_graph(3, 0, 1)  # d(u) = n-3, d(v) = n-2 at n = 6
     assert g.degree(4) == 3 and g.degree(5) == 4
-    assert h_graph_blocks(3, 0, 1) == ((0, 1, 2), (3,), (4,), (5,))
+    assert double_hub(3, 0, 1).cells() == ((0, 1, 2), (3,), (4,), (5,))
+    assert to_graph6(g) == "E?zo"
+    with pytest.raises(CapacityError, match="order 33 exceeds 32"):
+        h_graph(29, 1, 1)
+    with pytest.raises(ValueError, match="positive total"):
+        h_graph(0, 0, 0)
 
 
 def test_graph6_hand_encodings():

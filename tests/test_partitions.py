@@ -1,29 +1,32 @@
 """Quotient matrices and equitable partitions, with the lemmas they carry: quotient
-interlacing, eigenvalue containment and duplicate-class multiplicity."""
+interlacing, eigenvalue containment and duplicate-class multiplicity; and the cell
+quotients of ``BlowUp``, checked against the graphs they blow up."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qng.graph import (
+    BlowUp,
     complement,
     complete,
     cycle,
     disjoint_union,
+    double_hub,
     empty_graph,
     from_edges,
     h_graph,
-    h_graph_blocks,
     join,
     path,
     star,
 )
 from qng import polys
-from qng.graph import twin_classes
+from qng.graph import CapacityError, twin_classes
 from qng.partitions import is_equitable, quotient_matrix, validate_partition
 from qng.spectra import char_poly_exact, kind_char_poly, q_matrix
 
@@ -80,13 +83,16 @@ def test_quotient_center_plus_matching():
 
 def test_quotient_h_graph_reproduces_parametric_rows():
     n = 6
-    assert quotient_matrix(h_graph(n - 4, 1, 1), h_graph_blocks(n - 4, 1, 1)) == (
+    rows = (
         (F(2), F(0), F(0), F(1), F(1)),
         (F(0), F(1), F(0), F(1), F(0)),
         (F(0), F(0), F(1), F(0), F(1)),
         (F(n - 4), F(1), F(0), F(n - 3), F(0)),
         (F(n - 4), F(0), F(1), F(0), F(n - 3)),
     )
+    hub = double_hub(n - 4, 1, 1)
+    assert quotient_matrix(h_graph(n - 4, 1, 1), hub.cells()) == rows
+    assert hub.quotient() == rows
 
 
 def test_quotient_single_block_is_average_row_sum():
@@ -97,7 +103,7 @@ def test_quotient_single_block_is_average_row_sum():
 def test_is_equitable_examples():
     for sizes in [(1, 1, 1), (2, 1, 1), (3, 0, 1), (2, 0, 2)]:
         g = h_graph(*sizes)
-        assert is_equitable(g, h_graph_blocks(*sizes))
+        assert is_equitable(g, double_hub(*sizes).cells())
     assert is_equitable(star(6), [(0,), (1, 2, 3, 4, 5)])
     assert not is_equitable(path(4), [(0, 1), (2, 3)])
 
@@ -129,7 +135,7 @@ def test_weighted_symmetry_exact(graphs_by_order, rng=random.Random(29)):
 def test_containment_examples():
     assert contains_quotient_eigenvalues(star(6), [(0,), (1, 2, 3, 4, 5)])
     assert quotient_matrix(star(6), [(0,), (1, 2, 3, 4, 5)]) == ((F(5), F(5)), (F(1), F(1)))  # roots 6 and 0
-    assert contains_quotient_eigenvalues(h_graph(2, 1, 1), h_graph_blocks(2, 1, 1))
+    assert contains_quotient_eigenvalues(h_graph(2, 1, 1), double_hub(2, 1, 1).cells())
     assert contains_quotient_eigenvalues(complete(5), [tuple(range(5))])
 
 
@@ -195,12 +201,68 @@ def _expect_quotient(g, blocks):
 
 def test_quotient_and_equitable_match_per_vertex_sums(graphs_and_complements):
     for sizes in [(s0, s1, s2) for s0 in range(4) for s1 in range(3) for s2 in range(3) if s0 + s1 + s2]:
-        g = h_graph(*sizes)
-        assert _expect_quotient(g, h_graph_blocks(*sizes))
-        _expect_quotient(complement(g), h_graph_blocks(*sizes))
+        g, cells = h_graph(*sizes), double_hub(*sizes).cells()
+        assert _expect_quotient(g, cells)
+        _expect_quotient(complement(g), cells)
     rng = random.Random(1515)
     seen = set()
     for g in graphs_and_complements:
         for _ in range(3):
             seen.add(_expect_quotient(g, random_partition(rng, g.n)))
     assert seen == {False, True}
+
+
+def small_blow_ups():
+    """Every blow-up of at most 3 cells of sizes 1..3: each clique flag and each set of joined pairs."""
+    for k in (1, 2, 3):
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for sizes, cliques in product(product((1, 2, 3), repeat=k), product((False, True), repeat=k)):
+            for chosen in product((False, True), repeat=len(pairs)):
+                yield BlowUp(sizes, cliques, frozenset(p for p, on in zip(pairs, chosen) if on))
+
+
+def thm15_blow_ups():
+    """The four double-hub types of the Theorem 1.5 proof at n = 8..12, and their complements."""
+    for n in range(8, 13):
+        for sizes in ((n - 5, 1, 2), (n - 4, 1, 1), (n - 4, 0, 2), (n - 3, 0, 1)):
+            hub = double_hub(*sizes)
+            assert sum(hub.sizes) == n
+            yield from (hub, hub.complement())
+
+
+def test_blow_up_quotient_is_its_equitable_cell_quotient():
+    """``quotient()`` is the quotient of the blown-up graph over ``cells()``, which are
+    equitable; ``complement()`` blows up the complement; and, by the equitable-partition
+    lemma, the quotient's characteristic polynomial divides that of Q(G)."""
+    cases = [*small_blow_ups(), *thm15_blow_ups()]
+    assert len(cases) == 6 + 72 + 1728 + 40
+    for b in cases:
+        g, cells, quotient = b.graph(), b.cells(), b.quotient()
+        assert [v for cell in cells for v in cell] == list(range(g.n))
+        assert tuple(map(len, cells)) == b.sizes
+        assert quotient_matrix(g, cells) == quotient and is_equitable(g, cells), b
+        assert b.complement().graph() == complement(g), b
+        assert b.complement().complement() == b
+        assert not polys.poly_rem(kind_char_poly(g, "Q"), char_poly_exact(quotient)), b
+
+
+def test_blow_up_cells_lie_in_twin_classes():
+    """A clique cell of two or more vertices lies in a closed twin class, a coclique cell in an open one."""
+    for b in small_blow_ups():
+        classes = twin_classes(b.graph().rows)
+        for cell, clique in zip(b.cells(), b.cliques):
+            if len(cell) > 1:
+                assert any(set(cell) <= set(members) for members in classes[clique]), b
+
+
+def test_blow_up_rejects_a_malformed_pattern():
+    assert BlowUp((2, 1), (True, False), frozenset({(0, 1)})).graph() == join(complete(2), empty_graph(1))
+    for sizes, cliques, joins in [((2, 0), (False, False), ()), ((2,), (False, True), ()),
+                                  ((1, 1), (False, False), [(1, 0)]), ((1, 1), (False, False), [(0, 0)]),
+                                  ((1, 1), (False, False), [(0, 2)])]:
+        with pytest.raises(ValueError):
+            BlowUp(sizes, cliques, frozenset(joins))
+    big = BlowUp((20, 20), (False, False), frozenset({(0, 1)}))
+    assert big.quotient() == ((20, 20), (20, 20))
+    with pytest.raises(CapacityError, match="order 40 exceeds 32"):
+        big.graph()

@@ -11,6 +11,7 @@ import pickle
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -292,6 +293,11 @@ def test_checks_keep_their_names_and_pickle(monkeypatch):
             assert copy(cycle(6)) == row(cycle(6))
     ng = pickle.loads(pickle.dumps(theorems.ng_check("A", 2)))
     assert ng.__name__ == "ng-A2" and ng(cycle(5)) == check_ng_generic(cycle(5), "A", 2)
+    # a registered (kind, k) scans as its row, renamed; any other pair is checked graph by graph
+    assert ng == replace(theorems.NG_BOUNDS["A", 2], name="ng-A2") and ng.verdicts
+    other = pickle.loads(pickle.dumps(theorems.ng_check("Q", 2)))
+    assert other.__name__ == "ng-Q2" and not hasattr(other, "verdicts")
+    assert other(cycle(5)) == check_ng_generic(cycle(5), "Q", 2)
     for name in ("connected", "cobar-disconnected", "bipartite", "regular"):
         assert theorems.HYPOTHESES[name][0] is FILTERS[name]
     # a row wrapped like a function and put in its place still pickles by reference
@@ -640,19 +646,18 @@ def test_chunk_tests_each_hypothesis_once_per_graph(graphs_by_order, monkeypatch
 
 
 def test_chunk_guards():
-    """A row with k > n raises as it does alone; rows pickle with their chunk entry point."""
+    """A row with k > n is not applicable in a chunk as it is alone; rows pickle with their chunk entry point."""
     k1 = complete(1)
     row = NG_BOUNDS["A", 2]
-    with pytest.raises(ValueError) as alone:
-        row(k1)
+    alone = row(k1)
+    assert (alone.verdict, alone.notes) == (NOT_APPLICABLE, "k=2 outside 1..1")
     spectra.set_chunk([k1])
     try:
-        with pytest.raises(ValueError) as chunk:
-            row.verdicts([k1])
+        chunk = row.verdicts([k1])
         assert check_thm12.verdicts([k1]) == [NOT_APPLICABLE]  # below min_n, as alone
     finally:
         spectra.set_chunk(())
-    assert str(chunk.value) == str(alone.value) == "k=2 outside 1..1"
+    assert chunk == [alone.verdict] == [NOT_APPLICABLE]
     copy = pickle.loads(pickle.dumps(check_thm16.assuming(["connected"])))
     assert copy == check_thm16.assuming(["connected"]) and copy.verdicts
 
