@@ -37,20 +37,17 @@ from .graph import (
     star,
     to_graph6,
 )
-from .spectra import compare_sum_with, ng_sum, spectrum
+from .spectra import spectrum
 from .theorems import (
-    EQUALITY,
-    NOT_APPLICABLE,
-    RELATION_SIGNS,
     VIOLATED,
     BoundReport,
     THEOREM_CHECKS,
     SumBound,
+    SumPredicate,
     ng_check,
     proof_check_thm12,
     proof_check_thm15,
     run_all_checks,
-    screened_sign,
 )
 
 
@@ -161,52 +158,28 @@ def parse_bound_expr(text: str, n: int) -> Fraction:
     return total
 
 
-class SumPredicate:
-    """Membership of the q_2 sum in the set cut out by rational bounds.
-
-    A graph whose sum satisfies every relation is reported ``equality-certified``,
-    any other ``non-member``, and a graph with no q_2 ``not-applicable``.  The
-    float screen may only reject, so every sign near a bound is decided exactly.
-    """
-
-    def __init__(self, name: str, relations: list[tuple[str, Fraction]]):
-        self.__name__ = name
-        self.relations = relations
-
-    def __call__(self, g: Graph) -> str:
-        if g.n < 2:
-            return NOT_APPLICABLE
-        value = ng_sum(g, "Q", 2)
-        for relation, bound in self.relations:
-            holds = RELATION_SIGNS[relation]
-            rejects = tuple(s for s in (-1, 1) if s not in holds)
-            sign, _ = screened_sign(value, float(bound), lambda: compare_sum_with(g, "Q", 2, bound), rejects)
-            if sign not in holds:
-                return "non-member"
-        return EQUALITY
-
-
-_SUM_RELATIONS = {"sum-eq": "==", "sum-le": "<=", "sum-ge": ">="}
+_SUM_RELATIONS = {"sum-le": "<=", "sum-ge": ">="}
 
 
 def build_predicate(spec: str, n: int):
     """Named scan predicates over the q_2 Nordhaus-Gaddum sum.
 
-    sum-open-interval LO HI | sum-eq EXPR: membership, boundary decided exactly.
+    sum-open-interval LO HI | sum-eq EXPR: membership, the conjunction of the
+    rows that exclude the members (``theorems.SumPredicate``).
     sum-le EXPR | sum-ge EXPR: a bound-table row, reported through the
     standard verdict vocabulary.
     """
     kind, *args = spec.split() or [""]
     if kind == "sum-open-interval" and len(args) == 2:
         lo, hi = (parse_bound_expr(t, n) for t in args)
-        return SumPredicate(f"{kind} {lo} {hi}", [(">", lo), ("<", hi)])
-    if kind in _SUM_RELATIONS and len(args) == 1:
+        return SumPredicate(f"{kind} {lo} {hi}", [("<=", lo), (">=", hi)])
+    if kind in ("sum-eq", *_SUM_RELATIONS) and len(args) == 1:
         bound = parse_bound_expr(args[0], n)
         name = f"{kind} {bound}"
         if kind == "sum-eq":
-            return SumPredicate(name, [("==", bound)])
+            return SumPredicate(name, [("<", bound), (">", bound)])
         return SumBound(name, name, _SUM_RELATIONS[kind], (0, bound))
-    if kind == "sum-open-interval" or kind in _SUM_RELATIONS:
+    if kind in ("sum-open-interval", "sum-eq", *_SUM_RELATIONS):
         form = f"{kind} LO HI" if kind == "sum-open-interval" else f"{kind} EXPR"
         raise UsageError(f"expected predicate {form!r}, got {spec!r}")
     raise UsageError(f"unknown predicate {spec!r}")
@@ -272,8 +245,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _resolve_check(args):
-    return ng_check(args.kind, args.k) if args.thm == "ng" else THEOREM_CHECKS[args.thm]
+def _resolve_check(args, n: int = 0):
+    """The check of ``--thm``, or of ``--predicate`` at order n; ``--kind``/``--k`` need ``--thm ng``."""
+    if args.thm == "ng":
+        return ng_check(args.kind or "Q", 2 if args.k is None else args.k)
+    if args.kind is not None or args.k is not None:
+        raise UsageError("--kind and --k apply only to --thm ng")
+    return THEOREM_CHECKS[args.thm] if args.thm else build_predicate(args.predicate, n)
 
 
 def _format_reports(args, reports: list[BoundReport]) -> str:
@@ -341,7 +319,7 @@ def _cmd_scan(args) -> int:
             raise UsageError("--n-range over several orders needs a seekable --input, which is read once per order")
         results = []
         for n in orders:
-            check = build_predicate(args.predicate, n) if args.thm is None else _resolve_check(args)
+            check = _resolve_check(args, n)
             source = None
             if f is not None:
                 if n != orders[0]:
@@ -426,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_args(p)
     p.add_argument("--thm", required=True,
                    choices=sorted(THEOREM_CHECKS) + ["ng"])
-    p.add_argument("--kind", choices=["A", "L", "Q"], default="Q")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--kind", choices=["A", "L", "Q"], help="with --thm ng (default Q)")
+    p.add_argument("--k", type=int, help="with --thm ng (default 2)")
     add_common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -449,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = p.add_mutually_exclusive_group(required=True)
     check.add_argument("--predicate", help="e.g. 'sum-open-interval 5 6', 'sum-eq 2n-5'")
     check.add_argument("--thm", choices=sorted(THEOREM_CHECKS) + ["ng"])
-    p.add_argument("--kind", choices=["A", "L", "Q"], default="Q")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--kind", choices=["A", "L", "Q"], help="with --thm ng (default Q)")
+    p.add_argument("--k", type=int, help="with --thm ng (default 2)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--input", help="external graph6 stream file (one graph per line)")
     add_common(p)

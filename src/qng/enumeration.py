@@ -48,10 +48,10 @@ it first), runs the check (each matrix kind it reads is then screened for
 the chunk's graphs in one batched float call, and for the complements it
 reads in one more), drops the chunk again, and returns the chunk's tally,
 its verdict counts plus the canonical graph6 keys of its equality and
-violation graphs.  A bound-table row gets the whole chunk through its
-``verdicts`` method and complements, and builds reports for, only the
-graphs its float screen leaves undecided; any other check is called on
-each graph.  A bound-table row does not re-test a hypothesis that the
+violation graphs.  A bound-table row or a scan predicate gets the whole
+chunk through its ``verdicts`` method and complements, and builds reports
+for, only the graphs its float screen leaves undecided; any other check is
+called on each graph.  A bound-table row does not re-test a hypothesis that the
 filter is.  With ``jobs`` > 1 the chunks go in order through
 ``Pool.imap``, as text and with the filter by name, and each worker returns
 only that tally.
@@ -517,10 +517,6 @@ class ScanResult:
         }
 
 
-def _verdict_of(result) -> str:
-    return getattr(result, "verdict", result)
-
-
 #: Source items per chunk of a scan: one pool task under ``jobs`` > 1, and
 #: one batched decode and float screen.
 SCAN_CHUNK = 256
@@ -561,9 +557,9 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     here, in one batch.  The filter name is resolved here too; ``spectra``
     has the decoded graphs as its chunk while the filter runs, so a
     complement the filter reads is built once, and then the graphs it keeps.
-    A check with a ``verdicts`` method (a bound-table row) is handed the
-    whole chunk; any other is called on each graph.  The chunk is dropped
-    from ``spectra`` when the tally ends, also on an error.
+    A check with a ``verdicts`` method (a bound-table row or a predicate)
+    is handed the whole chunk; any other is called on each graph.  The chunk
+    is dropped from ``spectra`` when the tally ends, also on an error.
     """
     graphs = _chunk_graphs(items)
     for g in graphs:
@@ -578,7 +574,7 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
         if hasattr(check, "verdicts"):
             verdicts = check.verdicts(graphs)
         else:
-            verdicts = [_verdict_of(check(g)) for g in graphs]
+            verdicts = [check(g).verdict for g in graphs]
     finally:
         spectra.set_chunk(())
     keys: dict[str, set[str]] = {"equality-certified": set(), "violated": set()}

@@ -5,10 +5,10 @@ bound and the registered Nordhaus-Gaddum sums all read
 lambda_k(G) + lambda_k(complement G) relation a*n + b (+ sqrt(rad)) under a few
 hypotheses, so each is a ``SumBound`` row: minimum order, named
 ``HYPOTHESES`` (a scan filter's name means that ``enumeration.FILTERS``
-entry), matrix kind and index, relation, bound, extremal families and
-violation text.  A row is called like the function it replaced and keeps its
-name.  The lemmas, whose equality characterizations do not fit that shape,
-stay functions.
+entry), matrix kind and index, relation, bound and extremal families.  A
+row is called like the function it replaced and keeps its name; a scan
+predicate is the rows that exclude its members (``SumPredicate``).  The
+lemmas, whose equality characterizations do not fit that shape, stay functions.
 
 Every check ends in one call of ``decide``, the bound driver.  It takes the
 sign of value - bound from ``screened_sign``, where the float decides only a
@@ -17,12 +17,12 @@ it (``float_sign``, the one copy of that rule); every other sign comes from
 exact arithmetic, so every equality and every violation is certified.  A
 certified equality is matched against the extremal families by an explicit
 isomorphism witness, and a lemma's equality characterization must hold
-exactly.  A scan hands a row a whole chunk (``SumBound.verdicts``): the
-row's float screen of the chunk compares arrays under the same rule, first
-an interval of each sum read off the graph's own spectrum (the paper's
-Weyl step on Q(G) + Q(complement G) = Q(K_n), graph by graph), then the
-sums of the graphs that leaves undecided, the only ones complemented; only
-the graphs still undecided are checked one by one.
+exactly.  A scan hands a row or a predicate a whole chunk (``verdicts``):
+a row's float screen of the chunk (``SumBound.screen``) compares arrays
+under the same rule, first an interval of each sum read off the graph's own
+spectrum (the paper's Weyl step on Q(G) + Q(complement G) = Q(K_n), graph
+by graph), then the sums of the graphs that leaves undecided, the only ones
+complemented; only the graphs still undecided are checked one by one.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -279,7 +279,7 @@ HYPOTHESES: dict[str, tuple[Callable[[Graph], bool], str]] = {
     "bipartite": (FILTERS["bipartite"], "requires a bipartite graph"),
     "regular": (FILTERS["regular"], "requires a regular graph"),
     "non-complete": (_non_complete, "requires a non-complete graph"),
-    "q2<=n-3": (_q2_at_most_n_minus_3, "hypothesis q_2 <= n - 3 fails (certified)"),
+    "q2<=n-3": (_q2_at_most_n_minus_3, "hypothesis q_2 <= n - 3 fails"),
 }
 
 
@@ -306,7 +306,6 @@ class SumBound:
     kind: str = "Q"
     k: int = 2
     families: Optional[Callable[[int], tuple]] = None
-    violated: str = "BOUND VIOLATED (exactly confirmed)"
 
     def __post_init__(self):
         # named like a function: scans print __name__, and functools.wraps copies both for pickling by reference
@@ -335,39 +334,39 @@ class SumBound:
     def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
         """``[self(g).verdict for g in graphs]`` for members of the current scan chunk.
 
-        ``graphs`` are members of the ``spectra`` chunk, all of one order.  A
-        graph below ``min_n``, failing a hypothesis or with fewer than k
-        vertices is not applicable, and no report is built.  The others are
-        screened as one array, in two steps, each under the float rule of
-        ``decide`` (``float_sign``); a sign the float decides satisfies the
-        relation strictly, so the graph is strict.  First the interval of
-        each sum that the graph's own spectrum gives
-        (``spectra.chunk_sum_bounds``, Weyl's inequalities on M(G) +
-        M(complement G) = cI + sJ): its lower end decides a sign above the
-        bound, its upper end one below.  Only the graphs that leaves
-        undecided have their complements screened, and their sums
-        (``spectra.chunk_sums``) compared.  The graphs left undecided then
-        are reported one by one, with no hypothesis tested again.
+        A graph the row does not apply to is not applicable, and no report is
+        built.  A graph whose sign the float decides (``screen``) is strict;
+        the rest are reported one by one, with no hypothesis tested again.
         """
         out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
         screened = [i for i, verdict in enumerate(out) if verdict is None]
         if screened:
-            pending = [graphs[i] for i in screened]
-            a, b = self.rhs
-            target = float(Fraction(a * pending[0].n + b))
-            targets = np.array([target + sqrt(self.rad(g)) if self.rad else target for g in pending])
-            trusted = _FLOAT_SIGNS[self.relation]
-            lo, hi = chunk_sum_bounds(pending, self.kind, self.k)
-            signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
-                hi, targets, tuple(s for s in trusted if s < 0))
-            undecided = np.flatnonzero(signs == 0)
-            if undecided.size:
-                sums = chunk_sums([pending[j] for j in undecided], self.kind, self.k)
-                signs[undecided] = float_sign(sums, targets[undecided], trusted)
-            for i, sign in zip(screened, signs.tolist()):
-                if sign:
-                    out[i] = STRICT
-        return [self._report(g).verdict if verdict is None else verdict for g, verdict in zip(graphs, out)]
+            for i, sign in zip(screened, self.screen([graphs[i] for i in screened]).tolist()):
+                out[i] = STRICT if sign else self._report(graphs[i]).verdict
+        return out
+
+    def screen(self, graphs: Sequence[Graph]) -> np.ndarray:
+        """The signs of sum - bound that the float decides for ``graphs``, 0 where it may not.
+
+        ``graphs``, one or more of one order, are members of the ``spectra`` chunk that
+        the row applies to, screened as one array under ``decide``'s rule (``float_sign``):
+        first each sum's interval from the graph's own spectrum (``chunk_sum_bounds``,
+        Weyl on M(G) + M(complement G) = cI + sJ), its lower end against the bound for a
+        sign above it and its upper end for one below, then the sums (``chunk_sums``) of
+        the graphs that leaves undecided, the only ones complemented.
+        """
+        a, b = self.rhs
+        target = float(Fraction(a * graphs[0].n + b))
+        targets = np.array([target + sqrt(self.rad(g)) if self.rad else target for g in graphs])
+        trusted = _FLOAT_SIGNS[self.relation]
+        lo, hi = chunk_sum_bounds(graphs, self.kind, self.k)
+        signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
+            hi, targets, tuple(s for s in trusted if s < 0))
+        undecided = np.flatnonzero(signs == 0)
+        if undecided.size:
+            sums = chunk_sums([graphs[j] for j in undecided], self.kind, self.k)
+            signs[undecided] = float_sign(sums, targets[undecided], trusted)
+        return signs
 
     def __call__(self, g: Graph) -> BoundReport:
         note = self._inapplicable(g)
@@ -386,9 +385,35 @@ class SumBound:
             rad = self.rad(g)
             bound, rhs = polys.base_plus_sqrt(base, rad), float(base) + sqrt(rad)
             text = f"{base}+sqrt({rad})" if isinstance(bound, Surd) else str(bound)
-        kind, k = self.kind, self.k
-        return decide(g, self.bound, ng_sum(g, kind, k), rhs, lambda: compare_sum_with(g, kind, k, bound),
-                      self.relation, families=self.families, violated=self.violated, rhs_exact=text)
+        kind, k, strict = self.kind, self.k, "STRICT " if self.relation in ("<", ">") else ""
+        return decide(g, self.bound, ng_sum(g, kind, k), rhs, lambda: compare_sum_with(g, kind, k, bound), self.relation,
+                      families=self.families, violated=f"{strict}BOUND VIOLATED (exactly confirmed)", rhs_exact=text)
+
+
+class SumPredicate:
+    """Membership of the q_2 sum in the set that the rows ``(relation, bound)`` exclude.
+
+    ``sum-open-interval LO HI`` is rows ``<= LO`` and ``>= HI``, ``sum-eq C`` rows ``< C``
+    and ``> C``.  A member, every row ``violated`` (from exact arithmetic only), is
+    ``equality-certified``, any other graph a ``non-member``, and one with no q_2
+    ``not-applicable``.  A row's float decides only its strict side, a rejection, so a
+    chunk is rejected by every row's ``SumBound.screen`` before any row is called.
+    """
+
+    def __init__(self, name: str, relations: Sequence[tuple[str, Fraction]]):
+        self.__name__ = name
+        self.rows = tuple(SumBound(name, name, relation, (0, bound)) for relation, bound in relations)
+
+    def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
+        """The verdicts of ``graphs``, members of the current scan chunk."""
+        out = [None if self.rows[0]._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
+        pending = [i for i, verdict in enumerate(out) if verdict is None]
+        if pending:
+            rejected = np.any([row.screen([graphs[i] for i in pending]) for row in self.rows], axis=0)
+            for i, reject in zip(pending, rejected.tolist()):
+                member = not reject and all(row(graphs[i]).verdict == VIOLATED for row in self.rows)
+                out[i] = EQUALITY if member else "non-member"
+        return out
 
 
 def _regular_radicand(g: Graph) -> Fraction:
@@ -413,8 +438,7 @@ check_thm15 = SumBound("check_thm15", "thm-1.5", "<=", (2, -5), min_n=6, require
 check_thm16 = SumBound("check_thm16", "thm-1.6", "<=", (2, -5), min_n=6, requires=("connected", "q2<=n-3"),
                        families=_bipartite_equality_families)
 check_regular_bound = SumBound("check_regular_bound", "regular-bound", "<", (1, -2), _regular_radicand,
-                               requires=("connected", "regular", "non-complete"),
-                               violated="STRICT BOUND VIOLATED (exactly confirmed)")
+                               requires=("connected", "regular", "non-complete"))
 # q_1(G) + q_1(complement G) <= 3n - 4, with equality only for stars.
 check_ng_q1 = SumBound("check_ng_q1", "q1-sum", "<=", (3, -4), min_n=2, k=1, families=_star_families)
 

@@ -332,13 +332,17 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["spectrum", "--graph6", "C~", "--family", "K5"],
     ["scan", "--n", "3", "--n-range", "4..4", "--thm", "1.2"],
     ["proof-check", "--thm", "1.2", "--n", "5", "--n-range", "6..6"],
+    ["check", "--thm", "1.2", "--kind", "A", "--k", "5", "--family", "K4"],
+    ["scan", "--n", "4", "--predicate", "sum-eq 2", "--kind", "L", "--k", "1"],
+    ["scan", "--n", "4", "--thm", "1.2", "--k", "3"],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
         "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv",
         "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check",
         "check-graph6-and-family", "report-graph6-and-family", "spectrum-graph6-and-family",
-        "scan-n-and-n-range", "proof-check-n-and-n-range"])
+        "scan-n-and-n-range", "proof-check-n-and-n-range", "check-kind-without-ng",
+        "predicate-kind-without-ng", "scan-k-without-ng"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")

@@ -247,7 +247,7 @@ def test_ng_a2_irrational_equality_on_p4():
 def test_exact_hit_on_a_strict_radical_row_is_a_certified_violation():
     row = SumBound("ng-A2-strict", "ng-A2-strict", "<", (0, -1), _ng_a2_radicand, kind="A")
     r = row(path(4))
-    assert (r.verdict, r.certified, r.notes) == (VIOLATED, True, "BOUND VIOLATED (exactly confirmed)")
+    assert (r.verdict, r.certified, r.notes) == (VIOLATED, True, "STRICT BOUND VIOLATED (exactly confirmed)")
     assert row(cycle(5)).verdict == STRICT
 
 
@@ -259,7 +259,7 @@ def test_exact_hit_on_a_strict_radical_row_is_a_certified_violation():
     pytest.param(check_thm14, empty_graph(6), F(7), "requires a connected graph", id="thm-1.4-6K1"),
     pytest.param(check_thm15, path(5), F(5), "requires n >= 6", id="thm-1.5-P5"),
     pytest.param(check_thm15, complete(6), F(7), "requires a bipartite graph", id="thm-1.5-K6"),
-    pytest.param(check_thm16, complete(6), F(7), "hypothesis q_2 <= n - 3 fails (certified)", id="thm-1.6-K6"),
+    pytest.param(check_thm16, complete(6), F(7), "hypothesis q_2 <= n - 3 fails", id="thm-1.6-K6"),
     pytest.param(check_regular_bound, complete(1), None, "requires a non-complete graph", id="regular-K1"),
     pytest.param(check_regular_bound, path(4), None, "requires a regular graph", id="regular-P4"),
     pytest.param(check_regular_bound, empty_graph(4), None, "requires a connected graph", id="regular-4K1"),
@@ -557,6 +557,24 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
                     assert sums == [ng_sum(g, row.kind, row.k) for g in screened], (key, n, name)
             finally:
                 spectra.set_chunk(())
+
+
+def test_predicate_rows_screen_the_chunk_before_any_exact_report(graphs_by_order, monkeypatch):
+    """``sum-open-interval 6 7`` over the connected order-7 graphs is its rows ``<= 6`` and
+    ``>= 7``: their float screens reject every graph whose sum lies beyond the window of
+    [6, 7], and each row reports at most once on each of the 26 others.  The one member
+    is F??Nw.  A predicate's rows pickle, so a ``jobs=2`` scan equals ``jobs=1``."""
+    called = _calls_spied(monkeypatch)
+    graphs = list(filter(FILTERS["connected"], graphs_by_order[7]))
+    result = scan(7, "connected", build_predicate("sum-open-interval 6 7", 7), source=graphs)
+    assert (result.counts, result.equality) == ({EQUALITY: 1, "non-member": 852}, ["F??Nw"])
+    w = theorems.ESCALATION_WINDOW
+    near = [g for g in graphs if 6 - w <= ng_sum(g) <= 7 + w]
+    assert len(near) == 26 and set(called) == set(near)
+    assert max(Counter(called).values()) <= 2
+    for spec in ("sum-open-interval 6 7", "sum-eq 7"):
+        check = build_predicate(spec, 6)
+        assert scan(6, "all", check, jobs=2) == scan(6, "all", check, jobs=1), spec
 
 
 def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=random.Random(16)):
