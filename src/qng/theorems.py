@@ -1,28 +1,29 @@
 """Executable certifying predicates for the registered eigenvalue bounds.
 
-The sum bounds are one table.  Theorems 1.2-1.6, Problem 1.2, the regular
-bound and the registered Nordhaus-Gaddum sums all read
-lambda_k(G) + lambda_k(complement G) relation a*n + b (+ sqrt(rad)) under a few
-hypotheses, so each is a ``SumBound`` row: minimum order, named
-``HYPOTHESES`` (a scan filter's name means that ``enumeration.FILTERS``
-entry), matrix kind and index, relation, bound and extremal families.  A
-row is called like the function it replaced and keeps its name; a scan
-predicate is the rows that exclude its members (``SumPredicate``).  The
-lemmas, whose equality characterizations do not fit that shape, stay functions.
+The bounds are one table.  Theorems 1.2-1.6, Problem 1.2, the regular bound
+and the registered Nordhaus-Gaddum sums read lambda_k(G) + lambda_k(complement
+G) relation a*n + b (+ sqrt(rad)), each a ``SumBound`` row; Lemmas 2.6, 2.8,
+2.9 and 2.10 read lambda_k(Q(G)) relation a bound of G, each a ``KthBound``
+row with its equality characterization.  A row names its minimum order and
+its ``HYPOTHESES`` (a scan filter's name means that ``enumeration.FILTERS``
+entry; ``q2<=n-3`` is itself a ``KthBound`` row).  A row is called like the
+function it replaced and keeps its name; a scan predicate is the rows that
+exclude its members (``SumPredicate``).  Lemma 2.7 takes an edge and stays a
+function.
 
-Every check ends in one call of ``decide``, the bound driver.  It takes the
-sign of value - bound from ``screened_sign``, where the float decides only a
-sign that satisfies the bound and lies more than ``ESCALATION_WINDOW`` from
-it (``float_sign``, the one copy of that rule); every other sign comes from
-exact arithmetic, so every equality and every violation is certified.  A
-certified equality is matched against the extremal families by an explicit
-isomorphism witness, and a lemma's equality characterization must hold
-exactly.  A scan hands a row or a predicate a whole chunk (``verdicts``):
-a row's float screen of the chunk (``SumBound.screen``) compares arrays
-under the same rule, first an interval of each sum read off the graph's own
-spectrum (the paper's Weyl step on Q(G) + Q(complement G) = Q(K_n), graph
-by graph), then the sums of the graphs that leaves undecided, the only ones
-complemented; only the graphs still undecided are checked one by one.
+Every check ends in one call of ``decide``, the bound driver: the float
+decides only a sign that satisfies the bound and lies more than
+``ESCALATION_WINDOW`` from it (``float_sign``, the one copy of that rule),
+and every other sign comes from exact arithmetic, so every equality and
+every violation is certified.  A certified equality is matched against the
+extremal families by an explicit isomorphism witness, and a lemma's equality
+characterization must hold exactly.  A scan hands a row or a predicate a
+whole chunk (``verdicts``), which a row's ``screen`` compares as arrays under
+the same rule: a ``KthBound`` reads column k of the chunk's spectra, a
+``SumBound`` first an interval of each sum off the graph's own spectrum (the
+paper's Weyl step on Q(G) + Q(complement G) = Q(K_n)), then the sums that
+leaves undecided, the only ones complemented.  Only the graphs still
+undecided are checked one by one.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -72,6 +73,7 @@ from .partitions import is_equitable, quotient_matrix
 from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
+    _chunk_screen,
     char_poly_exact,
     chunk_sum_bounds,
     chunk_sums,
@@ -214,31 +216,25 @@ def float_sign(approx, target, trusted: tuple[int, ...] = (-1, 1)):
     return above - below
 
 
-def screened_sign(approx: float, target: float, exact: Callable[[], int],
-                  trusted: tuple[int, ...] = (-1, 1)) -> tuple[int, bool]:
-    """Sign of value - target, and whether exact arithmetic decided it.
-
-    The float ``approx`` decides the signs ``float_sign`` allows; everything
-    else calls ``exact()``.
-    """
-    sign = float_sign(approx, target, trusted)
-    return (sign, False) if sign else (exact(), True)
-
-
 def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *,
            families: Optional[Callable[[int], tuple]] = None, structure: Optional[bool] = None,
-           violated: str = "BOUND VIOLATED (exactly confirmed)", rhs_exact: Optional[str] = None) -> BoundReport:
+           violated: str = "BOUND VIOLATED (exactly confirmed)", rhs_exact: Optional[str] = None,
+           trusted: Optional[tuple[int, ...]] = None) -> BoundReport:
     """The report of ``value relation rhs`` for the quantity screened by ``lhs``.
 
-    ``exact()`` is the exact sign of value - rhs.  A certified equality is
+    ``exact()`` is the exact sign of value - rhs, called unless ``float_sign``
+    decides a sign of ``trusted``, by default the signs that satisfy the
+    relation (a hypothesis trusts both).  A certified equality is
     matched against ``families(g.n)``, built only then.  With ``structure``
-    given, equality must hold exactly when it is true, and the float may not
-    skip the exact step while it is true.  ``rhs_exact`` is the exact text of
-    a float ``rhs``.
+    given (a ``KthBound`` row's equality characterization on g), equality must
+    hold exactly when it is true, and the float may not skip the exact step
+    while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
     """
     holds = RELATION_SIGNS[relation]
-    trusted = () if structure else _FLOAT_SIGNS[relation]
-    sign, certified = screened_sign(lhs, float(rhs), exact, trusted)
+    trusted = _FLOAT_SIGNS[relation] if trusted is None else trusted
+    sign = float_sign(lhs, float(rhs), () if structure else trusted)
+    certified = sign == 0
+    sign = sign or exact()
     verdict, notes, match = STRICT, "", None
     if sign not in holds:
         verdict, notes = VIOLATED, violated
@@ -260,40 +256,69 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
 
 
 # ---------------------------------------------------------------------------
-# The sum bounds as data
+# The bounds as data
 
 
-def _non_complete(g: Graph) -> bool:
-    return g.m < g.n * (g.n - 1) // 2
+class _Row:
+    """What every bound-table row shares.  Called on a graph, a row is its own check: a
+    graph below ``min_n``, failing a hypothesis of ``requires`` (in order) or with fewer
+    than k vertices is not applicable, with the bound of n alone ``_fixed_rhs(n)`` (None
+    for one that depends on the graph), and otherwise ``_report`` decides it against the
+    row's terms on the graph (``_terms``).  A scan hands a whole chunk to ``verdicts``.
+    Fields are module-level functions or data, so a row pickles into scan workers.
+    """
 
+    def __post_init__(self):
+        # named like a function: scans print __name__, and functools.wraps copies both for pickling by reference
+        object.__setattr__(self, "__name__", self.name)
+        object.__setattr__(self, "__qualname__", self.name)
 
-def _q2_at_most_n_minus_3(g: Graph) -> bool:
-    return screened_sign(spectrum(g, "Q").value(2), g.n - 3, lambda: compare_qk_with(g, 2, g.n - 3))[0] <= 0
+    def assuming(self, established) -> "_Row":
+        """This row, under its name, for graphs that passed the scan filters named in
+        ``established``: a hypothesis of such a name is that filter, not tested again."""
+        requires = tuple(name for name in self.requires if name not in established)
+        return self if requires == self.requires else replace(self, requires=requires)
 
+    def _index(self, n: int) -> int:
+        return self.k(n) if callable(self.k) else self.k
 
-#: Named hypotheses of the sum bounds: a test, and the note of a graph that
-#: fails it.  A hypothesis that is also a scan filter is that filter.
-HYPOTHESES: dict[str, tuple[Callable[[Graph], bool], str]] = {
-    "connected": (FILTERS["connected"], "requires a connected graph"),
-    "cobar-disconnected": (FILTERS["cobar-disconnected"], "requires a disconnected complement"),
-    "bipartite": (FILTERS["bipartite"], "requires a bipartite graph"),
-    "regular": (FILTERS["regular"], "requires a regular graph"),
-    "non-complete": (_non_complete, "requires a non-complete graph"),
-    "q2<=n-3": (_q2_at_most_n_minus_3, "hypothesis q_2 <= n - 3 fails"),
-}
+    def _inapplicable(self, g: Graph) -> Optional[str]:
+        """The note of a graph the row does not apply to, else None."""
+        if g.n < self.min_n:
+            return f"requires n >= {self.min_n}"
+        for test, note in map(HYPOTHESES.__getitem__, self.requires):
+            if not test(g):
+                return note
+        k = self._index(g.n)
+        return None if 1 <= k <= g.n else f"k={k} outside 1..{g.n}"
+
+    def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
+        """``[self(g).verdict for g in graphs]`` for members of the current scan chunk: the
+        terms of each graph the row applies to are built once, a graph whose sign the float
+        decides (``screen``) is strict, and only the rest are reported, one by one."""
+        out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
+        screened = [i for i, verdict in enumerate(out) if verdict is None]
+        if screened:
+            chunk = [graphs[i] for i in screened]
+            terms = list(map(self._terms, chunk))
+            for i, sign, t in zip(screened, self.screen(chunk, terms).tolist(), terms):
+                out[i] = STRICT if sign else self._report(graphs[i], t).verdict
+        return out
+
+    def __call__(self, g: Graph) -> BoundReport:
+        note = self._inapplicable(g)
+        if note is None:
+            return self._report(g, self._terms(g))
+        return _na(g, self.bound, self._fixed_rhs(g.n), note)
 
 
 @dataclass(frozen=True)
-class SumBound:
+class SumBound(_Row):
     """A row of the bound table: lambda_k(G) + lambda_k(complement G) against a*n + b.
 
     ``rhs`` is ``(a, b)``; with ``rad``, a function of the graph, the bound is
-    a*n + b + sqrt(rad(g)).  Called on a graph, the row is its own check: a
-    graph below ``min_n`` or failing a hypothesis of ``requires`` (in order)
-    is not applicable, and otherwise ``decide`` compares the sum.  A scan
-    hands a whole chunk to ``verdicts`` instead.  ``rad`` and ``families``
-    (extremal families by n) are module-level functions, so a row pickles
-    into scan workers.  ``name`` is the row's ``__name__``.
+    a*n + b + sqrt(rad(g)), and rad(g) is the row's terms on g.  ``families``
+    gives the extremal families by n.
     """
 
     name: str
@@ -307,57 +332,20 @@ class SumBound:
     k: int = 2
     families: Optional[Callable[[int], tuple]] = None
 
-    def __post_init__(self):
-        # named like a function: scans print __name__, and functools.wraps copies both for pickling by reference
-        object.__setattr__(self, "__name__", self.name)
-        object.__setattr__(self, "__qualname__", self.name)
+    def _fixed_rhs(self, n: int) -> Optional[Fraction]:
+        return None if self.rad else Fraction(self.rhs[0] * n + self.rhs[1])
 
-    def assuming(self, established) -> "SumBound":
-        """This row for graphs that passed the scan filters named in ``established``.
+    def _terms(self, g: Graph) -> Optional[Fraction]:
+        return self.rad(g) if self.rad else None
 
-        A hypothesis of that name is that filter (``HYPOTHESES``), so the
-        row returned, which keeps the name, does not test it again.
-        """
-        requires = tuple(name for name in self.requires if name not in established)
-        return self if requires == self.requires else replace(self, requires=requires)
-
-    def _inapplicable(self, g: Graph) -> Optional[str]:
-        """The note of a graph below ``min_n``, failing a hypothesis of ``requires``
-        or with fewer than k vertices, else None."""
-        if g.n < self.min_n:
-            return f"requires n >= {self.min_n}"
-        for test, note in map(HYPOTHESES.__getitem__, self.requires):
-            if not test(g):
-                return note
-        return None if 1 <= self.k <= g.n else f"k={self.k} outside 1..{g.n}"
-
-    def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
-        """``[self(g).verdict for g in graphs]`` for members of the current scan chunk.
-
-        A graph the row does not apply to is not applicable, and no report is
-        built.  A graph whose sign the float decides (``screen``) is strict;
-        the rest are reported one by one, with no hypothesis tested again.
-        """
-        out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
-        screened = [i for i, verdict in enumerate(out) if verdict is None]
-        if screened:
-            for i, sign in zip(screened, self.screen([graphs[i] for i in screened]).tolist()):
-                out[i] = STRICT if sign else self._report(graphs[i]).verdict
-        return out
-
-    def screen(self, graphs: Sequence[Graph]) -> np.ndarray:
-        """The signs of sum - bound that the float decides for ``graphs``, 0 where it may not.
-
-        ``graphs``, one or more of one order, are members of the ``spectra`` chunk that
-        the row applies to, screened as one array under ``decide``'s rule (``float_sign``):
-        first each sum's interval from the graph's own spectrum (``chunk_sum_bounds``,
-        Weyl on M(G) + M(complement G) = cI + sJ), its lower end against the bound for a
-        sign above it and its upper end for one below, then the sums (``chunk_sums``) of
-        the graphs that leaves undecided, the only ones complemented.
-        """
+    def screen(self, graphs: Sequence[Graph], rads: Sequence[Optional[Fraction]]) -> np.ndarray:
+        """The signs of sum - bound that ``float_sign`` decides for ``graphs``, members of the
+        ``spectra`` chunk of one order, 0 where it may not: first from each sum's interval off
+        the graph's own spectrum (``chunk_sum_bounds``), lower end for a sign above the bound
+        and upper end for one below, then from the sums (``chunk_sums``) still undecided."""
         a, b = self.rhs
         target = float(Fraction(a * graphs[0].n + b))
-        targets = np.array([target + sqrt(self.rad(g)) if self.rad else target for g in graphs])
+        targets = np.array([target if rad is None else target + sqrt(rad) for rad in rads])
         trusted = _FLOAT_SIGNS[self.relation]
         lo, hi = chunk_sum_bounds(graphs, self.kind, self.k)
         signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
@@ -368,26 +356,79 @@ class SumBound:
             signs[undecided] = float_sign(sums, targets[undecided], trusted)
         return signs
 
-    def __call__(self, g: Graph) -> BoundReport:
-        note = self._inapplicable(g)
-        if note is None:
-            return self._report(g)
-        a, b = self.rhs
-        return _na(g, self.bound, None if self.rad else Fraction(a * g.n + b), note)
-
-    def _report(self, g: Graph) -> BoundReport:
-        """The report on a graph the row applies to, against its bound built once: the base,
-        or base + sqrt(rad) from ``polys.base_plus_sqrt``, a ``Fraction`` or a ``Surd``."""
+    def _report(self, g: Graph, rad: Optional[Fraction]) -> BoundReport:
+        """The report against the bound built once: the base, or base + sqrt(rad) from
+        ``polys.base_plus_sqrt``, a ``Fraction`` or a ``Surd``."""
         a, b = self.rhs
         base = bound = rhs = Fraction(a * g.n + b)
         text = None
-        if self.rad is not None:
-            rad = self.rad(g)
+        if rad is not None:
             bound, rhs = polys.base_plus_sqrt(base, rad), float(base) + sqrt(rad)
             text = f"{base}+sqrt({rad})" if isinstance(bound, Surd) else str(bound)
         kind, k, strict = self.kind, self.k, "STRICT " if self.relation in ("<", ">") else ""
         return decide(g, self.bound, ng_sum(g, kind, k), rhs, lambda: compare_sum_with(g, kind, k, bound), self.relation,
                       families=self.families, violated=f"{strict}BOUND VIOLATED (exactly confirmed)", rhs_exact=text)
+
+
+@dataclass(frozen=True)
+class KthBound(_Row):
+    """A row of single-eigenvalue bounds: lambda_k(Q(G)) against a bound of G.
+
+    ``rhs`` is ``(a, b)``, the bound a*n + b, or a function of the graph returning a
+    ``Fraction``; ``k`` is an int or a function of n.  The terms on g are the bound and
+    whether the equality characterization ``structure`` holds (``decide``).  A certified
+    equality that fails ``consequence``, a (test, note) pair, is violated with that note.
+    """
+
+    name: str
+    bound: str
+    relation: str
+    rhs: tuple | Callable[[Graph], Fraction]
+    k: int | Callable[[int], int] = 2
+    structure: Optional[Callable[[Graph], bool]] = None
+    consequence: Optional[tuple[Callable[[Graph], bool], str]] = None
+    requires: tuple[str, ...] = ()
+    min_n: int = 0
+
+    def _fixed_rhs(self, n: int) -> Optional[Fraction]:
+        return None if callable(self.rhs) else Fraction(self.rhs[0] * n + self.rhs[1])
+
+    def _terms(self, g: Graph) -> tuple[Fraction, Optional[bool]]:
+        rhs = self.rhs(g) if callable(self.rhs) else self._fixed_rhs(g.n)
+        return rhs, self.structure(g) if self.structure else None
+
+    def screen(self, graphs: Sequence[Graph], terms: Sequence[tuple]) -> np.ndarray:
+        """Like ``SumBound.screen``: one ``float_sign`` over the chunk screen's column k,
+        and 0 wherever the equality characterization holds."""
+        values = _chunk_screen(graphs[0].n, "Q").column(graphs, self._index(graphs[0].n))
+        signs = float_sign(values, np.array([float(rhs) for rhs, _ in terms]), _FLOAT_SIGNS[self.relation])
+        return np.where([bool(structure) for _, structure in terms], 0, signs)
+
+    def holds(self, g: Graph) -> bool:
+        """The row as a hypothesis on a graph it applies to: whether it is not violated,
+        with the float trusted on either sign beyond ``ESCALATION_WINDOW``."""
+        return self._report(g, self._terms(g), trusted=(-1, 1)).verdict != VIOLATED
+
+    def _report(self, g: Graph, terms: tuple[Fraction, Optional[bool]], trusted=None) -> BoundReport:
+        (rhs, structure), k = terms, self._index(g.n)
+        report = decide(g, self.bound, spectrum(g, "Q").value(k), rhs, lambda: compare_qk_with(g, k, rhs),
+                        self.relation, structure=structure, trusted=trusted)
+        if self.consequence and report.verdict == EQUALITY and not self.consequence[0](g):
+            return replace(report, verdict=VIOLATED, lhs_exact=None, notes=self.consequence[1])
+        return report
+
+
+#: Named hypotheses of the bound rows: a test, and the note of a graph that
+#: fails it.  A hypothesis that is also a scan filter is that filter.
+HYPOTHESES: dict[str, tuple[Callable[[Graph], bool], str]] = {
+    "connected": (FILTERS["connected"], "requires a connected graph"),
+    "cobar-disconnected": (FILTERS["cobar-disconnected"], "requires a disconnected complement"),
+    "bipartite": (FILTERS["bipartite"], "requires a bipartite graph"),
+    "regular": (FILTERS["regular"], "requires a regular graph"),
+    "non-complete": (lambda g: g.m < g.n * (g.n - 1) // 2, "requires a non-complete graph"),
+    "connected-with-edge": (lambda g: g.m > 0 and is_connected(g), "requires a connected graph with an edge"),
+    "q2<=n-3": (KthBound("q2<=n-3", "q2<=n-3", "<=", (1, -3)).holds, "hypothesis q_2 <= n - 3 fails"),
+}
 
 
 class SumPredicate:
@@ -409,7 +450,8 @@ class SumPredicate:
         out = [None if self.rows[0]._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
         pending = [i for i, verdict in enumerate(out) if verdict is None]
         if pending:
-            rejected = np.any([row.screen([graphs[i] for i in pending]) for row in self.rows], axis=0)
+            chunk = [graphs[i] for i in pending]
+            rejected = np.any([row.screen(chunk, list(map(row._terms, chunk))) for row in self.rows], axis=0)
             for i, reject in zip(pending, rejected.tolist()):
                 member = not reject and all(row(graphs[i]).verdict == VIOLATED for row in self.rows)
                 out[i] = EQUALITY if member else "non-member"
@@ -453,10 +495,10 @@ NG_BOUNDS = {
 def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
     """Nordhaus-Gaddum sum of the k-th eigenvalue against its row in ``NG_BOUNDS``,
     or reported with no bound attached when (kind, k) has none."""
-    if not 1 <= k <= g.n:
-        return _na(g, f"ng-{kind}{k}", None, f"k={k} outside 1..{g.n}")
     if (kind, k) in NG_BOUNDS:
         return NG_BOUNDS[kind, k](g)
+    if not 1 <= k <= g.n:
+        return _na(g, f"ng-{kind}{k}", None, f"k={k} outside 1..{g.n}")
     return BoundReport(g, f"ng-{kind}{k}", ng_sum(g, kind, k), None, NOT_APPLICABLE,
                        notes="no registered bound for this kind/k")
 
@@ -472,19 +514,47 @@ def ng_check(kind: str, k: int) -> Callable[[Graph], BoundReport]:
 
 
 # ---------------------------------------------------------------------------
-# Lemma predicates
+# Lemma predicates: rows, but for Lemma 2.7, which takes an edge
 
 
-def check_lemma26(g: Graph) -> BoundReport:
-    """Degree bound on q_1 with equality iff regular or semi-regular bipartite."""
-    if not is_connected(g) or g.m == 0:
-        return _na(g, "lemma-2.6", None, "requires a connected graph with an edge")
-    rhs = max(
-        Fraction(g.degree(u) ** 2 + sum(g.degree(v) for v in g.neighbors(u)), g.degree(u))
-        for u in range(g.n)
-    )
-    return decide(g, "lemma-2.6", spectrum(g, "Q").value(1), rhs, lambda: compare_qk_with(g, 1, rhs), "<=",
-                  structure=is_regular(g) or is_semiregular_bipartite(g))
+def _degree_ratio(g: Graph) -> Fraction:  # Lemma 2.6: q_1 <= max_u (d_u^2 + sum of its neighbours' degrees) / d_u
+    return max(Fraction(g.degree(u) ** 2 + sum(map(g.degree, g.neighbors(u))), g.degree(u)) for u in range(g.n))
+
+
+def _regular_or_semiregular_bipartite(g: Graph) -> bool:  # equality in Lemma 2.6
+    return is_regular(g) or is_semiregular_bipartite(g)
+
+
+def _complement_bipartite_parts(g: Graph) -> bool:
+    """Equality in Lemma 2.8, q_2 <= n - 2: the complement has a balanced bipartite
+    component or at least two bipartite components."""
+    bipartite = [c for c in component_colorings(complement_of(g)) if c is not None]
+    return len(bipartite) >= 2 or any(a.bit_count() == b.bit_count() for a, b in bipartite)
+
+
+def _second_degree_less_one(g: Graph) -> Fraction:  # Lemma 2.9: q_2 >= d_2 - 1
+    return Fraction(g.degree_sequence()[1] - 1)
+
+
+def _top_degrees_adjacent(g: Graph) -> bool:  # forced by equality in Lemma 2.9: d_1 = d_2, top degrees adjacent
+    top = [v for v, d in enumerate(g.degrees()) if d == max(g.degrees())]
+    return len(top) >= 2 and all(g.has_edge(u, v) for i, u in enumerate(top) for v in top[i + 1:])
+
+
+def _edge_density_bound(g: Graph) -> Fraction:  # Lemma 2.10: q_n >= 2m/(n-2) - n + 1
+    return Fraction(2 * g.m, g.n - 2) - g.n + 1
+
+
+def _least(n: int) -> int:
+    return n
+
+
+check_lemma26 = KthBound("check_lemma26", "lemma-2.6", "<=", _degree_ratio, k=1,
+                         structure=_regular_or_semiregular_bipartite, requires=("connected-with-edge",))
+check_lemma28 = KthBound("check_lemma28", "lemma-2.8", "<=", (1, -2), structure=_complement_bipartite_parts, min_n=2)
+check_lemma29 = KthBound("check_lemma29", "lemma-2.9", ">=", _second_degree_less_one, min_n=2, consequence=(
+    _top_degrees_adjacent, "equality consequence mismatch: top degrees must coincide and be pairwise adjacent"))
+check_lemma210 = KthBound("check_lemma210", "lemma-2.10", ">=", _edge_density_bound, k=_least, min_n=6)
 
 
 def check_lemma27(g: Graph, edge: tuple[int, int]) -> BoundReport:
@@ -497,44 +567,6 @@ def check_lemma27(g: Graph, edge: tuple[int, int]) -> BoundReport:
     bigger = g.with_edge(u, v)
     return decide(g, "lemma-2.7", spectrum(bigger, "Q").value(1), spectrum(g, "Q").value(1),
                   lambda: compare_q1(bigger, g), ">", violated="STRICT GROWTH VIOLATED (exactly confirmed)")
-
-
-def check_lemma28(g: Graph) -> BoundReport:
-    """q_2 <= n - 2 with equality iff the complement has a balanced bipartite
-    component or at least two bipartite components."""
-    rhs = Fraction(g.n - 2)
-    if g.n < 2:
-        return _na(g, "lemma-2.8", rhs, "requires n >= 2")
-    bipartite = [c for c in component_colorings(complement_of(g)) if c is not None]
-    structure = len(bipartite) >= 2 or any(a.bit_count() == b.bit_count() for a, b in bipartite)
-    return decide(g, "lemma-2.8", spectrum(g, "Q").value(2), rhs, lambda: compare_qk_with(g, 2, rhs), "<=",
-                  structure=structure)
-
-
-def check_lemma29(g: Graph) -> BoundReport:
-    """q_2 >= d_2 - 1; equality forces d_1 = d_2 with top-degree vertices adjacent."""
-    if g.n < 2:
-        return _na(g, "lemma-2.9", None, "requires n >= 2")
-    degs = g.degree_sequence()
-    rhs = Fraction(degs[1] - 1)
-    report = decide(g, "lemma-2.9", spectrum(g, "Q").value(2), rhs, lambda: compare_qk_with(g, 2, rhs), ">=")
-    if report.verdict == EQUALITY:
-        top = [v for v in range(g.n) if g.degree(v) == degs[0]]
-        pairwise = all(g.has_edge(u, v) for i, u in enumerate(top) for v in top[i + 1:])
-        if not (degs[0] == degs[1] and len(top) >= 2 and pairwise):
-            return replace(
-                report, verdict=VIOLATED, lhs_exact=None,
-                notes="equality consequence mismatch: top degrees must coincide and be pairwise adjacent",
-            )
-    return report
-
-
-def check_lemma210(g: Graph) -> BoundReport:
-    """Least eigenvalue bound q_n >= 2m/(n-2) - n + 1 for n >= 6."""
-    if g.n < 6:
-        return _na(g, "lemma-2.10", None, "requires n >= 6")
-    rhs = Fraction(2 * g.m, g.n - 2) - g.n + 1
-    return decide(g, "lemma-2.10", spectrum(g, "Q").value(g.n), rhs, lambda: compare_qk_with(g, g.n, rhs), ">=")
 
 
 THEOREM_CHECKS: dict[str, Callable[[Graph], BoundReport]] = {

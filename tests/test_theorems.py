@@ -45,6 +45,7 @@ from qng.theorems import (
     NOT_APPLICABLE,
     STRICT,
     THEOREM_CHECKS,
+    KthBound,
     SumBound,
     VIOLATED,
     _ng_a2_radicand,
@@ -67,7 +68,6 @@ from qng.theorems import (
     proof_check_thm12,
     proof_check_thm15,
     run_all_checks,
-    screened_sign,
 )
 
 PETERSEN = from_edges(
@@ -265,9 +265,15 @@ def test_exact_hit_on_a_strict_radical_row_is_a_certified_violation():
     pytest.param(check_regular_bound, empty_graph(4), None, "requires a connected graph", id="regular-4K1"),
     pytest.param(check_ng_q1, complete(1), F(-1), "requires n >= 2", id="q1-sum-K1"),
     pytest.param(lambda g: check_ng_generic(g, "A", 2), complete(1), None, "k=2 outside 1..1", id="ng-A2-K1"),
+    pytest.param(check_lemma26, complete(1), None, "requires a connected graph with an edge", id="lemma-2.6-K1"),
+    pytest.param(check_lemma26, empty_graph(3), None, "requires a connected graph with an edge", id="lemma-2.6-3K1"),
+    pytest.param(check_lemma28, complete(1), F(-1), "requires n >= 2", id="lemma-2.8-K1"),
+    pytest.param(check_lemma29, complete(1), None, "requires n >= 2", id="lemma-2.9-K1"),
+    pytest.param(check_lemma210, path(5), None, "requires n >= 6", id="lemma-2.10-P5"),
 ])
 def test_not_applicable_reports(check, g, rhs, note):
-    """A failed hypothesis names itself; the rhs is the rational bound, or None for a radical one."""
+    """A failed hypothesis names itself; the rhs is a bound of n alone, or None for one with a
+    radical or one that depends on the graph."""
     r = check(g)
     assert (r.verdict, r.lhs, r.certified, r.notes) == (NOT_APPLICABLE, None, False, note)
     assert r.rhs == rhs and type(r.rhs) is type(rhs)
@@ -286,9 +292,10 @@ def test_checks_keep_their_names_and_pickle(monkeypatch):
         assert getattr(theorems, check.__name__) is check
     assert theorems.check_ng_q1.__name__ == "check_ng_q1"
     assert theorems.check_ng_generic.__name__ == "check_ng_generic"
+    assert all(hasattr(check, "verdicts") for check in THEOREM_CHECKS.values())
     for row in rows:
         copy = pickle.loads(pickle.dumps(row))
-        if isinstance(row, theorems.SumBound):
+        if isinstance(row, (SumBound, KthBound)):
             assert copy == row and copy.__name__ == row.__name__
             assert copy(cycle(6)) == row(cycle(6))
     ng = pickle.loads(pickle.dumps(theorems.ng_check("A", 2)))
@@ -321,18 +328,36 @@ def test_rows_assume_the_hypotheses_their_scan_filter_established(graphs_by_orde
         assert [assumed(g) for g in connected] == [check(g) for g in connected]
 
 
-def test_screened_sign_trusts_only_listed_signs():
+def test_decide_calls_exact_arithmetic_only_where_the_float_may_not_decide():
+    """The float decides a sign that satisfies the relation beyond the window; a sign
+    that breaks it, or one within the window, is decided exactly and certified."""
     def exact():
         calls.append(1)
         return 0
 
-    calls = []
-    assert screened_sign(5.0, 1.0, exact) == (1, False)
-    assert screened_sign(-5.0, 1.0, exact, (-1,)) == (-1, False)
+    calls, g = [], cycle(5)
+    assert [(r.verdict, r.certified) for r in (decide(g, "b", 5.0, F(1), exact, ">="),
+                                               decide(g, "b", -5.0, F(1), exact, "<="))] == [(STRICT, False)] * 2
     assert not calls
-    assert screened_sign(5.0, 1.0, exact, (-1,)) == (0, True)
-    assert screened_sign(1.0 + 1e-7, 1.0, exact) == (0, True)
+    for r in (decide(g, "b", 5.0, F(1), exact, "<="), decide(g, "b", 1.0 + 1e-7, F(1), exact, ">=")):
+        assert (r.verdict, r.certified) == (EQUALITY, True)
     assert len(calls) == 2
+    # a hypothesis trusts the float on both signs: a violation beyond the window is not compared exactly
+    r = decide(g, "b", 5.0, F(1), exact, "<=", trusted=(-1, 1))
+    assert (r.verdict, r.certified, len(calls)) == (VIOLATED, False, 2)
+
+
+def test_hypothesis_row_trusts_the_float_on_both_sides(monkeypatch):
+    """``q2<=n-3`` is a ``KthBound`` row used as a test: its float decides either sign
+    beyond the window (K6, q_2 = 4; the star, q_2 = 1), and only a q_2 within the window
+    of n - 3 is compared exactly (K3,3, q_2 = 3)."""
+    calls = []
+    compare = theorems.compare_qk_with
+    monkeypatch.setattr(theorems, "compare_qk_with", lambda *args: calls.append(args[0]) or compare(*args))
+    test, note = theorems.HYPOTHESES["q2<=n-3"]
+    assert (test(complete(6)), test(star(6)), calls) == (False, True, [])
+    assert test(complete_bipartite(3, 3)) and calls == [complete_bipartite(3, 3)]
+    assert check_thm16(complete(6)).notes == note == "hypothesis q_2 <= n - 3 fails"
 
 
 def test_decide_relation_is_data():
@@ -509,31 +534,34 @@ def test_connected_scan_digests_are_pinned(key, enum8):
 CHUNK_ROWS = {
     **{row.name: (lambda n, row=row: row) for row in (
         check_thm12, check_thm13, check_problem12, check_thm14, check_thm15, check_thm16,
-        check_regular_bound, check_ng_q1, NG_BOUNDS["L", 1], NG_BOUNDS["A", 2])},
+        check_regular_bound, check_ng_q1, NG_BOUNDS["L", 1], NG_BOUNDS["A", 2],
+        check_lemma26, check_lemma28, check_lemma29, check_lemma210)},
     "sum-le 2n-5": functools.partial(build_predicate, "sum-le 2n-5"),
     "sum-ge n-2": functools.partial(build_predicate, "sum-ge n-2"),
 }
 
 
 def _calls_spied(monkeypatch) -> list:
-    """The graphs a row reports on one by one (``SumBound._report``) from now on."""
+    """The graphs a row reports on one by one (``SumBound._report``, ``KthBound._report``) from now on;
+    a hypothesis row's test (``KthBound.holds``, which passes ``trusted``) is not such a report."""
     called = []
-    report = theorems.SumBound._report
+    for cls in (SumBound, KthBound):
+        def spy(self, g, terms, report=cls._report, **trusted):
+            if not trusted:
+                called.append(g)
+            return report(self, g, terms, **trusted)
 
-    def spy(self, g):
-        called.append(g)
-        return report(self, g)
-
-    monkeypatch.setattr(theorems.SumBound, "_report", spy)
+        monkeypatch.setattr(cls, "_report", spy)
     return called
 
 
 @pytest.mark.parametrize("key", sorted(CHUNK_ROWS))
 def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch):
     """For every graph of order <= 7, under the filters ``all`` and ``connected``:
-    the chunk's verdicts are the rows' own, its screened sums are ``ng_sum``
-    exactly, only the graphs whose report exact arithmetic decided are called
-    one by one, and a chunk on which a row raises raises the same error."""
+    the chunk's verdicts are the rows' own, its screened sums or eigenvalues are
+    the reports' lhs exactly, only the graphs whose report exact arithmetic
+    decided are called one by one, and a chunk on which a row raises raises the
+    same error."""
     called = _calls_spied(monkeypatch)
     for n in range(1, 8):
         for name in ("all", "connected"):
@@ -551,10 +579,12 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
                 del called[:]
                 assert row.verdicts(graphs) == [r.verdict for r in reports], (key, n, name)
                 assert called == escalated, (key, n, name)
-                screened = [g for g, r in zip(graphs, reports) if r.lhs is not None]
+                screened = [r for r in reports if r.lhs is not None]
                 if screened:
-                    sums = spectra.chunk_sums(screened, row.kind, row.k).tolist()
-                    assert sums == [ng_sum(g, row.kind, row.k) for g in screened], (key, n, name)
+                    members = [r.graph for r in screened]
+                    values = (spectra.chunk_sums(members, row.kind, row.k) if isinstance(row, SumBound)
+                              else spectra._chunk_screen(n, "Q").column(members, row._index(n)))
+                    assert values.tolist() == [r.lhs for r in screened], (key, n, name)
             finally:
                 spectra.set_chunk(())
 
@@ -593,7 +623,7 @@ def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=ran
         try:
             a, b = row.rhs
             bound = float(a * graphs[0].n + b)
-            escalated = [g for g in graphs if screened_sign(ng_sum(g), bound, lambda: 0, (-1,))[1]]
+            escalated = [g for g in graphs if not theorems.float_sign(ng_sum(g), bound, (-1,))]
             assert sorted(map(to_graph6, escalated)) == sorted(map(to_graph6, undecided))
             del called[:]
             verdicts = row.verdicts(graphs)
@@ -680,6 +710,48 @@ def test_chunk_guards():
     assert copy == check_thm16.assuming(["connected"]) and copy.verdicts
 
 
+#: Exact q_k comparisons (``compare_qk_with``) of a scan over the order-7 graphs, by
+#: (check, filter): thm-1.6's all come from its ``q2<=n-3`` hypothesis.
+KTH_EXACT_CALLS = {("1.6", "all"): 164, ("2.6", "all"): 7, ("2.8", "all"): 88, ("2.9", "all"): 75,
+                   ("2.10", "all"): 1, ("1.6", "connected"): 164}
+
+
+def test_kth_rows_make_the_pinned_exact_comparisons(monkeypatch):
+    """The lemma rows on whole chunks, and the hypothesis row that thm-1.6 tests, compare
+    exactly only where the float may not decide, with a cold char-poly cache."""
+    calls = []
+    compare = theorems.compare_qk_with
+    monkeypatch.setattr(theorems, "compare_qk_with", lambda *args: calls.append(args[0]) or compare(*args))
+    counts = {}
+    for key, name in KTH_EXACT_CALLS:
+        spectra.kind_char_poly.cache_clear()
+        del calls[:]
+        scan(7, name, THEOREM_CHECKS[key])
+        counts[key, name] = len(calls)
+    assert counts == KTH_EXACT_CALLS
+
+
+def test_lemma29_consequence_is_checked_on_certified_equalities(graphs_by_order):
+    """A certified equality that fails the row's consequence is violated with its note,
+    graph by graph and on a whole chunk; the strict graphs never reach the test."""
+    tested = []
+    row = replace(check_lemma29, consequence=(lambda g: tested.append(g) and False, "consequence fails"))
+    r = row(star(5))
+    assert (r.verdict, tested) == (STRICT, [])
+    r = row(disjoint_union(complete(5), empty_graph(1)))
+    assert (r.verdict, r.certified, r.lhs_exact, r.notes) == (VIOLATED, True, None, "consequence fails")
+    graphs = graphs_by_order[6]
+    spectra.set_chunk(graphs)
+    try:
+        verdicts = row.verdicts(graphs)
+    finally:
+        spectra.set_chunk(())
+    equalities = [g for g in graphs if check_lemma29(g).verdict == EQUALITY]
+    assert Counter(verdicts) == {STRICT: len(graphs) - len(equalities), VIOLATED: len(equalities)} and equalities
+    assert check_lemma29.consequence[1] == (
+        "equality consequence mismatch: top degrees must coincide and be pairwise adjacent")
+
+
 def test_float_sign_is_one_rule_for_floats_and_arrays():
     """The float decides a trusted sign beyond the window, elementwise on arrays."""
     w = theorems.ESCALATION_WINDOW
@@ -689,4 +761,6 @@ def test_float_sign_is_one_rule_for_floats_and_arrays():
         assert [theorems.float_sign(a, 4.0, trusted) for a in approx] == expected
         assert theorems.float_sign(np.array(approx), 4.0, trusted).tolist() == expected
         assert theorems.float_sign(np.array(approx), np.full(8, 4.0), trusted).tolist() == expected
-        assert [screened_sign(a, 4.0, lambda: 7, trusted)[0] for a in approx] == [s or 7 for s in expected]
+    for relation, trusted in (("<=", (-1,)), (">=", (1,))):  # decide applies the rule to the relation's strict side
+        certified = [decide(cycle(5), "b", a, F(4), lambda: 0, relation).certified for a in approx]
+        assert certified == [not theorems.float_sign(a, 4.0, trusted) for a in approx]
