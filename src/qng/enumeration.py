@@ -42,11 +42,11 @@ Counts are cross-checked against reference values in the test suite.
 ``scan`` reads its source lazily and cuts it into chunks of ``SCAN_CHUNK``
 items, graphs or the graph6 lines of an external stream.  A chunk is where
 each graph is handled once: one helper decodes the chunk's lines in one
-batch (``graph.decode_graph6``), names them and then the graphs its filter
-keeps to ``spectra.set_chunk`` (a complement is built once, whoever reads
-it first), runs the check (each matrix kind it reads is then screened for
-the chunk's graphs in one batched float call, and for the complements it
-reads in one more), drops the chunk again, and returns the chunk's tally,
+batch (``graph.decode_graph6``), filters them (on adjacency rows, building
+no complement), names the graphs kept to ``spectra.set_chunk``, runs the
+check (each matrix kind it reads is then screened for the chunk's graphs in
+one batched float call, and for the complements it reads in one more),
+drops the chunk again, and returns the chunk's tally,
 its verdict counts plus the canonical graph6 keys of its equality and
 violation graphs.  A bound-table row or a scan predicate gets the whole
 chunk through its ``verdicts`` method and complements, and builds reports
@@ -71,6 +71,8 @@ from . import spectra
 from .graph import (
     CapacityError,
     Graph,
+    _complement_rows,
+    _connected,
     _graph_unchecked,
     bits,
     decode_graph6,
@@ -468,7 +470,7 @@ def _filter_all(g: Graph) -> bool:
 
 
 def _filter_cobar_disconnected(g: Graph) -> bool:
-    return not is_connected(spectra.complement_of(g))
+    return not _connected(_complement_rows(g))
 
 
 FILTERS: dict[str, Callable[[Graph], bool]] = {
@@ -554,23 +556,20 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     violated graphs.
 
     ``items`` are graphs or graph6 lines of order ``n``; lines are decoded
-    here, in one batch.  The filter name is resolved here too; ``spectra``
-    has the decoded graphs as its chunk while the filter runs, so a
-    complement the filter reads is built once, and then the graphs it keeps.
-    A check with a ``verdicts`` method (a bound-table row or a predicate)
-    is handed the whole chunk; any other is called on each graph.  The chunk
-    is dropped from ``spectra`` when the tally ends, also on an error.
+    here, in one batch.  The filter name is resolved here too, and
+    ``spectra`` has the graphs the filter keeps as its chunk.  A check with
+    a ``verdicts`` method (a bound-table row or a predicate) is handed the
+    whole chunk; any other is called on each graph.  The chunk is dropped
+    from ``spectra`` when the tally ends, also on an error.
     """
     graphs = _chunk_graphs(items)
     for g in graphs:
         if g.n != n:
             raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
     _, accept = resolve_filter(graph_filter)
+    graphs = list(filter(accept, graphs))
     spectra.set_chunk(graphs)
     try:
-        if accept is not _filter_all:
-            graphs = list(filter(accept, graphs))
-            spectra.set_chunk(graphs)
         if hasattr(check, "verdicts"):
             verdicts = check.verdicts(graphs)
         else:

@@ -9,8 +9,11 @@ the cells, the last for cells of any size), the usual operators (complement,
 union, join, Cartesian product), the graph6 text codec, whose decoder takes a
 batch of lines and unpacks their payloads with numpy, and one routine per
 vertex structure: ``twin_classes`` groups vertices by open and by closed
-neighborhood, and ``component_colorings`` walks and 2-colors the components
-once for every bipartiteness predicate.
+neighborhood, ``component_colorings`` walks and 2-colors the components once
+for every bipartiteness predicate, and ``_connected`` is the one connectivity
+walk, a breadth-first closure of vertex 0 over adjacency rows (a graph's
+rows, or its complement's without building the graph).  Every structure
+test reads the rows alone.
 """
 
 from __future__ import annotations
@@ -165,9 +168,13 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
 # Operators
 
 
-def complement(g: Graph) -> Graph:
+def _complement_rows(g: Graph) -> tuple[int, ...]:
     full = (1 << g.n) - 1
-    return _graph_unchecked(g.n, tuple(full ^ r ^ (1 << v) for v, r in enumerate(g.rows)))
+    return tuple(full ^ r ^ (1 << v) for v, r in enumerate(g.rows))
+
+
+def complement(g: Graph) -> Graph:
+    return _graph_unchecked(g.n, _complement_rows(g))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -323,28 +330,20 @@ def h_graph(s0: int, s1: int, s2: int) -> Graph:
 # Connectivity and bipartite structure
 
 
-def component_masks(g: Graph) -> list[int]:
-    """Vertex bitmasks of the connected components, ordered by least vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.rows[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        out.append(comp)
-        seen |= comp
-    return out
+def _connected(rows: Sequence[int]) -> bool:
+    """Whether the breadth-first closure of vertex 0 over the adjacency ``rows`` is every vertex."""
+    reached = frontier = 1
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= rows[u]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return reached == (1 << len(rows)) - 1
 
 
 def is_connected(g: Graph) -> bool:
-    return len(component_masks(g)) == 1
+    return _connected(g.rows)
 
 
 def component_colorings(g: Graph) -> list[Optional[tuple[int, int]]]:
@@ -376,20 +375,8 @@ def component_colorings(g: Graph) -> list[Optional[tuple[int, int]]]:
     return out
 
 
-def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A proper 2-coloring (A, B) of the whole graph, or None if not bipartite."""
-    colorings = component_colorings(g)
-    if None in colorings:
-        return None
-    part_a = part_b = 0
-    for a, b in colorings:
-        part_a |= a
-        part_b |= b
-    return tuple(bits(part_a)), tuple(bits(part_b))
-
-
 def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
+    return None not in component_colorings(g)
 
 
 def twin_classes(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -416,14 +403,24 @@ def is_regular(g: Graph) -> bool:
 
 
 def is_semiregular_bipartite(g: Graph) -> bool:
-    """Bipartite with constant degree on each side of some proper 2-coloring."""
-    parts = bipartition(g)
-    if parts is None:
+    """Bipartite with constant degree on each side of some proper 2-coloring.
+
+    If such a coloring exists, so does one with the lower-degree class of
+    every component on the same side (an isolated vertex, of degree 0, is
+    a class of its own), so only that coloring is tested.
+    """
+    colorings = component_colorings(g)
+    if None in colorings:
         return False
-    for side in parts:
-        if side and len({g.degree(v) for v in side}) != 1:
-            return False
-    return True
+    low: set[int] = set()
+    high: set[int] = set()
+    for a, b in colorings:
+        da, db = ({g.degree(v) for v in bits(cls)} for cls in (a, b))
+        if db and min(db) < min(da):
+            da, db = db, da
+        low |= da
+        high |= db
+    return len(low) <= 1 and len(high) <= 1
 
 
 # ---------------------------------------------------------------------------

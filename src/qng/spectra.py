@@ -3,7 +3,7 @@
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
 are used only for screening.  A scan names each chunk with ``set_chunk``;
 ``complement_of`` builds a member's complement once, at its first read (a
-scan filter's, a check's, or a screen's).  The first read of a kind on a
+check's or a screen's, never a filter's).  The first read of a kind on a
 chunk member stacks the kind-matrices of the chunk's graphs of its order as
 one (B, n, n) array and screens them in one eigvalsh call; the complements
 are screened only when read, in one more call.  ``chunk_sum_bounds`` reads
@@ -141,17 +141,15 @@ _SCREENED: dict[tuple[int, str], _Screen] = {}
 def set_chunk(graphs: Iterable[Graph]) -> None:
     """Make ``graphs`` the chunk ``spectrum`` screens at once.
 
-    A scan calls this with a chunk's graphs as decoded, with those its
-    filter keeps, and with none when the chunk is done.  A graph that stays
-    in the chunk keeps its complement, so one a filter read is built once.
+    A scan calls this with the graphs its filter keeps from a chunk, and
+    with none when the chunk is done; the previous chunk's complements and
+    screens are dropped.
     """
     global _MEMBERS
-    chunk = {g: _CHUNK.get(g) for g in graphs}
     _CHUNK.clear()
     _SCREENED.clear()
-    _CHUNK.update(chunk)
-    _CHUNK.update({h: g for g, h in chunk.items() if h is not None})
-    _MEMBERS = tuple(chunk)
+    _CHUNK.update(dict.fromkeys(graphs))
+    _MEMBERS = tuple(_CHUNK)
 
 
 def complement_of(g: Graph) -> Graph:

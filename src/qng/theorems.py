@@ -80,7 +80,6 @@ from .spectra import (
     compare_q1,
     compare_qk_with,
     compare_sum_with,
-    complement_of,
     ng_sum,
     spectrum,
 )
@@ -197,7 +196,7 @@ def _match_family(g: Graph, families) -> Optional[tuple[str, tuple[int, ...]]]:
 # The bound driver
 
 #: Signs of (value - bound) that satisfy each relation.
-RELATION_SIGNS = {"<=": (-1, 0), "<": (-1,), ">=": (0, 1), ">": (1,), "==": (0,)}
+RELATION_SIGNS = {"<=": (-1, 0), "<": (-1,), ">=": (0, 1), ">": (1,)}
 
 #: The signs a float may decide: those that satisfy the relation strictly.
 _FLOAT_SIGNS = {rel: tuple(s for s in signs if s) for rel, signs in RELATION_SIGNS.items()}
@@ -528,7 +527,7 @@ def _regular_or_semiregular_bipartite(g: Graph) -> bool:  # equality in Lemma 2.
 def _complement_bipartite_parts(g: Graph) -> bool:
     """Equality in Lemma 2.8, q_2 <= n - 2: the complement has a balanced bipartite
     component or at least two bipartite components."""
-    bipartite = [c for c in component_colorings(complement_of(g)) if c is not None]
+    bipartite = [c for c in component_colorings(complement(g)) if c is not None]
     return len(bipartite) >= 2 or any(a.bit_count() == b.bit_count() for a, b in bipartite)
 
 
@@ -537,7 +536,9 @@ def _second_degree_less_one(g: Graph) -> Fraction:  # Lemma 2.9: q_2 >= d_2 - 1
 
 
 def _top_degrees_adjacent(g: Graph) -> bool:  # forced by equality in Lemma 2.9: d_1 = d_2, top degrees adjacent
-    top = [v for v, d in enumerate(g.degrees()) if d == max(g.degrees())]
+    degrees = g.degrees()
+    d1 = max(degrees)
+    top = [v for v, d in enumerate(degrees) if d == d1]
     return len(top) >= 2 and all(g.has_edge(u, v) for i, u in enumerate(top) for v in top[i + 1:])
 
 

@@ -742,13 +742,15 @@ def test_scan_of_graphs_next_to_their_complements(graphs_by_order):
 
 def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enum8):
     """A scan at n = 8 tests a hypothesis its filter is only in the filter
-    (the row assumes it), and complements a graph at most once: under
-    ``connected`` only the 67 of 11,117 scanned graphs whose one-spectrum
-    interval leaves problem-1.2 undecided, for both their screen and their
-    sum; under ``cobar-disconnected`` each graph, whose complement the
-    filter tests and, if it passes, the screen and the sum read.  Thm 1.4's
-    row also requires a connected graph, which it tests once for each of
-    the 1,229 graphs the filter passes, its one escalated graph included."""
+    (the row assumes it), and complements a graph at most once: only the
+    graphs whose one-spectrum interval leaves the row undecided, for both
+    their screen and their sum, 67 of 11,117 for problem-1.2 under
+    ``connected`` and 38 of 1,229 for thm-1.4 under ``cobar-disconnected``,
+    whose filter walks each graph's complemented rows and builds no
+    complement.  Thm 1.4's row also requires a connected graph, which it
+    tests once for each of the 1,229 graphs the filter passes, its one
+    escalated graph included.  Every connectivity test is one walk of
+    ``graph._connected``."""
     calls = Counter()
 
     def counted(name, fn):
@@ -757,14 +759,14 @@ def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enu
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(graph, "component_masks", counted("component_masks", graph.component_masks))
-    complement_counted = counted("complement", graph.complement)
-    for module in (graph, spectra, theorems, enumeration):
-        if hasattr(module, "complement"):
-            monkeypatch.setattr(module, "complement", complement_counted)
+    for fn in (graph._connected, graph.complement):
+        wrapper = counted(fn.__name__, fn)
+        for module in (graph, spectra, theorems, enumeration):
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, wrapper)
     for name, check, scanned, expected in (
-        ("connected", theorems.check_problem12, 11_117, {"component_masks": 12_346, "complement": 67}),
-        ("cobar-disconnected", theorems.check_thm14, 1_229, {"component_masks": 13_575, "complement": 12_346}),
+        ("connected", theorems.check_problem12, 11_117, {"_connected": 12_346, "complement": 67}),
+        ("cobar-disconnected", theorems.check_thm14, 1_229, {"_connected": 13_575, "complement": 38}),
     ):
         calls.clear()
         result = scan(8, name, check)

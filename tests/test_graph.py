@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -12,12 +13,11 @@ from qng.graph import (
     CapacityError,
     Graph,
     Graph6Error,
-    bipartition,
+    bits,
     complement,
     complete,
     complete_bipartite,
     component_colorings,
-    component_masks,
     cycle,
     cartesian_product,
     decode_graph6,
@@ -174,30 +174,34 @@ def test_unchecked_constructions_match_validated_graph(rng=random.Random(41)):
 
 def test_components_and_bipartite_examples():
     g = disjoint_union(complete(2), empty_graph(4))
-    assert len(component_masks(g)) == 5
+    assert not is_connected(g) and is_bipartite(g)
     colorings = component_colorings(g)
     assert None not in colorings and len(colorings) == 5
     assert [(a.bit_count(), b.bit_count()) for a, b in colorings].count((1, 1)) == 1  # the K_2 is balanced
 
-    a, b = bipartition(complete_bipartite(3, 3))
-    assert (len(a), len(b)) == (3, 3)
+    assert component_colorings(complete_bipartite(3, 3)) == [(0b000111, 0b111000)]
+    assert is_connected(complete_bipartite(3, 3)) and is_bipartite(complete_bipartite(3, 3))
 
     g = disjoint_union(complete(5), empty_graph(1))
     assert component_colorings(g) == [None, (1 << 5, 0)]  # just the isolated vertex, unbalanced
+    assert not is_connected(g) and not is_bipartite(g)
 
-    assert bipartition(complete(3)) is None
+    assert component_colorings(complete(3)) == [None] and not is_bipartite(complete(3))
+    assert is_connected(empty_graph(1)) and not is_connected(empty_graph(2))
 
 
-def test_bipartition_is_proper_coloring(graphs_by_order):
+def test_component_colorings_are_proper(graphs_by_order):
+    """The classes of the 2-colored components partition the vertices, and no
+    edge joins two vertices of one class."""
     for n in range(1, 7):
         for g in graphs_by_order[n]:
-            parts = bipartition(g)
-            if parts is None:
+            colorings = component_colorings(g)
+            if None in colorings:
                 continue
-            for side in parts:
-                for i, u in enumerate(side):
-                    for v in side[i + 1:]:
-                        assert not g.has_edge(u, v)
+            classes = [cls for coloring in colorings for cls in coloring]
+            assert sum(classes) == (1 << n) - 1 and sum(c.bit_count() for c in classes) == n
+            for cls in classes:
+                assert not any(g.rows[u] & cls for u in bits(cls))
 
 
 def _networkx(g):
@@ -244,18 +248,44 @@ def test_component_colorings_match_networkx(graphs_and_complements):
         bipartite = [c for c in colorings if c is not None]
         assert len(bipartite) == sum(nx.is_bipartite(nxg.subgraph(c)) for c in comps)
         assert any(a.bit_count() == b.bit_count() for a, b in bipartite) == balanced
-        parts = bipartition(g)
-        assert (parts is not None) == nx.is_bipartite(nxg)
-        if parts is not None:
-            assert sorted(parts[0] + parts[1]) == list(range(g.n))
-            assert not any(nxg.has_edge(u, v) for side in parts for u in side for v in side)
+        assert is_bipartite(g) == nx.is_bipartite(nxg)
+        assert is_connected(g) == nx.is_connected(nxg) == (len(comps) == 1)
 
 
-def test_semiregular_bipartite():
+def _semiregular_reference(g):
+    """Constant degree on each side of some proper 2-coloring, every coloring tried:
+    networkx's coloring of each component, each one flipped or not."""
+    nxg = _networkx(g)
+    if not nx.is_bipartite(nxg):
+        return False
+    colors = [nx.bipartite.color(nxg.subgraph(comp)) for comp in nx.connected_components(nxg)]
+    for flips in product((0, 1), repeat=len(colors)):
+        sides = (set(), set())
+        for flip, color in zip(flips, colors):
+            for v, side in color.items():
+                sides[side ^ flip].add(g.degree(v))
+        if all(len(degrees) <= 1 for degrees in sides):
+            return True
+    return False
+
+
+def test_semiregular_bipartite(graphs_by_order, rng=random.Random(27)):
+    """The verdict is the definition's on every class of order <= 7 and does
+    not depend on the labelling: two copies of star(3) are semiregular
+    bipartite whichever of their vertices comes first."""
     assert is_semiregular_bipartite(complete_bipartite(2, 5))
     assert is_semiregular_bipartite(cycle(4))
     assert not is_semiregular_bipartite(path(4))
     assert not is_semiregular_bipartite(complete(3))
+    assert is_semiregular_bipartite(disjoint_union(star(3), star(3)))
+    assert is_semiregular_bipartite(from_edges(6, [(0, 1), (0, 2), (3, 5), (4, 5)]))
+    assert not is_semiregular_bipartite(disjoint_union(star(3), complete(2)))
+    for n in range(1, 8):
+        for g in graphs_by_order[n]:
+            order = list(range(n))
+            rng.shuffle(order)
+            expected = _semiregular_reference(g)
+            assert is_semiregular_bipartite(g) == is_semiregular_bipartite(relabel(g, order)) == expected, to_graph6(g)
 
 
 def test_complement_involution_and_edge_conservation(graphs_by_order, enum8):
