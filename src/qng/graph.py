@@ -346,17 +346,16 @@ def is_connected(g: Graph) -> bool:
     return _connected(g.rows)
 
 
-def component_colorings(g: Graph) -> list[Optional[tuple[int, int]]]:
-    """Per component, ordered by least vertex: its two color classes as masks,
-    the least vertex's class first, or None when it has an odd cycle.
+def component_colorings(rows: Sequence[int]) -> list[Optional[tuple[int, int]]]:
+    """Per component of the graph with adjacency ``rows``, by least vertex: its two color
+    classes as masks, the least vertex's class first, or None when it has an odd cycle.
 
     The classes are the even and odd breadth-first layers from the least
     vertex; an edge inside one of them closes an odd cycle.
     """
-    rows = g.rows
     seen = 0
     out: list[Optional[tuple[int, int]]] = []
-    for v in range(g.n):
+    for v in range(len(rows)):
         if seen >> v & 1:
             continue
         classes = [1 << v, 0]
@@ -376,7 +375,7 @@ def component_colorings(g: Graph) -> list[Optional[tuple[int, int]]]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    return None not in component_colorings(g)
+    return None not in component_colorings(g.rows)
 
 
 def twin_classes(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -409,7 +408,7 @@ def is_semiregular_bipartite(g: Graph) -> bool:
     every component on the same side (an isolated vertex, of degree 0, is
     a class of its own), so only that coloring is tested.
     """
-    colorings = component_colorings(g)
+    colorings = component_colorings(g.rows)
     if None in colorings:
         return False
     low: set[int] = set()

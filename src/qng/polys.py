@@ -22,11 +22,10 @@ when exact counts verify that the window holds the root and no other;
 otherwise it bisects from the Cauchy bound.  Floats pick only where to start:
 every sign comes from counts.
 
-``Fraction`` appears only in points and values: a rational point a/b is
-evaluated as b^d p(a/b) by homogeneous Horner, bisection endpoints are
-rational, and quadratic surds a + b*sqrt(d) with rational a, b are evaluated
-as (u + v sqrt(d))/D on integer pairs, so closed-form roots like
-(n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified without floats.
+``Fraction`` appears only in rational points and values (an ``int`` point
+gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
+p((u + v sqrt(d)) / den) by Horner's rule on integer pairs, so closed-form roots
+like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified with no floats or fractions.
 """
 
 from __future__ import annotations
@@ -146,11 +145,11 @@ def _value_surd(p: Poly, u: int, v: int, d: int, den: int) -> tuple[int, int]:
     return big, small
 
 
-def poly_eval(p: Poly, x) -> Fraction:
-    """p(x) exactly, for an int or ``Fraction`` x."""
-    if not p:
-        return Fraction(0)
-    return Fraction(_value(p, x.numerator, x.denominator), x.denominator ** (len(p) - 1))
+def poly_eval(p: Poly, x) -> Union[int, Fraction]:
+    """p(x) exactly: an ``int`` for an int x, a ``Fraction`` for a ``Fraction`` x."""
+    if isinstance(x, int):
+        return _value(p, x, 1) if p else 0
+    return Fraction(_value(p, x.numerator, x.denominator), x.denominator ** (len(p) - 1)) if p else Fraction(0)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -232,6 +231,13 @@ def _surd_sign(a, b, d: int) -> int:
     return _sign(a) if lhs > rhs else _sign(b)
 
 
+def sign_at_surd(p: Sequence[int], u: int, v: int, d: int, den: int = 1) -> int:
+    """Sign of p((u + v*sqrt(d)) / den) for integers u, v, d >= 0 and den > 0, in ``int`` arithmetic."""
+    if den <= 0 or d < 0:
+        raise ValueError(f"surd needs den > 0 and d >= 0, not den={den}, d={d}")
+    return _surd_sign(*_value_surd(p, u, v, d, den), d) if p else 0
+
+
 def poly_eval_surd(p: Poly, x: Surd) -> Surd:
     """p(x) exactly, by Horner's rule on integer pairs over one denominator."""
     if not p:
@@ -289,7 +295,7 @@ def _signs_at(chain: list[Poly], x: Point) -> list[int]:
         return [_sign(p[-1]) for p in chain]
     if isinstance(x, Surd):
         (u, v), den = _over_common_denominator((x.a, x.b))
-        return [_surd_sign(*_value_surd(p, u, v, x.d, den), x.d) for p in chain]
+        return [sign_at_surd(p, u, v, x.d, den) for p in chain]
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     a, b = x.numerator, x.denominator

@@ -50,6 +50,7 @@ from .graph import (
     MAX_VERTICES,
     BlowUp,
     Graph,
+    _complement_rows,
     complement,
     complete,
     complete_bipartite,
@@ -527,7 +528,7 @@ def _regular_or_semiregular_bipartite(g: Graph) -> bool:  # equality in Lemma 2.
 def _complement_bipartite_parts(g: Graph) -> bool:
     """Equality in Lemma 2.8, q_2 <= n - 2: the complement has a balanced bipartite
     component or at least two bipartite components."""
-    bipartite = [c for c in component_colorings(complement(g)) if c is not None]
+    bipartite = [c for c in component_colorings(_complement_rows(g)) if c is not None]
     return len(bipartite) >= 2 or any(a.bit_count() == b.bit_count() for a, b in bipartite)
 
 
@@ -623,18 +624,16 @@ def proof_check_thm12(n: int, d2: int) -> bool:
     if n < 4 or not 1 <= d2 <= n - 2:
         raise ValueError(f"parameters out of range: n={n}, d2={d2}")
     c = _Checks()
-    F = Fraction
-
     disc = n * n - (4 * d2 - 2) * n + 4 * d2 * d2 + 4 * d2 - 7
     c.expect(disc >= 0, "discriminant nonnegative")
 
     b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
-    root1 = Surd(F(n + 2 * d2 - 3, 2), F(-1, 2), disc)
-    c.expect(polys.poly_eval_surd(_two_by_two_char(b1), root1).is_zero(), "lambda_2 closed form, first quotient")
+    c.expect(polys.sign_at_surd(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
+             "lambda_2 closed form, first quotient")
 
     b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
-    root2 = Surd(F(3 * n - 2 * d2 - 5, 2), F(-1, 2), disc)
-    c.expect(polys.poly_eval_surd(_two_by_two_char(b2), root2).is_zero(), "lambda_2 closed form, second quotient")
+    c.expect(polys.sign_at_surd(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
+             "lambda_2 closed form, second quotient")
 
     f = [6 * n - 11, -(4 * n - 4), 4]
     c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, d2), "discriminant reduces to f(d2)")
@@ -656,11 +655,8 @@ def proof_check_thm12(n: int, d2: int) -> bool:
         det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
         delta = numer * numer - 4 * (n - 2) ** 2 * det
         c.expect(delta >= 0, f"third discriminant nonnegative at s={s}")
-        root3 = Surd(F(numer, 2 * (n - 2)), F(-1, 2 * (n - 2)), delta)
-        c.expect(
-            polys.poly_eval_surd(_two_by_two_char(b3, n - 2), root3).is_zero(),
-            f"lambda_2 closed form, third quotient at s={s}",
-        )
+        c.expect(polys.sign_at_surd(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
+                 f"lambda_2 closed form, third quotient at s={s}")
         xval = n * n - 5 * n + 2 * s + 6
         c.expect(xval == (n - 2) * (n - 3) + 2 * s, f"threshold identity at s={s}")
         quad = (n - 2) * d2 * d2 - xval * d2 + (n - 2) ** 2
@@ -726,7 +722,7 @@ def proof_check_thm15(n: int) -> bool:
     quotient2, g2 = _blow_up_quotient(c, hub2, "(n-4,1,1)")
     quotient3, g2c = _blow_up_quotient(c, hub2.complement(), "complement (n-4,1,1)")
     phi2 = char_poly_exact(quotient2)
-    c.expect(polys.poly_eval_surd(phi2, beta2).is_zero(), "beta_2 is a quotient eigenvalue")
+    c.expect(polys.sign_at_surd(phi2, n - 2, 1, disc, 2) == 0, "beta_2 is a quotient eigenvalue")
     c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
     c.expect((beta2 - 2).sign() == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
@@ -736,9 +732,8 @@ def proof_check_thm15(n: int) -> bool:
     cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
     f2 = _poly_in_n(n, [[-4, 1], [2, -1], [1]])
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
-    c.expect(polys.poly_eval_surd(f2, beta2).is_zero(), "gamma_1' root formula")
-    gamma2 = Surd(F(n - 2, 2), F(-1, 2), disc)
-    c.expect(polys.poly_eval_surd(f2, gamma2).is_zero(), "gamma_2' root formula")
+    c.expect(polys.sign_at_surd(f2, n - 2, 1, disc, 2) == 0, "gamma_1' root formula")
+    c.expect(polys.sign_at_surd(f2, n - 2, -1, disc, 2) == 0, "gamma_2' root formula")
     c.expect(polys.poly_eval(cubic, 2 * n - 6) == -4 * n + 16, "f_1(2n-6) evaluation")
     c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
     f1_at = polys.poly_eval_surd(cubic, beta2)

@@ -175,18 +175,18 @@ def test_unchecked_constructions_match_validated_graph(rng=random.Random(41)):
 def test_components_and_bipartite_examples():
     g = disjoint_union(complete(2), empty_graph(4))
     assert not is_connected(g) and is_bipartite(g)
-    colorings = component_colorings(g)
+    colorings = component_colorings(g.rows)
     assert None not in colorings and len(colorings) == 5
     assert [(a.bit_count(), b.bit_count()) for a, b in colorings].count((1, 1)) == 1  # the K_2 is balanced
 
-    assert component_colorings(complete_bipartite(3, 3)) == [(0b000111, 0b111000)]
+    assert component_colorings(complete_bipartite(3, 3).rows) == [(0b000111, 0b111000)]
     assert is_connected(complete_bipartite(3, 3)) and is_bipartite(complete_bipartite(3, 3))
 
     g = disjoint_union(complete(5), empty_graph(1))
-    assert component_colorings(g) == [None, (1 << 5, 0)]  # just the isolated vertex, unbalanced
+    assert component_colorings(g.rows) == [None, (1 << 5, 0)]  # just the isolated vertex, unbalanced
     assert not is_connected(g) and not is_bipartite(g)
 
-    assert component_colorings(complete(3)) == [None] and not is_bipartite(complete(3))
+    assert component_colorings(complete(3).rows) == [None] and not is_bipartite(complete(3))
     assert is_connected(empty_graph(1)) and not is_connected(empty_graph(2))
 
 
@@ -195,7 +195,7 @@ def test_component_colorings_are_proper(graphs_by_order):
     edge joins two vertices of one class."""
     for n in range(1, 7):
         for g in graphs_by_order[n]:
-            colorings = component_colorings(g)
+            colorings = component_colorings(g.rows)
             if None in colorings:
                 continue
             classes = [cls for coloring in colorings for cls in coloring]
@@ -232,7 +232,7 @@ def test_component_colorings_match_networkx(graphs_and_complements):
     for g in graphs_and_complements:
         nxg = _networkx(g)
         comps = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
-        colorings = component_colorings(g)
+        colorings = component_colorings(g.rows)
         assert len(colorings) == len(comps)
         balanced = False
         for comp, coloring in zip(comps, colorings):

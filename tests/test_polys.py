@@ -25,6 +25,7 @@ from qng.polys import (
     poly_mul,
     poly_rem,
     reflection_norm,
+    sign_at_surd,
 )
 
 
@@ -237,6 +238,43 @@ def test_poly_eval_surd_golden_ratio():
     assert poly_eval_surd(p, phi).is_zero()
     assert poly_eval_surd(p, Surd(F(1, 2), F(-1, 2), 5)).is_zero()
     assert not poly_eval_surd(p, Surd(F(1), F(1), 5)).is_zero()
+
+
+def test_sign_at_surd_matches_the_surd_path():
+    """The integer kernel gives the sign of p((u + v sqrt(d)) / den) that evaluating p at
+    the ``Surd`` gives, over seeded random polynomials and points, and at roots."""
+    rng = random.Random(28)
+    cases = [([0, 1], 3, -1, 9, 1),  # 3 - sqrt(9) = 0
+             ([-1, -1, 1], 1, 1, 5, 2), ([-1, -1, 1], 1, -1, 5, 2), ([-1, -1, 1], 2, 2, 5, 4),  # golden ratio
+             ([-5, 0, 1], 0, 1, 5, 1), ([-5, 0, 1], -6, 3, 0, 2),
+             ([2, 3], -6, 4, 7, 6)]  # den shares factors with u and v
+    for _ in range(600):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.choice([-3, -1, 1, 2])]
+        d = rng.choice([0, 1, 2, 3, 4, 5, 8, 9, 12, 25])
+        den = rng.choice([1, 2, 3, 4, 6, 12])
+        u, v = rng.randint(-12, 12) * rng.choice([1, den]), rng.randint(-4, 4) * rng.choice([1, den])
+        if rng.random() < 0.3:  # make (u + v sqrt(d)) / den a root of p
+            p = poly_mul(p, [u * u - v * v * d, -2 * u * den, den * den])
+        cases.append((p, u, v, d, den))
+    zeros = 0
+    for p, u, v, d, den in cases:
+        sign = sign_at_surd(p, u, v, d, den)
+        assert sign == poly_eval_surd(p, Surd(F(u, den), F(v, den), d)).sign(), (p, u, v, d, den)
+        if v == 0 or d == 0:
+            value = poly_eval(p, F(u, den))
+            assert sign == (value > 0) - (value < 0)
+        zeros += sign == 0
+    assert zeros > 150
+    assert sign_at_surd([5], 1, 1, 2) == 1 and sign_at_surd([], 1, 1, 2) == 0
+    for den, d in ((0, 2), (-2, 2), (1, -1)):
+        with pytest.raises(ValueError):
+            sign_at_surd([-1, -1, 1], 1, 1, d, den)
+
+
+def test_poly_eval_keeps_integer_points_integral():
+    assert poly_eval([1, 2, 3], 2) == 17 and type(poly_eval([1, 2, 3], 2)) is int
+    assert poly_eval([], -4) == 0 and type(poly_eval([], -4)) is int
+    assert poly_eval([1, 2, 3], F(1, 2)) == F(11, 4) and type(poly_eval([], F(1, 2))) is F
 
 
 def test_sturm_chain_with_surd_endpoint():

@@ -410,4 +410,4 @@ def test_q_singular_iff_bipartite_component(graphs_by_order):
     for n in range(1, 7):
         for g in graphs_by_order[n]:
             mult0 = _counter(g).multiplicity(0)
-            assert mult0 == sum(c is not None for c in component_colorings(g))
+            assert mult0 == sum(c is not None for c in component_colorings(g.rows))

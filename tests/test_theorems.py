@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from qng.graph import (
     to_graph6,
     twin_classes,
 )
-from qng import spectra, theorems
+from qng import polys, spectra, theorems
 from qng.cli import _resolve_check, build_predicate
 from qng.enumeration import FILTERS, scan
 from qng.spectra import char_poly_exact, ng_sum, spectrum
@@ -188,6 +189,16 @@ def test_lemma27_examples():
     assert check_lemma27(path(4), (0, 3)).verdict == STRICT
     assert check_lemma27(path(4), (0, 1)).verdict == NOT_APPLICABLE  # already an edge
     assert check_lemma27(disjoint_union(complete(2), complete(2)), (0, 2)).verdict == NOT_APPLICABLE
+
+
+def test_lemma28_structure_builds_no_complement(monkeypatch):
+    """Lemma 2.8's equality structure reads the complement's adjacency rows: an order-7
+    scan builds no complement graph in ``theorems`` and keeps its counts."""
+    calls = []
+    monkeypatch.setattr(theorems, "complement", lambda g: calls.append(g) or complement(g))
+    result = scan(7, "all", check_lemma28)
+    assert (result.total, result.counts) == (1044, {EQUALITY: 88, STRICT: 956})
+    assert calls == []
 
 
 def test_lemma28_examples():
@@ -423,6 +434,47 @@ def test_proof_check_thm12_spot_values():
         proof_check_thm12(4, 4)
     with pytest.raises(ValueError):
         proof_check_thm12(3, 1)
+
+
+@pytest.mark.parametrize("only_third", [False, True])
+def test_proof_check_thm12_root_tests_bite(monkeypatch, only_third):
+    """A closed-form root test fails once its 2x2 characteristic polynomial is off by one
+    in the constant term: all three quotients, or the third (den = n - 2 > 1) alone."""
+    exact = theorems._two_by_two_char
+
+    def perturbed(entries, den=1):
+        p = exact(entries, den)
+        return [p[0] + 1] + p[1:] if den > 1 or not only_third else p
+
+    monkeypatch.setattr(theorems, "_two_by_two_char", perturbed)
+    for n, d2 in ((6, 2), (8, 4), (20, 7)):
+        assert not proof_check_thm12(n, d2)
+
+
+def test_proof_check_thm12_builds_no_surd(monkeypatch):
+    """Theorem 1.2's root tests run on integers alone: no ``Surd`` is built or evaluated."""
+    def refuse(*args):
+        raise AssertionError("a Surd was built")
+
+    for module, name in ((theorems, "Surd"), (polys, "Surd"), (polys, "poly_eval_surd")):
+        monkeypatch.setattr(module, name, refuse)
+    assert proof_check_thm12(20, 7) and proof_check_thm12(50, 1)
+
+
+def test_proof_check_thm15_root_tests_bite(monkeypatch):
+    """Shifting the numerator of every surd point fails the proof, and so does shifting it
+    only at the root tests that ``proof_check_thm15`` makes itself."""
+    exact = polys.sign_at_surd
+
+    def shifted(p, u, v, d, den=1):
+        return exact(p, u + 1, v, d, den)
+
+    assert proof_check_thm15(10)
+    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), "sign_at_surd": shifted}))
+    assert not proof_check_thm15(10)
+    monkeypatch.undo()
+    monkeypatch.setattr(polys, "sign_at_surd", shifted)
+    assert not proof_check_thm15(10)
 
 
 def test_proof_check_thm15_spot_values():
