@@ -2,7 +2,8 @@
 
 The data file freezes what ``qng`` prints for ``check``/``report``/``scan`` in
 every format, a scan of every registered theorem over n = 4..7, the ``ng``
-sums, every scan predicate kind, a ``--jobs 2`` scan, a proof-check sweep and
+sums, every scan predicate kind, a ``--jobs 2`` scan, two proof-check sweeps, the
+second across the 32-vertex limit of the blown-up graphs, and
 a scan of the external order-9 stream ``tests/data/stream9.g6`` under ``--jobs``
 1, 2 and 3, a ``cobar-disconnected`` scan under ``--jobs 2``, and the ``ng``
 check and scan of P4, whose lambda_2 sum equals the irrational bound
@@ -60,6 +61,7 @@ COMMANDS: list[list[str]] = [
     ["scan", "--n", "4", "--filter", "connected", "--predicate", "sum-le 0", "--format", "json"],
     ["scan", "--n", "7", "--filter", "connected", "--thm", "2.8", "--jobs", "2", "--format", "json"],
     ["proof-check", "--thm", "1.5", "--n-range", "8..12"],
+    ["proof-check", "--thm", "1.5", "--n-range", "30..35", "--format", "json"],
     *(["scan", "--n", "9", "--input", "tests/data/stream9.g6", "--filter", "connected",
        "--thm", "problem1.2", "--jobs", jobs, "--format", fmt]
       for jobs in ("1", "2", "3") for fmt in ("text", "json")),

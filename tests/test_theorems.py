@@ -477,6 +477,32 @@ def test_proof_check_thm15_root_tests_bite(monkeypatch):
     assert not proof_check_thm15(10)
 
 
+@pytest.mark.parametrize("check, args, count, digest", [
+    (proof_check_thm15, (8,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
+    (proof_check_thm15, (10,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
+    (proof_check_thm15, (32,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
+    (proof_check_thm15, (33,), 30, "533a6e90125ec74b4af41abe1c7a5ee7e358cedf44412bf84f1bfbc4c563de29"),
+    (proof_check_thm15, (50,), 30, "533a6e90125ec74b4af41abe1c7a5ee7e358cedf44412bf84f1bfbc4c563de29"),
+    (proof_check_thm12, (6, 2), 25, "64ac5b3d09f1491eacb865a82370170fecffcf4cc7a9b89119b1167b35efb3f1"),
+    (proof_check_thm12, (20, 7), 63, "45d5e2403f39edd0c62a4bded16f18231af8823d481c9c54e46738de8782af78"),
+], ids=["thm15-8", "thm15-10", "thm15-32", "thm15-33", "thm15-50", "thm12-6-2", "thm12-20-7"])
+def test_proof_check_label_sequences_are_pinned(monkeypatch, check, args, count, digest):
+    """Every check a proof makes runs, in order, with its outcome: the (label, outcome)
+    sequence has a pinned length and sha256.  n = 33 is the first order past the
+    32-vertex cross-check of the blown-up graphs."""
+    recorded = []
+    expect = theorems._Checks.expect
+
+    def record(self, condition, label):
+        recorded.append(f"{label}\t{int(bool(condition))}")
+        expect(self, condition, label)
+
+    monkeypatch.setattr(theorems._Checks, "expect", record)
+    assert check(*args)
+    assert len(recorded) == count
+    assert hashlib.sha256("\n".join(recorded).encode()).hexdigest() == digest
+
+
 def test_proof_check_thm15_spot_values():
     # n = 9: beta_2 = (7 + sqrt 29)/2 matches the float q_2 of the hub graph
     beta = (9 - 2 + math.sqrt(9 * 9 - 8 * 9 + 20)) / 2
