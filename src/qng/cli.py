@@ -355,15 +355,14 @@ def _cmd_scan(args) -> int:
 
 def _cmd_proof_check(args) -> int:
     outcomes = []
+    least = {"1.2": 4, "1.5": 8}[args.thm]
     for n in _iter_orders(args):
+        if n < least:
+            raise UsageError(f"proof-check --thm {args.thm} requires n >= {least}, got n={n}")
         if args.thm == "1.2":
-            if n < 4:
-                raise UsageError(f"proof-check --thm 1.2 requires n >= 4, got n={n}")
             ok = all(proof_check_thm12(n, d2) for d2 in range(1, n - 1))
-        elif args.thm == "1.5":
-            ok = proof_check_thm15(n)
         else:
-            raise UsageError("proof-check supports --thm 1.2 or 1.5")
+            ok = proof_check_thm15(n)
         outcomes.append((n, ok))
     if args.format == "json":
         text = json.dumps({str(n): ok for n, ok in outcomes}, sort_keys=True) + "\n"

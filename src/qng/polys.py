@@ -25,7 +25,10 @@ every sign comes from counts.
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
 p((u + v sqrt(d)) / den) by Horner's rule on integer pairs, so closed-form roots
-like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified with no floats or fractions.
+like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified with no floats or fractions;
+every surd test of both proof checks runs on it.  A ``Surd`` a + b sqrt(d) has no
+arithmetic: it is only a bound of a root-sum comparison and a point to count
+roots at, where root counting runs the same kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite, isqrt, lcm, sqrt
+from math import gcd, isfinite, isqrt, lcm
 from typing import Sequence, Union
 
 Poly = list[int]
@@ -165,7 +168,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 
 @dataclass(frozen=True)
 class Surd:
-    """The real number a + b*sqrt(d) with rational a, b and integer d >= 0."""
+    """The real number a + b*sqrt(d) with rational a, b and integer d >= 0: a bound or a point."""
 
     a: Fraction
     b: Fraction
@@ -174,43 +177,6 @@ class Surd:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("surd radicand must be nonnegative")
-
-    def _aligned(self, other) -> tuple["Surd", "Surd"]:
-        if not isinstance(other, Surd):
-            other = Surd(Fraction(other), Fraction(0), self.d)
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise ValueError("mixed radicands")
-        d = self.d if self.b != 0 else (other.d if other.b != 0 else self.d)
-        return Surd(self.a, self.b, d), Surd(other.a, other.b, d)
-
-    def __add__(self, other) -> "Surd":
-        s, o = self._aligned(other)
-        return Surd(s.a + o.a, s.b + o.b, s.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Surd":
-        s, o = self._aligned(other)
-        return Surd(s.a - o.a, s.b - o.b, s.d)
-
-    def __rsub__(self, other) -> "Surd":
-        s, o = self._aligned(other)
-        return Surd(o.a - s.a, o.b - s.b, s.d)
-
-    def __mul__(self, other) -> "Surd":
-        s, o = self._aligned(other)
-        return Surd(s.a * o.a + s.b * o.b * s.d, s.a * o.b + s.b * o.a, s.d)
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        return _surd_sign(self.a, self.b, self.d)
-
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * sqrt(self.d)
 
 
 def _sign(x) -> int:
@@ -236,16 +202,6 @@ def sign_at_surd(p: Sequence[int], u: int, v: int, d: int, den: int = 1) -> int:
     if den <= 0 or d < 0:
         raise ValueError(f"surd needs den > 0 and d >= 0, not den={den}, d={d}")
     return _surd_sign(*_value_surd(p, u, v, d, den), d) if p else 0
-
-
-def poly_eval_surd(p: Poly, x: Surd) -> Surd:
-    """p(x) exactly, by Horner's rule on integer pairs over one denominator."""
-    if not p:
-        return Surd(Fraction(0), Fraction(0), x.d)
-    (u, v), den = _over_common_denominator((x.a, x.b))
-    big, small = _value_surd(p, u, v, x.d, den)
-    scale = den ** (len(p) - 1)
-    return Surd(Fraction(big, scale), Fraction(small, scale), x.d)
 
 
 def _surd_parts(c) -> tuple[Fraction, Fraction, int]:

@@ -706,7 +706,10 @@ def proof_check_thm15(n: int) -> bool:
     c = _Checks()
     F = Fraction
     disc = n * n - 8 * n + 20
-    beta2 = Surd(F(n - 2, 2), F(1, 2), disc)
+    beta2 = Surd(F(n - 2, 2), F(1, 2), disc)  # the point of the two root counts
+
+    def sign_at_beta2(p) -> int:
+        return polys.sign_at_surd(p, n - 2, 1, disc, 2)
 
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
     phi = char_poly_exact(_blow_up_quotient(c, double_hub(n - 5, 1, 2), "(n-5,1,2)")[0])
@@ -722,30 +725,30 @@ def proof_check_thm15(n: int) -> bool:
     quotient2, g2 = _blow_up_quotient(c, hub2, "(n-4,1,1)")
     quotient3, g2c = _blow_up_quotient(c, hub2.complement(), "complement (n-4,1,1)")
     phi2 = char_poly_exact(quotient2)
-    c.expect(polys.sign_at_surd(phi2, n - 2, 1, disc, 2) == 0, "beta_2 is a quotient eigenvalue")
+    c.expect(sign_at_beta2(phi2) == 0, "beta_2 is a quotient eigenvalue")
     c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
-    c.expect((beta2 - 2).sign() == 1, "beta_2 exceeds the replicated eigenvalue 2")
+    c.expect(sign_at_beta2([-2, 1]) == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
-        c.expect(abs(spectrum(g2, "Q").value(2) - float(beta2)) < 1e-8, "float q_2 matches beta_2")
+        c.expect(abs(spectrum(g2, "Q").value(2) - (n - 2 + sqrt(disc)) / 2) < 1e-8, "float q_2 matches beta_2")
 
     phi3 = char_poly_exact(quotient3)
     cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
     f2 = _poly_in_n(n, [[-4, 1], [2, -1], [1]])
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
-    c.expect(polys.sign_at_surd(f2, n - 2, 1, disc, 2) == 0, "gamma_1' root formula")
+    c.expect(sign_at_beta2(f2) == 0, "gamma_1' root formula")
     c.expect(polys.sign_at_surd(f2, n - 2, -1, disc, 2) == 0, "gamma_2' root formula")
     c.expect(polys.poly_eval(cubic, 2 * n - 6) == -4 * n + 16, "f_1(2n-6) evaluation")
     c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
-    f1_at = polys.poly_eval_surd(cubic, beta2)
-    claim = Surd(F(-2 * (n - 4) * (n - 3)), F(2 * (n - 4)), disc)
-    c.expect((f1_at - claim).is_zero(), "f_1(gamma_1') closed form")
-    c.expect(f1_at.sign() == -1, "f_1(gamma_1') negative")
+    # the closed form -2(n-4)(n-3) + 2(n-4)sqrt(disc) of f_1(gamma_1'), with sqrt(disc) = 2x - (n-2)
+    claim = [-2 * (n - 4) * (2 * n - 5), 4 * (n - 4), 0, 0]
+    c.expect(sign_at_beta2([a - b for a, b in zip(cubic, claim)]) == 0, "f_1(gamma_1') closed form")
+    c.expect(sign_at_beta2(cubic) == -1, "f_1(gamma_1') negative")
     c.expect(polys.root_counter(phi3).count_gt(beta2) == 1, "exactly one complement quotient eigenvalue above gamma_1'")
-    c.expect((beta2 - (n - 4)).sign() == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
+    c.expect(sign_at_beta2([4 - n, 1]) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
     if g2c is not None:
-        c.expect(abs(spectrum(g2c, "Q").value(2) - float(beta2)) < 1e-8, "float q_2 of complement matches gamma_1'")
-    total = Surd(F(2 * n - 5), F(0), disc) - (beta2 + beta2)
-    c.expect(total.sign() == 1, "equal second eigenvalues stay below 2n-5")
+        c.expect(abs(spectrum(g2c, "Q").value(2) - (n - 2 + sqrt(disc)) / 2) < 1e-8,
+                 "float q_2 of complement matches gamma_1'")
+    c.expect(sign_at_beta2([2 * n - 5, -2]) == 1, "equal second eigenvalues stay below 2n-5")
 
     # -- single hub side empty, blocks (n-4, 0, 2)
     phi4 = char_poly_exact(_blow_up_quotient(c, double_hub(n - 4, 0, 2), "(n-4,0,2)")[0])

@@ -306,6 +306,13 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     assert err == f"error: --jobs takes a positive number of worker processes, got {jobs}\n"
 
 
+# the whole error line of some of the bad inputs below
+ERROR_LINES = {
+    ("proof-check", "--thm", "1.2", "--n", "2"): "error: proof-check --thm 1.2 requires n >= 4, got n=2\n",
+    ("proof-check", "--thm", "1.5", "--n", "7"): "error: proof-check --thm 1.5 requires n >= 8, got n=7\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--n", "5", "--predicate", "sum-le 3/0"],
     ["scan", "--n", "5", "--predicate", " "],
@@ -322,6 +329,7 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     ["check", "--thm", "1.3", "--family", "99999999999999999999K1"],
     ["proof-check", "--thm", "1.2", "--n", "2"],
     ["proof-check", "--thm", "1.2", "--n-range", "0..2"],
+    ["proof-check", "--thm", "1.5", "--n", "7"],
     ["proof-check", "--thm", "1.5", "--n", "8", "--format", "csv"],
     ["enumerate", "--n", "3", "--format", "json"],
     ["enumerate", "--n", "3", "--format", "csv"],
@@ -338,7 +346,7 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
-        "proof-check-small-n", "proof-check-small-n-range", "proof-check-csv",
+        "proof-check-small-n", "proof-check-small-n-range", "proof-check-thm15-small-n", "proof-check-csv",
         "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check",
         "check-graph6-and-family", "report-graph6-and-family", "spectrum-graph6-and-family",
         "scan-n-and-n-range", "proof-check-n-and-n-range", "check-kind-without-ng",
@@ -347,6 +355,8 @@ def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+    if tuple(argv) in ERROR_LINES:
+        assert err == ERROR_LINES[tuple(argv)]
 
 
 def test_empty_scan_line_ends_in_its_total(tmp_path, capsys):

@@ -19,7 +19,6 @@ from qng.polys import (
     compare_root_sum,
     isolate_kth_largest,
     poly_eval,
-    poly_eval_surd,
     poly_exact_div,
     poly_gcd,
     poly_mul,
@@ -108,9 +107,10 @@ def test_compose_linear():
             p = poly_mul(p, [-root.numerator, root.denominator])
         q = reflection_norm(p, c)
         assert len(q) == 2 * len(p) - 1 and math.gcd(*q) == 1 and q[-1] > 0
-        for alpha in rational + [Surd(e, f, d), Surd(e, -f, d)]:
-            for point in (c, Surd(c.a, -c.b, d)):
-                assert poly_eval_surd(q, point - alpha).is_zero(), (p, c, alpha)
+        for a, b in [(root, 0) for root in rational] + [(e, f), (e, -f)]:
+            for cb in (c.b, -c.b):  # c and its conjugate, minus the root a + b sqrt(d)
+                den = math.lcm((c.a - a).denominator, (cb - b).denominator)
+                assert sign_at_surd(q, int((c.a - a) * den), int((cb - b) * den), d, den) == 0, (p, c, a, b)
 
 
 def test_compare_root_sum_decides_rational_and_surd_bounds():
@@ -219,30 +219,23 @@ def test_compare_kth_roots():
             assert compare_kth_roots(pa, ka, pb, kb, *near) == sign, (pa, ka, pb, kb, near)
 
 
-def test_surd_arithmetic_and_sign():
-    s = Surd(F(0), F(1), 2)
-    assert (s * s).a == 2 and (s * s).b == 0
-    assert (s - 1).sign() == 1 and (s - 2).sign() == -1
-    assert Surd(F(3), F(-1), 9).is_zero()  # 3 - sqrt(9)
-    assert Surd(F(-3), F(1), 8).sign() == -1
-    assert Surd(F(-3), F(1), 10).sign() == 1
-    with pytest.raises(ValueError):
-        Surd(F(1), F(1), 2) + Surd(F(1), F(1), 3)
-    # mixing is fine when one side is rational
-    assert (Surd(F(1), F(0), 3) + Surd(F(1), F(1), 2)).d == 2
+def _surd_horner_sign(p, a, b, d):
+    """Sign of p(a + b sqrt(d)) by Horner's rule on ``Fraction`` pairs, then a^2 against b^2 d."""
+    x, y = F(0), F(0)
+    for c in reversed(p):
+        x, y = x * a + y * b * d + c, x * b + y * a
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sy == 0 or d == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    gap = x * x - y * y * d  # opposite signs: the part with the larger square decides
+    return sx if gap > 0 else sy if gap < 0 else 0
 
 
-def test_poly_eval_surd_golden_ratio():
-    p = [-1, -1, 1]  # x^2 - x - 1
-    phi = Surd(F(1, 2), F(1, 2), 5)
-    assert poly_eval_surd(p, phi).is_zero()
-    assert poly_eval_surd(p, Surd(F(1, 2), F(-1, 2), 5)).is_zero()
-    assert not poly_eval_surd(p, Surd(F(1), F(1), 5)).is_zero()
-
-
-def test_sign_at_surd_matches_the_surd_path():
-    """The integer kernel gives the sign of p((u + v sqrt(d)) / den) that evaluating p at
-    the ``Surd`` gives, over seeded random polynomials and points, and at roots."""
+def test_sign_at_surd_matches_fraction_horner():
+    """The integer kernel gives the sign of p((u + v sqrt(d)) / den) that an exact ``Fraction``
+    Horner gives, over seeded random polynomials and points, at roots and at known signs."""
     rng = random.Random(28)
     cases = [([0, 1], 3, -1, 9, 1),  # 3 - sqrt(9) = 0
              ([-1, -1, 1], 1, 1, 5, 2), ([-1, -1, 1], 1, -1, 5, 2), ([-1, -1, 1], 2, 2, 5, 4),  # golden ratio
@@ -256,19 +249,30 @@ def test_sign_at_surd_matches_the_surd_path():
         if rng.random() < 0.3:  # make (u + v sqrt(d)) / den a root of p
             p = poly_mul(p, [u * u - v * v * d, -2 * u * den, den * den])
         cases.append((p, u, v, d, den))
+    for _ in range(300):  # rational coefficients cleared, rational parts over one denominator
+        p = scaled([F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))])
+        a, b = F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12))
+        den = math.lcm(a.denominator, b.denominator)
+        cases.append((p, int(a * den), int(b * den), rng.randint(0, 60), den))
     zeros = 0
     for p, u, v, d, den in cases:
         sign = sign_at_surd(p, u, v, d, den)
-        assert sign == poly_eval_surd(p, Surd(F(u, den), F(v, den), d)).sign(), (p, u, v, d, den)
+        assert sign == _surd_horner_sign(p, F(u, den), F(v, den), d), (p, u, v, d, den)
         if v == 0 or d == 0:
             value = poly_eval(p, F(u, den))
             assert sign == (value > 0) - (value < 0)
         zeros += sign == 0
     assert zeros > 150
+    # 3 - sqrt(9) = 0, -3 + sqrt(8) < 0 < -3 + sqrt(10); x^2 - x - 1 vanishes at (1 +- sqrt(5))/2, not at 1 + sqrt(5)
+    assert [sign_at_surd([0, 1], *point) for point in ((3, -1, 9), (-3, 1, 8), (-3, 1, 10))] == [0, -1, 1]
+    assert sign_at_surd([-1, -1, 1], 1, 1, 5, 2) == sign_at_surd([-1, -1, 1], 1, -1, 5, 2) == 0
+    assert sign_at_surd([-1, -1, 1], 1, 1, 5) == 1
     assert sign_at_surd([5], 1, 1, 2) == 1 and sign_at_surd([], 1, 1, 2) == 0
     for den, d in ((0, 2), (-2, 2), (1, -1)):
         with pytest.raises(ValueError):
             sign_at_surd([-1, -1, 1], 1, 1, d, den)
+    with pytest.raises(ValueError):
+        Surd(F(1), F(1), -2)
 
 
 def test_poly_eval_keeps_integer_points_integral():
@@ -352,20 +356,3 @@ def test_root_counter_against_multiplicities(rng=random.Random(23)):
         for q in sorted(quadratics):
             want = poly_mul(want, list(q))
         assert counter.tower[0][0] == want
-
-
-def _naive_eval_surd(p, x):
-    acc = Surd(F(0), F(0), x.d)
-    for c in reversed(p):
-        acc = acc * x + Surd(F(c), F(0), x.d)
-    return acc
-
-
-def test_poly_eval_surd_matches_naive_horner(rng=random.Random(29)):
-    for _ in range(300):
-        p = scaled([F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))])
-        x = Surd(F(rng.randint(-30, 30), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12)),
-                 rng.randint(0, 60))
-        got = poly_eval_surd(p, x)
-        assert got == _naive_eval_surd(p, x)
-        assert isinstance(got.a, F) and isinstance(got.b, F) and got.d == x.d

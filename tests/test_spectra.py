@@ -303,7 +303,7 @@ def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random
                     s = rng.choice((F(1), F(1, 2)))
                     bound = polys.Surd(F(round(2 * (value - float(s) * math.sqrt(d))), 2), s, d)
                     got = _sum_sign(g, cg, kind, k, kc, bound)
-                    gap = value - float(bound)
+                    gap = value - (float(bound.a) + float(bound.b) * math.sqrt(bound.d))
                     if abs(gap) > 1e-6:
                         assert got == (gap > 0) - (gap < 0), (to_graph6(g), kind, k, kc, bound)
                     if got == 0:

@@ -452,13 +452,30 @@ def test_proof_check_thm12_root_tests_bite(monkeypatch, only_third):
 
 
 def test_proof_check_thm12_builds_no_surd(monkeypatch):
-    """Theorem 1.2's root tests run on integers alone: no ``Surd`` is built or evaluated."""
+    """Theorem 1.2's root tests run on integers alone: no ``Surd`` is built."""
     def refuse(*args):
         raise AssertionError("a Surd was built")
 
-    for module, name in ((theorems, "Surd"), (polys, "Surd"), (polys, "poly_eval_surd")):
-        monkeypatch.setattr(module, name, refuse)
+    for module in (theorems, polys):
+        monkeypatch.setattr(module, "Surd", refuse)
     assert proof_check_thm12(20, 7) and proof_check_thm12(50, 1)
+
+
+@pytest.mark.parametrize("n", [8, 33])
+def test_proof_check_thm15_builds_one_surd(monkeypatch, n):
+    """Theorem 1.5's surd tests run on integers: the one ``Surd`` built is beta_2, the
+    point of the two root counts."""
+    built = []
+
+    class Counted(polys.Surd):
+        def __post_init__(self):
+            built.append((self.a, self.b, self.d))
+            super().__post_init__()
+
+    for module in (theorems, polys):
+        monkeypatch.setattr(module, "Surd", Counted)
+    assert proof_check_thm15(n)
+    assert built == [(F(n - 2, 2), F(1, 2), n * n - 8 * n + 20)]
 
 
 def test_proof_check_thm15_root_tests_bite(monkeypatch):
