@@ -26,7 +26,7 @@ from .graph import (
     to_graph6,
 )
 from .spectra import Spectrum, char_poly_exact, ng_sum, q_matrix
-from .partitions import is_equitable, quotient_matrix
+from .partitions import equitable_quotient
 from .enumeration import ScanResult, canonical_form, enumerate_graphs, scan
 from .theorems import BoundReport, proof_check_thm12, proof_check_thm15
 

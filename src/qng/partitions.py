@@ -1,22 +1,19 @@
-"""Vertex partitions and quotient matrices of the signless Laplacian.
+"""Vertex partitions and the integer quotient of the signless Laplacian.
 
-Quotient entries are exact rationals so that root-placement arguments (for
-example sign evaluations of quotient characteristic polynomials) never pass
-through floats.  One table of per-vertex Q-row sums into each block feeds
-both the quotient matrix and the equitability test.
+A partition X_1, ..., X_k of V(G) is equitable when every vertex of X_i has the
+same Q(G)-row sum b_ij into X_j, for all i and j.  The quotient (b_ij) is then an
+integer matrix, and its eigenvalues are Q-eigenvalues of G.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .graph import Graph
 
-VertexPartition = tuple[tuple[int, ...], ...]
 
-
-def validate_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> VertexPartition:
+def validate_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The blocks as tuples, if they are nonempty and split 0..n-1, else ValueError."""
     norm = tuple(tuple(b) for b in blocks)
     seen = 0
     for block in norm:
@@ -33,29 +30,18 @@ def validate_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> VertexParti
     return norm
 
 
-def _block_sums(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[VertexPartition, list[list[list[int]]]]:
-    """The validated partition and its table of Q-row sums: ``sums[i][k][j]`` is
-    the sum of the Q(G) row of the k-th vertex of X_i over the columns in X_j."""
+def equitable_quotient(g: Graph, blocks: Sequence[Sequence[int]]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The quotient of Q(G) over an equitable partition: entry (i, j) is the Q-row sum
+    of each vertex of X_i over the columns in X_j.  None if the partition is not
+    equitable, found at the first vertex whose sums differ from its block's first."""
     norm = validate_partition(g, blocks)
     masks = [sum(1 << v for v in block) for block in norm]
 
-    def row_sums(u: int) -> list[int]:
+    def row_sums(u: int) -> tuple[int, ...]:
         row = g.rows[u]
-        return [(row & mask).bit_count() + (row.bit_count() if mask >> u & 1 else 0) for mask in masks]
+        return tuple((row & mask).bit_count() + (row.bit_count() if mask >> u & 1 else 0) for mask in masks)
 
-    return norm, [[row_sums(u) for u in block] for block in norm]
-
-
-def quotient_matrix(g: Graph, blocks: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact quotient of Q(G): entry (i, j) averages block rows of X_i into X_j."""
-    norm, sums = _block_sums(g, blocks)
-    return tuple(
-        tuple(Fraction(sum(column), len(block)) for column in zip(*rows))
-        for block, rows in zip(norm, sums)
-    )
-
-
-def is_equitable(g: Graph, blocks: Sequence[Sequence[int]]) -> bool:
-    """True when every vertex of X_i has the same Q-row sum into X_j, all i, j."""
-    _, sums = _block_sums(g, blocks)
-    return all(len(set(column)) == 1 for rows in sums for column in zip(*rows))
+    quotient = tuple(row_sums(block[0]) for block in norm)
+    if any(row_sums(u) != sums for block, sums in zip(norm, quotient) for u in block[1:]):
+        return None
+    return quotient

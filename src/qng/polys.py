@@ -239,7 +239,9 @@ def reflection_norm(p: Sequence[int], c) -> Poly:
     return [-x for x in norm] if norm[-1] < 0 else norm
 
 
-Point = Union[Fraction, Surd, object]
+#: A point of the real line at which a Sturm chain is signed: an ``int``, a
+#: ``Fraction``, a ``Surd`` or ``POS_INF``.
+Point = Union[int, Fraction, Surd, object]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +254,6 @@ def _signs_at(chain: list[Poly], x: Point) -> list[int]:
     if isinstance(x, Surd):
         (u, v), den = _over_common_denominator((x.a, x.b))
         return [sign_at_surd(p, u, v, x.d, den) for p in chain]
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
     a, b = x.numerator, x.denominator
     return [_sign(_value(p, a, b)) for p in chain]
 

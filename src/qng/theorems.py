@@ -70,7 +70,7 @@ from .graph import (
     twin_classes,
 )
 from .enumeration import FILTERS, canonical_form, isomorphism_witness
-from .partitions import is_equitable, quotient_matrix
+from .partitions import equitable_quotient
 from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
@@ -218,21 +218,18 @@ def float_sign(approx, target, trusted: tuple[int, ...] = (-1, 1)):
 
 def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *,
            families: Optional[Callable[[int], tuple]] = None, structure: Optional[bool] = None,
-           violated: str = "BOUND VIOLATED (exactly confirmed)", rhs_exact: Optional[str] = None,
-           trusted: Optional[tuple[int, ...]] = None) -> BoundReport:
+           violated: str = "BOUND VIOLATED (exactly confirmed)", rhs_exact: Optional[str] = None) -> BoundReport:
     """The report of ``value relation rhs`` for the quantity screened by ``lhs``.
 
     ``exact()`` is the exact sign of value - rhs, called unless ``float_sign``
-    decides a sign of ``trusted``, by default the signs that satisfy the
-    relation (a hypothesis trusts both).  A certified equality is
+    decides a sign that satisfies the relation.  A certified equality is
     matched against ``families(g.n)``, built only then.  With ``structure``
     given (a ``KthBound`` row's equality characterization on g), equality must
     hold exactly when it is true, and the float may not skip the exact step
     while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
     """
     holds = RELATION_SIGNS[relation]
-    trusted = _FLOAT_SIGNS[relation] if trusted is None else trusted
-    sign = float_sign(lhs, float(rhs), () if structure else trusted)
+    sign = float_sign(lhs, float(rhs), () if structure else _FLOAT_SIGNS[relation])
     certified = sign == 0
     sign = sign or exact()
     verdict, notes, match = STRICT, "", None
@@ -406,13 +403,15 @@ class KthBound(_Row):
 
     def holds(self, g: Graph) -> bool:
         """The row as a hypothesis on a graph it applies to: whether it is not violated,
-        with the float trusted on either sign beyond ``ESCALATION_WINDOW``."""
-        return self._report(g, self._terms(g), trusted=(-1, 1)).verdict != VIOLATED
+        with the float trusted on either sign beyond ``ESCALATION_WINDOW``.  It builds no report."""
+        rhs, k = self._terms(g)[0], self._index(g.n)
+        sign = float_sign(spectrum(g, "Q").value(k), float(rhs)) or compare_qk_with(g, k, rhs)
+        return sign in RELATION_SIGNS[self.relation]
 
-    def _report(self, g: Graph, terms: tuple[Fraction, Optional[bool]], trusted=None) -> BoundReport:
+    def _report(self, g: Graph, terms: tuple[Fraction, Optional[bool]]) -> BoundReport:
         (rhs, structure), k = terms, self._index(g.n)
         report = decide(g, self.bound, spectrum(g, "Q").value(k), rhs, lambda: compare_qk_with(g, k, rhs),
-                        self.relation, structure=structure, trusted=trusted)
+                        self.relation, structure=structure)
         if self.consequence and report.verdict == EQUALITY and not self.consequence[0](g):
             return replace(report, verdict=VIOLATED, lhs_exact=None, notes=self.consequence[1])
         return report
@@ -674,19 +673,19 @@ def _poly_in_n(n: int, coeff_rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(sum(a * n ** i for i, a in enumerate(row)) for row in coeff_rows)
 
 
-def _blow_up_quotient(c: _Checks, b: BlowUp, label: str) -> tuple[tuple[tuple[int, ...], ...], Optional[Graph]]:
-    """``b.quotient()``, and the graph of ``b`` cross-checked against it while it fits 32
-    vertices, else None: its cells are equitable, with that quotient, and each cell of two
-    or more vertices lies in one twin class, closed for a clique and open for a coclique."""
-    quotient = b.quotient()
-    if sum(b.sizes) > MAX_VERTICES:
-        return quotient, None
-    g, cells = b.graph(), b.cells()
-    c.expect(quotient_matrix(g, cells) == quotient and is_equitable(g, cells), f"equitable cells {label}")
-    classes = twin_classes(g.rows)
-    c.expect(all(any(set(cell) <= set(members) for members in classes[clique])
-                 for cell, clique in zip(cells, b.cliques) if len(cell) > 1), f"twin cells {label}")
-    return quotient, g
+def _blow_up_char_poly(c: _Checks, b: BlowUp, label: str) -> tuple[tuple[int, ...], Optional[Graph]]:
+    """The char poly of ``b.quotient()``, and the graph of ``b`` cross-checked against that
+    quotient while it fits 32 vertices, else None: its cells are equitable, with that
+    quotient, and each cell of two or more vertices lies in one twin class, closed for a
+    clique and open for a coclique."""
+    quotient, g = b.quotient(), None
+    if sum(b.sizes) <= MAX_VERTICES:
+        g, cells = b.graph(), b.cells()
+        c.expect(equitable_quotient(g, cells) == quotient, f"equitable cells {label}")
+        classes = twin_classes(g.rows)
+        c.expect(all(any(set(cell) <= set(members) for members in classes[clique])
+                     for cell, clique in zip(cells, b.cliques) if len(cell) > 1), f"twin cells {label}")
+    return char_poly_exact(quotient), g
 
 
 def proof_check_thm15(n: int) -> bool:
@@ -712,7 +711,7 @@ def proof_check_thm15(n: int) -> bool:
         return polys.sign_at_surd(p, n - 2, 1, disc, 2)
 
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
-    phi = char_poly_exact(_blow_up_quotient(c, double_hub(n - 5, 1, 2), "(n-5,1,2)")[0])
+    phi = _blow_up_char_poly(c, double_hub(n - 5, 1, 2), "(n-5,1,2)")[0]
     quartic = _poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
     c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
     c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
@@ -722,16 +721,14 @@ def proof_check_thm15(n: int) -> bool:
 
     # -- double hub over blocks (n-4, 1, 1): q_2 equals (n-2+sqrt(n^2-8n+20))/2
     hub2 = double_hub(n - 4, 1, 1)
-    quotient2, g2 = _blow_up_quotient(c, hub2, "(n-4,1,1)")
-    quotient3, g2c = _blow_up_quotient(c, hub2.complement(), "complement (n-4,1,1)")
-    phi2 = char_poly_exact(quotient2)
+    phi2, g2 = _blow_up_char_poly(c, hub2, "(n-4,1,1)")
+    phi3, g2c = _blow_up_char_poly(c, hub2.complement(), "complement (n-4,1,1)")
     c.expect(sign_at_beta2(phi2) == 0, "beta_2 is a quotient eigenvalue")
     c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
     c.expect(sign_at_beta2([-2, 1]) == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
         c.expect(abs(spectrum(g2, "Q").value(2) - (n - 2 + sqrt(disc)) / 2) < 1e-8, "float q_2 matches beta_2")
 
-    phi3 = char_poly_exact(quotient3)
     cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
     f2 = _poly_in_n(n, [[-4, 1], [2, -1], [1]])
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
@@ -751,7 +748,7 @@ def proof_check_thm15(n: int) -> bool:
     c.expect(sign_at_beta2([2 * n - 5, -2]) == 1, "equal second eigenvalues stay below 2n-5")
 
     # -- single hub side empty, blocks (n-4, 0, 2)
-    phi4 = char_poly_exact(_blow_up_quotient(c, double_hub(n - 4, 0, 2), "(n-4,0,2)")[0])
+    phi4 = _blow_up_char_poly(c, double_hub(n - 4, 0, 2), "(n-4,0,2)")[0]
     cubic4 = _poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
     c.expect(phi4 == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
     c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
@@ -760,13 +757,13 @@ def proof_check_thm15(n: int) -> bool:
 
     # -- single hub side empty, blocks (n-3, 0, 1)
     hub5 = double_hub(n - 3, 0, 1)
-    phi5 = char_poly_exact(_blow_up_quotient(c, hub5, "(n-3,0,1)")[0])
+    phi5 = _blow_up_char_poly(c, hub5, "(n-3,0,1)")[0]
     cubic5 = _poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
     c.expect(phi5 == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
     c.expect(polys.poly_eval(cubic5, F(2 * n - 5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
     c.expect(F(-2 * n + 15, 8) < 0, "g(n-5/2) negative")
 
-    phi6 = char_poly_exact(_blow_up_quotient(c, hub5.complement(), "complement (n-3,0,1)")[0])
+    phi6 = _blow_up_char_poly(c, hub5.complement(), "complement (n-3,0,1)")[0]
     quartic6 = _poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
     c.expect(phi6 == quartic6, "complement char poly (n-3,0,1)")
     c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -26,3 +27,20 @@ def enum8():
     start = time.perf_counter()
     graphs = enumerate_graphs(8)
     return graphs, time.perf_counter() - start
+
+
+def _rational_quotient(g, blocks):
+    """The quotient of Q(G) over any partition, in exact rationals: entry (i, j) is the
+    average over the vertices of X_i of their Q(G)-row sums into X_j."""
+    def q(u, w):
+        return g.degree(u) if u == w else int(g.has_edge(u, w))
+
+    return tuple(tuple(Fraction(sum(q(u, w) for u in bi for w in bj), len(bi)) for bj in blocks) for bi in blocks)
+
+
+@pytest.fixture(scope="session")
+def rational_quotient():
+    """The rational quotient of Q(G) over an arbitrary partition, which ``qng`` builds
+    only for equitable ones (``partitions.equitable_quotient``): for quotient
+    interlacing (Lemma 2.3) and the weighted symmetry of the quotient."""
+    return _rational_quotient

@@ -31,7 +31,6 @@ from qng.graph import (
     to_graph6,
     twin_classes,
 )
-from qng.partitions import quotient_matrix
 from qng.spectra import (
     compare_qk_with,
     compare_sum_with,
@@ -210,7 +209,7 @@ def test_criterion_07_proof_algebra():
     _passed(7, f"proof algebra exact for n<=50 in {elapsed:.2f}s")
 
 
-def test_criterion_08_lemma_suite(graphs_by_order):
+def test_criterion_08_lemma_suite(graphs_by_order, rational_quotient):
     start = time.perf_counter()
     rng = random.Random(20240817)
     tol = 1e-8
@@ -250,7 +249,7 @@ def test_criterion_08_lemma_suite(graphs_by_order):
         blocks = [tuple(b) for b in blocks if b]
         # the quotient B is similar to the symmetric D^{1/2} B D^{-1/2}, D the block sizes
         root = np.sqrt([len(b) for b in blocks])
-        sym = np.array(quotient_matrix(g, blocks), dtype=float) * root[:, None] / root[None, :]
+        sym = np.array(rational_quotient(g, blocks), dtype=float) * root[:, None] / root[None, :]
         assert interlaces(np.linalg.eigvalsh(sym), np.linalg.eigvalsh(q))
         done += 1
 

@@ -14,6 +14,7 @@ import pytest
 import qng
 from qng.cli import main, parse_bound_expr, parse_family
 from qng.enumeration import canonical_form
+from qng.spectra import spectrum
 from qng.graph import (
     complete,
     complete_bipartite,
@@ -240,6 +241,23 @@ def test_spectrum_verb(capsys):
     assert payload["eigenvalues"] == pytest.approx([6, 2, 2, 2])
 
 
+@pytest.mark.parametrize("family, kind", [("C5", "Q"), ("C5", "L"), ("P4", "Q"), ("P4", "L")])
+def test_spectrum_verb_text_and_csv(capsys, family, kind):
+    """Both formats list the spectrum in descending order; the values are parsed, not
+    pinned, because csv prints the ``repr`` of each LAPACK float."""
+    g = parse_family(family)
+    want = spectrum(g, kind).values
+    code, out, _ = run_cli(capsys, "spectrum", "--family", family, "--kind", kind, "--format", "text")
+    prefix = f"{to_graph6(g)} {kind}-spectrum: "
+    assert code == 0 and out.startswith(prefix) and out.endswith("\n") and out.count("\n") == 1
+    assert [float(v) for v in out[len(prefix):].split()] == pytest.approx(want, abs=1e-9)
+    code, out, _ = run_cli(capsys, "spectrum", "--family", family, "--kind", kind, "--format", "csv")
+    header, *rows = out.splitlines()
+    assert (code, header) == (0, "k,value")
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, g.n + 1))
+    assert [float(row.split(",")[1]) for row in rows] == pytest.approx(want, abs=1e-9)
+
+
 def test_enumerate_verb(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--filter", "connected")
     assert code == 0
@@ -310,6 +328,8 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
 ERROR_LINES = {
     ("proof-check", "--thm", "1.2", "--n", "2"): "error: proof-check --thm 1.2 requires n >= 4, got n=2\n",
     ("proof-check", "--thm", "1.5", "--n", "7"): "error: proof-check --thm 1.5 requires n >= 8, got n=7\n",
+    ("check", "--thm", "1.2", "--family", ""): "error: empty family expression\n",
+    ("check", "--thm", "1.2", "--family", "join(K2)"): "error: join(...) needs at least two arguments\n",
 }
 
 
@@ -343,6 +363,8 @@ ERROR_LINES = {
     ["check", "--thm", "1.2", "--kind", "A", "--k", "5", "--family", "K4"],
     ["scan", "--n", "4", "--predicate", "sum-eq 2", "--kind", "L", "--k", "1"],
     ["scan", "--n", "4", "--thm", "1.2", "--k", "3"],
+    ["check", "--thm", "1.2", "--family", ""],
+    ["check", "--thm", "1.2", "--family", "join(K2)"],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
@@ -350,13 +372,21 @@ ERROR_LINES = {
         "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check",
         "check-graph6-and-family", "report-graph6-and-family", "spectrum-graph6-and-family",
         "scan-n-and-n-range", "proof-check-n-and-n-range", "check-kind-without-ng",
-        "predicate-kind-without-ng", "scan-k-without-ng"])
+        "predicate-kind-without-ng", "scan-k-without-ng", "empty-family", "join-of-one"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
     if tuple(argv) in ERROR_LINES:
         assert err == ERROR_LINES[tuple(argv)]
+
+
+def test_ng_index_past_the_order_is_not_applicable(capsys):
+    code, out, _ = run_cli(capsys, "check", "--thm", "ng", "--kind", "A", "--k", "9", "--family", "K5",
+                           "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["bound"], payload["verdict"], payload["notes"]) == (0, "ng-A9", "not-applicable",
+                                                                            "k=9 outside 1..5")
 
 
 def test_empty_scan_line_ends_in_its_total(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 from itertools import product
 
 import networkx as nx
@@ -50,14 +51,30 @@ def random_graph(rng, n, p=0.5):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, (2, 1, 0))  # wrong row count
-    with pytest.raises(ValueError):
-        Graph(1, (1,))  # self loop
-    with pytest.raises(CapacityError):
+    for n, rows, message in [(2, (2, 0), r"adjacency not symmetric at \(0, 1\)"),
+                             (2, (4, 0), r"row 0 has bits outside 0\.\.1"),
+                             (2, (2, 1, 0), "row count does not match vertex count"),
+                             (1, (1,), "vertex 0 has a self-loop")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(n, rows)
+    with pytest.raises(CapacityError, match=r"^vertex count 33 outside 1\.\.32$"):
         empty_graph(33)
+
+
+def test_builder_validation():
+    """Each builder and operator names what is wrong with its arguments."""
+    for build, message in [(lambda: path(3).with_edge(1, 1), "no self-loops"),
+                           (lambda: from_edges(3, [(0, 1), (2, 2)]), "no self-loops"),
+                           (lambda: cycle(2), "cycles need at least 3 vertices"),
+                           (lambda: complete_bipartite(0, 3), "parts must be nonempty")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+    for build, message in [(lambda: disjoint_union(complete(20), complete(13)), "union would have 33 > 32 vertices"),
+                           (lambda: join(complete(20), empty_graph(13)), "join would have 33 > 32 vertices"),
+                           (lambda: cartesian_product(complete(6), path(6)), "product would have 36 > 32 vertices"),
+                           (lambda: complete_bipartite(20, 13), "K_{20,13} exceeds 32 vertices")]:
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_graph_is_immutable_and_hashable():

@@ -1,5 +1,6 @@
-"""Quotient matrices and equitable partitions, with the lemmas they carry: quotient
-interlacing, eigenvalue containment and duplicate-class multiplicity; and the cell
+"""Equitable partitions and their integer quotients, with the lemmas they carry:
+quotient interlacing (over any partition, through the ``rational_quotient``
+fixture), eigenvalue containment and duplicate-class multiplicity; and the cell
 quotients of ``BlowUp``, checked against the graphs they blow up."""
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from qng.graph import (
     star,
 )
 from qng import polys
-from qng.graph import CapacityError, twin_classes
-from qng.partitions import is_equitable, quotient_matrix, validate_partition
+from qng.graph import CapacityError, is_regular, twin_classes
+from qng.partitions import equitable_quotient, validate_partition
 from qng.spectra import char_poly_exact, kind_char_poly, q_matrix
 
 
@@ -43,10 +44,10 @@ def random_partition(rng, n):
     return [tuple(b) for b in blocks if b]
 
 
-def quotient_eigenvalues(g, blocks):
-    """Eigenvalues of the quotient of Q(G), from the similar symmetric matrix D^{1/2} B D^{-1/2}."""
+def quotient_eigenvalues(quotient, blocks):
+    """Eigenvalues of a quotient B of Q(G), from the similar symmetric matrix D^{1/2} B D^{-1/2}."""
     root = np.sqrt([len(b) for b in blocks])
-    quot = np.array(quotient_matrix(g, blocks), dtype=float)
+    quot = np.array(quotient, dtype=float)
     return np.linalg.eigvalsh(quot * root[:, None] / root[None, :])
 
 
@@ -61,54 +62,60 @@ def interlaces(small, big, tol=1e-9):
 def contains_quotient_eigenvalues(g, blocks):
     """Exact: the quotient char poly divides the char poly of Q(G), for an equitable
     partition, whose quotient entries are integers."""
-    quotient = tuple(tuple(int(v) for v in row) for row in quotient_matrix(g, blocks))
+    quotient = equitable_quotient(g, blocks)
     return not polys.poly_rem(kind_char_poly(g, "Q"), char_poly_exact(quotient))
 
 
 def test_validate_partition_errors():
     g = path(4)
-    with pytest.raises(ValueError):
-        validate_partition(g, [(0, 1), (1, 2, 3)])  # overlap
-    with pytest.raises(ValueError):
-        validate_partition(g, [(0, 1)])  # not covering
-    with pytest.raises(ValueError):
-        validate_partition(g, [(0, 1, 2, 3), ()])  # empty block
+    for blocks, message in [([(0, 1), (1, 2, 3)], "vertex 1 in two blocks"),
+                            ([(0, 1)], "blocks do not cover the vertex set"),
+                            ([(0, 1, 2, 3), ()], "empty block"),
+                            ([(0, 1), (2, 4)], "vertex 4 out of range"),
+                            ([(0, 1), (2, -1)], "vertex -1 out of range")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_partition(g, blocks)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            equitable_quotient(g, blocks)
 
 
 def test_quotient_center_plus_matching():
     # hub joined to a perfect matching on 4 vertices: rows ((4, 4), (1, 3))
     g = join(empty_graph(1), disjoint_union(complete(2), complete(2)))
-    assert quotient_matrix(g, [(0,), (1, 2, 3, 4)]) == ((F(4), F(4)), (F(1), F(3)))
+    assert equitable_quotient(g, [(0,), (1, 2, 3, 4)]) == ((4, 4), (1, 3))
 
 
 def test_quotient_h_graph_reproduces_parametric_rows():
     n = 6
     rows = (
-        (F(2), F(0), F(0), F(1), F(1)),
-        (F(0), F(1), F(0), F(1), F(0)),
-        (F(0), F(0), F(1), F(0), F(1)),
-        (F(n - 4), F(1), F(0), F(n - 3), F(0)),
-        (F(n - 4), F(0), F(1), F(0), F(n - 3)),
+        (2, 0, 0, 1, 1),
+        (0, 1, 0, 1, 0),
+        (0, 0, 1, 0, 1),
+        (n - 4, 1, 0, n - 3, 0),
+        (n - 4, 0, 1, 0, n - 3),
     )
     hub = double_hub(n - 4, 1, 1)
-    assert quotient_matrix(h_graph(n - 4, 1, 1), hub.cells()) == rows
+    assert equitable_quotient(h_graph(n - 4, 1, 1), hub.cells()) == rows
     assert hub.quotient() == rows
 
 
-def test_quotient_single_block_is_average_row_sum():
+def test_quotient_single_block_is_average_row_sum(rational_quotient):
+    """One block averages the Q-row sums, 4m/n; it is equitable exactly when G is regular."""
     for g in (cycle(5), path(4), complete(6)):
-        assert quotient_matrix(g, [tuple(range(g.n))]) == ((F(4 * g.m, g.n),),)
+        whole = [tuple(range(g.n))]
+        assert rational_quotient(g, whole) == ((F(4 * g.m, g.n),),)
+        assert equitable_quotient(g, whole) == (((4 * g.m // g.n,),) if is_regular(g) else None)
 
 
 def test_is_equitable_examples():
     for sizes in [(1, 1, 1), (2, 1, 1), (3, 0, 1), (2, 0, 2)]:
         g = h_graph(*sizes)
-        assert is_equitable(g, double_hub(*sizes).cells())
-    assert is_equitable(star(6), [(0,), (1, 2, 3, 4, 5)])
-    assert not is_equitable(path(4), [(0, 1), (2, 3)])
+        assert equitable_quotient(g, double_hub(*sizes).cells()) is not None
+    assert equitable_quotient(star(6), [(0,), (1, 2, 3, 4, 5)]) is not None
+    assert equitable_quotient(path(4), [(0, 1), (2, 3)]) is None
 
 
-def test_quotient_interlacing_random(graphs_by_order, enum8, rng=random.Random(23)):
+def test_quotient_interlacing_random(graphs_by_order, enum8, rational_quotient, rng=random.Random(23)):
     graphs8, _ = enum8
     pool = dict(graphs_by_order)
     pool[8] = graphs8
@@ -117,16 +124,16 @@ def test_quotient_interlacing_random(graphs_by_order, enum8, rng=random.Random(2
         n = rng.randint(2, 8)
         g = rng.choice(pool[n])
         blocks = random_partition(rng, n)
-        assert interlaces(quotient_eigenvalues(g, blocks), np.linalg.eigvalsh(q_matrix(g)))
+        assert interlaces(quotient_eigenvalues(rational_quotient(g, blocks), blocks), np.linalg.eigvalsh(q_matrix(g)))
         pairs += 1
 
 
-def test_weighted_symmetry_exact(graphs_by_order, rng=random.Random(29)):
+def test_weighted_symmetry_exact(graphs_by_order, rational_quotient, rng=random.Random(29)):
     for _ in range(300):
         n = rng.randint(2, 7)
         g = rng.choice(graphs_by_order[n])
         blocks = random_partition(rng, n)
-        quot = quotient_matrix(g, blocks)
+        quot = rational_quotient(g, blocks)
         for i, bi in enumerate(blocks):
             for j, bj in enumerate(blocks):
                 assert quot[i][j] * len(bi) == quot[j][i] * len(bj)
@@ -134,7 +141,7 @@ def test_weighted_symmetry_exact(graphs_by_order, rng=random.Random(29)):
 
 def test_containment_examples():
     assert contains_quotient_eigenvalues(star(6), [(0,), (1, 2, 3, 4, 5)])
-    assert quotient_matrix(star(6), [(0,), (1, 2, 3, 4, 5)]) == ((F(5), F(5)), (F(1), F(1)))  # roots 6 and 0
+    assert equitable_quotient(star(6), [(0,), (1, 2, 3, 4, 5)]) == ((5, 5), (1, 1))  # roots 6 and 0
     assert contains_quotient_eigenvalues(h_graph(2, 1, 1), double_hub(2, 1, 1).cells())
     assert contains_quotient_eigenvalues(complete(5), [tuple(range(5))])
 
@@ -153,7 +160,7 @@ def test_containment_all_equitable_partitions_up_to_5(graphs_by_order):
     for n in range(2, 6):
         for g in graphs_by_order[n]:
             for blocks in all_partitions(list(range(n))):
-                if is_equitable(g, blocks):
+                if equitable_quotient(g, blocks) is not None:
                     assert contains_quotient_eigenvalues(g, blocks)
 
 
@@ -189,26 +196,30 @@ def _per_vertex_q_sums(g, blocks):
     return [[[sum(q(u, w) for w in other) for other in blocks] for u in block] for block in blocks]
 
 
-def _expect_quotient(g, blocks):
+def _expect_quotient(g, blocks, rational_quotient):
+    """``equitable_quotient`` is the reference's common row sums, all ``int``, when every
+    vertex of each block has the same sums, else None; the rational helper is their average."""
     sums = _per_vertex_q_sums(g, blocks)
     entries = tuple(tuple(F(sum(row[j] for row in rows), len(block)) for j in range(len(blocks)))
                     for block, rows in zip(blocks, sums))
     equitable = all(len({row[j] for row in rows}) == 1 for rows in sums for j in range(len(blocks)))
-    assert quotient_matrix(g, blocks) == entries
-    assert is_equitable(g, blocks) == equitable
+    assert rational_quotient(g, blocks) == entries
+    quotient = equitable_quotient(g, blocks)
+    assert quotient == (tuple(tuple(rows[0]) for rows in sums) if equitable else None)
+    assert quotient is None or all(type(v) is int for row in quotient for v in row)
     return equitable
 
 
-def test_quotient_and_equitable_match_per_vertex_sums(graphs_and_complements):
+def test_quotient_and_equitable_match_per_vertex_sums(graphs_and_complements, rational_quotient):
     for sizes in [(s0, s1, s2) for s0 in range(4) for s1 in range(3) for s2 in range(3) if s0 + s1 + s2]:
         g, cells = h_graph(*sizes), double_hub(*sizes).cells()
-        assert _expect_quotient(g, cells)
-        _expect_quotient(complement(g), cells)
+        assert _expect_quotient(g, cells, rational_quotient)
+        _expect_quotient(complement(g), cells, rational_quotient)
     rng = random.Random(1515)
     seen = set()
     for g in graphs_and_complements:
         for _ in range(3):
-            seen.add(_expect_quotient(g, random_partition(rng, g.n)))
+            seen.add(_expect_quotient(g, random_partition(rng, g.n), rational_quotient))
     assert seen == {False, True}
 
 
@@ -240,7 +251,7 @@ def test_blow_up_quotient_is_its_equitable_cell_quotient():
         g, cells, quotient = b.graph(), b.cells(), b.quotient()
         assert [v for cell in cells for v in cell] == list(range(g.n))
         assert tuple(map(len, cells)) == b.sizes
-        assert quotient_matrix(g, cells) == quotient and is_equitable(g, cells), b
+        assert equitable_quotient(g, cells) == quotient, b
         assert b.complement().graph() == complement(g), b
         assert b.complement().complement() == b
         assert not polys.poly_rem(kind_char_poly(g, "Q"), char_poly_exact(quotient)), b

@@ -94,6 +94,8 @@ def test_matrix_builders():
     assert q_matrix(complete(2)).tolist() == [[1, 1], [1, 1]]
     assert q_matrix(path(3)).tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
     assert matrix_of_kind(path(3), "L").tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+    with pytest.raises(ValueError, match="^unknown matrix kind 'X'$"):
+        matrix_of_kind(path(3), "X")
 
 
 def _a_matrix_by_bits(g):

@@ -353,9 +353,6 @@ def test_decide_calls_exact_arithmetic_only_where_the_float_may_not_decide():
     for r in (decide(g, "b", 5.0, F(1), exact, "<="), decide(g, "b", 1.0 + 1e-7, F(1), exact, ">=")):
         assert (r.verdict, r.certified) == (EQUALITY, True)
     assert len(calls) == 2
-    # a hypothesis trusts the float on both signs: a violation beyond the window is not compared exactly
-    r = decide(g, "b", 5.0, F(1), exact, "<=", trusted=(-1, 1))
-    assert (r.verdict, r.certified, len(calls)) == (VIOLATED, False, 2)
 
 
 def test_hypothesis_row_trusts_the_float_on_both_sides(monkeypatch):
@@ -369,6 +366,18 @@ def test_hypothesis_row_trusts_the_float_on_both_sides(monkeypatch):
     assert (test(complete(6)), test(star(6)), calls) == (False, True, [])
     assert test(complete_bipartite(3, 3)) and calls == [complete_bipartite(3, 3)]
     assert check_thm16(complete(6)).notes == note == "hypothesis q_2 <= n - 3 fails"
+
+
+def test_hypothesis_row_builds_no_report(monkeypatch):
+    """The ``q2<=n-3`` test returns a sign's verdict and builds no ``BoundReport``, on
+    either float-decided side (K6, the star) or after an exact comparison (K3,3)."""
+    built = []
+    report = theorems.BoundReport
+    monkeypatch.setattr(theorems, "BoundReport", lambda *args, **kwargs: built.append(args) or report(*args, **kwargs))
+    test, _ = theorems.HYPOTHESES["q2<=n-3"]
+    assert [test(g) for g in (complete(6), star(6), complete_bipartite(3, 3))] == [False, True, True]
+    assert built == []
+    assert check_thm16(complete(6)).verdict == NOT_APPLICABLE and len(built) == 1
 
 
 def test_decide_relation_is_data():
@@ -638,13 +647,12 @@ CHUNK_ROWS = {
 
 def _calls_spied(monkeypatch) -> list:
     """The graphs a row reports on one by one (``SumBound._report``, ``KthBound._report``) from now on;
-    a hypothesis row's test (``KthBound.holds``, which passes ``trusted``) is not such a report."""
+    a hypothesis row's test (``KthBound.holds``) builds no report."""
     called = []
     for cls in (SumBound, KthBound):
-        def spy(self, g, terms, report=cls._report, **trusted):
-            if not trusted:
-                called.append(g)
-            return report(self, g, terms, **trusted)
+        def spy(self, g, terms, report=cls._report):
+            called.append(g)
+            return report(self, g, terms)
 
         monkeypatch.setattr(cls, "_report", spy)
     return called
