@@ -42,7 +42,7 @@ from .theorems import (
     VIOLATED,
     BoundReport,
     THEOREM_CHECKS,
-    SumBound,
+    Row,
     SumPredicate,
     ng_check,
     proof_check_thm12,
@@ -178,7 +178,7 @@ def build_predicate(spec: str, n: int):
         name = f"{kind} {bound}"
         if kind == "sum-eq":
             return SumPredicate(name, [("<", bound), (">", bound)])
-        return SumBound(name, name, _SUM_RELATIONS[kind], (0, bound))
+        return Row(name, name, _SUM_RELATIONS[kind], (0, bound))
     if kind in ("sum-open-interval", "sum-eq", *_SUM_RELATIONS):
         form = f"{kind} LO HI" if kind == "sum-open-interval" else f"{kind} EXPR"
         raise UsageError(f"expected predicate {form!r}, got {spec!r}")

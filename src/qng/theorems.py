@@ -1,15 +1,14 @@
 """Executable certifying predicates for the registered eigenvalue bounds.
 
-The bounds are one table.  Theorems 1.2-1.6, Problem 1.2, the regular bound
-and the registered Nordhaus-Gaddum sums read lambda_k(G) + lambda_k(complement
-G) relation a*n + b (+ sqrt(rad)), each a ``SumBound`` row; Lemmas 2.6, 2.8,
-2.9 and 2.10 read lambda_k(Q(G)) relation a bound of G, each a ``KthBound``
-row with its equality characterization.  A row names its minimum order and
+The bounds are one table of ``Row``s.  A row bounds lambda_k(G) +
+lambda_k(complement G) of one matrix kind (Theorems 1.2-1.6, Problem 1.2, the
+regular bound and the registered Nordhaus-Gaddum sums) or lambda_k(Q(G))
+alone (Lemmas 2.6, 2.8, 2.9 and 2.10, with their equality characterizations),
+by a*n + b (+ sqrt(rad)) or by a bound of G.  A row names its minimum order and
 its ``HYPOTHESES`` (a scan filter's name means that ``enumeration.FILTERS``
-entry; ``q2<=n-3`` is itself a ``KthBound`` row).  A row is called like the
-function it replaced and keeps its name; a scan predicate is the rows that
-exclude its members (``SumPredicate``).  Lemma 2.7 takes an edge and stays a
-function.
+entry), is called like the function it replaced and keeps its name; a scan
+predicate is the rows that exclude its members (``SumPredicate``).  Lemma 2.7
+takes an edge and stays a function.
 
 Every check ends in one call of ``decide``, the bound driver: the float
 decides only a sign that satisfies the bound and lies more than
@@ -18,12 +17,8 @@ and every other sign comes from exact arithmetic, so every equality and
 every violation is certified.  A certified equality is matched against the
 extremal families by an explicit isomorphism witness, and a lemma's equality
 characterization must hold exactly.  A scan hands a row or a predicate a
-whole chunk (``verdicts``), which a row's ``screen`` compares as arrays under
-the same rule: a ``KthBound`` reads column k of the chunk's spectra, a
-``SumBound`` first an interval of each sum off the graph's own spectrum (the
-paper's Weyl step on Q(G) + Q(complement G) = Q(K_n)), then the sums that
-leaves undecided, the only ones complemented.  Only the graphs still
-undecided are checked one by one.
+whole chunk (``verdicts``), which ``Row.screen`` compares as arrays under the
+same rule; only the graphs it leaves undecided are checked one by one.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from importlib.resources import files
 from math import sqrt
 from typing import Callable, Optional, Sequence
@@ -224,7 +219,7 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
     ``exact()`` is the exact sign of value - rhs, called unless ``float_sign``
     decides a sign that satisfies the relation.  A certified equality is
     matched against ``families(g.n)``, built only then.  With ``structure``
-    given (a ``KthBound`` row's equality characterization on g), equality must
+    given (a row's equality characterization on g), equality must
     hold exactly when it is true, and the float may not skip the exact step
     while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
     """
@@ -256,21 +251,51 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
 # The bounds as data
 
 
-class _Row:
-    """What every bound-table row shares.  Called on a graph, a row is its own check: a
-    graph below ``min_n``, failing a hypothesis of ``requires`` (in order) or with fewer
-    than k vertices is not applicable, with the bound of n alone ``_fixed_rhs(n)`` (None
-    for one that depends on the graph), and otherwise ``_report`` decides it against the
-    row's terms on the graph (``_terms``).  A scan hands a whole chunk to ``verdicts``.
-    Fields are module-level functions or data, so a row pickles into scan workers.
+@lru_cache(maxsize=None)
+def _affine(a, b, n: int) -> Fraction:
+    """a*n + b, built once per order: a row's terms are built for every graph of a scan."""
+    return Fraction(a * n + b)
+
+
+@dataclass(frozen=True)
+class Row:
+    """A row of the bound table: lambda_k(G) + lambda_k(complement G) of the matrix
+    ``kind`` (``sum``), or lambda_k(Q(G)) alone, against a bound.
+
+    ``rhs`` is ``(a, b)``, the bound a*n + b, or a function of the graph returning a
+    ``Fraction``; with ``rad``, a function of the graph, the bound is rhs + sqrt(rad(g)).
+    ``k`` is an int or a function of n.  ``families`` gives the extremal families by n.
+    ``structure`` is the equality characterization: equality must hold exactly where it
+    does (``decide``).  A certified equality that fails ``consequence``, a (test, note)
+    pair, is violated with that note.
+
+    Called on a graph, a row is its own check: a graph below ``min_n``, failing a
+    hypothesis of ``requires`` (in order) or with fewer than k vertices is not
+    applicable, and otherwise ``_report`` decides it against the row's terms on the
+    graph (``_terms``).  A scan hands a whole chunk to ``verdicts``.  Fields are
+    module-level functions or data, so a row pickles into scan workers.
     """
+
+    name: str
+    bound: str
+    relation: str
+    rhs: tuple | Callable[[Graph], Fraction]
+    rad: Optional[Callable[[Graph], Fraction]] = None
+    min_n: int = 0
+    requires: tuple[str, ...] = ()
+    kind: str = "Q"
+    k: int | Callable[[int], int] = 2
+    sum: bool = True
+    families: Optional[Callable[[int], tuple]] = None
+    structure: Optional[Callable[[Graph], bool]] = None
+    consequence: Optional[tuple[Callable[[Graph], bool], str]] = None
 
     def __post_init__(self):
         # named like a function: scans print __name__, and functools.wraps copies both for pickling by reference
         object.__setattr__(self, "__name__", self.name)
         object.__setattr__(self, "__qualname__", self.name)
 
-    def assuming(self, established) -> "_Row":
+    def assuming(self, established) -> "Row":
         """This row, under its name, for graphs that passed the scan filters named in
         ``established``: a hypothesis of such a name is that filter, not tested again."""
         requires = tuple(name for name in self.requires if name not in established)
@@ -289,6 +314,36 @@ class _Row:
         k = self._index(g.n)
         return None if 1 <= k <= g.n else f"k={k} outside 1..{g.n}"
 
+    def _terms(self, g: Graph) -> tuple[Fraction, Optional[Fraction], Optional[bool]]:
+        """The base of the bound on g, its radicand and whether the characterization holds."""
+        base = self.rhs(g) if callable(self.rhs) else _affine(*self.rhs, g.n)
+        return base, self.rad(g) if self.rad else None, self.structure(g) if self.structure else None
+
+    def screen(self, graphs: Sequence[Graph], terms: Sequence[tuple]) -> np.ndarray:
+        """The signs of value - bound that ``float_sign`` decides for ``graphs``, members of the
+        ``spectra`` chunk of one order, 0 where it may not.  A single eigenvalue is column k of
+        the chunk screen; a sum is first its interval off the graph's own spectrum
+        (``chunk_sum_bounds``), lower end for a sign above the bound and upper end for one
+        below, then the sums (``chunk_sums``) still undecided.  Wherever the equality
+        characterization holds the sign is 0."""
+        n, trusted = graphs[0].n, _FLOAT_SIGNS[self.relation]
+        k = self._index(n)
+        targets = (np.array([float(base) for base, _, _ in terms]) if callable(self.rhs)
+                   else np.full(len(terms), float(terms[0][0])))  # a base of n alone: one float per chunk
+        if self.rad:
+            targets += [sqrt(rad) for _, rad, _ in terms]
+        if not self.sum:
+            signs = float_sign(_chunk_screen(n, "Q").column(graphs, k), targets, trusted)
+        else:
+            lo, hi = chunk_sum_bounds(graphs, self.kind, k)
+            signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
+                hi, targets, tuple(s for s in trusted if s < 0))
+            undecided = np.flatnonzero(signs == 0)
+            if undecided.size:
+                sums = chunk_sums([graphs[j] for j in undecided], self.kind, k)
+                signs[undecided] = float_sign(sums, targets[undecided], trusted)
+        return np.where([bool(structure) for *_, structure in terms], 0, signs)
+
     def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
         """``[self(g).verdict for g in graphs]`` for members of the current scan chunk: the
         terms of each graph the row applies to are built once, a graph whose sign the float
@@ -306,115 +361,34 @@ class _Row:
         note = self._inapplicable(g)
         if note is None:
             return self._report(g, self._terms(g))
-        return _na(g, self.bound, self._fixed_rhs(g.n), note)
+        fixed = not (self.rad or callable(self.rhs))  # only a bound of n alone is reported with the note
+        return _na(g, self.bound, _affine(*self.rhs, g.n) if fixed else None, note)
 
-
-@dataclass(frozen=True)
-class SumBound(_Row):
-    """A row of the bound table: lambda_k(G) + lambda_k(complement G) against a*n + b.
-
-    ``rhs`` is ``(a, b)``; with ``rad``, a function of the graph, the bound is
-    a*n + b + sqrt(rad(g)), and rad(g) is the row's terms on g.  ``families``
-    gives the extremal families by n.
-    """
-
-    name: str
-    bound: str
-    relation: str
-    rhs: tuple
-    rad: Optional[Callable[[Graph], Fraction]] = None
-    min_n: int = 0
-    requires: tuple[str, ...] = ()
-    kind: str = "Q"
-    k: int = 2
-    families: Optional[Callable[[int], tuple]] = None
-
-    def _fixed_rhs(self, n: int) -> Optional[Fraction]:
-        return None if self.rad else Fraction(self.rhs[0] * n + self.rhs[1])
-
-    def _terms(self, g: Graph) -> Optional[Fraction]:
-        return self.rad(g) if self.rad else None
-
-    def screen(self, graphs: Sequence[Graph], rads: Sequence[Optional[Fraction]]) -> np.ndarray:
-        """The signs of sum - bound that ``float_sign`` decides for ``graphs``, members of the
-        ``spectra`` chunk of one order, 0 where it may not: first from each sum's interval off
-        the graph's own spectrum (``chunk_sum_bounds``), lower end for a sign above the bound
-        and upper end for one below, then from the sums (``chunk_sums``) still undecided."""
-        a, b = self.rhs
-        target = float(Fraction(a * graphs[0].n + b))
-        targets = np.array([target if rad is None else target + sqrt(rad) for rad in rads])
-        trusted = _FLOAT_SIGNS[self.relation]
-        lo, hi = chunk_sum_bounds(graphs, self.kind, self.k)
-        signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
-            hi, targets, tuple(s for s in trusted if s < 0))
-        undecided = np.flatnonzero(signs == 0)
-        if undecided.size:
-            sums = chunk_sums([graphs[j] for j in undecided], self.kind, self.k)
-            signs[undecided] = float_sign(sums, targets[undecided], trusted)
-        return signs
-
-    def _report(self, g: Graph, rad: Optional[Fraction]) -> BoundReport:
+    def _report(self, g: Graph, terms: tuple) -> BoundReport:
         """The report against the bound built once: the base, or base + sqrt(rad) from
         ``polys.base_plus_sqrt``, a ``Fraction`` or a ``Surd``."""
-        a, b = self.rhs
-        base = bound = rhs = Fraction(a * g.n + b)
+        (base, rad, structure), kind, k = terms, self.kind, self._index(g.n)
+        bound = rhs = base
         text = None
         if rad is not None:
             bound, rhs = polys.base_plus_sqrt(base, rad), float(base) + sqrt(rad)
             text = f"{base}+sqrt({rad})" if isinstance(bound, Surd) else str(bound)
-        kind, k, strict = self.kind, self.k, "STRICT " if self.relation in ("<", ">") else ""
-        return decide(g, self.bound, ng_sum(g, kind, k), rhs, lambda: compare_sum_with(g, kind, k, bound), self.relation,
-                      families=self.families, violated=f"{strict}BOUND VIOLATED (exactly confirmed)", rhs_exact=text)
-
-
-@dataclass(frozen=True)
-class KthBound(_Row):
-    """A row of single-eigenvalue bounds: lambda_k(Q(G)) against a bound of G.
-
-    ``rhs`` is ``(a, b)``, the bound a*n + b, or a function of the graph returning a
-    ``Fraction``; ``k`` is an int or a function of n.  The terms on g are the bound and
-    whether the equality characterization ``structure`` holds (``decide``).  A certified
-    equality that fails ``consequence``, a (test, note) pair, is violated with that note.
-    """
-
-    name: str
-    bound: str
-    relation: str
-    rhs: tuple | Callable[[Graph], Fraction]
-    k: int | Callable[[int], int] = 2
-    structure: Optional[Callable[[Graph], bool]] = None
-    consequence: Optional[tuple[Callable[[Graph], bool], str]] = None
-    requires: tuple[str, ...] = ()
-    min_n: int = 0
-
-    def _fixed_rhs(self, n: int) -> Optional[Fraction]:
-        return None if callable(self.rhs) else Fraction(self.rhs[0] * n + self.rhs[1])
-
-    def _terms(self, g: Graph) -> tuple[Fraction, Optional[bool]]:
-        rhs = self.rhs(g) if callable(self.rhs) else self._fixed_rhs(g.n)
-        return rhs, self.structure(g) if self.structure else None
-
-    def screen(self, graphs: Sequence[Graph], terms: Sequence[tuple]) -> np.ndarray:
-        """Like ``SumBound.screen``: one ``float_sign`` over the chunk screen's column k,
-        and 0 wherever the equality characterization holds."""
-        values = _chunk_screen(graphs[0].n, "Q").column(graphs, self._index(graphs[0].n))
-        signs = float_sign(values, np.array([float(rhs) for rhs, _ in terms]), _FLOAT_SIGNS[self.relation])
-        return np.where([bool(structure) for _, structure in terms], 0, signs)
-
-    def holds(self, g: Graph) -> bool:
-        """The row as a hypothesis on a graph it applies to: whether it is not violated,
-        with the float trusted on either sign beyond ``ESCALATION_WINDOW``.  It builds no report."""
-        rhs, k = self._terms(g)[0], self._index(g.n)
-        sign = float_sign(spectrum(g, "Q").value(k), float(rhs)) or compare_qk_with(g, k, rhs)
-        return sign in RELATION_SIGNS[self.relation]
-
-    def _report(self, g: Graph, terms: tuple[Fraction, Optional[bool]]) -> BoundReport:
-        (rhs, structure), k = terms, self._index(g.n)
-        report = decide(g, self.bound, spectrum(g, "Q").value(k), rhs, lambda: compare_qk_with(g, k, rhs),
-                        self.relation, structure=structure)
+        if self.sum:
+            lhs, exact = ng_sum(g, kind, k), lambda: compare_sum_with(g, kind, k, bound)
+        else:
+            lhs, exact = spectrum(g, "Q").value(k), lambda: compare_qk_with(g, k, bound)
+        strict = "STRICT " if self.relation in ("<", ">") else ""
+        report = decide(g, self.bound, lhs, rhs, exact, self.relation, families=self.families, structure=structure,
+                        violated=f"{strict}BOUND VIOLATED (exactly confirmed)", rhs_exact=text)
         if self.consequence and report.verdict == EQUALITY and not self.consequence[0](g):
             return replace(report, verdict=VIOLATED, lhs_exact=None, notes=self.consequence[1])
         return report
+
+
+def _q2_at_most_n_minus_3(g: Graph) -> bool:
+    """q_2(G) <= n - 3, the float trusted on either sign beyond ``ESCALATION_WINDOW``; no report."""
+    bound = Fraction(g.n - 3)
+    return (float_sign(spectrum(g, "Q").value(2), float(bound)) or compare_qk_with(g, 2, bound)) <= 0
 
 
 #: Named hypotheses of the bound rows: a test, and the note of a graph that
@@ -426,7 +400,7 @@ HYPOTHESES: dict[str, tuple[Callable[[Graph], bool], str]] = {
     "regular": (FILTERS["regular"], "requires a regular graph"),
     "non-complete": (lambda g: g.m < g.n * (g.n - 1) // 2, "requires a non-complete graph"),
     "connected-with-edge": (lambda g: g.m > 0 and is_connected(g), "requires a connected graph with an edge"),
-    "q2<=n-3": (KthBound("q2<=n-3", "q2<=n-3", "<=", (1, -3)).holds, "hypothesis q_2 <= n - 3 fails"),
+    "q2<=n-3": (_q2_at_most_n_minus_3, "hypothesis q_2 <= n - 3 fails"),
 }
 
 
@@ -437,12 +411,12 @@ class SumPredicate:
     and ``> C``.  A member, every row ``violated`` (from exact arithmetic only), is
     ``equality-certified``, any other graph a ``non-member``, and one with no q_2
     ``not-applicable``.  A row's float decides only its strict side, a rejection, so a
-    chunk is rejected by every row's ``SumBound.screen`` before any row is called.
+    chunk is rejected by every row's ``screen`` before any row is called.
     """
 
     def __init__(self, name: str, relations: Sequence[tuple[str, Fraction]]):
         self.__name__ = name
-        self.rows = tuple(SumBound(name, name, relation, (0, bound)) for relation, bound in relations)
+        self.rows = tuple(Row(name, name, relation, (0, bound)) for relation, bound in relations)
 
     def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
         """The verdicts of ``graphs``, members of the current scan chunk."""
@@ -468,26 +442,26 @@ def _ng_a2_radicand(g: Graph) -> Fraction:
 
 # Theorems 1.2-1.6 and Problem 1.2 bound q_2(G) + q_2(complement G); the
 # regular bound is strict, n - 2 + sqrt(2nk(n-k-1)/(n-1)) for k-regular G.
-check_thm12 = SumBound("check_thm12", "thm-1.2", ">=", (1, -2), min_n=4, families=_lower_bound_families)
-check_thm13 = SumBound("check_thm13", "thm-1.3", "<=", (2, -4), min_n=2, requires=("connected",),
-                       families=_upper_bound_families)
-check_problem12 = SumBound("check_problem12", "problem-1.2", "<=", (2, -5), min_n=6, requires=("connected",))
-check_thm14 = SumBound("check_thm14", "thm-1.4", "<=", (2, -5), min_n=6,
-                       requires=("connected", "cobar-disconnected"), families=_cobar_disconnected_families)
-check_thm15 = SumBound("check_thm15", "thm-1.5", "<=", (2, -5), min_n=6, requires=("connected", "bipartite"),
-                       families=_bipartite_equality_families)
-check_thm16 = SumBound("check_thm16", "thm-1.6", "<=", (2, -5), min_n=6, requires=("connected", "q2<=n-3"),
-                       families=_bipartite_equality_families)
-check_regular_bound = SumBound("check_regular_bound", "regular-bound", "<", (1, -2), _regular_radicand,
-                               requires=("connected", "regular", "non-complete"))
+check_thm12 = Row("check_thm12", "thm-1.2", ">=", (1, -2), min_n=4, families=_lower_bound_families)
+check_thm13 = Row("check_thm13", "thm-1.3", "<=", (2, -4), min_n=2, requires=("connected",),
+                  families=_upper_bound_families)
+check_problem12 = Row("check_problem12", "problem-1.2", "<=", (2, -5), min_n=6, requires=("connected",))
+check_thm14 = Row("check_thm14", "thm-1.4", "<=", (2, -5), min_n=6,
+                  requires=("connected", "cobar-disconnected"), families=_cobar_disconnected_families)
+check_thm15 = Row("check_thm15", "thm-1.5", "<=", (2, -5), min_n=6, requires=("connected", "bipartite"),
+                  families=_bipartite_equality_families)
+check_thm16 = Row("check_thm16", "thm-1.6", "<=", (2, -5), min_n=6, requires=("connected", "q2<=n-3"),
+                  families=_bipartite_equality_families)
+check_regular_bound = Row("check_regular_bound", "regular-bound", "<", (1, -2), _regular_radicand,
+                          requires=("connected", "regular", "non-complete"))
 # q_1(G) + q_1(complement G) <= 3n - 4, with equality only for stars.
-check_ng_q1 = SumBound("check_ng_q1", "q1-sum", "<=", (3, -4), min_n=2, k=1, families=_star_families)
+check_ng_q1 = Row("check_ng_q1", "q1-sum", "<=", (3, -4), min_n=2, k=1, families=_star_families)
 
 #: The rows of ``check_ng_generic`` by (kind, k).
 NG_BOUNDS = {
     ("Q", 1): check_ng_q1,
-    ("L", 1): SumBound("ng-L1", "ng-L1", "<=", (2, -1), kind="L", k=1),
-    ("A", 2): SumBound("ng-A2", "ng-A2", "<=", (0, -1), _ng_a2_radicand, kind="A"),
+    ("L", 1): Row("ng-L1", "ng-L1", "<=", (2, -1), kind="L", k=1),
+    ("A", 2): Row("ng-A2", "ng-A2", "<=", (0, -1), _ng_a2_radicand, kind="A"),
 }
 
 
@@ -550,12 +524,13 @@ def _least(n: int) -> int:
     return n
 
 
-check_lemma26 = KthBound("check_lemma26", "lemma-2.6", "<=", _degree_ratio, k=1,
-                         structure=_regular_or_semiregular_bipartite, requires=("connected-with-edge",))
-check_lemma28 = KthBound("check_lemma28", "lemma-2.8", "<=", (1, -2), structure=_complement_bipartite_parts, min_n=2)
-check_lemma29 = KthBound("check_lemma29", "lemma-2.9", ">=", _second_degree_less_one, min_n=2, consequence=(
+check_lemma26 = Row("check_lemma26", "lemma-2.6", "<=", _degree_ratio, k=1, sum=False,
+                    structure=_regular_or_semiregular_bipartite, requires=("connected-with-edge",))
+check_lemma28 = Row("check_lemma28", "lemma-2.8", "<=", (1, -2), min_n=2, sum=False,
+                    structure=_complement_bipartite_parts)
+check_lemma29 = Row("check_lemma29", "lemma-2.9", ">=", _second_degree_less_one, min_n=2, sum=False, consequence=(
     _top_degrees_adjacent, "equality consequence mismatch: top degrees must coincide and be pairwise adjacent"))
-check_lemma210 = KthBound("check_lemma210", "lemma-2.10", ">=", _edge_density_bound, k=_least, min_n=6)
+check_lemma210 = Row("check_lemma210", "lemma-2.10", ">=", _edge_density_bound, min_n=6, k=_least, sum=False)
 
 
 def check_lemma27(g: Graph, edge: tuple[int, int]) -> BoundReport:

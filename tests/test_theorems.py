@@ -44,10 +44,9 @@ from qng.theorems import (
     EQUALITY,
     NG_BOUNDS,
     NOT_APPLICABLE,
+    Row,
     STRICT,
     THEOREM_CHECKS,
-    KthBound,
-    SumBound,
     VIOLATED,
     _ng_a2_radicand,
     bipartite_equality_catalogue,
@@ -256,7 +255,7 @@ def test_ng_a2_irrational_equality_on_p4():
 
 
 def test_exact_hit_on_a_strict_radical_row_is_a_certified_violation():
-    row = SumBound("ng-A2-strict", "ng-A2-strict", "<", (0, -1), _ng_a2_radicand, kind="A")
+    row = Row("ng-A2-strict", "ng-A2-strict", "<", (0, -1), _ng_a2_radicand, kind="A")
     r = row(path(4))
     assert (r.verdict, r.certified, r.notes) == (VIOLATED, True, "STRICT BOUND VIOLATED (exactly confirmed)")
     assert row(cycle(5)).verdict == STRICT
@@ -306,7 +305,7 @@ def test_checks_keep_their_names_and_pickle(monkeypatch):
     assert all(hasattr(check, "verdicts") for check in THEOREM_CHECKS.values())
     for row in rows:
         copy = pickle.loads(pickle.dumps(row))
-        if isinstance(row, (SumBound, KthBound)):
+        if isinstance(row, Row):
             assert copy == row and copy.__name__ == row.__name__
             assert copy(cycle(6)) == row(cycle(6))
     ng = pickle.loads(pickle.dumps(theorems.ng_check("A", 2)))
@@ -356,9 +355,9 @@ def test_decide_calls_exact_arithmetic_only_where_the_float_may_not_decide():
 
 
 def test_hypothesis_row_trusts_the_float_on_both_sides(monkeypatch):
-    """``q2<=n-3`` is a ``KthBound`` row used as a test: its float decides either sign
-    beyond the window (K6, q_2 = 4; the star, q_2 = 1), and only a q_2 within the window
-    of n - 3 is compared exactly (K3,3, q_2 = 3)."""
+    """The ``q2<=n-3`` hypothesis: its float decides either sign beyond the window
+    (K6, q_2 = 4; the star, q_2 = 1), and only a q_2 within the window of n - 3 is
+    compared exactly (K3,3, q_2 = 3)."""
     calls = []
     compare = theorems.compare_qk_with
     monkeypatch.setattr(theorems, "compare_qk_with", lambda *args: calls.append(args[0]) or compare(*args))
@@ -630,6 +629,24 @@ def test_connected_scan_digests_are_pinned(key, enum8):
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CONNECTED_SCAN_DIGESTS[key]
 
 
+def _never_decides(approx, target, trusted=(-1, 1)):
+    """``float_sign`` that decides nothing, on floats and arrays alike."""
+    return np.zeros_like(approx - target, dtype=int)
+
+
+def test_floats_never_flip_a_scan_verdict(graphs_by_order, monkeypatch):
+    """Every pinned scan key gives the same result at n = 4..7 with every sign left to
+    exact arithmetic, from a cold char-poly cache, as with the float screen."""
+    def results():
+        return {key: [scan(n, "all", _scan_check(key), source=graphs_by_order[n]).to_dict() for n in range(4, 8)]
+                for key in sorted(SCAN_DIGESTS)}
+
+    screened = results()
+    monkeypatch.setattr(theorems, "float_sign", _never_decides)
+    spectra.kind_char_poly.cache_clear()
+    assert results() == screened
+
+
 # ---------------------------------------------------------------------------
 # The chunk path of the bound rows
 
@@ -646,15 +663,14 @@ CHUNK_ROWS = {
 
 
 def _calls_spied(monkeypatch) -> list:
-    """The graphs a row reports on one by one (``SumBound._report``, ``KthBound._report``) from now on;
-    a hypothesis row's test (``KthBound.holds``) builds no report."""
+    """The graphs a row reports on one by one (``Row._report``) from now on."""
     called = []
-    for cls in (SumBound, KthBound):
-        def spy(self, g, terms, report=cls._report):
-            called.append(g)
-            return report(self, g, terms)
 
-        monkeypatch.setattr(cls, "_report", spy)
+    def spy(self, g, terms, report=Row._report):
+        called.append(g)
+        return report(self, g, terms)
+
+    monkeypatch.setattr(Row, "_report", spy)
     return called
 
 
@@ -685,7 +701,7 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
                 screened = [r for r in reports if r.lhs is not None]
                 if screened:
                     members = [r.graph for r in screened]
-                    values = (spectra.chunk_sums(members, row.kind, row.k) if isinstance(row, SumBound)
+                    values = (spectra.chunk_sums(members, row.kind, row.k) if row.sum
                               else spectra._chunk_screen(n, "Q").column(members, row._index(n)))
                     assert values.tolist() == [r.lhs for r in screened], (key, n, name)
             finally:
@@ -853,6 +869,28 @@ def test_lemma29_consequence_is_checked_on_certified_equalities(graphs_by_order)
     assert Counter(verdicts) == {STRICT: len(graphs) - len(equalities), VIOLATED: len(equalities)} and equalities
     assert check_lemma29.consequence[1] == (
         "equality consequence mismatch: top degrees must coincide and be pairwise adjacent")
+
+
+def _always(g) -> bool:
+    return True
+
+
+def test_a_holding_structure_bars_the_float_and_must_match_equality(graphs_by_order):
+    """Lemma 2.8's row with a characterization that always holds: the float may not decide
+    while it holds, so P5, C5 and K_{1,5}, each with q_2 below n - 2, are exactly certified
+    mismatches, and on the order-6 chunk only the 36 equalities are not violated."""
+    row = replace(check_lemma28, structure=_always)
+    for g in (path(5), cycle(5), star(6)):
+        r = row(g)
+        assert (r.verdict, r.notes, r.certified) == (
+            VIOLATED, "equality characterization mismatch: equality=False, structure=True", True)
+    graphs = graphs_by_order[6]
+    spectra.set_chunk(graphs)
+    try:
+        verdicts = row.verdicts(graphs)
+    finally:
+        spectra.set_chunk(())
+    assert Counter(verdicts) == {VIOLATED: 120, EQUALITY: 36}
 
 
 def test_float_sign_is_one_rule_for_floats_and_arrays():
