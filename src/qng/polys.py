@@ -14,13 +14,13 @@ iterated-gcd tower of a polynomial, one Sturm sequence per level, and answers
 the three questions asked of it: distinct roots in a half-open interval,
 roots above a point counted with multiplicity, and the multiplicity of a
 rational.  ``root_counter`` builds one per polynomial and hands it to every
-later caller.  On the counters rest isolation of the k-th largest real root,
-exact comparison of roots of two polynomials, and exact comparison of the
-sum of two such roots with a rational or surd bound.  Isolation starts from a
-small dyadic window around a float seed, such as the screened eigenvalue,
-when exact counts verify that the window holds the root and no other;
-otherwise it bisects from the Cauchy bound.  Floats pick only where to start:
-every sign comes from counts.
+later caller.  On the counters rest isolation of the k-th largest real root
+and two decision procedures that always return a sign: a root of one
+polynomial against a root of another, and their sum against a rational or
+surd bound.  Isolation starts from a small dyadic window around a float seed,
+such as the screened eigenvalue, when exact counts verify that the window
+holds the root and no other; otherwise it bisects from the Cauchy bound.
+Floats pick only where to start: every sign comes from counts.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
@@ -376,8 +376,10 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
     every window returned isolates the same root.
 
     Requires p to have at least k real roots with multiplicity; characteristic
-    polynomials of symmetric matrices always do.
+    polynomials of symmetric matrices always do, and k >= 1.
     """
+    if k < 1:
+        raise ValueError(f"root index k must be at least 1, not {k}")
     counter = root_counter(tuple(p))
     window = None if near is None else _seeded_window(counter, k, near)
     if window is None:
@@ -390,24 +392,20 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
     return window
 
 
-#: Bisection steps ``compare_kth_roots`` and ``compare_root_sum`` take before they give up.
-_COMPARE_MAX_ITER = 512
-
-
 def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
                       near_a: float | None = None, near_b: float | None = None) -> int:
     """Exact sign of (k_a-th largest root of pa) - (k_b-th largest root of pb).
 
     ``near_a`` and ``near_b`` are optional float seeds for the two isolations
-    (see ``isolate_kth_largest``); they never change the sign.  Bisection
-    separates the two isolating windows whenever the roots differ; equality
-    is certified by a shared root of gcd(pa, pb) lying in the overlap of both
-    windows.  The gcd is built only once the windows overlap.
+    (see ``isolate_kth_largest``); they never change the sign.  The loop ends:
+    each step halves both windows, so distinct roots, a positive distance
+    apart, get disjoint windows, and equal roots are a root of gcd(pa, pb),
+    built once the windows overlap, in both windows: 0 at the first overlap.
     """
     wa = isolate_kth_largest(pa, ka, near_a)
     wb = isolate_kth_largest(pb, kb, near_b)
     common = None
-    for _ in range(_COMPARE_MAX_ITER):
+    while True:
         if wa.lo >= wb.hi:
             return 1
         if wb.lo >= wa.hi:
@@ -419,7 +417,6 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
             return 0
         wa.refine()
         wb.refine()
-    raise ArithmeticError("root comparison did not converge")
 
 
 def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
@@ -427,18 +424,20 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
     """Exact sign of alpha + beta - c: alpha the k_a-th largest root of pa, beta
     the k_b-th of pb, c rational or a ``Surd``, seeds as in ``compare_kth_roots``.
 
-    Bisection decides the sign once the window (alpha.lo + beta.lo,
-    alpha.hi + beta.hi] of the sum lies on one side of c.  Equality is
-    certified by N = ``reflection_norm(pa, c)``, built only once the window
-    holds c: a root of gcd(pb, N) in beta's window is beta, and if N has one
-    distinct root in the hull of beta's window and c minus alpha's, beta and
-    c - alpha are that root.
+    Each step halves both windows, so if alpha + beta != c the sum window
+    (alpha.lo + beta.lo, alpha.hi + beta.hi] comes to lie on one side of c.
+    Equality is certified by N = ``reflection_norm(pa, c)``, built only once
+    the window holds c: a root of gcd(pb, N) in beta's window is beta, and if
+    N has one distinct root in the hull of beta's window and c minus alpha's,
+    beta and c - alpha are that root.  If alpha + beta = c, the hull shrinks
+    to beta, and N's other distinct roots lie a positive distance away, so
+    that count reaches 1: the loop ends.
     """
     a, b, d = _surd_parts(c)
     wa = isolate_kth_largest(pa, ka, near_a)
     wb = isolate_kth_largest(pb, kb, near_b)
     norm = common = None
-    for _ in range(_COMPARE_MAX_ITER):
+    while True:
         if _surd_sign(wa.lo + wb.lo - a, -b, d) >= 0:
             return 1
         if _surd_sign(wa.hi + wb.hi - a, -b, d) < 0:
@@ -455,4 +454,3 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
                 return 0
         wa.refine()
         wb.refine()
-    raise ArithmeticError("root sum comparison did not converge")

@@ -72,7 +72,7 @@ def test_compare_qk_against_mpmath(graphs_by_order, rng=random.Random(7)):
             assert compare_qk_with(g, k, r + 3) != 0
 
 
-def test_certify_qk_sweep_small(graphs_by_order):
+def test_compare_qk_with_sweep_small(graphs_by_order):
     """Every near-integer float eigenvalue certifies at its integer, and only there."""
     for n in range(2, 6):
         for g in graphs_by_order[n]:

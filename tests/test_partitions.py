@@ -107,7 +107,7 @@ def test_quotient_single_block_is_average_row_sum(rational_quotient):
         assert equitable_quotient(g, whole) == (((4 * g.m // g.n,),) if is_regular(g) else None)
 
 
-def test_is_equitable_examples():
+def test_equitable_quotient_examples():
     for sizes in [(1, 1, 1), (2, 1, 1), (3, 0, 1), (2, 0, 2)]:
         g = h_graph(*sizes)
         assert equitable_quotient(g, double_hub(*sizes).cells()) is not None
@@ -172,7 +172,7 @@ def duplicate_blocks(g):
             for kind, classes in (("independent", independent), ("clique", clique)) for members in classes]
 
 
-def test_duplicate_classes_examples():
+def test_twin_classes_examples():
     assert duplicate_blocks(star(6)) == [("independent", 1, 5)]
     assert duplicate_blocks(join(empty_graph(2), complete(4))) == [("independent", 4, 2), ("clique", 5, 4)]
     assert duplicate_blocks(cycle(5)) == []

@@ -45,6 +45,14 @@ def from_roots(roots):
     return out
 
 
+# Comparisons that need hundreds of steps: seeded at 1/3, both windows sit on one dyadic
+# grid, so roots 2^-600 apart need about 600 halvings to part (from the Cauchy bound, a few).
+BIG = 2**600
+ABOVE_THIRD = [-(BIG + 3), 3 * BIG]  # root 1/3 + 1/BIG
+THIRD = [-1, 3]
+THIRD_AND_BELOW = poly_mul(THIRD, [-(BIG - 3), 3 * BIG])  # roots 1/3 and 1/3 - 1/BIG
+
+
 def test_divmod_and_gcd():
     p = from_roots([1, 2, 3])
     q = from_roots([2, 3, 5])
@@ -127,6 +135,9 @@ def test_compare_root_sum_decides_rational_and_surd_bounds():
         assert [compare_root_sum(golden, 1, golden, kb, c) for kb in (1, 2)] == list(signs), c
     # seeds never change the sign
     assert compare_root_sum(golden, 1, golden, 1, Surd(F(1), F(1), 5), 1.618, 1.6180339) == 0
+    for pa, c, sign in ((ABOVE_THIRD, F(2, 3), 1), (THIRD, F(2, 3) + F(1, BIG), -1),
+                        (THIRD, Surd(F(2, 3), F(1, BIG), 2), -1), (THIRD_AND_BELOW, F(2, 3), 0)):
+        assert compare_root_sum(pa, 1, THIRD, 1, c, 1 / 3, 1 / 3) == sign, c
 
 
 def test_sturm_counts_match_numpy(rng=random.Random(5)):
@@ -175,6 +186,13 @@ def test_isolation_finds_kth_largest():
         assert w.lo < 1 <= w.hi
     with pytest.raises(ValueError):
         isolate_kth_largest(p, 5)
+    for k in (0, -1):  # no 0th or -1st largest root, with a seed or without
+        with pytest.raises(ValueError, match="at least 1"):
+            isolate_kth_largest([-2, 0, 1], k)
+        with pytest.raises(ValueError, match="at least 1"):
+            compare_kth_roots([-2, 0, 1], k, [-1, 1], 1, 1.4)
+        with pytest.raises(ValueError, match="at least 1"):
+            compare_root_sum([-2, 0, 1], k, [-1, 1], 1, F(0))
 
 
 def test_isolation_from_seeds():
@@ -212,6 +230,8 @@ def test_compare_kth_roots():
         # irrational equality through a shared quadratic factor: sqrt2 on both sides
         (poly_mul(quad, from_roots([10])), 2, s2, poly_mul(quad, from_roots([-3])), 1, s2, 0),
         (poly_mul(quad, from_roots([10])), 1, 10, poly_mul(quad, from_roots([-3])), 1, s2, 1),
+        (ABOVE_THIRD, 1, 1 / 3, THIRD, 1, 1 / 3, 1),
+        (THIRD, 1, 1 / 3, ABOVE_THIRD, 1, 1 / 3, -1),
     ]
     for pa, ka, ra, pb, kb, rb, sign in cases:
         for near in [(None, None), (ra, rb), (ra - 1e-12, rb + 1e-12), (math.nan, rb), (ra, -math.inf),

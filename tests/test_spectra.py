@@ -189,7 +189,7 @@ def test_sturm_and_multiplicity_examples():
     assert _counter(star(6)).multiplicity(1) == 4
 
 
-def test_certify_qk_examples():
+def test_compare_qk_with_examples():
     assert compare_qk_with(star(6), 2, 1) == 0
     assert compare_qk_with(cycle(4), 2, 2) == 0
     assert compare_qk_with(complete(6), 1, 9) != 0
