@@ -17,10 +17,10 @@ rational.  ``root_counter`` builds one per polynomial and hands it to every
 later caller.  On the counters rest isolation of the k-th largest real root
 and two decision procedures that always return a sign: a root of one
 polynomial against a root of another, and their sum against a rational or
-surd bound.  Isolation starts from a small dyadic window around a float seed,
-such as the screened eigenvalue, when exact counts verify that the window
-holds the root and no other; otherwise it bisects from the Cauchy bound.
-Floats pick only where to start: every sign comes from counts.
+surd bound.  Isolation is one bisection from the Cauchy bound whose first two
+cuts a float seed, such as the screened eigenvalue, may place at the ends of a
+small dyadic window around it; exact counts pick the side at every cut.
+Floats pick only where to cut: every sign comes from counts.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
@@ -348,31 +348,19 @@ class RootWindow:
             self.hi = mid
 
 
-#: A float seed opens the dyadic window ((m - 1) / SEED_SCALE, (m + 1) / SEED_SCALE]
-#: with m the nearest integer to seed * SEED_SCALE.  Its half-width 2^-20 is far
-#: above the error of a LAPACK eigenvalue of a graph matrix with 32 vertices.
+#: A float seed places the first two cuts at (m - 1) / SEED_SCALE and (m + 1) / SEED_SCALE,
+#: with m the nearest integer to seed * SEED_SCALE.  Their half-gap 2^-20 is far above
+#: the error of a LAPACK eigenvalue of a graph matrix with 32 vertices.
 SEED_SCALE = 1 << 20
-
-
-def _seeded_window(counter: RootCounter, k: int, near: float) -> RootWindow | None:
-    """The window around ``near``, if exact counts show it isolates the k-th largest root."""
-    scaled = near * SEED_SCALE
-    if not isfinite(scaled):  # nan, an infinity, or too large to round
-        return None
-    m = round(scaled)
-    lo, hi = Fraction(m - 1, SEED_SCALE), Fraction(m + 1, SEED_SCALE)
-    if counter.count_distinct_halfopen(lo, hi) == 1 and counter.count_gt(lo) >= k > counter.count_gt(hi):
-        return RootWindow(lo, hi, k, counter)
-    return None
 
 
 def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindow:
     """Isolate the k-th largest real root of ``p`` counted with multiplicity.
 
-    A float ``near``, such as the screened eigenvalue, seeds the search: its
-    dyadic window is kept when exact counts show that it holds the k-th
-    largest root and no other distinct root.  Otherwise, or without a seed,
-    bisection starts from the Cauchy bound.  A seed only picks the start, so
+    One bisection from the Cauchy window (-B, B].  A float ``near``, such as
+    the screened eigenvalue, only places the first two cuts, at the ends of
+    its dyadic window; exact counts pick the side at every cut, so a seed that
+    misses the root, or whose window holds other roots, only costs steps, and
     every window returned isolates the same root.
 
     Requires p to have at least k real roots with multiplicity; characteristic
@@ -381,12 +369,18 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
     if k < 1:
         raise ValueError(f"root index k must be at least 1, not {k}")
     counter = root_counter(tuple(p))
-    window = None if near is None else _seeded_window(counter, k, near)
-    if window is None:
-        bound = cauchy_root_bound(p)
-        if counter.count_gt(-bound) < k:
-            raise ValueError(f"polynomial has fewer than {k} real roots")
-        window = RootWindow(-bound, bound, k, counter)
+    bound = cauchy_root_bound(p)
+    if counter.count_gt(-bound) < k:
+        raise ValueError(f"polynomial has fewer than {k} real roots")
+    window = RootWindow(-bound, bound, k, counter)
+    if near is not None and isfinite(near * SEED_SCALE):  # not nan, an infinity, or too large to round
+        m = round(near * SEED_SCALE)
+        for cut in (Fraction(m - 1, SEED_SCALE), Fraction(m + 1, SEED_SCALE)):
+            if window.lo < cut < window.hi:
+                if counter.count_gt(cut) >= k:
+                    window.lo = cut
+                else:
+                    window.hi = cut
     while counter.count_distinct_halfopen(window.lo, window.hi) > 1:
         window.refine()
     return window

@@ -25,9 +25,9 @@ Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
 Faddeev-LeVerrier recurrence, Sturm-sequence root counting, and
 isolating-interval comparisons of algebraic eigenvalues.  Each isolating
-window starts around the screened float eigenvalue, exact Sturm counts
-verify that it isolates the eigenvalue, and the Cauchy root bound is the
-fallback start; a float never decides a sign.
+window comes from one bisection of the Cauchy root bound whose first two
+cuts sit around the screened float eigenvalue, exact Sturm counts picking
+the side at every cut; a float never decides a sign.
 
 The exact layer computes in Python ``int``: the recurrence runs on the
 integer rows of a graph matrix or of a quotient with integer entries, and

@@ -264,6 +264,7 @@ class Row:
 
     ``rhs`` is ``(a, b)``, the bound a*n + b, or a function of the graph returning a
     ``Fraction``; with ``rad``, a function of the graph, the bound is rhs + sqrt(rad(g)).
+    A single eigenvalue is bounded on Q by a rational: other rows raise ``ValueError``.
     ``k`` is an int or a function of n.  ``families`` gives the extremal families by n.
     ``structure`` is the equality characterization: equality must hold exactly where it
     does (``decide``).  A certified equality that fails ``consequence``, a (test, note)
@@ -291,6 +292,8 @@ class Row:
     consequence: Optional[tuple[Callable[[Graph], bool], str]] = None
 
     def __post_init__(self):
+        if not self.sum and (self.kind != "Q" or self.rad):
+            raise ValueError(f"row {self.name}: a single eigenvalue is bounded on Q by a rational")
         # named like a function: scans print __name__, and functools.wraps copies both for pickling by reference
         object.__setattr__(self, "__name__", self.name)
         object.__setattr__(self, "__qualname__", self.name)

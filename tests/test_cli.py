@@ -272,12 +272,17 @@ def test_report_verb(capsys):
     assert "thm-1.2" in out and "regular-bound" in out
 
 
-def test_scan_violation_exit_code(capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_violation_exit_code(capsys, fmt):
     # an intentionally false bound: every connected order-4 graph violates sum <= 0
     code, out, _ = run_cli(capsys, "scan", "--n", "4", "--filter", "connected",
-                           "--predicate", "sum-le 0", "--format", "json")
+                           "--predicate", "sum-le 0", "--format", fmt)
     assert code == 2
-    assert json.loads(out)["violations"]
+    if fmt == "json":
+        assert json.loads(out)["violations"]
+    else:
+        rows = [f"4,violation,{g6}" for g6 in ("CF", "CL", "CN", "C]", "C^", "C~")]
+        assert out.splitlines() == ["n,kind,graph6", *rows]
 
 
 def test_usage_errors(capsys):

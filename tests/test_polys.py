@@ -197,6 +197,7 @@ def test_isolation_finds_kth_largest():
 
 def test_isolation_from_seeds():
     p = from_roots([1, 1, 3, 7])
+    assert cauchy_root_bound(p) == 53
     width = F(2, polys.SEED_SCALE)
     for k, root in ((1, 7), (2, 3), (3, 1), (4, 1)):
         plain = isolate_kth_largest(p, k)
@@ -204,13 +205,19 @@ def test_isolation_from_seeds():
         seeded = isolate_kth_largest(p, k, root + 1e-9)
         assert seeded.hi - seeded.lo == width and seeded.lo < root <= seeded.hi
         assert seeded.counter.count_distinct_halfopen(seeded.lo, seeded.hi) == 1
-        # no number, between roots, far off, at another root: the Cauchy start
+        # no number, or cuts outside the Cauchy window (-53, 53]: the plain bisection
+        for none in [math.nan, math.inf, -math.inf, 1e6, -1e300, 1e308]:
+            assert isolate_kth_largest(p, k, none) == plain, (k, none)
+        # between roots or at another root: cuts that miss the root, then bisection from there
         others = [float(r) for r in (1, 3, 7) if r != root]
-        for bad in [math.nan, math.inf, -math.inf, 2.0, 5.0, 1e6, -1e300, 1e308, *others]:
-            assert isolate_kth_largest(p, k, bad) == plain, (k, bad)
-    # two distinct roots in the seed's window
+        for bad in [2.0, 5.0, *others]:
+            w = isolate_kth_largest(p, k, bad)
+            assert w.lo < root <= w.hi and w.counter.count_distinct_halfopen(w.lo, w.hi) == 1, (k, bad)
+    # two distinct roots, 0 and 2^-22, in the seed's window: narrowed inside it
     close = from_roots([0, F(1, 4 * polys.SEED_SCALE)])
-    assert isolate_kth_largest(close, 1, 0.0) == isolate_kth_largest(close, 1)
+    w = isolate_kth_largest(close, 1, 0.0)
+    assert -F(1, polys.SEED_SCALE) <= w.lo < F(1, 4 * polys.SEED_SCALE) <= w.hi <= F(1, polys.SEED_SCALE)
+    assert w.counter.count_distinct_halfopen(w.lo, w.hi) == 1
     with pytest.raises(ValueError):
         isolate_kth_largest(p, 5, 1.0)
     # a nonzero constant has no roots, with a seed or without

@@ -261,6 +261,15 @@ def test_exact_hit_on_a_strict_radical_row_is_a_certified_violation():
     assert row(cycle(5)).verdict == STRICT
 
 
+@pytest.mark.parametrize("kind, rhs, rad", [
+    pytest.param("A", (0, 1), None, id="lambda2-of-A"),  # on P4 lambda_2(A) = 0.618 was read as q_2 = 2
+    pytest.param("Q", (0, F(3, 2)), lambda g: F(5, 4), id="radical"),  # q_2(C5) = 3/2 + sqrt(5/4) crashed
+])
+def test_single_eigenvalue_rows_are_q_against_a_rational(kind, rhs, rad):
+    with pytest.raises(ValueError, match="bounded on Q by a rational"):
+        Row("x", "x", "<=", rhs, rad, kind=kind, sum=False)
+
+
 @pytest.mark.parametrize("check, g, rhs, note", [
     pytest.param(check_thm12, path(3), F(1), "requires n >= 4", id="thm-1.2-P3"),
     pytest.param(check_thm13, empty_graph(3), F(2), "requires a connected graph", id="thm-1.3-3K1"),
