@@ -20,7 +20,9 @@ polynomial against a root of another, and their sum against a rational or
 surd bound.  Isolation is one bisection from the Cauchy bound whose first two
 cuts a float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
-Floats pick only where to cut: every sign comes from counts.
+Floats pick only where to cut: every sign comes from counts.  A window keeps
+the Sturm counts at its ends, and a comparison those of its common-root
+chain, so a bisection signs each point once.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
@@ -271,7 +273,9 @@ def _sturm_sequence(sf: Poly) -> list[Poly]:
 
 
 def _variations(chain: list[Poly], x: Point) -> int:
-    """Sign changes of a Sturm sequence at x, zeros dropped."""
+    """Sign changes of a Sturm sequence at x, zeros dropped: none for a constant."""
+    if len(chain) == 1:
+        return 0
     signs = [s for s in _signs_at(chain, x) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -301,7 +305,14 @@ class RootCounter:
 
     def count_gt(self, x: Point) -> int:
         """Real roots above x, counted with multiplicity."""
-        return sum(_variations(chain, x) - _variations(chain, POS_INF) for chain in self.tower)
+        return self.counts_at(x)[0]
+
+    def counts_at(self, x: Point) -> tuple[int, int]:
+        """The real roots above x counted with multiplicity, and the sign changes of
+        level 0's Sturm sequence at x (0 for a constant), from one signing at x."""
+        changes = [_variations(chain, x) for chain in self.tower]
+        above = sum(changes) - sum(_variations(chain, POS_INF) for chain in self.tower)
+        return above, changes[0] if changes else 0
 
     def count_distinct_halfopen(self, lo: Point, hi: Point) -> int:
         """Distinct real roots in (lo, hi]."""
@@ -333,19 +344,51 @@ def root_counter(coeffs: tuple) -> RootCounter:
 
 @dataclass
 class RootWindow:
-    """Half-open interval (lo, hi] isolating the value of the k-th largest root."""
+    """Half-open interval (lo, hi] holding the k-th largest root, with the sign changes
+    of the counter's level-0 Sturm sequence at each end, so that counting the distinct
+    roots in the window signs nothing again."""
 
     lo: Fraction
     hi: Fraction
     k: int
     counter: RootCounter
+    lo_changes: int
+    hi_changes: int
+
+    def distinct(self) -> int:
+        """Distinct real roots in (lo, hi]."""
+        return self.lo_changes - self.hi_changes
+
+    def cut(self, x: Fraction) -> None:
+        """Move the end on x's side of the root to x, for lo < x < hi."""
+        above, changes = self.counter.counts_at(x)
+        if above >= self.k:
+            self.lo, self.lo_changes = x, changes
+        else:
+            self.hi, self.hi_changes = x, changes
 
     def refine(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        if self.counter.count_gt(mid) >= self.k:
-            self.lo = mid
-        else:
-            self.hi = mid
+        self.cut((self.lo + self.hi) / 2)
+
+
+class _EndChanges:
+    """The sign changes of a Sturm chain at the two ends of a shrinking interval: an end
+    that did not move is the same object as before, and is not signed again."""
+
+    def __init__(self, chain: list[Poly]):
+        self.chain = chain
+        self.ends: list[tuple[Point, int]] = [(None, 0), (None, 0)]
+
+    def _at(self, end: int, x: Point) -> int:
+        point, changes = self.ends[end]
+        if x is not point:
+            changes = _variations(self.chain, x)
+            self.ends[end] = (x, changes)
+        return changes
+
+    def distinct(self, lo: Point, hi: Point) -> int:
+        """Distinct roots of the chain's first member in (lo, hi]."""
+        return self._at(0, lo) - self._at(1, hi)
 
 
 #: A float seed places the first two cuts at (m - 1) / SEED_SCALE and (m + 1) / SEED_SCALE,
@@ -370,18 +413,17 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
         raise ValueError(f"root index k must be at least 1, not {k}")
     counter = root_counter(tuple(p))
     bound = cauchy_root_bound(p)
-    if counter.count_gt(-bound) < k:
+    above, lo_changes = counter.counts_at(-bound)
+    if above < k:
         raise ValueError(f"polynomial has fewer than {k} real roots")
-    window = RootWindow(-bound, bound, k, counter)
+    # no root lies above B, so level 0 changes sign at B as often as at +inf
+    window = RootWindow(-bound, bound, k, counter, lo_changes, _variations(counter.tower[0], POS_INF))
     if near is not None and isfinite(near * SEED_SCALE):  # not nan, an infinity, or too large to round
         m = round(near * SEED_SCALE)
         for cut in (Fraction(m - 1, SEED_SCALE), Fraction(m + 1, SEED_SCALE)):
             if window.lo < cut < window.hi:
-                if counter.count_gt(cut) >= k:
-                    window.lo = cut
-                else:
-                    window.hi = cut
-    while counter.count_distinct_halfopen(window.lo, window.hi) > 1:
+                window.cut(cut)
+    while window.distinct() > 1:
         window.refine()
     return window
 
@@ -405,9 +447,9 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
         if wb.lo >= wa.hi:
             return -1
         if common is None:
-            common = _sturm_sequence(poly_gcd(wa.counter.tower[0][0], wb.counter.tower[0][0]))
+            common = _EndChanges(_sturm_sequence(poly_gcd(wa.counter.tower[0][0], wb.counter.tower[0][0])))
         # overlapping windows meet in the nonempty (max lo, min hi]
-        if _variations(common, max(wa.lo, wb.lo)) > _variations(common, min(wa.hi, wb.hi)):
+        if common.distinct(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
             return 0
         wa.refine()
         wb.refine()
@@ -438,8 +480,8 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
             return -1
         if norm is None:
             norm = root_counter(tuple(reflection_norm(pa, c)))
-            common = _sturm_sequence(poly_gcd(wb.counter.tower[0][0], norm.tower[0][0]))
-        if _variations(common, wb.lo) > _variations(common, wb.hi):
+            common = _EndChanges(_sturm_sequence(poly_gcd(wb.counter.tower[0][0], norm.tower[0][0])))
+        if common.distinct(wb.lo, wb.hi) > 0:
             # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
             low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo
             lo = wb.lo if _surd_sign(wb.lo - low, -b, d) <= 0 else Surd(low, b, d)

@@ -29,13 +29,16 @@ window comes from one bisection of the Cauchy root bound whose first two
 cuts sit around the screened float eigenvalue, exact Sturm counts picking
 the side at every cut; a float never decides a sign.
 
-The exact layer computes in Python ``int``: the recurrence runs on the
-integer rows of a graph matrix or of a quotient with integer entries, and
-a characteristic polynomial is its ascending ``int`` tuple, which every
-comparison hands to ``polys`` as it is.  Root counting goes through
-``polys.root_counter``, which builds one integer Sturm/gcd tower per
-polynomial.  ``kind_char_poly`` caches the polynomials, which the
-registered checks' scans of the same graphs read again.  ``Fraction`` and
+The exact layer works in integers.  ``char_poly_exact`` runs the recurrence
+on the integer rows of a graph matrix or of a quotient with integer entries,
+modulo as many primes below 2^26 as Hadamard's bound on the coefficients
+asks for, in numpy ``int64``, and rebuilds each coefficient by CRT: one path
+for every caller, graphs and quotients alike.  A characteristic polynomial
+is its ascending ``int`` tuple, which every comparison hands to ``polys`` as
+it is; from there on the arithmetic is Python ``int``.  Root counting goes
+through ``polys.root_counter``, which builds one integer Sturm/gcd tower per
+polynomial.  ``kind_char_poly`` caches the polynomials, which the registered
+checks' scans of the same graphs read again.  ``Fraction`` and
 ``polys.Surd`` appear only in the bounds of the comparisons.
 """
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -254,33 +258,87 @@ def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
 # Exact characteristic polynomials
 
 
+#: The moduli of ``char_poly_exact``: primes below 2^26, the largest first.
+#: ``_prime`` finds each on first use, so importing ``qng`` searches none.
+_PRIMES: list[int] = []
+
+
+def _prime(i: int) -> int:
+    """The (i + 1)-th largest prime below 2^26, by trial division on first use."""
+    while len(_PRIMES) <= i:
+        c = _PRIMES[-1] - 2 if _PRIMES else (1 << 26) - 1
+        while any(c % d == 0 for d in range(3, isqrt(c) + 1, 2)):
+            c -= 2
+        _PRIMES.append(c)
+    return _PRIMES[i]
+
+
 def char_poly_exact(mat: np.ndarray | Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """det(xI - M) as ascending integer coefficients, by Faddeev-LeVerrier.
+    """det(xI - M) as ascending integer coefficients, by Faddeev-LeVerrier modulo primes.
 
     M is a square integer ndarray or a sequence of rows of Python ``int``;
-    any other entry (a ``Fraction``, a float) raises ``ValueError``.  For M
-    of order k: N_1 = M, c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I; the
-    characteristic polynomial is x^k + c_1 x^{k-1} + ... + c_k.  Every c_j is
-    an integer and each division is exact.
+    any other entry (a ``Fraction``, a float) raises ``ValueError``, and so
+    does an order k >= 2^11.  Over the integers the recurrence is N_1 = I,
+    c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I, and the characteristic
+    polynomial is x^k + c_1 x^{k-1} + ... + c_k.  It runs the same recurrence
+    modulo primes p < 2^26 (``_prime``), all at once in numpy ``int64``, with
+    division by j <= k < p a multiplication by the inverse of j mod p.
+
+    No product overflows: every entry reaches numpy reduced to [0, p) by
+    Python's ``%``, so rows of ``int`` beyond int64 work too.  M N_j is
+    reduced to [0, p) and c_j added to its diagonal, so each dot product of
+    the next M N_j has at most one term below 2p^2 and the others below p^2:
+    less than (k + 1)p^2 <= 2^11 p^2 < 2^63.  A trace times an inverse stays
+    below k p^2 too.  Past that order the bound fails, hence the
+    ``ValueError``.
+
+    The primes are enough, by Hadamard's inequality.  c_j is (-1)^j times the
+    sum of the j x j principal minors of M.  The minor on the rows S has
+    |det M[S, S]| <= prod over i in S of r_i, with r_i = ceil(|row_i|_2)
+    (``math.isqrt``), as the rows of M[S, S] are no longer than M's.  So
+    |c_j| <= e_j(r_1, ..., r_k) < H = prod(1 + r_i).  Primes are taken until
+    their product P exceeds 2H; each c_j is then the one integer in
+    (-P/2, P/2) with its residues, which CRT rebuilds.  The result is exact,
+    with no final check.
     """
     rows = mat.tolist() if isinstance(mat, np.ndarray) else [list(row) for row in mat]
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("matrix must be square")
-    if not all(type(v) is int for row in rows for v in row):
+    if k >= 1 << 11:
+        raise ValueError(f"order {k} is 2^11 or more: int64 residue products could overflow")
+    flat = [v for row in rows for v in row]
+    if not all(type(v) is int for v in flat):
         raise ValueError("matrix entries must be int")
-    coeffs_desc = [1]
-    acc = [[int(i == j) for j in range(k)] for i in range(k)]
-    for step in range(1, k + 1):
-        cols = list(zip(*acc))
-        prod = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-        c, rest = divmod(-sum(prod[i][i] for i in range(k)), step)
-        assert rest == 0, "Faddeev-LeVerrier division is inexact"
-        coeffs_desc.append(c)
-        for i in range(k):
-            prod[i][i] += c
-        acc = prod
-    return tuple(coeffs_desc[::-1])
+    bound = 2
+    for row in rows:
+        norm2 = sum(map(mul, row, row))
+        bound *= 2 + isqrt(norm2 - 1) if norm2 else 1  # 1 + ceil(sqrt(norm2))
+    primes, modulus = [], 1
+    while modulus <= bound:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    ps = np.array(primes, dtype=np.int64)
+    cube = ps[:, None, None]
+    m = np.array([[v % p for v in flat] for p in primes], dtype=np.int64).reshape(len(primes), k, k)
+    neg_inverses = np.array([[p - pow(j, -1, p) for p in primes] for j in range(1, k + 1)], dtype=np.int64)
+    residues = np.empty((k, len(primes)), dtype=np.int64)
+    prod = m.copy()  # M N_1
+    for j in range(k):
+        if j:
+            prod = m @ prod
+            prod %= cube
+        diag = prod.reshape(len(primes), k * k)[:, ::k + 1]
+        c = residues[j] = diag.sum(axis=1) * neg_inverses[j] % ps
+        diag += c[:, None]
+    per_prime = residues.T.tolist()
+    values, base = per_prime[0], primes[0]
+    for p, res in zip(primes[1:], per_prime[1:]):
+        inverse = pow(base, -1, p)
+        values = [v + base * ((r - v) * inverse % p) for v, r in zip(values, res)]
+        base *= p
+    half = modulus // 2
+    return tuple(v - modulus if v > half else v for v in reversed(values)) + (1,)
 
 
 @lru_cache(maxsize=1 << 14)

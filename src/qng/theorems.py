@@ -494,7 +494,14 @@ def ng_check(kind: str, k: int) -> Callable[[Graph], BoundReport]:
 
 
 def _degree_ratio(g: Graph) -> Fraction:  # Lemma 2.6: q_1 <= max_u (d_u^2 + sum of its neighbours' degrees) / d_u
-    return max(Fraction(g.degree(u) ** 2 + sum(map(g.degree, g.neighbors(u))), g.degree(u)) for u in range(g.n))
+    """The maximum, picked by integer cross-multiplication; every d_u > 0 on the row's graphs."""
+    degrees = g.degrees()
+    num, den = 0, 1
+    for u, d in enumerate(degrees):
+        top = d * d + sum(map(degrees.__getitem__, g.neighbors(u)))
+        if top * den > num * d:
+            num, den = top, d
+    return Fraction(num, den)
 
 
 def _regular_or_semiregular_bipartite(g: Graph) -> bool:  # equality in Lemma 2.6

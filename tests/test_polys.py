@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -244,6 +245,35 @@ def test_compare_kth_roots():
         for near in [(None, None), (ra, rb), (ra - 1e-12, rb + 1e-12), (math.nan, rb), (ra, -math.inf),
                      (ra + 0.5, rb - 0.5)]:
             assert compare_kth_roots(pa, ka, pb, kb, *near) == sign, (pa, ka, pb, kb, near)
+
+
+def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
+    """A window keeps the Sturm counts at its ends, and a comparison those of its common-root
+    chain at an end that did not move: no chain is signed twice at one point."""
+    signed = Counter()
+    value = polys._value
+
+    def counting(p, a, b):
+        signed[id(p), a, b] += 1
+        return value(p, a, b)
+
+    monkeypatch.setattr(polys, "_value", counting)
+    quad = [-2, 0, 1]
+    cases = [
+        (compare_kth_roots, (ABOVE_THIRD, 1, THIRD, 1, 1 / 3, 1 / 3), 1),
+        (compare_kth_roots, (ABOVE_THIRD, 1, THIRD, 1), 1),
+        (compare_kth_roots, (poly_mul(quad, from_roots([10])), 2, poly_mul(quad, from_roots([-3])), 1), 0),
+        (compare_kth_roots, (from_roots([1, 1, 3, 7]), 2, from_roots([3, 3, 5]), 2), 0),
+        (compare_root_sum, (from_roots([1, 3]), 1, from_roots([2, 5]), 2, F(5)), 0),
+        (compare_root_sum, (from_roots([1, 3]), 1, from_roots([2, 5]), 2, F(11, 2)), -1),
+        (compare_root_sum, (poly_mul(quad, from_roots([10])), 2, poly_mul(quad, from_roots([-3])), 1,
+                            Surd(F(0), F(2), 2)), 0),
+    ]
+    for compare, args, sign in cases:
+        signed.clear()
+        polys.root_counter.cache_clear()
+        assert compare(*args) == sign, args
+        assert signed and max(signed.values()) == 1, args
 
 
 def _surd_horner_sign(p, a, b, d):

@@ -147,6 +147,83 @@ def test_char_poly_rejects_non_int_entries():
             char_poly_exact(bad)
 
 
+def faddeev_leverrier_int(rows) -> tuple[int, ...]:
+    """The reference: the Faddeev-LeVerrier recurrence over Python ``int``, every division exact.
+
+    N_1 = I, c_j = -trace(M N_j)/j, N_{j+1} = M N_j + c_j I; det(xI - M) = x^k + c_1 x^{k-1} + ... + c_k.
+    """
+    k = len(rows)
+    coeffs_desc = [1]
+    acc = [[int(i == j) for j in range(k)] for i in range(k)]
+    for step in range(1, k + 1):
+        cols = list(zip(*acc))
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+        c, rest = divmod(-sum(prod[i][i] for i in range(k)), step)
+        assert rest == 0
+        coeffs_desc.append(c)
+        for i in range(k):
+            prod[i][i] += c
+        acc = prod
+    return tuple(coeffs_desc[::-1])
+
+
+def test_char_poly_matches_the_int_recurrence_up_to_order_7(graphs_by_order):
+    for n in range(1, 8):
+        for g in graphs_by_order[n]:
+            for kind in "ALQ":
+                mat = matrix_of_kind(g, kind)
+                assert char_poly_exact(mat) == faddeev_leverrier_int(mat.tolist()), (to_graph6(g), kind)
+
+
+def _hypercube(d):
+    return from_edges(1 << d, [(u, u ^ (1 << i)) for u in range(1 << d) for i in range(d) if u < u ^ (1 << i)])
+
+
+def test_char_poly_matches_the_int_recurrence_from_order_13_to_32(rng=random.Random(34)):
+    graphs = [cycle(32), _hypercube(5), complete(32), empty_graph(32), complete_bipartite(16, 16)]
+    graphs += [random_graph(rng, n) for n in (13, 19, 26, 32)]
+    for g in graphs:
+        for kind in "ALQ":
+            mat = matrix_of_kind(g, kind)
+            assert char_poly_exact(mat) == faddeev_leverrier_int(mat.tolist()), (to_graph6(g), kind)
+
+
+def _from_roots(roots):
+    p = [1]
+    for r in roots:
+        p = polys.poly_mul(p, [-r, 1])
+    return tuple(p)
+
+
+def test_char_poly_closed_forms_at_order_32():
+    # Q(K32) needs the most primes of the graph matrices: its Hadamard bound 2 * 33^32 is about 2^162
+    assert char_poly_exact(q_matrix(complete(32))) == _from_roots([62] + [30] * 31)
+    assert char_poly_exact(matrix_of_kind(complete(32), "L")) == _from_roots([0] + [32] * 31)
+    assert char_poly_exact(matrix_of_kind(empty_graph(32), "A")) == _from_roots([0] * 32)
+
+
+def test_char_poly_of_int_rows_beyond_int64():
+    nonsymmetric = ((3, -7, 0, 2), (-1, 0, 5, -4), (6, 2, -9, 1), (0, -3, 8, -2))
+    assert char_poly_exact(nonsymmetric) == faddeev_leverrier_int(nonsymmetric)
+    assert char_poly_exact(nonsymmetric) == tuple(charpoly_oracle(nonsymmetric))
+    big = 1 << 70
+    huge = ((big, -big, 3), (1, -big, 0), (-5, 7, big))
+    got = char_poly_exact(huge)
+    assert all(type(c) is int for c in got) and got == faddeev_leverrier_int(huge) == tuple(charpoly_oracle(huge))
+    assert char_poly_exact(((-big, 1), (1, big))) == (-big * big - 1, 0, 1)
+
+
+def test_char_poly_of_orders_0_and_1():
+    assert char_poly_exact([]) == char_poly_exact(np.zeros((0, 0), dtype=np.int64)) == (1,)
+    assert char_poly_exact([[5]]) == (-5, 1) and char_poly_exact([[-(1 << 80)]]) == (1 << 80, 1)
+    assert char_poly_exact(np.zeros((1, 1), dtype=np.int64)) == (0, 1)
+
+
+def test_char_poly_rejects_orders_past_int64_residues():
+    with pytest.raises(ValueError, match="^order 2048 is 2\\^11 or more"):
+        char_poly_exact(np.zeros((2048, 2048), dtype=np.int64))
+
+
 def test_char_poly_against_cofactor_oracle(graphs_by_order):
     for n in range(1, 6):
         for g in graphs_by_order[n]:

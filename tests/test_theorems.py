@@ -29,6 +29,7 @@ from qng.graph import (
     from_edges,
     from_graph6,
     h_graph,
+    is_connected,
     join,
     path,
     relabel,
@@ -182,6 +183,15 @@ def test_lemma26_examples():
     assert check_lemma26(complete_bipartite(2, 5)).verdict == EQUALITY  # semiregular
     assert check_lemma26(path(4)).verdict == STRICT
     assert check_lemma26(disjoint_union(complete(2), complete(2))).verdict == NOT_APPLICABLE
+
+
+def test_lemma26_bound_is_the_largest_degree_ratio(graphs_by_order):
+    """The cross-multiplied maximum equals the maximum of the per-vertex fractions."""
+    for n in range(2, 8):
+        for g in graphs_by_order[n]:
+            if g.m and is_connected(g):
+                want = max(F(g.degree(u) ** 2 + sum(map(g.degree, g.neighbors(u))), g.degree(u)) for u in range(n))
+                assert theorems._degree_ratio(g) == want, to_graph6(g)
 
 
 def test_lemma27_examples():
