@@ -139,8 +139,6 @@ def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng
     counts only toward the splitters, refines as the full count vectors do.
 
     Regular graphs are there because their degree partition has no splitter.
-    ``_root_coloring`` with a watched vertex returns the root coloring if the
-    vertex ends in its last cell and None otherwise.
     """
     graphs = [g for n in range(1, 7) for g in graphs_by_order[n]]
     graphs += [random_graph(rng, n, p) for n in range(7, 11) for p in (0.3, 0.5, 0.7) for _ in range(4)]
@@ -149,8 +147,8 @@ def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng
     calls = []
     refine = enumeration._refine
 
-    def recording(nbrs, colors, splitters, watch=None):
-        result = refine(nbrs, colors, splitters, watch)
+    def recording(nbrs, colors, splitters):
+        result = refine(nbrs, colors, splitters)
         calls.append((colors, result))
         return result
 
@@ -165,10 +163,85 @@ def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng
         for colors, result in calls:
             assert result == _reference_refine(h, colors)
         nbrs = [tuple(bits(row)) for row in h.rows]
-        root = _reference_refine(h, [0] * h.n)
-        assert enumeration._root_coloring(nbrs) == root
-        for v in range(h.n):
-            assert enumeration._root_coloring(nbrs, v) == (root if root[v] == max(root) else None)
+        assert enumeration._root_coloring(nbrs) == _reference_refine(h, [0] * h.n)
+
+
+def _adjacency(rows):
+    """The adjacency bits of graphs of one order, as ``_augment`` builds them."""
+    n = len(rows[0])
+    return np.array(rows, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
+
+
+def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=random.Random(17)):
+    """The root colorings ``_augment`` computes a block at a time equal the
+    full-vector refinement, and route each child as its root coloring says.
+
+    Every candidate child of orders 2..7 is checked, and, one order per
+    block, seeded random graphs, regular graphs (one degree cell, no
+    splitter), K8 and E8.  ``_augment`` drops exactly the children whose new
+    vertex is outside the last cell, keeps those whose root coloring is
+    discrete without a search, and searches the rest from their root.  The
+    keys fit int64 up to order 14, so at ``ENUMERATE_MAX``.
+    """
+    assert 15 ** 15 < 2 ** 63 <= 16 ** 16
+    assert (enumeration.ENUMERATE_MAX + 1) ** (enumeration.ENUMERATE_MAX + 1) < 2 ** 63
+    blocks = [[random_graph(rng, 8, p).rows for p in (0.2, 0.35, 0.5, 0.65, 0.8) for _ in range(20)],
+              [g.rows for g in (cycle(8), complete_bipartite(4, 4), cartesian_product(cycle(4), path(2)),
+                                complete(8), empty_graph(8))],
+              [cycle(9).rows, cartesian_product(cycle(3), cycle(3)).rows],
+              [PETERSEN.rows, random_graph(rng, 10).rows]]
+    for rows in blocks:
+        roots = enumeration._root_colorings(_adjacency(rows)).tolist()
+        assert roots == [_reference_refine(graph._graph_unchecked(len(r), r), [0] * len(r)) for r in rows]
+
+    searched, discrete = [], []
+    search, forms = enumeration._search, enumeration._discrete_forms
+
+    def recording_search(g, root=None):
+        searched.append(g.rows)
+        return search(g, root)
+
+    def recording_forms(adj, roots):
+        discrete.extend(tuple(int(row) for row in a @ (1 << np.arange(a.shape[0]))) for a in adj)
+        return forms(adj, roots)
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    monkeypatch.setattr(enumeration, "_discrete_forms", recording_forms)
+    for n in range(2, 8):
+        level = [(g, search(g)[1]) for g in graphs_by_order[n - 1]]
+        children = list(enumeration._children(level, n))
+        roots = enumeration._root_colorings(_adjacency(children)).tolist()
+        reference = [_reference_refine(graph._graph_unchecked(n, rows), [0] * n) for rows in children]
+        assert roots == reference
+        kept = [(rows, root) for rows, root in zip(children, reference) if root[n - 1] == max(root)]
+        searched.clear()
+        discrete.clear()
+        assert len(list(_augment(level, n))) == len(graphs_by_order[n])
+        assert searched == [rows for rows, root in kept if max(root) < n - 1]
+        assert discrete == [rows for rows, root in kept if max(root) == n - 1]
+
+
+def test_discrete_roots_skip_the_search(graphs_by_order):
+    """On every child of orders 2..8 whose root coloring is discrete, the
+    block path returns ``_search``'s labeling, column code and canonical rows."""
+    level = [(empty_graph(1), [])]
+    checked = 0
+    for n in range(2, 9):
+        children = list(enumeration._children(level, n))
+        adj = _adjacency(children)
+        roots = enumeration._root_colorings(adj)
+        leaf = roots.max(axis=1) == n - 1
+        orders, rows, codes = enumeration._discrete_forms(adj[leaf], roots[leaf])
+        for child, order, canonical, code in zip(
+                [c for c, x in zip(children, leaf) if x], orders.tolist(), rows.tolist(), codes.tolist()):
+            g = graph._graph_unchecked(n, child)
+            labeling, gens, want = _search(g)
+            assert (tuple(order), gens, tuple(code)) == (labeling, [], want)
+            assert tuple(canonical) == enumeration._relabeled(g, labeling).rows
+            checked += 1
+        if n < 8:
+            level = [(g, _search(g)[1]) for g in graphs_by_order[n]]
+    assert checked == 6474  # 13, 251 and 6,210 of the 184, 1,401 and 18,272 children of orders 6, 7, 8
 
 
 def _threshold(creation):
@@ -454,8 +527,9 @@ def test_augmentation_accepts_each_class_once():
 
 
 def test_generation_search_count(monkeypatch):
-    """Full searches in a cold enumerate_graphs(7): K1 plus the 1,253 children
-    of orders 2..7 that pass the degree and root-cell filters."""
+    """Full searches in a cold enumerate_graphs(7): K1 plus 1,093 of the 1,253
+    children of orders 2..7 that pass the degree and root-cell filters; the
+    other 160 have a discrete root coloring and need no search."""
     calls = []
     search = enumeration._search
 
@@ -466,38 +540,49 @@ def test_generation_search_count(monkeypatch):
     monkeypatch.setattr(enumeration, "_search", counting)
     monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
     assert len(enumerate_graphs(7)) == 1044
-    assert len(calls) == 1254
+    assert len(calls) == 1094
     assert calls.count(1) == 1
 
 
 def test_generation_refine_count(monkeypatch):
-    """Refinement calls in a cold enumerate_graphs(7), with its 1,254 searches.
+    """Refinement work in a cold enumerate_graphs(7), with its 1,094 searches.
 
-    Twin seeds take the count from 7,673 down to 4,583.  Of the 1,639
-    children's root colorings, 386 stop early because the new vertex left
-    the last cell.  A lost pruning fails here, not only in a timing.
+    The 1,639 children's root colorings are computed in blocks; 386 of them
+    put the new vertex outside the last cell and are dropped, and 160 are
+    discrete.  The searches make 2,944 ``_refine`` calls (7,673 without twin
+    seeds); no root coloring goes through ``_refine``.  A lost pruning fails
+    here, not only in a timing.
     """
     refines = []
     searches = []
+    roots = []
     refine = enumeration._refine
     search = enumeration._search
+    root_colorings = enumeration._root_colorings
 
-    def counting_refine(nbrs, colors, splitters, watch=None):
-        result = refine(nbrs, colors, splitters, watch)
-        refines.append((watch is not None, result is None))
-        return result
+    def counting_refine(nbrs, colors, splitters):
+        refines.append(len(nbrs))
+        return refine(nbrs, colors, splitters)
 
     def counting_search(g, root=None):
         searches.append(g.n)
         return search(g, root)
 
+    def recording_roots(adj):
+        result = root_colorings(adj)
+        roots.extend(result.tolist())
+        return result
+
     monkeypatch.setattr(enumeration, "_refine", counting_refine)
     monkeypatch.setattr(enumeration, "_search", counting_search)
+    monkeypatch.setattr(enumeration, "_root_colorings", recording_roots)
     monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
     assert len(enumerate_graphs(7)) == 1044
-    assert len(searches) == 1254
-    assert len(refines) == 4583
-    assert refines.count((True, False)) == 1253 and refines.count((True, True)) == 386
+    assert len(searches) == 1094
+    assert len(refines) == 2944
+    assert len(roots) == 1639
+    assert sum(root[-1] != max(root) for root in roots) == 386
+    assert sum(root[-1] == len(root) - 1 for root in roots) == 160
 
 
 def test_enumeration_n8_golden_digest(enum8):
