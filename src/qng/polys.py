@@ -7,22 +7,23 @@ order with no trailing zeros; functions that only read one also take the
 about its roots, so a positive multiple serves as well as the polynomial
 itself: gcds, square-free parts, remainders and compositions come back
 primitive (content 1), and remainders come from pseudo-division scaled by
-positive factors only, so every Sturm sign survives.
+positive factors only, so a remainder has the signs of the true one.
 
 On top of this ring one object counts roots: a ``RootCounter`` holds the
-iterated-gcd tower of a polynomial, one Sturm sequence per level, and answers
-the three questions asked of it: distinct roots in a half-open interval,
-roots above a point counted with multiplicity, and the multiplicity of a
-rational.  ``root_counter`` builds one per polynomial and hands it to every
-later caller.  On the counters rest isolation of the k-th largest real root
-and two decision procedures that always return a sign: a root of one
-polynomial against a root of another, and their sum against a rational or
-surd bound.  Isolation is one bisection from the Cauchy bound whose first two
-cuts a float seed, such as the screened eigenvalue, may place at the ends of a
+iterated-gcd levels of a real-rooted polynomial, counts each level's roots
+above a point by Descartes' rule of signs, and answers the three questions
+asked of it: distinct roots in a half-open interval, roots above a point
+counted with multiplicity, and the multiplicity of a rational.
+``root_counter`` builds one per polynomial and hands it to every later
+caller.  On the counters rest isolation of the k-th largest real root and
+two decision procedures that always return a sign: a root of one polynomial
+against a root of another, and their sum against a rational or surd bound.
+Isolation is one bisection from the Cauchy bound whose first two cuts a
+float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
 Floats pick only where to cut: every sign comes from counts.  A window keeps
-the Sturm counts at its ends, and a comparison those of its common-root
-chain, so a bisection signs each point once.
+level 0's counts at its ends, and a comparison those of its common-root
+gcd, so a bisection counts each polynomial at each point once.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
@@ -30,7 +31,7 @@ p((u + v sqrt(d)) / den) by Horner's rule on integer pairs, so closed-form roots
 like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified with no floats or fractions;
 every surd test of both proof checks runs on it.  A ``Surd`` a + b sqrt(d) has no
 arithmetic: it is only a bound of a root-sum comparison and a point to count
-roots at, where root counting runs the same kernel.
+roots at, where the counting kernel shifts in the same integer pairs.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from math import gcd, isfinite, isqrt, lcm
 from typing import Sequence, Union
 
 Poly = list[int]
-
-# Sentinel for evaluation at the top end of the real line.
-POS_INF = object()
 
 
 def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
@@ -128,10 +126,6 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
 def _value(p: Poly, a: int, b: int) -> int:
     """b^deg(p) * p(a/b) for b > 0, by homogeneous Horner."""
     acc = p[-1]
-    if b == 1:
-        for c in p[-2::-1]:
-            acc = acc * a + c
-        return acc
     power = 1
     for c in p[-2::-1]:
         power *= b
@@ -241,90 +235,89 @@ def reflection_norm(p: Sequence[int], c) -> Poly:
     return [-x for x in norm] if norm[-1] < 0 else norm
 
 
-#: A point of the real line at which a Sturm chain is signed: an ``int``, a
-#: ``Fraction``, a ``Surd`` or ``POS_INF``.
-Point = Union[int, Fraction, Surd, object]
+#: A point of the real line at which roots are counted: an ``int``, a ``Fraction`` or a ``Surd``.
+Point = Union[int, Fraction, Surd]
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and root counting
+# Root counting by Descartes' rule of signs
 
 
-def _signs_at(chain: list[Poly], x: Point) -> list[int]:
-    if x is POS_INF:
-        return [_sign(p[-1]) for p in chain]
-    if isinstance(x, Surd):
-        (u, v), den = _over_common_denominator((x.a, x.b))
-        return [sign_at_surd(p, u, v, x.d, den) for p in chain]
-    a, b = x.numerator, x.denominator
-    return [_sign(_value(p, a, b)) for p in chain]
+def _roots_above(polys: list[Poly], x: Point) -> list[int]:
+    """The roots above x of each real-rooted polynomial, counted with multiplicity.
 
-
-def _sturm_sequence(sf: Poly) -> list[Poly]:
-    chain = [sf]
-    if len(sf) > 1:
-        chain.append(_primitive(_derivative(sf)))
-        while len(chain[-1]) > 1:
-            rem = poly_rem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-    return chain
-
-
-def _variations(chain: list[Poly], x: Point) -> int:
-    """Sign changes of a Sturm sequence at x, zeros dropped: none for a constant."""
-    if len(chain) == 1:
-        return 0
-    signs = [s for s in _signs_at(chain, x) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    Descartes' rule of signs, exact for a real-rooted p: the count is the sign
+    changes, zeros dropped, of the coefficients of p(x + y) in y (a root at x
+    is a zero low coefficient).  For x = (u + v*sqrt(d)) / den, the integer
+    Taylor shift of den^deg(p) * p((z + u + v*sqrt(d)) / den), in Z or in
+    Z[sqrt(d)], has the same signs; ``_surd_sign`` signs the Z[sqrt(d)] ones.
+    """
+    *rational, d = _surd_parts(x)
+    (u, v), den = _over_common_denominator(rational)
+    counts: list[int] = []
+    for p in polys:
+        n = len(p) - 1
+        big = [c * den ** (n - i) for i, c in enumerate(p)]
+        if v == 0 or d == 0:
+            if u:
+                for i in range(n):
+                    acc = big[n]
+                    for j in range(n - 1, i - 1, -1):
+                        acc = big[j] = big[j] + u * acc
+            signs = [c > 0 for c in big if c]
+        else:
+            small = [0] * (n + 1)
+            for i in range(n):
+                a, b = big[n], small[n]
+                for j in range(n - 1, i - 1, -1):
+                    a, b = big[j] + u * a + v * d * b, small[j] + u * b + v * a
+                    big[j], small[j] = a, b
+            signs = [s > 0 for s in (_surd_sign(a, b, d) for a, b in zip(big, small)) if s]
+        counts.append(sum(s != t for s, t in zip(signs, signs[1:])))
+    return counts
 
 
 class RootCounter:
-    """Multiplicity-aware root counting via the iterated-gcd tower.
+    """Multiplicity-aware root counting of a real-rooted polynomial by its iterated-gcd levels.
 
-    Level j of the tower is gcd applied j times starting from p, made to
-    lead positively; a root of multiplicity m appears in levels 0..m-1, so
-    summing distinct counts over the tower counts roots with multiplicity.
-    Each level keeps the Sturm sequence of its square-free part, the quotient
-    of the level by the next; level 0's first member is the square-free part
-    of p.  A nonzero constant has an empty tower.  ``p`` is a nonzero ``int``
-    sequence with no trailing zeros.
+    Level j is the square-free part of gcd applied j times to p: the primitive
+    product of the roots of multiplicity above j.  The degrees of the levels add
+    up to deg p, so a count summed over the levels counts with multiplicity;
+    level 0 counts distinct roots.  A nonzero constant has no levels.  ``p`` is
+    a nonzero ``int`` sequence with no trailing zeros, and real-rooted, as
+    every caller's is: char polys of the symmetric A, L and Q (``spectra``) and
+    of equitable quotients, which are similar to symmetric matrices (the proof
+    checks in ``theorems``), ``reflection_norm`` of such a p, and gcds of these.
     """
 
     def __init__(self, p: Poly):
         if not any(p):
             raise ValueError("zero polynomial")
         cur = _primitive(list(p) if p[-1] > 0 else [-c for c in p])
-        tower = []
+        levels = []
         while len(cur) > 1:
             nxt = poly_gcd(cur, _derivative(cur))
-            tower.append(_sturm_sequence(poly_exact_div(cur, nxt)))
+            levels.append(poly_exact_div(cur, nxt))
             cur = nxt
-        self.tower = tower
+        self.levels = levels
 
     def count_gt(self, x: Point) -> int:
         """Real roots above x, counted with multiplicity."""
         return self.counts_at(x)[0]
 
     def counts_at(self, x: Point) -> tuple[int, int]:
-        """The real roots above x counted with multiplicity, and the sign changes of
-        level 0's Sturm sequence at x (0 for a constant), from one signing at x."""
-        changes = [_variations(chain, x) for chain in self.tower]
-        above = sum(changes) - sum(_variations(chain, POS_INF) for chain in self.tower)
-        return above, changes[0] if changes else 0
+        """The real roots above x with multiplicity, and the distinct ones (level 0's count)."""
+        counts = _roots_above(self.levels, x)
+        return sum(counts), counts[0] if counts else 0
 
     def count_distinct_halfopen(self, lo: Point, hi: Point) -> int:
         """Distinct real roots in (lo, hi]."""
-        if not self.tower:
-            return 0
-        chain = self.tower[0]
-        return _variations(chain, lo) - _variations(chain, hi)
+        return sum(_roots_above(self.levels[:1], lo)) - sum(_roots_above(self.levels[:1], hi))
 
     def multiplicity(self, r) -> int:
-        """Exact multiplicity of the int or ``Fraction`` r as a root (0 if not a root)."""
+        """Multiplicity of the int or ``Fraction`` r as a root: the levels that vanish at r."""
         a, b = r.numerator, r.denominator
-        return sum(1 for chain in self.tower if _value(chain[0], a, b) == 0)
+        return sum(1 for level in self.levels if _value(level, a, b) == 0)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -333,7 +326,7 @@ def root_counter(coeffs: tuple) -> RootCounter:
 
     ``coeffs`` is the ascending coefficient tuple.  Counters never change
     after construction, so every caller that meets the same polynomial again
-    reuses its tower.
+    reuses its levels.
     """
     return RootCounter(coeffs)
 
@@ -344,9 +337,9 @@ def root_counter(coeffs: tuple) -> RootCounter:
 
 @dataclass
 class RootWindow:
-    """Half-open interval (lo, hi] holding the k-th largest root, with the sign changes
-    of the counter's level-0 Sturm sequence at each end, so that counting the distinct
-    roots in the window signs nothing again."""
+    """Half-open interval (lo, hi] holding the k-th largest root, with the roots of the
+    counter's level 0 above each end, so that counting the distinct roots in the window
+    shifts nothing again."""
 
     lo: Fraction
     hi: Fraction
@@ -372,22 +365,22 @@ class RootWindow:
 
 
 class _EndChanges:
-    """The sign changes of a Sturm chain at the two ends of a shrinking interval: an end
-    that did not move is the same object as before, and is not signed again."""
+    """The roots of a square-free polynomial above the two ends of a shrinking interval:
+    an end that did not move is the same object as before, and is not counted again."""
 
-    def __init__(self, chain: list[Poly]):
-        self.chain = chain
+    def __init__(self, poly: Poly):
+        self.poly = poly
         self.ends: list[tuple[Point, int]] = [(None, 0), (None, 0)]
 
     def _at(self, end: int, x: Point) -> int:
         point, changes = self.ends[end]
         if x is not point:
-            changes = _variations(self.chain, x)
+            changes = _roots_above([self.poly], x)[0]
             self.ends[end] = (x, changes)
         return changes
 
     def distinct(self, lo: Point, hi: Point) -> int:
-        """Distinct roots of the chain's first member in (lo, hi]."""
+        """Distinct roots of the polynomial in (lo, hi]."""
         return self._at(0, lo) - self._at(1, hi)
 
 
@@ -406,18 +399,17 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
     misses the root, or whose window holds other roots, only costs steps, and
     every window returned isolates the same root.
 
-    Requires p to have at least k real roots with multiplicity; characteristic
-    polynomials of symmetric matrices always do, and k >= 1.
+    Requires k >= 1 and a real-rooted p (see ``RootCounter``) of degree at
+    least k.
     """
     if k < 1:
         raise ValueError(f"root index k must be at least 1, not {k}")
     counter = root_counter(tuple(p))
-    bound = cauchy_root_bound(p)
-    above, lo_changes = counter.counts_at(-bound)
-    if above < k:
+    if len(p) - 1 < k:
         raise ValueError(f"polynomial has fewer than {k} real roots")
-    # no root lies above B, so level 0 changes sign at B as often as at +inf
-    window = RootWindow(-bound, bound, k, counter, lo_changes, _variations(counter.tower[0], POS_INF))
+    bound = cauchy_root_bound(p)
+    # all the roots lie in (-B, B): every one above -B, none above B
+    window = RootWindow(-bound, bound, k, counter, len(counter.levels[0]) - 1, 0)
     if near is not None and isfinite(near * SEED_SCALE):  # not nan, an infinity, or too large to round
         m = round(near * SEED_SCALE)
         for cut in (Fraction(m - 1, SEED_SCALE), Fraction(m + 1, SEED_SCALE)):
@@ -447,7 +439,7 @@ def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
         if wb.lo >= wa.hi:
             return -1
         if common is None:
-            common = _EndChanges(_sturm_sequence(poly_gcd(wa.counter.tower[0][0], wb.counter.tower[0][0])))
+            common = _EndChanges(poly_gcd(wa.counter.levels[0], wb.counter.levels[0]))
         # overlapping windows meet in the nonempty (max lo, min hi]
         if common.distinct(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
             return 0
@@ -480,7 +472,7 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
             return -1
         if norm is None:
             norm = root_counter(tuple(reflection_norm(pa, c)))
-            common = _EndChanges(_sturm_sequence(poly_gcd(wb.counter.tower[0][0], norm.tower[0][0])))
+            common = _EndChanges(poly_gcd(wb.counter.levels[0], norm.levels[0]))
         if common.distinct(wb.lo, wb.hi) > 0:
             # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
             low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo

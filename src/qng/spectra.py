@@ -23,10 +23,10 @@ complements screened since included, so another scan of the same chunk
 reads its screen again.  ``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
-Faddeev-LeVerrier recurrence, Sturm-sequence root counting, and
-isolating-interval comparisons of algebraic eigenvalues.  Each isolating
+Faddeev-LeVerrier recurrence, root counting by Descartes' rule of signs,
+and isolating-interval comparisons of algebraic eigenvalues.  Each isolating
 window comes from one bisection of the Cauchy root bound whose first two
-cuts sit around the screened float eigenvalue, exact Sturm counts picking
+cuts sit around the screened float eigenvalue, exact root counts picking
 the side at every cut; a float never decides a sign.
 
 The exact layer works in integers.  ``char_poly_exact`` runs the recurrence
@@ -36,8 +36,8 @@ asks for, in numpy ``int64``, and rebuilds each coefficient by CRT: one path
 for every caller, graphs and quotients alike.  A characteristic polynomial
 is its ascending ``int`` tuple, which every comparison hands to ``polys`` as
 it is; from there on the arithmetic is Python ``int``.  Root counting goes
-through ``polys.root_counter``, which builds one integer Sturm/gcd tower per
-polynomial.  ``kind_char_poly`` caches the polynomials, which the registered
+through ``polys.root_counter``, which builds the iterated-gcd levels of each
+polynomial once.  ``kind_char_poly`` caches the polynomials, which the registered
 checks' scans of the same graphs read again.  ``Fraction`` and
 ``polys.Surd`` appear only in the bounds of the comparisons.
 """

@@ -325,7 +325,7 @@ def test_criterion_09_float_exact_agreement(graphs_by_order):
                     window.refine()
                 mid = float((window.lo + window.hi) / 2)
                 assert abs(floats[k - 1] - mid) < 1e-8
-    _passed(9, "float spectra match Sturm-isolated exact roots at n<=6")
+    _passed(9, "float spectra match exactly isolated roots at n<=6")
 
 
 def test_criterion_10_micro_censuses(graphs_by_order, enum8):

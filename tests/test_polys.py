@@ -1,4 +1,8 @@
-"""Exact polynomial arithmetic, Sturm counting and root comparison."""
+"""Exact polynomial arithmetic, root counting and root comparison.
+
+``RootCounter`` counts by Descartes' rule of signs, exact only for real-rooted
+polynomials; ``SturmCounter`` below is the reference it is checked against,
+exact for every real polynomial."""
 
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ import pytest
 
 from qng import polys
 from qng.polys import (
-    POS_INF,
     RootCounter,
     Surd,
     cauchy_root_bound,
@@ -27,6 +30,7 @@ from qng.polys import (
     reflection_norm,
     sign_at_surd,
 )
+from qng.spectra import kind_char_poly, spectrum
 
 
 def scaled(coeffs):
@@ -71,8 +75,8 @@ def test_divmod_and_gcd():
 def test_squarefree_and_multiplicity():
     p = poly_mul(from_roots([2, 2, 2]), from_roots([5]))
     counter = RootCounter(p)
-    assert counter.tower[0][0] == from_roots([2, 5])
-    assert RootCounter([-6 * c for c in p]).tower[0][0] == from_roots([2, 5])
+    assert counter.levels[0] == from_roots([2, 5])
+    assert RootCounter([-6 * c for c in p]).levels[0] == from_roots([2, 5])
     assert counter.multiplicity(F(2)) == 3
     assert counter.multiplicity(2) == 3
     assert counter.multiplicity(F(5)) == 1
@@ -248,16 +252,17 @@ def test_compare_kth_roots():
 
 
 def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
-    """A window keeps the Sturm counts at its ends, and a comparison those of its common-root
-    chain at an end that did not move: no chain is signed twice at one point."""
+    """A window keeps level 0's counts at its ends, and a comparison those of its common-root
+    gcd at an end that did not move: no polynomial is counted twice at one point."""
     signed = Counter()
-    value = polys._value
+    roots_above = polys._roots_above
 
-    def counting(p, a, b):
-        signed[id(p), a, b] += 1
-        return value(p, a, b)
+    def counting(shifted, x):
+        for p in shifted:
+            signed[id(p), x] += 1
+        return roots_above(shifted, x)
 
-    monkeypatch.setattr(polys, "_value", counting)
+    monkeypatch.setattr(polys, "_roots_above", counting)
     quad = [-2, 0, 1]
     cases = [
         (compare_kth_roots, (ABOVE_THIRD, 1, THIRD, 1, 1 / 3, 1 / 3), 1),
@@ -345,10 +350,70 @@ def test_sturm_chain_with_surd_endpoint():
     s2 = Surd(F(0), F(1), 2)
     assert counter.count_gt(s2) == 1
     assert counter.count_distinct_halfopen(s2, F(10)) == 1
-    assert counter.count_distinct_halfopen(s2, POS_INF) == 1
+    assert counter.count_distinct_halfopen(s2, cauchy_root_bound(p)) == 1
 
 
-# --- integer layer: Sturm signs, multiplicities, surd evaluation ---
+# --- the Sturm reference, exact with non-real roots too ---
+
+
+def _sturm_chain(sf):
+    """The Sturm sequence of a square-free polynomial: it, its derivative, then each remainder
+    negated, by ``poly_rem``, whose positive scale factors keep the true remainder's signs."""
+    chain = [sf]
+    if len(sf) > 1:
+        chain.append(polys._primitive(polys._derivative(sf)))
+        while len(chain[-1]) > 1:
+            rem = poly_rem(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return chain
+
+
+def _sturm_changes(chain, x):
+    """Sign changes of a Sturm sequence at a rational or ``Surd`` x, zeros dropped: none for a constant."""
+    if isinstance(x, Surd):
+        den = math.lcm(x.a.denominator, x.b.denominator)
+        u, v, d = int(x.a * den), int(x.b * den), x.d
+    else:
+        u, v, d, den = F(x).numerator, 0, 0, F(x).denominator
+    signs = [s for s in (sign_at_surd(p, u, v, d, den) for p in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class SturmCounter:
+    """Reference counter with ``RootCounter``'s questions: the same iterated-gcd levels, each
+    counted by its Sturm sequence, with the Cauchy bound B standing in for +infinity (no root
+    lies above it, so a chain changes sign there as often as at +infinity)."""
+
+    def __init__(self, p):
+        cur = polys._primitive(list(p) if p[-1] > 0 else [-c for c in p])
+        self.levels = []
+        while len(cur) > 1:
+            nxt = poly_gcd(cur, polys._derivative(cur))
+            self.levels.append(poly_exact_div(cur, nxt))
+            cur = nxt
+        self.chains = [_sturm_chain(level) for level in self.levels]
+        self.bound = cauchy_root_bound(p)
+        self._changes = {}
+
+    def _at(self, x):
+        """The sign changes of every level's chain at x."""
+        if x not in self._changes:
+            self._changes[x] = [_sturm_changes(chain, x) for chain in self.chains]
+        return self._changes[x]
+
+    def count_gt(self, x):
+        return sum(self._at(x)) - sum(self._at(self.bound))
+
+    def count_distinct_halfopen(self, lo, hi):
+        return self._at(lo)[0] - self._at(hi)[0] if self.chains else 0
+
+    def multiplicity(self, r):
+        return sum(1 for level in self.levels if poly_eval(level, F(r)) == 0)
+
+
+# --- integer layer: root counts, multiplicities, surd evaluation ---
 
 
 def _real_roots(p):
@@ -363,14 +428,18 @@ def _real_roots(p):
 
 
 def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
+    """The Sturm reference counts only the real roots of a polynomial with non-real ones,
+    where Descartes' rule, and so ``RootCounter``, may count too many."""
     x2_plus_1 = [1, 0, 1]
-    assert RootCounter(x2_plus_1).count_distinct_halfopen(F(-3), POS_INF) == 0
-    assert RootCounter(x2_plus_1).count_gt(F(-3)) == 0
+    top = cauchy_root_bound(x2_plus_1)
+    assert SturmCounter(x2_plus_1).count_distinct_halfopen(F(-3), top) == 0
+    assert SturmCounter(x2_plus_1).count_gt(F(-3)) == 0
     p = poly_mul(x2_plus_1, from_roots([1, 1]))
-    assert RootCounter(p).count_distinct_halfopen(F(-3), POS_INF) == 1
-    assert RootCounter(p).count_distinct_halfopen(F(-3), F(1)) == 1
-    assert RootCounter(p).count_gt(F(-3)) == 2
-    assert RootCounter(p).count_gt(F(1)) == 0
+    top = cauchy_root_bound(p)
+    assert SturmCounter(p).count_distinct_halfopen(F(-3), top) == 1
+    assert SturmCounter(p).count_distinct_halfopen(F(-3), F(1)) == 1
+    assert SturmCounter(p).count_gt(F(-3)) == 2
+    assert SturmCounter(p).count_gt(F(1)) == 0
     checked = 0
     while checked < 300:
         p = scaled([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))])
@@ -379,21 +448,62 @@ def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
         real = _real_roots(p)
         if real is None or len(real) == len(p) - 1:
             continue  # keep only polynomials with non-real roots
-        counter = RootCounter(p)
+        counter = SturmCounter(p)
+        top = cauchy_root_bound(p)
         for _ in range(5):
             x = F(rng.randint(-80, 80), rng.randint(1, 8))
             if any(abs(r - x) < 1e-6 for r in real):
                 continue
-            assert counter.count_distinct_halfopen(x, POS_INF) == sum(1 for r in real if r > x), (p, x)
-        assert counter.count_distinct_halfopen(-cauchy_root_bound(p), POS_INF) == len(real)
+            assert counter.count_distinct_halfopen(x, top) == sum(1 for r in real if r > x), (p, x)
+        assert counter.count_distinct_halfopen(-top, top) == len(real)
         checked += 1
 
 
+def _agrees_with_sturm(p, points):
+    """``RootCounter`` and the Sturm reference count the roots of p above each point alike,
+    with multiplicity and without, and the distinct roots between the first and last point."""
+    counter, ref = RootCounter(p), SturmCounter(p)
+    for x in points:
+        assert counter.counts_at(x) == (ref.count_gt(x), ref.count_distinct_halfopen(x, ref.bound)), (p, x)
+    lo, hi = points[0], points[-1]
+    assert counter.count_distinct_halfopen(lo, hi) == ref.count_distinct_halfopen(lo, hi), (p, lo, hi)
+    return counter, ref
+
+
+def test_root_counter_matches_the_sturm_reference_on_graph_char_polys(graphs_by_order):
+    """On the char polys of A, L and Q of every class of order <= 6 and every 7th of order 7,
+    ``RootCounter`` counts as the Sturm reference does: 2^-20 either side of each float
+    eigenvalue, at each integer eigenvalue, whose multiplicity is also the floats', and at two
+    seeded surd points; and, for one kind per class in turn, on ``reflection_norm(p, c)`` at a
+    seeded surd c, at surds 2^-20 either side of c minus the largest and the smallest eigenvalue."""
+    rng = random.Random(36)
+    step = F(1, polys.SEED_SCALE)
+    for n in range(1, 8):
+        for i, g in enumerate(graphs_by_order[n][:: 7 if n == 7 else 1]):
+            for kind in "ALQ":
+                p = kind_char_poly(g, kind)
+                values = spectrum(g, kind).values
+                near = sorted({F(round(v * polys.SEED_SCALE), polys.SEED_SCALE) for v in values})
+                integers = sorted({round(v) for v in values if poly_eval(p, round(v)) == 0})
+                surds = [Surd(F(rng.randint(-16, 16), 2), F(rng.choice((-1, 1)), rng.randint(1, 3)),
+                              rng.choice((2, 3, 5, 7))) for _ in range(2)]
+                counter, ref = _agrees_with_sturm(p, [y for x in near for y in (x - step, x + step)] + integers + surds)
+                for r in integers:
+                    assert counter.multiplicity(r) == ref.multiplicity(r) == sum(abs(v - r) < 1e-6 for v in values)
+                if kind != "ALQ"[i % 3]:
+                    continue
+                c = surds[0]
+                _agrees_with_sturm(reflection_norm(p, c),
+                                   [Surd(c.a - x + e, c.b, c.d) for x in (near[-1], near[0]) for e in (-step, step)])
+
+
 def test_root_counter_against_multiplicities(rng=random.Random(23)):
+    """``RootCounter`` on products of rational roots, and the Sturm reference on the same
+    products times quadratics without real roots."""
     for _ in range(150):
         roots = [F(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(1, 4))]
         roots += rng.choices(roots, k=rng.randint(0, 4))  # repeated roots
-        p = from_roots(roots)
+        real = p = from_roots(roots)
         quadratics = set()
         for _ in range(rng.randint(0, 2)):  # factors without real roots
             b = rng.randint(-4, 4)
@@ -401,15 +511,15 @@ def test_root_counter_against_multiplicities(rng=random.Random(23)):
             quadratics.add(q)
             p = poly_mul(p, list(q))
         scale = rng.choice([-3, -1, 1, 2]) * rng.choice([1, 5])
-        p = [scale * c for c in p]
-        counter = RootCounter(p)
         points = set(roots) | {F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(6)}
-        for x in points:
-            assert counter.count_gt(x) == sum(1 for r in roots if r > x), (roots, x)
-            assert counter.multiplicity(x) == roots.count(x)
         distinct = set(roots)
-        assert counter.count_distinct_halfopen(F(-13), F(13)) == len(distinct)
-        want = from_roots(sorted(distinct))
+        want_real = want = from_roots(sorted(distinct))
         for q in sorted(quadratics):
             want = poly_mul(want, list(q))
-        assert counter.tower[0][0] == want
+        for counter, square_free in ((RootCounter([scale * c for c in real]), want_real),
+                                     (SturmCounter([scale * c for c in p]), want)):
+            for x in points:
+                assert counter.count_gt(x) == sum(1 for r in roots if r > x), (roots, x)
+                assert counter.multiplicity(x) == roots.count(x)
+            assert counter.count_distinct_halfopen(F(-13), F(13)) == len(distinct)
+            assert counter.levels[0] == square_free
