@@ -42,14 +42,15 @@ order is sorted by the children's column codes, which is graph6 order, and
 the last order's automorphisms are never translated to canonical labels.
 Counts are cross-checked against reference values in the test suite.
 
-``scan`` reads its source lazily and cuts it into chunks of ``SCAN_CHUNK``
+``scan`` reads its source lazily and cuts it into chunks of ``CHUNK_SIZE``
 items, graphs or the graph6 lines of an external stream.  A chunk is where
 each graph is handled once: one helper decodes the chunk's lines in one
 batch (``graph.decode_graph6``), filters them (on adjacency rows, building
-no complement), names the graphs kept to ``spectra.set_chunk``, runs the
-check (each matrix kind it reads is then screened for the chunk's graphs in
-one batched float call, and for the complements it reads in one more),
-drops the chunk again, and returns the chunk's tally,
+no complement), makes the graphs kept the current ``spectra.Chunk`` while
+the check runs (each matrix kind it reads is then screened for the chunk's
+graphs in one batched float call, and for the complements it reads in one
+more; ``spectra.chunk_of`` keeps the screens of recent chunks, so another
+scan of the same graphs reads them again), and returns the chunk's tally,
 its verdict counts plus the canonical graph6 keys of its equality and
 violation graphs.  A bound-table row or a scan predicate gets the whole
 chunk through its ``verdicts`` method and complements, and builds reports
@@ -593,7 +594,7 @@ class ScanResult:
 
 #: Source items per chunk of a scan: one pool task under ``jobs`` > 1, and
 #: one batched decode and float screen.
-SCAN_CHUNK = 256
+CHUNK_SIZE = 256
 
 
 def _chunk_graphs(items: list) -> list[Graph]:
@@ -602,7 +603,7 @@ def _chunk_graphs(items: list) -> list[Graph]:
 
 
 def _chunks(stream: Iterator) -> Iterator[list]:
-    """``stream`` in lists of ``SCAN_CHUNK`` items.
+    """``stream`` in lists of ``CHUNK_SIZE`` items.
 
     If reading the stream fails, the lines of the unfinished chunk are
     decoded first, so a malformed line read before the failure is the error
@@ -611,7 +612,7 @@ def _chunks(stream: Iterator) -> Iterator[list]:
     while True:
         chunk: list = []
         try:
-            for item in islice(stream, SCAN_CHUNK):
+            for item in islice(stream, CHUNK_SIZE):
                 chunk.append(item)
         except Exception:
             _chunk_graphs(chunk)
@@ -628,11 +629,12 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
     violated graphs.
 
     ``items`` are graphs or graph6 lines of order ``n``; lines are decoded
-    here, in one batch.  The filter name is resolved here too, and
-    ``spectra`` has the graphs the filter keeps as its chunk.  A check with
-    a ``verdicts`` method (a bound-table row or a predicate) is handed the
-    whole chunk; any other is called on each graph.  The chunk is dropped
-    from ``spectra`` when the tally ends, also on an error.
+    here, in one batch.  The filter name is resolved here too, and the
+    graphs the filter keeps are the current ``spectra`` chunk
+    (``spectra.in_chunk``) while the check runs, and no longer when the
+    tally ends, also on an error.  A check with a ``verdicts`` method (a
+    bound-table row or a predicate) is handed the whole chunk; any other is
+    called on each graph.
     """
     graphs = _chunk_graphs(items)
     for g in graphs:
@@ -640,14 +642,8 @@ def _tally(items: list, n: int, graph_filter: str, check: Callable[[Graph], obje
             raise ValueError(f"stream graph of order {g.n} in a scan for n={n}")
     _, accept = resolve_filter(graph_filter)
     graphs = list(filter(accept, graphs))
-    spectra.set_chunk(graphs)
-    try:
-        if hasattr(check, "verdicts"):
-            verdicts = check.verdicts(graphs)
-        else:
-            verdicts = [check(g).verdict for g in graphs]
-    finally:
-        spectra.set_chunk(())
+    with spectra.in_chunk(graphs):
+        verdicts = check.verdicts(graphs) if hasattr(check, "verdicts") else [check(g).verdict for g in graphs]
     keys: dict[str, set[str]] = {"equality-certified": set(), "violated": set()}
     for g, verdict in zip(graphs, verdicts):
         if verdict in keys:
@@ -678,7 +674,7 @@ def scan(
     ``source`` defaults to the built-in isomorph-free stream; for orders
     beyond 8 pass graphs, or the graph6 lines of an external stream (a
     source yields one or the other).  The source is read lazily in chunks of
-    ``SCAN_CHUNK`` items, and each chunk is decoded, filtered and tallied
+    ``CHUNK_SIZE`` items, and each chunk is decoded, filtered and tallied
     where it is checked: in this process, or in a pool worker under ``jobs``
     > 1.  ``graph_filter`` is a filter name (``resolve_filter``); a chunk
     carries lines as text and the filter by name, so it is resolved in the

@@ -151,19 +151,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows)
 
 
-def relabel(g: Graph, order: Sequence[int]) -> Graph:
-    """Relabel so that new vertex ``i`` is old vertex ``order[i]``."""
-    n = g.n
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * n
-    for i, v in enumerate(order):
-        for u in bits(g.rows[v]):
-            rows[i] |= 1 << pos[u]
-    return Graph(n, rows)
-
-
 # ---------------------------------------------------------------------------
 # Operators
 

@@ -1,26 +1,27 @@
 """Spectra of graph matrices: float screening plus exact certification.
 
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
-are used only for screening.  A scan names each chunk with ``set_chunk``;
-``complement_of`` builds a member's complement once, at its first read (a
-check's or a screen's, never a filter's).  The first read of a kind on a
-chunk member stacks the kind-matrices of the chunk's graphs of its order as
-one (B, n, n) array and screens them in one eigvalsh call; the complements
-are screened only when read, in one more call.  ``chunk_sum_bounds`` reads
-an interval of each member's sum lambda_k(G) + lambda_k(complement G) off
-the members' screen alone: M(complement G) = cI + sJ - M(G), J rank one, so
-Weyl's inequalities place the complement's eigenvalue between two of G's
-(for L, J commutes with L(G) and the interval is a point).  ``chunk_sums``
-reads the sums of given members off the screen of the members and their
-complements, screening the complements of only those members; ``spectrum``
-reads one row, and its first read of a complement's row screens every
-remaining complement of the chunk in one call.  A graph outside the chunk
-is screened alone.  The screen is the one store of float spectra:
-``_SCREENED`` holds the chunk's own until the scan drops it (keyed by its
-members instead, every ``spectrum`` call would hash a tuple of up to 256
-graphs), and ``_screen_members`` the last 16 by their members, the
-complements screened since included, so another scan of the same chunk
-reads its screen again.  ``_stacked`` builds A, D + A and D - A.
+are used only for screening.  One ``Chunk`` holds the graphs screened
+together: its members, each member's complement from its first read (a
+check's or a screen's, never a filter's), and one screen per (order, kind).
+The first read of a kind on a member stacks the kind-matrices of the
+members of its order as one (B, n, n) array and screens them in one
+eigvalsh call; the complements are screened only when read, in one more.
+``Chunk.sum_bounds`` reads an interval of each member's sum lambda_k(G) +
+lambda_k(complement G) off the members' screen alone: M(complement G) =
+cI + sJ - M(G), J rank one, so Weyl's inequalities place the complement's
+eigenvalue between two of G's (for L, J commutes with L(G) and the interval
+is a point).  ``Chunk.sums`` reads the sums of given members off the screen
+of the members and their complements, screening the complements of only
+those members; ``Chunk.spectrum`` reads one row, and its first read of a
+complement's row screens every remaining complement of the order in one
+call.  A scan makes its chunk current with ``in_chunk`` while its checks
+run, so ``spectrum``, ``ng_sum`` and the exact comparisons read a graph of
+the current chunk off its screens; any other graph is read as the chunk of
+itself alone, one path for both.  ``chunk_of`` keeps the last 16 chunks by
+their members, complements and screens included, so another scan of the
+same graphs reads them again; no float spectrum is cached by graph.
+``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
 Faddeev-LeVerrier recurrence, root counting by Descartes' rule of signs,
@@ -44,12 +45,13 @@ checks' scans of the same graphs read again.  ``Fraction`` and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +97,11 @@ def q_matrix(g: Graph) -> np.ndarray:
 # Float spectra
 
 
+def _check_index(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of a symmetric matrix, sorted in non-increasing order."""
@@ -102,156 +109,144 @@ class Spectrum:
     values: tuple[float, ...]
 
     def value(self, k: int) -> float:
-        """The k-th largest eigenvalue, 1-based."""
+        """The k-th largest eigenvalue, 1-based; ``ValueError`` for k outside 1..n."""
+        _check_index(len(self.values), k)
         return self.values[k - 1]
 
 
-def _screen(graphs: Sequence[Graph], kind: str) -> np.ndarray:
-    """Float spectra of the kind-matrices of graphs of one order, in one eigvalsh call, rows descending."""
-    return np.linalg.eigvalsh(_stacked(graphs, kind))[:, ::-1]
+class Chunk:
+    """Graphs whose float spectra are screened together: a scan chunk, or one graph.
 
-
-class _Screen:
-    """The kind spectra of a chunk's members of one order, then of the complements read so far.
-
-    ``rows`` maps each screened graph to its row of ``values``; ``add``
-    screens more graphs in one eigvalsh call and appends their rows.
+    ``members`` are the graphs, in order and without repeats.  ``complement``
+    builds a member's complement at its first read and keeps it; the graphs
+    of the chunk are the members and the complements built so far.  The
+    screens are kept by (order, kind): the kind spectra of the members of
+    that order, stacked in one eigvalsh call at the first read, then those
+    of complements, in one more call per read that needs new ones.
     """
 
-    def __init__(self, members: Sequence[Graph], kind: str):
-        self.kind = kind
-        self.rows = {h: i for i, h in enumerate(members)}
-        self.values = _screen(members, kind)
+    def __init__(self, members: Iterable[Graph]):
+        self._partner: dict[Graph, Optional[Graph]] = dict.fromkeys(members)
+        self.members = tuple(self._partner)
+        self._screens: dict[tuple[int, str], tuple[dict[Graph, int], np.ndarray]] = {}
 
-    def add(self, graphs: Iterable[Graph]) -> None:
-        new = [h for h in dict.fromkeys(graphs) if h not in self.rows]
+    def complement(self, g: Graph) -> Graph:
+        """The complement of g, a graph of the chunk, built once; a complement's is its member."""
+        h = self._partner[g]
+        if h is None:
+            h = self._partner[g] = complement(g)
+            self._partner[h] = g
+        return h
+
+    def _screen(self, n: int, kind: str, graphs: Sequence[Graph] = ()) -> tuple[dict[Graph, int], np.ndarray]:
+        """The screen of order n and ``kind`` with ``graphs`` on it, as (rows, values): ``rows``
+        maps each screened graph to its row of ``values``, eigenvalues descending.  Graphs not
+        screened yet go in one eigvalsh call, after the members of order n at the first read."""
+        key = n, kind
+        if key not in self._screens:
+            self._screens[key] = {}, np.empty((0, n))
+            self._screen(n, kind, [g for g in self.members if g.n == n])
+        rows, values = screen = self._screens[key]
+        new = [h for h in dict.fromkeys(graphs) if h not in rows] if graphs else None
         if new:
-            self.rows.update(zip(new, range(len(self.rows), len(self.rows) + len(new))))
-            self.values = np.concatenate((self.values, _screen(new, self.kind)))
+            rows.update(zip(new, range(len(values), len(values) + len(new))))
+            values = np.concatenate((values, np.linalg.eigvalsh(_stacked(new, kind))[:, ::-1]))
+            screen = self._screens[key] = rows, values
+        return screen
 
-    def column(self, graphs: Sequence[Graph], k: int) -> np.ndarray:
-        """The k-th largest eigenvalue of each of ``graphs``, all screened already."""
-        return self.values[[self.rows[h] for h in graphs], k - 1]
+    def spectrum(self, g: Graph, kind: str) -> Spectrum:
+        """The float spectrum of the kind-matrix of g, a graph of the chunk: its row of the
+        screen.  The first read of a complement's row screens the complements of every member
+        of its order at once."""
+        rows, values = self._screen(g.n, kind)
+        if g not in rows:
+            rows, values = self._screen(g.n, kind, [self.complement(h) for h in self.members if h.n == g.n])
+        return Spectrum(tuple(values[rows[g]].tolist()))
 
+    def column(self, graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
+        """The k-th largest eigenvalue of the kind-matrix of each of ``graphs``: graphs of the
+        chunk of one order that are screened already, as every member is."""
+        n = graphs[0].n
+        _check_index(n, k)
+        rows, values = self._screen(n, kind)
+        return values[[rows[h] for h in graphs], k - 1]
 
-#: The current scan chunk: each member mapped to its complement (None before
-#: its first read), then each built complement mapped to its member; the
-#: members in order; and the chunk's screens by (order, kind).
-_CHUNK: dict[Graph, Optional[Graph]] = {}
-_MEMBERS: tuple[Graph, ...] = ()
-_SCREENED: dict[tuple[int, str], _Screen] = {}
+    def sum_bounds(self, graphs: Sequence[Graph], kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays lo, hi with lo <= ``ng_sum(g, kind, k)`` <= hi for members ``g`` of one order,
+        read off the members' screen only: no complement is built or screened.
 
+        The kind-matrix of the complement is M(complement G) = cI + sJ - M(G), J the
+        all-ones matrix, with (c, s) = (-1, 1) for A and (n - 2, 1) for Q (the
+        paper's Q(G) + Q(complement G) = Q(K_n)) and (n, -1) for L.  Let
+        b_1 >= ... >= b_n be the eigenvalues of cI - M(G), b_i = c - mu_{n+1-i}.
+        J is rank one and positive semidefinite with eigenvalue n, so by Weyl's
+        inequalities b_k <= lambda_k(complement G) <= b_{k-1} for A and Q, with
+        b_1 + n as the upper bound at k = 1.  For L, J commutes with L(G) and
+        vanishes on the eigenvectors orthogonal to the all-ones vector, so
+        lambda_k(L(complement G)) = n - mu_{n-k} for k < n, and 0 for k = n:
+        lo = hi.  The bounds hold for the exact spectra; the floats carry
+        rounding errors far below ``ESCALATION_WINDOW``.
+        """
+        n = graphs[0].n
+        own = self.column(graphs, kind, k)
+        if kind == "L":
+            point = own + (n - self.column(graphs, kind, n - k) if k < n else 0.0)
+            return point, point
+        c = -1 if kind == "A" else n - 2
+        lo = own + (c - self.column(graphs, kind, n + 1 - k))
+        hi = lo + n if k == 1 else own + (c - self.column(graphs, kind, n + 2 - k))
+        return lo, hi
 
-def set_chunk(graphs: Iterable[Graph]) -> None:
-    """Make ``graphs`` the chunk ``spectrum`` screens at once.
-
-    A scan calls this with the graphs its filter keeps from a chunk, and
-    with none when the chunk is done; the previous chunk's complements and
-    screens are dropped.
-    """
-    global _MEMBERS
-    _CHUNK.clear()
-    _SCREENED.clear()
-    _CHUNK.update(dict.fromkeys(graphs))
-    _MEMBERS = tuple(_CHUNK)
-
-
-def complement_of(g: Graph) -> Graph:
-    """The complement of ``g``: built once for a chunk member, else built anew."""
-    h = _CHUNK.get(g)
-    if h is None:
-        h = complement(g)
-        if g in _CHUNK:
-            _CHUNK[g], _CHUNK[h] = h, g
-    return h
+    def sums(self, graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
+        """``ng_sum(g, kind, k)`` for members ``g`` of one order, as one array, the complements
+        not screened yet in one eigvalsh call: the same screen, added in the same float64."""
+        others = [self.complement(g) for g in graphs]
+        self._screen(graphs[0].n, kind, others)
+        return self.column(graphs, kind, k) + self.column(others, kind, k)
 
 
 @lru_cache(maxsize=16)
-def _screen_members(members: tuple[Graph, ...], kind: str) -> _Screen:
-    """The kind screen of ``members``, graphs of one order, with the complements later added to it."""
-    return _Screen(members, kind)
+def chunk_of(members: tuple[Graph, ...]) -> Chunk:
+    """The chunk of ``members``, kept for the last 16 member tuples with the complements
+    and screens built since, so another scan of the same graphs reads them again."""
+    return Chunk(members)
 
 
-def _chunk_screen(n: int, kind: str) -> _Screen:
-    """The kind screen of the chunk's members of order n."""
-    screen = _SCREENED.get((n, kind))
-    if screen is None:
-        screen = _SCREENED[n, kind] = _screen_members(tuple(g for g in _MEMBERS if g.n == n), kind)
-    return screen
+#: The chunk that ``in_chunk`` sets: the graphs a scan's checks read, or none.
+_current = Chunk(())
+
+
+@contextmanager
+def in_chunk(graphs: Iterable[Graph]) -> Iterator[Chunk]:
+    """Make ``chunk_of(graphs)`` the current chunk for the ``with`` block, then
+    restore the chunk before it, also on an error."""
+    global _current
+    previous, _current = _current, chunk_of(tuple(graphs))
+    try:
+        yield _current
+    finally:
+        _current = previous
+
+
+def current_chunk() -> Chunk:
+    """The chunk ``in_chunk`` made current, else an empty one."""
+    return _current
+
+
+def _holding(g: Graph) -> Chunk:
+    """The current chunk if g is one of its graphs, else the chunk of g alone."""
+    return _current if g in _current._partner else Chunk((g,))
 
 
 def spectrum(g: Graph, kind: str) -> Spectrum:
-    """The float spectrum of the kind-matrix of g.
-
-    A member of the current chunk reads its row of the chunk's screen for
-    ``kind`` (every member of its order, in one eigvalsh call).  A member's
-    complement that is not screened yet has the complements of every member
-    of its order screened with it, in one more call; any other graph is
-    screened alone.
-    """
-    if g not in _CHUNK:
-        return Spectrum(tuple(_screen((g,), kind)[0].tolist()))
-    screen = _chunk_screen(g.n, kind)
-    if g not in screen.rows:
-        screen.add([complement_of(h) for h in _MEMBERS if h.n == g.n])
-    return Spectrum(tuple(screen.values[screen.rows[g]].tolist()))
-
-
-def _check_index(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
-
-
-def chunk_sum_bounds(graphs: Sequence[Graph], kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays lo, hi with lo <= ``ng_sum(g, kind, k)`` <= hi for members ``g`` of the
-    current chunk, of one order, read off the members' screen only: no complement
-    is built or screened.
-
-    The kind-matrix of the complement is M(complement G) = cI + sJ - M(G), J the
-    all-ones matrix, with (c, s) = (-1, 1) for A and (n - 2, 1) for Q (the
-    paper's Q(G) + Q(complement G) = Q(K_n)) and (n, -1) for L.  Let
-    b_1 >= ... >= b_n be the eigenvalues of cI - M(G), b_i = c - mu_{n+1-i}.
-    J is rank one and positive semidefinite with eigenvalue n, so by Weyl's
-    inequalities b_k <= lambda_k(complement G) <= b_{k-1} for A and Q, with
-    b_1 + n as the upper bound at k = 1.  For L, J commutes with L(G) and
-    vanishes on the eigenvectors orthogonal to the all-ones vector, so
-    lambda_k(L(complement G)) = n - mu_{n-k} for k < n, and 0 for k = n:
-    lo = hi.  The bounds hold for the exact spectra; the floats carry
-    rounding errors far below ``ESCALATION_WINDOW``.
-    """
-    n = graphs[0].n
-    _check_index(n, k)
-    screen = _chunk_screen(n, kind)
-    own = screen.column(graphs, k)
-    if kind == "L":
-        point = own + (n - screen.column(graphs, n - k) if k < n else 0.0)
-        return point, point
-    c = -1 if kind == "A" else n - 2
-    lo = own + (c - screen.column(graphs, n + 1 - k))
-    hi = lo + n if k == 1 else own + (c - screen.column(graphs, n + 2 - k))
-    return lo, hi
-
-
-def chunk_sums(graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
-    """``ng_sum(g, kind, k)`` for members ``g`` of the current chunk, of one order, as one array.
-
-    The complements of ``graphs`` not screened yet are screened in one
-    eigvalsh call.  The values are those ``spectrum`` reads, from the same
-    screen of the chunk, added in the same float64 arithmetic, so each
-    equals ``ng_sum``.
-    """
-    n = graphs[0].n
-    _check_index(n, k)
-    screen = _chunk_screen(n, kind)
-    others = [complement_of(g) for g in graphs]
-    screen.add(others)
-    return screen.column(graphs, k) + screen.column(others, k)
+    """The float spectrum of the kind-matrix of g, read off the chunk holding g (``_holding``)."""
+    return _holding(g).spectrum(g, kind)
 
 
 def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
     """k-th eigenvalue of the kind-matrix of g plus the same of its complement."""
-    _check_index(g.n, k)
-    return spectrum(g, kind).value(k) + spectrum(complement_of(g), kind).value(k)
+    chunk = _holding(g)
+    return chunk.spectrum(g, kind).value(k) + chunk.spectrum(chunk.complement(g), kind).value(k)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +347,7 @@ def kind_char_poly(g: Graph, kind: str) -> tuple[int, ...]:
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
+    _check_index(g.n, k)
     c = Fraction(c)
     counter = polys.root_counter(kind_char_poly(g, "Q"))
     above = counter.count_gt(c)
@@ -366,9 +362,10 @@ def compare_sum_with(g: Graph, kind: str, k: int, c) -> int:
     """Exact sign of (k-th eigenvalue of g plus k-th of its complement) - c, for c rational
     or a ``polys.Surd``, by ``polys.compare_root_sum`` seeded with the screened spectra."""
     _check_index(g.n, k)
-    cg = complement_of(g)
+    chunk = _holding(g)
+    cg = chunk.complement(g)
     return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), k, c,
-                                  spectrum(g, kind).value(k), spectrum(cg, kind).value(k))
+                                  chunk.spectrum(g, kind).value(k), chunk.spectrum(cg, kind).value(k))
 
 
 def compare_q1(g: Graph, h: Graph) -> int:

@@ -17,8 +17,10 @@ and every other sign comes from exact arithmetic, so every equality and
 every violation is certified.  A certified equality is matched against the
 extremal families by an explicit isomorphism witness, and a lemma's equality
 characterization must hold exactly.  A scan hands a row or a predicate a
-whole chunk (``verdicts``), which ``Row.screen`` compares as arrays under the
-same rule; only the graphs it leaves undecided are checked one by one.
+whole chunk (``verdicts``), which ``Row.screen`` compares as arrays, read off
+the current ``spectra.Chunk``, under the same rule; only the graphs it leaves
+undecided are checked one by one.  ``run_all_checks`` runs every row on a
+chunk of its one graph, so the rows share that graph's screens.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -69,13 +71,12 @@ from .partitions import equitable_quotient
 from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
-    _chunk_screen,
     char_poly_exact,
-    chunk_sum_bounds,
-    chunk_sums,
     compare_q1,
     compare_qk_with,
     compare_sum_with,
+    current_chunk,
+    in_chunk,
     ng_sum,
     spectrum,
 )
@@ -324,26 +325,26 @@ class Row:
 
     def screen(self, graphs: Sequence[Graph], terms: Sequence[tuple]) -> np.ndarray:
         """The signs of value - bound that ``float_sign`` decides for ``graphs``, members of the
-        ``spectra`` chunk of one order, 0 where it may not.  A single eigenvalue is column k of
-        the chunk screen; a sum is first its interval off the graph's own spectrum
-        (``chunk_sum_bounds``), lower end for a sign above the bound and upper end for one
-        below, then the sums (``chunk_sums``) still undecided.  Wherever the equality
+        current ``spectra.Chunk`` of one order, 0 where it may not.  A single eigenvalue is
+        column k of the chunk's Q screen; a sum is first its interval off the graph's own
+        spectrum (``Chunk.sum_bounds``), lower end for a sign above the bound and upper end for
+        one below, then the sums (``Chunk.sums``) still undecided.  Wherever the equality
         characterization holds the sign is 0."""
-        n, trusted = graphs[0].n, _FLOAT_SIGNS[self.relation]
+        n, trusted, chunk = graphs[0].n, _FLOAT_SIGNS[self.relation], current_chunk()
         k = self._index(n)
         targets = (np.array([float(base) for base, _, _ in terms]) if callable(self.rhs)
                    else np.full(len(terms), float(terms[0][0])))  # a base of n alone: one float per chunk
         if self.rad:
             targets += [sqrt(rad) for _, rad, _ in terms]
         if not self.sum:
-            signs = float_sign(_chunk_screen(n, "Q").column(graphs, k), targets, trusted)
+            signs = float_sign(chunk.column(graphs, "Q", k), targets, trusted)
         else:
-            lo, hi = chunk_sum_bounds(graphs, self.kind, k)
+            lo, hi = chunk.sum_bounds(graphs, self.kind, k)
             signs = float_sign(lo, targets, tuple(s for s in trusted if s > 0)) + float_sign(
                 hi, targets, tuple(s for s in trusted if s < 0))
             undecided = np.flatnonzero(signs == 0)
             if undecided.size:
-                sums = chunk_sums([graphs[j] for j in undecided], self.kind, k)
+                sums = chunk.sums([graphs[j] for j in undecided], self.kind, k)
                 signs[undecided] = float_sign(sums, targets[undecided], trusted)
         return np.where([bool(structure) for *_, structure in terms], 0, signs)
 
@@ -571,10 +572,10 @@ THEOREM_CHECKS: dict[str, Callable[[Graph], BoundReport]] = {
 
 
 def run_all_checks(g: Graph) -> list[BoundReport]:
-    """Every registered single-graph bound check, in registry order."""
-    reports = [check(g) for check in THEOREM_CHECKS.values()]
-    reports.append(check_ng_q1(g))
-    return reports
+    """Every registered single-graph bound check, in registry order, on a chunk of g alone:
+    g and its complement are screened once per kind for all the checks."""
+    with in_chunk((g,)):
+        return [*(check(g) for check in THEOREM_CHECKS.values()), check_ng_q1(g)]
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,7 @@ def test_ng_a2_square_radicand_check_and_scan(tmp_path, capsys):
 def test_scan_mixed_order_input(tmp_path, capsys):
     import random
 
-    from qng.enumeration import enumerate_graphs
-    from qng.graph import relabel
+    from qng.enumeration import _relabeled as relabel, enumerate_graphs
 
     rng = random.Random(6)
     lines = []

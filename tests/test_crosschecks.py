@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import mpmath
 
 from qng import polys
-from qng.enumeration import canonical_form, enumerate_graphs
+from qng.enumeration import _relabeled as relabel, canonical_form, enumerate_graphs
 from qng.graph import (
     complement,
     complete,
@@ -18,7 +18,6 @@ from qng.graph import (
     disjoint_union,
     from_edges,
     is_connected,
-    relabel,
     to_graph6,
 )
 from qng.spectra import (

@@ -17,6 +17,7 @@ from qng.cli import build_predicate
 from qng.enumeration import (
     _augment,
     _orbit_representatives,
+    _relabeled as relabel,
     _search,
     canonical_form,
     canonical_labeling,
@@ -40,7 +41,6 @@ from qng.graph import (
     is_connected,
     join,
     path,
-    relabel,
     star,
     to_graph6,
 )
@@ -237,7 +237,7 @@ def test_discrete_roots_skip_the_search(graphs_by_order):
             g = graph._graph_unchecked(n, child)
             labeling, gens, want = _search(g)
             assert (tuple(order), gens, tuple(code)) == (labeling, [], want)
-            assert tuple(canonical) == enumeration._relabeled(g, labeling).rows
+            assert tuple(canonical) == relabel(g, labeling).rows
             checked += 1
         if n < 8:
             level = [(g, _search(g)[1]) for g in graphs_by_order[n]]
@@ -640,7 +640,7 @@ def test_scan_chunks_keep_their_order_under_jobs():
     must still raise.
     """
     graphs = enumerate_graphs(7)
-    assert len(graphs) > 2 * enumeration.SCAN_CHUNK and len(graphs) % enumeration.SCAN_CHUNK
+    assert len(graphs) > 2 * enumeration.CHUNK_SIZE and len(graphs) % enumeration.CHUNK_SIZE
     expected = scan(7, "all", check_thm12)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -678,13 +678,13 @@ def _eigvalsh_stacks(monkeypatch) -> list:
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    spectra._screen_members.cache_clear()
+    spectra.chunk_of.cache_clear()
     return calls
 
 
 def _member_and_complement_stacks(graphs) -> list[int]:
     """Per chunk, its graphs, then their complements that are not among them."""
-    chunks = [graphs[i:i + enumeration.SCAN_CHUNK] for i in range(0, len(graphs), enumeration.SCAN_CHUNK)]
+    chunks = [graphs[i:i + enumeration.CHUNK_SIZE] for i in range(0, len(graphs), enumeration.CHUNK_SIZE)]
     return [size for chunk in chunks for size in (len(chunk), len({complement(g) for g in chunk} - set(chunk)))]
 
 
@@ -700,14 +700,31 @@ def test_scan_screens_each_chunk_once_for_the_kind_it_reads(check, monkeypatch):
     assert not hasattr(check, "kind")
     calls = _eigvalsh_stacks(monkeypatch)
     assert scan(7, "all", check).total == len(graphs) == 1044
-    assert len(calls) == 2 * -(-len(graphs) // enumeration.SCAN_CHUNK) == 10
+    assert len(calls) == 2 * -(-len(graphs) // enumeration.CHUNK_SIZE) == 10
     assert [shape[0] for shape in calls] == _member_and_complement_stacks(graphs) == [256, 256] * 4 + [20, 20]
     # a second scan of the same graphs reads every spectrum from the cached chunk screens
     scan(7, "all", check)
     assert len(calls) == 10
 
 
-def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
+def test_a_sweep_of_the_package_caches_drops_the_kept_chunks(monkeypatch):
+    """Every ``cache_clear`` in the ``qng`` module namespaces, swept as a fresh process
+    would start, drops the chunks kept across scans: a repeated scan makes its eigvalsh
+    calls again, so a benchmark repetition never reads the previous one's screens."""
+    calls = _eigvalsh_stacks(monkeypatch)
+    scan(7, "all", _ng_a2)
+    first = calls[:]
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qng"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    del calls[:]
+    scan(7, "all", _ng_a2)
+    assert calls == first and len(first) == 10
+
+
+def test_scan_of_the_same_graphs_reads_the_kept_screens_again(monkeypatch):
     """A bound-table row screens each chunk's graphs in one eigvalsh call, and
     the complements of only those its one-spectrum interval leaves undecided
     in one more; another row's scan of the same graphs reads those screens
@@ -723,7 +740,7 @@ def test_scan_of_the_same_graphs_reads_the_chunk_screens_again(monkeypatch):
     assert first.counts["equality-certified"] + second.counts["equality-certified"] > 0
 
 
-def test_registered_scans_share_the_chunk_screens(monkeypatch):
+def test_registered_scans_share_the_kept_screens(monkeypatch):
     """The 14 registered checks scan the order-7 graphs off 15 member screens,
     each of the 5 chunks once per kind, Q, A and L, and 23 complement screens:
     a bound-table row, ``ng_check``'s rows included, stacks the complements
@@ -798,7 +815,6 @@ def test_scan_keys_an_order_11_stream_by_canonical_form():
 
 def _per_graph_tally(graphs, check):
     """The verdict counts and canonical keys of ``check(g)`` called on each graph alone."""
-    spectra.set_chunk(())
     counts = Counter()
     keys = {"equality-certified": set(), "violated": set()}
     for g in graphs:

@@ -34,12 +34,11 @@ from qng.graph import (
     is_semiregular_bipartite,
     join,
     path,
-    relabel,
     star,
     to_graph6,
     twin_classes,
 )
-from qng.enumeration import canonical_form
+from qng.enumeration import _relabeled as relabel, canonical_form
 
 
 def canon(g):

@@ -22,7 +22,6 @@ MODULES = sorted(SOURCES + list((ROOT / "tests").glob("*.py")))
 #: Public definitions that ``qng`` itself does not call, each kept on purpose.
 UNCALLED_ON_PURPOSE = {
     "spectra.q_matrix": "Q(G) = D + A by its name in the paper, exported for users and the tests",
-    "graph.relabel": "the tests' relabeler, independent of the canonical-labeling code",
     "theorems.check_lemma27": "Lemma 2.7 of the paper, checked per (graph, non-edge) pair by the tests",
 }
 

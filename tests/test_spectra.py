@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qng import polys, spectra
+from qng import polys
 from qng.graph import (
     complement,
     complete,
@@ -28,16 +28,15 @@ from qng.graph import (
 from qng.spectra import (
     ESCALATION_WINDOW,
     char_poly_exact,
-    chunk_sum_bounds,
+    chunk_of,
     compare_q1,
     compare_qk_with,
     compare_sum_with,
-    complement_of,
+    in_chunk,
     kind_char_poly,
     matrix_of_kind,
     ng_sum,
     q_matrix,
-    set_chunk,
     spectrum,
 )
 
@@ -274,6 +273,18 @@ def test_compare_qk_with_examples():
     assert compare_qk_with(cycle(5), 2, 2) != 0  # q_2(C_5) is irrational
 
 
+def test_an_index_outside_1_to_n_raises():
+    """A negative or zero k does not wrap to the smallest eigenvalue, and k = n + 1 is no
+    eigenvalue either: ``Spectrum.value`` and ``compare_qk_with`` raise, for any bound."""
+    g = complete(3)
+    for k in (0, -1, g.n + 1):
+        with pytest.raises(ValueError, match=f"^k={k} outside 1..3$"):
+            spectrum(g, "Q").value(k)
+        for c in (100, -100):
+            with pytest.raises(ValueError, match=f"^k={k} outside 1..3$"):
+                compare_qk_with(g, k, c)
+
+
 def test_ng_sum_examples():
     assert abs(ng_sum(path(4), "Q", 2) - 4) < 1e-10
     for n in (4, 5, 6):
@@ -424,13 +435,12 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    spectra._screen_members.cache_clear()
-    try:
-        set_chunk(graphs)
+    chunk_of.cache_clear()
+    with in_chunk(graphs) as chunk:
         for kind in "QAL":
             del stacks[:]
             for g in graphs:
-                for h in (g, complement_of(g)):
+                for h in (g, chunk.complement(g)):
                     batched = spectrum(h, kind).values
                     single = eigvalsh(matrix_of_kind(h, kind))[::-1]
                     assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
@@ -439,7 +449,7 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
             if kind == "Q":
                 for n in range(4, 9):
                     order = [g for g in graphs if g.n == n]
-                    lo, hi = chunk_sum_bounds(order, "Q", 2)
+                    lo, hi = chunk.sum_bounds(order, "Q", 2)
                     for g, low, high in zip(order, lo.tolist(), hi.tolist()):
                         value = ng_sum(g, "Q", 2)
                         for x, rhs in ((value, n - 2), (value, 2 * n - 4), (value, 2 * n - 5),
@@ -448,12 +458,10 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
         del stacks[:]
         spectrum(graphs[-1], "L")
         assert stacks == []
-    finally:
-        set_chunk(())
 
 
 def test_one_spectrum_bounds_contain_the_sum(graphs_by_order, rng=random.Random(23)):
-    """``chunk_sum_bounds`` against ``ng_sum`` for every graph of order <= 7 and
+    """``Chunk.sum_bounds`` against ``ng_sum`` for every graph of order <= 7 and
     seeded random graphs of order 9..32, for every kind and k: lo <= sum <= hi
     within 1e-9.  For L the interval is the sum itself (J commutes with L(G)),
     to within 1e-12 at n <= 7."""
@@ -461,18 +469,15 @@ def test_one_spectrum_bounds_contain_the_sum(graphs_by_order, rng=random.Random(
     samples += [[random_graph(rng, n, rng.uniform(0.2, 0.8)) for _ in range(4)] for n in range(9, 33)]
     for graphs in samples:
         n = graphs[0].n
-        set_chunk(graphs)
-        try:
+        with in_chunk(graphs) as chunk:
             for kind in "AQL":
                 for k in range(1, n + 1):
-                    lo, hi = chunk_sum_bounds(graphs, kind, k)
+                    lo, hi = chunk.sum_bounds(graphs, kind, k)
                     for g, low, high in zip(graphs, lo.tolist(), hi.tolist()):
                         value = ng_sum(g, kind, k)
                         assert low - 1e-9 <= value <= high + 1e-9, (to_graph6(g), kind, k, low, value, high)
                         if kind == "L":
                             assert low == high and abs(low - value) <= (1e-12 if n <= 7 else 1e-9), (to_graph6(g), k)
-        finally:
-            set_chunk(())
 
 
 def test_char_poly_type():

@@ -32,14 +32,13 @@ from qng.graph import (
     is_connected,
     join,
     path,
-    relabel,
     star,
     to_graph6,
     twin_classes,
 )
 from qng import polys, spectra, theorems
 from qng.cli import _resolve_check, build_predicate
-from qng.enumeration import FILTERS, scan
+from qng.enumeration import FILTERS, _relabeled as relabel, scan
 from qng.spectra import char_poly_exact, ng_sum, spectrum
 from qng.theorems import (
     EQUALITY,
@@ -427,6 +426,21 @@ def test_run_all_checks():
     assert all(r.verdict != "violated" for r in reports)
 
 
+def test_run_all_checks_reads_one_chunk_of_its_graph(monkeypatch):
+    """``run_all_checks`` runs the 12 checks on a chunk of K3,3 alone: the graph and its
+    complement are screened once, in one eigvalsh call each, and the complement is built
+    once.  The reports are those of the checks called one by one."""
+    stacks, built = [], []
+    eigvalsh, build = np.linalg.eigvalsh, spectra.complement
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(spectra, "complement", lambda g: built.append(g) or build(g))
+    spectra.chunk_of.cache_clear()
+    g = complete_bipartite(3, 3)
+    reports = run_all_checks(g)
+    assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [g])
+    assert reports == [check(g) for check in THEOREM_CHECKS.values()] + [theorems.check_ng_q1(g)]
+
+
 def test_report_serialization():
     d = check_thm13(cycle(4)).to_dict()
     assert d["verdict"] == EQUALITY and d["family"] == "C_4"
@@ -705,8 +719,7 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
         for name in ("all", "connected"):
             row = CHUNK_ROWS[key](n).assuming([name])
             graphs = list(filter(FILTERS[name], graphs_by_order[n]))
-            spectra.set_chunk(graphs)
-            try:
+            with spectra.in_chunk(graphs) as chunk:
                 try:
                     reports = [row(g) for g in graphs]
                 except ValueError as exc:  # ng-A2: k > n at n = 1
@@ -720,11 +733,9 @@ def test_chunk_verdicts_match_per_graph_calls(key, graphs_by_order, monkeypatch)
                 screened = [r for r in reports if r.lhs is not None]
                 if screened:
                     members = [r.graph for r in screened]
-                    values = (spectra.chunk_sums(members, row.kind, row.k) if row.sum
-                              else spectra._chunk_screen(n, "Q").column(members, row._index(n)))
+                    values = (chunk.sums(members, row.kind, row.k) if row.sum
+                              else chunk.column(members, "Q", row._index(n)))
                     assert values.tolist() == [r.lhs for r in screened], (key, n, name)
-            finally:
-                spectra.set_chunk(())
 
 
 def test_predicate_rows_screen_the_chunk_before_any_exact_report(graphs_by_order, monkeypatch):
@@ -757,8 +768,7 @@ def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=ran
     order4 = [star(4), path(4), complete(4), cycle(4), paw, diamond]
     called = _calls_spied(monkeypatch)
     for row, graphs, undecided in ((check_problem12, order9, copies), (check_thm13, order4, [path(4), cycle(4)])):
-        spectra.set_chunk(graphs)
-        try:
+        with spectra.in_chunk(graphs):
             a, b = row.rhs
             bound = float(a * graphs[0].n + b)
             escalated = [g for g in graphs if not theorems.float_sign(ng_sum(g), bound, (-1,))]
@@ -769,8 +779,6 @@ def test_chunk_escalates_exactly_the_float_undecided_graphs(monkeypatch, rng=ran
             assert [v for g, v in zip(graphs, verdicts) if g in undecided] == [EQUALITY] * len(undecided)
             assert [v for g, v in zip(graphs, verdicts) if g not in undecided] == [STRICT] * (
                 len(graphs) - len(undecided))
-        finally:
-            spectra.set_chunk(())
     assert ng_sum(extremal) == 13.000000000000004
 
 
@@ -790,17 +798,12 @@ def test_ng_l1_screen_builds_complements_only_for_exact_reports(graphs_by_order,
     row = NG_BOUNDS["L", 1]
     for n in range(1, 8):
         graphs = graphs_by_order[n]
-        spectra.set_chunk(graphs)
-        try:
+        with spectra.in_chunk(graphs):
             exact = [g for g in graphs if row(g).certified]
-        finally:
-            spectra.set_chunk(())
+        spectra.chunk_of.cache_clear()  # the chunk again, with no complement built
         del built[:]
-        spectra.set_chunk(graphs)
-        try:
+        with spectra.in_chunk(graphs):
             verdicts = row.verdicts(graphs)
-        finally:
-            spectra.set_chunk(())
         assert built == exact, n
     assert (len(exact), Counter(verdicts)) == (88, {STRICT: 956, EQUALITY: 88})
 
@@ -821,11 +824,8 @@ def test_chunk_tests_each_hypothesis_once_per_graph(graphs_by_order, monkeypatch
     called = _calls_spied(monkeypatch)
     for n in (6, 7):
         graphs = graphs_by_order[n]
-        spectra.set_chunk(graphs)
-        try:
+        with spectra.in_chunk(graphs):
             check_thm16.verdicts(graphs)
-        finally:
-            spectra.set_chunk(())
     assert called, "no graph was left to exact arithmetic"
     assert max(calls.values()) == 1
     assert {g for name, g in calls if name == "connected"} == set(graphs_by_order[6] + graphs_by_order[7])
@@ -837,12 +837,9 @@ def test_chunk_guards():
     row = NG_BOUNDS["A", 2]
     alone = row(k1)
     assert (alone.verdict, alone.notes) == (NOT_APPLICABLE, "k=2 outside 1..1")
-    spectra.set_chunk([k1])
-    try:
+    with spectra.in_chunk([k1]):
         chunk = row.verdicts([k1])
         assert check_thm12.verdicts([k1]) == [NOT_APPLICABLE]  # below min_n, as alone
-    finally:
-        spectra.set_chunk(())
     assert chunk == [alone.verdict] == [NOT_APPLICABLE]
     copy = pickle.loads(pickle.dumps(check_thm16.assuming(["connected"])))
     assert copy == check_thm16.assuming(["connected"]) and copy.verdicts
@@ -879,11 +876,8 @@ def test_lemma29_consequence_is_checked_on_certified_equalities(graphs_by_order)
     r = row(disjoint_union(complete(5), empty_graph(1)))
     assert (r.verdict, r.certified, r.lhs_exact, r.notes) == (VIOLATED, True, None, "consequence fails")
     graphs = graphs_by_order[6]
-    spectra.set_chunk(graphs)
-    try:
+    with spectra.in_chunk(graphs):
         verdicts = row.verdicts(graphs)
-    finally:
-        spectra.set_chunk(())
     equalities = [g for g in graphs if check_lemma29(g).verdict == EQUALITY]
     assert Counter(verdicts) == {STRICT: len(graphs) - len(equalities), VIOLATED: len(equalities)} and equalities
     assert check_lemma29.consequence[1] == (
@@ -904,11 +898,8 @@ def test_a_holding_structure_bars_the_float_and_must_match_equality(graphs_by_or
         assert (r.verdict, r.notes, r.certified) == (
             VIOLATED, "equality characterization mismatch: equality=False, structure=True", True)
     graphs = graphs_by_order[6]
-    spectra.set_chunk(graphs)
-    try:
+    with spectra.in_chunk(graphs):
         verdicts = row.verdicts(graphs)
-    finally:
-        spectra.set_chunk(())
     assert Counter(verdicts) == {VIOLATED: 120, EQUALITY: 36}
 
 
