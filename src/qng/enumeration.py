@@ -32,15 +32,19 @@ in canonical order, of the last cell of the root coloring.  Three tests of
 rising cost decide this.  The new vertex must have maximum degree, read off
 the parent's degrees.  It must lie in that last cell: the children of
 consecutive parents are root-colored ``_BLOCK`` at a time, in one numpy pass
-whose rounds rank full count vectors packed into int64 keys.  Only then is
-the child searched and its new vertex checked against the orbit of the
-deletion vertex.  A child whose root coloring is discrete needs no search:
-the coloring is invariant, so the child has no automorphism but the
-identity, and its color order is its canonical labeling.  Every kept child
-is the only one of its class, so no child is deduplicated afterwards.  Each
-order is sorted by the children's column codes, which is graph6 order, and
-the last order's automorphisms are never translated to canonical labels.
-Counts are cross-checked against reference values in the test suite.
+whose rounds rank full count vectors packed into int64 keys.  Then the
+block's remaining children are labeled together (``_block_forms``): their
+search trees grow breadth-first, one batched refinement per level, each node
+branching on one vertex per twin class of its cell, and a leaf of least
+column code is the canonical form.  The new vertex passes if it is a twin of
+the deletion vertex of some least-code leaf, and the twin transpositions and
+the maps between least-code leaves generate the child's automorphism group.
+Only the order generation starts from is searched one graph at a time
+(``_search``).  Every kept child is the only one of its class, so no child
+is deduplicated afterwards.  Each order is sorted by the children's column
+codes, packed into one integer each, which is graph6 order, and the last
+order's automorphisms are never collected.  Counts are cross-checked against
+reference values in the test suite.
 
 ``scan`` reads its source lazily and cuts it into chunks of ``CHUNK_SIZE``
 items, graphs or the graph6 lines of an external stream.  A chunk is where
@@ -187,17 +191,14 @@ def _twin_transpositions(rows: Sequence[int]) -> list[tuple[int, ...]]:
     return gens
 
 
-def _search(
-    g: Graph, root: Optional[list[int]] = None
-) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
+def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
     """Canonical labeling of ``g``, automorphisms of ``g`` and the column code.
 
     The automorphisms are the transpositions of twins plus, for each later
     leaf with the best leaf's column code, the map of the best leaf's vertex
     order onto that leaf's; together they generate Aut(g).  The column code
     is the canonical form's adjacency matrix, column by column; for graphs
-    of one order its lexicographic order is graph6 order.  ``root`` is
-    ``g``'s root coloring if the caller has already computed it.
+    of one order its lexicographic order is graph6 order.
     """
     n = g.n
     if n == 1:
@@ -288,7 +289,7 @@ def _search(
                 return resume
         return n
 
-    descend(_root_coloring(nbrs) if root is None else root)
+    descend(_root_coloring(nbrs))
     return tuple(best_perm), gens, tuple(best_cols)
 
 
@@ -375,31 +376,33 @@ def _orbit_representatives(
     return reps
 
 
-#: Children root-colored in one numpy pass: those of consecutive parents, a
-#: few hundred at a time.  At order 8 a block of 512 makes numpy take its
-#: path for large loops, which maps about 0.6 MB more library code into the
-#: process (peak RSS) and ran no faster in the census benchmark.
+#: Children root-colored and labeled together, in numpy passes: those of
+#: consecutive parents, a few hundred at a time.  At order 8 a block of 512
+#: makes numpy take its path for large loops, which maps about 1 MB more
+#: library code into the process (peak RSS); a cold enumerate_graphs(8) ran
+#: 0.41 s with it and 0.44 s with 256 (medians of 5, on a 2-core x86-64 host).
 _BLOCK = 256
 
 
-def _root_colorings(adj: np.ndarray) -> np.ndarray:
-    """The root colorings (``_root_coloring``) of a block of graphs of one order.
+def _refined(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """The stable refinements of a block of colorings of graphs of one order.
 
-    ``adj`` holds the graphs' adjacency bits, shape (B, n, n); the result
-    holds their colors, shape (B, n).  A round gives each vertex the key
-    color·(n+1)^n + Σ_u A[v, u]·(n+1)^(n-1-color[u]): base-(n+1) digits
+    ``adj`` holds the graphs' adjacency bits, shape (B, n, n), and
+    ``colors`` their colorings, shape (B, n), each vertex's color the number
+    of vertices in the cells before its own.  A round gives each vertex the
+    key color·(n+1)^n + Σ_u A[v, u]·(n+1)^(n-1-color[u]): base-(n+1) digits
     holding the color and then the neighbor count toward each color, color 0
     first, so integer order is the order of the full count vectors.  The
-    keys stay below (n+1)^(n+1), which is below 2^63 for n <= 14.  A vertex's
-    new color is the number of vertices of smaller key, so a cell's color is
-    the number of vertices in the cells before it, and a round that splits
-    no cell gives back the same colors.  The first round, from one cell,
-    ranks the degrees.  Only the graphs whose coloring changed in a round go
-    on to the next.  The colors are then renumbered 0, 1, 2, ... in order.
+    keys stay below (n+1)^(n+1), which is below 2^63 for n <= 14.  A
+    vertex's new color is the number of vertices of smaller key, so the
+    cells keep their order, a cell's color is still the number of vertices
+    in the cells before it, and a round that splits no cell gives back the
+    same colors.  Only the graphs whose coloring changed in a round go on to
+    the next.
     """
     size, n, _ = adj.shape
     digit = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)  # (n+1)^(n-1-c) for color c
-    colors = np.zeros((size, n), dtype=np.int64)
+    colors = colors.copy()
     live = np.arange(size)
     while live.size:
         old = colors[live]
@@ -407,29 +410,117 @@ def _root_colorings(adj: np.ndarray) -> np.ndarray:
         new = (keys[:, None, :] < keys[:, :, None]).sum(-1)
         colors[live] = new
         live = live[(new != old).any(-1)]
+    return colors
+
+
+def _root_colorings(adj: np.ndarray) -> np.ndarray:
+    """The root colorings (``_root_coloring``) of a block of graphs of one order.
+
+    ``adj`` holds the graphs' adjacency bits, shape (B, n, n); the result
+    holds their colors, shape (B, n).  The one-cell coloring is refined
+    (``_refined``), its first round ranking the degrees, and the colors are
+    then renumbered 0, 1, 2, ... in order.
+    """
+    size, n, _ = adj.shape
+    colors = _refined(adj, np.zeros((size, n), dtype=np.int64))
     used = (colors[:, :, None] == np.arange(n)).any(1)
     return (used[:, None, :] & (np.arange(n) < colors[:, :, None])).sum(-1)
 
 
-def _discrete_forms(adj: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical labelings, canonical rows and column codes, as ``_search``
-    finds them, of graphs whose root colorings ``roots`` are discrete.
+def _twins(rows: np.ndarray) -> np.ndarray:
+    """Whether u and v are twins (u = v included) in each graph of a block, shape (B, n, n).
 
-    A discrete invariant coloring is kept by no automorphism but the
-    identity, and no two vertices are twins, so the search tree is one leaf:
-    the vertices in color order.  Vertex v goes to position roots[v]; its
-    canonical row and, as ``_search`` reads it, its column of the code are
-    its adjacency bits weighted by the positions of its neighbors.
+    ``rows`` holds the graphs' rows as int64 bit masks, shape (B, n).  u and
+    v are twins iff rows[u] without bit v equals rows[v] without bit u: one
+    test for open and for closed twins.
+    """
+    bit = 1 << np.arange(rows.shape[1])
+    return (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
+
+
+def _block_forms(adj: np.ndarray, roots: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical forms, as ``_search`` finds them, of a block of graphs of one order
+    n <= 11, from their adjacency bits ``adj`` (B, n, n) and root colorings ``roots``.
+
+    The search trees of the block grow breadth-first, one batched refinement
+    (``_refined``) per level.  A node whose coloring is not discrete
+    branches on its first cell of two or more vertices, on one vertex per
+    twin class (``_twins``) in that cell, the first; a discrete coloring is
+    a leaf, vertex v at position color[v].  A leaf's code is the column code
+    of ``_search`` packed into one int64, column j in j bits and column 1
+    highest: n(n-1)/2 <= 62 bits, graph6 order as integer order.  A graph's
+    canonical form is that of a leaf of least code, its best leaf.
+
+    This is exact.  A transposition of twins u, v in a node's branch cell is
+    an automorphism that fixes the node's path, so it fixes the node's
+    coloring and maps the subtree below u onto that below v; so every leaf
+    of the unpruned tree is the image of a leaf grown here under a product τ
+    of twin transpositions, and has its code.  Hence:
+
+    - the least code is ``_search``'s;
+    - Aut is {τ ∘ (best → L)}, over the least-code leaves L grown here;
+    - with p the first position of the last root cell, vertex n - 1 is in
+      the orbit of the best leaf's vertex at p, the deletion vertex of
+      canonical augmentation, iff it is a twin of L[p] for some least-code
+      leaf L;
+    - the twin transpositions and the maps best → L, in canonical labels,
+      generate Aut.
+
+    Returns the canonical rows (B, n), the codes (B,), whether vertex n - 1
+    passes that orbit test (B,), the graph of each generator (G,), and the
+    generators (G, n).
     """
     size, n, _ = adj.shape
-    block = np.arange(size)[:, None]
-    order = np.empty_like(roots)
-    order[block, roots] = np.arange(n)
-    rows = np.empty_like(roots)
-    rows[block, roots] = (adj @ (1 << roots)[:, :, None])[:, :, 0]
-    codes = np.empty_like(roots)
-    codes[block, roots] = (adj @ (1 << (n - 1 - roots))[:, :, None])[:, :, 0] >> (n - roots)
-    return order, rows, codes[:, 1:]
+    block = np.arange(size)
+    rows = adj @ (1 << np.arange(n))
+    twins = _twins(rows)
+    upper = np.arange(n)[:, None] < np.arange(n)  # upper[u, v]: u < v
+    earlier = twins & upper
+    colors = (roots[:, None, :] < roots[:, :, None]).sum(-1)  # vertices in the cells before
+    last = colors.max(-1)  # the first position of the last root cell
+    owner = block
+    leaf_owners, leaf_colors = [], []
+    while True:
+        cell_size = (colors[:, :, None] == colors[:, None, :]).sum(-1)
+        leaf = (cell_size == 1).all(-1)
+        leaf_owners.append(owner[leaf])
+        leaf_colors.append(colors[leaf])
+        owner, colors, cell_size = owner[~leaf], colors[~leaf], cell_size[~leaf]
+        if not owner.size:
+            break
+        target = np.where(cell_size > 1, colors, n).min(-1)
+        cell = colors == target[:, None]
+        node, v = np.nonzero(cell & ~(cell[:, :, None] & earlier[owner]).any(1))
+        # v keeps the cell's color, the rest of the cell comes after it.
+        colors = colors[node] + cell[node]
+        colors[np.arange(node.size), v] = target[node]
+        owner = owner[node]
+        colors = _refined(adj[owner], colors)
+    owner, position = np.concatenate(leaf_owners), np.concatenate(leaf_colors)
+    cols = (adj[owner] @ (1 << (n - 1 - position))[:, :, None])[:, :, 0] >> (n - position)
+    codes = (cols << (n * (n - 1) // 2 - position * (position + 1) // 2)).sum(-1)
+    by_code = np.lexsort((codes, owner))
+    best = by_code[np.diff(owner[by_code], prepend=-1) != 0]
+    best_position = position[best]
+    canonical = np.empty_like(best_position)
+    canonical[block[:, None], best_position] = (adj @ (1 << best_position)[:, :, None])[:, :, 0]
+    least = np.flatnonzero(codes == codes[best][owner])
+    owner, position = owner[least], position[least]
+    hit = ((position == last[owner][:, None]) & twins[owner, :, n - 1]).any(-1)
+    accepted = np.zeros(size, dtype=bool)
+    accepted[owner[hit]] = True
+    # The maps best -> L, i -> best_position[L[i]], and the canonical twin transpositions.
+    maps = np.empty_like(position)
+    maps[np.arange(least.size)[:, None], position] = best_position[owner]
+    canonical_twins = _twins(canonical) & upper
+    # Each vertex is swapped with its first earlier twin, if it has one.
+    pair_owner, u, v = np.nonzero(canonical_twins & (canonical_twins.cumsum(1) == 1))
+    swaps = np.broadcast_to(np.arange(n), (u.size, n)).copy()
+    swaps[np.arange(u.size), u], swaps[np.arange(u.size), v] = v, u
+    moved = least != best[owner]
+    return (canonical, codes[best], accepted,
+            np.concatenate((pair_owner, owner[moved])), np.concatenate((swaps, maps[moved])))
 
 
 def _children(level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int) -> Iterator[tuple[int, ...]]:
@@ -458,54 +549,32 @@ def _children(level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int) ->
 
 def _augment(
     level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int, keep_gens: bool = True
-) -> Iterator[tuple[Graph, list[tuple[int, ...]], tuple[int, ...]]]:
+) -> Iterator[tuple[Graph, list[tuple[int, ...]], int]]:
     """Canonical augmentation from order ``n - 1`` to order ``n``.
 
     ``level`` pairs one graph per isomorphism class of order ``n - 1`` with
     generators of its automorphism group.  Yields one canonical graph per
     class of order ``n``, with generators of its automorphism group (none
-    unless ``keep_gens``) and its column code, whose order is graph6 order.
-    The children (``_children``) are root-colored ``_BLOCK`` at a time.
+    unless ``keep_gens``) and its packed column code, whose order is graph6
+    order.  The children (``_children``) are root-colored and labeled
+    ``_BLOCK`` at a time (``_root_colorings``, ``_block_forms``).
     """
     top = n - 1
     children = _children(level, n)
     while block := list(islice(children, _BLOCK)):
         adj = np.array(block, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
         roots = _root_colorings(adj)
-        last = roots.max(axis=1)
         # The deletion vertices are the last cell of the root coloring, so a
-        # child whose new vertex is elsewhere is dropped.  A child whose root
-        # coloring is discrete has the new vertex alone in that cell and is
-        # kept without a search.
-        kept = roots[:, top] == last
-        discrete = kept & (last == top)
-        _, rows, codes = _discrete_forms(adj[discrete], roots[discrete])
-        forms = zip(rows.tolist(), codes.tolist())
-        for child_rows, root, keep, leaf in zip(block, roots.tolist(), kept.tolist(), discrete.tolist()):
-            if not keep:
-                continue
-            if leaf:
-                canonical_rows, code = next(forms)
-                yield _graph_unchecked(n, tuple(canonical_rows)), [], tuple(code)
-                continue
-            child = _graph_unchecked(n, child_rows)
-            order, gens, code = _search(child, root)
-            # The new vertex must share an orbit with the canonical deletion
-            # vertex, the first of the last cell in canonical order.
-            first = next(v for v in order if root[v] == root[top])
-            if first != top:
-                orbit = {first}
-                _close(orbit, (first,), gens)
-                if top not in orbit:
-                    continue
-            if keep_gens:
-                position = [0] * n
-                for i, v in enumerate(order):
-                    position[v] = i
-                gens = [tuple(position[gamma[v]] for v in order) for gamma in gens]
-            else:
-                gens = []
-            yield _relabeled(child, order), gens, code
+        # child whose new vertex is elsewhere is dropped before it is labeled.
+        kept = roots[:, top] == roots.max(axis=1)
+        rows, codes, accepted, owners, gens = _block_forms(adj[kept], roots[kept])
+        found: list[list[tuple[int, ...]]] = [[] for _ in codes]
+        if keep_gens:
+            for k, gamma in zip(owners.tolist(), gens.tolist()):
+                found[k].append(tuple(gamma))
+        for canonical_rows, code, accept, child_gens in zip(rows.tolist(), codes.tolist(), accepted.tolist(), found):
+            if accept:
+                yield _graph_unchecked(n, tuple(canonical_rows)), child_gens, code
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -522,9 +591,9 @@ def enumerate_graphs(n: int) -> list[Graph]:
     _ALL_GRAPHS.setdefault(1, [Graph(1, (0,))])
     if n not in _ALL_GRAPHS:
         # Extend the highest order built so far.  Only its graphs are searched
-        # for their automorphisms; each later order takes them from the search
-        # that accepted it, and order n keeps none.  Each order is sorted by
-        # the column codes of its canonical forms, which is graph6 order.
+        # for their automorphisms; each later order takes them from the block
+        # labeling that accepted it, and order n keeps none.  Each order is
+        # sorted by the column codes of its canonical forms, graph6 order.
         k = max(m for m in _ALL_GRAPHS if m < n)
         level = [(g, _search(g)[1]) for g in _ALL_GRAPHS[k]]
         for m in range(k + 1, n + 1):

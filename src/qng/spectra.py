@@ -169,7 +169,11 @@ class Chunk:
         n = graphs[0].n
         _check_index(n, k)
         rows, values = self._screen(n, kind)
-        return values[[rows[h] for h in graphs], k - 1]
+        try:
+            return values[[rows[h] for h in graphs], k - 1]
+        except KeyError as missing:
+            raise ValueError(f"{missing.args[0]!r} is not screened in its chunk: the graphs must be "
+                             "members of the current chunk (spectra.in_chunk)") from None
 
     def sum_bounds(self, graphs: Sequence[Graph], kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Arrays lo, hi with lo <= ``ng_sum(g, kind, k)`` <= hi for members ``g`` of one order,

@@ -9,9 +9,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qng
+from qng import spectra
 from qng.cli import main, parse_bound_expr, parse_family
 from qng.enumeration import canonical_form
 from qng.spectra import spectrum
@@ -80,6 +82,21 @@ def test_check_verb_family_input(capsys):
     code, out, _ = run_cli(capsys, "check", "--thm", "1.4", "--family", "join(union(K2;K2);3K1)")
     assert code == 0
     assert "equality-certified" in out and "(2K_2)∇(3K_1)" in out
+
+
+def test_check_verb_reads_one_chunk_of_its_graph(capsys, monkeypatch):
+    """``qng check`` runs its check on a chunk of its graph alone, as ``qng report``
+    does: thm-1.5 on K3,3 screens the graph and its complement in one eigvalsh call
+    each and builds the complement once, where the check called outside a chunk makes
+    4 calls and builds it twice."""
+    stacks, built = [], []
+    eigvalsh, build = np.linalg.eigvalsh, spectra.complement
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(spectra, "complement", lambda g: built.append(g) or build(g))
+    spectra.chunk_of.cache_clear()
+    code, out, _ = run_cli(capsys, "check", "--thm", "1.5", "--family", "K3,3")
+    assert (code, out) == (0, "EFz_ thm-1.5: equality-certified lhs=7.0 rhs=7 family=K_{3,3}\n")
+    assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [complete_bipartite(3, 3)])
 
 
 def test_scan_verb_interval_counts(capsys):

@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -179,12 +180,15 @@ def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=
     Every candidate child of orders 2..7 is checked, and, one order per
     block, seeded random graphs, regular graphs (one degree cell, no
     splitter), K8 and E8.  ``_augment`` drops exactly the children whose new
-    vertex is outside the last cell, keeps those whose root coloring is
-    discrete without a search, and searches the rest from their root.  The
-    keys fit int64 up to order 14, so at ``ENUMERATE_MAX``.
+    vertex is outside the last cell and hands the rest, in order, to
+    ``_block_forms``; it calls neither ``_search`` nor ``_relabeled``.  The
+    refinement keys fit int64 up to order 14 and the packed column codes up
+    to order 11 (n(n-1)/2 <= 62 bits), so at ``ENUMERATE_MAX``.
     """
     assert 15 ** 15 < 2 ** 63 <= 16 ** 16
     assert (enumeration.ENUMERATE_MAX + 1) ** (enumeration.ENUMERATE_MAX + 1) < 2 ** 63
+    assert 11 * 10 // 2 <= 62 < 12 * 11 // 2
+    assert enumeration.ENUMERATE_MAX * (enumeration.ENUMERATE_MAX - 1) // 2 <= 62
     blocks = [[random_graph(rng, 8, p).rows for p in (0.2, 0.35, 0.5, 0.65, 0.8) for _ in range(20)],
               [g.rows for g in (cycle(8), complete_bipartite(4, 4), cartesian_product(cycle(4), path(2)),
                                 complete(8), empty_graph(8))],
@@ -194,54 +198,26 @@ def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=
         roots = enumeration._root_colorings(_adjacency(rows)).tolist()
         assert roots == [_reference_refine(graph._graph_unchecked(len(r), r), [0] * len(r)) for r in rows]
 
-    searched, discrete = [], []
-    search, forms = enumeration._search, enumeration._discrete_forms
-
-    def recording_search(g, root=None):
-        searched.append(g.rows)
-        return search(g, root)
+    labeled, searched = [], []
+    search, forms = enumeration._search, enumeration._block_forms
 
     def recording_forms(adj, roots):
-        discrete.extend(tuple(int(row) for row in a @ (1 << np.arange(a.shape[0]))) for a in adj)
+        labeled.extend(tuple(int(row) for row in a @ (1 << np.arange(a.shape[0]))) for a in adj)
         return forms(adj, roots)
 
-    monkeypatch.setattr(enumeration, "_search", recording_search)
-    monkeypatch.setattr(enumeration, "_discrete_forms", recording_forms)
+    monkeypatch.setattr(enumeration, "_search", lambda *args: searched.append(args))
+    monkeypatch.setattr(enumeration, "_relabeled", lambda *args: searched.append(args))
+    monkeypatch.setattr(enumeration, "_block_forms", recording_forms)
     for n in range(2, 8):
         level = [(g, search(g)[1]) for g in graphs_by_order[n - 1]]
         children = list(enumeration._children(level, n))
         roots = enumeration._root_colorings(_adjacency(children)).tolist()
         reference = [_reference_refine(graph._graph_unchecked(n, rows), [0] * n) for rows in children]
         assert roots == reference
-        kept = [(rows, root) for rows, root in zip(children, reference) if root[n - 1] == max(root)]
-        searched.clear()
-        discrete.clear()
+        labeled.clear()
         assert len(list(_augment(level, n))) == len(graphs_by_order[n])
-        assert searched == [rows for rows, root in kept if max(root) < n - 1]
-        assert discrete == [rows for rows, root in kept if max(root) == n - 1]
-
-
-def test_discrete_roots_skip_the_search(graphs_by_order):
-    """On every child of orders 2..8 whose root coloring is discrete, the
-    block path returns ``_search``'s labeling, column code and canonical rows."""
-    level = [(empty_graph(1), [])]
-    checked = 0
-    for n in range(2, 9):
-        children = list(enumeration._children(level, n))
-        adj = _adjacency(children)
-        roots = enumeration._root_colorings(adj)
-        leaf = roots.max(axis=1) == n - 1
-        orders, rows, codes = enumeration._discrete_forms(adj[leaf], roots[leaf])
-        for child, order, canonical, code in zip(
-                [c for c, x in zip(children, leaf) if x], orders.tolist(), rows.tolist(), codes.tolist()):
-            g = graph._graph_unchecked(n, child)
-            labeling, gens, want = _search(g)
-            assert (tuple(order), gens, tuple(code)) == (labeling, [], want)
-            assert tuple(canonical) == relabel(g, labeling).rows
-            checked += 1
-        if n < 8:
-            level = [(g, _search(g)[1]) for g in graphs_by_order[n]]
-    assert checked == 6474  # 13, 251 and 6,210 of the 184, 1,401 and 18,272 children of orders 6, 7, 8
+        assert labeled == [rows for rows, root in zip(children, reference) if root[n - 1] == max(root)]
+    assert searched == []
 
 
 def _threshold(creation):
@@ -251,18 +227,59 @@ def _threshold(creation):
 
 
 def _group_order(n, gens):
-    """The order of the permutation group generated by ``gens``."""
+    """The order of the permutation group generated by ``gens`` (Schreier-Sims).
+
+    Level i of a stabilizer chain over the base 0, 1, ..., n - 1 holds the
+    generators whose first moved point is i, and the orbit of i under those
+    of levels i and above, each point with a permutation taking i there.
+    The chain is complete, and the order is the product of the orbit
+    lengths, once every Schreier generator of every level sifts to the
+    identity through the levels above it; one that does not joins the level
+    where it stopped, and the chain is rebuilt.
+    """
     identity = tuple(range(n))
-    group = {identity}
-    stack = [identity]
-    while stack:
-        p = stack.pop()
-        for gamma in gens:
-            q = tuple(gamma[x] for x in p)
-            if q not in group:
-                group.add(q)
-                stack.append(q)
-    return len(group)
+
+    def compose(a, b):  # b, then a
+        return tuple(map(a.__getitem__, b))
+
+    def inverse(a):
+        return tuple(sorted(range(n), key=a.__getitem__))
+
+    levels = [[] for _ in range(n)]
+    for gamma in map(tuple, gens):
+        if gamma != identity:
+            levels[next(i for i in range(n) if gamma[i] != i)].append(gamma)
+    while True:
+        fixing = [[gamma for level in levels[i:] for gamma in level] for i in range(n)]
+        orbits = []  # orbits[i][x]: a permutation taking i to x, and its inverse
+        for i in range(n):
+            orbit, stack = {i: (identity, identity)}, [i]
+            while stack:
+                x = stack.pop()
+                for gamma in fixing[i]:
+                    if gamma[x] not in orbit:
+                        to_y = compose(gamma, orbit[x][0])
+                        orbit[gamma[x]] = to_y, inverse(to_y)
+                        stack.append(gamma[x])
+            orbits.append(orbit)
+
+        def residues():
+            for i in range(n):
+                for x, (to_x, _) in orbits[i].items():
+                    for gamma in fixing[i]:
+                        h = compose(orbits[i][gamma[x]][1], compose(gamma, to_x))
+                        for j in range(i + 1, n):
+                            if h == identity:
+                                break
+                            if h[j] not in orbits[j]:
+                                yield j, h
+                                break
+                            h = compose(orbits[j][h[j]][1], h)
+
+        stop = next(residues(), None)
+        if stop is None:
+            return prod(map(len, orbits))
+        levels[stop[0]].append(stop[1])
 
 
 TWIN_HEAVY = [
@@ -316,6 +333,63 @@ def test_twin_transpositions_seed_the_search(monkeypatch, rng=random.Random(31))
             with monkeypatch.context() as m:
                 m.setattr(enumeration, "_twin_transpositions", lambda rows: [])
                 assert labeling == search(h)[0]
+
+
+def _packed(cols):
+    """``_search``'s column code as one integer: column j in j bits, column 1 highest."""
+    code = 0
+    for j, col in enumerate(cols, 1):
+        code = code << j | col
+    return code
+
+
+def test_block_forms_match_the_search(graphs_by_order, rng=random.Random(41)):
+    """``_block_forms`` labels as ``_search`` does.
+
+    The blocks are every child of orders 2..8 that the root cell keeps,
+    seeded random graphs of orders 7, 9 and 11, and the twin-heavy graphs
+    up to order 10, relabeled.  For each graph the kernel gives the
+    canonical rows of ``_search``'s labeling and its column code, and
+    decides as ``_search``'s orbit test does whether vertex n - 1 shares an
+    orbit with the first vertex, in canonical order, of the last root cell.
+    Its generators are automorphisms of the canonical graph and generate a
+    group of the order ``_search``'s generate, 10! for K10 and E10.
+    """
+    blocks = []
+    level = [(empty_graph(1), [])]
+    for n in range(2, 9):
+        children = list(enumeration._children(level, n))
+        roots = enumeration._root_colorings(_adjacency(children))
+        blocks.append([rows for rows, keep in zip(children, roots[:, -1] == roots.max(1)) if keep])
+        if n < 8:
+            level = [(g, _search(g)[1]) for g in graphs_by_order[n]]
+    assert list(map(len, blocks)) == [2, 4, 11, 34, 156, 1046, 12371]
+    blocks += [[random_graph(rng, n, p).rows for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(8)]
+               for n in (7, 9, 11)]
+    blocks += [[relabel(g, rng.sample(range(n), n)).rows for g in TWIN_HEAVY if g.n == n]
+               for n in sorted({g.n for g in TWIN_HEAVY})]
+    for block in blocks:
+        n = len(block[0])
+        adj = _adjacency(block)
+        roots = enumeration._root_colorings(adj)
+        rows, codes, accepted, owners, gens = enumeration._block_forms(adj, roots)
+        found = [[] for _ in block]
+        for k, gamma in zip(owners.tolist(), gens.tolist()):
+            found[k].append(tuple(gamma))
+        for child, root, canonical, code, accept, child_gens in zip(
+                block, roots.tolist(), rows.tolist(), codes.tolist(), accepted.tolist(), found):
+            g = graph._graph_unchecked(n, child)
+            labeling, search_gens, cols = _search(g)
+            h = relabel(g, labeling)
+            assert (tuple(canonical), code) == (h.rows, _packed(cols))
+            first = next(v for v in labeling if root[v] == max(root))
+            orbit = {first}
+            enumeration._close(orbit, (first,), search_gens)
+            assert accept == (n - 1 in orbit)
+            for gamma in child_gens:
+                assert sorted(gamma) == list(range(n))
+                assert all(h.has_edge(gamma[u], gamma[v]) for u, v in h.edges())
+            assert _group_order(n, child_gens) == _group_order(n, search_gens)
 
 
 # Frozen canonical forms: any change to the canonical-string definition breaks them.
@@ -526,63 +600,78 @@ def test_augmentation_accepts_each_class_once():
                     assert all(g.has_edge(gamma[u], gamma[v]) for u, v in g.edges())
 
 
-def test_generation_search_count(monkeypatch):
-    """Full searches in a cold enumerate_graphs(7): K1 plus 1,093 of the 1,253
-    children of orders 2..7 that pass the degree and root-cell filters; the
-    other 160 have a discrete root coloring and need no search."""
-    calls = []
-    search = enumeration._search
-
-    def counting(g, root=None):
-        calls.append(g.n)
-        return search(g, root)
-
-    monkeypatch.setattr(enumeration, "_search", counting)
-    monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
-    assert len(enumerate_graphs(7)) == 1044
-    assert len(calls) == 1094
-    assert calls.count(1) == 1
-
-
-def test_generation_refine_count(monkeypatch):
-    """Refinement work in a cold enumerate_graphs(7), with its 1,094 searches.
-
-    The 1,639 children's root colorings are computed in blocks; 386 of them
-    put the new vertex outside the last cell and are dropped, and 160 are
-    discrete.  The searches make 2,944 ``_refine`` calls (7,673 without twin
-    seeds); no root coloring goes through ``_refine``.  A lost pruning fails
-    here, not only in a timing.
-    """
-    refines = []
-    searches = []
-    roots = []
-    refine = enumeration._refine
-    search = enumeration._search
-    root_colorings = enumeration._root_colorings
+def _cold_generation(monkeypatch):
+    """The work of a cold enumerate_graphs(7): the orders of the graphs ``_search``
+    labels, the ``_refine`` calls, the root colorings, the roots ``_block_forms``
+    labels, and the (size, leaves) of each batch of tree nodes it refines."""
+    work = {"searches": [], "refines": 0, "roots": [], "labeled": [], "levels": []}
+    refine, search, refined = enumeration._refine, enumeration._search, enumeration._refined
+    root_colorings, forms = enumeration._root_colorings, enumeration._block_forms
 
     def counting_refine(nbrs, colors, splitters):
-        refines.append(len(nbrs))
+        work["refines"] += 1
         return refine(nbrs, colors, splitters)
 
-    def counting_search(g, root=None):
-        searches.append(g.n)
-        return search(g, root)
+    def counting_search(g):
+        work["searches"].append(g.n)
+        return search(g)
 
     def recording_roots(adj):
         result = root_colorings(adj)
-        roots.extend(result.tolist())
+        work["roots"].extend(result.tolist())
+        return result
+
+    def recording_forms(adj, roots):
+        work["labeled"].extend(roots.tolist())
+        return forms(adj, roots)
+
+    def recording_refined(adj, colors):
+        result = refined(adj, colors)
+        if colors.any():  # tree nodes: a root starts from one cell
+            discrete = (np.sort(result) == np.arange(result.shape[1])).all(-1)
+            work["levels"].append((len(result), int(discrete.sum())))
         return result
 
     monkeypatch.setattr(enumeration, "_refine", counting_refine)
     monkeypatch.setattr(enumeration, "_search", counting_search)
     monkeypatch.setattr(enumeration, "_root_colorings", recording_roots)
+    monkeypatch.setattr(enumeration, "_block_forms", recording_forms)
+    monkeypatch.setattr(enumeration, "_refined", recording_refined)
     monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
     assert len(enumerate_graphs(7)) == 1044
-    assert len(searches) == 1094
-    assert len(refines) == 2944
+    return work
+
+
+def test_generation_search_count(monkeypatch):
+    """A cold enumerate_graphs(7) searches K1 alone.  The 1,253 children of
+    orders 2..7 that pass the degree and root-cell filters are labeled in
+    blocks: their twin-pruned trees have 4,531 nodes, the 1,253 roots
+    included, and 1,956 leaves, 160 of them discrete roots.  A lost twin
+    pruning fails here, not only in a timing."""
+    work = _cold_generation(monkeypatch)
+    assert work["searches"] == [1]
+    roots = work["labeled"]
+    nodes = len(roots) + sum(size for size, _ in work["levels"])
+    leaves = sum(max(root) == len(root) - 1 for root in roots) + sum(leaves for _, leaves in work["levels"])
+    assert (len(roots), nodes, leaves) == (1253, 4531, 1956)
+
+
+def test_generation_refine_count(monkeypatch):
+    """Refinement work in a cold enumerate_graphs(7).
+
+    The 1,639 children's root colorings are computed in blocks; 386 of them
+    put the new vertex outside the last cell and are dropped, and 160 are
+    discrete.  The trees of the other children grow in 45 batched
+    refinements of 3,278 nodes.  ``_refine``, the one-graph refinement of
+    ``_search``, is never called: K1 is discrete from the start.
+    """
+    work = _cold_generation(monkeypatch)
+    assert work["refines"] == 0
+    roots = work["roots"]
     assert len(roots) == 1639
     assert sum(root[-1] != max(root) for root in roots) == 386
     assert sum(root[-1] == len(root) - 1 for root in roots) == 160
+    assert (len(work["levels"]), sum(size for size, _ in work["levels"])) == (45, 3278)
 
 
 def test_enumeration_n8_golden_digest(enum8):

@@ -441,6 +441,18 @@ def test_run_all_checks_reads_one_chunk_of_its_graph(monkeypatch):
     assert reports == [check(g) for check in THEOREM_CHECKS.values()] + [theorems.check_ng_q1(g)]
 
 
+def test_verdicts_outside_their_chunk_raise_value_error():
+    """``Row.verdicts`` and ``SumPredicate.verdicts`` read the screens of the current
+    chunk; called outside ``spectra.in_chunk`` they raise a ValueError that says so,
+    not a bare KeyError.  Inside a chunk of the same graphs they give the verdicts."""
+    graphs = [cycle(6), star(6), complete_bipartite(3, 3)]
+    for check in (check_thm12, theorems.check_lemma28, build_predicate("sum-open-interval 5 6", 6)):
+        with pytest.raises(ValueError, match=r"must be members of the current chunk \(spectra\.in_chunk\)"):
+            check.verdicts(graphs)
+        with spectra.in_chunk(graphs):
+            assert len(check.verdicts(graphs)) == 3
+
+
 def test_report_serialization():
     d = check_thm13(cycle(4)).to_dict()
     assert d["verdict"] == EQUALITY and d["family"] == "C_4"
