@@ -3,12 +3,9 @@
 The canonical form of a graph (``canonical_form``) is the smallest graph6
 string obtainable by relabeling, where the minimum is searched over labelings
 compatible with iterated color refinement (individualization-refinement).
-Refinement works against the cells that just split (McKay & Piperno,
-"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014): a round counts
-neighbors only in the fragments the previous round split off, the last
-fragment of each old cell left out, which ranks vertices as full count
-vectors would.  The first round after individualizing ``v`` counts only the
-splitter ``{v}``; the root round counts the degree classes but the last.  The
+A refinement round ranks each vertex by its old color and then by its full
+vector of neighbor counts per color, so cells keep their order; the root
+coloring refines the one-cell coloring, whose first round ranks degrees.  The
 search prunes on bit-string prefixes and, at every depth, on orbits of known
 automorphisms: a known automorphism that preserves a node's coloring maps one
 child subtree onto another, so one child per orbit is searched.  The
@@ -61,13 +58,14 @@ chunk through its ``verdicts`` method and complements, and builds reports
 for, only the graphs its float screen leaves undecided; any other check is
 called on each graph.  A bound-table row does not re-test a hypothesis that the
 filter is.  With ``jobs`` > 1 the chunks go in order through
-``Pool.imap``, as text and with the filter by name, and each worker returns
-only that tally.
+``Pool.imap`` to at most one worker per CPU, as text and with the filter by
+name, and each worker returns only that tally.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -95,59 +93,35 @@ from .graph import (
 
 ENUMERATE_MAX = 8
 
-# The set bits of every row of a graph within the generation limit.
-_SET_BITS = tuple(tuple(bits(mask)) for mask in range(1 << ENUMERATE_MAX))
 
-
-def _neighbours(g: Graph) -> list[tuple[int, ...]]:
-    """The neighbours of each vertex, from ``_SET_BITS`` while ``g`` fits it."""
-    if g.n <= ENUMERATE_MAX:
-        return [_SET_BITS[row] for row in g.rows]
-    return [tuple(bits(row)) for row in g.rows]
-
-
-def _refine(nbrs: Sequence[Sequence[int]], colors: list[int], splitters: Sequence[int]) -> list[int]:
+def _refine(nbrs: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
     """Iterated invariant color refinement to a stable partition.
 
-    A round ranks the vertex signatures (color, neighbor count per color) in
-    sorted order; the primary sort on the old color keeps cells in order, so
-    the coloring stays canonical.  ``colors`` must refine a coarser coloring
-    each of whose cells is a run of consecutive colors toward which every
-    cell of ``colors`` has constant counts; ``splitters`` are the colors of
-    those runs, the last of each left out.  Then only the counts toward the
-    splitters can differ within a cell, and the first difference of two full
-    count vectors lies at a splitter, since a run's last count is the run's
-    total minus the others.  So a signature packs only the splitter counts,
-    in color order with the first most significant (a field wide enough for
-    any degree, the color above them), and integer order ranks as the full
-    vectors would; each splitter vertex adds its field's unit to its
-    neighbors' signatures.  After a round the splitters are the fragments of
-    each cell that split, its last fragment left out.
+    ``colors`` numbers the cells 0, 1, 2, ... in order.  A round ranks the
+    vertex signatures (color, neighbor count per color) in sorted order; the
+    primary sort on the old color keeps cells in order, so the coloring stays
+    canonical.  A signature packs the counts into one integer, in color order with color 0
+    most significant, each in a field wide enough for any degree and the
+    color above them, so integer order ranks as the full vectors would.
     """
     n = len(nbrs)
     width = n.bit_length()
     ncol = max(colors) + 1
-    while True:
-        if not splitters or ncol == n:
-            return colors
-        top = width * len(splitters)
-        weight = [0] * ncol
-        for i, c in enumerate(splitters):
-            weight[c] = 1 << (top - width * (i + 1))
+    while ncol < n:
+        top = width * ncol
+        weight = [1 << (top - width * (c + 1)) for c in range(ncol)]
         sigs = [c << top for c in colors]
         for c, nb in zip(colors, nbrs):
             w = weight[c]
-            if w:
-                for u in nb:
-                    sigs[u] += w
+            for u in nb:
+                sigs[u] += w
         distinct = sorted(set(sigs))
         if len(distinct) == ncol:
-            return colors
+            break
         rank = {s: i for i, s in enumerate(distinct)}
         colors = list(map(rank.__getitem__, sigs))
-        cells = [s >> top for s in distinct]
-        splitters = [i for i in range(len(cells) - 1) if cells[i] == cells[i + 1]]
         ncol = len(distinct)
+    return colors
 
 
 def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]) -> None:
@@ -160,18 +134,6 @@ def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]
             if y not in points:
                 points.add(y)
                 stack.append(y)
-
-
-def _root_coloring(nbrs: Sequence[Sequence[int]]) -> list[int]:
-    """The refined root coloring, from the degree classes in increasing order.
-
-    Every degree class has a constant count toward the one-cell coloring, so
-    the splitters are the degree classes but the last.
-    """
-    degrees = sorted({len(nb) for nb in nbrs})
-    rank = {d: i for i, d in enumerate(degrees)}
-    colors = [rank[len(nb)] for nb in nbrs]
-    return _refine(nbrs, colors, range(len(degrees) - 1))
 
 
 def _twin_transpositions(rows: Sequence[int]) -> list[tuple[int, ...]]:
@@ -203,7 +165,7 @@ def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int
     n = g.n
     if n == 1:
         return (0,), [], ()
-    nbrs = _neighbours(g)
+    nbrs = [g.neighbors(v) for v in range(n)]
 
     best_cols: list[int] = []
     best_perm: list[int] = []
@@ -276,20 +238,19 @@ def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int
             covered.add(v)
             if fixing:
                 _close(covered, (v,), fixing)
-            # v takes color t ahead of the rest of its cell; this node's
-            # coloring is equitable, so {v} is the one splitter.
+            # v takes color t ahead of the rest of its cell.
             nc = [c if c <= t else c + 1 for c in colors]
             for u in branch_cell:
                 if u != v:
                     nc[u] = t + 1
             path.append(v)
-            resume = descend(_refine(nbrs, nc, (t,)))
+            resume = descend(_refine(nbrs, nc))
             path.pop()
             if resume < depth:
                 return resume
         return n
 
-    descend(_root_coloring(nbrs))
+    descend(_refine(nbrs, [0] * n))
     return tuple(best_perm), gens, tuple(best_cols)
 
 
@@ -303,8 +264,7 @@ def _relabeled(g: Graph, order: Sequence[int]) -> Graph:
     bit = [0] * g.n
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    nbrs = _neighbours(g)
-    rows = tuple(sum(map(bit.__getitem__, nbrs[v])) for v in order)
+    rows = tuple(sum(map(bit.__getitem__, g.neighbors(v))) for v in order)
     return _graph_unchecked(g.n, rows)
 
 
@@ -398,7 +358,9 @@ def _refined(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
     cells keep their order, a cell's color is still the number of vertices
     in the cells before it, and a round that splits no cell gives back the
     same colors.  Only the graphs whose coloring changed in a round go on to
-    the next.
+    the next.  From the one-cell coloring, all zeros, the first round ranks
+    the degrees, and the result is the root coloring ``_search`` starts from,
+    in this numbering.
     """
     size, n, _ = adj.shape
     digit = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)  # (n+1)^(n-1-c) for color c
@@ -413,20 +375,6 @@ def _refined(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
     return colors
 
 
-def _root_colorings(adj: np.ndarray) -> np.ndarray:
-    """The root colorings (``_root_coloring``) of a block of graphs of one order.
-
-    ``adj`` holds the graphs' adjacency bits, shape (B, n, n); the result
-    holds their colors, shape (B, n).  The one-cell coloring is refined
-    (``_refined``), its first round ranking the degrees, and the colors are
-    then renumbered 0, 1, 2, ... in order.
-    """
-    size, n, _ = adj.shape
-    colors = _refined(adj, np.zeros((size, n), dtype=np.int64))
-    used = (colors[:, :, None] == np.arange(n)).any(1)
-    return (used[:, None, :] & (np.arange(n) < colors[:, :, None])).sum(-1)
-
-
 def _twins(rows: np.ndarray) -> np.ndarray:
     """Whether u and v are twins (u = v included) in each graph of a block, shape (B, n, n).
 
@@ -438,10 +386,12 @@ def _twins(rows: np.ndarray) -> np.ndarray:
     return (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
 
 
-def _block_forms(adj: np.ndarray, roots: np.ndarray
+def _block_forms(adj: np.ndarray, colors: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Canonical forms, as ``_search`` finds them, of a block of graphs of one order
-    n <= 11, from their adjacency bits ``adj`` (B, n, n) and root colorings ``roots``.
+    n <= 11, from their adjacency bits ``adj`` (B, n, n) and root colorings
+    ``colors`` (B, n), as ``_refined`` numbers them: each vertex's color is
+    the number of vertices in the cells before its own.
 
     The search trees of the block grow breadth-first, one batched refinement
     (``_refined``) per level.  A node whose coloring is not discrete
@@ -477,7 +427,6 @@ def _block_forms(adj: np.ndarray, roots: np.ndarray
     twins = _twins(rows)
     upper = np.arange(n)[:, None] < np.arange(n)  # upper[u, v]: u < v
     earlier = twins & upper
-    colors = (roots[:, None, :] < roots[:, :, None]).sum(-1)  # vertices in the cells before
     last = colors.max(-1)  # the first position of the last root cell
     owner = block
     leaf_owners, leaf_colors = [], []
@@ -557,13 +506,13 @@ def _augment(
     class of order ``n``, with generators of its automorphism group (none
     unless ``keep_gens``) and its packed column code, whose order is graph6
     order.  The children (``_children``) are root-colored and labeled
-    ``_BLOCK`` at a time (``_root_colorings``, ``_block_forms``).
+    ``_BLOCK`` at a time (``_refined``, ``_block_forms``).
     """
     top = n - 1
     children = _children(level, n)
     while block := list(islice(children, _BLOCK)):
         adj = np.array(block, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
-        roots = _root_colorings(adj)
+        roots = _refined(adj, np.zeros(adj.shape[:2], dtype=np.int64))
         # The deletion vertices are the last cell of the root coloring, so a
         # child whose new vertex is elsewhere is dropped before it is labeled.
         kept = roots[:, top] == roots.max(axis=1)
@@ -745,9 +694,11 @@ def scan(
     source yields one or the other).  The source is read lazily in chunks of
     ``CHUNK_SIZE`` items, and each chunk is decoded, filtered and tallied
     where it is checked: in this process, or in a pool worker under ``jobs``
-    > 1.  ``graph_filter`` is a filter name (``resolve_filter``); a chunk
-    carries lines as text and the filter by name, so it is resolved in the
-    worker, and the check must pickle under ``jobs`` > 1.  A check with an
+    > 1.  The pool has at most ``os.cpu_count()`` workers, and with one CPU
+    the scan runs in this process.  ``graph_filter`` is a filter name
+    (``resolve_filter``); a chunk carries lines as text and the filter by
+    name, so it is resolved in the worker, and the check must pickle under
+    ``jobs`` > 1.  A check with an
     ``assuming`` method (a bound-table row) is first told the filter's names,
     so it does not test a hypothesis the filter has established.  The
     tallies are merged in order, so results are independent of ``jobs``:
@@ -762,6 +713,7 @@ def scan(
     counts: Counter = Counter()
     equality: set[str] = set()
     violations: set[str] = set()
+    jobs = min(jobs, os.cpu_count() or 1)
     with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
         tallies = pool.imap(_scan_chunk, tasks) if jobs > 1 else starmap(_tally, tasks)
         for chunk_counts, chunk_equality, chunk_violations in tallies:

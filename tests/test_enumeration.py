@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import sys
 import time
@@ -30,7 +31,6 @@ from qng.enumeration import (
 )
 from qng.graph import (
     CapacityError,
-    bits,
     cartesian_product,
     complement,
     complete,
@@ -135,11 +135,11 @@ PETERSEN = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6
                            (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
 
 
-def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng=random.Random(9)):
-    """Every coloring ``_search`` and ``_root_coloring`` hand ``_refine``, which
-    counts only toward the splitters, refines as the full count vectors do.
+def test_search_refinement_matches_reference(graphs_by_order, monkeypatch, rng=random.Random(9)):
+    """Every coloring ``_search`` hands ``_refine``, the one-cell root coloring
+    first, refines as the reference does.
 
-    Regular graphs are there because their degree partition has no splitter.
+    Regular graphs are there because their root round splits no cell.
     """
     graphs = [g for n in range(1, 7) for g in graphs_by_order[n]]
     graphs += [random_graph(rng, n, p) for n in range(7, 11) for p in (0.3, 0.5, 0.7) for _ in range(4)]
@@ -148,8 +148,8 @@ def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng
     calls = []
     refine = enumeration._refine
 
-    def recording(nbrs, colors, splitters):
-        result = refine(nbrs, colors, splitters)
+    def recording(nbrs, colors):
+        result = refine(nbrs, colors)
         calls.append((colors, result))
         return result
 
@@ -160,11 +160,9 @@ def test_splitter_refinement_matches_reference(graphs_by_order, monkeypatch, rng
         h = relabel(g, perm)
         calls.clear()
         _search(h)
-        assert len(calls) >= (h.n > 1)
+        assert [colors for colors, _ in calls[:1]] == ([[0] * h.n] if h.n > 1 else [])
         for colors, result in calls:
             assert result == _reference_refine(h, colors)
-        nbrs = [tuple(bits(row)) for row in h.rows]
-        assert enumeration._root_coloring(nbrs) == _reference_refine(h, [0] * h.n)
 
 
 def _adjacency(rows):
@@ -173,17 +171,34 @@ def _adjacency(rows):
     return np.array(rows, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
 
 
+def _roots(adj):
+    """The root colorings of a block, as ``_augment`` computes them: the one-cell coloring refined."""
+    return enumeration._refined(adj, np.zeros(adj.shape[:2], dtype=np.int64))
+
+
+def _cells_before(colors):
+    """A rank coloring renumbered as ``_refined`` numbers it: each vertex's
+    color the number of vertices in the cells before its own."""
+    return [sum(d < c for d in colors) for c in colors]
+
+
+def _discrete(colors):
+    return sorted(colors) == list(range(len(colors)))
+
+
 def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=random.Random(17)):
     """The root colorings ``_augment`` computes a block at a time equal the
-    full-vector refinement, and route each child as its root coloring says.
+    reference refinement of the one-cell coloring, renumbered to count the
+    vertices in the cells before, and route each child as its root coloring
+    says.
 
     Every candidate child of orders 2..7 is checked, and, one order per
-    block, seeded random graphs, regular graphs (one degree cell, no
-    splitter), K8 and E8.  ``_augment`` drops exactly the children whose new
-    vertex is outside the last cell and hands the rest, in order, to
-    ``_block_forms``; it calls neither ``_search`` nor ``_relabeled``.  The
-    refinement keys fit int64 up to order 14 and the packed column codes up
-    to order 11 (n(n-1)/2 <= 62 bits), so at ``ENUMERATE_MAX``.
+    block, seeded random graphs, regular graphs (one degree cell), K8 and
+    E8.  ``_augment`` drops exactly the children whose new vertex is outside
+    the last cell and hands the rest, in order, to ``_block_forms``; it
+    calls neither ``_search`` nor ``_relabeled``.  The refinement keys fit
+    int64 up to order 14 and the packed column codes up to order 11
+    (n(n-1)/2 <= 62 bits), so at ``ENUMERATE_MAX``.
     """
     assert 15 ** 15 < 2 ** 63 <= 16 ** 16
     assert (enumeration.ENUMERATE_MAX + 1) ** (enumeration.ENUMERATE_MAX + 1) < 2 ** 63
@@ -195,8 +210,9 @@ def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=
               [cycle(9).rows, cartesian_product(cycle(3), cycle(3)).rows],
               [PETERSEN.rows, random_graph(rng, 10).rows]]
     for rows in blocks:
-        roots = enumeration._root_colorings(_adjacency(rows)).tolist()
-        assert roots == [_reference_refine(graph._graph_unchecked(len(r), r), [0] * len(r)) for r in rows]
+        roots = _roots(_adjacency(rows)).tolist()
+        assert roots == [_cells_before(_reference_refine(graph._graph_unchecked(len(r), r), [0] * len(r)))
+                         for r in rows]
 
     labeled, searched = [], []
     search, forms = enumeration._search, enumeration._block_forms
@@ -211,9 +227,9 @@ def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=
     for n in range(2, 8):
         level = [(g, search(g)[1]) for g in graphs_by_order[n - 1]]
         children = list(enumeration._children(level, n))
-        roots = enumeration._root_colorings(_adjacency(children)).tolist()
+        roots = _roots(_adjacency(children)).tolist()
         reference = [_reference_refine(graph._graph_unchecked(n, rows), [0] * n) for rows in children]
-        assert roots == reference
+        assert roots == list(map(_cells_before, reference))
         labeled.clear()
         assert len(list(_augment(level, n))) == len(graphs_by_order[n])
         assert labeled == [rows for rows, root in zip(children, reference) if root[n - 1] == max(root)]
@@ -359,7 +375,7 @@ def test_block_forms_match_the_search(graphs_by_order, rng=random.Random(41)):
     level = [(empty_graph(1), [])]
     for n in range(2, 9):
         children = list(enumeration._children(level, n))
-        roots = enumeration._root_colorings(_adjacency(children))
+        roots = _roots(_adjacency(children))
         blocks.append([rows for rows, keep in zip(children, roots[:, -1] == roots.max(1)) if keep])
         if n < 8:
             level = [(g, _search(g)[1]) for g in graphs_by_order[n]]
@@ -371,7 +387,7 @@ def test_block_forms_match_the_search(graphs_by_order, rng=random.Random(41)):
     for block in blocks:
         n = len(block[0])
         adj = _adjacency(block)
-        roots = enumeration._root_colorings(adj)
+        roots = _roots(adj)
         rows, codes, accepted, owners, gens = enumeration._block_forms(adj, roots)
         found = [[] for _ in block]
         for k, gamma in zip(owners.tolist(), gens.tolist()):
@@ -411,7 +427,12 @@ def test_canonical_form_golden_strings():
 
 
 def test_canonical_form_vertex_transitive_is_fast():
-    for g in (complete(10), empty_graph(10), complete(32), empty_graph(32), complete_bipartite(16, 16)):
+    """Vertex-transitive graphs take milliseconds: the complete and empty ones
+    through their twins, Q5, K4 x K8 and Paley(29), which have none, through
+    the automorphisms found at leaves."""
+    q5 = _edges_where(32, lambda u, v: (u ^ v).bit_count() == 1)
+    for g in (complete(10), empty_graph(10), complete(32), empty_graph(32), complete_bipartite(16, 16),
+              q5, cartesian_product(complete(4), complete(8)), _paley(29)):
         start = time.perf_counter()
         canonical_form(g)
         assert time.perf_counter() - start < 0.1
@@ -464,6 +485,10 @@ def _random_regular(d, n, seed):
     return from_edges(n, nx.random_regular_graph(d, n, seed=seed).edges())
 
 
+#: sha256 of the canonical forms of ``_regular_graphs()`` and of their complements.
+REGULAR_FORMS_DIGEST = "3c6795f02f9c0368a01a121240cedbf201422f383c1c2a3ffaeb7b5b51bd1008"
+
+
 def _regular_graphs():
     """Strongly regular and regular graphs of 13 to 32 vertices, by name."""
     shrikhande_steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
@@ -497,14 +522,16 @@ def test_canonical_forms_of_regular_graphs_up_to_32_vertices(rng=random.Random(2
     ``networkx.is_isomorphic`` (VF2) is the reference on pairs of equal degree
     sequence, each graph against a relabeled copy of itself included; the
     Chang graphs, where VF2 takes seconds, are told apart by the forms alone.
+    The forms of the graphs and of their complements are pinned by one
+    sha256.
     """
     import networkx as nx
 
     graphs = _regular_graphs()
-    forms = {}
+    forms, complement_forms = {}, {}
     for name, g in graphs.items():
         forms[name] = canonical_form(g)
-        co = canonical_form(complement(g))
+        complement_forms[name] = co = canonical_form(complement(g))
         for _ in range(2):
             order = rng.sample(range(g.n), g.n)
             assert canonical_form(relabel(g, order)) == forms[name], name
@@ -515,6 +542,8 @@ def test_canonical_forms_of_regular_graphs_up_to_32_vertices(rng=random.Random(2
     assert forms["GP(16,3)"] == forms["GP(16,5)"]
     assert canonical_form(complement(graphs["Paley(13)"])) == forms["Paley(13)"]
     assert len(set(forms.values())) == len(forms) - 1
+    text = "\n".join(f"{forms[name]} {complement_forms[name]}" for name in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == REGULAR_FORMS_DIGEST
 
     def as_nx(g):
         h = nx.Graph()
@@ -606,20 +635,15 @@ def _cold_generation(monkeypatch):
     labels, and the (size, leaves) of each batch of tree nodes it refines."""
     work = {"searches": [], "refines": 0, "roots": [], "labeled": [], "levels": []}
     refine, search, refined = enumeration._refine, enumeration._search, enumeration._refined
-    root_colorings, forms = enumeration._root_colorings, enumeration._block_forms
+    forms = enumeration._block_forms
 
-    def counting_refine(nbrs, colors, splitters):
+    def counting_refine(nbrs, colors):
         work["refines"] += 1
-        return refine(nbrs, colors, splitters)
+        return refine(nbrs, colors)
 
     def counting_search(g):
         work["searches"].append(g.n)
         return search(g)
-
-    def recording_roots(adj):
-        result = root_colorings(adj)
-        work["roots"].extend(result.tolist())
-        return result
 
     def recording_forms(adj, roots):
         work["labeled"].extend(roots.tolist())
@@ -630,11 +654,12 @@ def _cold_generation(monkeypatch):
         if colors.any():  # tree nodes: a root starts from one cell
             discrete = (np.sort(result) == np.arange(result.shape[1])).all(-1)
             work["levels"].append((len(result), int(discrete.sum())))
+        else:
+            work["roots"].extend(result.tolist())
         return result
 
     monkeypatch.setattr(enumeration, "_refine", counting_refine)
     monkeypatch.setattr(enumeration, "_search", counting_search)
-    monkeypatch.setattr(enumeration, "_root_colorings", recording_roots)
     monkeypatch.setattr(enumeration, "_block_forms", recording_forms)
     monkeypatch.setattr(enumeration, "_refined", recording_refined)
     monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
@@ -652,7 +677,7 @@ def test_generation_search_count(monkeypatch):
     assert work["searches"] == [1]
     roots = work["labeled"]
     nodes = len(roots) + sum(size for size, _ in work["levels"])
-    leaves = sum(max(root) == len(root) - 1 for root in roots) + sum(leaves for _, leaves in work["levels"])
+    leaves = sum(map(_discrete, roots)) + sum(leaves for _, leaves in work["levels"])
     assert (len(roots), nodes, leaves) == (1253, 4531, 1956)
 
 
@@ -670,7 +695,7 @@ def test_generation_refine_count(monkeypatch):
     roots = work["roots"]
     assert len(roots) == 1639
     assert sum(root[-1] != max(root) for root in roots) == 386
-    assert sum(root[-1] == len(root) - 1 for root in roots) == 160
+    assert sum(_discrete(root) and root[-1] == len(root) - 1 for root in roots) == 160
     assert (len(work["levels"]), sum(size for size, _ in work["levels"])) == (45, 3278)
 
 
@@ -724,7 +749,7 @@ def test_scan_chunks_keep_their_order_under_jobs():
     """Several chunks and a partial last one go through the pool in order.
 
     The pool's task thread queues chunks while the caller tallies verdicts;
-    with more workers than cores and a short switch interval the result must
+    with four jobs asked for and a short switch interval the result must
     still equal the in-process scan, and a wrong-order graph in a late chunk
     must still raise.
     """
@@ -739,6 +764,34 @@ def test_scan_chunks_keep_their_order_under_jobs():
             scan(7, "all", check_thm12, source=graphs + enumerate_graphs(6)[:1], jobs=2)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
+    """``jobs`` above the CPU count starts one worker per CPU, and with one
+    CPU, or an unknown count, the scan runs in this process.  The pool is a
+    fake that records its size and maps in this process."""
+    expected = scan(5, "connected", check_thm12)
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    for cpus, jobs, want in ((4, 100_000, [4]), (4, 3, [3]), (1, 100_000, []), (None, 100_000, [])):
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert scan(5, "connected", check_thm12, jobs=jobs) == expected
+        assert started == want, (cpus, jobs)
 
 
 def test_scan_violation_keys_come_back_from_workers():
