@@ -21,14 +21,18 @@ order and size that check alone decides isomorphism.
 
 Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  Every (n-1)-vertex representative is
-extended by one vertex joined to a neighbor subset, one subset per orbit of
-the parent's automorphism group (the automorphisms known from labeling the
-parent generate it).  A child is kept only if its new vertex lies in the
-automorphism orbit of an invariantly chosen deletion vertex: the first vertex,
-in canonical order, of the last cell of the root coloring.  Three tests of
-rising cost decide this.  The new vertex must have maximum degree, read off
-the parent's degrees.  It must lie in that last cell: the children of
-consecutive parents are root-colored ``_BLOCK`` at a time, in one numpy pass
+extended by one vertex joined to a neighbor subset, the least subset of each
+orbit of the parent's automorphism group (the automorphisms known from
+labeling the parent generate it).  The orbits are found in numpy for a group
+of consecutive parents at once (``_orbit_minima``): each subset's label falls
+to its images' labels under the generators until it names the least subset
+of its orbit, and the group's children come out as one int64 array.  A
+child is kept only if its new vertex lies in the automorphism orbit of an
+invariantly chosen deletion vertex: the first vertex, in canonical order, of
+the last cell of the root coloring.  Three tests of rising cost decide
+this.  The new vertex must have maximum degree, read off the parent's
+degrees.  It must lie in that last cell: the children of consecutive
+parents are root-colored ``_BLOCK`` at a time, in one numpy pass
 whose rounds rank full count vectors packed into int64 keys.  Then the
 block's remaining children are labeled together (``_block_forms``): their
 search trees grow breadth-first, one batched refinement per level, each node
@@ -304,43 +308,14 @@ def isomorphism_witness(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
 _ALL_GRAPHS: dict[int, list[Graph]] = {}
 
 
-def _orbit_representatives(
-    m: int, gens: Sequence[Sequence[int]], subsets: Optional[Sequence[int]] = None
-) -> list[int]:
-    """The least vertex subset (as a bitmask) of each orbit of <gens> on 2^[m].
-
-    Subsets in one orbit of an automorphism group of the parent give
-    isomorphic children, so one child per orbit suffices.  ``subsets``, in
-    increasing order and a union of orbits, restricts the orbits to those it
-    holds; it defaults to all of 2^[m].
-    """
-    size = 1 << m
-    if subsets is None:
-        subsets = range(size)
-    if not gens:
-        return list(subsets)
-    images = []  # the action of each generator on subsets
-    for gamma in gens:
-        image = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            image[s] = image[s ^ low] | (1 << gamma[low.bit_length() - 1])
-        images.append(image)
-    covered: set[int] = set()
-    reps = []
-    for s in subsets:
-        if s not in covered:
-            reps.append(s)
-            covered.add(s)
-            _close(covered, (s,), images)
-    return reps
-
-
 #: Children root-colored and labeled together, in numpy passes: those of
 #: consecutive parents, a few hundred at a time.  At order 8 a block of 512
-#: makes numpy take its path for large loops, which maps about 1 MB more
-#: library code into the process (peak RSS); a cold enumerate_graphs(8) ran
-#: 0.41 s with it and 0.44 s with 256 (medians of 5, on a 2-core x86-64 host).
+#: raised peak RSS by about 2 MB (40.9 against 38.7 MB) for a cold
+#: enumerate_graphs(8) no faster beyond the noise (medians of 5 between 0.23
+#: and 0.31 s with 512, 0.22 and 0.34 s with 256, on a 2-core x86-64 host).
+#: ``_children`` finds subset orbits for at most ``_BLOCK * 64``
+#: (parent, subset) pairs at once, so order 9's 3.2 million never make one
+#: array.
 _BLOCK = 256
 
 
@@ -472,28 +447,75 @@ def _block_forms(adj: np.ndarray, colors: np.ndarray
             np.concatenate((pair_owner, owner[moved])), np.concatenate((swaps, maps[moved])))
 
 
-def _children(level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int) -> Iterator[tuple[int, ...]]:
+def _orbit_minima(m: int, gens: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
+    """Whether each vertex subset of [m] is the least of its orbit under
+    <gens[p]>, for each parent p of a group: shape (P, 2^m), subsets as
+    bitmasks.
+
+    Subsets in one orbit of an automorphism group of the parent give
+    isomorphic children, so one child per orbit suffices.  Subset s of
+    parent p has index p·2^m + s and a label, at first its index.  A pass
+    takes the k-th generator of every parent at once, for k = 0, 1, ...,
+    lowering each subset's label to its image's, then replaces every label
+    by the label of the subset it names; passes repeat until one changes
+    nothing.  A label only falls and always names a member of its subset's
+    orbit.  When a pass changes nothing, no label exceeds its image's under
+    any generator, so the labels are constant along each generator cycle,
+    hence on each orbit; the least member's label never rose above that
+    member, so the constant is the least member.
+    """
+    size = 1 << m
+    subsets = np.arange(size)
+    counts = [len(parent) for parent in gens]
+    owner = np.repeat(np.arange(len(gens)), counts)
+    slot = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    flat = np.array([gamma for parent in gens for gamma in parent], dtype=np.int64).reshape(-1, m)
+    images = np.zeros((owner.size, size), dtype=np.int64)
+    for v in range(m):
+        images |= (subsets >> v & 1) << flat[:, v, None]
+    images += owner[:, None] * size
+    slots = [(owner[slot == k], images[slot == k]) for k in range(max(counts, default=0))]
+    labels = np.arange(len(gens) * size)
+    while True:
+        new = labels.copy()
+        by_parent = new.reshape(-1, size)
+        for owners, targets in slots:  # no parent twice in one slot
+            by_parent[owners] = np.minimum(by_parent[owners], new[targets])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return (labels == np.arange(labels.size)).reshape(-1, size)
+        labels = new
+
+
+def _children(level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int) -> Iterator[np.ndarray]:
     """The rows of the children of ``level`` whose new vertex, ``n - 1``, may
     be a deletion vertex: one neighbor subset per orbit of each parent's
-    automorphism group, among those that give the new vertex maximum degree.
+    automorphism group, the least (``_orbit_minima``), among those that give
+    the new vertex maximum degree.
+
+    Yields one int64 array (C, n) per group of consecutive parents, of at
+    most ``_BLOCK * 64`` (parent, subset) pairs, children parent by parent
+    and subsets increasing: the new vertex's row is its subset, and each
+    parent row gains bit n - 1 where the subset holds its vertex.
     """
     top = n - 1
-    new = 1 << top
-    for parent, parent_gens in level:
-        base = parent.rows
-        degree = [row.bit_count() for row in base]
-        dmax = max(degree)
-        at_max = sum(1 << v for v, d in enumerate(degree) if d == dmax)
+    subsets = np.arange(1 << top)
+    vertex = np.arange(top)
+    members = subsets[:, None] >> vertex & 1
+    size = members.sum(-1)
+    parents = iter(level)
+    while group := list(islice(parents, max(1, _BLOCK * 64 >> top))):
+        base = np.array([g.rows for g, _ in group], dtype=np.int64)
+        degree = (base[:, :, None] >> vertex & 1).sum(-1)
+        dmax = degree.max(-1, keepdims=True)
+        at_max = ((degree == dmax) << vertex).sum(-1, keepdims=True)
         # The new vertex, of degree |s|, must have maximum degree, so no
         # vertex of the parent's maximum degree may gain an edge if |s|
         # equals it.  Automorphisms keep degrees, so these subsets are a
-        # union of orbits.
-        subsets = [
-            s for s in range(new)
-            if s.bit_count() > dmax or (s.bit_count() == dmax and not s & at_max)
-        ]
-        for subset in _orbit_representatives(top, parent_gens, subsets):
-            yield tuple(row | new if subset >> v & 1 else row for v, row in enumerate(base)) + (subset,)
+        # union of orbits, and an orbit's least subset is among them if any is.
+        keep = (size > dmax) | ((size == dmax) & (subsets & at_max == 0))
+        parent, subset = np.nonzero(keep & _orbit_minima(top, [gens for _, gens in group]))
+        yield np.concatenate((base[parent] | members[subset] << top, subset[:, None]), axis=1)
 
 
 def _augment(
@@ -505,13 +527,25 @@ def _augment(
     generators of its automorphism group.  Yields one canonical graph per
     class of order ``n``, with generators of its automorphism group (none
     unless ``keep_gens``) and its packed column code, whose order is graph6
-    order.  The children (``_children``) are root-colored and labeled
-    ``_BLOCK`` at a time (``_refined``, ``_block_forms``).
+    order.  The children (``_children``) are cut into blocks of ``_BLOCK``,
+    across parent groups, and each block is root-colored and labeled
+    (``_refined``, ``_block_forms``).
     """
     top = n - 1
-    children = _children(level, n)
-    while block := list(islice(children, _BLOCK)):
-        adj = np.array(block, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
+
+    def blocks() -> Iterator[np.ndarray]:
+        rest = np.empty((0, n), dtype=np.int64)
+        for group in _children(level, n):
+            rows = np.concatenate((rest, group))
+            end = len(rows) - len(rows) % _BLOCK
+            for start in range(0, end, _BLOCK):
+                yield rows[start:start + _BLOCK]
+            rest = rows[end:]
+        if len(rest):
+            yield rest
+
+    for block in blocks():
+        adj = block[:, :, None] >> np.arange(n) & 1
         roots = _refined(adj, np.zeros(adj.shape[:2], dtype=np.int64))
         # The deletion vertices are the last cell of the root coloring, so a
         # child whose new vertex is elsewhere is dropped before it is labeled.

@@ -18,7 +18,6 @@ from qng import enumeration, graph, spectra, theorems
 from qng.cli import build_predicate
 from qng.enumeration import (
     _augment,
-    _orbit_representatives,
     _relabeled as relabel,
     _search,
     canonical_form,
@@ -182,6 +181,11 @@ def _cells_before(colors):
     return [sum(d < c for d in colors) for c in colors]
 
 
+def _child_rows(level, n):
+    """The rows ``_children`` builds for ``level``, every parent group, one tuple per child."""
+    return [tuple(rows) for group in enumeration._children(level, n) for rows in group.tolist()]
+
+
 def _discrete(colors):
     return sorted(colors) == list(range(len(colors)))
 
@@ -226,7 +230,7 @@ def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=
     monkeypatch.setattr(enumeration, "_block_forms", recording_forms)
     for n in range(2, 8):
         level = [(g, search(g)[1]) for g in graphs_by_order[n - 1]]
-        children = list(enumeration._children(level, n))
+        children = _child_rows(level, n)
         roots = _roots(_adjacency(children)).tolist()
         reference = [_reference_refine(graph._graph_unchecked(n, rows), [0] * n) for rows in children]
         assert roots == list(map(_cells_before, reference))
@@ -374,7 +378,7 @@ def test_block_forms_match_the_search(graphs_by_order, rng=random.Random(41)):
     blocks = []
     level = [(empty_graph(1), [])]
     for n in range(2, 9):
-        children = list(enumeration._children(level, n))
+        children = _child_rows(level, n)
         roots = _roots(_adjacency(children))
         blocks.append([rows for rows, keep in zip(children, roots[:, -1] == roots.max(1)) if keep])
         if n < 8:
@@ -601,32 +605,150 @@ def test_enumeration_count_n8(enum8):
     assert len(graphs) == 12346
 
 
+def _orbit_representatives(m, gens, subsets=None):
+    """The least vertex subset (as a bitmask) of each orbit of <gens> on 2^[m]:
+    the reference ``enumeration._orbit_minima`` is checked against.
+
+    Each generator's action on subsets is tabulated, and the orbits are
+    closed one subset at a time.  ``subsets``, in increasing order and a
+    union of orbits, restricts the orbits to those it holds; it defaults to
+    all of 2^[m].
+    """
+    size = 1 << m
+    if subsets is None:
+        subsets = range(size)
+    if not gens:
+        return list(subsets)
+    images = []
+    for gamma in gens:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | (1 << gamma[low.bit_length() - 1])
+        images.append(image)
+    covered = set()
+    reps = []
+    for s in subsets:
+        if s not in covered:
+            reps.append(s)
+            covered.add(s)
+            enumeration._close(covered, (s,), images)
+    return reps
+
+
+def _reference_children(level, n):
+    """The rows of the children ``enumeration._children`` builds, one tuple
+    each, from the reference orbit representatives of the subsets that give
+    the new vertex maximum degree."""
+    top = n - 1
+    new = 1 << top
+    for parent, parent_gens in level:
+        base = parent.rows
+        degree = [row.bit_count() for row in base]
+        dmax = max(degree)
+        at_max = sum(1 << v for v, d in enumerate(degree) if d == dmax)
+        subsets = [s for s in range(new)
+                   if s.bit_count() > dmax or (s.bit_count() == dmax and not s & at_max)]
+        for subset in _orbit_representatives(top, parent_gens, subsets):
+            yield tuple(row | new if subset >> v & 1 else row for v, row in enumerate(base)) + (subset,)
+
+
+def _orbit_counts(m, level):
+    """The number of orbits of <gens> on 2^[m] for each (graph, gens) of
+    ``level``, by ``enumeration._orbit_minima`` in parent groups of the size
+    ``enumeration._children`` uses."""
+    gens = [parent_gens for _, parent_gens in level]
+    step = max(1, enumeration._BLOCK * 64 >> m)
+    return np.concatenate([enumeration._orbit_minima(m, gens[i:i + step]).sum(-1)
+                           for i in range(0, len(gens), step)])
+
+
+def _closed_graph(rng, m, gens):
+    """A graph on m vertices with random seed edges, closed under ``gens``, so
+    each generator is one of its automorphisms."""
+    edges = {(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < 0.15}
+    stack = list(edges)
+    while stack:
+        u, v = stack.pop()
+        for gamma in gens:
+            e = tuple(sorted((gamma[u], gamma[v])))
+            if e not in edges:
+                edges.add(e)
+                stack.append(e)
+    return from_edges(m, sorted(edges))
+
+
+def test_children_match_reference(graphs_by_order, rng=random.Random(53)):
+    """``_children`` builds the reference's children, row for row and in order.
+
+    The parents are every class of orders 1..7 with ``_search``'s
+    generators; seeded random generator sets at orders 8 and 9, each
+    generator a random permutation of a random vertex subset, on a graph
+    closed under them; and 300 copies each of E8 and K8 with generators of
+    S8, which cross several groups of 64 order-8 parents.  E8 and K8 have 9
+    subset orbits each, one per size; E8 keeps a child for each, K8 only
+    the full subset, since any other would leave the new vertex below
+    degree 7.
+    """
+    for m in range(1, 8):
+        level = [(g, _search(g)[1]) for g in graphs_by_order[m]]
+        assert _child_rows(level, m + 1) == list(_reference_children(level, m + 1))
+    for m in (8, 9):
+        level = []
+        for _ in range(100):
+            gens = []
+            for _ in range(rng.randint(0, 4)):
+                support = rng.sample(range(m), rng.randint(2, m))
+                gamma = list(range(m))
+                for a, b in zip(support, rng.sample(support, len(support))):
+                    gamma[a] = b
+                gens.append(tuple(gamma))
+            level.append((_closed_graph(rng, m, gens), gens))
+        assert _child_rows(level, m + 1) == list(_reference_children(level, m + 1))
+    s8 = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
+    level = [(g, s8) for _ in range(300) for g in (empty_graph(8), complete(8))]
+    assert _orbit_counts(8, level).tolist() == [9] * len(level)
+    children = _child_rows(level, 9)
+    assert children == list(_reference_children(level, 9))
+    assert len(children) == 300 * (9 + 1)
+
+
 def test_generation_canonicalizes_one_subset_per_orbit(graphs_by_order):
     """Orbit counts meet Burnside's count only if the found automorphisms generate Aut."""
-    rooted = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}  # OEIS A000666
+    rooted = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096, 7: 79264}  # OEIS A000666
     for m, want in rooted.items():
-        got = sum(len(_orbit_representatives(m, _search(g)[1])) for g in graphs_by_order[m])
-        assert got == want
+        level = [(g, _search(g)[1]) for g in graphs_by_order[m]]
+        assert _orbit_counts(m, level).sum() == want
+        if m <= 6:
+            assert sum(len(_orbit_representatives(m, gens)) for _, gens in level) == want
 
 
 def test_augmentation_accepts_each_class_once():
-    """Accepted children, before sorting, are distinct and one per class (OEIS A000088)."""
-    counts = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-    rooted = {2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}  # OEIS A000666
+    """Accepted children, before sorting, are distinct and one per class (OEIS A000088).
+
+    The generators each order passes on, in the child's labels, generate its
+    automorphism group: their subset orbits meet the rooted-graph count
+    (OEIS A000666) only then.  The children that pass the degree filter
+    number 18,272 at order 8 and 435,646 at order 9.
+    """
+    counts = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+    rooted = {2: 6, 3: 20, 4: 90, 5: 544, 6: 5096, 7: 79264, 8: 2208612}  # OEIS A000666
     level = [(empty_graph(1), [])]
     for n, want in counts.items():
+        if n == 8:
+            assert sum(map(len, enumeration._children(level, n))) == 18272
         level = [(g, gens) for g, gens, _ in _augment(level, n)]
         rows = [g.rows for g, _ in level]
         assert len(set(rows)) == len(rows) == want
-        if n in rooted:
-            # The generators passed on, in the child's labels, generate its
-            # automorphism group, and the child is its own canonical form.
-            assert sum(len(_orbit_representatives(n, gens)) for _, gens in level) == rooted[n]
-            for g, gens in level:
-                assert canonicalize(g) == g
-                for gamma in gens:
-                    assert sorted(gamma) == list(range(n))
-                    assert all(g.has_edge(gamma[u], gamma[v]) for u, v in g.edges())
+        assert _orbit_counts(n, level).sum() == rooted[n]
+        for g, gens in level:
+            for gamma in gens:
+                assert sorted(gamma) == list(range(n))
+                assert all(g.has_edge(gamma[u], gamma[v]) for u, v in g.edges())
+        # The child is its own canonical form.
+        for g, _ in level:
+            assert canonicalize(g) == g
+    assert sum(map(len, enumeration._children(level, 9))) == 435646
 
 
 def _cold_generation(monkeypatch):
