@@ -1,6 +1,6 @@
-"""Exact univariate polynomials over the integers and real-root certification.
+"""Exact polynomials over the integers and real-root certification.
 
-Polynomials are lists of Python ``int`` coefficients in ascending degree
+Univariate polynomials are lists of ``int`` coefficients in ascending degree
 order with no trailing zeros; functions that only read one also take the
 ``int`` tuple that a characteristic polynomial is, and that keys
 ``root_counter``.  Every exact question asked of a polynomial is
@@ -29,9 +29,15 @@ gcd, so a bisection counts each polynomial at each point once.
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
 p((u + v sqrt(d)) / den) by Horner's rule on integer pairs, so closed-form roots
 like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified with no floats or fractions;
-every surd test of both proof checks runs on it.  A ``Surd`` a + b sqrt(d) has no
-arithmetic: it is only a bound of a root-sum comparison and a point to count
-roots at, where the counting kernel shifts in the same integer pairs.
+every surd test of Theorem 1.5's proof check runs on it.  A ``Surd`` a + b sqrt(d)
+has no arithmetic: it is only a bound of a root-sum comparison and a point to
+count roots at, where the counting kernel shifts in the same integer pairs.
+
+The Horner kernels use only + and *, so they also run over ``MPoly``, a
+polynomial over Z in named variables: Theorem 1.2's proof check evaluates its
+quotients' char polys at closed-form roots in n, d2 and s, and a root is
+certified for every n, d2 and s when both parts of the value are the zero
+polynomial.
 """
 
 from __future__ import annotations
@@ -156,6 +162,88 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     if len(p) < 2:
         return Fraction(1)
     return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
+
+
+# ---------------------------------------------------------------------------
+# Multivariate polynomials
+
+
+class MPoly:
+    """A polynomial over Z in named variables: a dict from exponent tuples, one exponent
+    per name, to nonzero ``int`` coefficients.
+
+    It has +, -, *, nonnegative integer powers and ==, mixes with ``int`` (a constant),
+    and combines only with polynomials over the same names.  That is all the Horner
+    kernels ``_value`` and ``_value_surd`` use, so they evaluate a polynomial whose
+    coefficients and point are ``MPoly`` values, and an identity in the variables is
+    checked once as ``==``.
+    """
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names: tuple[str, ...], terms: dict[tuple[int, ...], int]):
+        self.names = names
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def variables(cls, *names: str) -> tuple[MPoly, ...]:
+        """One polynomial per name: that variable, over all the names."""
+        return tuple(cls(names, {tuple(int(i == j) for j in range(len(names))): 1}) for i in range(len(names)))
+
+    def _coerce(self, other) -> MPoly:
+        if isinstance(other, MPoly):
+            if other.names != self.names:
+                raise ValueError(f"polynomials over {self.names} and {other.names}")
+            return other
+        if isinstance(other, int):
+            return MPoly(self.names, {(0,) * len(self.names): other})
+        return NotImplemented
+
+    def __add__(self, other) -> MPoly:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return MPoly(self.names, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> MPoly:
+        return MPoly(self.names, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> MPoly:
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + -other
+
+    def __rsub__(self, other) -> MPoly:
+        return -self + other
+
+    def __mul__(self, other) -> MPoly:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        terms: dict[tuple[int, ...], int] = {}
+        for e, c in self.terms.items():
+            for f, b in other.terms.items():
+                key = tuple(x + y for x, y in zip(e, f))
+                terms[key] = terms.get(key, 0) + c * b
+        return MPoly(self.names, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> MPoly:
+        if k < 0:
+            raise ValueError(f"negative power {k}")
+        out = self._coerce(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        return other if other is NotImplemented else self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------

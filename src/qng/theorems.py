@@ -27,8 +27,11 @@ quotient-matrix algebra that the extremal characterizations rest on: closed
 forms for second-largest quotient eigenvalues, polynomial identities between
 discriminants, and the sign evaluations that locate roots.  Theorem 1.5's
 quotients are those of ``graph.BlowUp`` cells, each cross-checked on the
-blown-up graph while it fits 32 vertices; Theorem 1.2's three 2x2 matrices
-are bounds in d2 and s, not quotients of a blow-up, and are written out.
+blown-up graph while it fits 32 vertices, for one n at a time; Theorem 1.2's
+three 2x2 matrices are bounds in d2 and s, not quotients of a blow-up, are
+written out over Z[n, d2, s] (``polys.MPoly``), and their identities are
+proved once for every n, d2 and s, leaving each call the signs that depend
+on n alone.
 """
 
 from __future__ import annotations
@@ -590,64 +593,88 @@ class _Checks(list):
             self.append(label)
 
 
-def _two_by_two_char(entries, den: int = 1) -> list[int]:
-    """den^2 det(xI - M) for the 2x2 matrix M = entries / den with integer entries."""
+def _two_by_two_char(entries, den=1) -> list:
+    """den^2 det(xI - M) for the 2x2 matrix M = entries / den, over the ring of the entries
+    (``int`` or ``polys.MPoly``)."""
     (a, b), (c, d) = entries
     return [a * d - b * c, -(a + d) * den, den * den]
+
+
+@lru_cache(maxsize=None)
+def _thm12_identities() -> tuple[str, ...]:
+    """The labels of the failed polynomial identities behind ``proof_check_thm12``.
+
+    Each is checked once, over Z[n, d2, s]: a closed-form root (u - sqrt(d)) / den of a
+    quotient holds when both parts of ``polys._value_surd`` at it are the zero polynomial.
+    The quadratics are f(x) = 4x^2 - (4n-4)x + 6n - 11 and
+    g(x) = (n-4)x^2 - (n^2-5n+4)x + n^2 - 4n + 4, with coefficients in Z[n].
+    """
+    n, d2, s = polys.MPoly.variables("n", "d2", "s")
+    c = _Checks()
+    disc = n * n - (4 * d2 - 2) * n + 4 * d2 * d2 + 4 * d2 - 7
+    c.expect(disc == (n - 2 * d2 + 1) ** 2 + 8 * (d2 - 1), "discriminant is (n - 2d2 + 1)^2 + 8(d2 - 1)")
+
+    b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
+    c.expect(polys._value_surd(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == (0, 0),
+             "lambda_2 closed form, first quotient")
+
+    b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
+    c.expect(polys._value_surd(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == (0, 0),
+             "lambda_2 closed form, second quotient")
+
+    f = [6 * n - 11, -(4 * n - 4), 4]
+    c.expect(disc - (n - 2) ** 2 == polys._value(f, d2, 1), "discriminant reduces to f(d2)")
+    c.expect(polys._value(f, 2, 1) == 13 - 2 * n, "f(2) evaluation")
+    c.expect(polys._value(f, n - 3, 1) == 13 - 2 * n, "f(n-3) evaluation")
+
+    gq = [n * n - 4 * n + 4, -(n * n - 5 * n + 4), n - 4]
+    c.expect(polys._value(gq, 2, 1) == -((n - 5) ** 2) + 5, "g(2) evaluation")
+    c.expect(polys._value(gq, n - 3, 1) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
+
+    def xval(s):
+        return n * n - 5 * n + 2 * s + 6
+
+    def quad(s):
+        return (n - 2) * d2 * d2 - xval(s) * d2 + (n - 2) ** 2
+
+    # the quotient ((n-2, n-2), (1, 2n - 2d2 - 5 + 2s/(n-2))), times n - 2, for d2 - 1 <= s <= n - 2
+    b3 = (((n - 2) ** 2, (n - 2) ** 2), (n - 2, (2 * n - 2 * d2 - 5) * (n - 2) + 2 * s))
+    (a, b), (bl, d) = b3
+    numer = (3 * n - 7) * (n - 2) - (2 * n - 4) * d2 + 2 * s
+    det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
+    delta = numer * numer - 4 * (n - 2) ** 2 * det
+    c.expect(numer == a + d, "third numerator is the trace")
+    c.expect(b * bl == (n - 2) ** 3 and delta == (a - d) ** 2 + 4 * b * bl,
+             "third discriminant is (a - d)^2 + 4(n-2)^3")
+    c.expect(polys._value_surd(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == (0, 0),
+             "lambda_2 closed form, third quotient")
+    c.expect(xval(s) == (n - 2) * (n - 3) + 2 * s, "threshold identity")
+    c.expect(delta - xval(s) ** 2 == 4 * (n - 2) * quad(s), "discriminant-threshold identity")
+    c.expect(quad(d2 - 1) == polys._value(gq, d2, 1), "substitution s = d2 - 1 yields g(d2)")
+    return tuple(c)
 
 
 def proof_check_thm12(n: int, d2: int) -> bool:
     """Exact verification of the quotient algebra behind the n - 2 lower bound.
 
-    For the three parametric 2x2 quotient matrices it certifies the closed
-    forms of the second-largest eigenvalues, the discriminant identities that
-    turn the bound chain into sign conditions on the quadratics
-    f(x) = 4x^2 - (4n-4)x + 6n - 11 and
-    g(x) = (n-4)x^2 - (n^2-5n+4)x + n^2 - 4n + 4,
-    and the evaluations f(2) = f(n-3) = 13 - 2n, g(2) = g(n-3) = -(n-5)^2 + 5.
+    For the three parametric 2x2 quotient matrices, the third one for every s with
+    d2 - 1 <= s <= n - 2, it certifies the closed forms of the second-largest
+    eigenvalues, the discriminant identities that turn the bound chain into sign
+    conditions on the quadratics f and g, and the evaluations
+    f(2) = f(n-3) = 13 - 2n and g(2) = g(n-3) = -(n-5)^2 + 5.  These are polynomial
+    identities, proved once for every n, d2 and s by ``_thm12_identities``; with
+    d2 >= 1 and n - 2 > 0 they make both discriminants sums of a square and a
+    nonnegative term.  A call checks its range and the signs that depend on n:
+    n - 2 > 0, 13 - 2n < 0 for n >= 7 and -(n-5)^2 + 5 < 0 for n >= 8.
     """
     if n < 4 or not 1 <= d2 <= n - 2:
         raise ValueError(f"parameters out of range: n={n}, d2={d2}")
-    c = _Checks()
-    disc = n * n - (4 * d2 - 2) * n + 4 * d2 * d2 + 4 * d2 - 7
-    c.expect(disc >= 0, "discriminant nonnegative")
-
-    b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
-    c.expect(polys.sign_at_surd(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
-             "lambda_2 closed form, first quotient")
-
-    b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
-    c.expect(polys.sign_at_surd(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
-             "lambda_2 closed form, second quotient")
-
-    f = [6 * n - 11, -(4 * n - 4), 4]
-    c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, d2), "discriminant reduces to f(d2)")
-    c.expect(polys.poly_eval(f, 2) == 13 - 2 * n, "f(2) evaluation")
-    c.expect(polys.poly_eval(f, n - 3) == 13 - 2 * n, "f(n-3) evaluation")
+    c = _Checks(_thm12_identities())
+    c.expect(n - 2 > 0, "n - 2 positive")
     if n >= 7:
         c.expect(13 - 2 * n < 0, "f sign for n >= 7")
-
-    gq = [n * n - 4 * n + 4, -(n * n - 5 * n + 4), n - 4]
-    c.expect(polys.poly_eval(gq, 2) == -((n - 5) ** 2) + 5, "g(2) evaluation")
-    c.expect(polys.poly_eval(gq, n - 3) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
     if n >= 8:
         c.expect(-((n - 5) ** 2) + 5 < 0, "g sign for n >= 8")
-
-    for s in range(d2 - 1, n - 1):
-        # the quotient ((n-2, n-2), (1, 2n - 2d2 - 5 + 2s/(n-2))), times n - 2
-        b3 = (((n - 2) ** 2, (n - 2) ** 2), (n - 2, (2 * n - 2 * d2 - 5) * (n - 2) + 2 * s))
-        numer = (3 * n - 7) * (n - 2) - (2 * n - 4) * d2 + 2 * s
-        det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
-        delta = numer * numer - 4 * (n - 2) ** 2 * det
-        c.expect(delta >= 0, f"third discriminant nonnegative at s={s}")
-        c.expect(polys.sign_at_surd(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
-                 f"lambda_2 closed form, third quotient at s={s}")
-        xval = n * n - 5 * n + 2 * s + 6
-        c.expect(xval == (n - 2) * (n - 3) + 2 * s, f"threshold identity at s={s}")
-        quad = (n - 2) * d2 * d2 - xval * d2 + (n - 2) ** 2
-        c.expect(delta - xval * xval == 4 * (n - 2) * quad, f"discriminant-threshold identity at s={s}")
-        if s == d2 - 1:
-            c.expect(quad == polys.poly_eval(gq, d2), "substitution s = d2 - 1 yields g(d2)")
     return not c
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from qng import polys
 from qng.polys import (
+    MPoly,
     RootCounter,
     Surd,
     cauchy_root_bound,
@@ -293,6 +294,74 @@ def _surd_horner_sign(p, a, b, d):
         return sy
     gap = x * x - y * y * d  # opposite signs: the part with the larger square decides
     return sx if gap > 0 else sy if gap < 0 else 0
+
+
+def _at(p, point):
+    """The integer value of an ``MPoly`` or ``int`` at a point: one ``int`` per variable name."""
+    if isinstance(p, int):
+        return p
+    return sum(c * math.prod(x ** k for x, k in zip(point, e)) for e, c in p.terms.items())
+
+
+def _random_mpoly(rng, names, terms=5, degree=3):
+    return MPoly(names, {tuple(rng.randint(0, degree) for _ in names): rng.randint(-6, 6)
+                         for _ in range(rng.randint(0, terms))})
+
+
+def test_mpoly_ring_agrees_with_integer_evaluation():
+    """+, -, *, powers and == of ``MPoly``, with ``int`` on either side, agree with the
+    same operations on the values at seeded random integer points."""
+    rng = random.Random(41)
+    names = ("n", "d2", "s")
+    n, d2, s = MPoly.variables(*names)
+    assert [_at(v, (2, 3, 5)) for v in (n, d2, s)] == [2, 3, 5]
+    assert (n + 1) ** 2 == n * n + 2 * n + 1 and (n + 1) ** 2 != n * n + 1 and n ** 0 == 1
+    assert n - n == 0 and 0 == n - n and s * 0 == MPoly(names, {}) and 3 - n == -(n - 3)
+    for _ in range(200):
+        p, q = _random_mpoly(rng, names), _random_mpoly(rng, names)
+        k, m = rng.randint(0, 3), rng.randint(-9, 9)
+        results = {"add": (p + q, lambda a, b: a + b), "sub": (p - q, lambda a, b: a - b),
+                   "mul": (p * q, lambda a, b: a * b), "neg": (-p, lambda a, b: -a),
+                   "pow": (p ** k, lambda a, b: a ** k), "radd": (m + p, lambda a, b: m + a),
+                   "rsub": (m - p, lambda a, b: m - a), "rmul": (m * p, lambda a, b: m * a),
+                   "sub-int": (p - m, lambda a, b: a - m)}
+        points = [tuple(rng.randint(-20, 20) for _ in names) for _ in range(5)]
+        for label, (got, want) in results.items():
+            for point in points:
+                assert _at(got, point) == want(_at(p, point), _at(q, point)), (label, p.terms, q.terms, point)
+        assert (p + q) * (p - q) == p ** 2 - q ** 2
+        # a nonzero polynomial of degree at most 3 in each variable is nonzero somewhere on {0..3}^3
+        grid = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+        assert (p == q) == all(_at(p, point) == _at(q, point) for point in grid), (p.terms, q.terms)
+        assert (p == m) == all(_at(p, point) == m for point in grid)
+    with pytest.raises(ValueError):
+        n + MPoly.variables("n", "d2")[0]
+    with pytest.raises(ValueError):
+        n ** -1
+    with pytest.raises(TypeError):
+        n + F(1, 2)
+
+
+def test_horner_kernels_run_on_mpoly():
+    """``_value`` and ``_value_surd`` with ``MPoly`` coefficients and points give the
+    polynomials whose values at seeded random points are the kernels' integer results."""
+    rng = random.Random(42)
+    names = ("x", "y")
+    x, y = MPoly.variables(*names)
+    for _ in range(150):
+        p = [rng.choice([rng.randint(-9, 9), _random_mpoly(rng, names, 3, 2)]) for _ in range(rng.randint(1, 5))]
+        u, v, a = (_random_mpoly(rng, names, 3, 2) + rng.randint(-5, 5) for _ in range(3))
+        d, b, den = x * x + rng.randint(0, 9), y * y + 1, rng.choice([2, y * y + 1])
+        value, (big, small) = polys._value(p, a, b), polys._value_surd(p, u, v, d, den)
+        for _ in range(4):
+            point = (rng.randint(-9, 9), rng.randint(-9, 9))
+            at = [_at(c, point) for c in p]
+            assert _at(value, point) == polys._value(at, _at(a, point), _at(b, point))
+            assert ((_at(big, point), _at(small, point))
+                    == polys._value_surd(at, *(_at(w, point) for w in (u, v, d, den))))
+    # (x - sqrt(x^2 + 4y)) / 2 is a root of z^2 - xz - y for every x and y
+    assert polys._value_surd([-y, -x, 1], x, -1, x * x + 4 * y, 2) == (0, 0)
+    assert polys._value_surd([-y - 1, -x, 1], x, -1, x * x + 4 * y, 2) != (0, 0)
 
 
 def test_sign_at_surd_matches_fraction_horner():

@@ -489,23 +489,114 @@ def test_proof_check_thm12_spot_values():
         proof_check_thm12(3, 1)
 
 
+@pytest.fixture
+def fresh_thm12_identities():
+    """Theorem 1.2's identities proved anew in this test, and not reused by the next one,
+    which must not see a result proved under this test's patches."""
+    theorems._thm12_identities.cache_clear()
+    yield
+    theorems._thm12_identities.cache_clear()
+
+
+def _reference_proof_check_thm12(n: int, d2: int) -> bool:
+    """Theorem 1.2's proof check as it was before its identities were proved over
+    Z[n, d2, s]: every identity evaluated at this (n, d2), the third quotient's at each s."""
+    if n < 4 or not 1 <= d2 <= n - 2:
+        raise ValueError(f"parameters out of range: n={n}, d2={d2}")
+    c = theorems._Checks()
+    disc = n * n - (4 * d2 - 2) * n + 4 * d2 * d2 + 4 * d2 - 7
+    c.expect(disc >= 0, "discriminant nonnegative")
+
+    b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
+    c.expect(polys.sign_at_surd(theorems._two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
+             "lambda_2 closed form, first quotient")
+
+    b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
+    c.expect(polys.sign_at_surd(theorems._two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
+             "lambda_2 closed form, second quotient")
+
+    f = [6 * n - 11, -(4 * n - 4), 4]
+    c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, d2), "discriminant reduces to f(d2)")
+    c.expect(polys.poly_eval(f, 2) == 13 - 2 * n, "f(2) evaluation")
+    c.expect(polys.poly_eval(f, n - 3) == 13 - 2 * n, "f(n-3) evaluation")
+    if n >= 7:
+        c.expect(13 - 2 * n < 0, "f sign for n >= 7")
+
+    gq = [n * n - 4 * n + 4, -(n * n - 5 * n + 4), n - 4]
+    c.expect(polys.poly_eval(gq, 2) == -((n - 5) ** 2) + 5, "g(2) evaluation")
+    c.expect(polys.poly_eval(gq, n - 3) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
+    if n >= 8:
+        c.expect(-((n - 5) ** 2) + 5 < 0, "g sign for n >= 8")
+
+    for s in range(d2 - 1, n - 1):
+        # the quotient ((n-2, n-2), (1, 2n - 2d2 - 5 + 2s/(n-2))), times n - 2
+        b3 = (((n - 2) ** 2, (n - 2) ** 2), (n - 2, (2 * n - 2 * d2 - 5) * (n - 2) + 2 * s))
+        numer = (3 * n - 7) * (n - 2) - (2 * n - 4) * d2 + 2 * s
+        det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
+        delta = numer * numer - 4 * (n - 2) ** 2 * det
+        c.expect(delta >= 0, f"third discriminant nonnegative at s={s}")
+        c.expect(polys.sign_at_surd(theorems._two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
+                 f"lambda_2 closed form, third quotient at s={s}")
+        xval = n * n - 5 * n + 2 * s + 6
+        c.expect(xval == (n - 2) * (n - 3) + 2 * s, f"threshold identity at s={s}")
+        quad = (n - 2) * d2 * d2 - xval * d2 + (n - 2) ** 2
+        c.expect(delta - xval * xval == 4 * (n - 2) * quad, f"discriminant-threshold identity at s={s}")
+        if s == d2 - 1:
+            c.expect(quad == polys.poly_eval(gq, d2), "substitution s = d2 - 1 yields g(d2)")
+    return not c
+
+
+def test_proof_check_thm12_matches_its_per_s_reference(fresh_thm12_identities):
+    """The identities proved once over Z[n, d2, s] and the signs checked per call give the
+    verdict of the per-(n, d2, s) reference for every n = 4..50 and d2, and the same
+    ``ValueError`` outside the range."""
+    for n in range(4, 51):
+        for d2 in range(1, n - 1):
+            assert proof_check_thm12(n, d2) is _reference_proof_check_thm12(n, d2) is True, (n, d2)
+    for n, d2 in ((3, 1), (4, 0), (4, 3), (10, 9), (10, -1), (0, 0)):
+        for check in (proof_check_thm12, _reference_proof_check_thm12):
+            with pytest.raises(ValueError, match=re.escape(f"parameters out of range: n={n}, d2={d2}")):
+                check(n, d2)
+
+
+def test_proof_check_thm12_costs_nothing_per_n(monkeypatch, fresh_thm12_identities):
+    """The first call proves the identities; later calls, at any n, evaluate no surd:
+    n = 10^6 takes the same few integer comparisons as n = 6."""
+    calls = Counter()
+    for name in ("sign_at_surd", "_value_surd"):
+        def counted(*args, _exact=getattr(polys, name), _name=name):
+            calls[_name] += 1
+            return _exact(*args)
+        monkeypatch.setattr(polys, name, counted)
+    assert proof_check_thm12(6, 2)
+    assert calls == Counter(_value_surd=3)
+    for d2 in (1, 2, 500000, 999998):
+        assert proof_check_thm12(10**6, d2)
+    assert proof_check_thm12(50, 1)
+    assert calls == Counter(_value_surd=3)
+
+
 @pytest.mark.parametrize("only_third", [False, True])
-def test_proof_check_thm12_root_tests_bite(monkeypatch, only_third):
+def test_proof_check_thm12_root_tests_bite(monkeypatch, fresh_thm12_identities, only_third):
     """A closed-form root test fails once its 2x2 characteristic polynomial is off by one
-    in the constant term: all three quotients, or the third (den = n - 2 > 1) alone."""
+    in the constant term: all three quotients, or the third (den = n - 2, not 1) alone."""
     exact = theorems._two_by_two_char
 
     def perturbed(entries, den=1):
         p = exact(entries, den)
-        return [p[0] + 1] + p[1:] if den > 1 or not only_third else p
+        return [p[0] + 1] + p[1:] if den != 1 or not only_third else p
 
     monkeypatch.setattr(theorems, "_two_by_two_char", perturbed)
     for n, d2 in ((6, 2), (8, 4), (20, 7)):
         assert not proof_check_thm12(n, d2)
+    failed = {"lambda_2 closed form, third quotient"}
+    if not only_third:
+        failed |= {"lambda_2 closed form, first quotient", "lambda_2 closed form, second quotient"}
+    assert set(theorems._thm12_identities()) == failed
 
 
-def test_proof_check_thm12_builds_no_surd(monkeypatch):
-    """Theorem 1.2's root tests run on integers alone: no ``Surd`` is built."""
+def test_proof_check_thm12_builds_no_surd(monkeypatch, fresh_thm12_identities):
+    """Theorem 1.2's root tests run on polynomials alone: no ``Surd`` is built."""
     def refuse(*args):
         raise AssertionError("a Surd was built")
 
@@ -553,13 +644,14 @@ def test_proof_check_thm15_root_tests_bite(monkeypatch):
     (proof_check_thm15, (32,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
     (proof_check_thm15, (33,), 30, "533a6e90125ec74b4af41abe1c7a5ee7e358cedf44412bf84f1bfbc4c563de29"),
     (proof_check_thm15, (50,), 30, "533a6e90125ec74b4af41abe1c7a5ee7e358cedf44412bf84f1bfbc4c563de29"),
-    (proof_check_thm12, (6, 2), 25, "64ac5b3d09f1491eacb865a82370170fecffcf4cc7a9b89119b1167b35efb3f1"),
-    (proof_check_thm12, (20, 7), 63, "45d5e2403f39edd0c62a4bded16f18231af8823d481c9c54e46738de8782af78"),
+    (proof_check_thm12, (6, 2), 15, "af8f2eaf4323ad3893b00e7ce27328946c0ee065cb904508d62aff1b737416a5"),
+    (proof_check_thm12, (20, 7), 17, "433891d0736812658af407e1085c8e0aed7b9c57dff010f1bc4f85461220476c"),
 ], ids=["thm15-8", "thm15-10", "thm15-32", "thm15-33", "thm15-50", "thm12-6-2", "thm12-20-7"])
-def test_proof_check_label_sequences_are_pinned(monkeypatch, check, args, count, digest):
+def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identities, check, args, count, digest):
     """Every check a proof makes runs, in order, with its outcome: the (label, outcome)
     sequence has a pinned length and sha256.  n = 33 is the first order past the
-    32-vertex cross-check of the blown-up graphs."""
+    32-vertex cross-check of the blown-up graphs.  Theorem 1.2's sequence is its
+    identities over Z[n, d2, s], proved in the first call, then the call's sign checks."""
     recorded = []
     expect = theorems._Checks.expect
 
