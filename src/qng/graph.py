@@ -4,8 +4,9 @@ Adjacency is stored as one bitmask row per vertex, which keeps complementation,
 neighborhood tests and component searches to a handful of integer operations.
 The module also provides the named graph families used throughout the bound
 checkers, ``BlowUp`` (cells that are cliques or cocliques, each pair joined
-completely or not at all: its graph, complement and integer Q-quotient over
-the cells, the last for cells of any size), the usual operators (complement,
+completely or not at all: its graph, complement and Q-quotient over the
+cells, the last for cells of any size, in ``int`` or in any commutative ring
+of sizes, such as polynomials in n), the usual operators (complement,
 union, join, Cartesian product), the graph6 text codec, whose decoder takes a
 batch of lines and unpacks their payloads with numpy, and one routine per
 vertex structure: ``twin_classes`` groups vertices by open and by closed
@@ -283,16 +284,19 @@ class BlowUp:
         pairs = frozenset((i, j) for i in range(k) for j in range(i + 1, k))
         return BlowUp(self.sizes, tuple(not c for c in self.cliques), pairs - self.joins)
 
-    def quotient(self) -> tuple[tuple[int, ...], ...]:
-        """The integer Q-quotient over the cells, for cells of any size: entry (i, j),
-        i != j, is s_j if the cells are joined, else 0, and entry (i, i) the degree of
-        a vertex of cell i plus its neighbours inside the cell (s_i - 1 in a clique)."""
-        k = len(self.sizes)
+    def quotient(self, sizes: Optional[Sequence] = None) -> tuple[tuple, ...]:
+        """The Q-quotient over the cells, for cells of any size: entry (i, j), i != j, is
+        s_j if the cells are joined, else 0, and entry (i, i) the degree of a vertex of
+        cell i plus its neighbours inside the cell (s_i - 1 in a clique).  The s_i are the
+        blow-up's own sizes, or ``sizes`` of the same layout in any commutative ring, such
+        as ``polys.MPoly`` sizes in n: the entries take only + and *."""
+        sizes = self.sizes if sizes is None else sizes
+        k = len(sizes)
         rows = [[0] * k for _ in range(k)]
         for i, j in self.joins:
-            rows[i][j], rows[j][i] = self.sizes[j], self.sizes[i]
+            rows[i][j], rows[j][i] = sizes[j], sizes[i]
         for i, row in enumerate(rows):
-            row[i] = sum(row) + 2 * (self.sizes[i] - 1) * self.cliques[i]
+            row[i] = sum(row) + 2 * (sizes[i] - 1) * self.cliques[i]
         return tuple(map(tuple, rows))
 
 

@@ -37,7 +37,9 @@ The Horner kernels use only + and *, so they also run over ``MPoly``, a
 polynomial over Z in named variables: Theorem 1.2's proof check evaluates its
 quotients' char polys at closed-form roots in n, d2 and s, and a root is
 certified for every n, d2 and s when both parts of the value are the zero
-polynomial.
+polynomial.  So does ``char_poly``, a sum of principal minors, each a
+division-free cofactor expansion: Theorem 1.5's proof check builds its blow-up
+quotients' char polys over Z[n] with it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite, isqrt, lcm
+from itertools import combinations
+from math import gcd, isfinite, isqrt, lcm, prod
 from typing import Sequence, Union
 
 Poly = list[int]
@@ -150,9 +153,10 @@ def _value_surd(p: Poly, u: int, v: int, d: int, den: int) -> tuple[int, int]:
     return big, small
 
 
-def poly_eval(p: Poly, x) -> Union[int, Fraction]:
-    """p(x) exactly: an ``int`` for an int x, a ``Fraction`` for a ``Fraction`` x."""
-    if isinstance(x, int):
+def poly_eval(p: Poly, x) -> Union[int, Fraction, MPoly]:
+    """p(x) exactly: a ``Fraction`` for a ``Fraction`` x, else a value in the ring of x and
+    of the coefficients, an ``int`` for an int x or an ``MPoly`` for an ``MPoly`` x."""
+    if not isinstance(x, Fraction):
         return _value(p, x, 1) if p else 0
     return Fraction(_value(p, x.numerator, x.denominator), x.denominator ** (len(p) - 1)) if p else Fraction(0)
 
@@ -174,9 +178,10 @@ class MPoly:
 
     It has +, -, *, nonnegative integer powers and ==, mixes with ``int`` (a constant),
     and combines only with polynomials over the same names.  That is all the Horner
-    kernels ``_value`` and ``_value_surd`` use, so they evaluate a polynomial whose
-    coefficients and point are ``MPoly`` values, and an identity in the variables is
-    checked once as ``==``.
+    kernels ``_value`` and ``_value_surd`` and ``char_poly`` use, so they evaluate a
+    polynomial whose coefficients and point are ``MPoly`` values, and an identity in the
+    variables is checked once as ``==``.  It is true when nonzero, which lets those
+    kernels skip zero entries, and ``at`` gives its value at an integer point.
     """
 
     __slots__ = ("names", "terms")
@@ -244,6 +249,40 @@ class MPoly:
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         return other if other is NotImplemented else self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def at(self, *values: int) -> int:
+        """The value at one ``int`` per name."""
+        return sum(c * prod(map(pow, values, e)) for e, c in self.terms.items())
+
+
+def char_poly(rows: Sequence[Sequence]) -> tuple:
+    """det(xI - M), ascending, for a square M over a commutative ring (``int`` or ``MPoly``
+    entries), with + and * alone and no division: the coefficient of x^(k-j) is (-1)^j
+    times the sum of the j x j principal minors of M.  A minor is a cofactor expansion
+    along its first row, and each submatrix is expanded once, so the C(2k, k) submatrices
+    of order k bound the work: this is for orders up to about 5."""
+    k = len(rows)
+
+    @lru_cache(maxsize=None)
+    def minor(r: tuple[int, ...], c: tuple[int, ...]):  # rows r and columns c, sorted
+        if not r:
+            return 1
+        total = 0
+        for j, col in enumerate(c):
+            a = rows[r[0]][col]
+            if a:
+                term = a * minor(r[1:], c[:j] + c[j + 1:])
+                total = total - term if j % 2 else total + term
+        return total
+
+    coeffs = [0] * k + [1]
+    for j in range(1, k + 1):
+        total = sum(minor(idx, idx) for idx in combinations(range(k), j))
+        coeffs[k - j] = -total if j % 2 else total
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from qng.graph import (
     to_graph6,
     twin_classes,
 )
+from qng.polys import MPoly
 from qng.enumeration import _relabeled as relabel, canonical_form
 
 
@@ -131,6 +132,21 @@ def test_h_graph_structure():
         h_graph(29, 1, 1)
     with pytest.raises(ValueError, match="positive total"):
         h_graph(0, 0, 0)
+
+
+@pytest.mark.parametrize("k", [8, 20, 33])
+def test_blow_up_quotient_over_polynomial_sizes(k):
+    """``BlowUp.quotient`` over cell sizes that are polynomials in n, evaluated at n = k, is
+    the ``int`` quotient at order k of each double hub and complement of Theorem 1.5's proof."""
+    n, = MPoly.variables("n")
+    hub2, hub5 = double_hub(k - 4, 1, 1), double_hub(k - 3, 0, 1)
+    cases = [(double_hub(k - 5, 1, 2), (n - 5, 1, 2, 1, 1)), (hub2, (n - 4, 1, 1, 1, 1)),
+             (hub2.complement(), (n - 4, 1, 1, 1, 1)), (double_hub(k - 4, 0, 2), (n - 4, 2, 1, 1)),
+             (hub5, (n - 3, 1, 1, 1)), (hub5.complement(), (n - 3, 1, 1, 1))]
+    for b, sizes in cases:
+        got = b.quotient(sizes)
+        assert any(isinstance(entry, MPoly) for row in got for entry in row)
+        assert tuple(tuple(e if isinstance(e, int) else e.at(k) for e in row) for row in got) == b.quotient(), b
 
 
 def test_graph6_hand_encodings():

@@ -31,7 +31,7 @@ from qng.polys import (
     reflection_norm,
     sign_at_surd,
 )
-from qng.spectra import kind_char_poly, spectrum
+from qng.spectra import char_poly_exact, kind_char_poly, spectrum
 
 
 def scaled(coeffs):
@@ -340,6 +340,37 @@ def test_mpoly_ring_agrees_with_integer_evaluation():
         n ** -1
     with pytest.raises(TypeError):
         n + F(1, 2)
+
+
+def test_mpoly_at_and_truth_value():
+    """``MPoly.at`` is the value at one int per name, and a polynomial is true when nonzero."""
+    rng = random.Random(43)
+    names = ("n", "d2", "s")
+    for _ in range(100):
+        p = _random_mpoly(rng, names)
+        point = tuple(rng.randint(-20, 20) for _ in names)
+        assert p.at(*point) == _at(p, point)
+        assert bool(p) is (p != 0)
+    n, d2, s = MPoly.variables(*names)
+    assert not n - n and not MPoly(names, {}) and (n * 0 + 3).at(7, 1, 1) == 3
+
+
+def test_char_poly_over_a_ring():
+    """``char_poly`` agrees with ``char_poly_exact`` on seeded integer matrices of orders
+    1..5, and over ``MPoly`` entries with the integer results at seeded points."""
+    rng = random.Random(44)
+    for k in range(1, 6):
+        for _ in range(30):
+            m = [[rng.choice([0, rng.randint(-6, 6)]) for _ in range(k)] for _ in range(k)]
+            assert polys.char_poly(m) == char_poly_exact(m), m
+    names = ("n", "d2")
+    for k in range(1, 5):
+        m = [[rng.choice([rng.randint(-3, 3), _random_mpoly(rng, names, 3, 2)]) for _ in range(k)] for _ in range(k)]
+        phi = polys.char_poly(m)
+        for _ in range(4):
+            point = (rng.randint(-9, 9), rng.randint(-9, 9))
+            assert tuple(_at(c, point) for c in phi) == char_poly_exact([[_at(e, point) for e in row] for row in m])
+    assert polys.char_poly([]) == (1,)
 
 
 def test_horner_kernels_run_on_mpoly():

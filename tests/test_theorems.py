@@ -19,12 +19,15 @@ import numpy as np
 import pytest
 
 from qng.graph import (
+    MAX_VERTICES,
+    BlowUp,
     complement,
     complete,
     complete_bipartite,
     cycle,
     cartesian_product,
     disjoint_union,
+    double_hub,
     empty_graph,
     from_edges,
     from_graph6,
@@ -39,6 +42,7 @@ from qng.graph import (
 from qng import polys, spectra, theorems
 from qng.cli import _resolve_check, build_predicate
 from qng.enumeration import FILTERS, _relabeled as relabel, scan
+from qng.partitions import equitable_quotient
 from qng.spectra import char_poly_exact, ng_sum, spectrum
 from qng.theorems import (
     EQUALITY,
@@ -605,6 +609,187 @@ def test_proof_check_thm12_builds_no_surd(monkeypatch, fresh_thm12_identities):
     assert proof_check_thm12(20, 7) and proof_check_thm12(50, 1)
 
 
+@pytest.fixture
+def fresh_thm15_identities():
+    """Theorem 1.5's identities proved anew in this test, and not reused by the next one,
+    which must not see a result proved under this test's patches."""
+    theorems._thm15_identities.cache_clear()
+    yield
+    theorems._thm15_identities.cache_clear()
+
+
+def _reference_proof_check_thm15(n: int) -> bool:
+    """Theorem 1.5's proof check as it was before its identities were proved over Z[n]: the
+    six quotients' char polys from ``char_poly_exact`` and every identity evaluated at this n."""
+    if n < 8:
+        raise ValueError("requires n >= 8")
+    c = theorems._Checks()
+    disc = n * n - 8 * n + 20
+    beta2 = polys.Surd(F(n - 2, 2), F(1, 2), disc)
+
+    def sign_at_beta2(p) -> int:
+        return polys.sign_at_surd(p, n - 2, 1, disc, 2)
+
+    def blow_up_char_poly(b, label):
+        quotient, g = b.quotient(), None
+        if sum(b.sizes) <= MAX_VERTICES:
+            g, cells = b.graph(), b.cells()
+            c.expect(equitable_quotient(g, cells) == quotient, f"equitable cells {label}")
+            classes = twin_classes(g.rows)
+            c.expect(all(any(set(cell) <= set(members) for members in classes[clique])
+                         for cell, clique in zip(cells, b.cliques) if len(cell) > 1), f"twin cells {label}")
+        return char_poly_exact(quotient), g
+
+    poly_in_n = theorems._poly_in_n
+    phi = blow_up_char_poly(double_hub(n - 5, 1, 2), "(n-5,1,2)")[0]
+    quartic = poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
+    c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
+    c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
+    c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
+    c.expect(-phi[4] == 2 * n - 3, "quotient trace (n-5,1,2)")
+    c.expect(3 * (n - 3) > 2 * n - 3, "trace rules out three roots above n-3")
+
+    hub2 = double_hub(n - 4, 1, 1)
+    phi2, g2 = blow_up_char_poly(hub2, "(n-4,1,1)")
+    phi3, g2c = blow_up_char_poly(hub2.complement(), "complement (n-4,1,1)")
+    c.expect(sign_at_beta2(phi2) == 0, "beta_2 is a quotient eigenvalue")
+    c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
+    c.expect(sign_at_beta2([-2, 1]) == 1, "beta_2 exceeds the replicated eigenvalue 2")
+    if g2 is not None:
+        c.expect(abs(spectrum(g2, "Q").value(2) - (n - 2 + math.sqrt(disc)) / 2) < 1e-8, "float q_2 matches beta_2")
+
+    cubic = poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
+    f2 = poly_in_n(n, [[-4, 1], [2, -1], [1]])
+    c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
+    c.expect(sign_at_beta2(f2) == 0, "gamma_1' root formula")
+    c.expect(polys.sign_at_surd(f2, n - 2, -1, disc, 2) == 0, "gamma_2' root formula")
+    c.expect(polys.poly_eval(cubic, 2 * n - 6) == -4 * n + 16, "f_1(2n-6) evaluation")
+    c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
+    claim = [-2 * (n - 4) * (2 * n - 5), 4 * (n - 4), 0, 0]
+    c.expect(sign_at_beta2([a - b for a, b in zip(cubic, claim)]) == 0, "f_1(gamma_1') closed form")
+    c.expect(sign_at_beta2(cubic) == -1, "f_1(gamma_1') negative")
+    c.expect(polys.root_counter(phi3).count_gt(beta2) == 1, "exactly one complement quotient eigenvalue above gamma_1'")
+    c.expect(sign_at_beta2([4 - n, 1]) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
+    if g2c is not None:
+        c.expect(abs(spectrum(g2c, "Q").value(2) - (n - 2 + math.sqrt(disc)) / 2) < 1e-8,
+                 "float q_2 of complement matches gamma_1'")
+    c.expect(sign_at_beta2([2 * n - 5, -2]) == 1, "equal second eigenvalues stay below 2n-5")
+
+    phi4 = blow_up_char_poly(double_hub(n - 4, 0, 2), "(n-4,0,2)")[0]
+    cubic4 = poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
+    c.expect(phi4 == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
+    c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
+    c.expect(6 - n <= 0, "f(n-3) nonpositive, (n-4,0,2)")
+    c.expect(3 * (n - 3) >= 2 * n - 3, "trace argument, (n-4,0,2)")
+
+    hub5 = double_hub(n - 3, 0, 1)
+    phi5 = blow_up_char_poly(hub5, "(n-3,0,1)")[0]
+    cubic5 = poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
+    c.expect(phi5 == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
+    c.expect(polys.poly_eval(cubic5, F(2 * n - 5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
+    c.expect(F(-2 * n + 15, 8) < 0, "g(n-5/2) negative")
+
+    phi6 = blow_up_char_poly(hub5.complement(), "complement (n-3,0,1)")[0]
+    quartic6 = poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
+    c.expect(phi6 == quartic6, "complement char poly (n-3,0,1)")
+    c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
+    c.expect(-4 * (n - 3) * (n - 4) < 0, "phi(2n-6) negative")
+    val = polys.poly_eval(quartic6, F(2 * n - 5, 2))
+    c.expect(val == F(-(2 * n - 11) * (4 * n * n - 24 * n + 39), 16), "phi(n-5/2) evaluation")
+    c.expect(val < 0, "phi(n-5/2) negative")
+    return not c
+
+
+def test_proof_check_thm15_matches_its_per_n_reference(fresh_thm15_identities):
+    """The identities proved once over Z[n] and the checks made per call give the verdict of
+    the per-n reference for every n = 8..50 and at n = 10^6, and the same ``ValueError``
+    below n = 8."""
+    for n in [*range(8, 51), 10**6]:
+        assert proof_check_thm15(n) is _reference_proof_check_thm15(n) is True, n
+    for n in (7, 0, -3):
+        for check in (proof_check_thm15, _reference_proof_check_thm15):
+            with pytest.raises(ValueError, match=re.escape("requires n >= 8")):
+                check(n)
+
+
+def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_identities):
+    """The first call builds the six char polys over Z[n] and evaluates the identities; no
+    call uses ``char_poly_exact``, and later calls, at any n, build no char poly and
+    evaluate no identity: n = 10^6 makes the four surd sign tests of n = 9.  Each call's
+    two root counts run on the char polys of its (n-4,1,1) quotient and its complement's."""
+    calls, counted_polys = Counter(), []
+
+    def counted(name, exact):
+        def count(*args):
+            calls[name] += 1
+            return exact(*args)
+        return count
+
+    def root_counter(coeffs):
+        counted_polys.append(coeffs)
+        return polys.root_counter(coeffs)
+
+    assert not hasattr(theorems, "char_poly_exact")
+    exact_char_poly = spectra.char_poly_exact
+    monkeypatch.setattr(spectra, "char_poly_exact", counted("char_poly_exact", exact_char_poly))
+    kernels = {name: counted(name, getattr(polys, name))
+               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "sign_at_surd")}
+    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels, "root_counter": root_counter}))
+    assert proof_check_thm15(8)
+    assert calls == Counter(char_poly=6, poly_eval=4, _value=2, _value_surd=4, sign_at_surd=4)
+    orders = (9, 33, 50, 10**6)
+    for n in orders:
+        assert proof_check_thm15(n)
+    assert calls == Counter(char_poly=6, poly_eval=4, _value=2, _value_surd=4, sign_at_surd=4 * 5)
+    hubs = [theorems._thm15_blow_ups(n) for n in (8, *orders)]
+    assert counted_polys == [exact_char_poly(hub[label].quotient())
+                             for hub in hubs for label in ("(n-4,1,1)", "complement (n-4,1,1)")]
+
+
+@pytest.mark.parametrize("n", [8, 32, 33])
+def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_identities, n):
+    """A ``BlowUp.quotient`` off by one in its last diagonal entry fails the identities of
+    every char poly with a closed form, the trace and the beta_2 root; while the blown-up
+    graphs fit 32 vertices, the six cell cross-checks against that quotient fail too."""
+    exact = BlowUp.quotient
+
+    def perturbed(self, sizes=None):
+        rows = [list(row) for row in exact(self, sizes)]
+        rows[-1][-1] += 1
+        return tuple(map(tuple, rows))
+
+    failed = []
+    expect = theorems._Checks.expect
+
+    def record(self, condition, label):
+        if not condition:
+            failed.append(label)
+        expect(self, condition, label)
+
+    monkeypatch.setattr(BlowUp, "quotient", perturbed)
+    monkeypatch.setattr(theorems._Checks, "expect", record)
+    assert not proof_check_thm15(n)
+    identities = {"char poly x*f (n-5,1,2)", "quotient trace (n-5,1,2)", "beta_2 is a quotient eigenvalue",
+                  "complement char poly f_1*f_2", "char poly x*f (n-4,0,2)", "char poly x*g (n-3,0,1)",
+                  "complement char poly (n-3,0,1)"}
+    assert set(theorems._thm15_identities()[0]) == identities
+    cells = {label for label in failed if label.startswith("equitable cells ")}
+    assert cells == ({f"equitable cells {label}" for label in theorems._thm15_blow_ups(n)} if n <= MAX_VERTICES
+                     else set())
+
+
+def test_thm15_quotients_over_z_n_are_the_integer_quotients():
+    """The quotients that the identities are proved on, at n, are the ``int`` quotients of
+    the six blow-ups built at n."""
+    x, = polys.MPoly.variables("n")
+    quotients = theorems._thm15_quotients(x)
+    for n in (8, 10, 33, 10**6):
+        blow_ups = theorems._thm15_blow_ups(n)
+        assert quotients.keys() == blow_ups.keys()
+        for label, b in blow_ups.items():
+            assert tuple(map(functools.partial(theorems._at, n=n), quotients[label])) == b.quotient(), (n, label)
+
+
 @pytest.mark.parametrize("n", [8, 33])
 def test_proof_check_thm15_builds_one_surd(monkeypatch, n):
     """Theorem 1.5's surd tests run on integers: the one ``Surd`` built is beta_2, the
@@ -639,19 +824,20 @@ def test_proof_check_thm15_root_tests_bite(monkeypatch):
 
 
 @pytest.mark.parametrize("check, args, count, digest", [
-    (proof_check_thm15, (8,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
-    (proof_check_thm15, (10,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
-    (proof_check_thm15, (32,), 44, "0fb4c0934b3587512ac35c43969cd20e7cd65dc802e383ff8d4d166c078c9d2c"),
-    (proof_check_thm15, (33,), 30, "533a6e90125ec74b4af41abe1c7a5ee7e358cedf44412bf84f1bfbc4c563de29"),
-    (proof_check_thm15, (50,), 30, "533a6e90125ec74b4af41abe1c7a5ee7e358cedf44412bf84f1bfbc4c563de29"),
+    (proof_check_thm15, (8,), 44, "2f3504f371b4720f2452c4eae54e87f2ce72d66f684e4e7691b28fecd6a33a05"),
+    (proof_check_thm15, (10,), 44, "2f3504f371b4720f2452c4eae54e87f2ce72d66f684e4e7691b28fecd6a33a05"),
+    (proof_check_thm15, (32,), 44, "2f3504f371b4720f2452c4eae54e87f2ce72d66f684e4e7691b28fecd6a33a05"),
+    (proof_check_thm15, (33,), 30, "2c6873632565c656c432fa0817f37196c1a614524e33a1dbd410a6821680d699"),
+    (proof_check_thm15, (50,), 30, "2c6873632565c656c432fa0817f37196c1a614524e33a1dbd410a6821680d699"),
     (proof_check_thm12, (6, 2), 15, "af8f2eaf4323ad3893b00e7ce27328946c0ee065cb904508d62aff1b737416a5"),
     (proof_check_thm12, (20, 7), 17, "433891d0736812658af407e1085c8e0aed7b9c57dff010f1bc4f85461220476c"),
 ], ids=["thm15-8", "thm15-10", "thm15-32", "thm15-33", "thm15-50", "thm12-6-2", "thm12-20-7"])
-def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identities, check, args, count, digest):
+def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identities, fresh_thm15_identities,
+                                                check, args, count, digest):
     """Every check a proof makes runs, in order, with its outcome: the (label, outcome)
     sequence has a pinned length and sha256.  n = 33 is the first order past the
-    32-vertex cross-check of the blown-up graphs.  Theorem 1.2's sequence is its
-    identities over Z[n, d2, s], proved in the first call, then the call's sign checks."""
+    32-vertex cross-check of the blown-up graphs.  Each sequence is the theorem's
+    identities, over Z[n, d2, s] or Z[n], proved in the first call, then the call's checks."""
     recorded = []
     expect = theorems._Checks.expect
 
