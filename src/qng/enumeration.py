@@ -40,7 +40,7 @@ branching on one vertex per twin class of its cell, and a leaf of least
 column code is the canonical form.  The new vertex passes if it is a twin of
 the deletion vertex of some least-code leaf, and the twin transpositions and
 the maps between least-code leaves generate the child's automorphism group.
-Only the order generation starts from is searched one graph at a time
+Generation always starts from K1, so no graph is searched one at a time
 (``_search``).  Every kept child is the only one of its class, so no child
 is deduplicated afterwards.  Each order is sorted by the children's column
 codes, packed into one integer each, which is graph6 order, and the last
@@ -573,15 +573,15 @@ def enumerate_graphs(n: int) -> list[Graph]:
         )
     _ALL_GRAPHS.setdefault(1, [Graph(1, (0,))])
     if n not in _ALL_GRAPHS:
-        # Extend the highest order built so far.  Only its graphs are searched
-        # for their automorphisms; each later order takes them from the block
-        # labeling that accepted it, and order n keeps none.  Each order is
-        # sorted by the column codes of its canonical forms, graph6 order.
-        k = max(m for m in _ALL_GRAPHS if m < n)
-        level = [(g, _search(g)[1]) for g in _ALL_GRAPHS[k]]
-        for m in range(k + 1, n + 1):
+        # Generate from K1, whose automorphism group has no generators: the
+        # cached orders keep none, and generating them again costs less than
+        # searching them.  Each order takes its graphs' generators from the
+        # block labeling that accepted it, and order n keeps none.  Each order
+        # is sorted by the column codes of its canonical forms, graph6 order.
+        level = [(_ALL_GRAPHS[1][0], [])]
+        for m in range(2, n + 1):
             children = sorted(_augment(level, m, keep_gens=m < n), key=itemgetter(2))
-            _ALL_GRAPHS[m] = [g for g, _, _ in children]
+            _ALL_GRAPHS.setdefault(m, [g for g, _, _ in children])
             level = [(g, gens) for g, gens, _ in children]
     return list(_ALL_GRAPHS[n])
 

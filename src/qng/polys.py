@@ -16,14 +16,16 @@ asked of it: distinct roots in a half-open interval, roots above a point
 counted with multiplicity, and the multiplicity of a rational.
 ``root_counter`` builds one per polynomial and hands it to every later
 caller.  On the counters rest isolation of the k-th largest real root and
-two decision procedures that always return a sign: a root of one polynomial
-against a root of another, and their sum against a rational or surd bound.
+one decision procedure that always returns a sign: a root of one polynomial
+plus a root of another against a rational or surd bound.  A root against a
+root is their difference against 0, the second polynomial reflected.
 Isolation is one bisection from the Cauchy bound whose first two cuts a
 float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
 Floats pick only where to cut: every sign comes from counts.  A window keeps
 level 0's counts at its ends, and a comparison those of its common-root
-gcd, so a bisection counts each polynomial at each point once.
+gcd and of its reflected polynomial, so a bisection counts each polynomial
+at each point once.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
@@ -547,37 +549,13 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
     return window
 
 
-def compare_kth_roots(pa: Poly, ka: int, pb: Poly, kb: int,
-                      near_a: float | None = None, near_b: float | None = None) -> int:
-    """Exact sign of (k_a-th largest root of pa) - (k_b-th largest root of pb).
-
-    ``near_a`` and ``near_b`` are optional float seeds for the two isolations
-    (see ``isolate_kth_largest``); they never change the sign.  The loop ends:
-    each step halves both windows, so distinct roots, a positive distance
-    apart, get disjoint windows, and equal roots are a root of gcd(pa, pb),
-    built once the windows overlap, in both windows: 0 at the first overlap.
-    """
-    wa = isolate_kth_largest(pa, ka, near_a)
-    wb = isolate_kth_largest(pb, kb, near_b)
-    common = None
-    while True:
-        if wa.lo >= wb.hi:
-            return 1
-        if wb.lo >= wa.hi:
-            return -1
-        if common is None:
-            common = _EndChanges(poly_gcd(wa.counter.levels[0], wb.counter.levels[0]))
-        # overlapping windows meet in the nonempty (max lo, min hi]
-        if common.distinct(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
-            return 0
-        wa.refine()
-        wb.refine()
-
-
 def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
                      near_a: float | None = None, near_b: float | None = None) -> int:
     """Exact sign of alpha + beta - c: alpha the k_a-th largest root of pa, beta
-    the k_b-th of pb, c rational or a ``Surd``, seeds as in ``compare_kth_roots``.
+    the k_b-th of pb, c rational or a ``Surd``.  ``near_a`` and ``near_b`` are
+    optional float seeds for the two isolations (see ``isolate_kth_largest``);
+    they never change the sign.  A root against a root is a sum against 0, beta
+    a root of ``reflection_norm(pb, 0)``.
 
     Each step halves both windows, so if alpha + beta != c the sum window
     (alpha.lo + beta.lo, alpha.hi + beta.hi] comes to lie on one side of c.
@@ -598,14 +576,14 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
         if _surd_sign(wa.hi + wb.hi - a, -b, d) < 0:
             return -1
         if norm is None:
-            norm = root_counter(tuple(reflection_norm(pa, c)))
-            common = _EndChanges(poly_gcd(wb.counter.levels[0], norm.levels[0]))
+            square_free = root_counter(tuple(reflection_norm(pa, c))).levels[0]
+            norm, common = _EndChanges(square_free), _EndChanges(poly_gcd(wb.counter.levels[0], square_free))
         if common.distinct(wb.lo, wb.hi) > 0:
             # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
             low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo
             lo = wb.lo if _surd_sign(wb.lo - low, -b, d) <= 0 else Surd(low, b, d)
             hi = wb.hi if _surd_sign(wb.hi - high, -b, d) >= 0 else Surd(high, b, d)
-            if norm.count_distinct_halfopen(lo, hi) == 1:
+            if norm.distinct(lo, hi) == 1:
                 return 0
         wa.refine()
         wb.refine()

@@ -373,7 +373,8 @@ def compare_sum_with(g: Graph, kind: str, k: int, c) -> int:
 
 
 def compare_q1(g: Graph, h: Graph) -> int:
-    """Exact sign of q_1(g) - q_1(h)."""
-    return polys.compare_kth_roots(kind_char_poly(g, "Q"), 1, kind_char_poly(h, "Q"), 1,
-                                   spectrum(g, "Q").value(1), spectrum(h, "Q").value(1))
+    """Exact sign of q_1(g) - q_1(h): q_1(g) plus -q_1(h), the least root of the reflected
+    char poly of h (``polys.reflection_norm`` at 0), against 0."""
+    return polys.compare_root_sum(kind_char_poly(g, "Q"), 1, polys.reflection_norm(kind_char_poly(h, "Q"), 0), h.n,
+                                  0, spectrum(g, "Q").value(1), -spectrum(h, "Q").value(1))
 

@@ -29,10 +29,12 @@ discriminants, and the sign evaluations that locate roots.  Each proves its
 identities once, over polynomials (``polys.MPoly``), and leaves each call the
 signs, surd signs and root counts at its own parameters.  Theorem 1.5's
 quotients are those of ``graph.BlowUp`` cells, built over Z[n] by the same
-``BlowUp.quotient`` that gives an order's integer quotient, and each order's
-blown-up graph is cross-checked against its quotient while it fits 32
-vertices; Theorem 1.2's three 2x2 matrices are bounds in d2 and s, not
-quotients of a blow-up, and are written out over Z[n, d2, s].
+``BlowUp.quotient`` that gives an order's integer quotient, and while an
+order's blown-up graphs fit 32 vertices each is tied to its quotient by one
+integer matrix identity; Theorem 1.2's three 2x2 matrices are bounds in d2
+and s, not quotients of a blow-up, and are written out over Z[n, d2, s].
+Both theorems' char polys come from ``polys.char_poly``, and no proof check
+reads a float.
 """
 
 from __future__ import annotations
@@ -68,10 +70,8 @@ from .graph import (
     path,
     star,
     to_graph6,
-    twin_classes,
 )
 from .enumeration import FILTERS, canonical_form, isomorphism_witness
-from .partitions import equitable_quotient
 from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
@@ -81,6 +81,7 @@ from .spectra import (
     current_chunk,
     in_chunk,
     ng_sum,
+    q_matrix,
     spectrum,
 )
 
@@ -593,13 +594,6 @@ class _Checks(list):
             self.append(label)
 
 
-def _two_by_two_char(entries, den=1) -> list:
-    """den^2 det(xI - M) for the 2x2 matrix M = entries / den, over the ring of the entries
-    (``int`` or ``polys.MPoly``)."""
-    (a, b), (c, d) = entries
-    return [a * d - b * c, -(a + d) * den, den * den]
-
-
 @lru_cache(maxsize=None)
 def _thm12_identities() -> tuple[str, ...]:
     """The labels of the failed polynomial identities behind ``proof_check_thm12``.
@@ -615,11 +609,11 @@ def _thm12_identities() -> tuple[str, ...]:
     c.expect(disc == (n - 2 * d2 + 1) ** 2 + 8 * (d2 - 1), "discriminant is (n - 2d2 + 1)^2 + 8(d2 - 1)")
 
     b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
-    c.expect(polys._value_surd(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == (0, 0),
+    c.expect(polys._value_surd(polys.char_poly(b1), n + 2 * d2 - 3, -1, disc, 2) == (0, 0),
              "lambda_2 closed form, first quotient")
 
     b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
-    c.expect(polys._value_surd(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == (0, 0),
+    c.expect(polys._value_surd(polys.char_poly(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == (0, 0),
              "lambda_2 closed form, second quotient")
 
     f = [6 * n - 11, -(4 * n - 4), 4]
@@ -637,7 +631,8 @@ def _thm12_identities() -> tuple[str, ...]:
     def quad(s):
         return (n - 2) * d2 * d2 - xval(s) * d2 + (n - 2) ** 2
 
-    # the quotient ((n-2, n-2), (1, 2n - 2d2 - 5 + 2s/(n-2))), times n - 2, for d2 - 1 <= s <= n - 2
+    # n - 2 times the quotient ((n-2, n-2), (1, 2n - 2d2 - 5 + 2s/(n-2))), for d2 - 1 <= s <= n - 2:
+    # its lambda_2 is (numer - sqrt(delta)) / 2, n - 2 times the quotient's
     b3 = (((n - 2) ** 2, (n - 2) ** 2), (n - 2, (2 * n - 2 * d2 - 5) * (n - 2) + 2 * s))
     (a, b), (bl, d) = b3
     numer = (3 * n - 7) * (n - 2) - (2 * n - 4) * d2 + 2 * s
@@ -646,7 +641,7 @@ def _thm12_identities() -> tuple[str, ...]:
     c.expect(numer == a + d, "third numerator is the trace")
     c.expect(b * bl == (n - 2) ** 3 and delta == (a - d) ** 2 + 4 * b * bl,
              "third discriminant is (a - d)^2 + 4(n-2)^3")
-    c.expect(polys._value_surd(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == (0, 0),
+    c.expect(polys._value_surd(polys.char_poly(b3), numer, -1, delta, 2) == (0, 0),
              "lambda_2 closed form, third quotient")
     c.expect(xval(s) == (n - 2) * (n - 3) + 2 * s, "threshold identity")
     c.expect(delta - xval(s) ** 2 == 4 * (n - 2) * quad(s), "discriminant-threshold identity")
@@ -767,6 +762,27 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     return tuple(c), phi2, phi3, cubic
 
 
+def _blow_up_identity(b: BlowUp) -> bool:
+    """Whether Q(G) T = T Lambda holds in integers, for G = ``b.graph()``.
+
+    T's column at the first vertex u of a cell is the cell's indicator, and at each other
+    vertex v of it e_u - e_v.  Lambda holds ``b.quotient()`` in the rows and columns of
+    the first vertices, and at each other vertex the twin eigenvalue of its cell, read off
+    the blow-up and not off G: B[i][i] for a coclique cell, B[i][i] - s_i for a clique
+    cell.  T is invertible, so the identity holds exactly when the cells are equitable
+    with quotient B and each cell is a twin class of its kind, and then spec Q(G) is
+    spec B with each twin eigenvalue s_i - 1 times over.
+    """
+    g, quotient, sizes = b.graph(), b.quotient(), b.sizes
+    first = [cell[0] for cell in b.cells()]
+    link = (np.repeat(first, sizes)[:, None] == np.arange(g.n)).astype(np.int64)  # v to its cell's first vertex
+    t = link + link.T - np.eye(g.n, dtype=np.int64)
+    twin = [row[i] - size * clique for i, (row, size, clique) in enumerate(zip(quotient, sizes, b.cliques))]
+    lam = np.diag(np.repeat(twin, sizes))
+    lam[np.ix_(first, first)] = quotient
+    return bool((q_matrix(g) @ t == t @ lam).all())
+
+
 def proof_check_thm15(n: int) -> bool:
     """Exact verification of the quotient algebra behind the bipartite bound.
 
@@ -778,10 +794,10 @@ def proof_check_thm15(n: int) -> bool:
     identities leave, the surd signs at beta_2 = (n-2+sqrt(n^2-8n+20))/2, and the
     two second-eigenvalue equalities by exact root counts at beta_2 on the char
     polys evaluated at n.  While the order fits the 32-vertex graph type each
-    quotient is also cross-checked on the blown-up graph: its cells are
-    equitable, with that quotient, and each cell of two or more vertices lies in
-    one twin class, closed for a clique and open for a coclique.  Beyond that
-    the sweep continues on the identities alone.
+    blown-up graph is also checked against its quotient by one integer identity
+    (``_blow_up_identity``): its spectrum is the quotient's plus the twin
+    eigenvalues, so the root counts give its q_2 exactly.  Beyond that the sweep
+    continues on the identities alone.
     """
     if n < 8:
         raise ValueError("requires n >= 8")
@@ -793,32 +809,20 @@ def proof_check_thm15(n: int) -> bool:
     def sign_at_beta2(p) -> int:
         return polys.sign_at_surd(p, n - 2, 1, disc, 2)
 
-    graphs = {}
     if n <= MAX_VERTICES:
         for label, b in _thm15_blow_ups(n).items():
-            g, cells = b.graph(), b.cells()
-            c.expect(equitable_quotient(g, cells) == b.quotient(), f"equitable cells {label}")
-            classes = twin_classes(g.rows)
-            c.expect(all(any(set(cell) <= set(members) for members in classes[clique])
-                         for cell, clique in zip(cells, b.cliques) if len(cell) > 1), f"twin cells {label}")
-            graphs[label] = g
+            c.expect(_blow_up_identity(b), f"Q(G)T = T Lambda {label}")
 
     c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
     c.expect(3 * (n - 3) > 2 * n - 3, "trace rules out three roots above n-3")
 
     c.expect(polys.root_counter(_at(phi2, n)).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
     c.expect(sign_at_beta2([-2, 1]) == 1, "beta_2 exceeds the replicated eigenvalue 2")
-    if graphs:
-        c.expect(abs(spectrum(graphs["(n-4,1,1)"], "Q").value(2) - (n - 2 + sqrt(disc)) / 2) < 1e-8,
-                 "float q_2 matches beta_2")
     c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
     c.expect(sign_at_beta2(_at(cubic, n)) == -1, "f_1(gamma_1') negative")
     c.expect(polys.root_counter(_at(phi3, n)).count_gt(beta2) == 1,
              "exactly one complement quotient eigenvalue above gamma_1'")
     c.expect(sign_at_beta2([4 - n, 1]) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
-    if graphs:
-        c.expect(abs(spectrum(graphs["complement (n-4,1,1)"], "Q").value(2) - (n - 2 + sqrt(disc)) / 2) < 1e-8,
-                 "float q_2 of complement matches gamma_1'")
     c.expect(sign_at_beta2([2 * n - 5, -2]) == 1, "equal second eigenvalues stay below 2n-5")
 
     c.expect(6 - n <= 0, "f(n-3) nonpositive, (n-4,0,2)")

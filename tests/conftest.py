@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qng import polys
 from qng.enumeration import enumerate_graphs
 from qng.graph import complement
 
@@ -44,3 +45,32 @@ def rational_quotient():
     only for equitable ones (``partitions.equitable_quotient``): for quotient
     interlacing (Lemma 2.3) and the weighted symmetry of the quotient."""
     return _rational_quotient
+
+
+def _compare_kth_roots(pa, ka, pb, kb, near_a=None, near_b=None) -> int:
+    """Exact sign of (k_a-th largest root of pa) - (k_b-th largest root of pb), by
+    bisecting both isolating windows until they part, or until a root of gcd(pa, pb) lies
+    in both: a comparison of two roots as it was decided before it became a root sum
+    against 0 (``polys.compare_root_sum`` on pb reflected)."""
+    wa = polys.isolate_kth_largest(pa, ka, near_a)
+    wb = polys.isolate_kth_largest(pb, kb, near_b)
+    common = None
+    while True:
+        if wa.lo >= wb.hi:
+            return 1
+        if wb.lo >= wa.hi:
+            return -1
+        if common is None:
+            common = polys._EndChanges(polys.poly_gcd(wa.counter.levels[0], wb.counter.levels[0]))
+        # overlapping windows meet in the nonempty (max lo, min hi]
+        if common.distinct(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
+            return 0
+        wa.refine()
+        wb.refine()
+
+
+@pytest.fixture(scope="session")
+def compare_kth_roots():
+    """The reference comparison of two polynomials' k-th largest roots, which ``qng`` makes
+    as a root sum against 0: for the root-sum comparisons it is checked against."""
+    return _compare_kth_roots

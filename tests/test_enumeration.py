@@ -790,17 +790,29 @@ def _cold_generation(monkeypatch):
 
 
 def test_generation_search_count(monkeypatch):
-    """A cold enumerate_graphs(7) searches K1 alone.  The 1,253 children of
+    """A cold enumerate_graphs(7) searches no graph.  The 1,253 children of
     orders 2..7 that pass the degree and root-cell filters are labeled in
     blocks: their twin-pruned trees have 4,531 nodes, the 1,253 roots
     included, and 1,956 leaves, 160 of them discrete roots.  A lost twin
     pruning fails here, not only in a timing."""
     work = _cold_generation(monkeypatch)
-    assert work["searches"] == [1]
+    assert work["searches"] == []
     roots = work["labeled"]
     nodes = len(roots) + sum(size for size, _ in work["levels"])
     leaves = sum(map(_discrete, roots)) + sum(leaves for _, leaves in work["levels"])
     assert (len(roots), nodes, leaves) == (1253, 4531, 1956)
+
+
+def test_generation_after_a_cached_order_searches_nothing(monkeypatch, enum8):
+    """Order 8 built after order 7 is generated from K1 again, not by searching order 7
+    for its automorphisms, and is the order-8 list of a cold build."""
+    searches = []
+    search = enumeration._search
+    monkeypatch.setattr(enumeration, "_search", lambda g: searches.append(g.n) or search(g))
+    monkeypatch.setattr(enumeration, "_ALL_GRAPHS", {})
+    assert len(enumerate_graphs(7)) == 1044
+    assert enumerate_graphs(8) == enum8[0]
+    assert searches == []
 
 
 def test_generation_refine_count(monkeypatch):
@@ -810,7 +822,7 @@ def test_generation_refine_count(monkeypatch):
     put the new vertex outside the last cell and are dropped, and 160 are
     discrete.  The trees of the other children grow in 45 batched
     refinements of 3,278 nodes.  ``_refine``, the one-graph refinement of
-    ``_search``, is never called: K1 is discrete from the start.
+    ``_search``, is never called: no graph is searched.
     """
     work = _cold_generation(monkeypatch)
     assert work["refines"] == 0

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every public
-top-level function or class of ``qng`` is used by ``qng`` itself.
+"""Every name a module imports is used in that module, every public
+top-level function or class of ``qng`` is used by ``qng`` itself, and
+``qng`` has one float tolerance.
 
 No linter is part of the toolchain, so the checks walk the AST themselves: an
 imported name counts as used when it appears as a name anywhere in the
@@ -21,7 +22,8 @@ MODULES = sorted(SOURCES + list((ROOT / "tests").glob("*.py")))
 
 #: Public definitions that ``qng`` itself does not call, each kept on purpose.
 UNCALLED_ON_PURPOSE = {
-    "spectra.q_matrix": "Q(G) = D + A by its name in the paper, exported for users and the tests",
+    "partitions.equitable_quotient": "the Q-quotient of any equitable partition, exported for users and the "
+                                     "tests' reference for ``graph.BlowUp`` quotients",
     "theorems.check_lemma27": "Lemma 2.7 of the paper, checked per (graph, non-edge) pair by the tests",
 }
 
@@ -77,3 +79,25 @@ def test_uncalled_definitions_are_found():
 def test_every_public_definition_is_called_by_qng():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert sorted(uncalled_definitions(sources)) == sorted(UNCALLED_ON_PURPOSE)
+
+
+def float_literals(source: str) -> list[str]:
+    """Each nonzero float literal of ``source``: the name a module-level assignment gives it,
+    else its line."""
+    tree = ast.parse(source)
+    named = {id(node.value): target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return [named.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value]
+
+
+def test_float_literals_are_found():
+    source = "W = 1e-6\nZ = 0.0\n\ndef f(x):\n    return abs(x) < 2.5\n"
+    assert float_literals(source) == ["W", "line 5"]
+
+
+def test_one_float_tolerance():
+    """Floats only screen, and ``spectra.ESCALATION_WINDOW`` says how far a float must lie from a
+    bound to decide it: no other nonzero float literal, such as a second tolerance, is in ``qng``."""
+    found = [f"{p.stem}.{name}" for p in SOURCES for name in float_literals(p.read_text())]
+    assert found == ["spectra.ESCALATION_WINDOW"]

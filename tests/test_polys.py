@@ -20,7 +20,6 @@ from qng.polys import (
     RootCounter,
     Surd,
     cauchy_root_bound,
-    compare_kth_roots,
     compare_root_sum,
     isolate_kth_largest,
     poly_eval,
@@ -196,8 +195,6 @@ def test_isolation_finds_kth_largest():
         with pytest.raises(ValueError, match="at least 1"):
             isolate_kth_largest([-2, 0, 1], k)
         with pytest.raises(ValueError, match="at least 1"):
-            compare_kth_roots([-2, 0, 1], k, [-1, 1], 1, 1.4)
-        with pytest.raises(ValueError, match="at least 1"):
             compare_root_sum([-2, 0, 1], k, [-1, 1], 1, F(0))
 
 
@@ -233,7 +230,16 @@ def test_isolation_from_seeds():
     assert constant.count_distinct_halfopen(F(0), F(1)) == 0 and constant.multiplicity(2) == 0
 
 
-def test_compare_kth_roots():
+def _root_difference(pa, ka, pb, kb, near_a=None, near_b=None) -> int:
+    """The sign of (k_a-th largest root of pa) - (k_b-th of pb) as ``qng`` takes it: the
+    root of pa plus the (deg pb - k_b + 1)-th largest root of pb reflected, against 0."""
+    return compare_root_sum(pa, ka, reflection_norm(pb, 0), len(pb) - kb, 0,
+                            near_a, None if near_b is None else -near_b)
+
+
+def test_compare_kth_roots(compare_kth_roots):
+    """A root against a root, as a root sum against 0 and by the reference bisection, with
+    seeds on the roots, off them, missing or not numbers."""
     quad = [-2, 0, 1]  # x^2 - 2
     s2 = math.sqrt(2)
     cases = [  # (pa, ka, root a, pb, kb, root b, sign)
@@ -249,7 +255,8 @@ def test_compare_kth_roots():
     for pa, ka, ra, pb, kb, rb, sign in cases:
         for near in [(None, None), (ra, rb), (ra - 1e-12, rb + 1e-12), (math.nan, rb), (ra, -math.inf),
                      (ra + 0.5, rb - 0.5)]:
-            assert compare_kth_roots(pa, ka, pb, kb, *near) == sign, (pa, ka, pb, kb, near)
+            for compare in (_root_difference, compare_kth_roots):
+                assert compare(pa, ka, pb, kb, *near) == sign, (compare, pa, ka, pb, kb, near)
 
 
 def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
@@ -266,10 +273,10 @@ def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
     monkeypatch.setattr(polys, "_roots_above", counting)
     quad = [-2, 0, 1]
     cases = [
-        (compare_kth_roots, (ABOVE_THIRD, 1, THIRD, 1, 1 / 3, 1 / 3), 1),
-        (compare_kth_roots, (ABOVE_THIRD, 1, THIRD, 1), 1),
-        (compare_kth_roots, (poly_mul(quad, from_roots([10])), 2, poly_mul(quad, from_roots([-3])), 1), 0),
-        (compare_kth_roots, (from_roots([1, 1, 3, 7]), 2, from_roots([3, 3, 5]), 2), 0),
+        (_root_difference, (ABOVE_THIRD, 1, THIRD, 1, 1 / 3, 1 / 3), 1),
+        (_root_difference, (ABOVE_THIRD, 1, THIRD, 1), 1),
+        (_root_difference, (poly_mul(quad, from_roots([10])), 2, poly_mul(quad, from_roots([-3])), 1), 0),
+        (_root_difference, (from_roots([1, 1, 3, 7]), 2, from_roots([3, 3, 5]), 2), 0),
         (compare_root_sum, (from_roots([1, 3]), 1, from_roots([2, 5]), 2, F(5)), 0),
         (compare_root_sum, (from_roots([1, 3]), 1, from_roots([2, 5]), 2, F(11, 2)), -1),
         (compare_root_sum, (poly_mul(quad, from_roots([10])), 2, poly_mul(quad, from_roots([-3])), 1,

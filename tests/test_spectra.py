@@ -363,7 +363,7 @@ def _sum_sign(g, cg, kind, k, kc, c):
                                   spectrum(g, kind).value(k), spectrum(cg, kind).value(kc))
 
 
-def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random(19)):
+def test_sum_comparison_matches_the_reference(graphs_by_order, compare_kth_roots, rng=random.Random(19)):
     """``compare_sum_with`` and ``compare_root_sum`` for n <= 6, kinds Q, L, A and seeded k.
 
     A rational bound c, on the sum, on one side of it by 2^-24, or random,
@@ -384,8 +384,8 @@ def test_sum_comparison_matches_the_reference(graphs_by_order, rng=random.Random
                 near = F(round(2 * value), 2)
                 for c in (near, near + rng.choice((-1, 1)) * F(1, 1 << 24), F(rng.randint(-20, 40), rng.randint(1, 7))):
                     reflected = _reflected(kind_char_poly(g, kind), c)
-                    expected = polys.compare_kth_roots(kind_char_poly(cg, kind), kc, reflected, n - k + 1,
-                                                       spectrum(cg, kind).value(kc), float(c) - spectrum(g, kind).value(k))
+                    expected = compare_kth_roots(kind_char_poly(cg, kind), kc, reflected, n - k + 1,
+                                                 spectrum(cg, kind).value(kc), float(c) - spectrum(g, kind).value(k))
                     got = _sum_sign(g, cg, kind, k, kc, c)
                     assert got == expected, (to_graph6(g), kind, k, kc, c)
                     hits["rational"] += got == 0

@@ -502,6 +502,12 @@ def fresh_thm12_identities():
     theorems._thm12_identities.cache_clear()
 
 
+def _two_by_two_char(entries, den=1) -> list:
+    """den^2 det(xI - M) for the 2x2 integer matrix M = entries / den."""
+    (a, b), (c, d) = entries
+    return [a * d - b * c, -(a + d) * den, den * den]
+
+
 def _reference_proof_check_thm12(n: int, d2: int) -> bool:
     """Theorem 1.2's proof check as it was before its identities were proved over
     Z[n, d2, s]: every identity evaluated at this (n, d2), the third quotient's at each s."""
@@ -512,11 +518,11 @@ def _reference_proof_check_thm12(n: int, d2: int) -> bool:
     c.expect(disc >= 0, "discriminant nonnegative")
 
     b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
-    c.expect(polys.sign_at_surd(theorems._two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
+    c.expect(polys.sign_at_surd(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
              "lambda_2 closed form, first quotient")
 
     b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
-    c.expect(polys.sign_at_surd(theorems._two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
+    c.expect(polys.sign_at_surd(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
              "lambda_2 closed form, second quotient")
 
     f = [6 * n - 11, -(4 * n - 4), 4]
@@ -539,7 +545,7 @@ def _reference_proof_check_thm12(n: int, d2: int) -> bool:
         det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
         delta = numer * numer - 4 * (n - 2) ** 2 * det
         c.expect(delta >= 0, f"third discriminant nonnegative at s={s}")
-        c.expect(polys.sign_at_surd(theorems._two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
+        c.expect(polys.sign_at_surd(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
                  f"lambda_2 closed form, third quotient at s={s}")
         xval = n * n - 5 * n + 2 * s + 6
         c.expect(xval == (n - 2) * (n - 3) + 2 * s, f"threshold identity at s={s}")
@@ -583,14 +589,15 @@ def test_proof_check_thm12_costs_nothing_per_n(monkeypatch, fresh_thm12_identiti
 @pytest.mark.parametrize("only_third", [False, True])
 def test_proof_check_thm12_root_tests_bite(monkeypatch, fresh_thm12_identities, only_third):
     """A closed-form root test fails once its 2x2 characteristic polynomial is off by one
-    in the constant term: all three quotients, or the third (den = n - 2, not 1) alone."""
-    exact = theorems._two_by_two_char
+    in the constant term: all three quotients, or the third (n - 2 times a quotient whose
+    lower left entry is 1, so its own is n - 2) alone."""
+    exact = polys.char_poly
 
-    def perturbed(entries, den=1):
-        p = exact(entries, den)
-        return [p[0] + 1] + p[1:] if den != 1 or not only_third else p
+    def perturbed(rows):
+        p = exact(rows)
+        return (p[0] + 1, *p[1:]) if rows[1][0] != 1 or not only_third else p
 
-    monkeypatch.setattr(theorems, "_two_by_two_char", perturbed)
+    monkeypatch.setattr(polys, "char_poly", perturbed)
     for n, d2 in ((6, 2), (8, 4), (20, 7)):
         assert not proof_check_thm12(n, d2)
     failed = {"lambda_2 closed form, third quotient"}
@@ -750,7 +757,7 @@ def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_id
 def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_identities, n):
     """A ``BlowUp.quotient`` off by one in its last diagonal entry fails the identities of
     every char poly with a closed form, the trace and the beta_2 root; while the blown-up
-    graphs fit 32 vertices, the six cell cross-checks against that quotient fail too."""
+    graphs fit 32 vertices, the identity of each of the six graphs with that quotient fails too."""
     exact = BlowUp.quotient
 
     def perturbed(self, sizes=None):
@@ -773,9 +780,9 @@ def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_id
                   "complement char poly f_1*f_2", "char poly x*f (n-4,0,2)", "char poly x*g (n-3,0,1)",
                   "complement char poly (n-3,0,1)"}
     assert set(theorems._thm15_identities()[0]) == identities
-    cells = {label for label in failed if label.startswith("equitable cells ")}
-    assert cells == ({f"equitable cells {label}" for label in theorems._thm15_blow_ups(n)} if n <= MAX_VERTICES
-                     else set())
+    graphs = {label for label in failed if label.startswith("Q(G)T = T Lambda ")}
+    assert graphs == ({f"Q(G)T = T Lambda {label}" for label in theorems._thm15_blow_ups(n)} if n <= MAX_VERTICES
+                      else set())
 
 
 def test_thm15_quotients_over_z_n_are_the_integer_quotients():
@@ -824,9 +831,9 @@ def test_proof_check_thm15_root_tests_bite(monkeypatch):
 
 
 @pytest.mark.parametrize("check, args, count, digest", [
-    (proof_check_thm15, (8,), 44, "2f3504f371b4720f2452c4eae54e87f2ce72d66f684e4e7691b28fecd6a33a05"),
-    (proof_check_thm15, (10,), 44, "2f3504f371b4720f2452c4eae54e87f2ce72d66f684e4e7691b28fecd6a33a05"),
-    (proof_check_thm15, (32,), 44, "2f3504f371b4720f2452c4eae54e87f2ce72d66f684e4e7691b28fecd6a33a05"),
+    (proof_check_thm15, (8,), 36, "75d6b4aad1bcd78351fd082ea17d3ef3d38659a5bae003ad3178ea3164796625"),
+    (proof_check_thm15, (10,), 36, "75d6b4aad1bcd78351fd082ea17d3ef3d38659a5bae003ad3178ea3164796625"),
+    (proof_check_thm15, (32,), 36, "75d6b4aad1bcd78351fd082ea17d3ef3d38659a5bae003ad3178ea3164796625"),
     (proof_check_thm15, (33,), 30, "2c6873632565c656c432fa0817f37196c1a614524e33a1dbd410a6821680d699"),
     (proof_check_thm15, (50,), 30, "2c6873632565c656c432fa0817f37196c1a614524e33a1dbd410a6821680d699"),
     (proof_check_thm12, (6, 2), 15, "af8f2eaf4323ad3893b00e7ce27328946c0ee065cb904508d62aff1b737416a5"),
@@ -836,7 +843,7 @@ def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identit
                                                 check, args, count, digest):
     """Every check a proof makes runs, in order, with its outcome: the (label, outcome)
     sequence has a pinned length and sha256.  n = 33 is the first order past the
-    32-vertex cross-check of the blown-up graphs.  Each sequence is the theorem's
+    32-vertex identities of the blown-up graphs.  Each sequence is the theorem's
     identities, over Z[n, d2, s] or Z[n], proved in the first call, then the call's checks."""
     recorded = []
     expect = theorems._Checks.expect
@@ -869,17 +876,48 @@ def test_proof_check_thm15_spot_values():
         proof_check_thm15(7)
 
 
-def test_proof_check_thm15_needs_duplicate_blocks(monkeypatch):
-    """The duplicate-block checks run: with no duplicate classes the proof fails."""
-    monkeypatch.setattr(theorems, "twin_classes", lambda rows: ([], []))
-    assert not proof_check_thm15(10)
+def _failed_thm15_labels(monkeypatch, n: int) -> list[str]:
+    """The labels ``proof_check_thm15(n)`` fails, in order, and that it fails."""
+    failed = []
+    expect = theorems._Checks.expect
+
+    def record(self, condition, label):
+        if not condition:
+            failed.append(label)
+        expect(self, condition, label)
+
+    monkeypatch.setattr(theorems._Checks, "expect", record)
+    assert not proof_check_thm15(n)
+    return failed
 
 
 @pytest.mark.parametrize("n", [8, 10, 32])
-def test_proof_check_thm15_needs_the_duplicate_kinds(monkeypatch, n):
-    """An independent block read as a clique, and the reverse, fails the proof."""
-    monkeypatch.setattr(theorems, "twin_classes", lambda rows: twin_classes(rows)[::-1])
-    assert not proof_check_thm15(n)
+def test_proof_check_thm15_needs_the_twin_kinds(monkeypatch, fresh_thm15_identities, n):
+    """Each cell read as a twin class of the other kind, a coclique's eigenvalue taken as a
+    clique's and the reverse, fails the identity of all six blown-up graphs, and nothing else."""
+    blow_ups = theorems._thm15_blow_ups
+
+    def flipped(n):
+        return {label: SimpleNamespace(sizes=b.sizes, cells=b.cells, graph=b.graph, quotient=b.quotient,
+                                       cliques=tuple(not c for c in b.cliques))
+                for label, b in blow_ups(n).items()}
+
+    monkeypatch.setattr(theorems, "_thm15_blow_ups", flipped)
+    assert _failed_thm15_labels(monkeypatch, n) == [f"Q(G)T = T Lambda {label}" for label in blow_ups(n)]
+
+
+@pytest.mark.parametrize("n", [8, 10, 32])
+def test_proof_check_thm15_needs_every_edge(monkeypatch, fresh_thm15_identities, n):
+    """One edge toggled in each blown-up graph, inside the first cell, fails the identity of
+    all six, and nothing else."""
+    graph = BlowUp.graph
+
+    def toggled(self):
+        g = graph(self)
+        return g.without_edge(0, 1) if g.has_edge(0, 1) else g.with_edge(0, 1)
+
+    monkeypatch.setattr(BlowUp, "graph", toggled)
+    assert _failed_thm15_labels(monkeypatch, n) == [f"Q(G)T = T Lambda {label}" for label in theorems._thm15_blow_ups(n)]
 
 
 def test_regular_extremal_prism():
