@@ -20,14 +20,12 @@ canonical labelings and checks the map edge by edge; for graphs of equal
 order and size that check alone decides isomorphism.
 
 Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998).  Every (n-1)-vertex representative is
-extended by one vertex joined to a neighbor subset, the least subset of each
-orbit of the parent's automorphism group (the automorphisms known from
-labeling the parent generate it).  The orbits are found in numpy for a group
-of consecutive parents at once (``_orbit_minima``): each subset's label falls
-to its images' labels under the generators until it names the least subset
-of its orbit, and the group's children come out as one int64 array.  A
-child is kept only if its new vertex lies in the automorphism orbit of an
+generation", J. Algorithms 26, 1998).  An order is passed on as the rows of
+its representatives alone.  Every (n-1)-vertex representative is extended
+by one vertex joined to a neighbor subset that holds, with each vertex,
+every earlier twin of it (one subset per orbit of the twin transpositions),
+for a group of consecutive parents at once in one int64 array.  A child is
+kept only if its new vertex lies in the automorphism orbit of an
 invariantly chosen deletion vertex: the first vertex, in canonical order, of
 the last cell of the root coloring.  Three tests of rising cost decide
 this.  The new vertex must have maximum degree, read off the parent's
@@ -38,14 +36,12 @@ block's remaining children are labeled together (``_block_forms``): their
 search trees grow breadth-first, one batched refinement per level, each node
 branching on one vertex per twin class of its cell, and a leaf of least
 column code is the canonical form.  The new vertex passes if it is a twin of
-the deletion vertex of some least-code leaf, and the twin transpositions and
-the maps between least-code leaves generate the child's automorphism group.
-Generation always starts from K1, so no graph is searched one at a time
-(``_search``).  Every kept child is the only one of its class, so no child
-is deduplicated afterwards.  Each order is sorted by the children's column
-codes, packed into one integer each, which is graph6 order, and the last
-order's automorphisms are never collected.  Counts are cross-checked against
-reference values in the test suite.
+the deletion vertex of some least-code leaf.  No graph is searched one at a
+time (``_search``).  The kept children of one parent whose subsets differ
+by an automorphism that is no product of twin transpositions are
+isomorphic; one sort of the order's column codes, packed into one integer
+each, which is graph6 order, merges them.  Counts are cross-checked against
+Pólya's count by edge number in the test suite.
 
 ``scan`` reads its source lazily and cuts it into chunks of ``CHUNK_SIZE``
 items, graphs or the graph6 lines of an external stream.  A chunk is where
@@ -74,7 +70,6 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice, starmap
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -313,9 +308,8 @@ _ALL_GRAPHS: dict[int, list[Graph]] = {}
 #: raised peak RSS by about 2 MB (40.9 against 38.7 MB) for a cold
 #: enumerate_graphs(8) no faster beyond the noise (medians of 5 between 0.23
 #: and 0.31 s with 512, 0.22 and 0.34 s with 256, on a 2-core x86-64 host).
-#: ``_children`` finds subset orbits for at most ``_BLOCK * 64``
-#: (parent, subset) pairs at once, so order 9's 3.2 million never make one
-#: array.
+#: ``_children`` takes at most ``_BLOCK * 64`` (parent, subset) pairs at
+#: once, so order 9's 3.2 million never make one array.
 _BLOCK = 256
 
 
@@ -361,8 +355,7 @@ def _twins(rows: np.ndarray) -> np.ndarray:
     return (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
 
 
-def _block_forms(adj: np.ndarray, colors: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _block_forms(adj: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical forms, as ``_search`` finds them, of a block of graphs of one order
     n <= 11, from their adjacency bits ``adj`` (B, n, n) and root colorings
     ``colors`` (B, n), as ``_refined`` numbers them: each vertex's color is
@@ -388,20 +381,15 @@ def _block_forms(adj: np.ndarray, colors: np.ndarray
     - with p the first position of the last root cell, vertex n - 1 is in
       the orbit of the best leaf's vertex at p, the deletion vertex of
       canonical augmentation, iff it is a twin of L[p] for some least-code
-      leaf L;
-    - the twin transpositions and the maps best → L, in canonical labels,
-      generate Aut.
+      leaf L.
 
-    Returns the canonical rows (B, n), the codes (B,), whether vertex n - 1
-    passes that orbit test (B,), the graph of each generator (G,), and the
-    generators (G, n).
+    Returns the canonical rows (B, n), the codes (B,), and whether vertex
+    n - 1 passes that orbit test (B,).
     """
     size, n, _ = adj.shape
     block = np.arange(size)
-    rows = adj @ (1 << np.arange(n))
-    twins = _twins(rows)
-    upper = np.arange(n)[:, None] < np.arange(n)  # upper[u, v]: u < v
-    earlier = twins & upper
+    twins = _twins(adj @ (1 << np.arange(n)))
+    earlier = twins & (np.arange(n)[:, None] < np.arange(n))
     last = colors.max(-1)  # the first position of the last root cell
     owner = block
     leaf_owners, leaf_colors = [], []
@@ -429,113 +417,67 @@ def _block_forms(adj: np.ndarray, colors: np.ndarray
     best_position = position[best]
     canonical = np.empty_like(best_position)
     canonical[block[:, None], best_position] = (adj @ (1 << best_position)[:, :, None])[:, :, 0]
-    least = np.flatnonzero(codes == codes[best][owner])
+    least = codes == codes[best][owner]
     owner, position = owner[least], position[least]
     hit = ((position == last[owner][:, None]) & twins[owner, :, n - 1]).any(-1)
     accepted = np.zeros(size, dtype=bool)
     accepted[owner[hit]] = True
-    # The maps best -> L, i -> best_position[L[i]], and the canonical twin transpositions.
-    maps = np.empty_like(position)
-    maps[np.arange(least.size)[:, None], position] = best_position[owner]
-    canonical_twins = _twins(canonical) & upper
-    # Each vertex is swapped with its first earlier twin, if it has one.
-    pair_owner, u, v = np.nonzero(canonical_twins & (canonical_twins.cumsum(1) == 1))
-    swaps = np.broadcast_to(np.arange(n), (u.size, n)).copy()
-    swaps[np.arange(u.size), u], swaps[np.arange(u.size), v] = v, u
-    moved = least != best[owner]
-    return (canonical, codes[best], accepted,
-            np.concatenate((pair_owner, owner[moved])), np.concatenate((swaps, maps[moved])))
+    return canonical, codes[best], accepted
 
 
-def _orbit_minima(m: int, gens: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
-    """Whether each vertex subset of [m] is the least of its orbit under
-    <gens[p]>, for each parent p of a group: shape (P, 2^m), subsets as
-    bitmasks.
+def _children(parents: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The rows of the children of ``parents``, the rows (P, n - 1) of graphs
+    of order n - 1, whose new vertex, ``n - 1``, may be a deletion vertex:
+    the neighbor subsets that give the new vertex maximum degree and hold,
+    with each vertex, every earlier twin of it in the parent.
 
-    Subsets in one orbit of an automorphism group of the parent give
-    isomorphic children, so one child per orbit suffices.  Subset s of
-    parent p has index p·2^m + s and a label, at first its index.  A pass
-    takes the k-th generator of every parent at once, for k = 0, 1, ...,
-    lowering each subset's label to its image's, then replaces every label
-    by the label of the subset it names; passes repeat until one changes
-    nothing.  A label only falls and always names a member of its subset's
-    orbit.  When a pass changes nothing, no label exceeds its image's under
-    any generator, so the labels are constant along each generator cycle,
-    hence on each orbit; the least member's label never rose above that
-    member, so the constant is the least member.
-    """
-    size = 1 << m
-    subsets = np.arange(size)
-    counts = [len(parent) for parent in gens]
-    owner = np.repeat(np.arange(len(gens)), counts)
-    slot = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.array([gamma for parent in gens for gamma in parent], dtype=np.int64).reshape(-1, m)
-    images = np.zeros((owner.size, size), dtype=np.int64)
-    for v in range(m):
-        images |= (subsets >> v & 1) << flat[:, v, None]
-    images += owner[:, None] * size
-    slots = [(owner[slot == k], images[slot == k]) for k in range(max(counts, default=0))]
-    labels = np.arange(len(gens) * size)
-    while True:
-        new = labels.copy()
-        by_parent = new.reshape(-1, size)
-        for owners, targets in slots:  # no parent twice in one slot
-            by_parent[owners] = np.minimum(by_parent[owners], new[targets])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return (labels == np.arange(labels.size)).reshape(-1, size)
-        labels = new
-
-
-def _children(level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int) -> Iterator[np.ndarray]:
-    """The rows of the children of ``level`` whose new vertex, ``n - 1``, may
-    be a deletion vertex: one neighbor subset per orbit of each parent's
-    automorphism group, the least (``_orbit_minima``), among those that give
-    the new vertex maximum degree.
-
-    Yields one int64 array (C, n) per group of consecutive parents, of at
-    most ``_BLOCK * 64`` (parent, subset) pairs, children parent by parent
-    and subsets increasing: the new vertex's row is its subset, and each
-    parent row gains bit n - 1 where the subset holds its vertex.
+    Twins have one degree, so the degree filter keeps whole orbits of the
+    group the twin transpositions generate, and the twin rule keeps one
+    subset of each such orbit: the one that meets each twin class in a
+    prefix.  Yields one int64 array (C, n) per group of consecutive parents,
+    of at most ``_BLOCK * 64`` (parent, subset) pairs, children parent by
+    parent and subsets increasing: the new vertex's row is its subset, and
+    each parent row gains bit n - 1 where the subset holds its vertex.
     """
     top = n - 1
     subsets = np.arange(1 << top)
     vertex = np.arange(top)
     members = subsets[:, None] >> vertex & 1
     size = members.sum(-1)
-    parents = iter(level)
-    while group := list(islice(parents, max(1, _BLOCK * 64 >> top))):
-        base = np.array([g.rows for g, _ in group], dtype=np.int64)
+    step = max(1, _BLOCK * 64 >> top)
+    for start in range(0, len(parents), step):
+        base = parents[start:start + step]
         degree = (base[:, :, None] >> vertex & 1).sum(-1)
         dmax = degree.max(-1, keepdims=True)
         at_max = ((degree == dmax) << vertex).sum(-1, keepdims=True)
         # The new vertex, of degree |s|, must have maximum degree, so no
-        # vertex of the parent's maximum degree may gain an edge if |s|
-        # equals it.  Automorphisms keep degrees, so these subsets are a
-        # union of orbits, and an orbit's least subset is among them if any is.
+        # vertex of the parent's maximum degree may gain an edge if |s| equals it.
         keep = (size > dmax) | ((size == dmax) & (subsets & at_max == 0))
-        parent, subset = np.nonzero(keep & _orbit_minima(top, [gens for _, gens in group]))
+        # earlier[p, v]: the bit mask of the twins u < v of v in parent p, all
+        # of which a subset holding v must hold.
+        earlier = (_twins(base) & (vertex[:, None] < vertex)).transpose(0, 2, 1) @ (1 << vertex)
+        keep &= ~(members.astype(bool) & (earlier[:, None, :] & ~subsets[:, None] != 0)).any(-1)
+        parent, subset = np.nonzero(keep)
         yield np.concatenate((base[parent] | members[subset] << top, subset[:, None]), axis=1)
 
 
-def _augment(
-    level: Iterable[tuple[Graph, Sequence[Sequence[int]]]], n: int, keep_gens: bool = True
-) -> Iterator[tuple[Graph, list[tuple[int, ...]], int]]:
+def _augment(parents: np.ndarray, n: int) -> np.ndarray:
     """Canonical augmentation from order ``n - 1`` to order ``n``.
 
-    ``level`` pairs one graph per isomorphism class of order ``n - 1`` with
-    generators of its automorphism group.  Yields one canonical graph per
-    class of order ``n``, with generators of its automorphism group (none
-    unless ``keep_gens``) and its packed column code, whose order is graph6
+    ``parents`` holds the rows (P, n - 1) of one graph per isomorphism class
+    of order ``n - 1``.  Returns the canonical rows (C, n) of one graph per
+    class of order ``n``, sorted by packed column code, which is graph6
     order.  The children (``_children``) are cut into blocks of ``_BLOCK``,
     across parent groups, and each block is root-colored and labeled
-    (``_refined``, ``_block_forms``).
+    (``_refined``, ``_block_forms``).  The accepted children of one parent
+    whose subsets lie in one orbit of its automorphism group, but not of its
+    twin transpositions, are isomorphic: they share a code and are merged.
     """
     top = n - 1
 
     def blocks() -> Iterator[np.ndarray]:
         rest = np.empty((0, n), dtype=np.int64)
-        for group in _children(level, n):
+        for group in _children(parents, n):
             rows = np.concatenate((rest, group))
             end = len(rows) - len(rows) % _BLOCK
             for start in range(0, end, _BLOCK):
@@ -544,20 +486,18 @@ def _augment(
         if len(rest):
             yield rest
 
+    rows, codes = [], []
     for block in blocks():
         adj = block[:, :, None] >> np.arange(n) & 1
         roots = _refined(adj, np.zeros(adj.shape[:2], dtype=np.int64))
         # The deletion vertices are the last cell of the root coloring, so a
         # child whose new vertex is elsewhere is dropped before it is labeled.
         kept = roots[:, top] == roots.max(axis=1)
-        rows, codes, accepted, owners, gens = _block_forms(adj[kept], roots[kept])
-        found: list[list[tuple[int, ...]]] = [[] for _ in codes]
-        if keep_gens:
-            for k, gamma in zip(owners.tolist(), gens.tolist()):
-                found[k].append(tuple(gamma))
-        for canonical_rows, code, accept, child_gens in zip(rows.tolist(), codes.tolist(), accepted.tolist(), found):
-            if accept:
-                yield _graph_unchecked(n, tuple(canonical_rows)), child_gens, code
+        canonical, code, accepted = _block_forms(adj[kept], roots[kept])
+        rows.append(canonical[accepted])
+        codes.append(code[accepted])
+    _, first = np.unique(np.concatenate(codes), return_index=True)
+    return np.concatenate(rows)[first]
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -573,16 +513,12 @@ def enumerate_graphs(n: int) -> list[Graph]:
         )
     _ALL_GRAPHS.setdefault(1, [Graph(1, (0,))])
     if n not in _ALL_GRAPHS:
-        # Generate from K1, whose automorphism group has no generators: the
-        # cached orders keep none, and generating them again costs less than
-        # searching them.  Each order takes its graphs' generators from the
-        # block labeling that accepted it, and order n keeps none.  Each order
-        # is sorted by the column codes of its canonical forms, graph6 order.
-        level = [(_ALL_GRAPHS[1][0], [])]
-        for m in range(2, n + 1):
-            children = sorted(_augment(level, m, keep_gens=m < n), key=itemgetter(2))
-            _ALL_GRAPHS.setdefault(m, [g for g, _, _ in children])
-            level = [(g, gens) for g, gens, _ in children]
+        # Extend the highest cached order below n: its rows are all a parent needs.
+        start = max(m for m in _ALL_GRAPHS if m < n)
+        rows = np.array([g.rows for g in _ALL_GRAPHS[start]], dtype=np.int64)
+        for m in range(start + 1, n + 1):
+            rows = _augment(rows, m)
+            _ALL_GRAPHS[m] = [_graph_unchecked(m, tuple(r)) for r in rows.tolist()]
     return list(_ALL_GRAPHS[n])
 
 

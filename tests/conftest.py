@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -28,6 +31,82 @@ def enum8():
     start = time.perf_counter()
     graphs = enumerate_graphs(8)
     return graphs, time.perf_counter() - start
+
+
+def _partitions(n, largest=None):
+    """The partitions of n into parts of at most ``largest``, parts in decreasing order."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k, *rest]
+
+
+@lru_cache(maxsize=None)
+def _graphs_by_edges(n):
+    """The number of graphs of order n with m edges, for m = 0..n(n-1)/2, by Pólya's
+    theorem (Harary & Palmer, *Graphical Enumeration*, 1973, ch. 4).
+
+    A permutation of cycle type λ acts on the vertex pairs in cycles: a cycle of
+    length a gives (a - 1)/2 pair cycles of length a if a is odd, and (a - 2)/2 of
+    length a plus one of length a/2 if a is even; two cycles of lengths a and b give
+    gcd(a, b) of length lcm(a, b).  A graph fixed by it takes a pair cycle whole, so
+    the cycle type contributes Π (1 + y^len) over its pair cycles, weighted by the
+    n!/z_λ permutations of that type; the sum over the partitions of n, divided by
+    n!, counts the orbits by edge number.  Pure ``int`` arithmetic throughout.
+    """
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for parts in _partitions(n):
+        weight = factorial(n)
+        for k, a in Counter(parts).items():
+            weight //= k ** a * factorial(a)
+        lengths = []
+        for i, a in enumerate(parts):
+            lengths += [a] * ((a - 1) // 2) + [a // 2] * (1 - a % 2)
+            lengths += [lcm(a, b) for b in parts[i + 1:] for _ in range(gcd(a, b))]
+        poly = [1]
+        for length in lengths:
+            poly = [x + (poly[i - length] if i >= length else 0) for i, x in enumerate(poly + [0] * length)]
+        for m, x in enumerate(poly):
+            total[m] += weight * x
+    return tuple(x // factorial(n) for x in total)
+
+
+@lru_cache(maxsize=None)
+def _connected_by_edges(n):
+    """The number of connected graphs of order n with m edges, by the inverse Euler
+    transform in two variables.
+
+    With g_k and c_k the edge polynomials of all and of connected graphs of order k,
+    Π (1 - x^k y^m)^(-c(k, m)) = Σ g_k x^k; its logarithmic derivative in x gives
+    k·g_k = Σ_{j=1..k} b_j·g_{k-j} with b_j = Σ_{d | j} d·c_d(y^(j/d)), so each b_k,
+    and then c_k, follows from the smaller orders.  The divisions are exact.
+    """
+    g = [(1,), *map(_graphs_by_edges, range(1, n + 1))]
+    b, c = {}, {}
+    for k in range(1, n + 1):
+        bk = [k * x for x in g[k]]
+        for j in range(1, k):
+            for i, x in enumerate(b[j]):
+                for e, y in enumerate(g[k - j]):
+                    bk[i + e] -= x * y
+        b[k] = bk[:]
+        for d in range(1, k):
+            if k % d == 0:
+                for i, x in enumerate(c[d]):
+                    bk[i * (k // d)] -= d * x
+        assert all(x % k == 0 for x in bk)
+        c[k] = [x // k for x in bk]
+    return tuple(c[n])
+
+
+@pytest.fixture(scope="session")
+def edge_counts():
+    """The Pólya counts of graphs of order n by edge number m: ``edge_counts(n)`` for
+    all graphs, ``edge_counts(n, connected=True)`` for connected ones, each a tuple
+    indexed by m."""
+    return lambda n, connected=False: (_connected_by_edges if connected else _graphs_by_edges)(n)
 
 
 def _rational_quotient(g, blocks):

@@ -1,17 +1,20 @@
 """Every name a module imports is used in that module, every public
-top-level function or class of ``qng`` is used by ``qng`` itself, and
-``qng`` has one float tolerance.
+top-level function or class of ``qng``, and every public method of a public
+top-level class, is used by ``qng`` itself, and ``qng`` has one float
+tolerance.
 
 No linter is part of the toolchain, so the checks walk the AST themselves: an
 imported name counts as used when it appears as a name anywhere in the
-module or in its ``__all__``; a definition counts as used when its name
-appears as a name or an attribute in ``src/qng`` outside the definition.
+module or in its ``__all__``; a top-level definition counts as used when its
+name appears as a name or an attribute in ``src/qng`` outside the
+definition, and a method when its name appears as an attribute there.
 ``qng/__init__.py`` only re-exports and is skipped.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,10 @@ UNCALLED_ON_PURPOSE = {
     "partitions.equitable_quotient": "the Q-quotient of any equitable partition, exported for users and the "
                                      "tests' reference for ``graph.BlowUp`` quotients",
     "theorems.check_lemma27": "Lemma 2.7 of the paper, checked per (graph, non-edge) pair by the tests",
+    "graph.Graph.edges": "the public graph API: a graph's edge list, as the tests hand it to networkx",
+    "graph.Graph.without_edge": "the public graph API, the inverse of ``Graph.with_edge``",
+    "polys.RootCounter.count_distinct_halfopen": "the tests' independent recount of the roots in an "
+                                                 "isolating window",
 }
 
 
@@ -58,22 +65,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """How often each attribute name is read in ``node``."""
+    return Counter(ref.attr for ref in ast.walk(node) if isinstance(ref, ast.Attribute))
+
+
 def uncalled_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each public top-level def or class in ``sources`` (module name to
-    source) whose name no code of ``sources`` reads as a name or attribute outside that definition."""
+    """In sorted order: ``module.name`` of each public top-level def or class in ``sources``
+    (module name to source) whose name no code of ``sources`` reads as a name or attribute
+    outside that definition, and ``module.Class.name`` of each public method of a public
+    top-level class whose name no code of ``sources`` reads as an attribute outside that method."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     tops = [top for tree in trees.values() for top in tree.body]
     reads = {id(top): {ref.id if isinstance(ref, ast.Name) else ref.attr
                        for ref in ast.walk(top) if isinstance(ref, (ast.Name, ast.Attribute))} for top in tops}
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name[0] != "_"
-            and not any(node.name in reads[id(top)] for top in tops if top is not node)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+             if isinstance(node, (*functions, ast.ClassDef)) and node.name[0] != "_"
+             and not any(node.name in reads[id(top)] for top in tops if top is not node)]
+    attributes = sum(map(_attributes, tops), Counter())
+    found += [f"{module}.{cls.name}.{node.name}" for module, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name[0] != "_" for node in cls.body
+              if isinstance(node, functions) and node.name[0] != "_"
+              and attributes[node.name] == _attributes(node)[node.name]]
+    return sorted(found)
 
 
 def test_uncalled_definitions_are_found():
-    sources = {"a": "def f():\n    return f()\n\nclass C:\n    pass\n\ndef _g():\n    pass\n",
-               "b": "import a\n\ndef h():\n    return a.C\n"}
-    assert uncalled_definitions(sources) == ["a.f", "b.h"]
+    sources = {"a": "def f():\n    return f()\n\nclass C:\n    def m(self):\n        return self.m()\n\n"
+                    "    def k(self):\n        pass\n\nclass _D:\n    def j(self):\n        pass\n\n"
+                    "def _g():\n    pass\n",
+               "b": "import a\n\ndef h():\n    m = a.C().k\n    return a.C, m\n"}
+    assert uncalled_definitions(sources) == ["a.C.m", "a.f", "b.h"]
 
 
 def test_every_public_definition_is_called_by_qng():
