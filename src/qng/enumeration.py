@@ -1,47 +1,49 @@
 """Isomorph-free generation of small graphs, canonical forms and scan drivers.
 
 The canonical form of a graph (``canonical_form``) is the smallest graph6
-string obtainable by relabeling, where the minimum is searched over labelings
-compatible with iterated color refinement (individualization-refinement).
-A refinement round ranks each vertex by its old color and then by its full
-vector of neighbor counts per color, so cells keep their order; the root
-coloring refines the one-cell coloring, whose first round ranks degrees.  The
-search prunes on bit-string prefixes and, at every depth, on orbits of known
-automorphisms: a known automorphism that preserves a node's coloring maps one
-child subtree onto another, so one child per orbit is searched.  The
-transpositions of twins (``graph.twin_classes``: vertices with equal open or
-equal closed neighborhoods) are known before the search starts; the others
-are found at leaves with equal codes, and after each the search resumes at
-the deepest node shared with the best leaf.  Canonical forms, isomorphism
-witnesses and scan keys cover every graph ``graph.Graph`` can hold (up to
-``graph.MAX_VERTICES`` vertices); vertex-transitive graphs such as K32, E32
-or K16,16 take a few milliseconds.  ``isomorphism_witness`` composes two
-canonical labelings and checks the map edge by edge; for graphs of equal
-order and size that check alone decides isomorphism.
+string obtainable by relabeling, where the minimum is searched over
+labelings compatible with iterated color refinement
+(individualization-refinement).  A refinement round ranks each vertex by its
+old color and then by its full vector of neighbor counts per color, so cells
+keep their order; the root coloring refines the one-cell coloring, whose
+first round ranks degrees.  The search prunes on bit-string prefixes and, at
+every depth, on orbits of known automorphisms: a known automorphism that
+preserves a node's coloring maps one child subtree onto another, so one
+child per orbit is searched.  The transpositions of twins (``_twins``, the
+one twin kernel: vertices with equal open or equal closed neighborhoods) are
+known before the search starts; the others are found at leaves with equal
+codes, and after each the search resumes at the deepest node shared with the
+best leaf.  Canonical forms, isomorphism witnesses and scan keys cover every
+graph ``graph.Graph`` can hold (up to ``graph.MAX_VERTICES`` vertices);
+vertex-transitive graphs such as K32, E32 or K16,16 take a few milliseconds.
+``isomorphism_witness`` composes two canonical labelings and checks the map
+edge by edge; for graphs of equal order and size that check alone decides
+isomorphism.
 
 Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  An order is passed on as the rows of
-its representatives alone.  Every (n-1)-vertex representative is extended
-by one vertex joined to a neighbor subset that holds, with each vertex,
-every earlier twin of it (one subset per orbit of the twin transpositions),
-for a group of consecutive parents at once in one int64 array.  A child is
-kept only if its new vertex lies in the automorphism orbit of an
-invariantly chosen deletion vertex: the first vertex, in canonical order, of
-the last cell of the root coloring.  Three tests of rising cost decide
-this.  The new vertex must have maximum degree, read off the parent's
-degrees.  It must lie in that last cell: the children of consecutive
-parents are root-colored ``_BLOCK`` at a time, in one numpy pass
-whose rounds rank full count vectors packed into int64 keys.  Then the
-block's remaining children are labeled together (``_block_forms``): their
-search trees grow breadth-first, one batched refinement per level, each node
-branching on one vertex per twin class of its cell, and a leaf of least
-column code is the canonical form.  The new vertex passes if it is a twin of
-the deletion vertex of some least-code leaf.  No graph is searched one at a
-time (``_search``).  The kept children of one parent whose subsets differ
-by an automorphism that is no product of twin transpositions are
-isomorphic; one sort of the order's column codes, packed into one integer
-each, which is graph6 order, merges them.  Counts are cross-checked against
-Pólya's count by edge number in the test suite.
+its representatives alone.  Its parents are cut into slices of at most
+``_PAIRS`` (parent, subset) pairs, the unit of generation work, and a
+slice's parents are extended at once, in one int64 array, by one vertex
+joined to a neighbor subset that holds, with each vertex, every earlier twin
+of it (one subset per orbit of the twin transpositions).  A child is kept
+only if its new vertex lies in the automorphism orbit of an invariantly
+chosen deletion vertex: the first vertex, in canonical order, of the last
+cell of the root coloring.  Three tests of rising cost decide this.  The new
+vertex must have maximum degree, read off the parent's degrees.  It must lie
+in that last cell: the slice's children are root-colored in one numpy pass
+whose rounds rank full count vectors packed into int64 keys.  Then those
+left are labeled together (``_block_forms``): their search trees grow
+breadth-first, one batched refinement per level, each node branching on one
+vertex per twin class of its cell, and a leaf of least column code is the
+canonical form.  The new vertex passes if it is a twin of the deletion
+vertex of some least-code leaf.  No graph is searched one at a time
+(``_search``).  A class is accepted only from its one canonical parent, so
+slices share no class.  The kept children of one parent whose subsets differ
+by an automorphism that is no product of twin transpositions are isomorphic;
+one sort of the order's column codes, packed into one integer each, which is
+graph6 order, merges them.  Counts are cross-checked against Pólya's count
+by edge number in the test suite.
 
 ``scan`` reads its source lazily and cuts it into chunks of ``CHUNK_SIZE``
 items, graphs or the graph6 lines of an external stream.  A chunk is where
@@ -87,7 +89,6 @@ from .graph import (
     is_connected,
     is_regular,
     to_graph6,
-    twin_classes,
 )
 
 ENUMERATE_MAX = 8
@@ -135,20 +136,31 @@ def _close(points: set[int], seeds: Iterable[int], gens: Sequence[Sequence[int]]
                 stack.append(y)
 
 
-def _twin_transpositions(rows: Sequence[int]) -> list[tuple[int, ...]]:
-    """Transpositions of twins, which are automorphisms of the graph.
+def _twins(rows: np.ndarray) -> np.ndarray:
+    """Whether u and v are twins (u = v included) in each graph of a block, shape (B, n, n).
 
-    The transpositions of consecutive members of each twin class
-    (``graph.twin_classes``) generate its symmetric group.
+    ``rows`` holds the graphs' rows as int64 bit masks, shape (B, n).  u and
+    v are twins iff rows[u] without bit v equals rows[v] without bit u: one
+    test for open and for closed twins.
+    """
+    bit = 1 << np.arange(rows.shape[1])
+    return (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
+
+
+def _twin_transpositions(rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """Transpositions of twins, which are automorphisms of the graph: each
+    vertex with its greatest earlier twin (``_twins``).  Per twin class, these
+    transpositions of consecutive members generate its symmetric group.
     """
     n = len(rows)
+    vertex = np.arange(n)
+    earlier = _twins(np.array([rows], dtype=np.int64))[0] & (vertex < vertex[:, None])
     gens: list[tuple[int, ...]] = []
-    for classes in twin_classes(rows):
-        for members in classes:
-            for u, v in zip(members, members[1:]):
-                gamma = list(range(n))
-                gamma[u], gamma[v] = v, u
-                gens.append(tuple(gamma))
+    for v, u in enumerate(np.where(earlier, vertex, -1).max(-1).tolist()):
+        if u >= 0:
+            gamma = list(range(n))
+            gamma[u], gamma[v] = v, u
+            gens.append(tuple(gamma))
     return gens
 
 
@@ -303,14 +315,12 @@ def isomorphism_witness(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
 _ALL_GRAPHS: dict[int, list[Graph]] = {}
 
 
-#: Children root-colored and labeled together, in numpy passes: those of
-#: consecutive parents, a few hundred at a time.  At order 8 a block of 512
-#: raised peak RSS by about 2 MB (40.9 against 38.7 MB) for a cold
-#: enumerate_graphs(8) no faster beyond the noise (medians of 5 between 0.23
-#: and 0.31 s with 512, 0.22 and 0.34 s with 256, on a 2-core x86-64 host).
-#: ``_children`` takes at most ``_BLOCK * 64`` (parent, subset) pairs at
-#: once, so order 9's 3.2 million never make one array.
-_BLOCK = 256
+#: (parent, subset) pairs per parent slice, the unit of generation work, built,
+#: root-colored and labeled in numpy passes; order 9's 3.2 million never make
+#: one array.  Each tree level of a slice is one batched refinement: census-n8
+#: (2-core x86-64 host) ran 7% slower at 1024 than with 256-child blocks and 3%
+#: faster at 2048, at 0.4 MB (1%) more peak RSS.
+_PAIRS = 2048
 
 
 def _refined(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
@@ -342,17 +352,6 @@ def _refined(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
         colors[live] = new
         live = live[(new != old).any(-1)]
     return colors
-
-
-def _twins(rows: np.ndarray) -> np.ndarray:
-    """Whether u and v are twins (u = v included) in each graph of a block, shape (B, n, n).
-
-    ``rows`` holds the graphs' rows as int64 bit masks, shape (B, n).  u and
-    v are twins iff rows[u] without bit v equals rows[v] without bit u: one
-    test for open and for closed twins.
-    """
-    bit = 1 << np.arange(rows.shape[1])
-    return (rows[:, :, None] & ~bit) == (rows[:, None, :] & ~bit[:, None])
 
 
 def _block_forms(adj: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,7 +424,7 @@ def _block_forms(adj: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.nd
     return canonical, codes[best], accepted
 
 
-def _children(parents: np.ndarray, n: int) -> Iterator[np.ndarray]:
+def _children(parents: np.ndarray, n: int) -> np.ndarray:
     """The rows of the children of ``parents``, the rows (P, n - 1) of graphs
     of order n - 1, whose new vertex, ``n - 1``, may be a deletion vertex:
     the neighbor subsets that give the new vertex maximum degree and hold,
@@ -434,31 +433,27 @@ def _children(parents: np.ndarray, n: int) -> Iterator[np.ndarray]:
     Twins have one degree, so the degree filter keeps whole orbits of the
     group the twin transpositions generate, and the twin rule keeps one
     subset of each such orbit: the one that meets each twin class in a
-    prefix.  Yields one int64 array (C, n) per group of consecutive parents,
-    of at most ``_BLOCK * 64`` (parent, subset) pairs, children parent by
-    parent and subsets increasing: the new vertex's row is its subset, and
-    each parent row gains bit n - 1 where the subset holds its vertex.
+    prefix.  Returns one int64 array (C, n), children parent by parent and
+    subsets increasing: the new vertex's row is its subset, and each parent
+    row gains bit n - 1 where the subset holds its vertex.
     """
     top = n - 1
     subsets = np.arange(1 << top)
     vertex = np.arange(top)
     members = subsets[:, None] >> vertex & 1
     size = members.sum(-1)
-    step = max(1, _BLOCK * 64 >> top)
-    for start in range(0, len(parents), step):
-        base = parents[start:start + step]
-        degree = (base[:, :, None] >> vertex & 1).sum(-1)
-        dmax = degree.max(-1, keepdims=True)
-        at_max = ((degree == dmax) << vertex).sum(-1, keepdims=True)
-        # The new vertex, of degree |s|, must have maximum degree, so no
-        # vertex of the parent's maximum degree may gain an edge if |s| equals it.
-        keep = (size > dmax) | ((size == dmax) & (subsets & at_max == 0))
-        # earlier[p, v]: the bit mask of the twins u < v of v in parent p, all
-        # of which a subset holding v must hold.
-        earlier = (_twins(base) & (vertex[:, None] < vertex)).transpose(0, 2, 1) @ (1 << vertex)
-        keep &= ~(members.astype(bool) & (earlier[:, None, :] & ~subsets[:, None] != 0)).any(-1)
-        parent, subset = np.nonzero(keep)
-        yield np.concatenate((base[parent] | members[subset] << top, subset[:, None]), axis=1)
+    degree = (parents[:, :, None] >> vertex & 1).sum(-1)
+    dmax = degree.max(-1, keepdims=True)
+    at_max = ((degree == dmax) << vertex).sum(-1, keepdims=True)
+    # The new vertex, of degree |s|, must have maximum degree, so no
+    # vertex of the parent's maximum degree may gain an edge if |s| equals it.
+    keep = (size > dmax) | ((size == dmax) & (subsets & at_max == 0))
+    # earlier[p, v]: the bit mask of the twins u < v of v in parent p, all
+    # of which a subset holding v must hold.
+    earlier = (_twins(parents) & (vertex[:, None] < vertex)).transpose(0, 2, 1) @ (1 << vertex)
+    keep &= ~(members.astype(bool) & (earlier[:, None, :] & ~subsets[:, None] != 0)).any(-1)
+    parent, subset = np.nonzero(keep)
+    return np.concatenate((parents[parent] | members[subset] << top, subset[:, None]), axis=1)
 
 
 def _augment(parents: np.ndarray, n: int) -> np.ndarray:
@@ -467,28 +462,18 @@ def _augment(parents: np.ndarray, n: int) -> np.ndarray:
     ``parents`` holds the rows (P, n - 1) of one graph per isomorphism class
     of order ``n - 1``.  Returns the canonical rows (C, n) of one graph per
     class of order ``n``, sorted by packed column code, which is graph6
-    order.  The children (``_children``) are cut into blocks of ``_BLOCK``,
-    across parent groups, and each block is root-colored and labeled
+    order.  Each slice of at most ``_PAIRS`` (parent, subset) pairs has its
+    children (``_children``) root-colored and labeled together
     (``_refined``, ``_block_forms``).  The accepted children of one parent
     whose subsets lie in one orbit of its automorphism group, but not of its
     twin transpositions, are isomorphic: they share a code and are merged.
     """
     top = n - 1
-
-    def blocks() -> Iterator[np.ndarray]:
-        rest = np.empty((0, n), dtype=np.int64)
-        for group in _children(parents, n):
-            rows = np.concatenate((rest, group))
-            end = len(rows) - len(rows) % _BLOCK
-            for start in range(0, end, _BLOCK):
-                yield rows[start:start + _BLOCK]
-            rest = rows[end:]
-        if len(rest):
-            yield rest
-
+    step = max(1, _PAIRS >> top)
     rows, codes = [], []
-    for block in blocks():
-        adj = block[:, :, None] >> np.arange(n) & 1
+    for start in range(0, len(parents), step):
+        children = _children(parents[start:start + step], n)
+        adj = children[:, :, None] >> np.arange(n) & 1
         roots = _refined(adj, np.zeros(adj.shape[:2], dtype=np.int64))
         # The deletion vertices are the last cell of the root coloring, so a
         # child whose new vertex is elsewhere is dropped before it is labeled.

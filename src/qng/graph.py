@@ -9,12 +9,12 @@ cells, the last for cells of any size, in ``int`` or in any commutative ring
 of sizes, such as polynomials in n), the usual operators (complement,
 union, join, Cartesian product), the graph6 text codec, whose decoder takes a
 batch of lines and unpacks their payloads with numpy, and one routine per
-vertex structure: ``twin_classes`` groups vertices by open and by closed
-neighborhood, ``component_colorings`` walks and 2-colors the components once
-for every bipartiteness predicate, and ``_connected`` is the one connectivity
-walk, a breadth-first closure of vertex 0 over adjacency rows (a graph's
-rows, or its complement's without building the graph).  Every structure
-test reads the rows alone.
+vertex structure: ``component_colorings`` walks and 2-colors the components
+once for every bipartiteness predicate, and ``_connected`` is the one
+connectivity walk, a breadth-first closure of vertex 0 over adjacency rows
+(a graph's rows, or its complement's without building the graph).  Every
+structure test reads the rows alone.  ``from_edges`` and the edge methods
+raise ``ValueError`` on a vertex outside 0..n-1.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ def _check_order(n: int) -> None:
     """Raise ``CapacityError`` unless a graph may have ``n`` vertices."""
     if not 1 <= n <= MAX_VERTICES:
         raise CapacityError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
+def _check_vertices(n: int, u: int, v: int) -> None:
+    """Raise ``ValueError`` unless ``u`` and ``v`` are vertices of a graph of order ``n``."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex {v if 0 <= u < n else u} outside 0..{n - 1}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -99,6 +105,7 @@ class Graph:
         return (_graph_unchecked, (self.n, self.rows))
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertices(self.n, u, v)
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
@@ -118,6 +125,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        _check_vertices(self.n, u, v)
         if u == v:
             raise ValueError("no self-loops")
         rows = list(self.rows)
@@ -126,6 +134,7 @@ class Graph:
         return Graph(self.n, rows)
 
     def without_edge(self, u: int, v: int) -> "Graph":
+        _check_vertices(self.n, u, v)
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -145,6 +154,7 @@ def _graph_unchecked(n: int, rows: tuple[int, ...]) -> Graph:
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     rows = [0] * n
     for u, v in edges:
+        _check_vertices(n, u, v)
         if u == v:
             raise ValueError("no self-loops")
         rows[u] |= 1 << v
@@ -367,24 +377,6 @@ def component_colorings(rows: Sequence[int]) -> list[Optional[tuple[int, int]]]:
 
 def is_bipartite(g: Graph) -> bool:
     return None not in component_colorings(g.rows)
-
-
-def twin_classes(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """The twin classes of the graph with adjacency ``rows``: the vertex sets of
-    two or more members sharing an open neighborhood (pairwise non-adjacent),
-    then those sharing a closed one (pairwise adjacent).
-
-    Each list is ordered by least member, and each class is in increasing order.
-    """
-    n = len(rows)
-    out = []
-    for keys in (rows, [row | 1 << v for v, row in enumerate(rows)]):
-        groups: dict[int, list[int]] = {}
-        if len(set(keys)) < n:
-            for v, key in enumerate(keys):
-                groups.setdefault(key, []).append(v)
-        out.append([members for members in groups.values() if len(members) > 1])
-    return out[0], out[1]
 
 
 def is_regular(g: Graph) -> bool:

@@ -13,6 +13,24 @@ from qng.enumeration import enumerate_graphs
 from qng.graph import complement
 
 
+def twin_classes(rows):
+    """The twin classes of the graph with adjacency ``rows``: the vertex sets of
+    two or more members sharing an open neighborhood (pairwise non-adjacent),
+    then those sharing a closed one (pairwise adjacent).
+
+    Each list is ordered by least member, and each class is in increasing
+    order.  The tests' reference for ``enumeration._twins``, the one twin
+    kernel of ``qng``; test modules import it from here.
+    """
+    out = []
+    for keys in (rows, [row | 1 << v for v, row in enumerate(rows)]):
+        groups = {}
+        for v, key in enumerate(keys):
+            groups.setdefault(key, []).append(v)
+        out.append([members for members in groups.values() if len(members) > 1])
+    return out[0], out[1]
+
+
 @pytest.fixture(scope="session")
 def graphs_by_order():
     """All isomorphism-class representatives for n = 1..7."""

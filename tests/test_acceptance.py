@@ -29,7 +29,6 @@ from qng.graph import (
     path,
     star,
     to_graph6,
-    twin_classes,
 )
 from qng.spectra import (
     compare_qk_with,
@@ -58,6 +57,7 @@ from qng.theorems import (
     proof_check_thm12,
     proof_check_thm15,
 )
+from conftest import twin_classes
 
 
 def canon(g) -> str:

@@ -45,6 +45,7 @@ from qng.graph import (
     to_graph6,
 )
 from qng.theorems import check_ng_generic, check_thm12
+from conftest import twin_classes
 
 
 def random_graph(rng, n, p=0.5):
@@ -171,7 +172,8 @@ def _adjacency(rows):
 
 
 def _roots(adj):
-    """The root colorings of a block, as ``_augment`` computes them: the one-cell coloring refined."""
+    """The root colorings of a batch, as ``_augment`` computes them for a slice's children: the
+    one-cell coloring refined."""
     return enumeration._refined(adj, np.zeros(adj.shape[:2], dtype=np.int64))
 
 
@@ -186,9 +188,16 @@ def _parents(graphs):
     return np.array([g.rows for g in graphs], dtype=np.int64)
 
 
+def _slices(parents, n):
+    """``parents`` cut as ``_augment`` cuts them for order ``n``: at most ``_PAIRS``
+    (parent, subset) pairs a slice."""
+    step = max(1, enumeration._PAIRS >> (n - 1))
+    return [parents[start:start + step] for start in range(0, len(parents), step)]
+
+
 def _child_rows(parents, n):
-    """The rows ``_children`` builds for ``parents``, every parent group, one tuple per child."""
-    return [tuple(rows) for group in enumeration._children(parents, n) for rows in group.tolist()]
+    """The rows ``_children`` builds for ``parents``, slice by slice, one tuple per child."""
+    return [tuple(rows) for part in _slices(parents, n) for rows in enumeration._children(part, n).tolist()]
 
 
 def _discrete(colors):
@@ -196,7 +205,7 @@ def _discrete(colors):
 
 
 def test_block_root_colorings_match_reference(graphs_by_order, monkeypatch, rng=random.Random(17)):
-    """The root colorings ``_augment`` computes a block at a time equal the
+    """The root colorings ``_augment`` computes a slice at a time equal the
     reference refinement of the one-cell coloring, renumbered to count the
     vertices in the cells before, and route each child as its root coloring
     says.
@@ -324,6 +333,30 @@ TWIN_HEAVY = [
     complete(6),
     empty_graph(6),
 ]
+
+
+def test_twin_transpositions_match_the_reference(graphs_by_order):
+    """``_twin_transpositions``, read off the twin kernel ``_twins``, is as a set the
+    transpositions of consecutive members of each class of the reference
+    ``twin_classes``: on every class of order 1..7, the regular graphs of 13 to 32
+    vertices and their complements, and K32, E32 and K16,16, whose rows use bit 31."""
+    def reference(rows):
+        n, out = len(rows), set()
+        for classes in twin_classes(rows):
+            for members in classes:
+                for u, v in zip(members, members[1:]):
+                    gamma = list(range(n))
+                    gamma[u], gamma[v] = v, u
+                    out.add(tuple(gamma))
+        return out
+
+    graphs = [g for n in range(1, 8) for g in graphs_by_order[n]]
+    graphs += [h for g in _regular_graphs().values() for h in (g, complement(g))]
+    graphs += [complete(32), empty_graph(32), complete_bipartite(16, 16)]
+    for g in graphs:
+        gens = enumeration._twin_transpositions(g.rows)
+        assert len(set(gens)) == len(gens) and set(gens) == reference(g.rows), to_graph6(g)
+    assert len(enumeration._twin_transpositions(complete_bipartite(16, 16).rows)) == 30
 
 
 def test_twin_transpositions_seed_the_search(monkeypatch, rng=random.Random(31)):
@@ -654,7 +687,7 @@ def _reference_children(parents, n):
         degree = [row.bit_count() for row in base]
         dmax = max(degree)
         at_max = sum(1 << v for v, d in enumerate(degree) if d == dmax)
-        pairs = [(u, v) for classes in graph.twin_classes(base) for members in classes
+        pairs = [(u, v) for classes in twin_classes(base) for members in classes
                  for u, v in zip(members, members[1:])]
         for subset in range(new):
             if subset.bit_count() < dmax or (subset.bit_count() == dmax and subset & at_max):
@@ -664,11 +697,12 @@ def _reference_children(parents, n):
 
 
 def test_children_match_reference(graphs_by_order, rng=random.Random(53)):
-    """``_children`` builds the reference's children, row for row and in order.
+    """``_children`` builds the reference's children, row for row and in order,
+    one int64 array (C, n) per parent slice.
 
     The parents are every class of orders 1..7, the twin-heavy graphs,
     relabeled so that no twin class is consecutive, and 300 copies each of
-    E8 and K8, which cross several groups of 64 order-8 parents.  E8 and K8
+    E8 and K8, which cross 75 slices of 8 order-8 parents.  E8 and K8
     have 9 twin orbits of subsets each, one per size; E8 keeps a child for
     each, K8 only the full subset, since any other would leave the new
     vertex below degree 7.
@@ -683,6 +717,10 @@ def test_children_match_reference(graphs_by_order, rng=random.Random(53)):
     children = _child_rows(np.array(parents), 9)
     assert children == list(_reference_children(parents, 9))
     assert len(children) == 300 * (9 + 1)
+    slices = _slices(np.array(parents), 9)
+    assert list(map(len, slices)) == [8] * 75
+    part = enumeration._children(slices[0], 9)
+    assert isinstance(part, np.ndarray) and part.dtype == np.int64 and part.shape == (4 * (9 + 1), 9)
 
 
 def test_generation_canonicalizes_one_subset_per_orbit(graphs_by_order):
@@ -691,6 +729,19 @@ def test_generation_canonicalizes_one_subset_per_orbit(graphs_by_order):
     rooted = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096, 7: 79264}  # OEIS A000666
     for m, want in rooted.items():
         assert sum(len(_orbit_representatives(m, _search(g)[1])) for g in graphs_by_order[m]) == want
+
+
+def test_parent_slices_are_independent(graphs_by_order, enum8):
+    """A parent slice needs nothing from another: each class is accepted only from
+    its one canonical parent.  The order-7 parents, cut at points that split
+    ``_augment``'s own slices, give parts whose classes are disjoint and
+    together the order-8 list."""
+    parents = _parents(graphs_by_order[7])
+    cuts = [0, 1, 5, 300, 301, 777, 1043, len(parents)]
+    parts = [_augment(parents[a:b], 8) for a, b in zip(cuts, cuts[1:])]
+    forms = [to_graph6(graph._graph_unchecked(8, tuple(rows))) for part in parts for rows in part.tolist()]
+    assert len(forms) == len(set(forms)) == len(enum8[0])
+    assert sorted(forms) == list(map(to_graph6, enum8[0]))
 
 
 def test_augmentation_accepts_each_class_once(monkeypatch, edge_counts):
@@ -714,7 +765,7 @@ def test_augmentation_accepts_each_class_once(monkeypatch, edge_counts):
     parents = _parents([empty_graph(1)])
     for n in range(2, 9):
         if n == 8:
-            assert sum(map(len, enumeration._children(parents, n))) == 22194
+            assert sum(len(enumeration._children(part, n)) for part in _slices(parents, n)) == 22194
         parents = _augment(parents, n)
         graphs = [graph._graph_unchecked(n, tuple(rows)) for rows in parents.tolist()]
         assert len(set(graphs)) == len(graphs) == sum(edge_counts(n))
@@ -722,7 +773,7 @@ def test_augmentation_accepts_each_class_once(monkeypatch, edge_counts):
         assert forms6 == sorted(forms6)
         assert all(canonicalize(g) == g for g in graphs)
     assert accepted == {2: 2, 3: 4, 4: 11, 5: 37, 6: 179, 7: 1290, 8: 14783}
-    assert sum(map(len, enumeration._children(parents, 9))) == 495240
+    assert sum(len(enumeration._children(part, 9)) for part in _slices(parents, 9)) == 495240
 
 
 def _cold_generation(monkeypatch):
@@ -766,10 +817,10 @@ def _cold_generation(monkeypatch):
 def test_generation_search_count(monkeypatch):
     """A cold enumerate_graphs(7) searches no graph.  The 1,525 children of
     orders 2..7 that pass the degree, twin and root-cell filters are labeled
-    in blocks: their twin-pruned trees have 5,203 nodes, the 1,525 roots
-    included, and 2,346 leaves, 244 of them discrete roots.  A lost twin
-    pruning fails here, not only in a timing.  These count work, not
-    output."""
+    a parent slice at a time: their twin-pruned trees have 5,203 nodes, the
+    1,525 roots included, and 2,346 leaves, 244 of them discrete roots.  A
+    lost twin pruning fails here, not only in a timing.  These count work,
+    not output."""
     work = _cold_generation(monkeypatch)
     assert work["searches"] == []
     roots = work["labeled"]
@@ -798,10 +849,10 @@ def test_generation_after_a_cached_order_searches_nothing(monkeypatch, enum8):
 def test_generation_refine_count(monkeypatch):
     """Refinement work in a cold enumerate_graphs(7).
 
-    The 2,088 children's root colorings are computed in blocks; 563 of them
-    put the new vertex outside the last cell and are dropped, and 244 are
-    discrete.  The trees of the other children grow in 53 batched
-    refinements of 3,678 nodes.  ``_refine``, the one-graph refinement of
+    The 2,088 children's root colorings are computed a parent slice at a
+    time; 563 of them put the new vertex outside the last cell and are
+    dropped, and 244 are discrete.  The trees of the other children grow in
+    41 batched refinements, levels of the slices' trees, of 3,678 nodes.  ``_refine``, the one-graph refinement of
     ``_search``, is never called: no graph is searched.  These count work,
     not output.
     """
@@ -811,7 +862,7 @@ def test_generation_refine_count(monkeypatch):
     assert len(roots) == 2088
     assert sum(root[-1] != max(root) for root in roots) == 563
     assert sum(_discrete(root) and root[-1] == len(root) - 1 for root in roots) == 244
-    assert (len(work["levels"]), sum(size for size, _ in work["levels"])) == (53, 3678)
+    assert (len(work["levels"]), sum(size for size, _ in work["levels"])) == (41, 3678)
 
 
 def test_enumeration_n8_golden_digest(enum8):

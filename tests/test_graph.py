@@ -8,6 +8,7 @@ import re
 from itertools import product
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from qng.graph import (
@@ -36,10 +37,11 @@ from qng.graph import (
     path,
     star,
     to_graph6,
-    twin_classes,
 )
+from qng import enumeration
 from qng.polys import MPoly
 from qng.enumeration import _relabeled as relabel, canonical_form
+from conftest import twin_classes
 
 
 def canon(g):
@@ -75,6 +77,20 @@ def test_builder_validation():
                            (lambda: complete_bipartite(20, 13), "K_{20,13} exceeds 32 vertices")]:
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
             build()
+
+
+def test_vertex_arguments_are_range_checked():
+    """A vertex outside 0..n-1 is an error: Python's negative index would
+    otherwise read vertex n - 1, and a large one fail as an IndexError or a
+    negative shift."""
+    g = path(4)
+    for call in [lambda: g.has_edge(-1, 2), lambda: g.has_edge(0, 4), lambda: g.with_edge(0, 9),
+                 lambda: g.with_edge(-1, 0), lambda: g.without_edge(2, -3), lambda: g.without_edge(7, 1),
+                 lambda: from_edges(4, [(0, 5)]), lambda: from_edges(4, [(0, 1), (-1, 2)])]:
+        with pytest.raises(ValueError, match=r"^vertex -?\d+ outside 0\.\.3$"):
+            call()
+    assert g.has_edge(2, 3) and not g.has_edge(0, 3)
+    assert g.with_edge(0, 3) == cycle(4) and cycle(4).without_edge(3, 0) == g
 
 
 def test_graph_is_immutable_and_hashable():
@@ -253,11 +269,17 @@ def _pairwise_twin_classes(nxg, closed):
 
 
 def test_twin_classes_match_pairwise_comparison(graphs_and_complements):
+    """The twin kernel of ``qng``, ``enumeration._twins``, and the tests' reference
+    ``twin_classes`` against networkx neighborhoods compared pair by pair: u and v are
+    twins iff they share an open or a closed neighborhood, u = v included."""
     for g in graphs_and_complements:
         nxg = _networkx(g)
         open_classes, closed_classes = twin_classes(g.rows)
         assert [tuple(c) for c in open_classes] == _pairwise_twin_classes(nxg, closed=False)
         assert [tuple(c) for c in closed_classes] == _pairwise_twin_classes(nxg, closed=True)
+        hoods = [(set(nxg[v]), set(nxg[v]) | {v}) for v in range(g.n)]
+        pairwise = [[a[0] == b[0] or a[1] == b[1] for b in hoods] for a in hoods]
+        assert enumeration._twins(np.array([g.rows], dtype=np.int64))[0].tolist() == pairwise
 
 
 def test_component_colorings_match_networkx(graphs_and_complements):

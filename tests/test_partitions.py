@@ -27,9 +27,10 @@ from qng.graph import (
     star,
 )
 from qng import polys
-from qng.graph import CapacityError, is_regular, twin_classes
+from qng.graph import CapacityError, is_regular
 from qng.partitions import equitable_quotient, validate_partition
 from qng.spectra import char_poly_exact, kind_char_poly, q_matrix
+from conftest import twin_classes
 
 
 def random_graph(rng, n, p=0.5):

@@ -37,7 +37,6 @@ from qng.graph import (
     path,
     star,
     to_graph6,
-    twin_classes,
 )
 from qng import polys, spectra, theorems
 from qng.cli import _resolve_check, build_predicate
@@ -73,6 +72,7 @@ from qng.theorems import (
     proof_check_thm15,
     run_all_checks,
 )
+from conftest import twin_classes
 
 PETERSEN = from_edges(
     10,
@@ -201,6 +201,9 @@ def test_lemma27_examples():
     assert check_lemma27(path(4), (0, 3)).verdict == STRICT
     assert check_lemma27(path(4), (0, 1)).verdict == NOT_APPLICABLE  # already an edge
     assert check_lemma27(disjoint_union(complete(2), complete(2)), (0, 2)).verdict == NOT_APPLICABLE
+    for edge in ((0, 7), (-1, 2)):  # no vertex of P4: an error, not a wrapped index
+        with pytest.raises(ValueError, match="outside 0..3"):
+            check_lemma27(path(4), edge)
 
 
 def test_lemma28_structure_builds_no_complement(monkeypatch):
