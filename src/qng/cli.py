@@ -37,7 +37,7 @@ from .graph import (
     star,
     to_graph6,
 )
-from .spectra import in_chunk, spectrum
+from .spectra import spectrum
 from .theorems import (
     VIOLATED,
     BoundReport,
@@ -265,9 +265,7 @@ def _format_reports(args, reports: list[BoundReport]) -> str:
 
 def _cmd_check(args) -> int:
     check = _resolve_check(args)
-    g = _load_graph(args)
-    with in_chunk((g,)):  # the graph and its complement are screened once per kind
-        reports = [check(g)]
+    reports = [check(_load_graph(args))]
     _emit(args, _format_reports(args, reports))
     return _exit_code(r.verdict for r in reports)
 

@@ -109,6 +109,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
+        _check_vertices(self.n, v, v)
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -119,6 +120,7 @@ class Graph:
         return tuple(sorted(self.degrees(), reverse=True))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertices(self.n, v, v)
         return tuple(bits(self.rows[v]))
 
     def edges(self) -> list[tuple[int, int]]:

@@ -15,12 +15,12 @@ is a point).  ``Chunk.sums`` reads the sums of given members off the screen
 of the members and their complements, screening the complements of only
 those members; ``Chunk.spectrum`` reads one row, and its first read of a
 complement's row screens every remaining complement of the order in one
-call.  A scan makes its chunk current with ``in_chunk`` while its checks
-run, so ``spectrum``, ``ng_sum`` and the exact comparisons read a graph of
-the current chunk off its screens; any other graph is read as the chunk of
-itself alone, one path for both.  ``chunk_of`` keeps the last 16 chunks by
-their members, complements and screens included, so another scan of the
-same graphs reads them again; no float spectrum is cached by graph.
+call.  Only a scan sets the current chunk (``in_chunk``), while its checks
+run, and ``spectrum``, ``ng_sum`` and the exact comparisons read a graph off
+the current chunk's screens, any other graph off its kept chunk of one
+(``holding``): one path for both.  ``chunk_of`` keeps the last 16 chunks,
+complements and screens included, so a later read of the same graphs reads
+them again; no float spectrum is cached by graph.
 ``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
@@ -211,8 +211,8 @@ class Chunk:
 
 @lru_cache(maxsize=16)
 def chunk_of(members: tuple[Graph, ...]) -> Chunk:
-    """The chunk of ``members``, kept for the last 16 member tuples with the complements
-    and screens built since, so another scan of the same graphs reads them again."""
+    """The chunk of ``members``, kept for the last 16 member tuples with the complements and
+    screens built since: a scan's chunk, or a lone graph's chunk of one (``holding``)."""
     return Chunk(members)
 
 
@@ -232,24 +232,19 @@ def in_chunk(graphs: Iterable[Graph]) -> Iterator[Chunk]:
         _current = previous
 
 
-def current_chunk() -> Chunk:
-    """The chunk ``in_chunk`` made current, else an empty one."""
-    return _current
-
-
-def _holding(g: Graph) -> Chunk:
-    """The current chunk if g is one of its graphs, else the chunk of g alone."""
-    return _current if g in _current._partner else Chunk((g,))
+def holding(g: Graph) -> Chunk:
+    """The current chunk if g is one of its graphs, else the kept chunk of g alone."""
+    return _current if g in _current._partner else chunk_of((g,))
 
 
 def spectrum(g: Graph, kind: str) -> Spectrum:
-    """The float spectrum of the kind-matrix of g, read off the chunk holding g (``_holding``)."""
-    return _holding(g).spectrum(g, kind)
+    """The float spectrum of the kind-matrix of g, read off the chunk holding g (``holding``)."""
+    return holding(g).spectrum(g, kind)
 
 
 def ng_sum(g: Graph, kind: str = "Q", k: int = 2) -> float:
     """k-th eigenvalue of the kind-matrix of g plus the same of its complement."""
-    chunk = _holding(g)
+    chunk = holding(g)
     return chunk.spectrum(g, kind).value(k) + chunk.spectrum(chunk.complement(g), kind).value(k)
 
 
@@ -366,7 +361,7 @@ def compare_sum_with(g: Graph, kind: str, k: int, c) -> int:
     """Exact sign of (k-th eigenvalue of g plus k-th of its complement) - c, for c rational
     or a ``polys.Surd``, by ``polys.compare_root_sum`` seeded with the screened spectra."""
     _check_index(g.n, k)
-    chunk = _holding(g)
+    chunk = holding(g)
     cg = chunk.complement(g)
     return polys.compare_root_sum(kind_char_poly(g, kind), k, kind_char_poly(cg, kind), k, c,
                                   chunk.spectrum(g, kind).value(k), chunk.spectrum(cg, kind).value(k))

@@ -18,9 +18,10 @@ every violation is certified.  A certified equality is matched against the
 extremal families by an explicit isomorphism witness, and a lemma's equality
 characterization must hold exactly.  A scan hands a row or a predicate a
 whole chunk (``verdicts``), which ``Row.screen`` compares as arrays, read off
-the current ``spectra.Chunk``, under the same rule; only the graphs it leaves
-undecided are checked one by one.  ``run_all_checks`` runs every row on a
-chunk of its one graph, so the rows share that graph's screens.
+the ``spectra.Chunk`` holding them, under the same rule; only the graphs it
+leaves undecided are checked one by one.  ``ng_check`` gives a row for every
+(kind, k), with no bound where ``NG_BOUNDS`` has none.  ``run_all_checks``
+runs every row on g's kept chunk of one, so the rows share its screens.
 
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib.resources import files
 from math import sqrt
 from typing import Callable, Optional, Sequence
@@ -78,8 +79,7 @@ from .spectra import (
     compare_q1,
     compare_qk_with,
     compare_sum_with,
-    current_chunk,
-    in_chunk,
+    holding,
     ng_sum,
     q_matrix,
     spectrum,
@@ -278,14 +278,15 @@ class Row:
     Called on a graph, a row is its own check: a graph below ``min_n``, failing a
     hypothesis of ``requires`` (in order) or with fewer than k vertices is not
     applicable, and otherwise ``_report`` decides it against the row's terms on the
-    graph (``_terms``).  A scan hands a whole chunk to ``verdicts``.  Fields are
+    graph (``_terms``); a row with no bound (``relation`` and ``rhs`` None) reports the
+    sum as not applicable.  A scan hands a whole chunk to ``verdicts``.  Fields are
     module-level functions or data, so a row pickles into scan workers.
     """
 
     name: str
     bound: str
-    relation: str
-    rhs: tuple | Callable[[Graph], Fraction]
+    relation: Optional[str]
+    rhs: tuple | Callable[[Graph], Fraction] | None
     rad: Optional[Callable[[Graph], Fraction]] = None
     min_n: int = 0
     requires: tuple[str, ...] = ()
@@ -328,13 +329,13 @@ class Row:
         return base, self.rad(g) if self.rad else None, self.structure(g) if self.structure else None
 
     def screen(self, graphs: Sequence[Graph], terms: Sequence[tuple]) -> np.ndarray:
-        """The signs of value - bound that ``float_sign`` decides for ``graphs``, members of the
-        current ``spectra.Chunk`` of one order, 0 where it may not.  A single eigenvalue is
-        column k of the chunk's Q screen; a sum is first its interval off the graph's own
-        spectrum (``Chunk.sum_bounds``), lower end for a sign above the bound and upper end for
-        one below, then the sums (``Chunk.sums``) still undecided.  Wherever the equality
+        """The signs of value - bound that ``float_sign`` decides for ``graphs`` of one order, read
+        off the ``spectra.Chunk`` holding the first (``spectra.holding``), 0 where it may not.  A
+        single eigenvalue is column k of the chunk's Q screen; a sum is first its interval off the
+        graph's own spectrum (``Chunk.sum_bounds``), lower end for a sign above the bound and upper
+        end for one below, then the sums (``Chunk.sums``) still undecided.  Wherever the equality
         characterization holds the sign is 0."""
-        n, trusted, chunk = graphs[0].n, _FLOAT_SIGNS[self.relation], current_chunk()
+        n, trusted, chunk = graphs[0].n, _FLOAT_SIGNS[self.relation], holding(graphs[0])
         k = self._index(n)
         targets = (np.array([float(base) for base, _, _ in terms]) if callable(self.rhs)
                    else np.full(len(terms), float(terms[0][0])))  # a base of n alone: one float per chunk
@@ -355,8 +356,9 @@ class Row:
     def verdicts(self, graphs: Sequence[Graph]) -> list[str]:
         """``[self(g).verdict for g in graphs]`` for members of the current scan chunk: the
         terms of each graph the row applies to are built once, a graph whose sign the float
-        decides (``screen``) is strict, and only the rest are reported, one by one."""
-        out = [None if self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
+        decides (``screen``) is strict, and only the rest are reported, one by one; with no
+        bound, no screen is read."""
+        out = [None if self.relation and self._inapplicable(g) is None else NOT_APPLICABLE for g in graphs]
         screened = [i for i, verdict in enumerate(out) if verdict is None]
         if screened:
             chunk = [graphs[i] for i in screened]
@@ -367,9 +369,12 @@ class Row:
 
     def __call__(self, g: Graph) -> BoundReport:
         note = self._inapplicable(g)
+        if note is None and self.relation is None:
+            return BoundReport(g, self.bound, ng_sum(g, self.kind, self._index(g.n)), None, NOT_APPLICABLE,
+                               notes="no registered bound for this kind/k")
         if note is None:
             return self._report(g, self._terms(g))
-        fixed = not (self.rad or callable(self.rhs))  # only a bound of n alone is reported with the note
+        fixed = isinstance(self.rhs, tuple) and not self.rad  # only a bound of n alone is reported with the note
         return _na(g, self.bound, _affine(*self.rhs, g.n) if fixed else None, note)
 
     def _report(self, g: Graph, terms: tuple) -> BoundReport:
@@ -473,25 +478,18 @@ NG_BOUNDS = {
 }
 
 
-def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
-    """Nordhaus-Gaddum sum of the k-th eigenvalue against its row in ``NG_BOUNDS``,
-    or reported with no bound attached when (kind, k) has none."""
-    if (kind, k) in NG_BOUNDS:
-        return NG_BOUNDS[kind, k](g)
-    if not 1 <= k <= g.n:
-        return _na(g, f"ng-{kind}{k}", None, f"k={k} outside 1..{g.n}")
-    return BoundReport(g, f"ng-{kind}{k}", ng_sum(g, kind, k), None, NOT_APPLICABLE,
-                       notes="no registered bound for this kind/k")
-
-
-def ng_check(kind: str, k: int) -> Callable[[Graph], BoundReport]:
-    """A picklable check named ng-{kind}{k}: the row of (kind, k) in ``NG_BOUNDS``, so
-    a scan hands it whole chunks, else ``check_ng_generic`` at that kind and k."""
+def ng_check(kind: str, k: int) -> Row:
+    """The row named ng-{kind}{k}: that of (kind, k) in ``NG_BOUNDS``, else one with no
+    bound, which reports the sum as not applicable and whose scan reads no screen."""
     if (kind, k) in NG_BOUNDS:
         return replace(NG_BOUNDS[kind, k], name=f"ng-{kind}{k}")
-    check = partial(check_ng_generic, kind=kind, k=k)
-    check.__name__ = f"ng-{kind}{k}"
-    return check
+    return Row(f"ng-{kind}{k}", f"ng-{kind}{k}", None, None, kind=kind, k=k)
+
+
+def check_ng_generic(g: Graph, kind: str, k: int) -> BoundReport:
+    """Nordhaus-Gaddum sum of the k-th eigenvalue against its row in ``NG_BOUNDS``, else
+    reported with no bound attached (``ng_check``)."""
+    return (NG_BOUNDS.get((kind, k)) or ng_check(kind, k))(g)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +574,9 @@ THEOREM_CHECKS: dict[str, Callable[[Graph], BoundReport]] = {
 
 
 def run_all_checks(g: Graph) -> list[BoundReport]:
-    """Every registered single-graph bound check, in registry order, on a chunk of g alone:
-    g and its complement are screened once per kind for all the checks."""
-    with in_chunk((g,)):
-        return [*(check(g) for check in THEOREM_CHECKS.values()), check_ng_q1(g)]
+    """Every registered single-graph bound check, in registry order.  They read g's kept
+    chunk of one (``spectra.holding``), so g and its complement are screened once per kind."""
+    return [*(check(g) for check in THEOREM_CHECKS.values()), check_ng_q1(g)]
 
 
 # ---------------------------------------------------------------------------

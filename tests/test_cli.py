@@ -85,10 +85,9 @@ def test_check_verb_family_input(capsys):
 
 
 def test_check_verb_reads_one_chunk_of_its_graph(capsys, monkeypatch):
-    """``qng check`` runs its check on a chunk of its graph alone, as ``qng report``
-    does: thm-1.5 on K3,3 screens the graph and its complement in one eigvalsh call
-    each and builds the complement once, where the check called outside a chunk makes
-    4 calls and builds it twice."""
+    """``qng check`` reads its graph's kept chunk of one, as ``qng report`` does: thm-1.5
+    on K3,3 screens the graph and its complement in one eigvalsh call each and builds
+    the complement once."""
     stacks, built = [], []
     eigvalsh, build = np.linalg.eigvalsh, spectra.complement
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))

@@ -1082,6 +1082,32 @@ def test_registered_scans_share_the_kept_screens(monkeypatch):
     assert len(calls) == 38
 
 
+def _ng_a3(g):
+    return check_ng_generic(g, "A", 3)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unregistered_ng_scan_reads_no_screen(jobs, monkeypatch):
+    """A (kind, k) with no row in ``NG_BOUNDS`` scans as a row with no bound: every graph
+    is not applicable without an eigvalsh call, in this process or in a pool worker (a
+    forked worker inherits the patched eigvalsh, which raises), and the tally is that of
+    ``check_ng_generic`` called on each graph."""
+    expected = scan(7, "all", _ng_a3)
+    assert expected.counts == {"not-applicable": 1044}
+    calls = []
+
+    def forbidden(a):
+        calls.append(a.shape)
+        raise AssertionError("an unregistered ng pair read a screen")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    spectra.chunk_of.cache_clear()
+    result = scan(7, "all", theorems.ng_check("A", 3), jobs=jobs)
+    assert calls == []
+    assert result.predicate_name == "ng-A3" and result.counts == expected.counts
+    assert (result.total, result.equality, result.violations) == (expected.total, [], [])
+
+
 def test_scan_external_source():
     graphs = enumerate_graphs(4)
     result = scan(4, "all", check_thm12, source=graphs)
@@ -1185,7 +1211,8 @@ def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enu
 
 def test_scan_drops_its_last_chunk(monkeypatch):
     """After a scan, and after a scan that raised, a spectrum of a graph of the
-    last chunk is screened alone, not with the stale chunk."""
+    last chunk is screened alone, not with the stale chunk.  The kept chunks are
+    cleared first, or a kept chunk of the graph alone would hide a stale one."""
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -1202,6 +1229,7 @@ def test_scan_drops_its_last_chunk(monkeypatch):
         return theorems.check_lemma26(g)
 
     for done in ("returned", "raised"):
+        spectra.chunk_of.cache_clear()
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         spectra.spectrum(last, "A")
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)

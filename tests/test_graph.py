@@ -93,6 +93,16 @@ def test_vertex_arguments_are_range_checked():
     assert g.with_edge(0, 3) == cycle(4) and cycle(4).without_edge(3, 0) == g
 
 
+@pytest.mark.parametrize("method", ["degree", "neighbors"])
+@pytest.mark.parametrize("v", [-1, 4])
+def test_vertex_queries_are_range_checked(method, v):
+    """``degree`` and ``neighbors`` take a vertex of the graph: -1 does not read vertex
+    n - 1, and n is a ValueError like the edge methods', not a bare IndexError."""
+    with pytest.raises(ValueError, match=rf"^vertex {v} outside 0\.\.3$"):
+        getattr(path(4), method)(v)
+    assert path(4).degree(3) == 1 and path(4).neighbors(3) == (2,)
+
+
 def test_graph_is_immutable_and_hashable():
     g = path(3)
     with pytest.raises(AttributeError):

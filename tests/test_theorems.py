@@ -335,10 +335,10 @@ def test_checks_keep_their_names_and_pickle(monkeypatch):
             assert copy(cycle(6)) == row(cycle(6))
     ng = pickle.loads(pickle.dumps(theorems.ng_check("A", 2)))
     assert ng.__name__ == "ng-A2" and ng(cycle(5)) == check_ng_generic(cycle(5), "A", 2)
-    # a registered (kind, k) scans as its row, renamed; any other pair is checked graph by graph
+    # a registered (kind, k) scans as its row, renamed; any other pair as a row with no bound
     assert ng == replace(theorems.NG_BOUNDS["A", 2], name="ng-A2") and ng.verdicts
     other = pickle.loads(pickle.dumps(theorems.ng_check("Q", 2)))
-    assert other.__name__ == "ng-Q2" and not hasattr(other, "verdicts")
+    assert other.__name__ == "ng-Q2" and isinstance(other, Row) and other.relation is None
     assert other(cycle(5)) == check_ng_generic(cycle(5), "Q", 2)
     for name in ("connected", "cobar-disconnected", "bipartite", "regular"):
         assert theorems.HYPOTHESES[name][0] is FILTERS[name]
@@ -446,6 +446,27 @@ def test_run_all_checks_reads_one_chunk_of_its_graph(monkeypatch):
     reports = run_all_checks(g)
     assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [g])
     assert reports == [check(g) for check in THEOREM_CHECKS.values()] + [theorems.check_ng_q1(g)]
+
+
+def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
+    """Outside a scan a graph is read off its kept chunk of one: ``spectrum``, ``ng_sum`` and
+    two rows called on C7 screen C7 and its complement once each, in two eigvalsh calls."""
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    spectra.chunk_of.cache_clear()
+    g = cycle(7)
+    spectrum(g, "Q"), ng_sum(g), check_thm12(g), theorems.check_ng_q1(g)
+    assert stacks == [(1, 7, 7), (1, 7, 7)]
+
+
+@pytest.mark.parametrize("g", [cycle(6), star(6), complete_bipartite(3, 3), path(4)], ids=["C6", "S6", "K33", "P4"])
+def test_row_verdicts_of_a_lone_graph_match_its_report(g):
+    """Every registered row hands one graph, outside any scan, the verdict it reports on it:
+    ``verdicts`` reads the graph's kept chunk of one, as the call does."""
+    spectra.chunk_of.cache_clear()
+    for row in [*THEOREM_CHECKS.values(), theorems.check_ng_q1, *theorems.NG_BOUNDS.values()]:
+        assert row.verdicts([g]) == [row(g).verdict], row.name
 
 
 def test_verdicts_outside_their_chunk_raise_value_error():
