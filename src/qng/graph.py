@@ -2,11 +2,11 @@
 
 Adjacency is stored as one bitmask row per vertex, which keeps complementation,
 neighborhood tests and component searches to a handful of integer operations.
-The module also provides the named graph families used throughout the bound
-checkers, ``BlowUp`` (cells that are cliques or cocliques, each pair joined
-completely or not at all: its graph, complement and Q-quotient over the
-cells, the last for cells of any size, in ``int`` or in any commutative ring
-of sizes, such as polynomials in n), the usual operators (complement,
+The module also provides the named graph builders and ``BlowUp``, the form
+of every family the bound checkers name (cells that are cliques or
+cocliques, each pair joined completely or not at all, of ``int`` sizes or of
+sizes in a commutative ring, such as polynomials in n: its complement, its
+Q-quotient in the ring of the sizes and, for ``int`` sizes, its graph), the usual operators (complement,
 union, join, Cartesian product), the graph6 text codec, whose decoder takes a
 batch of lines and unpacks their payloads with numpy, and one routine per
 vertex structure: ``component_colorings`` walks and 2-colors the components
@@ -260,25 +260,29 @@ def star(n: int) -> Graph:
 class BlowUp:
     """A graph on cells, consecutive vertex ranges of the positive ``sizes``: a cell is a
     clique where ``cliques`` flags it, else a coclique, and ``joins`` holds the pairs
-    (i, j), i < j, of cells joined by every edge; the other pairs have none."""
+    (i, j), i < j, of cells joined by every edge; the other pairs have none.  A size may be
+    a ring element, unchecked, such as a ``polys.MPoly`` in n: a family at a symbolic order."""
 
-    sizes: tuple[int, ...]
+    sizes: tuple
     cliques: tuple[bool, ...]
-    joins: frozenset[tuple[int, int]]
+    joins: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
         k = len(self.sizes)
-        if len(self.cliques) != k or min(self.sizes, default=0) < 1 or not all(0 <= i < j < k for i, j in self.joins):
+        if (len(self.cliques) != k or any(isinstance(s, int) and s < 1 for s in self.sizes)
+                or not all(0 <= i < j < k for i, j in self.joins)):
             raise ValueError("a blow-up needs positive cell sizes, a clique flag per cell and pairs i < j of cells")
 
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        """The vertex blocks, one consecutive range per cell."""
+        """The vertex blocks, one consecutive range per cell; ``ValueError`` on a size that is not an ``int``."""
+        if not all(isinstance(size, int) for size in self.sizes):
+            raise ValueError("a blow-up with a cell size that is not an int has no vertices")
         return tuple(tuple(range(end - size, end)) for size, end in zip(self.sizes, accumulate(self.sizes)))
 
     def graph(self) -> Graph:
         """The blown-up graph; up to 32 vertices."""
         n = sum(self.sizes)
-        if n > MAX_VERTICES:
+        if isinstance(n, int) and n > MAX_VERTICES:
             raise CapacityError(f"order {n} exceeds {MAX_VERTICES}")
         cells = self.cells()
         masks = [((1 << len(cell)) - 1) << cell[0] for cell in cells]
@@ -296,14 +300,12 @@ class BlowUp:
         pairs = frozenset((i, j) for i in range(k) for j in range(i + 1, k))
         return BlowUp(self.sizes, tuple(not c for c in self.cliques), pairs - self.joins)
 
-    def quotient(self, sizes: Optional[Sequence] = None) -> tuple[tuple, ...]:
-        """The Q-quotient over the cells, for cells of any size: entry (i, j), i != j, is
+    def quotient(self) -> tuple[tuple, ...]:
+        """The Q-quotient over the cells, in the ring of the sizes: entry (i, j), i != j, is
         s_j if the cells are joined, else 0, and entry (i, i) the degree of a vertex of
-        cell i plus its neighbours inside the cell (s_i - 1 in a clique).  The s_i are the
-        blow-up's own sizes, or ``sizes`` of the same layout in any commutative ring, such
-        as ``polys.MPoly`` sizes in n: the entries take only + and *."""
-        sizes = self.sizes if sizes is None else sizes
-        k = len(sizes)
+        cell i plus its neighbours inside the cell (s_i - 1 in a clique).  The entries take
+        only + and *, so over ``polys.MPoly`` sizes in n this is the quotient at every n."""
+        sizes, k = self.sizes, len(self.sizes)
         rows = [[0] * k for _ in range(k)]
         for i, j in self.joins:
             rows[i][j], rows[j][i] = sizes[j], sizes[i]
@@ -312,11 +314,11 @@ class BlowUp:
         return tuple(map(tuple, rows))
 
 
-def double_hub(s0: int, s1: int, s2: int) -> BlowUp:
+def double_hub(s0, s1, s2) -> BlowUp:
     """The bipartite blow-up on cocliques S0, S1, S2 and two hubs u, v, its cells
     in that order with the empty ones dropped: u is joined to S0 and S1, v to S0
-    and S2, and u is not joined to v."""
-    if min(s0, s1, s2) < 0 or s0 + s1 + s2 < 1:
+    and S2, and u is not joined to v.  A size may be a ring element (``BlowUp``)."""
+    if any(isinstance(s, int) and s < 0 for s in (s0, s1, s2)) or not any((s0, s1, s2)):
         raise ValueError("block sizes must be nonnegative with positive total")
     sizes = (s0, s1, s2, 1, 1)
     index = {old: new for new, old in enumerate(i for i, size in enumerate(sizes) if size)}

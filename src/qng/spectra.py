@@ -7,6 +7,7 @@ check's or a screen's, never a filter's), and one screen per (order, kind).
 The first read of a kind on a member stacks the kind-matrices of the
 members of its order as one (B, n, n) array and screens them in one
 eigvalsh call; the complements are screened only when read, in one more.
+A screen is stored whole, rows with their values, once its calls return.
 ``Chunk.sum_bounds`` reads an interval of each member's sum lambda_k(G) +
 lambda_k(complement G) off the members' screen alone: M(complement G) =
 cI + sJ - M(G), J rank one, so Weyl's inequalities place the complement's
@@ -141,18 +142,19 @@ class Chunk:
     def _screen(self, n: int, kind: str, graphs: Sequence[Graph] = ()) -> tuple[dict[Graph, int], np.ndarray]:
         """The screen of order n and ``kind`` with ``graphs`` on it, as (rows, values): ``rows``
         maps each screened graph to its row of ``values``, eigenvalues descending.  Graphs not
-        screened yet go in one eigvalsh call, after the members of order n at the first read."""
-        key = n, kind
-        if key not in self._screens:
-            self._screens[key] = {}, np.empty((0, n))
-            self._screen(n, kind, [g for g in self.members if g.n == n])
-        rows, values = screen = self._screens[key]
-        new = [h for h in dict.fromkeys(graphs) if h not in rows] if graphs else None
-        if new:
-            rows.update(zip(new, range(len(values), len(values) + len(new))))
-            values = np.concatenate((values, np.linalg.eigvalsh(_stacked(new, kind))[:, ::-1]))
-            screen = self._screens[key] = rows, values
-        return screen
+        screened yet go in one eigvalsh call, after the members of order n at the first read;
+        the screen is stored when the calls return, so one that raises leaves it as it was."""
+        kept = self._screens.get((n, kind))
+        if kept and not graphs:
+            return kept
+        rows, values = kept or ({}, np.empty((0, n)))
+        for batch in (graphs,) if kept else ([g for g in self.members if g.n == n], graphs):
+            new = [h for h in dict.fromkeys(batch) if h not in rows]
+            if new:
+                values = np.concatenate((values, np.linalg.eigvalsh(_stacked(new, kind))[:, ::-1]))
+                rows = {**rows, **dict(zip(new, range(len(rows), len(values))))}
+        self._screens[n, kind] = rows, values
+        return rows, values
 
     def spectrum(self, g: Graph, kind: str) -> Spectrum:
         """The float spectrum of the kind-matrix of g, a graph of the chunk: its row of the

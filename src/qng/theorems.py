@@ -15,7 +15,8 @@ decides only a sign that satisfies the bound and lies more than
 ``ESCALATION_WINDOW`` from it (``float_sign``, the one copy of that rule),
 and every other sign comes from exact arithmetic, so every equality and
 every violation is certified.  A certified equality is matched against the
-extremal families by an explicit isomorphism witness, and a lemma's equality
+extremal families named at its order, each a ``graph.BlowUp``, by an explicit
+isomorphism witness onto the family's graph, and a lemma's equality
 characterization must hold exactly.  A scan hands a row or a predicate a
 whole chunk (``verdicts``), which ``Row.screen`` compares as arrays, read off
 the ``spectra.Chunk`` holding them, under the same rule; only the graphs it
@@ -29,9 +30,9 @@ forms for second-largest quotient eigenvalues, polynomial identities between
 discriminants, and the sign evaluations that locate roots.  Each proves its
 identities once, over polynomials (``polys.MPoly``), and leaves each call the
 signs, surd signs and root counts at its own parameters.  Theorem 1.5's
-quotients are those of ``graph.BlowUp`` cells, built over Z[n] by the same
-``BlowUp.quotient`` that gives an order's integer quotient, and while an
-order's blown-up graphs fit 32 vertices each is tied to its quotient by one
+blow-ups are ``graph.BlowUp``s at a symbolic n, whose ``quotient`` is their
+quotient over Z[n], and while an order's blown-up graphs fit 32 vertices
+each is tied to its integer quotient by one
 integer matrix identity; Theorem 1.2's three 2x2 matrices are bounds in d2
 and s, not quotients of a blow-up, and are written out over Z[n, d2, s].
 Both theorems' char polys come from ``polys.char_poly``, and no proof check
@@ -55,21 +56,12 @@ from .graph import (
     BlowUp,
     Graph,
     _complement_rows,
-    complement,
-    complete,
-    complete_bipartite,
     component_colorings,
-    cycle,
-    disjoint_union,
     double_hub,
-    empty_graph,
     from_graph6,
     is_connected,
     is_regular,
     is_semiregular_bipartite,
-    join,
-    path,
-    star,
     to_graph6,
 )
 from .enumeration import FILTERS, canonical_form, isomorphism_witness
@@ -133,38 +125,37 @@ def _na(g: Graph, bound: str, rhs, notes: str) -> BoundReport:
 # Extremal family catalogues
 
 
-def _lower_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    return (
-        ("K_n", complete(n)),
-        ("nK_1", empty_graph(n)),
-        ("K_{1,n-1}", star(n)),
-        ("K_{n-1}∪K_1", disjoint_union(complete(n - 1), empty_graph(1))),
-        ("(2K_1)∇K_{n-2}", join(empty_graph(2), complete(n - 2))),
-        ("K_2∪(n-2)K_1", disjoint_union(complete(2), empty_graph(n - 2))),
-    )
+def _on_vertices(n: int, edges) -> BlowUp:
+    """The graph on 0..n-1 with ``edges``, pairs u < v, as the blow-up of its own vertices."""
+    return BlowUp((1,) * n, (False,) * n, frozenset(edges))
 
 
-def _upper_bound_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    if n == 2:
-        return (("K_2", complete(2)),)
-    if n == 4:
-        return (("P_4", path(4)), ("C_4", cycle(4)))
-    return ()
+_K33 = BlowUp((3, 3), (False, False), frozenset({(0, 1)}))
 
 
-def _cobar_disconnected_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    k2 = complete(2)
-    families = [("(K_2∪K_{n-3})∇K_1", join(disjoint_union(k2, complete(n - 3)), empty_graph(1)))]
-    if n == 7:
-        families.append(("(2K_2)∇(3K_1)", join(disjoint_union(k2, k2), empty_graph(3))))
-    if n == 6:
-        k1_k2 = disjoint_union(empty_graph(1), k2)
-        families += [("K_{3,3}", complete_bipartite(3, 3)), ("(K_1∪K_2)∇(K_1∪K_2)", join(k1_k2, k1_k2))]
-    return tuple(families)
+def _star_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
+    star = BlowUp((1, n - 1), (False, False), frozenset({(0, 1)}))
+    return ("K_{1,n-1}", star), ("complement-of-K_{1,n-1}", star.complement())
 
 
-def _star_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    return (("K_{1,n-1}", star(n)), ("complement-of-K_{1,n-1}", complement(star(n))))
+def _lower_bound_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
+    return (("K_n", BlowUp((n,), (True,))), ("nK_1", BlowUp((n,), (False,))), _star_families(n)[0],
+            ("K_{n-1}∪K_1", BlowUp((n - 1, 1), (True, False))),
+            ("(2K_1)∇K_{n-2}", BlowUp((2, n - 2), (False, True), frozenset({(0, 1)}))),
+            ("K_2∪(n-2)K_1", BlowUp((2, n - 2), (True, False))))
+
+
+def _upper_bound_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
+    return (("K_2", _on_vertices(2, [(0, 1)])), ("P_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3)])),
+            ("C_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+
+
+def _cobar_disconnected_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
+    hub = frozenset({(0, 2), (1, 2)})
+    return (("(K_2∪K_{n-3})∇K_1", BlowUp((2, n - 3, 1), (True, True, False), hub)),
+            ("(2K_2)∇(3K_1)", BlowUp((2, 2, 3), (True, True, False), hub)), ("K_{3,3}", _K33),
+            ("(K_1∪K_2)∇(K_1∪K_2)", BlowUp((1, 2, 1, 2), (False, True, False, True),
+                                          frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))))
 
 
 def bipartite_equality_catalogue() -> tuple[str, ...]:
@@ -173,21 +164,22 @@ def bipartite_equality_catalogue() -> tuple[str, ...]:
     return tuple(line.strip() for line in text.splitlines() if line.strip())
 
 
-def _bipartite_equality_families(n: int) -> tuple[tuple[str, Graph], ...]:
-    if n != 6:
-        return ()
-    k33 = canonical_form(complete_bipartite(3, 3))
-    out = []
-    for i, g6 in enumerate(bipartite_equality_catalogue(), start=1):
-        name = "K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}"
-        out.append((name, from_graph6(g6)))
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _bipartite_extremal_n6() -> tuple[tuple[str, BlowUp], ...]:
+    """The catalogue's graphs as blow-ups of their vertices, read and named once per process."""
+    k33 = canonical_form(_K33.graph())
+    return tuple(("K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}", _on_vertices(6, from_graph6(g6).edges()))
+                 for i, g6 in enumerate(bipartite_equality_catalogue(), start=1))
+
+
+def _bipartite_equality_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
+    return _bipartite_extremal_n6()
 
 
 def _match_family(g: Graph, families) -> Optional[tuple[str, tuple[int, ...]]]:
-    """The first family ``g`` is isomorphic to, with a verified isomorphism onto it."""
+    """The first family whose graph ``g`` is isomorphic to, with a verified isomorphism onto it."""
     for name, member in families:
-        witness = isomorphism_witness(g, member)
+        witness = isomorphism_witness(g, member.graph())
         if witness is not None:
             return name, witness
     return None
@@ -223,7 +215,8 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
 
     ``exact()`` is the exact sign of value - rhs, called unless ``float_sign``
     decides a sign that satisfies the relation.  A certified equality is
-    matched against ``families(g.n)``, built only then.  With ``structure``
+    matched against the families of ``families(g.n)`` named at g's order,
+    their sizes summing to n, and flagged only where some family is.  With ``structure``
     given (a row's equality characterization on g), equality must
     hold exactly when it is true, and the float may not skip the exact step
     while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
@@ -240,9 +233,9 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
         notes = f"equality characterization mismatch: equality={sign == 0}, structure={structure}"
     elif sign == 0:
         verdict = EQUALITY
-        catalogue = families(g.n) if families else ()
-        if catalogue:
-            match = _match_family(g, catalogue)
+        named = [(name, b) for name, b in families(g.n) if sum(b.sizes) == g.n] if families else ()
+        if named:
+            match = _match_family(g, named)
             notes = "" if match else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
     family, witness = match or (None, None)
     return BoundReport(
@@ -270,7 +263,8 @@ class Row:
     ``rhs`` is ``(a, b)``, the bound a*n + b, or a function of the graph returning a
     ``Fraction``; with ``rad``, a function of the graph, the bound is rhs + sqrt(rad(g)).
     A single eigenvalue is bounded on Q by a rational: other rows raise ``ValueError``.
-    ``k`` is an int or a function of n.  ``families`` gives the extremal families by n.
+    ``k`` is an int or a function of n.  ``families`` gives the extremal families by n,
+    (name, ``graph.BlowUp``) pairs, of which ``decide`` keeps those named at g's order.
     ``structure`` is the equality characterization: equality must hold exactly where it
     does (``decide``).  A certified equality that fails ``consequence``, a (test, note)
     pair, is violated with that note.
@@ -684,22 +678,13 @@ def _at(p: tuple, n: int) -> tuple[int, ...]:
     return tuple(a if isinstance(a, int) else a.at(n) for a in p)
 
 
-def _thm15_blow_ups(n: int) -> dict[str, BlowUp]:
-    """The six blow-ups of Theorem 1.5's proof at order n >= 8, by label: four double hubs and
-    two of their complements.  Every cell size is n minus a constant or a constant, and
-    positive, so each blow-up has one cell layout for every n >= 8."""
+def _thm15_blow_ups(n) -> dict[str, BlowUp]:
+    """The six blow-ups of Theorem 1.5's proof by label, four double hubs and two complements,
+    at an order n >= 8 or at a symbolic n (an ``MPoly``).  A cell size is n minus a constant or a
+    constant, so every n >= 8 has one cell layout, whose quotients over Z[n] the symbolic n gives."""
     hub2, hub5 = double_hub(n - 4, 1, 1), double_hub(n - 3, 0, 1)
     return {"(n-5,1,2)": double_hub(n - 5, 1, 2), "(n-4,1,1)": hub2, "complement (n-4,1,1)": hub2.complement(),
             "(n-4,0,2)": double_hub(n - 4, 0, 2), "(n-3,0,1)": hub5, "complement (n-3,0,1)": hub5.complement()}
-
-
-def _thm15_quotients(n: polys.MPoly) -> dict[str, tuple]:
-    """The quotients of ``_thm15_blow_ups`` over Z[n], by label: ``BlowUp.quotient`` over
-    the cell sizes as polynomials in n, each its value at n = 8 plus its growth from 8 to 9
-    times n - 8."""
-    low, high = _thm15_blow_ups(8), _thm15_blow_ups(9)
-    return {label: b.quotient([s + (t - s) * (n - 8) for s, t in zip(b.sizes, high[label].sizes)])
-            for label, b in low.items()}
 
 
 @lru_cache(maxsize=None)
@@ -708,15 +693,16 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     char polys of the (n-4,1,1) quotient and of its complement's, and the cubic f_1, their
     coefficients in Z[n].
 
-    Each identity is checked once, over Z[n]: the char polys of ``_thm15_quotients`` come
-    from ``polys.char_poly``, p at a point in Z[n] is ``polys.poly_eval``, at the rational
-    point (2n - 5) / 2 it is 2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``, and
-    a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of
-    ``polys._value_surd`` at it are the zero polynomial.
+    Each identity is checked once, over Z[n]: the char polys of the quotients of
+    ``_thm15_blow_ups`` at the symbolic n come from ``polys.char_poly``, p at a point in
+    Z[n] is ``polys.poly_eval``, at the rational point (2n - 5) / 2 it is
+    2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``, and a closed-form root
+    (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of ``polys._value_surd`` at
+    it are the zero polynomial.
     """
     n, = polys.MPoly.variables("n")
     c = _Checks()
-    phis = {label: polys.char_poly(quotient) for label, quotient in _thm15_quotients(n).items()}
+    phis = {label: polys.char_poly(b.quotient()) for label, b in _thm15_blow_ups(n).items()}
     disc = n * n - 8 * n + 20
 
     def at_beta2(p, v=1):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import random
 import re
+from dataclasses import replace
 from itertools import product
 
 import networkx as nx
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from qng.graph import (
+    BlowUp,
     CapacityError,
     Graph,
     Graph6Error,
@@ -170,9 +172,25 @@ def test_blow_up_quotient_over_polynomial_sizes(k):
              (hub2.complement(), (n - 4, 1, 1, 1, 1)), (double_hub(k - 4, 0, 2), (n - 4, 2, 1, 1)),
              (hub5, (n - 3, 1, 1, 1)), (hub5.complement(), (n - 3, 1, 1, 1))]
     for b, sizes in cases:
-        got = b.quotient(sizes)
+        got = replace(b, sizes=sizes).quotient()
         assert any(isinstance(entry, MPoly) for row in got for entry in row)
         assert tuple(tuple(e if isinstance(e, int) else e.at(k) for e in row) for row in got) == b.quotient(), b
+
+
+def test_blow_up_of_polynomial_sizes_has_no_vertices():
+    """A size that is not an ``int`` is not range-checked, and ``cells()`` and ``graph()`` raise
+    ``ValueError`` on it, not a ``TypeError`` from inside ``range``; ``int`` sizes keep their checks."""
+    n, = MPoly.variables("n")
+    b = double_hub(n - 4, 0, 2)
+    assert b.sizes[0] == n - 4 and b.sizes[1:] == (2, 1, 1) and b.joins == double_hub(4, 0, 2).joins
+    for method in (b.cells, b.graph, b.complement().cells, b.complement().graph):
+        with pytest.raises(ValueError, match="not an int"):
+            method()
+    with pytest.raises(ValueError, match="positive cell sizes"):
+        BlowUp((n, 0), (True, False))
+    with pytest.raises(ValueError, match="nonnegative"):
+        double_hub(n, -1, 2)
+    assert double_hub(n, 0, 0).sizes == (n, 1, 1)
 
 
 def test_graph6_hand_encodings():

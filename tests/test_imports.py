@@ -29,7 +29,6 @@ UNCALLED_ON_PURPOSE = {
                                      "tests' reference for ``graph.BlowUp`` quotients",
     "theorems.check_lemma27": "Lemma 2.7 of the paper, checked per (graph, non-edge) pair by the tests",
     "theorems.check_ng_generic": "the per-graph ``ng`` entry, which the benchmark's registry-n7 workload calls",
-    "graph.Graph.edges": "the public graph API: a graph's edge list, as the tests hand it to networkx",
     "graph.Graph.without_edge": "the public graph API, the inverse of ``Graph.with_edge``",
     "polys.RootCounter.count_distinct_halfopen": "the tests' independent recount of the roots in an "
                                                  "isolating window",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qng import polys
+from qng.enumeration import scan
 from qng.graph import (
     complement,
     complete,
@@ -39,6 +40,7 @@ from qng.spectra import (
     q_matrix,
     spectrum,
 )
+from qng.theorems import EQUALITY, check_thm12
 
 
 def random_graph(rng, n, p=0.5):
@@ -495,3 +497,53 @@ def test_q_singular_iff_bipartite_component(graphs_by_order):
         for g in graphs_by_order[n]:
             mult0 = _counter(g).multiplicity(0)
             assert mult0 == sum(c is not None for c in component_colorings(g.rows))
+
+
+def _raising_once(monkeypatch, at: int):
+    """Patch ``np.linalg.eigvalsh`` to raise ``LinAlgError`` at its call number ``at`` (from 0) only."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def flaky(a):
+        calls.append(a.shape)
+        if len(calls) == at + 1:
+            raise np.linalg.LinAlgError("raised once")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_failed_screen_keeps_no_rows_of_a_lone_graph(monkeypatch, at):
+    """An eigvalsh call that raises while a lone graph's kept chunk screens the star K_{1,4}
+    (call 0) or its complement (call 1) stores no row: later reads of the same chunk give
+    each graph its own spectrum, the thm-1.2 equality stays certified, and an unknown kind
+    raises the same ``ValueError`` every time."""
+    chunk_of.cache_clear()
+    _raising_once(monkeypatch, at)
+    g = star(5)
+    chunk = chunk_of((g,))
+    with pytest.raises(np.linalg.LinAlgError, match="raised once"):
+        ng_sum(g, "Q", 2)
+    assert chunk_of((g,)) is chunk  # the chunk is kept
+    assert spectrum(g, "Q").values == pytest.approx((5, 1, 1, 1, 0), abs=1e-12)
+    assert chunk.spectrum(chunk.complement(g), "Q").values == pytest.approx((6, 2, 2, 2, 0), abs=1e-12)
+    assert check_thm12(g).verdict == EQUALITY
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown matrix kind 'X'"):
+            ng_sum(path(3), "X", 1)
+
+
+def test_a_scan_rerun_after_a_failed_screen_matches_a_fresh_scan(monkeypatch):
+    """A scan whose first eigvalsh call raises leaves its chunk kept but unscreened: the
+    re-run reads it and tallies what a scan with no kept chunk does."""
+    chunk_of.cache_clear()
+    eigvalsh = np.linalg.eigvalsh
+    _raising_once(monkeypatch, 0)
+    with pytest.raises(np.linalg.LinAlgError, match="raised once"):
+        scan(6, "all", check_thm12)
+    rerun = scan(6, "all", check_thm12)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    chunk_of.cache_clear()
+    fresh = scan(6, "all", check_thm12)
+    assert (rerun.total, rerun.counts, rerun.equality) == (fresh.total, fresh.counts, fresh.equality)
+    assert fresh.total == 156 and fresh.counts[EQUALITY] > 0

@@ -21,6 +21,7 @@ import pytest
 from qng.graph import (
     MAX_VERTICES,
     BlowUp,
+    CapacityError,
     complement,
     complete,
     complete_bipartite,
@@ -40,7 +41,7 @@ from qng.graph import (
 )
 from qng import polys, spectra, theorems
 from qng.cli import _resolve_check, build_predicate
-from qng.enumeration import FILTERS, _relabeled as relabel, scan
+from qng.enumeration import FILTERS, _relabeled as relabel, canonical_form, scan
 from qng.partitions import equitable_quotient
 from qng.spectra import char_poly_exact, ng_sum, spectrum
 from qng.theorems import (
@@ -103,16 +104,69 @@ def test_thm12_witness_is_edge_preserving():
 
 @pytest.mark.parametrize("n", [11, 20, 32])
 def test_extremal_families_match_past_order_10(n, rng=random.Random(20)):
-    """Each extremal family's equality is matched to it, with a verified witness."""
+    """Each extremal family named at n has its equality matched to it, with a verified witness
+    onto the family's graph."""
     for check, families in ((check_thm12, theorems._lower_bound_families),
                             (check_ng_q1, theorems._star_families),
                             (check_thm14, theorems._cobar_disconnected_families)):
-        for name, member in families(n):
+        for name, family in families(n):
+            if sum(family.sizes) != n:
+                continue
+            member = family.graph()
             g = relabel(member, rng.sample(range(n), n))
             r = check(g)
             assert (r.verdict, r.family, r.notes) == (EQUALITY, name, ""), name
             assert sorted(r.witness) == list(range(n))
             assert all(member.has_edge(r.witness[u], r.witness[v]) for u, v in g.edges()), name
+
+
+#: Each catalogue of extremal families, and the least order its affine families are built at.
+CATALOGUES = {"lower": (theorems._lower_bound_families, 4), "upper": (theorems._upper_bound_families, 2),
+              "cobar-disconnected": (theorems._cobar_disconnected_families, 4),
+              "star": (theorems._star_families, 2), "bipartite": (theorems._bipartite_equality_families, 2)}
+
+
+@pytest.mark.parametrize("catalogue", sorted(CATALOGUES))
+def test_every_family_is_matched_to_itself_at_every_order(catalogue, rng=random.Random(28)):
+    """At every order up to 32, the families a catalogue names there, their sizes summing to
+    n, are pairwise non-isomorphic, and a relabelled graph of each is matched to that family
+    by ``_match_family`` with a verified witness: a bijection onto the family's graph that
+    maps edges onto edges."""
+    families, least = CATALOGUES[catalogue]
+    orders = {}
+    for n in range(least, MAX_VERTICES + 1):
+        named = [(name, b) for name, b in families(n) if sum(b.sizes) == n]
+        orders[n] = len(named)
+        assert len({canonical_form(b.graph()) for _, b in named}) == len(named), n
+        for name, b in named:
+            member = b.graph()
+            g = relabel(member, rng.sample(range(n), n))
+            got, witness = theorems._match_family(g, named)
+            assert got == name and sorted(witness) == list(range(n)), (n, name)
+            assert all(member.has_edge(witness[u], witness[v]) for u, v in g.edges()), (n, name)
+    named_at = {n for n, count in orders.items() if count}
+    assert named_at == {"upper": {2, 4}, "bipartite": {6}}.get(catalogue, set(orders)), catalogue
+
+
+@pytest.mark.parametrize("families", [theorems._lower_bound_families, theorems._star_families,
+                                      theorems._cobar_disconnected_families,
+                                      lambda n: tuple(theorems._thm15_blow_ups(n).items())],
+                         ids=["lower", "star", "cobar-disconnected", "thm15"])
+def test_affine_family_quotients_over_z_n_are_their_integer_quotients(families):
+    """A family whose sizes are affine in n, built at the symbolic n, has a quotient over Z[n]
+    that is at n = 8, 20 and 40 the ``int`` quotient of the family built at that n.  At 40 the
+    family has no graph, so it is named past 32 vertices."""
+    x, = polys.MPoly.variables("n")
+    affine = [(name, b) for name, b in families(x) if not all(isinstance(size, int) for size in b.sizes)]
+    assert affine
+    for n in (8, 20, 40):
+        at_n = dict(families(n))
+        for name, b in affine:
+            assert sum(at_n[name].sizes) == n, (n, name)
+            assert tuple(theorems._at(row, n) for row in b.quotient()) == at_n[name].quotient(), (n, name)
+            if n > MAX_VERTICES:
+                with pytest.raises(CapacityError):
+                    at_n[name].graph()
 
 
 def test_thm13_examples():
@@ -165,6 +219,20 @@ def test_thm15_catalogue_frozen():
     assert len(set(cat)) == 9
 
 
+def test_order6_catalogue_is_read_once(monkeypatch):
+    """The order-6 bipartite catalogue is read, and K_{3,3} named in it, once per process,
+    not at every equality matched against it."""
+    reads, read = [], theorems.bipartite_equality_catalogue
+    monkeypatch.setattr(theorems, "bipartite_equality_catalogue", lambda: reads.append(1) or read())
+    theorems._bipartite_extremal_n6.cache_clear()
+    try:
+        families = [check_thm15(g).family for g in (complete_bipartite(3, 3), path(6), cycle(6), complete_bipartite(3, 3))]
+        assert families[0] == families[3] == "K_{3,3}" and families[2] == "bipartite-extremal-n6#6"
+        assert families[1].startswith("bipartite-extremal-n6#") and reads == [1]
+    finally:
+        theorems._bipartite_extremal_n6.cache_clear()
+
+
 def test_thm16_examples():
     assert check_thm16(complete_bipartite(3, 3)).verdict == EQUALITY  # q_2 = 3 = n-3
     assert check_thm16(cycle(6)).verdict == EQUALITY
@@ -207,10 +275,12 @@ def test_lemma27_examples():
 
 
 def test_lemma28_structure_builds_no_complement(monkeypatch):
-    """Lemma 2.8's equality structure reads the complement's adjacency rows: an order-7
-    scan builds no complement graph in ``theorems`` and keeps its counts."""
+    """Lemma 2.8's equality structure reads the complement's adjacency rows: ``theorems``
+    cannot build a complement graph, an order-7 scan builds none in ``spectra`` either, and
+    the scan keeps its counts."""
     calls = []
-    monkeypatch.setattr(theorems, "complement", lambda g: calls.append(g) or complement(g))
+    assert not hasattr(theorems, "complement")
+    monkeypatch.setattr(spectra, "complement", lambda g: calls.append(g) or complement(g))
     result = scan(7, "all", check_lemma28)
     assert (result.total, result.counts) == (1044, {EQUALITY: 88, STRICT: 956})
     assert calls == []
@@ -421,10 +491,24 @@ def test_decide_relation_is_data():
     assert decide(g, "b", 4.0, F(4), hit, "<=", structure=False).verdict == VIOLATED
     assert decide(g, "b", 4.0, F(4), hit, "<=", structure=True).verdict == EQUALITY
     # a certified equality outside the given families is flagged
-    other = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("K_5", complete(5)),))
+    other = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("K_5", BlowUp((5,), (True,))),))
     assert other.family is None and other.notes == "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
-    same = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("C_5", cycle(5)),))
+    c5 = theorems._on_vertices(5, cycle(5).edges())
+    same = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("C_5", c5),))
     assert same.family == "C_5" and same.witness
+
+
+def test_decide_flags_an_equality_only_where_a_family_is_named():
+    """``decide`` keeps the families named at g's order, their sizes summing to n: given
+    only families of other orders it matches none and leaves ``notes`` empty, as at an
+    order where a row names no family; one named family at g's order is enough to flag."""
+    g = cycle(5)
+    elsewhere = (("K_4", BlowUp((4,), (True,))), ("C_4", theorems._on_vertices(4, cycle(4).edges())),
+                 ("K_6", BlowUp((6,), (True,))))
+    r = decide(g, "b", 4.0, F(4), lambda: 0, "<=", families=lambda n: elsewhere)
+    assert (r.verdict, r.family, r.witness, r.notes) == (EQUALITY, None, None, "")
+    r = decide(g, "b", 4.0, F(4), lambda: 0, "<=", families=lambda n: (*elsewhere, ("K_5", BlowUp((5,), (True,)))))
+    assert (r.verdict, r.family, r.notes) == (EQUALITY, None, "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES")
 
 
 def test_run_all_checks():
@@ -784,8 +868,8 @@ def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_id
     graphs fit 32 vertices, the identity of each of the six graphs with that quotient fails too."""
     exact = BlowUp.quotient
 
-    def perturbed(self, sizes=None):
-        rows = [list(row) for row in exact(self, sizes)]
+    def perturbed(self):
+        rows = [list(row) for row in exact(self)]
         rows[-1][-1] += 1
         return tuple(map(tuple, rows))
 
@@ -810,10 +894,10 @@ def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_id
 
 
 def test_thm15_quotients_over_z_n_are_the_integer_quotients():
-    """The quotients that the identities are proved on, at n, are the ``int`` quotients of
-    the six blow-ups built at n."""
+    """The quotients that the identities are proved on, those of the six blow-ups at the
+    symbolic n, are at n the ``int`` quotients of the six blow-ups built at n."""
     x, = polys.MPoly.variables("n")
-    quotients = theorems._thm15_quotients(x)
+    quotients = {label: b.quotient() for label, b in theorems._thm15_blow_ups(x).items()}
     for n in (8, 10, 33, 10**6):
         blow_ups = theorems._thm15_blow_ups(n)
         assert quotients.keys() == blow_ups.keys()
