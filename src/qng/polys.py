@@ -178,7 +178,7 @@ class MPoly:
     """A polynomial over Z in named variables: a dict from exponent tuples, one exponent
     per name, to nonzero ``int`` coefficients.
 
-    It has +, -, *, nonnegative integer powers and ==, mixes with ``int`` (a constant),
+    It has +, -, *, nonnegative integer powers, == and a hash, mixes with ``int`` (a constant),
     and combines only with polynomials over the same names.  That is all the Horner
     kernels ``_value`` and ``_value_surd`` and ``char_poly`` use, so they evaluate a
     polynomial whose coefficients and point are ``MPoly`` values, and an identity in the
@@ -252,11 +252,19 @@ class MPoly:
         other = self._coerce(other)
         return other if other is NotImplemented else self.terms == other.terms
 
+    def __hash__(self) -> int:
+        """Agrees with ==: a constant hashes as its ``int``, any other polynomial by its names and terms."""
+        if any(map(any, self.terms)):
+            return hash((self.names, frozenset(self.terms.items())))
+        return hash(sum(self.terms.values()))
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def at(self, *values: int) -> int:
         """The value at one ``int`` per name."""
+        if len(values) != len(self.names):
+            raise ValueError(f"{len(values)} values for the names {self.names}")
         return sum(c * prod(map(pow, values, e)) for e, c in self.terms.items())
 
 

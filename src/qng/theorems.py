@@ -589,10 +589,10 @@ class _Checks(list):
 def _thm12_identities() -> tuple[str, ...]:
     """The labels of the failed polynomial identities behind ``proof_check_thm12``.
 
-    Each is checked once, over Z[n, d2, s]: a closed-form root (u - sqrt(d)) / den of a
-    quotient holds when both parts of ``polys._value_surd`` at it are the zero polynomial.
-    The quadratics are f(x) = 4x^2 - (4n-4)x + 6n - 11 and
-    g(x) = (n-4)x^2 - (n^2-5n+4)x + n^2 - 4n + 4, with coefficients in Z[n].
+    Each is checked once, over Z[n, d2, s]: p at a point of that ring is ``polys.poly_eval``, and a
+    closed-form root (u - sqrt(d)) / den of a quotient holds when both parts of ``polys._value_surd``
+    at it are the zero polynomial.  The quadratics f(x) = 4x^2 - (4n-4)x + 6n - 11 and
+    g(x) = (n-4)x^2 - (n^2-5n+4)x + n^2 - 4n + 4 are written by their coefficients in Z[n].
     """
     n, d2, s = polys.MPoly.variables("n", "d2", "s")
     c = _Checks()
@@ -608,13 +608,13 @@ def _thm12_identities() -> tuple[str, ...]:
              "lambda_2 closed form, second quotient")
 
     f = [6 * n - 11, -(4 * n - 4), 4]
-    c.expect(disc - (n - 2) ** 2 == polys._value(f, d2, 1), "discriminant reduces to f(d2)")
-    c.expect(polys._value(f, 2, 1) == 13 - 2 * n, "f(2) evaluation")
-    c.expect(polys._value(f, n - 3, 1) == 13 - 2 * n, "f(n-3) evaluation")
+    c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, d2), "discriminant reduces to f(d2)")
+    c.expect(polys.poly_eval(f, 2) == 13 - 2 * n, "f(2) evaluation")
+    c.expect(polys.poly_eval(f, n - 3) == 13 - 2 * n, "f(n-3) evaluation")
 
     gq = [n * n - 4 * n + 4, -(n * n - 5 * n + 4), n - 4]
-    c.expect(polys._value(gq, 2, 1) == -((n - 5) ** 2) + 5, "g(2) evaluation")
-    c.expect(polys._value(gq, n - 3, 1) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
+    c.expect(polys.poly_eval(gq, 2) == -((n - 5) ** 2) + 5, "g(2) evaluation")
+    c.expect(polys.poly_eval(gq, n - 3) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
 
     def xval(s):
         return n * n - 5 * n + 2 * s + 6
@@ -636,7 +636,7 @@ def _thm12_identities() -> tuple[str, ...]:
              "lambda_2 closed form, third quotient")
     c.expect(xval(s) == (n - 2) * (n - 3) + 2 * s, "threshold identity")
     c.expect(delta - xval(s) ** 2 == 4 * (n - 2) * quad(s), "discriminant-threshold identity")
-    c.expect(quad(d2 - 1) == polys._value(gq, d2, 1), "substitution s = d2 - 1 yields g(d2)")
+    c.expect(quad(d2 - 1) == polys.poly_eval(gq, d2), "substitution s = d2 - 1 yields g(d2)")
     return tuple(c)
 
 
@@ -664,15 +664,6 @@ def proof_check_thm12(n: int, d2: int) -> bool:
     return not c
 
 
-def _poly_in_n(n, coeff_rows: list[list[int]]) -> tuple:
-    """Ascending coefficients, each given as a polynomial in n (ascending), for an ``int``
-    or ``polys.MPoly`` n.
-
-    A tuple, like the characteristic polynomials it is compared with.
-    """
-    return tuple(sum(a * n ** i for i, a in enumerate(row)) for row in coeff_rows)
-
-
 def _at(p: tuple, n: int) -> tuple[int, ...]:
     """The integer polynomial that p, with coefficients in Z[n] (``int`` or ``polys.MPoly``), is at n."""
     return tuple(a if isinstance(a, int) else a.at(n) for a in p)
@@ -693,12 +684,12 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     char polys of the (n-4,1,1) quotient and of its complement's, and the cubic f_1, their
     coefficients in Z[n].
 
-    Each identity is checked once, over Z[n]: the char polys of the quotients of
-    ``_thm15_blow_ups`` at the symbolic n come from ``polys.char_poly``, p at a point in
-    Z[n] is ``polys.poly_eval``, at the rational point (2n - 5) / 2 it is
-    2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``, and a closed-form root
-    (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of ``polys._value_surd`` at
-    it are the zero polynomial.
+    Each identity is checked once, over Z[n]: the char polys of the quotients of ``_thm15_blow_ups``
+    at the symbolic n come from ``polys.char_poly``, tuples like the closed forms written by their
+    coefficients in Z[n] (``MPoly`` expressions in n).  p at a point in Z[n] is ``polys.poly_eval``,
+    at the rational point (2n - 5) / 2 it is 2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``,
+    and a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of
+    ``polys._value_surd`` at it are the zero polynomial.
     """
     n, = polys.MPoly.variables("n")
     c = _Checks()
@@ -710,7 +701,7 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
 
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
     phi = phis["(n-5,1,2)"]
-    quartic = _poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
+    quartic = (n * n - 5 * n, -2 * n * n + 8 * n - 2, n * n - n - 4, 3 - 2 * n, 1)
     c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
     c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
     c.expect(-phi[4] == 2 * n - 3, "quotient trace (n-5,1,2)")
@@ -718,8 +709,8 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     # -- double hub over blocks (n-4, 1, 1): q_2 equals (n-2+sqrt(n^2-8n+20))/2
     phi2, phi3 = phis["(n-4,1,1)"], phis["complement (n-4,1,1)"]
     c.expect(at_beta2(phi2) == (0, 0), "beta_2 is a quotient eigenvalue")
-    cubic = _poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
-    f2 = _poly_in_n(n, [[-4, 1], [2, -1], [1]])
+    cubic = (-6 * n * n + 38 * n - 56, 2 * n * n - 3 * n - 12, 6 - 3 * n, 1)
+    f2 = (n - 4, 2 - n, 1)
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
     c.expect(at_beta2(f2) == (0, 0), "gamma_1' root formula")
     c.expect(at_beta2(f2, -1) == (0, 0), "gamma_2' root formula")
@@ -729,15 +720,15 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     c.expect(at_beta2([a - b for a, b in zip(cubic, claim)]) == (0, 0), "f_1(gamma_1') closed form")
 
     # -- single hub side empty, blocks (n-4, 0, 2)
-    cubic4 = _poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
+    cubic4 = (4 * n - n * n, n * n - 2 * n - 2, 3 - 2 * n, 1)
     c.expect(phis["(n-4,0,2)"] == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
     c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
 
     # -- single hub side empty, blocks (n-3, 0, 1); 8 g((2n-5)/2) and 16 phi((2n-5)/2) by homogeneous Horner
-    cubic5 = _poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
+    cubic5 = (3 * n - n * n, n * n - n - 2, 2 - 2 * n, 1)
     c.expect(phis["(n-3,0,1)"] == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
     c.expect(polys._value(cubic5, 2 * n - 5, 2) == -2 * n + 15, "g(n-5/2) evaluation")
-    quartic6 = _poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
+    quartic6 = (2 * n * n - 14 * n + 24, -6 * n * n + 35 * n - 48, 2 * n * n - 3 * n - 10, 6 - 3 * n, 1)
     c.expect(phis["complement (n-3,0,1)"] == quartic6, "complement char poly (n-3,0,1)")
     c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
     c.expect(polys._value(quartic6, 2 * n - 5, 2) == -(2 * n - 11) * (4 * n * n - 24 * n + 39),

@@ -10,7 +10,7 @@ import pytest
 
 from qng import polys
 from qng.enumeration import enumerate_graphs
-from qng.graph import complement
+from qng.graph import complement, from_edges
 
 
 def twin_classes(rows):
@@ -29,6 +29,12 @@ def twin_classes(rows):
             groups.setdefault(key, []).append(v)
         out.append([members for members in groups.values() if len(members) > 1])
     return out[0], out[1]
+
+
+def random_graph(rng, n, p=0.5):
+    """A graph of order n with each vertex pair an edge with probability p, drawn from the
+    ``random.Random`` rng in increasing pair order; test modules import it from here."""
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 @pytest.fixture(scope="session")

@@ -45,11 +45,7 @@ from qng.graph import (
     to_graph6,
 )
 from qng.theorems import check_ng_generic, check_thm12
-from conftest import twin_classes
-
-
-def random_graph(rng, n, p=0.5):
-    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from conftest import random_graph, twin_classes
 
 
 def test_canonical_form_isomorphic_paths():

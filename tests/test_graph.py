@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import networkx as nx
@@ -43,15 +44,11 @@ from qng.graph import (
 from qng import enumeration
 from qng.polys import MPoly
 from qng.enumeration import _relabeled as relabel, canonical_form
-from conftest import twin_classes
+from conftest import random_graph, twin_classes
 
 
 def canon(g):
     return canonical_form(g)
-
-
-def random_graph(rng, n, p=0.5):
-    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def test_graph_validation():
@@ -191,6 +188,28 @@ def test_blow_up_of_polynomial_sizes_has_no_vertices():
     with pytest.raises(ValueError, match="nonnegative"):
         double_hub(n, -1, 2)
     assert double_hub(n, 0, 0).sizes == (n, 1, 1)
+
+
+def test_a_symbolic_blow_up_keys_a_cache():
+    """A ``BlowUp`` with ``MPoly`` sizes hashes as equality says, an ``MPoly`` constant as its
+    ``int``: an ``lru_cache`` keyed by ``double_hub(n - 4, 1, 1)`` hits on an equal blow-up
+    built another way, and misses on a different one."""
+    n, = MPoly.variables("n")
+    built = []
+
+    @lru_cache(maxsize=None)
+    def quotient(b):
+        built.append(b)
+        return b.quotient()
+
+    b = double_hub(n - 4, 1, 1)
+    same = BlowUp(((n - 2) - 2, n - n + 1, 1, 1, 1), (False,) * 5, b.joins)
+    assert same == b and hash(same) == hash(b) and len({b, same, double_hub(n - 4, 1, 1)}) == 1
+    assert quotient(b) == quotient(same) == quotient(double_hub(n - 4, 1, 1))
+    assert built == [b] and quotient.cache_info().hits == 2
+    quotient(double_hub(n - 5, 1, 1))
+    quotient(b.complement())
+    assert len(built) == 3 and quotient.cache_info().misses == 3
 
 
 def test_graph6_hand_encodings():

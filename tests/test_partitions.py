@@ -20,7 +20,6 @@ from qng.graph import (
     disjoint_union,
     double_hub,
     empty_graph,
-    from_edges,
     h_graph,
     join,
     path,
@@ -31,10 +30,6 @@ from qng.graph import CapacityError, is_regular
 from qng.partitions import equitable_quotient, validate_partition
 from qng.spectra import char_poly_exact, kind_char_poly, q_matrix
 from conftest import twin_classes
-
-
-def random_graph(rng, n, p=0.5):
-    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def random_partition(rng, n):

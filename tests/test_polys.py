@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -360,6 +361,31 @@ def test_mpoly_at_and_truth_value():
         assert bool(p) is (p != 0)
     n, d2, s = MPoly.variables(*names)
     assert not n - n and not MPoly(names, {}) and (n * 0 + 3).at(7, 1, 1) == 3
+
+
+def test_mpoly_at_takes_one_value_per_name():
+    """``MPoly.at`` raises ``ValueError`` unless it gets one value per name: a short point
+    would drop the variables past its end from every term, and a long one its extra values."""
+    n, d2, s = MPoly.variables("n", "d2", "s")
+    assert (n + d2).at(5, 7, 0) == 12 and (n + d2).at(5, 7, 9) == 12
+    for values in ((5,), (5, 7), (5, 7, 0, 9), ()):
+        with pytest.raises(ValueError, match=re.escape(f"{len(values)} values for the names ('n', 'd2', 's')")):
+            (n + d2).at(*values)
+
+
+def test_mpoly_hash_agrees_with_equality():
+    """Equal polynomials hash equal however they were built, and a constant hashes as the
+    ``int`` it equals, so ``MPoly`` and ``int`` keys mix in a set or a dict."""
+    rng = random.Random(45)
+    names = ("n", "d2", "s")
+    for _ in range(100):
+        p, q = _random_mpoly(rng, names), _random_mpoly(rng, names)
+        assert hash((p + q) * (p - q)) == hash(p ** 2 - q ** 2)
+        assert hash(p - q + q) == hash(p) and hash(q - q) == hash(0)
+    n, d2, s = MPoly.variables(*names)
+    assert len({n - n + 3, 3}) == 1 and len({n - n, 0, MPoly(names, {})}) == 1
+    assert len({n + d2, d2 + n, n, d2, n * d2, d2 * n}) == 4
+    assert {(n + 1) * (n - 1): "a", 7: "b"}[n * n - 1] == "a" and {7: "b"}[s - s + 7] == "b"
 
 
 def test_char_poly_over_a_ring():

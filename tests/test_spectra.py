@@ -41,10 +41,7 @@ from qng.spectra import (
     spectrum,
 )
 from qng.theorems import EQUALITY, check_thm12
-
-
-def random_graph(rng, n, p=0.5):
-    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+from conftest import random_graph
 
 
 # --- independent characteristic-polynomial oracle (cofactor expansion) ---

@@ -724,6 +724,28 @@ def test_proof_check_thm12_builds_no_surd(monkeypatch, fresh_thm12_identities):
     assert proof_check_thm12(20, 7) and proof_check_thm12(50, 1)
 
 
+def test_proof_check_thm12_kernel_calls(monkeypatch, fresh_thm12_identities):
+    """The first call builds the three 2x2 char polys over Z[n, d2, s], evaluates the quadratics
+    at ring points through the public ``polys.poly_eval`` and not the private ``_value``, and
+    tests the three closed-form roots; later calls, at any (n, d2), call no kernel."""
+    calls = Counter()
+
+    def counted(name, kernel):
+        def count(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return count
+
+    kernels = {name: counted(name, getattr(polys, name))
+               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "sign_at_surd")}
+    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels}))
+    assert proof_check_thm12(9, 3)
+    assert calls == Counter(char_poly=3, poly_eval=6, _value_surd=3)
+    for n, d2 in ((4, 1), (50, 48), (10**6, 999998)):
+        assert proof_check_thm12(n, d2)
+    assert calls == Counter(char_poly=3, poly_eval=6, _value_surd=3)
+
+
 @pytest.fixture
 def fresh_thm15_identities():
     """Theorem 1.5's identities proved anew in this test, and not reused by the next one,
@@ -731,6 +753,13 @@ def fresh_thm15_identities():
     theorems._thm15_identities.cache_clear()
     yield
     theorems._thm15_identities.cache_clear()
+
+
+def _coefficients_at(n: int, rows: list[list[int]]) -> tuple:
+    """The ascending coefficients, at this n, of a polynomial whose coefficients are given as
+    rows of ascending integer coefficients in n: the per-n reference's own reading of the
+    closed forms, shared with nothing it checks."""
+    return tuple(sum(a * n ** i for i, a in enumerate(row)) for row in rows)
 
 
 def _reference_proof_check_thm15(n: int) -> bool:
@@ -755,9 +784,8 @@ def _reference_proof_check_thm15(n: int) -> bool:
                          for cell, clique in zip(cells, b.cliques) if len(cell) > 1), f"twin cells {label}")
         return char_poly_exact(quotient), g
 
-    poly_in_n = theorems._poly_in_n
     phi = blow_up_char_poly(double_hub(n - 5, 1, 2), "(n-5,1,2)")[0]
-    quartic = poly_in_n(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
+    quartic = _coefficients_at(n, [[0, -5, 1], [-2, 8, -2], [-4, -1, 1], [3, -2], [1]])
     c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
     c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
     c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
@@ -773,8 +801,8 @@ def _reference_proof_check_thm15(n: int) -> bool:
     if g2 is not None:
         c.expect(abs(spectrum(g2, "Q").value(2) - (n - 2 + math.sqrt(disc)) / 2) < 1e-8, "float q_2 matches beta_2")
 
-    cubic = poly_in_n(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
-    f2 = poly_in_n(n, [[-4, 1], [2, -1], [1]])
+    cubic = _coefficients_at(n, [[-56, 38, -6], [-12, -3, 2], [6, -3], [1]])
+    f2 = _coefficients_at(n, [[-4, 1], [2, -1], [1]])
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
     c.expect(sign_at_beta2(f2) == 0, "gamma_1' root formula")
     c.expect(polys.sign_at_surd(f2, n - 2, -1, disc, 2) == 0, "gamma_2' root formula")
@@ -791,7 +819,7 @@ def _reference_proof_check_thm15(n: int) -> bool:
     c.expect(sign_at_beta2([2 * n - 5, -2]) == 1, "equal second eigenvalues stay below 2n-5")
 
     phi4 = blow_up_char_poly(double_hub(n - 4, 0, 2), "(n-4,0,2)")[0]
-    cubic4 = poly_in_n(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
+    cubic4 = _coefficients_at(n, [[0, 4, -1], [-2, -2, 1], [3, -2], [1]])
     c.expect(phi4 == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
     c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
     c.expect(6 - n <= 0, "f(n-3) nonpositive, (n-4,0,2)")
@@ -799,13 +827,13 @@ def _reference_proof_check_thm15(n: int) -> bool:
 
     hub5 = double_hub(n - 3, 0, 1)
     phi5 = blow_up_char_poly(hub5, "(n-3,0,1)")[0]
-    cubic5 = poly_in_n(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
+    cubic5 = _coefficients_at(n, [[0, 3, -1], [-2, -1, 1], [2, -2], [1]])
     c.expect(phi5 == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
     c.expect(polys.poly_eval(cubic5, F(2 * n - 5, 2)) == F(-2 * n + 15, 8), "g(n-5/2) evaluation")
     c.expect(F(-2 * n + 15, 8) < 0, "g(n-5/2) negative")
 
     phi6 = blow_up_char_poly(hub5.complement(), "complement (n-3,0,1)")[0]
-    quartic6 = poly_in_n(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
+    quartic6 = _coefficients_at(n, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
     c.expect(phi6 == quartic6, "complement char poly (n-3,0,1)")
     c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
     c.expect(-4 * (n - 3) * (n - 4) < 0, "phi(2n-6) negative")
@@ -974,11 +1002,11 @@ def test_proof_check_thm15_spot_values():
     # n = 9: f(n-3) = -(n-5)(n-6) = -12
     assert -(9 - 5) * (9 - 6) == -12
     # n = 10: the complement quartic at 2n-6 = 14 evaluates to -4*7*6 = -168
-    from qng.polys import poly_eval
-    from qng.theorems import _poly_in_n
-
-    quartic = _poly_in_n(10, [[24, -14, 2], [-48, 35, -6], [-10, -3, 2], [6, -3], [1]])
-    assert poly_eval(quartic, F(14)) == -168
+    # (2n^2 - 14n + 24, -6n^2 + 35n - 48, 2n^2 - 3n - 10, 6 - 3n, 1) at n = 10, which is the
+    # char poly of the complement (n-3,0,1) quotient there
+    quartic = (84, -298, 160, -24, 1)
+    assert quartic == char_poly_exact(double_hub(7, 0, 1).complement().quotient())
+    assert polys.poly_eval(quartic, F(14)) == -168
     assert proof_check_thm15(9) and proof_check_thm15(10)
     with pytest.raises(ValueError):
         proof_check_thm15(7)
