@@ -261,7 +261,8 @@ class BlowUp:
     """A graph on cells, consecutive vertex ranges of the positive ``sizes``: a cell is a
     clique where ``cliques`` flags it, else a coclique, and ``joins`` holds the pairs
     (i, j), i < j, of cells joined by every edge; the other pairs have none.  A size may be
-    a ring element, unchecked, such as a ``polys.MPoly`` in n: a family at a symbolic order."""
+    a ring element, unchecked, such as a ``polys.MPoly`` in n: a family at a symbolic order,
+    which ``at`` names at an integer one."""
 
     sizes: tuple
     cliques: tuple[bool, ...]
@@ -293,6 +294,12 @@ class BlowUp:
         return _graph_unchecked(n, tuple(outside[i] | (mask ^ (1 << v) if clique else 0)
                                          for i, (cell, mask, clique) in enumerate(zip(cells, masks, self.cliques))
                                          for v in cell))
+
+    def at(self, n: int) -> Optional["BlowUp"]:
+        """This blow-up at the order n, each size that is not an ``int`` evaluated at n by its
+        ``at``; None unless every cell is nonempty and the sizes sum to n."""
+        sizes = tuple(size if isinstance(size, int) else size.at(n) for size in self.sizes)
+        return BlowUp(sizes, self.cliques, self.joins) if all(s > 0 for s in sizes) and sum(sizes) == n else None
 
     def complement(self) -> "BlowUp":
         """The blow-up of the complement: clique and coclique cells swap, as do joined and unjoined pairs."""

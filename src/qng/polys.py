@@ -179,7 +179,8 @@ class MPoly:
     per name, to nonzero ``int`` coefficients.
 
     It has +, -, *, nonnegative integer powers, == and a hash, mixes with ``int`` (a constant),
-    and combines only with polynomials over the same names.  That is all the Horner
+    and combines only with polynomials over the same names; one over other names is equal to
+    it only when both are the same constant.  That is all the Horner
     kernels ``_value`` and ``_value_surd`` and ``char_poly`` use, so they evaluate a
     polynomial whose coefficients and point are ``MPoly`` values, and an identity in the
     variables is checked once as ``==``.  It is true when nonzero, which lets those
@@ -249,6 +250,9 @@ class MPoly:
         return out
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, MPoly) and other.names != self.names:  # equal only as one constant, as hashed
+            constant = not any(map(any, [*self.terms, *other.terms]))
+            return constant and sum(self.terms.values()) == sum(other.terms.values())
         other = self._coerce(other)
         return other if other is NotImplemented else self.terms == other.terms
 

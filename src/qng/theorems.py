@@ -14,10 +14,12 @@ Every check ends in one call of ``decide``, the bound driver: the float
 decides only a sign that satisfies the bound and lies more than
 ``ESCALATION_WINDOW`` from it (``float_sign``, the one copy of that rule),
 and every other sign comes from exact arithmetic, so every equality and
-every violation is certified.  A certified equality is matched against the
-extremal families named at its order, each a ``graph.BlowUp``, by an explicit
-isomorphism witness onto the family's graph, and a lemma's equality
-characterization must hold exactly.  A scan hands a row or a predicate a
+every violation is certified.  A row's extremal families are data, (name,
+``graph.BlowUp``) pairs built once at import, at the symbolic n (a
+``polys.MPoly``) or as a fixed graph; a certified equality is matched against
+those that ``BlowUp.at`` names at its order, by an explicit isomorphism
+witness onto the family's graph, and a lemma's equality characterization
+must hold exactly.  A scan hands a row or a predicate a
 whole chunk (``verdicts``), which ``Row.screen`` compares as arrays, read off
 the ``spectra.Chunk`` holding them, under the same rule; only the graphs it
 leaves undecided are checked one by one.  ``ng_check`` gives a row for every
@@ -32,8 +34,8 @@ identities once, over polynomials (``polys.MPoly``), and leaves each call the
 signs, surd signs and root counts at its own parameters.  Theorem 1.5's
 blow-ups are ``graph.BlowUp``s at a symbolic n, whose ``quotient`` is their
 quotient over Z[n], and while an order's blown-up graphs fit 32 vertices
-each is tied to its integer quotient by one
-integer matrix identity; Theorem 1.2's three 2x2 matrices are bounds in d2
+each, named at that order by ``BlowUp.at``, is tied to its integer quotient
+by one integer matrix identity; Theorem 1.2's three 2x2 matrices are bounds in d2
 and s, not quotients of a blow-up, and are written out over Z[n, d2, s].
 Both theorems' char polys come from ``polys.char_poly``, and no proof check
 reads a float.
@@ -130,50 +132,40 @@ def _on_vertices(n: int, edges) -> BlowUp:
     return BlowUp((1,) * n, (False,) * n, frozenset(edges))
 
 
-_K33 = BlowUp((3, 3), (False, False), frozenset({(0, 1)}))
-
-
-def _star_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
-    star = BlowUp((1, n - 1), (False, False), frozenset({(0, 1)}))
-    return ("K_{1,n-1}", star), ("complement-of-K_{1,n-1}", star.complement())
-
-
-def _lower_bound_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
-    return (("K_n", BlowUp((n,), (True,))), ("nK_1", BlowUp((n,), (False,))), _star_families(n)[0],
-            ("K_{n-1}∪K_1", BlowUp((n - 1, 1), (True, False))),
-            ("(2K_1)∇K_{n-2}", BlowUp((2, n - 2), (False, True), frozenset({(0, 1)}))),
-            ("K_2∪(n-2)K_1", BlowUp((2, n - 2), (True, False))))
-
-
-def _upper_bound_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
-    return (("K_2", _on_vertices(2, [(0, 1)])), ("P_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3)])),
-            ("C_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
-
-
-def _cobar_disconnected_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
-    hub = frozenset({(0, 2), (1, 2)})
-    return (("(K_2∪K_{n-3})∇K_1", BlowUp((2, n - 3, 1), (True, True, False), hub)),
-            ("(2K_2)∇(3K_1)", BlowUp((2, 2, 3), (True, True, False), hub)), ("K_{3,3}", _K33),
-            ("(K_1∪K_2)∇(K_1∪K_2)", BlowUp((1, 2, 1, 2), (False, True, False, True),
-                                          frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))))
-
-
 def bipartite_equality_catalogue() -> tuple[str, ...]:
     """Frozen canonical forms of the order-6 bipartite extremal graphs."""
     text = (files("qng") / "data" / "bipartite_equality_n6.g6").read_text()
     return tuple(line.strip() for line in text.splitlines() if line.strip())
 
 
-@lru_cache(maxsize=None)
-def _bipartite_extremal_n6() -> tuple[tuple[str, BlowUp], ...]:
-    """The catalogue's graphs as blow-ups of their vertices, read and named once per process."""
-    k33 = canonical_form(_K33.graph())
-    return tuple(("K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}", _on_vertices(6, from_graph6(g6).edges()))
-                 for i, g6 in enumerate(bipartite_equality_catalogue(), start=1))
-
-
-def _bipartite_equality_families(n: int) -> tuple[tuple[str, BlowUp], ...]:
-    return _bipartite_extremal_n6()
+# Each catalogue is (name, ``BlowUp``) pairs, built once at the symbolic n: ``BlowUp.at`` names a
+# family at each order where its cells are nonempty and its sizes sum to that order.
+n, = polys.MPoly.variables("n")
+_K33 = BlowUp((3, 3), (False, False), frozenset({(0, 1)}))
+_STAR_FAMILIES = (("K_{1,n-1}", BlowUp((1, n - 1), (False, False), frozenset({(0, 1)}))),
+                  ("complement-of-K_{1,n-1}", BlowUp((1, n - 1), (True, True))))
+_LOWER_BOUND_FAMILIES = (
+    ("K_n", BlowUp((n,), (True,))), ("nK_1", BlowUp((n,), (False,))), _STAR_FAMILIES[0],
+    ("K_{n-1}∪K_1", BlowUp((n - 1, 1), (True, False))),
+    ("(2K_1)∇K_{n-2}", BlowUp((2, n - 2), (False, True), frozenset({(0, 1)}))),
+    ("K_2∪(n-2)K_1", BlowUp((2, n - 2), (True, False))))
+_UPPER_BOUND_FAMILIES = (("K_2", _on_vertices(2, [(0, 1)])), ("P_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3)])),
+                         ("C_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+_COBAR_DISCONNECTED_FAMILIES = (
+    ("(K_2∪K_{n-3})∇K_1", BlowUp((2, n - 3, 1), (True, True, False), frozenset({(0, 2), (1, 2)}))),
+    ("(2K_2)∇(3K_1)", BlowUp((2, 2, 3), (True, True, False), frozenset({(0, 2), (1, 2)}))), ("K_{3,3}", _K33),
+    ("(K_1∪K_2)∇(K_1∪K_2)", BlowUp((1, 2, 1, 2), (False, True, False, True),
+                                  frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))))
+# the order-6 catalogue, read and K_{3,3} named in it at import
+_BIPARTITE_EQUALITY_FAMILIES = tuple(
+    ("K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}", _on_vertices(6, from_graph6(g6).edges()))
+    for k33 in [canonical_form(_K33.graph())] for i, g6 in enumerate(bipartite_equality_catalogue(), start=1))
+# Theorem 1.5's six blow-ups by label, four double hubs and two complements: a cell size is n minus
+# a constant or a constant, so every n >= 8 has one cell layout, whose quotients over Z[n] these give.
+_THM15_BLOW_UPS = {"(n-5,1,2)": double_hub(n - 5, 1, 2), "(n-4,1,1)": double_hub(n - 4, 1, 1),
+                   "complement (n-4,1,1)": double_hub(n - 4, 1, 1).complement(), "(n-4,0,2)": double_hub(n - 4, 0, 2),
+                   "(n-3,0,1)": double_hub(n - 3, 0, 1), "complement (n-3,0,1)": double_hub(n - 3, 0, 1).complement()}
+del n
 
 
 def _match_family(g: Graph, families) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -209,14 +201,14 @@ def float_sign(approx, target, trusted: tuple[int, ...] = (-1, 1)):
 
 
 def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], relation: str, *,
-           families: Optional[Callable[[int], tuple]] = None, structure: Optional[bool] = None,
+           families: tuple[tuple[str, BlowUp], ...] = (), structure: Optional[bool] = None,
            violated: str = "BOUND VIOLATED (exactly confirmed)", rhs_exact: Optional[str] = None) -> BoundReport:
     """The report of ``value relation rhs`` for the quantity screened by ``lhs``.
 
     ``exact()`` is the exact sign of value - rhs, called unless ``float_sign``
     decides a sign that satisfies the relation.  A certified equality is
-    matched against the families of ``families(g.n)`` named at g's order,
-    their sizes summing to n, and flagged only where some family is.  With ``structure``
+    matched against the (name, ``graph.BlowUp``) pairs of ``families`` named at g's
+    order (``BlowUp.at``), and flagged only where some family is.  With ``structure``
     given (a row's equality characterization on g), equality must
     hold exactly when it is true, and the float may not skip the exact step
     while it is true.  ``rhs_exact`` is the exact text of a float ``rhs``.
@@ -233,7 +225,7 @@ def decide(g: Graph, bound: str, lhs: float, rhs, exact: Callable[[], int], rela
         notes = f"equality characterization mismatch: equality={sign == 0}, structure={structure}"
     elif sign == 0:
         verdict = EQUALITY
-        named = [(name, b) for name, b in families(g.n) if sum(b.sizes) == g.n] if families else ()
+        named = [(name, b) for name, member in families if (b := member.at(g.n)) is not None]
         if named:
             match = _match_family(g, named)
             notes = "" if match else "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
@@ -263,8 +255,8 @@ class Row:
     ``rhs`` is ``(a, b)``, the bound a*n + b, or a function of the graph returning a
     ``Fraction``; with ``rad``, a function of the graph, the bound is rhs + sqrt(rad(g)).
     A single eigenvalue is bounded on Q by a rational: other rows raise ``ValueError``.
-    ``k`` is an int or a function of n.  ``families`` gives the extremal families by n,
-    (name, ``graph.BlowUp``) pairs, of which ``decide`` keeps those named at g's order.
+    ``k`` is an int or a function of n.  ``families`` are the extremal families, (name,
+    ``graph.BlowUp``) pairs, of which ``decide`` names those at g's order (``BlowUp.at``).
     ``structure`` is the equality characterization: equality must hold exactly where it
     does (``decide``).  A certified equality that fails ``consequence``, a (test, note)
     pair, is violated with that note.
@@ -287,7 +279,7 @@ class Row:
     kind: str = "Q"
     k: int | Callable[[int], int] = 2
     sum: bool = True
-    families: Optional[Callable[[int], tuple]] = None
+    families: tuple[tuple[str, BlowUp], ...] = ()
     structure: Optional[Callable[[Graph], bool]] = None
     consequence: Optional[tuple[Callable[[Graph], bool], str]] = None
 
@@ -449,20 +441,20 @@ def _ng_a2_radicand(g: Graph) -> Fraction:
 
 # Theorems 1.2-1.6 and Problem 1.2 bound q_2(G) + q_2(complement G); the
 # regular bound is strict, n - 2 + sqrt(2nk(n-k-1)/(n-1)) for k-regular G.
-check_thm12 = Row("check_thm12", "thm-1.2", ">=", (1, -2), min_n=4, families=_lower_bound_families)
+check_thm12 = Row("check_thm12", "thm-1.2", ">=", (1, -2), min_n=4, families=_LOWER_BOUND_FAMILIES)
 check_thm13 = Row("check_thm13", "thm-1.3", "<=", (2, -4), min_n=2, requires=("connected",),
-                  families=_upper_bound_families)
+                  families=_UPPER_BOUND_FAMILIES)
 check_problem12 = Row("check_problem12", "problem-1.2", "<=", (2, -5), min_n=6, requires=("connected",))
 check_thm14 = Row("check_thm14", "thm-1.4", "<=", (2, -5), min_n=6,
-                  requires=("connected", "cobar-disconnected"), families=_cobar_disconnected_families)
+                  requires=("connected", "cobar-disconnected"), families=_COBAR_DISCONNECTED_FAMILIES)
 check_thm15 = Row("check_thm15", "thm-1.5", "<=", (2, -5), min_n=6, requires=("connected", "bipartite"),
-                  families=_bipartite_equality_families)
+                  families=_BIPARTITE_EQUALITY_FAMILIES)
 check_thm16 = Row("check_thm16", "thm-1.6", "<=", (2, -5), min_n=6, requires=("connected", "q2<=n-3"),
-                  families=_bipartite_equality_families)
+                  families=_BIPARTITE_EQUALITY_FAMILIES)
 check_regular_bound = Row("check_regular_bound", "regular-bound", "<", (1, -2), _regular_radicand,
                           requires=("connected", "regular", "non-complete"))
 # q_1(G) + q_1(complement G) <= 3n - 4, with equality only for stars.
-check_ng_q1 = Row("check_ng_q1", "q1-sum", "<=", (3, -4), min_n=2, k=1, families=_star_families)
+check_ng_q1 = Row("check_ng_q1", "q1-sum", "<=", (3, -4), min_n=2, k=1, families=_STAR_FAMILIES)
 
 #: The rows of ``check_ng_generic`` by (kind, k).
 NG_BOUNDS = {
@@ -669,23 +661,14 @@ def _at(p: tuple, n: int) -> tuple[int, ...]:
     return tuple(a if isinstance(a, int) else a.at(n) for a in p)
 
 
-def _thm15_blow_ups(n) -> dict[str, BlowUp]:
-    """The six blow-ups of Theorem 1.5's proof by label, four double hubs and two complements,
-    at an order n >= 8 or at a symbolic n (an ``MPoly``).  A cell size is n minus a constant or a
-    constant, so every n >= 8 has one cell layout, whose quotients over Z[n] the symbolic n gives."""
-    hub2, hub5 = double_hub(n - 4, 1, 1), double_hub(n - 3, 0, 1)
-    return {"(n-5,1,2)": double_hub(n - 5, 1, 2), "(n-4,1,1)": hub2, "complement (n-4,1,1)": hub2.complement(),
-            "(n-4,0,2)": double_hub(n - 4, 0, 2), "(n-3,0,1)": hub5, "complement (n-3,0,1)": hub5.complement()}
-
-
 @lru_cache(maxsize=None)
 def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     """The labels of the failed polynomial identities behind ``proof_check_thm15``, and the
     char polys of the (n-4,1,1) quotient and of its complement's, and the cubic f_1, their
     coefficients in Z[n].
 
-    Each identity is checked once, over Z[n]: the char polys of the quotients of ``_thm15_blow_ups``
-    at the symbolic n come from ``polys.char_poly``, tuples like the closed forms written by their
+    Each identity is checked once, over Z[n]: the char polys of the quotients of ``_THM15_BLOW_UPS``,
+    built at the symbolic n, come from ``polys.char_poly``, tuples like the closed forms written by their
     coefficients in Z[n] (``MPoly`` expressions in n).  p at a point in Z[n] is ``polys.poly_eval``,
     at the rational point (2n - 5) / 2 it is 2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``,
     and a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of
@@ -693,7 +676,7 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     """
     n, = polys.MPoly.variables("n")
     c = _Checks()
-    phis = {label: polys.char_poly(b.quotient()) for label, b in _thm15_blow_ups(n).items()}
+    phis = {label: polys.char_poly(b.quotient()) for label, b in _THM15_BLOW_UPS.items()}
     disc = n * n - 8 * n + 20
 
     def at_beta2(p, v=1):
@@ -784,8 +767,8 @@ def proof_check_thm15(n: int) -> bool:
         return polys.sign_at_surd(p, n - 2, 1, disc, 2)
 
     if n <= MAX_VERTICES:
-        for label, b in _thm15_blow_ups(n).items():
-            c.expect(_blow_up_identity(b), f"Q(G)T = T Lambda {label}")
+        for label, b in _THM15_BLOW_UPS.items():
+            c.expect(_blow_up_identity(b.at(n)), f"Q(G)T = T Lambda {label}")
 
     c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
     c.expect(3 * (n - 3) > 2 * n - 3, "trace rules out three roots above n-3")

@@ -388,6 +388,22 @@ def test_mpoly_hash_agrees_with_equality():
     assert {(n + 1) * (n - 1): "a", 7: "b"}[n * n - 1] == "a" and {7: "b"}[s - s + 7] == "b"
 
 
+def test_mpoly_over_other_names_compares_and_does_not_combine():
+    """Polynomials over different names are compared, not rejected: they are equal only as
+    constants of one value, which hash alike, so they share a set or a dict.  +, - and *
+    across names still raise."""
+    n, = MPoly.variables("n")
+    m, = MPoly.variables("m")
+    nd2 = MPoly.variables("n", "d2")[0]
+    assert len({n - n + 3, m - m + 3}) == 1 and len({n - n + 3, m - m + 4, 3}) == 2
+    assert n - n + 3 == m - m + 3 and n - n == m - m == MPoly((), {})
+    assert n != m and n != nd2 and n - n + 3 != m - m + 4 and n - n + 3 != m
+    assert {n: "a", m: "b", nd2: "c"} == {n: "a", m: "b", nd2: "c"} and len({n, m, nd2}) == 3
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match=re.escape("polynomials over ('n',) and ('m',)")):
+            combine(n, m)
+
+
 def test_char_poly_over_a_ring():
     """``char_poly`` agrees with ``char_poly_exact`` on seeded integer matrices of orders
     1..5, and over ``MPoly`` entries with the integer results at seeded points."""

@@ -106,11 +106,12 @@ def test_thm12_witness_is_edge_preserving():
 def test_extremal_families_match_past_order_10(n, rng=random.Random(20)):
     """Each extremal family named at n has its equality matched to it, with a verified witness
     onto the family's graph."""
-    for check, families in ((check_thm12, theorems._lower_bound_families),
-                            (check_ng_q1, theorems._star_families),
-                            (check_thm14, theorems._cobar_disconnected_families)):
-        for name, family in families(n):
-            if sum(family.sizes) != n:
+    for check, families in ((check_thm12, theorems._LOWER_BOUND_FAMILIES),
+                            (check_ng_q1, theorems._STAR_FAMILIES),
+                            (check_thm14, theorems._COBAR_DISCONNECTED_FAMILIES)):
+        for name, family in families:
+            family = family.at(n)
+            if family is None:
                 continue
             member = family.graph()
             g = relabel(member, rng.sample(range(n), n))
@@ -120,22 +121,23 @@ def test_extremal_families_match_past_order_10(n, rng=random.Random(20)):
             assert all(member.has_edge(r.witness[u], r.witness[v]) for u, v in g.edges()), name
 
 
-#: Each catalogue of extremal families, and the least order its affine families are built at.
-CATALOGUES = {"lower": (theorems._lower_bound_families, 4), "upper": (theorems._upper_bound_families, 2),
-              "cobar-disconnected": (theorems._cobar_disconnected_families, 4),
-              "star": (theorems._star_families, 2), "bipartite": (theorems._bipartite_equality_families, 2)}
+#: Each catalogue of extremal families, and the least order its row checks, from which the
+#: families it names at an order are pairwise non-isomorphic.
+CATALOGUES = {"lower": (theorems._LOWER_BOUND_FAMILIES, 4), "upper": (theorems._UPPER_BOUND_FAMILIES, 2),
+              "cobar-disconnected": (theorems._COBAR_DISCONNECTED_FAMILIES, 4),
+              "star": (theorems._STAR_FAMILIES, 2), "bipartite": (theorems._BIPARTITE_EQUALITY_FAMILIES, 2)}
 
 
 @pytest.mark.parametrize("catalogue", sorted(CATALOGUES))
 def test_every_family_is_matched_to_itself_at_every_order(catalogue, rng=random.Random(28)):
-    """At every order up to 32, the families a catalogue names there, their sizes summing to
-    n, are pairwise non-isomorphic, and a relabelled graph of each is matched to that family
-    by ``_match_family`` with a verified witness: a bijection onto the family's graph that
+    """At every order up to 32, the families a catalogue names there (``BlowUp.at``) are
+    pairwise non-isomorphic, and a relabelled graph of each is matched to that family by
+    ``_match_family`` with a verified witness: a bijection onto the family's graph that
     maps edges onto edges."""
     families, least = CATALOGUES[catalogue]
     orders = {}
     for n in range(least, MAX_VERTICES + 1):
-        named = [(name, b) for name, b in families(n) if sum(b.sizes) == n]
+        named = [(name, at) for name, b in families if (at := b.at(n)) is not None]
         orders[n] = len(named)
         assert len({canonical_form(b.graph()) for _, b in named}) == len(named), n
         for name, b in named:
@@ -148,25 +150,58 @@ def test_every_family_is_matched_to_itself_at_every_order(catalogue, rng=random.
     assert named_at == {"upper": {2, 4}, "bipartite": {6}}.get(catalogue, set(orders)), catalogue
 
 
-@pytest.mark.parametrize("families", [theorems._lower_bound_families, theorems._star_families,
-                                      theorems._cobar_disconnected_families,
-                                      lambda n: tuple(theorems._thm15_blow_ups(n).items())],
+#: The orders in 1..40 where ``BlowUp.at`` names each family of each catalogue and each of
+#: Theorem 1.5's blow-ups: every order from an int on, or the orders of a set.
+NAMED_AT = {
+    "lower": {"K_n": 1, "nK_1": 1, "K_{1,n-1}": 2, "K_{n-1}∪K_1": 2, "(2K_1)∇K_{n-2}": 3, "K_2∪(n-2)K_1": 3},
+    "upper": {"K_2": {2}, "P_4": {4}, "C_4": {4}},
+    "cobar-disconnected": {"(K_2∪K_{n-3})∇K_1": 4, "(2K_2)∇(3K_1)": {7}, "K_{3,3}": {6},
+                           "(K_1∪K_2)∇(K_1∪K_2)": {6}},
+    "star": {"K_{1,n-1}": 2, "complement-of-K_{1,n-1}": 2},
+    "bipartite": {name: {6} for name, _ in theorems._BIPARTITE_EQUALITY_FAMILIES},
+    "thm15": {"(n-5,1,2)": 6, "(n-4,1,1)": 5, "complement (n-4,1,1)": 5, "(n-4,0,2)": 5, "(n-3,0,1)": 4,
+              "complement (n-3,0,1)": 4},
+}
+
+
+def test_every_catalogue_is_listed_at_every_order():
+    """Every catalogue, and Theorem 1.5's blow-ups, is listed through ``BlowUp.at`` at every n
+    in 1..40 without raising, below its least order too: a family named at n has nonempty
+    ``int`` cells summing to n, and each is named at the orders ``NAMED_AT`` pins."""
+    catalogues = {name: families for name, (families, _) in CATALOGUES.items()}
+    catalogues["thm15"] = tuple(theorems._THM15_BLOW_UPS.items())
+    assert len(theorems._BIPARTITE_EQUALITY_FAMILIES) == 9
+    for catalogue, families in catalogues.items():
+        named = {name: set() for name, _ in families}
+        for n in range(1, 41):
+            for name, b in families:
+                at = b.at(n)
+                if at is not None:
+                    assert all(isinstance(size, int) and size > 0 for size in at.sizes), (catalogue, name, n)
+                    assert (sum(at.sizes), at.cliques, at.joins) == (n, b.cliques, b.joins), (catalogue, name, n)
+                    named[name].add(n)
+        assert named == {name: set(range(orders, 41)) if isinstance(orders, int) else orders
+                         for name, orders in NAMED_AT[catalogue].items()}, catalogue
+
+
+@pytest.mark.parametrize("families", [theorems._LOWER_BOUND_FAMILIES, theorems._STAR_FAMILIES,
+                                      theorems._COBAR_DISCONNECTED_FAMILIES,
+                                      tuple(theorems._THM15_BLOW_UPS.items())],
                          ids=["lower", "star", "cobar-disconnected", "thm15"])
 def test_affine_family_quotients_over_z_n_are_their_integer_quotients(families):
     """A family whose sizes are affine in n, built at the symbolic n, has a quotient over Z[n]
-    that is at n = 8, 20 and 40 the ``int`` quotient of the family built at that n.  At 40 the
-    family has no graph, so it is named past 32 vertices."""
-    x, = polys.MPoly.variables("n")
-    affine = [(name, b) for name, b in families(x) if not all(isinstance(size, int) for size in b.sizes)]
+    that is at n = 8, 20 and 40 the ``int`` quotient of the family at that n (``BlowUp.at``).
+    At 40 the family has no graph, so it is named past 32 vertices."""
+    affine = [(name, b) for name, b in families if not all(isinstance(size, int) for size in b.sizes)]
     assert affine
     for n in (8, 20, 40):
-        at_n = dict(families(n))
         for name, b in affine:
-            assert sum(at_n[name].sizes) == n, (n, name)
-            assert tuple(theorems._at(row, n) for row in b.quotient()) == at_n[name].quotient(), (n, name)
+            at_n = b.at(n)
+            assert sum(at_n.sizes) == n, (n, name)
+            assert tuple(theorems._at(row, n) for row in b.quotient()) == at_n.quotient(), (n, name)
             if n > MAX_VERTICES:
                 with pytest.raises(CapacityError):
-                    at_n[name].graph()
+                    at_n.graph()
 
 
 def test_thm13_examples():
@@ -220,17 +255,13 @@ def test_thm15_catalogue_frozen():
 
 
 def test_order6_catalogue_is_read_once(monkeypatch):
-    """The order-6 bipartite catalogue is read, and K_{3,3} named in it, once per process,
-    not at every equality matched against it."""
+    """The order-6 bipartite catalogue is read, and K_{3,3} named in it, once per process, at
+    import: no equality matched against it reads it again."""
     reads, read = [], theorems.bipartite_equality_catalogue
     monkeypatch.setattr(theorems, "bipartite_equality_catalogue", lambda: reads.append(1) or read())
-    theorems._bipartite_extremal_n6.cache_clear()
-    try:
-        families = [check_thm15(g).family for g in (complete_bipartite(3, 3), path(6), cycle(6), complete_bipartite(3, 3))]
-        assert families[0] == families[3] == "K_{3,3}" and families[2] == "bipartite-extremal-n6#6"
-        assert families[1].startswith("bipartite-extremal-n6#") and reads == [1]
-    finally:
-        theorems._bipartite_extremal_n6.cache_clear()
+    families = [check_thm15(g).family for g in (complete_bipartite(3, 3), path(6), cycle(6), complete_bipartite(3, 3))]
+    assert families[0] == families[3] == "K_{3,3}" and families[2] == "bipartite-extremal-n6#6"
+    assert families[1].startswith("bipartite-extremal-n6#") and reads == []
 
 
 def test_thm16_examples():
@@ -491,23 +522,23 @@ def test_decide_relation_is_data():
     assert decide(g, "b", 4.0, F(4), hit, "<=", structure=False).verdict == VIOLATED
     assert decide(g, "b", 4.0, F(4), hit, "<=", structure=True).verdict == EQUALITY
     # a certified equality outside the given families is flagged
-    other = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("K_5", BlowUp((5,), (True,))),))
+    other = decide(g, "b", 4.0, F(4), hit, "<=", families=(("K_5", BlowUp((5,), (True,))),))
     assert other.family is None and other.notes == "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES"
     c5 = theorems._on_vertices(5, cycle(5).edges())
-    same = decide(g, "b", 4.0, F(4), hit, "<=", families=lambda n: (("C_5", c5),))
+    same = decide(g, "b", 4.0, F(4), hit, "<=", families=(("C_5", c5),))
     assert same.family == "C_5" and same.witness
 
 
 def test_decide_flags_an_equality_only_where_a_family_is_named():
-    """``decide`` keeps the families named at g's order, their sizes summing to n: given
-    only families of other orders it matches none and leaves ``notes`` empty, as at an
-    order where a row names no family; one named family at g's order is enough to flag."""
+    """``decide`` keeps the families named at g's order (``BlowUp.at``): given only families
+    of other orders it matches none and leaves ``notes`` empty, as at an order where a row
+    names no family; one named family at g's order is enough to flag."""
     g = cycle(5)
     elsewhere = (("K_4", BlowUp((4,), (True,))), ("C_4", theorems._on_vertices(4, cycle(4).edges())),
                  ("K_6", BlowUp((6,), (True,))))
-    r = decide(g, "b", 4.0, F(4), lambda: 0, "<=", families=lambda n: elsewhere)
+    r = decide(g, "b", 4.0, F(4), lambda: 0, "<=", families=elsewhere)
     assert (r.verdict, r.family, r.witness, r.notes) == (EQUALITY, None, None, "")
-    r = decide(g, "b", 4.0, F(4), lambda: 0, "<=", families=lambda n: (*elsewhere, ("K_5", BlowUp((5,), (True,)))))
+    r = decide(g, "b", 4.0, F(4), lambda: 0, "<=", families=(*elsewhere, ("K_5", BlowUp((5,), (True,)))))
     assert (r.verdict, r.family, r.notes) == (EQUALITY, None, "EQUALITY OUTSIDE KNOWN EXTREMAL FAMILIES")
 
 
@@ -525,7 +556,7 @@ def test_run_all_checks_reads_one_chunk_of_its_graph(monkeypatch):
     eigvalsh, build = np.linalg.eigvalsh, spectra.complement
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(spectra, "complement", lambda g: built.append(g) or build(g))
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     g = complete_bipartite(3, 3)
     reports = run_all_checks(g)
     assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [g])
@@ -538,7 +569,7 @@ def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
     stacks = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     g = cycle(7)
     spectrum(g, "Q"), ng_sum(g), check_thm12(g), theorems.check_ng_q1(g)
     assert stacks == [(1, 7, 7), (1, 7, 7)]
@@ -548,7 +579,7 @@ def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
 def test_row_verdicts_of_a_lone_graph_match_its_report(g):
     """Every registered row hands one graph, outside any scan, the verdict it reports on it:
     ``verdicts`` reads the graph's kept chunk of one, as the call does."""
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     for row in [*THEOREM_CHECKS.values(), theorems.check_ng_q1, *theorems.NG_BOUNDS.values()]:
         assert row.verdicts([g]) == [row(g).verdict], row.name
 
@@ -884,7 +915,7 @@ def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_id
     for n in orders:
         assert proof_check_thm15(n)
     assert calls == Counter(char_poly=6, poly_eval=4, _value=2, _value_surd=4, sign_at_surd=4 * 5)
-    hubs = [theorems._thm15_blow_ups(n) for n in (8, *orders)]
+    hubs = [{label: b.at(n) for label, b in theorems._THM15_BLOW_UPS.items()} for n in (8, *orders)]
     assert counted_polys == [exact_char_poly(hub[label].quotient())
                              for hub in hubs for label in ("(n-4,1,1)", "complement (n-4,1,1)")]
 
@@ -917,18 +948,21 @@ def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_id
                   "complement char poly (n-3,0,1)"}
     assert set(theorems._thm15_identities()[0]) == identities
     graphs = {label for label in failed if label.startswith("Q(G)T = T Lambda ")}
-    assert graphs == ({f"Q(G)T = T Lambda {label}" for label in theorems._thm15_blow_ups(n)} if n <= MAX_VERTICES
+    assert graphs == ({f"Q(G)T = T Lambda {label}" for label in theorems._THM15_BLOW_UPS} if n <= MAX_VERTICES
                       else set())
 
 
 def test_thm15_quotients_over_z_n_are_the_integer_quotients():
     """The quotients that the identities are proved on, those of the six blow-ups at the
-    symbolic n, are at n the ``int`` quotients of the six blow-ups built at n."""
-    x, = polys.MPoly.variables("n")
-    quotients = {label: b.quotient() for label, b in theorems._thm15_blow_ups(x).items()}
+    symbolic n, are at n the ``int`` quotients of the six blow-ups at n (``BlowUp.at``), which
+    are the double hubs and complements built at n."""
+    quotients = {label: b.quotient() for label, b in theorems._THM15_BLOW_UPS.items()}
     for n in (8, 10, 33, 10**6):
-        blow_ups = theorems._thm15_blow_ups(n)
-        assert quotients.keys() == blow_ups.keys()
+        blow_ups = {label: b.at(n) for label, b in theorems._THM15_BLOW_UPS.items()}
+        hub2, hub5 = double_hub(n - 4, 1, 1), double_hub(n - 3, 0, 1)
+        assert blow_ups == {"(n-5,1,2)": double_hub(n - 5, 1, 2), "(n-4,1,1)": hub2,
+                            "complement (n-4,1,1)": hub2.complement(), "(n-4,0,2)": double_hub(n - 4, 0, 2),
+                            "(n-3,0,1)": hub5, "complement (n-3,0,1)": hub5.complement()}, n
         for label, b in blow_ups.items():
             assert tuple(map(functools.partial(theorems._at, n=n), quotients[label])) == b.quotient(), (n, label)
 
@@ -1031,15 +1065,15 @@ def _failed_thm15_labels(monkeypatch, n: int) -> list[str]:
 def test_proof_check_thm15_needs_the_twin_kinds(monkeypatch, fresh_thm15_identities, n):
     """Each cell read as a twin class of the other kind, a coclique's eigenvalue taken as a
     clique's and the reverse, fails the identity of all six blown-up graphs, and nothing else."""
-    blow_ups = theorems._thm15_blow_ups
+    at = BlowUp.at
 
-    def flipped(n):
-        return {label: SimpleNamespace(sizes=b.sizes, cells=b.cells, graph=b.graph, quotient=b.quotient,
-                                       cliques=tuple(not c for c in b.cliques))
-                for label, b in blow_ups(n).items()}
+    def flipped(self, n):
+        b = at(self, n)
+        return SimpleNamespace(sizes=b.sizes, cells=b.cells, graph=b.graph, quotient=b.quotient,
+                               cliques=tuple(not c for c in b.cliques))
 
-    monkeypatch.setattr(theorems, "_thm15_blow_ups", flipped)
-    assert _failed_thm15_labels(monkeypatch, n) == [f"Q(G)T = T Lambda {label}" for label in blow_ups(n)]
+    monkeypatch.setattr(BlowUp, "at", flipped)
+    assert _failed_thm15_labels(monkeypatch, n) == [f"Q(G)T = T Lambda {label}" for label in theorems._THM15_BLOW_UPS]
 
 
 @pytest.mark.parametrize("n", [8, 10, 32])
@@ -1053,7 +1087,7 @@ def test_proof_check_thm15_needs_every_edge(monkeypatch, fresh_thm15_identities,
         return g.without_edge(0, 1) if g.has_edge(0, 1) else g.with_edge(0, 1)
 
     monkeypatch.setattr(BlowUp, "graph", toggled)
-    assert _failed_thm15_labels(monkeypatch, n) == [f"Q(G)T = T Lambda {label}" for label in theorems._thm15_blow_ups(n)]
+    assert _failed_thm15_labels(monkeypatch, n) == [f"Q(G)T = T Lambda {label}" for label in theorems._THM15_BLOW_UPS]
 
 
 def test_regular_extremal_prism():
