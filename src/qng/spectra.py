@@ -19,11 +19,9 @@ complement's row screens every remaining complement of the order in one
 call.  Only a scan sets the current chunk (``in_chunk``), while its checks
 run, and ``spectrum``, ``ng_sum`` and the exact comparisons read a graph off
 the current chunk's screens, any other graph off its kept chunk of one
-(``holding``): one path for both.  ``chunk_of`` keeps the last 16 scan
-chunks and ``lone_chunk`` the last 16 chunks of one, complements and screens
-included, so a later read of the same graphs reads them again, and reads of
-lone graphs never evict a scan's screens; no float spectrum is cached by
-graph.
+(``holding``): one path for both.  ``chunk_of`` keeps the last 16 chunks,
+complements and screens included, so a later read of the same graphs reads
+them again; no float spectrum is cached by graph.
 ``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within the escalation window of a bound, decisions
 are re-made exactly: integer characteristic polynomials via the
@@ -216,15 +214,8 @@ class Chunk:
 @lru_cache(maxsize=16)
 def chunk_of(members: tuple[Graph, ...]) -> Chunk:
     """The chunk of ``members``, kept for the last 16 member tuples with the complements and
-    screens built since: a scan's chunk (``in_chunk``)."""
+    screens built since: a scan's chunk, or a lone graph's chunk of one (``holding``)."""
     return Chunk(members)
-
-
-@lru_cache(maxsize=16)
-def lone_chunk(g: Graph) -> Chunk:
-    """The chunk of g alone, kept for the last 16 graphs read outside a scan (``holding``),
-    apart from ``chunk_of``: single-graph reads never evict a scan's screens."""
-    return Chunk((g,))
 
 
 #: The chunk that ``in_chunk`` sets: the graphs a scan's checks read, or none.
@@ -244,8 +235,8 @@ def in_chunk(graphs: Iterable[Graph]) -> Iterator[Chunk]:
 
 
 def holding(g: Graph) -> Chunk:
-    """The current chunk if g is one of its graphs, else the kept chunk of g alone (``lone_chunk``)."""
-    return _current if g in _current._partner else lone_chunk(g)
+    """The current chunk if g is one of its graphs, else the kept chunk of g alone."""
+    return _current if g in _current._partner else chunk_of((g,))
 
 
 def spectrum(g: Graph, kind: str) -> Spectrum:

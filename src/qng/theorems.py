@@ -140,32 +140,34 @@ def bipartite_equality_catalogue() -> tuple[str, ...]:
 
 # Each catalogue is (name, ``BlowUp``) pairs, built once at the symbolic n: ``BlowUp.at`` names a
 # family at each order where its cells are nonempty and its sizes sum to that order.
-n, = polys.MPoly.variables("n")
+_N, = polys.MPoly.variables("n")
 _K33 = BlowUp((3, 3), (False, False), frozenset({(0, 1)}))
-_STAR_FAMILIES = (("K_{1,n-1}", BlowUp((1, n - 1), (False, False), frozenset({(0, 1)}))),
-                  ("complement-of-K_{1,n-1}", BlowUp((1, n - 1), (True, True))))
+_STAR = BlowUp((1, _N - 1), (False, False), frozenset({(0, 1)}))
+_STAR_FAMILIES = ("K_{1,n-1}", _STAR), ("complement-of-K_{1,n-1}", _STAR.complement())
 _LOWER_BOUND_FAMILIES = (
-    ("K_n", BlowUp((n,), (True,))), ("nK_1", BlowUp((n,), (False,))), _STAR_FAMILIES[0],
-    ("K_{n-1}∪K_1", BlowUp((n - 1, 1), (True, False))),
-    ("(2K_1)∇K_{n-2}", BlowUp((2, n - 2), (False, True), frozenset({(0, 1)}))),
-    ("K_2∪(n-2)K_1", BlowUp((2, n - 2), (True, False))))
+    ("K_n", BlowUp((_N,), (True,))), ("nK_1", BlowUp((_N,), (False,))), _STAR_FAMILIES[0],
+    ("K_{n-1}∪K_1", BlowUp((_N - 1, 1), (True, False))),
+    ("(2K_1)∇K_{n-2}", BlowUp((2, _N - 2), (False, True), frozenset({(0, 1)}))),
+    ("K_2∪(n-2)K_1", BlowUp((2, _N - 2), (True, False))))
 _UPPER_BOUND_FAMILIES = (("K_2", _on_vertices(2, [(0, 1)])), ("P_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3)])),
                          ("C_4", _on_vertices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+_HUB = frozenset({(0, 2), (1, 2)})
 _COBAR_DISCONNECTED_FAMILIES = (
-    ("(K_2∪K_{n-3})∇K_1", BlowUp((2, n - 3, 1), (True, True, False), frozenset({(0, 2), (1, 2)}))),
-    ("(2K_2)∇(3K_1)", BlowUp((2, 2, 3), (True, True, False), frozenset({(0, 2), (1, 2)}))), ("K_{3,3}", _K33),
+    ("(K_2∪K_{n-3})∇K_1", BlowUp((2, _N - 3, 1), (True, True, False), _HUB)),
+    ("(2K_2)∇(3K_1)", BlowUp((2, 2, 3), (True, True, False), _HUB)), ("K_{3,3}", _K33),
     ("(K_1∪K_2)∇(K_1∪K_2)", BlowUp((1, 2, 1, 2), (False, True, False, True),
                                   frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))))
 # the order-6 catalogue, read and K_{3,3} named in it at import
 _BIPARTITE_EQUALITY_FAMILIES = tuple(
     ("K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}", _on_vertices(6, from_graph6(g6).edges()))
     for k33 in [canonical_form(_K33.graph())] for i, g6 in enumerate(bipartite_equality_catalogue(), start=1))
-# Theorem 1.5's six blow-ups by label, four double hubs and two complements: a cell size is n minus
-# a constant or a constant, so every n >= 8 has one cell layout, whose quotients over Z[n] these give.
-_THM15_BLOW_UPS = {"(n-5,1,2)": double_hub(n - 5, 1, 2), "(n-4,1,1)": double_hub(n - 4, 1, 1),
-                   "complement (n-4,1,1)": double_hub(n - 4, 1, 1).complement(), "(n-4,0,2)": double_hub(n - 4, 0, 2),
-                   "(n-3,0,1)": double_hub(n - 3, 0, 1), "complement (n-3,0,1)": double_hub(n - 3, 0, 1).complement()}
-del n
+# Theorem 1.5's six blow-ups by label, four double hubs and the complements of two: a cell size is
+# n minus a constant or a constant, so every n >= 8 has one cell layout, whose quotients over Z[n]
+# these give.
+_HUB2, _HUB5 = double_hub(_N - 4, 1, 1), double_hub(_N - 3, 0, 1)
+_THM15_BLOW_UPS = {"(n-5,1,2)": double_hub(_N - 5, 1, 2), "(n-4,1,1)": _HUB2,
+                   "complement (n-4,1,1)": _HUB2.complement(), "(n-4,0,2)": double_hub(_N - 4, 0, 2),
+                   "(n-3,0,1)": _HUB5, "complement (n-3,0,1)": _HUB5.complement()}
 
 
 def _match_family(g: Graph, families) -> Optional[tuple[str, tuple[int, ...]]]:

@@ -1207,8 +1207,8 @@ def test_scan_tests_connectivity_and_complements_once_per_graph(monkeypatch, enu
 
 def test_scan_drops_its_last_chunk(monkeypatch):
     """After a scan, and after a scan that raised, a spectrum of a graph of the
-    last chunk is screened alone, not with the stale chunk.  The kept chunks of one
-    are cleared first, or a kept chunk of the graph alone would hide a stale one."""
+    last chunk is screened alone, not with the stale chunk.  The kept chunks are
+    cleared first, or a kept chunk of the graph alone would hide a stale one."""
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -1225,7 +1225,7 @@ def test_scan_drops_its_last_chunk(monkeypatch):
         return theorems.check_lemma26(g)
 
     for done in ("returned", "raised"):
-        spectra.lone_chunk.cache_clear()
+        spectra.chunk_of.cache_clear()
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         spectra.spectrum(last, "A")
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)

@@ -35,13 +35,12 @@ from qng.spectra import (
     compare_sum_with,
     in_chunk,
     kind_char_poly,
-    lone_chunk,
     matrix_of_kind,
     ng_sum,
     q_matrix,
     spectrum,
 )
-from qng.theorems import EQUALITY, check_thm12, run_all_checks
+from qng.theorems import EQUALITY, check_thm12
 from conftest import random_graph
 
 
@@ -516,13 +515,13 @@ def test_a_failed_screen_keeps_no_rows_of_a_lone_graph(monkeypatch, at):
     (call 0) or its complement (call 1) stores no row: later reads of the same chunk give
     each graph its own spectrum, the thm-1.2 equality stays certified, and an unknown kind
     raises the same ``ValueError`` every time."""
-    lone_chunk.cache_clear()
+    chunk_of.cache_clear()
     _raising_once(monkeypatch, at)
     g = star(5)
-    chunk = lone_chunk(g)
+    chunk = chunk_of((g,))
     with pytest.raises(np.linalg.LinAlgError, match="raised once"):
         ng_sum(g, "Q", 2)
-    assert lone_chunk(g) is chunk  # the chunk is kept
+    assert chunk_of((g,)) is chunk  # the chunk is kept
     assert spectrum(g, "Q").values == pytest.approx((5, 1, 1, 1, 0), abs=1e-12)
     assert chunk.spectrum(chunk.complement(g), "Q").values == pytest.approx((6, 2, 2, 2, 0), abs=1e-12)
     assert check_thm12(g).verdict == EQUALITY
@@ -545,20 +544,3 @@ def test_a_scan_rerun_after_a_failed_screen_matches_a_fresh_scan(monkeypatch):
     fresh = scan(6, "all", check_thm12)
     assert (rerun.total, rerun.counts, rerun.equality) == (fresh.total, fresh.counts, fresh.equality)
     assert fresh.total == 156 and fresh.counts[EQUALITY] > 0
-
-
-def test_lone_graph_reads_keep_a_scan_s_screens(monkeypatch):
-    """A lone graph's chunk of one is kept apart from the scan chunks: after sixteen graphs
-    read one by one, C4..C19 through ``run_all_checks``, a repeated order-7 scan reads its
-    kept screens again and makes no eigvalsh call."""
-    chunk_of.cache_clear()
-    lone_chunk.cache_clear()
-    first = scan(7, "all", check_thm12)
-    for n in range(4, 20):
-        run_all_checks(cycle(n))
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    again = scan(7, "all", check_thm12)
-    assert calls == []
-    assert (again.total, again.counts, again.equality) == (first.total, first.counts, first.equality)

@@ -556,7 +556,7 @@ def test_run_all_checks_reads_one_chunk_of_its_graph(monkeypatch):
     eigvalsh, build = np.linalg.eigvalsh, spectra.complement
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(spectra, "complement", lambda g: built.append(g) or build(g))
-    spectra.lone_chunk.cache_clear()
+    spectra.chunk_of.cache_clear()
     g = complete_bipartite(3, 3)
     reports = run_all_checks(g)
     assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [g])
@@ -569,7 +569,7 @@ def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
     stacks = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
-    spectra.lone_chunk.cache_clear()
+    spectra.chunk_of.cache_clear()
     g = cycle(7)
     spectrum(g, "Q"), ng_sum(g), check_thm12(g), theorems.check_ng_q1(g)
     assert stacks == [(1, 7, 7), (1, 7, 7)]
@@ -579,7 +579,7 @@ def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
 def test_row_verdicts_of_a_lone_graph_match_its_report(g):
     """Every registered row hands one graph, outside any scan, the verdict it reports on it:
     ``verdicts`` reads the graph's kept chunk of one, as the call does."""
-    spectra.lone_chunk.cache_clear()
+    spectra.chunk_of.cache_clear()
     for row in [*THEOREM_CHECKS.values(), theorems.check_ng_q1, *theorems.NG_BOUNDS.values()]:
         assert row.verdicts([g]) == [row(g).verdict], row.name
 
