@@ -28,15 +28,14 @@ gcd and of its reflected polynomial, so a bisection counts each polynomial
 at each point once.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
-gives an ``int``).  The integer kernel ``sign_at_surd`` gives the sign of
-p((u + v sqrt(d)) / den) by Horner's rule on integer pairs, so closed-form roots
-like (n - 2 + sqrt(n^2 - 8n + 20)) / 2 are certified with no floats or fractions;
-every surd test of Theorem 1.5's proof check runs on it.  A ``Surd`` a + b sqrt(d)
-has no arithmetic: it is only a bound of a root-sum comparison and a point to
-count roots at, where the counting kernel shifts in the same integer pairs.
+gives an ``int``).  ``_value_surd`` writes den^deg(p) p((u + v sqrt(d)) / den)
+as a + b sqrt(d) by Horner's rule on integer pairs, and ``_surd_sign`` signs
+it, with no floats or fractions.  A ``Surd`` a + b sqrt(d) has no arithmetic:
+it is only a bound of a root-sum comparison and a point to count roots at,
+where the counting kernel shifts in the same integer pairs.
 
 The Horner kernels use only + and *, so they also run over ``MPoly``, a
-polynomial over Z in named variables: Theorem 1.2's proof check evaluates its
+polynomial over Z in named variables: the proof checks evaluate their
 quotients' char polys at closed-form roots in n, d2 and s, and a root is
 certified for every n, d2 and s when both parts of the value are the zero
 polynomial.  So does ``char_poly``, a sum of principal minors, each a
@@ -332,13 +331,6 @@ def _surd_sign(a, b, d: int) -> int:
     if lhs == rhs:
         return 0
     return _sign(a) if lhs > rhs else _sign(b)
-
-
-def sign_at_surd(p: Sequence[int], u: int, v: int, d: int, den: int = 1) -> int:
-    """Sign of p((u + v*sqrt(d)) / den) for integers u, v, d >= 0 and den > 0, in ``int`` arithmetic."""
-    if den <= 0 or d < 0:
-        raise ValueError(f"surd needs den > 0 and d >= 0, not den={den}, d={d}")
-    return _surd_sign(*_value_surd(p, u, v, d, den), d) if p else 0
 
 
 def _surd_parts(c) -> tuple[Fraction, Fraction, int]:

@@ -29,9 +29,9 @@ runs every row on g's kept chunk of one, so the rows share its screens.
 The two ``proof_check_*`` functions re-derive, in exact arithmetic, the
 quotient-matrix algebra that the extremal characterizations rest on: closed
 forms for second-largest quotient eigenvalues, polynomial identities between
-discriminants, and the sign evaluations that locate roots.  Each proves its
-identities once, over polynomials (``polys.MPoly``), and leaves each call the
-signs, surd signs and root counts at its own parameters.  Theorem 1.5's
+discriminants, and the signs that locate roots.  Each proves its identities
+and sign facts once, over polynomials (``polys.MPoly``) and for every n from
+an n0, and leaves a call only Theorem 1.5's root counts at n.  Theorem 1.5's
 blow-ups are ``graph.BlowUp``s at a symbolic n, whose ``quotient`` is their
 quotient over Z[n], and while an order's blown-up graphs fit 32 vertices
 each, named at that order by ``BlowUp.at``, is tied to its integer quotient
@@ -579,14 +579,44 @@ class _Checks(list):
             self.append(label)
 
 
+def _sign_from(p, n0: int) -> int:
+    """The sign of p at every integer n >= n0, for an ``int`` or an ``MPoly`` p in its first name n, or
+    0 if this cannot show one: the zero polynomial, one that mentions d2 or s, or one that fails the
+    certificate, Descartes' rule at n0.  If p(n0) != 0 and p(n0 + t) has no sign variation in t
+    (``polys._roots_above([p], n0) == [0]``), p has no root above n0, real-rooted or not."""
+    if isinstance(p, int):
+        return polys._sign(p)
+    if not p or any(any(e[1:]) for e in p.terms):
+        return 0
+    by_degree = {e[0]: c for e, c in p.terms.items()}
+    coeffs = [by_degree.get(i, 0) for i in range(max(by_degree) + 1)]
+    return polys._sign(polys.poly_eval(coeffs, n0)) if polys._roots_above([coeffs], n0) == [0] else 0
+
+
+def _surd_sign_from(p, u, v, d, den: int, n0: int) -> int:
+    """The sign of p((u + v sqrt(d)) / den) at every integer n >= n0, for p, u, v and d over Z[n],
+    d >= 0 from n0, and an ``int`` den > 0, or 0 if this cannot show one: with den^deg(p) p(...) = a + b sqrt(d)
+    (``polys._value_surd``), the case analysis of ``polys._surd_sign`` on the signs of a, b and
+    a^2 - b^2 d from n0 (``_sign_from``)."""
+    a, b = polys._value_surd(p, u, v, d, den)
+    sa, sb = _sign_from(a, n0), _sign_from(b, n0)
+    if not b or sa == sb:
+        return sa
+    if not (sa and sb):
+        return 0 if a else sb
+    norm = _sign_from(a * a - b * b * d, n0)
+    return sa if norm > 0 else sb if norm < 0 else 0
+
+
 @lru_cache(maxsize=None)
 def _thm12_identities() -> tuple[str, ...]:
-    """The labels of the failed polynomial identities behind ``proof_check_thm12``.
+    """The labels of the failed polynomial identities and sign facts behind ``proof_check_thm12``.
 
     Each is checked once, over Z[n, d2, s]: p at a point of that ring is ``polys.poly_eval``, and a
     closed-form root (u - sqrt(d)) / den of a quotient holds when both parts of ``polys._value_surd``
     at it are the zero polynomial.  The quadratics f(x) = 4x^2 - (4n-4)x + 6n - 11 and
-    g(x) = (n-4)x^2 - (n^2-5n+4)x + n^2 - 4n + 4 are written by their coefficients in Z[n].
+    g(x) = (n-4)x^2 - (n^2-5n+4)x + n^2 - 4n + 4 are written by their coefficients in Z[n]; their
+    values at 2 and n - 3 are negative for every n >= 7 and n >= 8, by ``_sign_from``.
     """
     n, d2, s = polys.MPoly.variables("n", "d2", "s")
     c = _Checks()
@@ -603,12 +633,10 @@ def _thm12_identities() -> tuple[str, ...]:
 
     f = [6 * n - 11, -(4 * n - 4), 4]
     c.expect(disc - (n - 2) ** 2 == polys.poly_eval(f, d2), "discriminant reduces to f(d2)")
-    c.expect(polys.poly_eval(f, 2) == 13 - 2 * n, "f(2) evaluation")
-    c.expect(polys.poly_eval(f, n - 3) == 13 - 2 * n, "f(n-3) evaluation")
+    c.expect(all(_sign_from(polys.poly_eval(f, x), 7) == -1 for x in (2, n - 3)), "f sign for n >= 7")
 
     gq = [n * n - 4 * n + 4, -(n * n - 5 * n + 4), n - 4]
-    c.expect(polys.poly_eval(gq, 2) == -((n - 5) ** 2) + 5, "g(2) evaluation")
-    c.expect(polys.poly_eval(gq, n - 3) == -((n - 5) ** 2) + 5, "g(n-3) evaluation")
+    c.expect(all(_sign_from(polys.poly_eval(gq, x), 8) == -1 for x in (2, n - 3)), "g sign for n >= 8")
 
     def xval(s):
         return n * n - 5 * n + 2 * s + 6
@@ -640,22 +668,15 @@ def proof_check_thm12(n: int, d2: int) -> bool:
     For the three parametric 2x2 quotient matrices, the third one for every s with
     d2 - 1 <= s <= n - 2, it certifies the closed forms of the second-largest
     eigenvalues, the discriminant identities that turn the bound chain into sign
-    conditions on the quadratics f and g, and the evaluations
-    f(2) = f(n-3) = 13 - 2n and g(2) = g(n-3) = -(n-5)^2 + 5.  These are polynomial
-    identities, proved once for every n, d2 and s by ``_thm12_identities``; with
-    d2 >= 1 and n - 2 > 0 they make both discriminants sums of a square and a
-    nonnegative term.  A call checks its range and the signs that depend on n:
-    n - 2 > 0, 13 - 2n < 0 for n >= 7 and -(n-5)^2 + 5 < 0 for n >= 8.
+    conditions on the quadratics f and g, and those signs: f(2), f(n-3) < 0 for
+    n >= 7 and g(2), g(n-3) < 0 for n >= 8.  These are polynomial identities and
+    sign facts, proved once for every n, d2 and s by ``_thm12_identities``; with
+    d2 >= 1 and n - 2 > 0, which n >= 4 gives, they make both discriminants sums of
+    a square and a nonnegative term.  A call checks only its range.
     """
     if n < 4 or not 1 <= d2 <= n - 2:
         raise ValueError(f"parameters out of range: n={n}, d2={d2}")
-    c = _Checks(_thm12_identities())
-    c.expect(n - 2 > 0, "n - 2 positive")
-    if n >= 7:
-        c.expect(13 - 2 * n < 0, "f sign for n >= 7")
-    if n >= 8:
-        c.expect(-((n - 5) ** 2) + 5 < 0, "g sign for n >= 8")
-    return not c
+    return not _thm12_identities()
 
 
 def _at(p: tuple, n: int) -> tuple[int, ...]:
@@ -664,17 +685,18 @@ def _at(p: tuple, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
-    """The labels of the failed polynomial identities behind ``proof_check_thm15``, and the
-    char polys of the (n-4,1,1) quotient and of its complement's, and the cubic f_1, their
-    coefficients in Z[n].
+def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple]:
+    """The labels of the failed polynomial identities and sign facts behind ``proof_check_thm15``,
+    and the char polys of the (n-4,1,1) quotient and of its complement's, their coefficients in Z[n].
 
     Each identity is checked once, over Z[n]: the char polys of the quotients of ``_THM15_BLOW_UPS``,
     built at the symbolic n, come from ``polys.char_poly``, tuples like the closed forms written by their
     coefficients in Z[n] (``MPoly`` expressions in n).  p at a point in Z[n] is ``polys.poly_eval``,
     at the rational point (2n - 5) / 2 it is 2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``,
     and a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of
-    ``polys._value_surd`` at it are the zero polynomial.
+    ``polys._value_surd`` at it are the zero polynomial.  Each sign fact holds for every n >= 8:
+    a value's sign by ``_sign_from``, and a sign at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by
+    ``_surd_sign_from``.  A trace is read off its char poly's next-to-leading coefficient.
     """
     n, = polys.MPoly.variables("n")
     c = _Checks()
@@ -684,41 +706,45 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     def at_beta2(p, v=1):
         return polys._value_surd(p, n - 2, v, disc, 2)
 
+    def sign_at_beta2(p):
+        return _surd_sign_from(p, n - 2, 1, disc, 2, 8)
+
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
     phi = phis["(n-5,1,2)"]
     quartic = (n * n - 5 * n, -2 * n * n + 8 * n - 2, n * n - n - 4, 3 - 2 * n, 1)
     c.expect(phi == tuple(polys.poly_mul([0, 1], quartic)), "char poly x*f (n-5,1,2)")
-    c.expect(polys.poly_eval(quartic, n - 3) == -(n - 5) * (n - 6), "f(n-3) evaluation")
-    c.expect(-phi[4] == 2 * n - 3, "quotient trace (n-5,1,2)")
+    c.expect(_sign_from(polys.poly_eval(quartic, n - 3), 8) == -1, "f(n-3) negative")
+    c.expect(_sign_from(3 * (n - 3) + phi[-2], 8) == 1, "trace rules out three roots above n-3")
 
     # -- double hub over blocks (n-4, 1, 1): q_2 equals (n-2+sqrt(n^2-8n+20))/2
     phi2, phi3 = phis["(n-4,1,1)"], phis["complement (n-4,1,1)"]
     c.expect(at_beta2(phi2) == (0, 0), "beta_2 is a quotient eigenvalue")
+    c.expect(sign_at_beta2((-2, 1)) == 1, "beta_2 exceeds the replicated eigenvalue 2")
     cubic = (-6 * n * n + 38 * n - 56, 2 * n * n - 3 * n - 12, 6 - 3 * n, 1)
     f2 = (n - 4, 2 - n, 1)
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
     c.expect(at_beta2(f2) == (0, 0), "gamma_1' root formula")
     c.expect(at_beta2(f2, -1) == (0, 0), "gamma_2' root formula")
-    c.expect(polys.poly_eval(cubic, 2 * n - 6) == -4 * n + 16, "f_1(2n-6) evaluation")
-    # the closed form -2(n-4)(n-3) + 2(n-4)sqrt(disc) of f_1(gamma_1'), with sqrt(disc) = 2x - (n-2)
-    claim = [-2 * (n - 4) * (2 * n - 5), 4 * (n - 4), 0, 0]
-    c.expect(at_beta2([a - b for a, b in zip(cubic, claim)]) == (0, 0), "f_1(gamma_1') closed form")
+    c.expect(_sign_from(polys.poly_eval(cubic, 2 * n - 6), 8) == -1, "f_1(2n-6) negative")
+    c.expect(sign_at_beta2(cubic) == -1, "f_1(gamma_1') negative")
+    c.expect(sign_at_beta2((4 - n, 1)) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
+    c.expect(sign_at_beta2((2 * n - 5, -2)) == 1, "equal second eigenvalues stay below 2n-5")
 
     # -- single hub side empty, blocks (n-4, 0, 2)
     cubic4 = (4 * n - n * n, n * n - 2 * n - 2, 3 - 2 * n, 1)
     c.expect(phis["(n-4,0,2)"] == tuple(polys.poly_mul([0, 1], cubic4)), "char poly x*f (n-4,0,2)")
-    c.expect(polys.poly_eval(cubic4, n - 3) == 6 - n, "f(n-3) evaluation, (n-4,0,2)")
+    c.expect(_sign_from(polys.poly_eval(cubic4, n - 3), 8) == -1, "f(n-3) nonpositive, (n-4,0,2)")
+    c.expect(_sign_from(3 * (n - 3) + phis["(n-4,0,2)"][-2], 8) == 1, "trace argument, (n-4,0,2)")
 
     # -- single hub side empty, blocks (n-3, 0, 1); 8 g((2n-5)/2) and 16 phi((2n-5)/2) by homogeneous Horner
     cubic5 = (3 * n - n * n, n * n - n - 2, 2 - 2 * n, 1)
     c.expect(phis["(n-3,0,1)"] == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
-    c.expect(polys._value(cubic5, 2 * n - 5, 2) == -2 * n + 15, "g(n-5/2) evaluation")
+    c.expect(_sign_from(polys._value(cubic5, 2 * n - 5, 2), 8) == -1, "g(n-5/2) negative")
     quartic6 = (2 * n * n - 14 * n + 24, -6 * n * n + 35 * n - 48, 2 * n * n - 3 * n - 10, 6 - 3 * n, 1)
     c.expect(phis["complement (n-3,0,1)"] == quartic6, "complement char poly (n-3,0,1)")
-    c.expect(polys.poly_eval(quartic6, 2 * n - 6) == -4 * (n - 3) * (n - 4), "phi(2n-6) evaluation")
-    c.expect(polys._value(quartic6, 2 * n - 5, 2) == -(2 * n - 11) * (4 * n * n - 24 * n + 39),
-             "phi(n-5/2) evaluation")
-    return tuple(c), phi2, phi3, cubic
+    c.expect(_sign_from(polys.poly_eval(quartic6, 2 * n - 6), 8) == -1, "phi(2n-6) negative")
+    c.expect(_sign_from(polys._value(quartic6, 2 * n - 5, 2), 8) == -1, "phi(n-5/2) negative")
+    return tuple(c), phi2, phi3
 
 
 def _blow_up_identity(b: BlowUp) -> bool:
@@ -747,46 +773,26 @@ def proof_check_thm15(n: int) -> bool:
 
     The cell quotient matrices of the four relevant double-hub bipartite blow-ups
     and of two of their complements have characteristic polynomials that match
-    closed forms in n coefficient-for-coefficient, root formulas and evaluations
-    that hold exactly: polynomial identities, proved once for every n by
-    ``_thm15_identities``.  A call checks its range, the signs in n that the
-    identities leave, the surd signs at beta_2 = (n-2+sqrt(n^2-8n+20))/2, and the
-    two second-eigenvalue equalities by exact root counts at beta_2 on the char
-    polys evaluated at n.  While the order fits the 32-vertex graph type each
+    closed forms in n coefficient-for-coefficient, root formulas that hold exactly,
+    and signs in n and at beta_2 = (n-2+sqrt(n^2-8n+20))/2: identities and sign facts
+    proved once for every n >= 8 by ``_thm15_identities``.  A call checks its range
+    and the two second-eigenvalue equalities by exact root counts at beta_2 on the
+    char polys evaluated at n.  While the order fits the 32-vertex graph type each
     blown-up graph is also checked against its quotient by one integer identity
-    (``_blow_up_identity``): its spectrum is the quotient's plus the twin
-    eigenvalues, so the root counts give its q_2 exactly.  Beyond that the sweep
-    continues on the identities alone.
+    (``_blow_up_identity``): its spectrum is the quotient's plus the twin eigenvalues,
+    so the root counts give its q_2 exactly.  Beyond that the identities alone serve.
     """
     if n < 8:
         raise ValueError("requires n >= 8")
-    failed, phi2, phi3, cubic = _thm15_identities()
+    failed, phi2, phi3 = _thm15_identities()
     c = _Checks(failed)
-    disc = n * n - 8 * n + 20
-    beta2 = Surd(Fraction(n - 2, 2), Fraction(1, 2), disc)  # the point of the two root counts
-
-    def sign_at_beta2(p) -> int:
-        return polys.sign_at_surd(p, n - 2, 1, disc, 2)
+    beta2 = Surd(Fraction(n - 2, 2), Fraction(1, 2), n * n - 8 * n + 20)  # the point of the two root counts
 
     if n <= MAX_VERTICES:
         for label, b in _THM15_BLOW_UPS.items():
             c.expect(_blow_up_identity(b.at(n)), f"Q(G)T = T Lambda {label}")
 
-    c.expect(-(n - 5) * (n - 6) < 0, "f(n-3) negative")
-    c.expect(3 * (n - 3) > 2 * n - 3, "trace rules out three roots above n-3")
-
     c.expect(polys.root_counter(_at(phi2, n)).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
-    c.expect(sign_at_beta2([-2, 1]) == 1, "beta_2 exceeds the replicated eigenvalue 2")
-    c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
-    c.expect(sign_at_beta2(_at(cubic, n)) == -1, "f_1(gamma_1') negative")
     c.expect(polys.root_counter(_at(phi3, n)).count_gt(beta2) == 1,
              "exactly one complement quotient eigenvalue above gamma_1'")
-    c.expect(sign_at_beta2([4 - n, 1]) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
-    c.expect(sign_at_beta2([2 * n - 5, -2]) == 1, "equal second eigenvalues stay below 2n-5")
-
-    c.expect(6 - n <= 0, "f(n-3) nonpositive, (n-4,0,2)")
-    c.expect(3 * (n - 3) >= 2 * n - 3, "trace argument, (n-4,0,2)")
-    c.expect(-2 * n + 15 < 0, "g(n-5/2) negative")
-    c.expect(-4 * (n - 3) * (n - 4) < 0, "phi(2n-6) negative")
-    c.expect(-(2 * n - 11) * (4 * n * n - 24 * n + 39) < 0, "phi(n-5/2) negative")
     return not c

@@ -31,6 +31,31 @@ def twin_classes(rows):
     return out[0], out[1]
 
 
+def surd_sign(p, u: int, v: int, d: int, den: int = 1) -> int:
+    """The sign of p((u + v sqrt(d)) / den) for integer coefficients p, in ascending
+    order, integers u, v, d >= 0 and den > 0, in ``int`` arithmetic alone.
+
+    den^deg(p) p((u + v sqrt(d)) / den) = a + b sqrt(d) is summed term by term from the
+    powers of u + v sqrt(d) as integer pairs; with opposite signs, the part with the larger
+    square decides.  The tests' integer reference for a sign at a closed-form root, sharing
+    no code with ``qng.polys``; test modules import it from here.
+    """
+    if den <= 0 or d < 0:
+        raise ValueError(f"surd needs den > 0 and d >= 0, not den={den}, d={d}")
+    a = b = 0
+    x, y = 1, 0  # (u + v sqrt(d))^i = x + y sqrt(d)
+    for i, c in enumerate(p):
+        scale = c * den ** (len(p) - 1 - i)
+        a, b = a + scale * x, b + scale * y
+        x, y = x * u + y * v * d, x * v + y * u
+    if b == 0 or d == 0:
+        return (a > 0) - (a < 0)
+    if a * b >= 0:  # one sign, or a = 0
+        return 1 if a + b > 0 else -1
+    gap = a * a - b * b * d
+    return ((gap > 0) - (gap < 0)) * (1 if a > 0 else -1)
+
+
 def random_graph(rng, n, p=0.5):
     """A graph of order n with each vertex pair an edge with probability p, drawn from the
     ``random.Random`` rng in increasing pair order; test modules import it from here."""

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import mpmath
+import sympy
 
 from qng import polys
 from qng.enumeration import _relabeled as relabel, canonical_form, enumerate_graphs
@@ -152,3 +153,68 @@ def test_seeded_and_plain_isolation_agree(graphs_by_order):
                     for w in (seeded, plain):
                         assert w.counter.count_distinct_halfopen(w.lo, w.hi) == 1
                     assert max(seeded.lo, plain.lo) < min(seeded.hi, plain.hi), (to_graph6(g), kind, k)
+
+
+def _hub_quotients(s0, s1, s2):
+    """The Q-quotients of the double hub on cocliques S0, S1, S2 and hubs u ~ S0, S1 and
+    v ~ S0, S2, and of its complement, over its nonempty cells S0, S1, S2, u, v: written from
+    the definition, sharing no code with ``graph.BlowUp``."""
+    sizes = (s0, s1, s2, 1, 1)
+    cells = [i for i, size in enumerate(sizes) if size != 0]
+    joined = {(0, 3), (0, 4), (1, 3), (2, 4)}
+
+    def adjacent(i, j):
+        return (min(i, j), max(i, j)) in joined
+
+    degree = {i: sum(sizes[j] for j in cells if adjacent(i, j)) for i in cells}
+    order = sum(sizes)
+    quotient = [[degree[i] if i == j else sizes[j] if adjacent(i, j) else 0 for j in cells] for i in cells]
+    # in the complement each cell is a clique: n - 1 - deg, plus the s_i - 1 cell mates
+    co = [[order - 2 - degree[i] + sizes[i] if i == j else 0 if adjacent(i, j) else sizes[j] for j in cells]
+          for i in cells]
+    return sympy.Matrix(quotient), sympy.Matrix(co)
+
+
+def test_proof_check_sign_facts_against_sympy():
+    """Every sign fact of the two proof checks, rebuilt by sympy from its own ``Matrix.charpoly``
+    of the quotient matrices at a symbolic n, with no ``MPoly`` and no ``polys.char_poly``: each
+    has no real root in [n0, oo) and the sign at n0, so that sign at every n >= n0.  The four
+    signs at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 hold by sympy's exact sign for n = 8..200."""
+    n, x, d2, s = sympy.symbols("n x d2 s")
+
+    def charpoly(m):
+        return m.charpoly(x).as_expr()
+
+    def discriminant(rows):
+        return sympy.discriminant(charpoly(sympy.Matrix(rows)), x)
+
+    # Theorem 1.2: f(d2) is the first quotient's discriminant less (n - 2)^2, and g(d2) the third's
+    # (n - 2 times the quotient) less the threshold squared, over 4(n - 2), at s = d2 - 1
+    f = discriminant([[n - 2, n - 2], [1, 2 * d2 - 1]]) - (n - 2) ** 2
+    third = [[(n - 2) ** 2, (n - 2) ** 2], [n - 2, (2 * n - 2 * d2 - 5) * (n - 2) + 2 * s]]
+    g = sympy.cancel((discriminant(third) - ((n - 2) * (n - 3) + 2 * s) ** 2) / (4 * (n - 2))).subs(s, d2 - 1)
+    facts = [(f.subs(d2, 2), 7, -1), (f.subs(d2, n - 3), 7, -1), (g.subs(d2, 2), 8, -1), (g.subs(d2, n - 3), 8, -1)]
+
+    # Theorem 1.5: the double hubs' char polys, x times a cubic or quartic where 0 is a root
+    q512, q402 = _hub_quotients(n - 5, 1, 2)[0], _hub_quotients(n - 4, 0, 2)[0]
+    quartic, cubic4 = (sympy.cancel(charpoly(q) / x) for q in (q512, q402))
+    f1, = (factor / sympy.LC(factor, x) for factor, _ in sympy.factor_list(charpoly(_hub_quotients(n - 4, 1, 1)[1]))[1]
+           if sympy.degree(factor, x) == 3)  # the monic cubic factor f_1 of the complement's char poly
+    q301, co301 = _hub_quotients(n - 3, 0, 1)
+    cubic5, phi6 = sympy.cancel(charpoly(q301) / x), charpoly(co301)
+    facts += [(quartic.subs(x, n - 3), 8, -1), (3 * (n - 3) - q512.trace(), 8, 1),
+              (f1.subs(x, 2 * n - 6), 8, -1),
+              (cubic4.subs(x, n - 3), 8, -1), (3 * (n - 3) - q402.trace(), 8, 1),
+              (cubic5.subs(x, n - sympy.Rational(5, 2)), 8, -1),
+              (phi6.subs(x, 2 * n - 6), 8, -1), (phi6.subs(x, n - sympy.Rational(5, 2)), 8, -1)]
+    assert len(facts) == 4 + 8
+    for expr, n0, sign in facts:
+        p = sympy.Poly(sympy.expand(expr), n)
+        assert p.count_roots(n0, None) == 0, expr
+        assert sympy.sign(p.eval(n0)) == sign, expr
+
+    for k in range(8, 201):
+        beta2 = (k - 2 + sympy.sqrt(k * k - 8 * k + 20)) / 2
+        signs = [sympy.sign(sympy.expand(e)) for e in
+                 (beta2 - 2, f1.subs({n: k, x: beta2}), beta2 - (k - 4), 2 * k - 5 - 2 * beta2)]
+        assert signs == [1, -1, 1, 1], k

@@ -29,9 +29,10 @@ from qng.polys import (
     poly_mul,
     poly_rem,
     reflection_norm,
-    sign_at_surd,
 )
 from qng.spectra import char_poly_exact, kind_char_poly, spectrum
+
+from conftest import surd_sign
 
 
 def scaled(coeffs):
@@ -124,7 +125,7 @@ def test_compose_linear():
         for a, b in [(root, 0) for root in rational] + [(e, f), (e, -f)]:
             for cb in (c.b, -c.b):  # c and its conjugate, minus the root a + b sqrt(d)
                 den = math.lcm((c.a - a).denominator, (cb - b).denominator)
-                assert sign_at_surd(q, int((c.a - a) * den), int((cb - b) * den), d, den) == 0, (p, c, a, b)
+                assert surd_sign(q, int((c.a - a) * den), int((cb - b) * den), d, den) == 0, (p, c, a, b)
 
 
 def test_compare_root_sum_decides_rational_and_surd_bounds():
@@ -445,8 +446,10 @@ def test_horner_kernels_run_on_mpoly():
 
 
 def test_sign_at_surd_matches_fraction_horner():
-    """The integer kernel gives the sign of p((u + v sqrt(d)) / den) that an exact ``Fraction``
-    Horner gives, over seeded random polynomials and points, at roots and at known signs."""
+    """The tests' integer reference ``surd_sign``, and ``polys._surd_sign`` of ``polys._value_surd``,
+    the kernels that the proof checks' signs at beta_2 and root counting at a ``Surd`` run on, give
+    the sign of p((u + v sqrt(d)) / den) that an exact ``Fraction`` Horner gives, over seeded random
+    polynomials and points, at roots and at known signs."""
     rng = random.Random(28)
     cases = [([0, 1], 3, -1, 9, 1),  # 3 - sqrt(9) = 0
              ([-1, -1, 1], 1, 1, 5, 2), ([-1, -1, 1], 1, -1, 5, 2), ([-1, -1, 1], 2, 2, 5, 4),  # golden ratio
@@ -467,21 +470,22 @@ def test_sign_at_surd_matches_fraction_horner():
         cases.append((p, int(a * den), int(b * den), rng.randint(0, 60), den))
     zeros = 0
     for p, u, v, d, den in cases:
-        sign = sign_at_surd(p, u, v, d, den)
+        sign = surd_sign(p, u, v, d, den)
         assert sign == _surd_horner_sign(p, F(u, den), F(v, den), d), (p, u, v, d, den)
+        assert sign == (polys._surd_sign(*polys._value_surd(p, u, v, d, den), d) if p else 0), (p, u, v, d, den)
         if v == 0 or d == 0:
             value = poly_eval(p, F(u, den))
             assert sign == (value > 0) - (value < 0)
         zeros += sign == 0
     assert zeros > 150
     # 3 - sqrt(9) = 0, -3 + sqrt(8) < 0 < -3 + sqrt(10); x^2 - x - 1 vanishes at (1 +- sqrt(5))/2, not at 1 + sqrt(5)
-    assert [sign_at_surd([0, 1], *point) for point in ((3, -1, 9), (-3, 1, 8), (-3, 1, 10))] == [0, -1, 1]
-    assert sign_at_surd([-1, -1, 1], 1, 1, 5, 2) == sign_at_surd([-1, -1, 1], 1, -1, 5, 2) == 0
-    assert sign_at_surd([-1, -1, 1], 1, 1, 5) == 1
-    assert sign_at_surd([5], 1, 1, 2) == 1 and sign_at_surd([], 1, 1, 2) == 0
+    assert [surd_sign([0, 1], *point) for point in ((3, -1, 9), (-3, 1, 8), (-3, 1, 10))] == [0, -1, 1]
+    assert surd_sign([-1, -1, 1], 1, 1, 5, 2) == surd_sign([-1, -1, 1], 1, -1, 5, 2) == 0
+    assert surd_sign([-1, -1, 1], 1, 1, 5) == 1
+    assert surd_sign([5], 1, 1, 2) == 1 and surd_sign([], 1, 1, 2) == 0
     for den, d in ((0, 2), (-2, 2), (1, -1)):
         with pytest.raises(ValueError):
-            sign_at_surd([-1, -1, 1], 1, 1, d, den)
+            surd_sign([-1, -1, 1], 1, 1, d, den)
     with pytest.raises(ValueError):
         Surd(F(1), F(1), -2)
 
@@ -526,7 +530,7 @@ def _sturm_changes(chain, x):
         u, v, d = int(x.a * den), int(x.b * den), x.d
     else:
         u, v, d, den = F(x).numerator, 0, 0, F(x).denominator
-    signs = [s for s in (sign_at_surd(p, u, v, d, den) for p in chain) if s]
+    signs = [s for s in (surd_sign(p, u, v, d, den) for p in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 

@@ -73,7 +73,7 @@ from qng.theorems import (
     proof_check_thm15,
     run_all_checks,
 )
-from conftest import twin_classes
+from conftest import surd_sign, twin_classes
 
 PETERSEN = from_edges(
     10,
@@ -657,11 +657,11 @@ def _reference_proof_check_thm12(n: int, d2: int) -> bool:
     c.expect(disc >= 0, "discriminant nonnegative")
 
     b1 = ((n - 2, n - 2), (1, 2 * d2 - 1))
-    c.expect(polys.sign_at_surd(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
+    c.expect(surd_sign(_two_by_two_char(b1), n + 2 * d2 - 3, -1, disc, 2) == 0,
              "lambda_2 closed form, first quotient")
 
     b2 = ((n - 2, n - 2), (1, 2 * n - 2 * d2 - 3))
-    c.expect(polys.sign_at_surd(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
+    c.expect(surd_sign(_two_by_two_char(b2), 3 * n - 2 * d2 - 5, -1, disc, 2) == 0,
              "lambda_2 closed form, second quotient")
 
     f = [6 * n - 11, -(4 * n - 4), 4]
@@ -684,7 +684,7 @@ def _reference_proof_check_thm12(n: int, d2: int) -> bool:
         det = (n - 2) * (2 * n - 2 * d2 - 6) + 2 * s
         delta = numer * numer - 4 * (n - 2) ** 2 * det
         c.expect(delta >= 0, f"third discriminant nonnegative at s={s}")
-        c.expect(polys.sign_at_surd(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
+        c.expect(surd_sign(_two_by_two_char(b3, n - 2), numer, -1, delta, 2 * (n - 2)) == 0,
                  f"lambda_2 closed form, third quotient at s={s}")
         xval = n * n - 5 * n + 2 * s + 6
         c.expect(xval == (n - 2) * (n - 3) + 2 * s, f"threshold identity at s={s}")
@@ -709,20 +709,20 @@ def test_proof_check_thm12_matches_its_per_s_reference(fresh_thm12_identities):
 
 
 def test_proof_check_thm12_costs_nothing_per_n(monkeypatch, fresh_thm12_identities):
-    """The first call proves the identities; later calls, at any n, evaluate no surd:
-    n = 10^6 takes the same few integer comparisons as n = 6."""
+    """The first call proves the identities and the sign facts; later calls, at any n, evaluate
+    no surd and certify no sign: n = 10^6 checks only its range, as n = 6 does."""
     calls = Counter()
-    for name in ("sign_at_surd", "_value_surd"):
+    for name in ("_value_surd", "_roots_above"):
         def counted(*args, _exact=getattr(polys, name), _name=name):
             calls[_name] += 1
             return _exact(*args)
         monkeypatch.setattr(polys, name, counted)
     assert proof_check_thm12(6, 2)
-    assert calls == Counter(_value_surd=3)
+    assert calls == Counter(_value_surd=3, _roots_above=4)
     for d2 in (1, 2, 500000, 999998):
         assert proof_check_thm12(10**6, d2)
     assert proof_check_thm12(50, 1)
-    assert calls == Counter(_value_surd=3)
+    assert calls == Counter(_value_surd=3, _roots_above=4)
 
 
 @pytest.mark.parametrize("only_third", [False, True])
@@ -746,19 +746,21 @@ def test_proof_check_thm12_root_tests_bite(monkeypatch, fresh_thm12_identities, 
 
 
 def test_proof_check_thm12_builds_no_surd(monkeypatch, fresh_thm12_identities):
-    """Theorem 1.2's root tests run on polynomials alone: no ``Surd`` is built."""
-    def refuse(*args):
+    """Theorem 1.2's root tests and sign facts run on polynomials alone: no ``Surd`` is built."""
+    def refuse(self):
         raise AssertionError("a Surd was built")
 
-    for module in (theorems, polys):
-        monkeypatch.setattr(module, "Surd", refuse)
+    monkeypatch.setattr(polys.Surd, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="a Surd was built"):
+        polys.Surd(F(1), F(1), 2)
     assert proof_check_thm12(20, 7) and proof_check_thm12(50, 1)
 
 
 def test_proof_check_thm12_kernel_calls(monkeypatch, fresh_thm12_identities):
     """The first call builds the three 2x2 char polys over Z[n, d2, s], evaluates the quadratics
-    at ring points through the public ``polys.poly_eval`` and not the private ``_value``, and
-    tests the three closed-form roots; later calls, at any (n, d2), call no kernel."""
+    at ring points, and the sign facts at n0, through the public ``polys.poly_eval`` and not the
+    private ``_value``, tests the three closed-form roots and certifies the four signs by one
+    Taylor shift each; later calls, at any (n, d2), call no kernel."""
     calls = Counter()
 
     def counted(name, kernel):
@@ -768,13 +770,13 @@ def test_proof_check_thm12_kernel_calls(monkeypatch, fresh_thm12_identities):
         return count
 
     kernels = {name: counted(name, getattr(polys, name))
-               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "sign_at_surd")}
+               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "_roots_above")}
     monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels}))
     assert proof_check_thm12(9, 3)
-    assert calls == Counter(char_poly=3, poly_eval=6, _value_surd=3)
+    assert calls == Counter(char_poly=3, poly_eval=6 + 4, _value_surd=3, _roots_above=4)
     for n, d2 in ((4, 1), (50, 48), (10**6, 999998)):
         assert proof_check_thm12(n, d2)
-    assert calls == Counter(char_poly=3, poly_eval=6, _value_surd=3)
+    assert calls == Counter(char_poly=3, poly_eval=6 + 4, _value_surd=3, _roots_above=4)
 
 
 @pytest.fixture
@@ -803,7 +805,7 @@ def _reference_proof_check_thm15(n: int) -> bool:
     beta2 = polys.Surd(F(n - 2, 2), F(1, 2), disc)
 
     def sign_at_beta2(p) -> int:
-        return polys.sign_at_surd(p, n - 2, 1, disc, 2)
+        return surd_sign(p, n - 2, 1, disc, 2)
 
     def blow_up_char_poly(b, label):
         quotient, g = b.quotient(), None
@@ -836,7 +838,7 @@ def _reference_proof_check_thm15(n: int) -> bool:
     f2 = _coefficients_at(n, [[-4, 1], [2, -1], [1]])
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
     c.expect(sign_at_beta2(f2) == 0, "gamma_1' root formula")
-    c.expect(polys.sign_at_surd(f2, n - 2, -1, disc, 2) == 0, "gamma_2' root formula")
+    c.expect(surd_sign(f2, n - 2, -1, disc, 2) == 0, "gamma_2' root formula")
     c.expect(polys.poly_eval(cubic, 2 * n - 6) == -4 * n + 16, "f_1(2n-6) evaluation")
     c.expect(-4 * n + 16 < 0, "f_1(2n-6) negative")
     claim = [-2 * (n - 4) * (2 * n - 5), 4 * (n - 4), 0, 0]
@@ -887,10 +889,11 @@ def test_proof_check_thm15_matches_its_per_n_reference(fresh_thm15_identities):
 
 
 def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_identities):
-    """The first call builds the six char polys over Z[n] and evaluates the identities; no
-    call uses ``char_poly_exact``, and later calls, at any n, build no char poly and
-    evaluate no identity: n = 10^6 makes the four surd sign tests of n = 9.  Each call's
-    two root counts run on the char polys of its (n-4,1,1) quotient and its complement's."""
+    """The first call builds the six char polys over Z[n], evaluates the identities and
+    certifies the sign facts; no call uses ``char_poly_exact``, and later calls, at any n,
+    build no char poly, evaluate no identity and make no surd or sign test: n = 10^6 makes
+    the two root counts of n = 9 and nothing else.  Each call's two root counts run on the
+    char polys of its (n-4,1,1) quotient and its complement's."""
     calls, counted_polys = Counter(), []
 
     def counted(name, exact):
@@ -907,14 +910,17 @@ def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_id
     exact_char_poly = spectra.char_poly_exact
     monkeypatch.setattr(spectra, "char_poly_exact", counted("char_poly_exact", exact_char_poly))
     kernels = {name: counted(name, getattr(polys, name))
-               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "sign_at_surd")}
+               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "_roots_above")}
     monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels, "root_counter": root_counter}))
     assert proof_check_thm15(8)
-    assert calls == Counter(char_poly=6, poly_eval=4, _value=2, _value_surd=4, sign_at_surd=4)
+    # 8 sign facts in n and 4 at beta_2, whose a, b and a^2 - b^2 d take 11 signs: 19 Taylor shifts,
+    # each with its value at n0
+    first = Counter(char_poly=6, poly_eval=4 + 19, _value=2, _value_surd=3 + 4, _roots_above=19)
+    assert calls == first
     orders = (9, 33, 50, 10**6)
     for n in orders:
         assert proof_check_thm15(n)
-    assert calls == Counter(char_poly=6, poly_eval=4, _value=2, _value_surd=4, sign_at_surd=4 * 5)
+    assert calls == first
     hubs = [{label: b.at(n) for label, b in theorems._THM15_BLOW_UPS.items()} for n in (8, *orders)]
     assert counted_polys == [exact_char_poly(hub[label].quotient())
                              for hub in hubs for label in ("(n-4,1,1)", "complement (n-4,1,1)")]
@@ -923,8 +929,9 @@ def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_id
 @pytest.mark.parametrize("n", [8, 32, 33])
 def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_identities, n):
     """A ``BlowUp.quotient`` off by one in its last diagonal entry fails the identities of
-    every char poly with a closed form, the trace and the beta_2 root; while the blown-up
-    graphs fit 32 vertices, the identity of each of the six graphs with that quotient fails too."""
+    every char poly with a closed form and the beta_2 root, though not the trace facts, which
+    hold for the trace one higher too; while the blown-up graphs fit 32 vertices, the identity
+    of each of the six graphs with that quotient fails too."""
     exact = BlowUp.quotient
 
     def perturbed(self):
@@ -943,7 +950,7 @@ def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_id
     monkeypatch.setattr(BlowUp, "quotient", perturbed)
     monkeypatch.setattr(theorems._Checks, "expect", record)
     assert not proof_check_thm15(n)
-    identities = {"char poly x*f (n-5,1,2)", "quotient trace (n-5,1,2)", "beta_2 is a quotient eigenvalue",
+    identities = {"char poly x*f (n-5,1,2)", "beta_2 is a quotient eigenvalue",
                   "complement char poly f_1*f_2", "char poly x*f (n-4,0,2)", "char poly x*g (n-3,0,1)",
                   "complement char poly (n-3,0,1)"}
     assert set(theorems._thm15_identities()[0]) == identities
@@ -984,37 +991,43 @@ def test_proof_check_thm15_builds_one_surd(monkeypatch, n):
     assert built == [(F(n - 2, 2), F(1, 2), n * n - 8 * n + 20)]
 
 
-def test_proof_check_thm15_root_tests_bite(monkeypatch):
-    """Shifting the numerator of every surd point fails the proof, and so does shifting it
-    only at the root tests that ``proof_check_thm15`` makes itself."""
-    exact = polys.sign_at_surd
-
-    def shifted(p, u, v, d, den=1):
-        return exact(p, u + 1, v, d, den)
-
+def test_proof_check_thm15_root_tests_bite(monkeypatch, fresh_thm15_identities):
+    """Shifting the numerator of every surd value by one, either way, fails the three root formulas
+    at beta_2 and a sign fact there, proved once; moving the point beta_2 of a call's root counts
+    down by 1/2 fails both counts, at every call."""
+    exact = polys._value_surd
+    roots = ["beta_2 is a quotient eigenvalue", "gamma_1' root formula", "gamma_2' root formula"]
+    for shift, sign_fact in ((1, "equal second eigenvalues stay below 2n-5"), (-1, "f_1(gamma_1') negative")):
+        theorems._thm15_identities.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "polys", SimpleNamespace(**{
+                **vars(polys), "_value_surd": lambda p, u, v, d, den, s=shift: exact(p, u + s, v, d, den)}))
+            assert _failed_thm15_labels(m, 10) == [*roots, sign_fact]
+    theorems._thm15_identities.cache_clear()
     assert proof_check_thm15(10)
-    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), "sign_at_surd": shifted}))
-    assert not proof_check_thm15(10)
-    monkeypatch.undo()
-    monkeypatch.setattr(polys, "sign_at_surd", shifted)
-    assert not proof_check_thm15(10)
+    monkeypatch.setattr(theorems, "Surd", lambda a, b, d: polys.Surd(a - F(1, 2), b, d))
+    for n in (10, 33):
+        assert _failed_thm15_labels(monkeypatch, n) == [
+            "exactly one quotient eigenvalue above beta_2", "exactly one complement quotient eigenvalue above gamma_1'"]
 
 
 @pytest.mark.parametrize("check, args, count, digest", [
-    (proof_check_thm15, (8,), 36, "75d6b4aad1bcd78351fd082ea17d3ef3d38659a5bae003ad3178ea3164796625"),
-    (proof_check_thm15, (10,), 36, "75d6b4aad1bcd78351fd082ea17d3ef3d38659a5bae003ad3178ea3164796625"),
-    (proof_check_thm15, (32,), 36, "75d6b4aad1bcd78351fd082ea17d3ef3d38659a5bae003ad3178ea3164796625"),
-    (proof_check_thm15, (33,), 30, "2c6873632565c656c432fa0817f37196c1a614524e33a1dbd410a6821680d699"),
-    (proof_check_thm15, (50,), 30, "2c6873632565c656c432fa0817f37196c1a614524e33a1dbd410a6821680d699"),
-    (proof_check_thm12, (6, 2), 15, "af8f2eaf4323ad3893b00e7ce27328946c0ee065cb904508d62aff1b737416a5"),
-    (proof_check_thm12, (20, 7), 17, "433891d0736812658af407e1085c8e0aed7b9c57dff010f1bc4f85461220476c"),
+    (proof_check_thm15, (8,), 28, "66dcde318c3304c38ceedbb109f09c3b62a2f80b32258488b2b817ffcf781445"),
+    (proof_check_thm15, (10,), 28, "66dcde318c3304c38ceedbb109f09c3b62a2f80b32258488b2b817ffcf781445"),
+    (proof_check_thm15, (32,), 28, "66dcde318c3304c38ceedbb109f09c3b62a2f80b32258488b2b817ffcf781445"),
+    (proof_check_thm15, (33,), 22, "8c3b5d4d6eecda86f89fc60f82f44abf62f497ec30239bbe78f82946df9b7fa7"),
+    (proof_check_thm15, (50,), 22, "8c3b5d4d6eecda86f89fc60f82f44abf62f497ec30239bbe78f82946df9b7fa7"),
+    (proof_check_thm12, (6, 2), 12, "ca82d64583a5006491647dbcdb2d030fbd495a208019d76e3e063b73b8e3adb0"),
+    (proof_check_thm12, (20, 7), 12, "ca82d64583a5006491647dbcdb2d030fbd495a208019d76e3e063b73b8e3adb0"),
 ], ids=["thm15-8", "thm15-10", "thm15-32", "thm15-33", "thm15-50", "thm12-6-2", "thm12-20-7"])
 def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identities, fresh_thm15_identities,
                                                 check, args, count, digest):
     """Every check a proof makes runs, in order, with its outcome: the (label, outcome)
     sequence has a pinned length and sha256.  n = 33 is the first order past the
     32-vertex identities of the blown-up graphs.  Each sequence is the theorem's
-    identities, over Z[n, d2, s] or Z[n], proved in the first call, then the call's checks."""
+    identities and sign facts, over Z[n, d2, s] or Z[n], proved in the first call, then the
+    call's checks: none for Theorem 1.2, and for Theorem 1.5 the graph identities up to
+    n = 32 and the two root counts at beta_2."""
     recorded = []
     expect = theorems._Checks.expect
 
@@ -1026,6 +1039,115 @@ def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identit
     assert check(*args)
     assert len(recorded) == count
     assert hashlib.sha256("\n".join(recorded).encode()).hexdigest() == digest
+
+
+def _thm12_sign_facts() -> list:
+    """Theorem 1.2's sign facts, each (label, certificate arguments, sign), written here by their
+    closed forms over Z[n, d2, s]: f(2) = f(n-3) = 13 - 2n from 7, g(2) = g(n-3) = 5 - (n-5)^2 from 8."""
+    n, d2, s = polys.MPoly.variables("n", "d2", "s")
+    return [("f sign for n >= 7", (13 - 2 * n, 7), -1)] * 2 + [("g sign for n >= 8", (5 - (n - 5) ** 2, 8), -1)] * 2
+
+
+def _thm15_sign_facts() -> list:
+    """Theorem 1.5's sign facts, each (label, certificate arguments, sign), written here by their
+    closed forms over Z[n], from 8: values and traces by ``_sign_from``, and signs at
+    beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by ``_surd_sign_from``."""
+    n, = polys.MPoly.variables("n")
+    cubic = (-6 * n * n + 38 * n - 56, 2 * n * n - 3 * n - 12, 6 - 3 * n, 1)
+
+    def at_beta2(p):
+        return p, n - 2, 1, n * n - 8 * n + 20, 2, 8
+
+    return [("f(n-3) negative", (-(n - 5) * (n - 6), 8), -1),
+            ("trace rules out three roots above n-3", (3 * (n - 3) - (2 * n - 3), 8), 1),
+            ("beta_2 exceeds the replicated eigenvalue 2", at_beta2((-2, 1)), 1),
+            ("f_1(2n-6) negative", (-4 * n + 16, 8), -1),
+            ("f_1(gamma_1') negative", at_beta2(cubic), -1),
+            ("gamma_1' exceeds the replicated eigenvalue n-4", at_beta2((4 - n, 1)), 1),
+            ("equal second eigenvalues stay below 2n-5", at_beta2((2 * n - 5, -2)), 1),
+            ("f(n-3) nonpositive, (n-4,0,2)", (6 - n, 8), -1),
+            ("trace argument, (n-4,0,2)", (3 * (n - 3) - (2 * n - 3), 8), 1),
+            ("g(n-5/2) negative", (-2 * n + 15, 8), -1),  # 8 g((2n-5)/2)
+            ("phi(2n-6) negative", (-4 * (n - 3) * (n - 4), 8), -1),
+            ("phi(n-5/2) negative", (-(2 * n - 11) * (4 * n * n - 24 * n + 39), 8), -1)]  # 16 phi((2n-5)/2)
+
+
+def test_sign_certificates_certify_every_sign_fact():
+    """``_sign_from`` certifies each sign fact in n of the proof checks for every n from its n0,
+    and ``_surd_sign_from`` each sign at beta_2 from 8; an ``int`` gives its own sign, and a
+    surd with no rational part the sign of its surd part."""
+    for label, args, sign in _thm12_sign_facts() + _thm15_sign_facts():
+        assert (theorems._sign_from if len(args) == 2 else theorems._surd_sign_from)(*args) == sign, label
+    assert [theorems._sign_from(k, 8) for k in (-3, 0, 5)] == [-1, 0, 1]
+    n, = polys.MPoly.variables("n")
+    assert [theorems._surd_sign_from((0, 1), 0, v, n * n + 1, 1, 8) for v in (n - 7, 7 - n)] == [1, -1]
+
+
+def test_sign_certificates_refuse_what_they_cannot_show():
+    """A sign that changes at or above n0, a zero at n0, a sign that Descartes' rule at n0 cannot
+    show, the zero polynomial and a polynomial in d2 give 0, and so does a sign at beta_2
+    resting on such a sign: beta_2 - 10 is negative at n = 8 and positive at n = 20."""
+    n, = polys.MPoly.variables("n")
+    late = (n - 20) * (n - 30) + 1
+    assert late.at(8) > 0 > late.at(25)
+    for p in (n - 10, n - 8, late, n - n):
+        assert theorems._sign_from(p, 8) == 0, p
+    m, d2, s = polys.MPoly.variables("n", "d2", "s")
+    assert theorems._sign_from(m + d2 + 1, 8) == theorems._sign_from(m * s + 1, 8) == 0
+    assert theorems._sign_from(m + 1, 8) == 1
+    assert theorems._surd_sign_from((-10, 1), n - 2, 1, n * n - 8 * n + 20, 2, 8) == 0
+
+
+def _certificate_run(monkeypatch, identities, flip=None) -> tuple[list, list, tuple]:
+    """Run ``identities()`` anew, recording the sign certificates that its facts call themselves
+    (not the ``_sign_from`` calls inside ``_surd_sign_from``): their arguments in order, each
+    check's label and the calls made by the time it was decided, and the failed labels; for
+    flip = k, the k-th call's sign is negated."""
+    calls, seen, inside = [], [], []
+
+    def top_level(exact):
+        def run(*args):
+            if inside:
+                return exact(*args)
+            inside.append(True)
+            try:
+                sign = exact(*args)
+            finally:
+                inside.pop()
+            calls.append(args)
+            return -sign if len(calls) - 1 == flip else sign
+        return run
+
+    expect = theorems._Checks.expect
+
+    def record(self, condition, label):
+        seen.append((label, len(calls)))
+        expect(self, condition, label)
+
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "_sign_from", top_level(theorems._sign_from))
+        m.setattr(theorems, "_surd_sign_from", top_level(theorems._surd_sign_from))
+        m.setattr(theorems._Checks, "expect", record)
+        identities.cache_clear()
+        failed = identities()
+        identities.cache_clear()
+    return calls, seen, failed[0] if identities is theorems._thm15_identities else failed
+
+
+@pytest.mark.parametrize("identities, sign_facts", [(theorems._thm12_identities, _thm12_sign_facts),
+                                                    (theorems._thm15_identities, _thm15_sign_facts)],
+                         ids=["thm12", "thm15"])
+def test_flipping_one_sign_fails_exactly_its_fact(monkeypatch, identities, sign_facts):
+    """The identities certify exactly the sign facts written out above, in order, each under its
+    label, and each certificate call decides its fact: negating the k-th call's sign puts exactly
+    that fact's label among the failed labels of the identities, and nothing else."""
+    facts = sign_facts()
+    calls, seen, failed = _certificate_run(monkeypatch, identities)
+    assert not failed
+    assert calls == [args for _, args, _ in facts]
+    assert [next(label for label, made in seen if made > k) for k in range(len(facts))] == [f[0] for f in facts]
+    for k, (label, _, _) in enumerate(facts):
+        assert list(_certificate_run(monkeypatch, identities, flip=k)[2]) == [label], k
 
 
 def test_proof_check_thm15_spot_values():
