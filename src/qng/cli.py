@@ -72,23 +72,26 @@ _ATOM = re.compile(
 )
 # Space-separated forms: first word -> (the form, its builder).
 _FORMS = {"star": ("star N", star), "H": ("H S0 S1 S2", h_graph)}
+MAX_FAMILY_DEPTH = 100  # join/union/cp nesting, far within Python's recursion limit
 
 
-def parse_family(text: str) -> Graph:
-    """Recursive-descent parser for compositional family expressions."""
+def parse_family(text: str, _depth: int = 0) -> Graph:
+    """Recursive-descent parser for family expressions nested at most ``MAX_FAMILY_DEPTH`` deep."""
     s = text.strip()
     if not s:
         raise UsageError("empty family expression")
     lowered = s.lower()
     for prefix, builder in (("join", join), ("union", disjoint_union), ("cp", cartesian_product)):
         if lowered.startswith(prefix + "(") and s.endswith(")"):
+            if _depth == MAX_FAMILY_DEPTH:
+                raise UsageError(f"family expression nested deeper than {MAX_FAMILY_DEPTH}")
             inner = s[len(prefix) + 1 : -1]
             parts = _split_args(inner)
             if len(parts) < 2:
                 raise UsageError(f"{prefix}(...) needs at least two arguments")
-            out = parse_family(parts[0])
+            out = parse_family(parts[0], _depth + 1)
             for part in parts[1:]:
-                out = builder(out, parse_family(part))
+                out = builder(out, parse_family(part, _depth + 1))
             return out
     name, *args = s.split()
     if name in _FORMS:

@@ -31,14 +31,14 @@ quotient-matrix algebra that the extremal characterizations rest on: closed
 forms for second-largest quotient eigenvalues, polynomial identities between
 discriminants, and the signs that locate roots.  Each proves its identities
 and sign facts once, over polynomials (``polys.MPoly``) and for every n from
-an n0, and leaves a call only Theorem 1.5's root counts at n.  Theorem 1.5's
-blow-ups are ``graph.BlowUp``s at a symbolic n, whose ``quotient`` is their
-quotient over Z[n], and while an order's blown-up graphs fit 32 vertices
-each, named at that order by ``BlowUp.at``, is tied to its integer quotient
-by one integer matrix identity; Theorem 1.2's three 2x2 matrices are bounds in d2
-and s, not quotients of a blow-up, and are written out over Z[n, d2, s].
-Both theorems' char polys come from ``polys.char_poly``, and no proof check
-reads a float.
+an n0, and leaves a call only its range check and the graph identities below.
+Theorem 1.5's blow-ups are ``graph.BlowUp``s at a symbolic n, whose
+``quotient`` is their quotient over Z[n], and while an order's blown-up graphs
+fit 32 vertices each, named at that order by ``BlowUp.at``, is tied to its
+integer quotient by one integer matrix identity; Theorem 1.2's three 2x2
+matrices are bounds in d2 and s, not quotients of a blow-up, and are written
+out over Z[n, d2, s].  Both theorems' char polys come from ``polys.char_poly``,
+and no proof check reads a float.
 """
 
 from __future__ import annotations
@@ -679,15 +679,9 @@ def proof_check_thm12(n: int, d2: int) -> bool:
     return not _thm12_identities()
 
 
-def _at(p: tuple, n: int) -> tuple[int, ...]:
-    """The integer polynomial that p, with coefficients in Z[n] (``int`` or ``polys.MPoly``), is at n."""
-    return tuple(a if isinstance(a, int) else a.at(n) for a in p)
-
-
 @lru_cache(maxsize=None)
-def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple]:
-    """The labels of the failed polynomial identities and sign facts behind ``proof_check_thm15``,
-    and the char polys of the (n-4,1,1) quotient and of its complement's, their coefficients in Z[n].
+def _thm15_identities() -> tuple[str, ...]:
+    """The labels of the failed polynomial identities and sign facts behind ``proof_check_thm15``.
 
     Each identity is checked once, over Z[n]: the char polys of the quotients of ``_THM15_BLOW_UPS``,
     built at the symbolic n, come from ``polys.char_poly``, tuples like the closed forms written by their
@@ -696,7 +690,9 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple]:
     and a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of
     ``polys._value_surd`` at it are the zero polynomial.  Each sign fact holds for every n >= 8:
     a value's sign by ``_sign_from``, and a sign at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by
-    ``_surd_sign_from``.  A trace is read off its char poly's next-to-leading coefficient.
+    ``_surd_sign_from``.  A trace is read off its char poly's next-to-leading coefficient.  A count
+    of roots above beta_2 is Descartes' rule on p(beta_2 + t), whose coefficient j has the sign of
+    the j-th derivative of p at beta_2: one sign variation is exactly one root, real-rooted or not.
     """
     n, = polys.MPoly.variables("n")
     c = _Checks()
@@ -709,6 +705,9 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple]:
     def sign_at_beta2(p):
         return _surd_sign_from(p, n - 2, 1, disc, 2, 8)
 
+    def taylor_signs_at_beta2(p):  # coefficient j of p(beta_2 + t) has the sign of p^(j)(beta_2)
+        return [sign_at_beta2(p), *taylor_signs_at_beta2(polys._derivative(p))] if p else []
+
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
     phi = phis["(n-5,1,2)"]
     quartic = (n * n - 5 * n, -2 * n * n + 8 * n - 2, n * n - n - 4, 3 - 2 * n, 1)
@@ -717,16 +716,22 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple]:
     c.expect(_sign_from(3 * (n - 3) + phi[-2], 8) == 1, "trace rules out three roots above n-3")
 
     # -- double hub over blocks (n-4, 1, 1): q_2 equals (n-2+sqrt(n^2-8n+20))/2
+    # f_2's roots are beta_2 and its conjugate, so above beta_2 phi_2 and phi_3 have the roots of
+    # their cofactors of f_2, whose Taylor signs at beta_2 have one variation each: exactly one root
     phi2, phi3 = phis["(n-4,1,1)"], phis["complement (n-4,1,1)"]
+    cubic2, f2 = (0, n, -n, 1), (n - 4, 2 - n, 1)
+    c.expect(phi2 == tuple(polys.poly_mul(cubic2, f2)), "char poly x(x^2-nx+n)*f_2")
     c.expect(at_beta2(phi2) == (0, 0), "beta_2 is a quotient eigenvalue")
+    c.expect(taylor_signs_at_beta2(cubic2) == [-1, 1, 1, 1], "exactly one quotient eigenvalue above beta_2")
     c.expect(sign_at_beta2((-2, 1)) == 1, "beta_2 exceeds the replicated eigenvalue 2")
     cubic = (-6 * n * n + 38 * n - 56, 2 * n * n - 3 * n - 12, 6 - 3 * n, 1)
-    f2 = (n - 4, 2 - n, 1)
     c.expect(phi3 == tuple(polys.poly_mul(cubic, f2)), "complement char poly f_1*f_2")
     c.expect(at_beta2(f2) == (0, 0), "gamma_1' root formula")
     c.expect(at_beta2(f2, -1) == (0, 0), "gamma_2' root formula")
     c.expect(_sign_from(polys.poly_eval(cubic, 2 * n - 6), 8) == -1, "f_1(2n-6) negative")
     c.expect(sign_at_beta2(cubic) == -1, "f_1(gamma_1') negative")
+    c.expect(taylor_signs_at_beta2(cubic) == [-1, -1, -1, 1],
+             "exactly one complement quotient eigenvalue above gamma_1'")
     c.expect(sign_at_beta2((4 - n, 1)) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
     c.expect(sign_at_beta2((2 * n - 5, -2)) == 1, "equal second eigenvalues stay below 2n-5")
 
@@ -744,7 +749,7 @@ def _thm15_identities() -> tuple[tuple[str, ...], tuple, tuple]:
     c.expect(phis["complement (n-3,0,1)"] == quartic6, "complement char poly (n-3,0,1)")
     c.expect(_sign_from(polys.poly_eval(quartic6, 2 * n - 6), 8) == -1, "phi(2n-6) negative")
     c.expect(_sign_from(polys._value(quartic6, 2 * n - 5, 2), 8) == -1, "phi(n-5/2) negative")
-    return tuple(c), phi2, phi3
+    return tuple(c)
 
 
 def _blow_up_identity(b: BlowUp) -> bool:
@@ -774,25 +779,17 @@ def proof_check_thm15(n: int) -> bool:
     The cell quotient matrices of the four relevant double-hub bipartite blow-ups
     and of two of their complements have characteristic polynomials that match
     closed forms in n coefficient-for-coefficient, root formulas that hold exactly,
-    and signs in n and at beta_2 = (n-2+sqrt(n^2-8n+20))/2: identities and sign facts
-    proved once for every n >= 8 by ``_thm15_identities``.  A call checks its range
-    and the two second-eigenvalue equalities by exact root counts at beta_2 on the
-    char polys evaluated at n.  While the order fits the 32-vertex graph type each
-    blown-up graph is also checked against its quotient by one integer identity
-    (``_blow_up_identity``): its spectrum is the quotient's plus the twin eigenvalues,
-    so the root counts give its q_2 exactly.  Beyond that the identities alone serve.
+    signs in n and at beta_2 = (n-2+sqrt(n^2-8n+20))/2, and exactly one root above
+    beta_2 for the (n-4,1,1) quotient and its complement's: all proved once for every
+    n >= 8 by ``_thm15_identities``.  While the order fits the 32-vertex graph type a
+    call also ties each blown-up graph to its quotient by one integer identity
+    (``_blow_up_identity``), so the proved facts place its q_2 exactly.  Beyond that
+    a call is a range check.
     """
     if n < 8:
         raise ValueError("requires n >= 8")
-    failed, phi2, phi3 = _thm15_identities()
-    c = _Checks(failed)
-    beta2 = Surd(Fraction(n - 2, 2), Fraction(1, 2), n * n - 8 * n + 20)  # the point of the two root counts
-
+    c = _Checks(_thm15_identities())
     if n <= MAX_VERTICES:
         for label, b in _THM15_BLOW_UPS.items():
             c.expect(_blow_up_identity(b.at(n)), f"Q(G)T = T Lambda {label}")
-
-    c.expect(polys.root_counter(_at(phi2, n)).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
-    c.expect(polys.root_counter(_at(phi3, n)).count_gt(beta2) == 1,
-             "exactly one complement quotient eigenvalue above gamma_1'")
     return not c

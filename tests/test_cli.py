@@ -14,7 +14,7 @@ import pytest
 
 import qng
 from qng import spectra
-from qng.cli import main, parse_bound_expr, parse_family
+from qng.cli import MAX_FAMILY_DEPTH, main, parse_bound_expr, parse_family
 from qng.enumeration import canonical_form
 from qng.spectra import spectrum
 from qng.graph import (
@@ -54,6 +54,15 @@ def test_parse_family_compound():
     assert parse_family("join(union(K2;K2);3K1)").n == 7
     with pytest.raises(ValueError):
         parse_family("wat(K2)")
+
+
+def test_parse_family_nests_up_to_its_depth_limit():
+    """Nesting at the limit parses (cp of one-vertex graphs stays one vertex); one level deeper is
+    a usage error, which the CLI reports as one line instead of a RecursionError."""
+    assert parse_family("cp(" * MAX_FAMILY_DEPTH + "K1" + ";K1)" * MAX_FAMILY_DEPTH) == complete(1)
+    deeper = MAX_FAMILY_DEPTH + 1
+    with pytest.raises(ValueError, match=f"family expression nested deeper than {MAX_FAMILY_DEPTH}"):
+        parse_family("cp(" * deeper + "K1" + ";K1)" * deeper)
 
 
 def test_parse_bound_expr():
@@ -344,12 +353,15 @@ def test_scan_rejects_jobs_below_one(capsys, jobs):
     assert err == f"error: --jobs takes a positive number of worker processes, got {jobs}\n"
 
 
+# cp(...) of one-vertex graphs, 1,000 deep: valid, but past the parser's nesting limit
+NESTED_FAMILY = "cp(" * 1000 + "K1" + ";K1)" * 1000
 # the whole error line of some of the bad inputs below
 ERROR_LINES = {
     ("proof-check", "--thm", "1.2", "--n", "2"): "error: proof-check --thm 1.2 requires n >= 4, got n=2\n",
     ("proof-check", "--thm", "1.5", "--n", "7"): "error: proof-check --thm 1.5 requires n >= 8, got n=7\n",
     ("check", "--thm", "1.2", "--family", ""): "error: empty family expression\n",
     ("check", "--thm", "1.2", "--family", "join(K2)"): "error: join(...) needs at least two arguments\n",
+    ("spectrum", "--family", NESTED_FAMILY): "error: family expression nested deeper than 100\n",
 }
 
 
@@ -385,6 +397,7 @@ ERROR_LINES = {
     ["scan", "--n", "4", "--thm", "1.2", "--k", "3"],
     ["check", "--thm", "1.2", "--family", ""],
     ["check", "--thm", "1.2", "--family", "join(K2)"],
+    ["spectrum", "--family", NESTED_FAMILY],
 ], ids=["zero-denominator", "blank-predicate", "missing-input", "missing-output-dir",
         "bad-choice", "missing-required", "bad-int", "unsigned-constant", "n-then-digits",
         "star-without-coefficient", "huge-complete", "huge-empty", "huge-nK1",
@@ -392,7 +405,7 @@ ERROR_LINES = {
         "enumerate-json", "enumerate-csv", "thm-and-predicate", "no-check",
         "check-graph6-and-family", "report-graph6-and-family", "spectrum-graph6-and-family",
         "scan-n-and-n-range", "proof-check-n-and-n-range", "check-kind-without-ng",
-        "predicate-kind-without-ng", "scan-k-without-ng", "empty-family", "join-of-one"])
+        "predicate-kind-without-ng", "scan-k-without-ng", "empty-family", "join-of-one", "nested-family"])
 def test_bad_input_is_an_error_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (1, "")

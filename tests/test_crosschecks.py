@@ -179,8 +179,13 @@ def test_proof_check_sign_facts_against_sympy():
     """Every sign fact of the two proof checks, rebuilt by sympy from its own ``Matrix.charpoly``
     of the quotient matrices at a symbolic n, with no ``MPoly`` and no ``polys.char_poly``: each
     has no real root in [n0, oo) and the sign at n0, so that sign at every n >= n0.  The four
-    signs at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 hold by sympy's exact sign for n = 8..200."""
-    n, x, d2, s = sympy.symbols("n x d2 s")
+    signs at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 hold by sympy's exact sign for n = 8..200.
+    So do the eight Taylor signs there of the cofactors of f_2 (the quadratic factor of sympy's
+    complement char poly) in the (n-4,1,1) char poly and in the complement's (f_1), from sympy's
+    values at beta_2 reduced to a + b sqrt(n^2 - 8n + 20).  Their one sign variation each is
+    Theorem 1.5's two root counts, and sympy's isolating intervals give both char polys one real
+    root above beta_2."""
+    n, x, d2, s, r = sympy.symbols("n x d2 s r")
 
     def charpoly(m):
         return m.charpoly(x).as_expr()
@@ -198,8 +203,12 @@ def test_proof_check_sign_facts_against_sympy():
     # Theorem 1.5: the double hubs' char polys, x times a cubic or quartic where 0 is a root
     q512, q402 = _hub_quotients(n - 5, 1, 2)[0], _hub_quotients(n - 4, 0, 2)[0]
     quartic, cubic4 = (sympy.cancel(charpoly(q) / x) for q in (q512, q402))
-    f1, = (factor / sympy.LC(factor, x) for factor, _ in sympy.factor_list(charpoly(_hub_quotients(n - 4, 1, 1)[1]))[1]
-           if sympy.degree(factor, x) == 3)  # the monic cubic factor f_1 of the complement's char poly
+    phi2, phi3 = map(charpoly, _hub_quotients(n - 4, 1, 1))
+    f1, f2 = (factor / sympy.LC(factor, x) for degree in (3, 2) for factor, _ in sympy.factor_list(phi3)[1]
+              if sympy.degree(factor, x) == degree)  # the monic factors of the complement's char poly
+    assert sympy.rem(phi2, f2, x) == 0
+    cofactor2 = sympy.cancel(phi2 / f2)
+    assert sympy.degree(cofactor2, x) == 3 and sympy.LC(cofactor2, x) == 1
     q301, co301 = _hub_quotients(n - 3, 0, 1)
     cubic5, phi6 = sympy.cancel(charpoly(q301) / x), charpoly(co301)
     facts += [(quartic.subs(x, n - 3), 8, -1), (3 * (n - 3) - q512.trace(), 8, 1),
@@ -213,8 +222,29 @@ def test_proof_check_sign_facts_against_sympy():
         assert p.count_roots(n0, None) == 0, expr
         assert sympy.sign(p.eval(n0)) == sign, expr
 
+    disc = n * n - 8 * n + 20
+
+    def at_beta2(p):  # p((n - 2 + r) / 2) = a + b r modulo r^2 - disc, with a and b polynomials in n
+        value = sympy.rem(sympy.expand(p.subs(x, (n - 2 + r) / 2)), r ** 2 - disc, r)
+        return [sympy.Poly(value.coeff(r, i), n) for i in (0, 1)]
+
+    def sign_of(a, b, d):  # a + b sqrt(d), for rationals a, b and d > 0
+        sa, sb = sympy.sign(a), sympy.sign(b)
+        return sa if sa == sb or not sb else sb if not sa else sa * sympy.sign(a * a - b * b * d)
+
+    assert all(part.is_zero for part in at_beta2(f2))  # beta_2 is a root of f_2, so of both char polys
+    taylor = [(pattern, [at_beta2(sympy.diff(p, x, j)) for j in range(4)])
+              for p, pattern in ((cofactor2, [-1, 1, 1, 1]), (f1, [-1, -1, -1, 1]))]
     for k in range(8, 201):
         beta2 = (k - 2 + sympy.sqrt(k * k - 8 * k + 20)) / 2
         signs = [sympy.sign(sympy.expand(e)) for e in
                  (beta2 - 2, f1.subs({n: k, x: beta2}), beta2 - (k - 4), 2 * k - 5 - 2 * beta2)]
         assert signs == [1, -1, 1, 1], k
+        d = k * k - 8 * k + 20
+        for pattern, values in taylor:
+            assert [sign_of(a.eval(k), b.eval(k), d) for a, b in values] == pattern, k
+        # sympy's isolating intervals of the real roots meet at most at rational ends, so the irrational
+        # root beta_2 lies inside one of them only, and another root lies above it when its left end does
+        for phi in (phi2, phi3):
+            roots = sympy.Poly(phi, n, x).eval(n, k).intervals()
+            assert sum(m for (lo, _), m in roots if sign_of(2 * lo - k + 2, -1, d) > 0) == 1, k

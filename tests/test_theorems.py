@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -184,6 +185,11 @@ def test_every_catalogue_is_listed_at_every_order():
                          for name, orders in NAMED_AT[catalogue].items()}, catalogue
 
 
+def _quotient_at(rows, n: int) -> tuple:
+    """The ``int`` matrix that rows over Z[n] (``int`` or ``polys.MPoly`` entries) are at n, by ``MPoly.at``."""
+    return tuple(tuple(e if isinstance(e, int) else e.at(n) for e in row) for row in rows)
+
+
 @pytest.mark.parametrize("families", [theorems._LOWER_BOUND_FAMILIES, theorems._STAR_FAMILIES,
                                       theorems._COBAR_DISCONNECTED_FAMILIES,
                                       tuple(theorems._THM15_BLOW_UPS.items())],
@@ -198,7 +204,7 @@ def test_affine_family_quotients_over_z_n_are_their_integer_quotients(families):
         for name, b in affine:
             at_n = b.at(n)
             assert sum(at_n.sizes) == n, (n, name)
-            assert tuple(theorems._at(row, n) for row in b.quotient()) == at_n.quotient(), (n, name)
+            assert _quotient_at(b.quotient(), n) == at_n.quotient(), (n, name)
             if n > MAX_VERTICES:
                 with pytest.raises(CapacityError):
                     at_n.graph()
@@ -878,9 +884,10 @@ def _reference_proof_check_thm15(n: int) -> bool:
 
 def test_proof_check_thm15_matches_its_per_n_reference(fresh_thm15_identities):
     """The identities proved once over Z[n] and the checks made per call give the verdict of
-    the per-n reference for every n = 8..50 and at n = 10^6, and the same ``ValueError``
-    below n = 8."""
-    for n in [*range(8, 51), 10**6]:
+    the per-n reference for every n = 8..200 and at n = 10^6, and the same ``ValueError``
+    below n = 8.  The reference counts the roots above beta_2 at each n, so it is the per-n
+    check of the two root counts that the identities prove once by Descartes' rule."""
+    for n in [*range(8, 201), 10**6]:
         assert proof_check_thm15(n) is _reference_proof_check_thm15(n) is True, n
     for n in (7, 0, -3):
         for check in (proof_check_thm15, _reference_proof_check_thm15):
@@ -890,11 +897,11 @@ def test_proof_check_thm15_matches_its_per_n_reference(fresh_thm15_identities):
 
 def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_identities):
     """The first call builds the six char polys over Z[n], evaluates the identities and
-    certifies the sign facts; no call uses ``char_poly_exact``, and later calls, at any n,
-    build no char poly, evaluate no identity and make no surd or sign test: n = 10^6 makes
-    the two root counts of n = 9 and nothing else.  Each call's two root counts run on the
-    char polys of its (n-4,1,1) quotient and its complement's."""
-    calls, counted_polys = Counter(), []
+    certifies the sign facts and the two root counts; no call uses ``char_poly_exact``, and
+    later calls make no ``polys`` call and build no ``Surd`` or ``RootCounter``: n = 33, 10^6
+    and 10^30 check only their range, and n = 9 and 32 call only ``_blow_up_identity``, once
+    for each of the six blow-ups."""
+    calls = Counter()
 
     def counted(name, exact):
         def count(*args):
@@ -902,28 +909,27 @@ def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_id
             return exact(*args)
         return count
 
-    def root_counter(coeffs):
-        counted_polys.append(coeffs)
-        return polys.root_counter(coeffs)
-
     assert not hasattr(theorems, "char_poly_exact")
-    exact_char_poly = spectra.char_poly_exact
-    monkeypatch.setattr(spectra, "char_poly_exact", counted("char_poly_exact", exact_char_poly))
-    kernels = {name: counted(name, getattr(polys, name))
-               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "_roots_above")}
-    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels, "root_counter": root_counter}))
+    monkeypatch.setattr(spectra, "char_poly_exact", counted("char_poly_exact", spectra.char_poly_exact))
+    kernels = {name: counted(name, kernel) for name, kernel in vars(polys).items() if inspect.isfunction(kernel)}
+    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels}))
+    for cls, method in ((polys.Surd, "__post_init__"), (polys.RootCounter, "__init__")):
+        monkeypatch.setattr(cls, method, counted(cls.__name__, getattr(cls, method)))
+    for name in ("_sign_from", "_surd_sign_from", "_blow_up_identity"):
+        monkeypatch.setattr(theorems, name, counted(name, getattr(theorems, name)))
     assert proof_check_thm15(8)
-    # 8 sign facts in n and 4 at beta_2, whose a, b and a^2 - b^2 d take 11 signs: 19 Taylor shifts,
-    # each with its value at n0
-    first = Counter(char_poly=6, poly_eval=4 + 19, _value=2, _value_surd=3 + 4, _roots_above=19)
+    # 8 sign facts in n, and 12 values at beta_2: 4 sign facts and the 8 Taylor signs of the two cubic
+    # cofactors of f_2, one per derivative.  Their a, b and a^2 - b^2 d take 30 signs, 4 of them of the
+    # ints a and b of the constant last derivatives: 34 Taylor shifts in n, each with its value at n0
+    first = Counter(char_poly=6, poly_mul=5, poly_eval=4 + 34, _value=2, _value_surd=3 + 12, _derivative=8,
+                    _roots_above=34, _sign=8 + 30, _sign_from=8 + 30, _surd_sign_from=12, _blow_up_identity=6)
     assert calls == first
-    orders = (9, 33, 50, 10**6)
-    for n in orders:
+    for n in (33, 10**6, 10**30):
         assert proof_check_thm15(n)
     assert calls == first
-    hubs = [{label: b.at(n) for label, b in theorems._THM15_BLOW_UPS.items()} for n in (8, *orders)]
-    assert counted_polys == [exact_char_poly(hub[label].quotient())
-                             for hub in hubs for label in ("(n-4,1,1)", "complement (n-4,1,1)")]
+    for n in (9, 32):
+        assert proof_check_thm15(n)
+    assert calls == first + Counter(_blow_up_identity=12)
 
 
 @pytest.mark.parametrize("n", [8, 32, 33])
@@ -950,10 +956,10 @@ def test_proof_check_thm15_quotient_off_by_one_bites(monkeypatch, fresh_thm15_id
     monkeypatch.setattr(BlowUp, "quotient", perturbed)
     monkeypatch.setattr(theorems._Checks, "expect", record)
     assert not proof_check_thm15(n)
-    identities = {"char poly x*f (n-5,1,2)", "beta_2 is a quotient eigenvalue",
+    identities = {"char poly x*f (n-5,1,2)", "char poly x(x^2-nx+n)*f_2", "beta_2 is a quotient eigenvalue",
                   "complement char poly f_1*f_2", "char poly x*f (n-4,0,2)", "char poly x*g (n-3,0,1)",
                   "complement char poly (n-3,0,1)"}
-    assert set(theorems._thm15_identities()[0]) == identities
+    assert set(theorems._thm15_identities()) == identities
     graphs = {label for label in failed if label.startswith("Q(G)T = T Lambda ")}
     assert graphs == ({f"Q(G)T = T Lambda {label}" for label in theorems._THM15_BLOW_UPS} if n <= MAX_VERTICES
                       else set())
@@ -971,52 +977,55 @@ def test_thm15_quotients_over_z_n_are_the_integer_quotients():
                             "complement (n-4,1,1)": hub2.complement(), "(n-4,0,2)": double_hub(n - 4, 0, 2),
                             "(n-3,0,1)": hub5, "complement (n-3,0,1)": hub5.complement()}, n
         for label, b in blow_ups.items():
-            assert tuple(map(functools.partial(theorems._at, n=n), quotients[label])) == b.quotient(), (n, label)
+            assert _quotient_at(quotients[label], n) == b.quotient(), (n, label)
 
 
 @pytest.mark.parametrize("n", [8, 33])
-def test_proof_check_thm15_builds_one_surd(monkeypatch, n):
-    """Theorem 1.5's surd tests run on integers: the one ``Surd`` built is beta_2, the
-    point of the two root counts."""
-    built = []
+def test_proof_check_thm15_builds_no_surd(monkeypatch, fresh_thm15_identities, n):
+    """Theorem 1.5's surd tests and root counts at beta_2 run on polynomials over Z[n]: no
+    ``Surd`` is built, by the first call, which proves them, or by a later one."""
+    def refuse(self):
+        raise AssertionError("a Surd was built")
 
-    class Counted(polys.Surd):
-        def __post_init__(self):
-            built.append((self.a, self.b, self.d))
-            super().__post_init__()
-
-    for module in (theorems, polys):
-        monkeypatch.setattr(module, "Surd", Counted)
-    assert proof_check_thm15(n)
-    assert built == [(F(n - 2, 2), F(1, 2), n * n - 8 * n + 20)]
+    monkeypatch.setattr(polys.Surd, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="a Surd was built"):
+        polys.Surd(F(1), F(1), 2)
+    assert proof_check_thm15(n) and proof_check_thm15(n + 1)
 
 
 def test_proof_check_thm15_root_tests_bite(monkeypatch, fresh_thm15_identities):
     """Shifting the numerator of every surd value by one, either way, fails the three root formulas
-    at beta_2 and a sign fact there, proved once; moving the point beta_2 of a call's root counts
-    down by 1/2 fails both counts, at every call."""
+    at beta_2 and a sign fact there, proved once, and down also the Taylor signs of the cofactors
+    of f_2, so both root counts; taking every surd value at the conjugate
+    gamma_2' of beta_2 fails both root counts, as the cofactors of f_2 have two and three roots
+    above it, and the two facts that beta_2 exceeds a replicated eigenvalue."""
     exact = polys._value_surd
-    roots = ["beta_2 is a quotient eigenvalue", "gamma_1' root formula", "gamma_2' root formula"]
-    for shift, sign_fact in ((1, "equal second eigenvalues stay below 2n-5"), (-1, "f_1(gamma_1') negative")):
+    count2 = "exactly one quotient eigenvalue above beta_2"
+    count3 = "exactly one complement quotient eigenvalue above gamma_1'"
+    roots = ["gamma_1' root formula", "gamma_2' root formula"]
+    for shift, failed in ((1, ["beta_2 is a quotient eigenvalue", *roots, "equal second eigenvalues stay below 2n-5"]),
+                          (-1, ["beta_2 is a quotient eigenvalue", count2, *roots, "f_1(gamma_1') negative", count3])):
         theorems._thm15_identities.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(theorems, "polys", SimpleNamespace(**{
                 **vars(polys), "_value_surd": lambda p, u, v, d, den, s=shift: exact(p, u + s, v, d, den)}))
-            assert _failed_thm15_labels(m, 10) == [*roots, sign_fact]
+            assert _failed_thm15_labels(m, 10) == failed
     theorems._thm15_identities.cache_clear()
     assert proof_check_thm15(10)
-    monkeypatch.setattr(theorems, "Surd", lambda a, b, d: polys.Surd(a - F(1, 2), b, d))
+    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{
+        **vars(polys), "_value_surd": lambda p, u, v, d, den: exact(p, u, -v, d, den)}))
     for n in (10, 33):
-        assert _failed_thm15_labels(monkeypatch, n) == [
-            "exactly one quotient eigenvalue above beta_2", "exactly one complement quotient eigenvalue above gamma_1'"]
+        theorems._thm15_identities.cache_clear()
+        assert _failed_thm15_labels(monkeypatch, n) == [count2, "beta_2 exceeds the replicated eigenvalue 2",
+                                                        count3, "gamma_1' exceeds the replicated eigenvalue n-4"]
 
 
 @pytest.mark.parametrize("check, args, count, digest", [
-    (proof_check_thm15, (8,), 28, "66dcde318c3304c38ceedbb109f09c3b62a2f80b32258488b2b817ffcf781445"),
-    (proof_check_thm15, (10,), 28, "66dcde318c3304c38ceedbb109f09c3b62a2f80b32258488b2b817ffcf781445"),
-    (proof_check_thm15, (32,), 28, "66dcde318c3304c38ceedbb109f09c3b62a2f80b32258488b2b817ffcf781445"),
-    (proof_check_thm15, (33,), 22, "8c3b5d4d6eecda86f89fc60f82f44abf62f497ec30239bbe78f82946df9b7fa7"),
-    (proof_check_thm15, (50,), 22, "8c3b5d4d6eecda86f89fc60f82f44abf62f497ec30239bbe78f82946df9b7fa7"),
+    (proof_check_thm15, (8,), 29, "061efa63e2158eaddb7a69f0adba73419be31343d98f19538663e1da9ad7ab33"),
+    (proof_check_thm15, (10,), 29, "061efa63e2158eaddb7a69f0adba73419be31343d98f19538663e1da9ad7ab33"),
+    (proof_check_thm15, (32,), 29, "061efa63e2158eaddb7a69f0adba73419be31343d98f19538663e1da9ad7ab33"),
+    (proof_check_thm15, (33,), 23, "2c30ddcee8a26f6d81803809e26486d6a526add024bdc83e2c8cfcd7e3c7cc35"),
+    (proof_check_thm15, (50,), 23, "2c30ddcee8a26f6d81803809e26486d6a526add024bdc83e2c8cfcd7e3c7cc35"),
     (proof_check_thm12, (6, 2), 12, "ca82d64583a5006491647dbcdb2d030fbd495a208019d76e3e063b73b8e3adb0"),
     (proof_check_thm12, (20, 7), 12, "ca82d64583a5006491647dbcdb2d030fbd495a208019d76e3e063b73b8e3adb0"),
 ], ids=["thm15-8", "thm15-10", "thm15-32", "thm15-33", "thm15-50", "thm12-6-2", "thm12-20-7"])
@@ -1025,9 +1034,9 @@ def test_proof_check_label_sequences_are_pinned(monkeypatch, fresh_thm12_identit
     """Every check a proof makes runs, in order, with its outcome: the (label, outcome)
     sequence has a pinned length and sha256.  n = 33 is the first order past the
     32-vertex identities of the blown-up graphs.  Each sequence is the theorem's
-    identities and sign facts, over Z[n, d2, s] or Z[n], proved in the first call, then the
-    call's checks: none for Theorem 1.2, and for Theorem 1.5 the graph identities up to
-    n = 32 and the two root counts at beta_2."""
+    identities, sign facts and, for Theorem 1.5, root counts at beta_2, over Z[n, d2, s] or
+    Z[n], proved in the first call, then the call's checks: none for Theorem 1.2, and for
+    Theorem 1.5 the graph identities up to n = 32."""
     recorded = []
     expect = theorems._Checks.expect
 
@@ -1051,18 +1060,27 @@ def _thm12_sign_facts() -> list:
 def _thm15_sign_facts() -> list:
     """Theorem 1.5's sign facts, each (label, certificate arguments, sign), written here by their
     closed forms over Z[n], from 8: values and traces by ``_sign_from``, and signs at
-    beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by ``_surd_sign_from``."""
+    beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by ``_surd_sign_from``.  The two root counts
+    above beta_2 are the Taylor signs there of the cofactors x(x^2 - nx + n) and f_1 of f_2,
+    the cubic (a tuple) and its derivatives (lists), signed (-,+,+,+) and (-,-,-,+)."""
     n, = polys.MPoly.variables("n")
     cubic = (-6 * n * n + 38 * n - 56, 2 * n * n - 3 * n - 12, 6 - 3 * n, 1)
 
     def at_beta2(p):
         return p, n - 2, 1, n * n - 8 * n + 20, 2, 8
 
+    def taylor(label, derivatives, signs):
+        return [(label, at_beta2(p), sign) for p, sign in zip(derivatives, signs)]
+
     return [("f(n-3) negative", (-(n - 5) * (n - 6), 8), -1),
             ("trace rules out three roots above n-3", (3 * (n - 3) - (2 * n - 3), 8), 1),
+            *taylor("exactly one quotient eigenvalue above beta_2",
+                    [(0, n, -n, 1), [n, -2 * n, 3], [-2 * n, 6], [6]], [-1, 1, 1, 1]),
             ("beta_2 exceeds the replicated eigenvalue 2", at_beta2((-2, 1)), 1),
             ("f_1(2n-6) negative", (-4 * n + 16, 8), -1),
             ("f_1(gamma_1') negative", at_beta2(cubic), -1),
+            *taylor("exactly one complement quotient eigenvalue above gamma_1'",
+                    [cubic, [2 * n * n - 3 * n - 12, 12 - 6 * n, 3], [12 - 6 * n, 6], [6]], [-1, -1, -1, 1]),
             ("gamma_1' exceeds the replicated eigenvalue n-4", at_beta2((4 - n, 1)), 1),
             ("equal second eigenvalues stay below 2n-5", at_beta2((2 * n - 5, -2)), 1),
             ("f(n-3) nonpositive, (n-4,0,2)", (6 - n, 8), -1),
@@ -1131,7 +1149,7 @@ def _certificate_run(monkeypatch, identities, flip=None) -> tuple[list, list, tu
         identities.cache_clear()
         failed = identities()
         identities.cache_clear()
-    return calls, seen, failed[0] if identities is theorems._thm15_identities else failed
+    return calls, seen, failed
 
 
 @pytest.mark.parametrize("identities, sign_facts", [(theorems._thm12_identities, _thm12_sign_facts),
