@@ -28,13 +28,16 @@ gcd and of its reflected polynomial, so a bisection counts each polynomial
 at each point once.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
-gives an ``int``).  ``_value_surd`` writes den^deg(p) p((u + v sqrt(d)) / den)
-as a + b sqrt(d) by Horner's rule on integer pairs, and ``_surd_sign`` signs
-it, with no floats or fractions.  A ``Surd`` a + b sqrt(d) has no arithmetic:
-it is only a bound of a root-sum comparison and a point to count roots at,
-where the counting kernel shifts in the same integer pairs.
+gives an ``int``).  At a point (u + v sqrt(d)) / den, v = 0 if rational, two
+kernels write values a + b sqrt(d) on integer pairs: ``_value_surd`` gives
+den^deg(p) p(point), by Horner's rule, and ``_shift``, the one Taylor shift,
+each coefficient of p(point + z) up to a positive factor.  Root counts,
+reflections and the proof checks' sign facts all read the shift, and
+``_surd_sign`` is the one rule that signs a + b sqrt(d).  A ``Surd`` has no
+arithmetic: it is only a bound of a root-sum comparison and a point to count
+roots at.
 
-The Horner kernels use only + and *, so they also run over ``MPoly``, a
+The kernels use only + and *, so they also run over ``MPoly``, a
 polynomial over Z in named variables: the proof checks evaluate their
 quotients' char polys at closed-form roots in n, d2 and s, and a root is
 certified for every n, d2 and s when both parts of the value are the zero
@@ -50,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isfinite, isqrt, lcm, prod
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Poly = list[int]
 
@@ -133,18 +136,8 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
     return quo
 
 
-def _value(p: Poly, a: int, b: int) -> int:
-    """b^deg(p) * p(a/b) for b > 0, by homogeneous Horner."""
-    acc = p[-1]
-    power = 1
-    for c in p[-2::-1]:
-        power *= b
-        acc = acc * a + c * power
-    return acc
-
-
 def _value_surd(p: Poly, u: int, v: int, d: int, den: int) -> tuple[int, int]:
-    """(A, B) with den^deg(p) * p((u + v*sqrt(d)) / den) = A + B*sqrt(d)."""
+    """(A, B) with den^deg(p) * p((u + v*sqrt(d)) / den) = A + B*sqrt(d), by Horner's rule; v = 0 if rational."""
     big, small = p[-1], 0
     vd = v * d
     power = 1
@@ -158,8 +151,9 @@ def poly_eval(p: Poly, x) -> Union[int, Fraction, MPoly]:
     """p(x) exactly: a ``Fraction`` for a ``Fraction`` x, else a value in the ring of x and
     of the coefficients, an ``int`` for an int x or an ``MPoly`` for an ``MPoly`` x."""
     if not isinstance(x, Fraction):
-        return _value(p, x, 1) if p else 0
-    return Fraction(_value(p, x.numerator, x.denominator), x.denominator ** (len(p) - 1)) if p else Fraction(0)
+        return _value_surd(p, x, 0, 0, 1)[0] if p else 0
+    den = x.denominator
+    return Fraction(_value_surd(p, x.numerator, 0, 0, den)[0], den ** (len(p) - 1)) if p else Fraction(0)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -179,11 +173,10 @@ class MPoly:
 
     It has +, -, *, nonnegative integer powers, == and a hash, mixes with ``int`` (a constant),
     and combines only with polynomials over the same names; one over other names is equal to
-    it only when both are the same constant.  That is all the Horner
-    kernels ``_value`` and ``_value_surd`` and ``char_poly`` use, so they evaluate a
-    polynomial whose coefficients and point are ``MPoly`` values, and an identity in the
-    variables is checked once as ``==``.  It is true when nonzero, which lets those
-    kernels skip zero entries, and ``at`` gives its value at an integer point.
+    it only when both are the same constant.  That is all the kernels ``_value_surd``, ``_shift`` and
+    ``char_poly`` use, so they evaluate and shift a polynomial whose coefficients and point are ``MPoly``
+    values, and an identity in the variables is checked once as ``==``.  It is true when nonzero, which
+    lets those kernels skip zero entries, and ``at`` gives its value at an integer point.
     """
 
     __slots__ = ("names", "terms")
@@ -319,18 +312,16 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _surd_sign(a, b, d: int) -> int:
-    """Sign of a + b*sqrt(d) for rational a, b and integer d >= 0."""
-    if b == 0 or d == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    if (a > 0) == (b > 0):
-        return _sign(a)
-    lhs, rhs = a * a, b * b * d
-    if lhs == rhs:
-        return 0
-    return _sign(a) if lhs > rhs else _sign(b)
+def _surd_sign(a, b, d, sign=_sign) -> int:
+    """Sign of a + b*sqrt(d), d >= 0, from ``sign`` (exact for rationals) of a, b and a^2 - b^2 d; a ``sign``
+    that may give 0 for a nonzero value, as one certified from an n0 does, gives 0 if they do not settle it."""
+    sa, sb = sign(a), sign(b)
+    if not b or not d or sa == sb:
+        return sa
+    if not (sa and sb):
+        return 0 if a else sb
+    norm = sign(a * a - b * b * d)
+    return sa if norm > 0 else sb if norm < 0 else 0
 
 
 def _surd_parts(c) -> tuple[Fraction, Fraction, int]:
@@ -349,22 +340,16 @@ def base_plus_sqrt(base, rad) -> Union[Fraction, Surd]:
 def reflection_norm(p: Sequence[int], c) -> Poly:
     """The primitive, positively leading N in Z[x] with a root c - alpha for each root alpha of p.
 
-    ``c`` is rational or a ``Surd`` a + b*sqrt(d).  Horner's rule on integer
-    pairs writes den^deg(p) * p(c - x) = A(x) + sqrt(d)*B(x), with
-    c - x = (u - den*x + v*sqrt(d)) / den.  N is A for b = 0, else the norm
+    ``c`` is rational or a ``Surd`` a + b*sqrt(d), (u + v*sqrt(d)) / den over one denominator.
+    The Taylor shift of p to c (``_shift``) at z = -den*x writes den^deg(p) * p(c - x) as
+    A(x) + sqrt(d)*B(x), coefficient j times (-den)^j.  N is A for a rational c, else the norm
     A^2 - d*B^2, whose roots are the c - alpha and their conjugates.
     """
     a, b, d = _surd_parts(c)
     (u, v), den = _over_common_denominator((a, b))
-    big: Poly = []
-    small: Poly = []
-    power = 1
-    for coeff in reversed(p):
-        big, small = ([u * x - den * y + v * d * s for x, y, s in zip(big + [0], [0] + big, small + [0])],
-                      [u * s - den * y + v * x for x, s, y in zip(big + [0], small + [0], [0] + small)])
-        big[0] += coeff * power
-        power *= den
-    norm = _primitive(big if v == 0 else [x - d * y for x, y in zip(poly_mul(big, big), poly_mul(small, small))])
+    big, small = (None if part is None else [x * (-den) ** j for j, x in enumerate(part)]
+                  for part in _shift(p, u, v, d, den))
+    norm = _primitive(big if small is None else [x - d * y for x, y in zip(poly_mul(big, big), poly_mul(small, small))])
     return [-x for x in norm] if norm[-1] < 0 else norm
 
 
@@ -376,36 +361,45 @@ Point = Union[int, Fraction, Surd]
 # Root counting by Descartes' rule of signs
 
 
+def _shift(p: Sequence, u, v, d, den) -> tuple[list, Optional[list]]:
+    """The Taylor shift of a nonempty p to x = (u + v*sqrt(d)) / den: (A, B) with den^deg(p) *
+    p(x + z/den) = sum_j (A_j + B_j*sqrt(d)) z^j, whose term j has the sign of p^(j)(x).  A
+    rational point (v or d zero) shifts one list and gives B = None.  Only + and * are used, so
+    p, u, v and d may be ``int`` or ``MPoly`` values, and den an ``int`` > 0."""
+    n = len(p) - 1
+    big = [c * den ** (n - i) for i, c in enumerate(p)]
+    if not v or not d:
+        if u:
+            for i in range(n):
+                acc = big[n]
+                for j in range(n - 1, i - 1, -1):
+                    acc = big[j] = big[j] + u * acc
+        return big, None
+    small = [0] * (n + 1)
+    vd = v * d
+    for i in range(n):
+        a, b = big[n], small[n]
+        for j in range(n - 1, i - 1, -1):
+            a, b = big[j] + u * a + vd * b, small[j] + u * b + v * a
+            big[j], small[j] = a, b
+    return big, small
+
+
 def _roots_above(polys: list[Poly], x: Point) -> list[int]:
     """The roots above x of each real-rooted polynomial, counted with multiplicity.
 
     Descartes' rule of signs, exact for a real-rooted p: the count is the sign
     changes, zeros dropped, of the coefficients of p(x + y) in y (a root at x
-    is a zero low coefficient).  For x = (u + v*sqrt(d)) / den, the integer
-    Taylor shift of den^deg(p) * p((z + u + v*sqrt(d)) / den), in Z or in
-    Z[sqrt(d)], has the same signs; ``_surd_sign`` signs the Z[sqrt(d)] ones.
+    is a zero low coefficient), which ``_shift`` gives up to positive factors;
+    ``_surd_sign`` signs them at a ``Surd``.
     """
     *rational, d = _surd_parts(x)
     (u, v), den = _over_common_denominator(rational)
     counts: list[int] = []
     for p in polys:
-        n = len(p) - 1
-        big = [c * den ** (n - i) for i, c in enumerate(p)]
-        if v == 0 or d == 0:
-            if u:
-                for i in range(n):
-                    acc = big[n]
-                    for j in range(n - 1, i - 1, -1):
-                        acc = big[j] = big[j] + u * acc
-            signs = [c > 0 for c in big if c]
-        else:
-            small = [0] * (n + 1)
-            for i in range(n):
-                a, b = big[n], small[n]
-                for j in range(n - 1, i - 1, -1):
-                    a, b = big[j] + u * a + v * d * b, small[j] + u * b + v * a
-                    big[j], small[j] = a, b
-            signs = [s > 0 for s in (_surd_sign(a, b, d) for a, b in zip(big, small)) if s]
+        big, small = _shift(p, u, v, d, den)
+        signs = ([c > 0 for c in big if c] if small is None
+                 else [s > 0 for s in (_surd_sign(a, b, d) for a, b in zip(big, small)) if s])
         counts.append(sum(s != t for s, t in zip(signs, signs[1:])))
     return counts
 
@@ -450,7 +444,7 @@ class RootCounter:
     def multiplicity(self, r) -> int:
         """Multiplicity of the int or ``Fraction`` r as a root: the levels that vanish at r."""
         a, b = r.numerator, r.denominator
-        return sum(1 for level in self.levels if _value(level, a, b) == 0)
+        return sum(1 for level in self.levels if _value_surd(level, a, 0, 0, b)[0] == 0)
 
 
 @lru_cache(maxsize=1 << 12)

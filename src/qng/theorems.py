@@ -66,7 +66,7 @@ from .graph import (
     is_semiregular_bipartite,
     to_graph6,
 )
-from .enumeration import FILTERS, canonical_form, isomorphism_witness
+from .enumeration import FILTERS, isomorphism_witness
 from .polys import Surd
 from .spectra import (
     ESCALATION_WINDOW,
@@ -157,10 +157,10 @@ _COBAR_DISCONNECTED_FAMILIES = (
     ("(2K_2)∇(3K_1)", BlowUp((2, 2, 3), (True, True, False), _HUB)), ("K_{3,3}", _K33),
     ("(K_1∪K_2)∇(K_1∪K_2)", BlowUp((1, 2, 1, 2), (False, True, False, True),
                                   frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}))))
-# the order-6 catalogue, read and K_{3,3} named in it at import
+# the order-6 catalogue, read at import: a bipartite graph of order 6 has at most 3*3 = 9 edges, and only K_{3,3} has 9
 _BIPARTITE_EQUALITY_FAMILIES = tuple(
-    ("K_{3,3}" if g6 == k33 else f"bipartite-extremal-n6#{i}", _on_vertices(6, from_graph6(g6).edges()))
-    for k33 in [canonical_form(_K33.graph())] for i, g6 in enumerate(bipartite_equality_catalogue(), start=1))
+    ("K_{3,3}" if len(edges) == 9 else f"bipartite-extremal-n6#{i}", _on_vertices(6, edges))
+    for i, edges in enumerate((from_graph6(g6).edges() for g6 in bipartite_equality_catalogue()), start=1))
 # Theorem 1.5's six blow-ups by label, four double hubs and the complements of two: a cell size is
 # n minus a constant or a constant, so every n >= 8 has one cell layout, whose quotients over Z[n]
 # these give.
@@ -582,30 +582,22 @@ class _Checks(list):
 def _sign_from(p, n0: int) -> int:
     """The sign of p at every integer n >= n0, for an ``int`` or an ``MPoly`` p in its first name n, or
     0 if this cannot show one: the zero polynomial, one that mentions d2 or s, or one that fails the
-    certificate, Descartes' rule at n0.  If p(n0) != 0 and p(n0 + t) has no sign variation in t
-    (``polys._roots_above([p], n0) == [0]``), p has no root above n0, real-rooted or not."""
+    certificate, Descartes' rule at n0.  If p(n0 + t) (``polys._shift`` of p to n0, whose constant
+    coefficient is p(n0)) has nonzero coefficients of one sign only, p has that sign at n0 and no
+    root above it, real-rooted or not."""
     if isinstance(p, int):
         return polys._sign(p)
     if not p or any(any(e[1:]) for e in p.terms):
         return 0
     by_degree = {e[0]: c for e, c in p.terms.items()}
-    coeffs = [by_degree.get(i, 0) for i in range(max(by_degree) + 1)]
-    return polys._sign(polys.poly_eval(coeffs, n0)) if polys._roots_above([coeffs], n0) == [0] else 0
+    shifted, _ = polys._shift([by_degree.get(i, 0) for i in range(max(by_degree) + 1)], n0, 0, 0, 1)
+    return polys._sign(shifted[0]) if len({c > 0 for c in shifted if c}) == 1 else 0
 
 
-def _surd_sign_from(p, u, v, d, den: int, n0: int) -> int:
-    """The sign of p((u + v sqrt(d)) / den) at every integer n >= n0, for p, u, v and d over Z[n],
-    d >= 0 from n0, and an ``int`` den > 0, or 0 if this cannot show one: with den^deg(p) p(...) = a + b sqrt(d)
-    (``polys._value_surd``), the case analysis of ``polys._surd_sign`` on the signs of a, b and
-    a^2 - b^2 d from n0 (``_sign_from``)."""
-    a, b = polys._value_surd(p, u, v, d, den)
-    sa, sb = _sign_from(a, n0), _sign_from(b, n0)
-    if not b or sa == sb:
-        return sa
-    if not (sa and sb):
-        return 0 if a else sb
-    norm = _sign_from(a * a - b * b * d, n0)
-    return sa if norm > 0 else sb if norm < 0 else 0
+def _surd_sign_from(a, b, d, n0: int) -> int:
+    """The sign of a + b sqrt(d) at every integer n >= n0, for a, b and d over Z[n] with d >= 0 from n0,
+    or 0 if this cannot show one: ``polys._surd_sign`` with ``_sign_from`` as the sign."""
+    return polys._surd_sign(a, b, d, lambda x: _sign_from(x, n0))
 
 
 @lru_cache(maxsize=None)
@@ -686,13 +678,13 @@ def _thm15_identities() -> tuple[str, ...]:
     Each identity is checked once, over Z[n]: the char polys of the quotients of ``_THM15_BLOW_UPS``,
     built at the symbolic n, come from ``polys.char_poly``, tuples like the closed forms written by their
     coefficients in Z[n] (``MPoly`` expressions in n).  p at a point in Z[n] is ``polys.poly_eval``,
-    at the rational point (2n - 5) / 2 it is 2^deg(p) p((2n - 5) / 2) = ``polys._value(p, 2n - 5, 2)``,
-    and a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2 holds when both parts of
-    ``polys._value_surd`` at it are the zero polynomial.  Each sign fact holds for every n >= 8:
-    a value's sign by ``_sign_from``, and a sign at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by
-    ``_surd_sign_from``.  A trace is read off its char poly's next-to-leading coefficient.  A count
-    of roots above beta_2 is Descartes' rule on p(beta_2 + t), whose coefficient j has the sign of
-    the j-th derivative of p at beta_2: one sign variation is exactly one root, real-rooted or not.
+    and ``polys._value_surd`` gives 2^deg(p) p((2n - 5) / 2) at the rational point (2n - 5) / 2 and
+    both parts at a closed-form root (n - 2 +- sqrt(n^2 - 8n + 20)) / 2, which holds when both are
+    the zero polynomial.  Each sign fact holds for every n >= 8: a value's sign by ``_sign_from``,
+    and a sign at beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by ``_surd_sign_from``.  A trace is read
+    off its char poly's next-to-leading coefficient.  A count of roots above beta_2 is Descartes' rule
+    on p(beta_2 + t), whose coefficients ``polys._shift`` gives up to positive factors, each signed by
+    ``_surd_sign_from``: one sign variation is exactly one root, real-rooted or not.
     """
     n, = polys.MPoly.variables("n")
     c = _Checks()
@@ -703,10 +695,10 @@ def _thm15_identities() -> tuple[str, ...]:
         return polys._value_surd(p, n - 2, v, disc, 2)
 
     def sign_at_beta2(p):
-        return _surd_sign_from(p, n - 2, 1, disc, 2, 8)
+        return _surd_sign_from(*at_beta2(p), disc, 8)
 
-    def taylor_signs_at_beta2(p):  # coefficient j of p(beta_2 + t) has the sign of p^(j)(beta_2)
-        return [sign_at_beta2(p), *taylor_signs_at_beta2(polys._derivative(p))] if p else []
+    def taylor_signs_at_beta2(p):  # of the coefficients of 2^deg(p) p(beta_2 + z/2), the shift of p to beta_2
+        return [_surd_sign_from(a, b, disc, 8) for a, b in zip(*polys._shift(p, n - 2, 1, disc, 2))]
 
     # -- double hub over blocks (n-5, 1, 2): second eigenvalue below n - 3
     phi = phis["(n-5,1,2)"]
@@ -744,11 +736,11 @@ def _thm15_identities() -> tuple[str, ...]:
     # -- single hub side empty, blocks (n-3, 0, 1); 8 g((2n-5)/2) and 16 phi((2n-5)/2) by homogeneous Horner
     cubic5 = (3 * n - n * n, n * n - n - 2, 2 - 2 * n, 1)
     c.expect(phis["(n-3,0,1)"] == tuple(polys.poly_mul([0, 1], cubic5)), "char poly x*g (n-3,0,1)")
-    c.expect(_sign_from(polys._value(cubic5, 2 * n - 5, 2), 8) == -1, "g(n-5/2) negative")
+    c.expect(_sign_from(polys._value_surd(cubic5, 2 * n - 5, 0, 0, 2)[0], 8) == -1, "g(n-5/2) negative")
     quartic6 = (2 * n * n - 14 * n + 24, -6 * n * n + 35 * n - 48, 2 * n * n - 3 * n - 10, 6 - 3 * n, 1)
     c.expect(phis["complement (n-3,0,1)"] == quartic6, "complement char poly (n-3,0,1)")
     c.expect(_sign_from(polys.poly_eval(quartic6, 2 * n - 6), 8) == -1, "phi(2n-6) negative")
-    c.expect(_sign_from(polys._value(quartic6, 2 * n - 5, 2), 8) == -1, "phi(n-5/2) negative")
+    c.expect(_sign_from(polys._value_surd(quartic6, 2 * n - 5, 0, 0, 2)[0], 8) == -1, "phi(n-5/2) negative")
     return tuple(c)
 
 

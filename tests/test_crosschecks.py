@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import mpmath
 import sympy
 
 from qng import polys
+from qng.polys import MPoly, RootCounter, Surd, reflection_norm
 from qng.enumeration import _relabeled as relabel, canonical_form, enumerate_graphs
 from qng.graph import (
     complement,
@@ -248,3 +250,120 @@ def test_proof_check_sign_facts_against_sympy():
         for phi in (phi2, phi3):
             roots = sympy.Poly(phi, n, x).eval(n, k).intervals()
             assert sum(m for (lo, _), m in roots if sign_of(2 * lo - k + 2, -1, d) > 0) == 1, k
+
+
+def _sympy_of(c, gens):
+    """An ``int`` or ``MPoly`` coefficient as a sympy ``Poly`` over ZZ in ``gens``, the last of them
+    standing for its names."""
+    if isinstance(c, int):
+        return sympy.Poly(c, *gens, domain="ZZ")
+    return sympy.Poly.from_dict({(0, 0, *exps): k for exps, k in c.terms.items()}, *gens, domain="ZZ")
+
+
+def _terms(c) -> dict:
+    """An ``int`` or ``MPoly`` coefficient in n and m as its terms, by exponents of n and m."""
+    return ({(0, 0): c} if c else {}) if isinstance(c, int) else c.terms
+
+
+def test_taylor_shift_against_sympy(rng=random.Random(52)):
+    """``polys._shift(p, u, v, d, den)`` is sympy's expansion of den^deg(p) p((u + v r + z) / den)
+    reduced modulo r^2 - d, with A_j and B_j the coefficients of z^j and z^j r, over seeded
+    ``int`` and ``MPoly`` (in n and m) cases.  At a rational point (v or d zero) the shift has no
+    surd parts, and its A is the expansion at r = 0."""
+    names = ("n", "m")
+    gens = r, z, *_ = sympy.symbols("r z n m")
+
+    def coefficient(over_mpoly):
+        if not over_mpoly or rng.random() < 0.3:
+            return rng.randint(-9, 9)
+        return MPoly(names, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-5, 5) for _ in range(3)})
+
+    for case in range(120):
+        over_mpoly = case % 2 == 1
+        p = [coefficient(over_mpoly) for _ in range(rng.randint(0, 5))] + [rng.choice([-2, 1, 3])]
+        u, v = coefficient(over_mpoly), rng.choice([0, 1, -2, coefficient(over_mpoly)])
+        d = rng.choice([0, 2, 4, 5, 12]) + (rng.randint(0, 1) * MPoly.variables(*names)[0] ** 2 if over_mpoly else 0)
+        den = rng.choice([1, 2, 3, 6])
+        big, small = polys._shift(p, u, v, d, den)
+        numerator = _sympy_of(u, gens) + _sympy_of(v, gens) * r + z  # den times the point
+        value = sum((_sympy_of(c, gens) * den ** (len(p) - 1 - i) * numerator ** i for i, c in enumerate(p)),
+                    sympy.Poly(0, *gens, domain="ZZ"))
+        reduced = {}  # by the exponents of r and z, the terms in n and m of value modulo r^2 - d
+        for (er, ez, *exps), k in value.rem(sympy.Poly(r ** 2, *gens, domain="ZZ") - _sympy_of(d, gens)).terms():
+            reduced.setdefault((er, ez), {})[tuple(exps)] = int(k)
+        assert (small is None) == (not v or not d), (p, u, v, d, den)
+        for j in range(len(p)):
+            assert _terms(big[j]) == reduced.get((0, j), {}), (p, u, v, d, den, j)
+            if small is not None:
+                assert _terms(small[j]) == reduced.get((1, j), {}), (p, u, v, d, den, j)
+
+
+def _points_at_and_between_roots(poly, approx):
+    """(qng point, sympy number) pairs: each rational and quadratic-surd root of the sympy ``Poly``,
+    from its irreducible factors, and a point between and beyond the distinct roots' floats
+    ``approx``, in turn rational and a surd."""
+    points = []
+
+    def add(a, b=F(0), d=0):
+        exact = sympy.Rational(a.numerator, a.denominator) + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(d)
+        points.append((Surd(a, b, d) if b else a, exact))
+
+    for factor, _ in poly.factor_list()[1]:
+        coeffs = [int(c) for c in factor.all_coeffs()]
+        if len(coeffs) == 2:
+            add(F(-coeffs[1], coeffs[0]))
+        elif len(coeffs) == 3:
+            a, b, c = coeffs
+            for sign in (1, -1):
+                add(F(-b, 2 * a), F(sign, 2 * a), b * b - 4 * a * c)
+    ends = sorted(set(approx))
+    for i, (lo, hi) in enumerate(zip([ends[0] - 1, *ends], [*ends, ends[-1] + 1])):
+        add(F(round((lo + hi) * 512), 1024), F(i % 2, 4096), 2)
+    return points
+
+
+def test_root_counts_against_sympy(graphs_by_order, rng=random.Random(53)):
+    """``RootCounter.counts_at`` is, at rational and surd points at and between the eigenvalues, the
+    count of sympy's ``Poly.real_roots()`` above the point, with multiplicity and distinct: the roots
+    come sorted, so a bisection by sympy's exact sign of a root minus the point finds the first one
+    above it.  For the Q char polys of every class of order at most 5 and of 20 seeded order-7 classes;
+    the float spectrum only places the points between eigenvalues."""
+    x = sympy.Symbol("x")
+    graphs = [g for n in range(1, 6) for g in graphs_by_order[n]] + rng.sample(graphs_by_order[7], 20)
+    for g in graphs:
+        p = kind_char_poly(g, "Q")
+        counter = RootCounter(p)
+        poly = sympy.Poly(list(reversed(p)), x)
+        roots = poly.real_roots()
+        for point, exact in _points_at_and_between_roots(poly, [round(v, 9) for v in spectrum(g, "Q").values]):
+            lo, hi = 0, len(roots)  # the first root above the point is in roots[lo:hi + 1]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                above = (roots[mid] - exact).is_positive
+                assert above is not None, (to_graph6(g), roots[mid], exact)
+                lo, hi = (lo, mid) if above else (mid + 1, hi)
+            assert counter.counts_at(point) == (len(roots) - lo, len(set(roots[lo:]))), (to_graph6(g), point)
+
+
+def test_reflection_norm_against_sympy(graphs_by_order, rng=random.Random(54)):
+    """``reflection_norm(p, c)`` is the primitive, positively leading form of sympy's p(c - x) for a
+    rational c, and of p(c - x) p(c' - x) for a surd c = a + b sqrt(d) with conjugate c', expanded
+    with r for sqrt(d) and reduced modulo r^2 - d: for the Q char polys of seeded order-6 classes and
+    seeded integer polynomials."""
+    x, r = sympy.symbols("x r")
+    cases = [list(kind_char_poly(g, "Q")) for g in rng.sample(graphs_by_order[6], 12)]
+    cases += [[rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.choice([-3, 1, 2])] for _ in range(12)]
+    for p in cases:
+        for _ in range(3):
+            a, b = F(rng.randint(-12, 12), rng.randint(1, 4)), F(rng.choice([-5, -1, 1, 3]), rng.randint(1, 4))
+            d = rng.choice([2, 3, 5, 7, 4])
+            ca, cb = (sympy.Rational(q.numerator, q.denominator) for q in (a, b))
+            at = [sympy.Poly(ca + sign * cb * r - x, r, x, domain="QQ") for sign in (1, -1)]
+            values = [sum((k * point ** i for i, k in enumerate(p)), sympy.Poly(0, r, x, domain="QQ")) for point in at]
+            norm = (values[0] * values[1]).rem(sympy.Poly(r ** 2 - d, r, x, domain="QQ"))
+            assert norm.degree(r) <= 0
+            for c, product in ((a, values[0].eval(r, 0)), (Surd(a, b, d), norm.eval(r, 0))):
+                coeffs = [sympy.Rational(k) for k in reversed(product.all_coeffs())]
+                ints = [int(k * lcm(*(k.q for k in coeffs))) for k in coeffs]
+                content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+                assert reflection_norm(p, c) == [k // content for k in ints], (p, c)

@@ -424,25 +424,39 @@ def test_char_poly_over_a_ring():
 
 
 def test_horner_kernels_run_on_mpoly():
-    """``_value`` and ``_value_surd`` with ``MPoly`` coefficients and points give the
-    polynomials whose values at seeded random points are the kernels' integer results."""
+    """``_value_surd`` at a rational point (v = 0) and at a surd, and the Taylor shift ``_shift``
+    at both, with ``MPoly`` coefficients and points give the polynomials whose values at seeded
+    random points are the kernels' integer results.  A shift at a point where v or d is 0 is the
+    rational one, with no surd parts, so those read as zeros."""
     rng = random.Random(42)
     names = ("x", "y")
     x, y = MPoly.variables(*names)
+
+    def parts(shifted):
+        big, small = shifted
+        return big, [0] * len(big) if small is None else small
+
     for _ in range(150):
         p = [rng.choice([rng.randint(-9, 9), _random_mpoly(rng, names, 3, 2)]) for _ in range(rng.randint(1, 5))]
         u, v, a = (_random_mpoly(rng, names, 3, 2) + rng.randint(-5, 5) for _ in range(3))
         d, b, den = x * x + rng.randint(0, 9), y * y + 1, rng.choice([2, y * y + 1])
-        value, (big, small) = polys._value(p, a, b), polys._value_surd(p, u, v, d, den)
+        value, (big, small) = polys._value_surd(p, a, 0, 0, b)[0], polys._value_surd(p, u, v, d, den)
+        (rational, none), shifted = polys._shift(p, a, 0, 0, b), parts(polys._shift(p, u, v, d, den))
+        assert none is None
         for _ in range(4):
             point = (rng.randint(-9, 9), rng.randint(-9, 9))
             at = [_at(c, point) for c in p]
-            assert _at(value, point) == polys._value(at, _at(a, point), _at(b, point))
+            assert _at(value, point) == polys._value_surd(at, _at(a, point), 0, 0, _at(b, point))[0]
             assert ((_at(big, point), _at(small, point))
                     == polys._value_surd(at, *(_at(w, point) for w in (u, v, d, den))))
+            assert [_at(c, point) for c in rational] == polys._shift(at, _at(a, point), 0, 0, _at(b, point))[0]
+            assert ([[_at(c, point) for c in part] for part in shifted]
+                    == list(parts(polys._shift(at, *(_at(w, point) for w in (u, v, d, den))))))
     # (x - sqrt(x^2 + 4y)) / 2 is a root of z^2 - xz - y for every x and y
     assert polys._value_surd([-y, -x, 1], x, -1, x * x + 4 * y, 2) == (0, 0)
     assert polys._value_surd([-y - 1, -x, 1], x, -1, x * x + 4 * y, 2) != (0, 0)
+    # the shift's constant coefficient is the value, so it is 0 at that root too
+    assert [c[0] for c in polys._shift([-y, -x, 1], x, -1, x * x + 4 * y, 2)] == [0, 0]
 
 
 def test_sign_at_surd_matches_fraction_horner():

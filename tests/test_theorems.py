@@ -185,6 +185,17 @@ def test_every_catalogue_is_listed_at_every_order():
                          for name, orders in NAMED_AT[catalogue].items()}, catalogue
 
 
+def test_bipartite_catalogue_names_k33_by_its_edge_count():
+    """The order-6 catalogue's nine graphs are named in file order, K_{3,3} by its 9 edges, the most
+    a bipartite graph of order 6 has; the graph so named is the catalogue's one copy of K_{3,3}."""
+    names = [name for name, _ in theorems._BIPARTITE_EQUALITY_FAMILIES]
+    assert names == [*(f"bipartite-extremal-n6#{i}" for i in range(1, 7)), "K_{3,3}",
+                     "bipartite-extremal-n6#8", "bipartite-extremal-n6#9"]
+    k33 = canonical_form(complete_bipartite(3, 3))
+    assert ([canonical_form(b.graph()) == k33 for _, b in theorems._BIPARTITE_EQUALITY_FAMILIES]
+            == [name == "K_{3,3}" for name in names])
+
+
 def _quotient_at(rows, n: int) -> tuple:
     """The ``int`` matrix that rows over Z[n] (``int`` or ``polys.MPoly`` entries) are at n, by ``MPoly.at``."""
     return tuple(tuple(e if isinstance(e, int) else e.at(n) for e in row) for row in rows)
@@ -716,19 +727,21 @@ def test_proof_check_thm12_matches_its_per_s_reference(fresh_thm12_identities):
 
 def test_proof_check_thm12_costs_nothing_per_n(monkeypatch, fresh_thm12_identities):
     """The first call proves the identities and the sign facts; later calls, at any n, evaluate
-    no surd and certify no sign: n = 10^6 checks only its range, as n = 6 does."""
+    no surd and certify no sign: n = 10^6 checks only its range, as n = 6 does.  A sign is
+    certified by one Taylor shift (``_shift``), and no root is counted (``_roots_above``); the three
+    surds are the closed-form roots, and six more ``_value_surd`` calls are ``poly_eval``'s at ring points."""
     calls = Counter()
-    for name in ("_value_surd", "_roots_above"):
+    for name in ("_value_surd", "_shift", "_roots_above"):
         def counted(*args, _exact=getattr(polys, name), _name=name):
             calls[_name] += 1
             return _exact(*args)
         monkeypatch.setattr(polys, name, counted)
     assert proof_check_thm12(6, 2)
-    assert calls == Counter(_value_surd=3, _roots_above=4)
+    assert calls == Counter(_value_surd=3 + 6, _shift=4)
     for d2 in (1, 2, 500000, 999998):
         assert proof_check_thm12(10**6, d2)
     assert proof_check_thm12(50, 1)
-    assert calls == Counter(_value_surd=3, _roots_above=4)
+    assert calls == Counter(_value_surd=3 + 6, _shift=4)
 
 
 @pytest.mark.parametrize("only_third", [False, True])
@@ -764,9 +777,9 @@ def test_proof_check_thm12_builds_no_surd(monkeypatch, fresh_thm12_identities):
 
 def test_proof_check_thm12_kernel_calls(monkeypatch, fresh_thm12_identities):
     """The first call builds the three 2x2 char polys over Z[n, d2, s], evaluates the quadratics
-    at ring points, and the sign facts at n0, through the public ``polys.poly_eval`` and not the
-    private ``_value``, tests the three closed-form roots and certifies the four signs by one
-    Taylor shift each; later calls, at any (n, d2), call no kernel."""
+    at ring points through the public ``polys.poly_eval``, tests the three closed-form roots and
+    certifies the four signs by one Taylor shift each, whose constant coefficient is the value
+    at n0, so with no evaluation there; later calls, at any (n, d2), call no kernel."""
     calls = Counter()
 
     def counted(name, kernel):
@@ -776,13 +789,13 @@ def test_proof_check_thm12_kernel_calls(monkeypatch, fresh_thm12_identities):
         return count
 
     kernels = {name: counted(name, getattr(polys, name))
-               for name in ("char_poly", "poly_eval", "_value", "_value_surd", "_roots_above")}
+               for name in ("char_poly", "poly_eval", "_value_surd", "_shift", "_roots_above")}
     monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{**vars(polys), **kernels}))
     assert proof_check_thm12(9, 3)
-    assert calls == Counter(char_poly=3, poly_eval=6 + 4, _value_surd=3, _roots_above=4)
+    assert calls == Counter(char_poly=3, poly_eval=6, _value_surd=3, _shift=4)
     for n, d2 in ((4, 1), (50, 48), (10**6, 999998)):
         assert proof_check_thm12(n, d2)
-    assert calls == Counter(char_poly=3, poly_eval=6 + 4, _value_surd=3, _roots_above=4)
+    assert calls == Counter(char_poly=3, poly_eval=6, _value_surd=3, _shift=4)
 
 
 @pytest.fixture
@@ -918,11 +931,12 @@ def test_proof_check_thm15_builds_no_char_poly_per_n(monkeypatch, fresh_thm15_id
     for name in ("_sign_from", "_surd_sign_from", "_blow_up_identity"):
         monkeypatch.setattr(theorems, name, counted(name, getattr(theorems, name)))
     assert proof_check_thm15(8)
-    # 8 sign facts in n, and 12 values at beta_2: 4 sign facts and the 8 Taylor signs of the two cubic
-    # cofactors of f_2, one per derivative.  Their a, b and a^2 - b^2 d take 30 signs, 4 of them of the
-    # ints a and b of the constant last derivatives: 34 Taylor shifts in n, each with its value at n0
-    first = Counter(char_poly=6, poly_mul=5, poly_eval=4 + 34, _value=2, _value_surd=3 + 12, _derivative=8,
-                    _roots_above=34, _sign=8 + 30, _sign_from=8 + 30, _surd_sign_from=12, _blow_up_identity=6)
+    # 8 sign facts in n, and 12 signs at beta_2: 4 sign facts, values there, and the 8 Taylor signs of
+    # the two cubic cofactors of f_2, read off one shift of each to beta_2.  Their a, b and a^2 - b^2 d
+    # take 30 signs, 4 of them of the ints a and b of the leading coefficients: 34 Taylor shifts in n, each
+    # with its value at n0 as its constant coefficient.  3 surd values test roots, 2 are at (2n - 5) / 2
+    first = Counter(char_poly=6, poly_mul=5, poly_eval=4, _value_surd=3 + 4 + 2, _shift=2 + 34, _sign=8 + 30,
+                    _surd_sign=12, _sign_from=8 + 30, _surd_sign_from=12, _blow_up_identity=6)
     assert calls == first
     for n in (33, 10**6, 10**30):
         assert proof_check_thm15(n)
@@ -994,12 +1008,20 @@ def test_proof_check_thm15_builds_no_surd(monkeypatch, fresh_thm15_identities, n
 
 
 def test_proof_check_thm15_root_tests_bite(monkeypatch, fresh_thm15_identities):
-    """Shifting the numerator of every surd value by one, either way, fails the three root formulas
-    at beta_2 and a sign fact there, proved once, and down also the Taylor signs of the cofactors
-    of f_2, so both root counts; taking every surd value at the conjugate
-    gamma_2' of beta_2 fails both root counts, as the cofactors of f_2 have two and three roots
-    above it, and the two facts that beta_2 exceeds a replicated eigenvalue."""
-    exact = polys._value_surd
+    """Moving every surd point of ``_value_surd`` and of the Taylor shift ``_shift`` by one half, its
+    numerator by one either way, fails the three root formulas at beta_2 and a sign fact there,
+    proved once, and down also the Taylor signs of the cofactors of f_2, so both root counts; taking
+    every surd value and shift at the conjugate gamma_2' of beta_2 fails both root counts, as the
+    cofactors of f_2 have two and three roots above it, and the two facts that beta_2 exceeds a
+    replicated eigenvalue.  The rational points, at (2n - 5) / 2 and the shifts to n0, stay."""
+    def moved(du=0, conjugate=False):
+        def kernel(exact):
+            def at(p, u, v, d, den):
+                return exact(p, u + du, -v if conjugate else v, d, den) if v else exact(p, u, v, d, den)
+            return at
+        kernels = {name: kernel(getattr(polys, name)) for name in ("_value_surd", "_shift")}
+        return SimpleNamespace(**{**vars(polys), **kernels})
+
     count2 = "exactly one quotient eigenvalue above beta_2"
     count3 = "exactly one complement quotient eigenvalue above gamma_1'"
     roots = ["gamma_1' root formula", "gamma_2' root formula"]
@@ -1007,13 +1029,11 @@ def test_proof_check_thm15_root_tests_bite(monkeypatch, fresh_thm15_identities):
                           (-1, ["beta_2 is a quotient eigenvalue", count2, *roots, "f_1(gamma_1') negative", count3])):
         theorems._thm15_identities.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(theorems, "polys", SimpleNamespace(**{
-                **vars(polys), "_value_surd": lambda p, u, v, d, den, s=shift: exact(p, u + s, v, d, den)}))
+            m.setattr(theorems, "polys", moved(du=shift))
             assert _failed_thm15_labels(m, 10) == failed
     theorems._thm15_identities.cache_clear()
     assert proof_check_thm15(10)
-    monkeypatch.setattr(theorems, "polys", SimpleNamespace(**{
-        **vars(polys), "_value_surd": lambda p, u, v, d, den: exact(p, u, -v, d, den)}))
+    monkeypatch.setattr(theorems, "polys", moved(conjugate=True))
     for n in (10, 33):
         theorems._thm15_identities.cache_clear()
         assert _failed_thm15_labels(monkeypatch, n) == [count2, "beta_2 exceeds the replicated eigenvalue 2",
@@ -1060,27 +1080,35 @@ def _thm12_sign_facts() -> list:
 def _thm15_sign_facts() -> list:
     """Theorem 1.5's sign facts, each (label, certificate arguments, sign), written here by their
     closed forms over Z[n], from 8: values and traces by ``_sign_from``, and signs at
-    beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by ``_surd_sign_from``.  The two root counts
-    above beta_2 are the Taylor signs there of the cofactors x(x^2 - nx + n) and f_1 of f_2,
-    the cubic (a tuple) and its derivatives (lists), signed (-,+,+,+) and (-,-,-,+)."""
+    beta_2 = (n - 2 + sqrt(n^2 - 8n + 20)) / 2 by ``_surd_sign_from`` of (a, b) with
+    2^deg(p) p(beta_2) = a + b sqrt(n^2 - 8n + 20), expanded here by powers of 2 beta_2.  The two root
+    counts above beta_2 are the Taylor signs there of the cofactors x(x^2 - nx + n) and f_1 of f_2:
+    coefficient j of 2^3 p(beta_2 + z/2) is 2^(3-j) q_j(beta_2), for q_j = p^(j) / j!, the cubic (a
+    tuple) and its Taylor coefficients (lists), signed (-,+,+,+) and (-,-,-,+)."""
     n, = polys.MPoly.variables("n")
+    disc = n * n - 8 * n + 20
     cubic = (-6 * n * n + 38 * n - 56, 2 * n * n - 3 * n - 12, 6 - 3 * n, 1)
 
     def at_beta2(p):
-        return p, n - 2, 1, n * n - 8 * n + 20, 2, 8
+        a = b = 0
+        x, y = 1, 0  # (2 beta_2)^j = x + y sqrt(disc)
+        for j, c in enumerate(p):
+            a, b = a + c * 2 ** (len(p) - 1 - j) * x, b + c * 2 ** (len(p) - 1 - j) * y
+            x, y = x * (n - 2) + y * disc, x + y * (n - 2)
+        return a, b, disc, 8
 
-    def taylor(label, derivatives, signs):
-        return [(label, at_beta2(p), sign) for p, sign in zip(derivatives, signs)]
+    def taylor(label, coefficients, signs):
+        return [(label, at_beta2(q), sign) for q, sign in zip(coefficients, signs)]
 
     return [("f(n-3) negative", (-(n - 5) * (n - 6), 8), -1),
             ("trace rules out three roots above n-3", (3 * (n - 3) - (2 * n - 3), 8), 1),
             *taylor("exactly one quotient eigenvalue above beta_2",
-                    [(0, n, -n, 1), [n, -2 * n, 3], [-2 * n, 6], [6]], [-1, 1, 1, 1]),
+                    [(0, n, -n, 1), [n, -2 * n, 3], [-n, 3], [1]], [-1, 1, 1, 1]),
             ("beta_2 exceeds the replicated eigenvalue 2", at_beta2((-2, 1)), 1),
             ("f_1(2n-6) negative", (-4 * n + 16, 8), -1),
             ("f_1(gamma_1') negative", at_beta2(cubic), -1),
             *taylor("exactly one complement quotient eigenvalue above gamma_1'",
-                    [cubic, [2 * n * n - 3 * n - 12, 12 - 6 * n, 3], [12 - 6 * n, 6], [6]], [-1, -1, -1, 1]),
+                    [cubic, [2 * n * n - 3 * n - 12, 12 - 6 * n, 3], [6 - 3 * n, 3], [1]], [-1, -1, -1, 1]),
             ("gamma_1' exceeds the replicated eigenvalue n-4", at_beta2((4 - n, 1)), 1),
             ("equal second eigenvalues stay below 2n-5", at_beta2((2 * n - 5, -2)), 1),
             ("f(n-3) nonpositive, (n-4,0,2)", (6 - n, 8), -1),
@@ -1098,13 +1126,14 @@ def test_sign_certificates_certify_every_sign_fact():
         assert (theorems._sign_from if len(args) == 2 else theorems._surd_sign_from)(*args) == sign, label
     assert [theorems._sign_from(k, 8) for k in (-3, 0, 5)] == [-1, 0, 1]
     n, = polys.MPoly.variables("n")
-    assert [theorems._surd_sign_from((0, 1), 0, v, n * n + 1, 1, 8) for v in (n - 7, 7 - n)] == [1, -1]
+    assert [theorems._surd_sign_from(0, v, n * n + 1, 8) for v in (n - 7, 7 - n)] == [1, -1]
 
 
 def test_sign_certificates_refuse_what_they_cannot_show():
     """A sign that changes at or above n0, a zero at n0, a sign that Descartes' rule at n0 cannot
     show, the zero polynomial and a polynomial in d2 give 0, and so does a sign at beta_2
-    resting on such a sign: beta_2 - 10 is negative at n = 8 and positive at n = 20."""
+    resting on such a sign: 2 (beta_2 - 10) = n - 22 + sqrt(n^2 - 8n + 20) is negative at n = 8 and
+    positive at n = 20."""
     n, = polys.MPoly.variables("n")
     late = (n - 20) * (n - 30) + 1
     assert late.at(8) > 0 > late.at(25)
@@ -1113,7 +1142,7 @@ def test_sign_certificates_refuse_what_they_cannot_show():
     m, d2, s = polys.MPoly.variables("n", "d2", "s")
     assert theorems._sign_from(m + d2 + 1, 8) == theorems._sign_from(m * s + 1, 8) == 0
     assert theorems._sign_from(m + 1, 8) == 1
-    assert theorems._surd_sign_from((-10, 1), n - 2, 1, n * n - 8 * n + 20, 2, 8) == 0
+    assert theorems._surd_sign_from(n - 22, 1, n * n - 8 * n + 20, 8) == 0
 
 
 def _certificate_run(monkeypatch, identities, flip=None) -> tuple[list, list, tuple]:
