@@ -23,9 +23,10 @@ Isolation is one bisection from the Cauchy bound whose first two cuts a
 float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
 Floats pick only where to cut: every sign comes from counts.  A window keeps
-level 0's counts at its ends, and a comparison those of its common-root
-gcd and of its reflected polynomial, so a bisection counts each polynomial
-at each point once.
+level 0's counts at its ends, so a bisection counts its polynomial once at
+each cut; an equality certificate counts its two polynomials afresh at the
+windows' current ends.  ``ESCALATION_WINDOW`` is the one float tolerance:
+the screen trusts a float only beyond it, and the seed's window derives from it.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
 gives an ``int``).  At a point (u + v sqrt(d)) / den, v = 0 if rational, two
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, isfinite, isqrt, lcm, prod
+from math import ceil, gcd, isfinite, isqrt, lcm, log2, prod
 from typing import Optional, Sequence, Union
 
 Poly = list[int]
@@ -491,30 +492,14 @@ class RootWindow:
         self.cut((self.lo + self.hi) / 2)
 
 
-class _EndChanges:
-    """The roots of a square-free polynomial above the two ends of a shrinking interval:
-    an end that did not move is the same object as before, and is not counted again."""
-
-    def __init__(self, poly: Poly):
-        self.poly = poly
-        self.ends: list[tuple[Point, int]] = [(None, 0), (None, 0)]
-
-    def _at(self, end: int, x: Point) -> int:
-        point, changes = self.ends[end]
-        if x is not point:
-            changes = _roots_above([self.poly], x)[0]
-            self.ends[end] = (x, changes)
-        return changes
-
-    def distinct(self, lo: Point, hi: Point) -> int:
-        """Distinct roots of the polynomial in (lo, hi]."""
-        return self._at(0, lo) - self._at(1, hi)
-
+#: Any bound within this distance of equality is decided exactly: a float is trusted only
+#: farther from it, far above the error of a LAPACK eigenvalue of a graph matrix with 32 vertices.
+ESCALATION_WINDOW = 1e-6
 
 #: A float seed places the first two cuts at (m - 1) / SEED_SCALE and (m + 1) / SEED_SCALE,
-#: with m the nearest integer to seed * SEED_SCALE.  Their half-gap 2^-20 is far above
-#: the error of a LAPACK eigenvalue of a graph matrix with 32 vertices.
-SEED_SCALE = 1 << 20
+#: with m the nearest integer to seed * SEED_SCALE.  Their half-gap is the largest power of
+#: two not above ``ESCALATION_WINDOW`` (2^-20), so it too is far above a screened float's error.
+SEED_SCALE = 1 << ceil(-log2(ESCALATION_WINDOW))
 
 
 def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindow:
@@ -574,14 +559,14 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
         if _surd_sign(wa.hi + wb.hi - a, -b, d) < 0:
             return -1
         if norm is None:
-            square_free = root_counter(tuple(reflection_norm(pa, c))).levels[0]
-            norm, common = _EndChanges(square_free), _EndChanges(poly_gcd(wb.counter.levels[0], square_free))
-        if common.distinct(wb.lo, wb.hi) > 0:
+            norm = root_counter(tuple(reflection_norm(pa, c)))
+            common = poly_gcd(wb.counter.levels[0], norm.levels[0])
+        if _roots_above([common], wb.lo)[0] > _roots_above([common], wb.hi)[0]:
             # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
             low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo
             lo = wb.lo if _surd_sign(wb.lo - low, -b, d) <= 0 else Surd(low, b, d)
             hi = wb.hi if _surd_sign(wb.hi - high, -b, d) >= 0 else Surd(high, b, d)
-            if norm.distinct(lo, hi) == 1:
+            if norm.count_distinct_halfopen(lo, hi) == 1:
                 return 0
         wa.refine()
         wb.refine()

@@ -23,8 +23,8 @@ the current chunk's screens, any other graph off its kept chunk of one
 complements and screens included, so a later read of the same graphs reads
 them again; no float spectrum is cached by graph.
 ``_stacked`` builds A, D + A and D - A.
-Whenever a quantity sits within the escalation window of a bound, decisions
-are re-made exactly: integer characteristic polynomials via the
+Whenever a quantity sits within ``polys.ESCALATION_WINDOW`` of a bound,
+decisions are re-made exactly: integer characteristic polynomials via the
 Faddeev-LeVerrier recurrence, root counting by Descartes' rule of signs,
 and isolating-interval comparisons of algebraic eigenvalues.  Each isolating
 window comes from one bisection of the Cauchy root bound whose first two
@@ -32,10 +32,11 @@ cuts sit around the screened float eigenvalue, exact root counts picking
 the side at every cut; a float never decides a sign.
 
 The exact layer works in integers.  ``char_poly_exact`` runs the recurrence
-on the integer rows of a graph matrix or of a quotient with integer entries,
-modulo as many primes below 2^26 as Hadamard's bound on the coefficients
-asks for, in numpy ``int64``, and rebuilds each coefficient by CRT: one path
-for every caller, graphs and quotients alike.  A characteristic polynomial
+on the rows of any square integer matrix, modulo as many primes below 2^26
+as Hadamard's bound on the coefficients asks for, in numpy ``int64``, and
+rebuilds each coefficient by CRT; ``qng`` passes it only graph matrices
+(``kind_char_poly``), as the proof checks build their quotients' char polys
+over Z[n] with ``polys.char_poly``.  A characteristic polynomial
 is its ascending ``int`` tuple, which every comparison hands to ``polys`` as
 it is; from there on the arithmetic is Python ``int``.  Root counting goes
 through ``polys.root_counter``, which builds the iterated-gcd levels of each
@@ -58,9 +59,6 @@ import numpy as np
 
 from . import polys
 from .graph import Graph, complement
-
-#: Any bound within this distance of equality is decided exactly.
-ESCALATION_WINDOW = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ class Chunk:
         vanishes on the eigenvectors orthogonal to the all-ones vector, so
         lambda_k(L(complement G)) = n - mu_{n-k} for k < n, and 0 for k = n:
         lo = hi.  The bounds hold for the exact spectra; the floats carry
-        rounding errors far below ``ESCALATION_WINDOW``.
+        rounding errors far below ``polys.ESCALATION_WINDOW``.
         """
         n = graphs[0].n
         own = self.column(graphs, kind, k)

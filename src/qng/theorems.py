@@ -67,9 +67,8 @@ from .graph import (
     to_graph6,
 )
 from .enumeration import FILTERS, isomorphism_witness
-from .polys import Surd
+from .polys import ESCALATION_WINDOW, Surd
 from .spectra import (
-    ESCALATION_WINDOW,
     compare_q1,
     compare_qk_with,
     compare_sum_with,

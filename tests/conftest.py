@@ -62,6 +62,15 @@ def random_graph(rng, n, p=0.5):
     return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
+def from_roots(roots):
+    """The primitive integer polynomial with these rational roots, positive leading coefficient;
+    test modules import it from here."""
+    out = [1]
+    for r in map(Fraction, roots):
+        out = polys.poly_mul(out, [-r.numerator, r.denominator])  # primitive factors have a primitive product
+    return out
+
+
 @pytest.fixture(scope="session")
 def graphs_by_order():
     """All isomorphism-class representatives for n = 1..7."""
@@ -189,9 +198,9 @@ def _compare_kth_roots(pa, ka, pb, kb, near_a=None, near_b=None) -> int:
         if wb.lo >= wa.hi:
             return -1
         if common is None:
-            common = polys._EndChanges(polys.poly_gcd(wa.counter.levels[0], wb.counter.levels[0]))
+            common = polys.RootCounter(polys.poly_gcd(wa.counter.levels[0], wb.counter.levels[0]))
         # overlapping windows meet in the nonempty (max lo, min hi]
-        if common.distinct(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
+        if common.count_distinct_halfopen(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
             return 0
         wa.refine()
         wb.refine()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -10,7 +12,7 @@ import mpmath
 import sympy
 
 from qng import polys
-from qng.polys import MPoly, RootCounter, Surd, reflection_norm
+from qng.polys import MPoly, RootCounter, Surd, compare_root_sum, poly_mul, reflection_norm
 from qng.enumeration import _relabeled as relabel, canonical_form, enumerate_graphs
 from qng.graph import (
     complement,
@@ -30,6 +32,8 @@ from qng.spectra import (
     q_matrix,
     spectrum,
 )
+
+from conftest import from_roots
 
 
 def _mp_eigs(g):
@@ -367,3 +371,84 @@ def test_reflection_norm_against_sympy(graphs_by_order, rng=random.Random(54)):
                 ints = [int(k * lcm(*(k.q for k in coeffs))) for k in coeffs]
                 content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
                 assert reflection_norm(p, c) == [k // content for k in ints], (p, c)
+
+
+_EPS = sympy.Rational(1, 1 << 64)
+
+
+def _sympy_number(c):
+    """A rational or ``Surd`` c as an exact sympy number."""
+    a, b, d = (c.a, c.b, c.d) if isinstance(c, Surd) else (F(c), F(0), 0)
+    return sympy.Rational(a.numerator, a.denominator) + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(d)
+
+
+def _root_sum_by_sympy(pa, ka, pb, kb):
+    """alpha + beta, alpha the k_a-th largest root of pa and beta the k_b-th of pb with multiplicity,
+    as sympy isolates it: (R, (lo, hi), (alpha, beta)).  R is the square-free part of the resultant
+    in x of pa(x) and pb(z - x), whose roots are the sums of a root of each; [lo, hi] holds
+    alpha + beta and no other root of R; alpha and beta are floats.  ``Poly.intervals`` isolates both
+    roots, refined to width 2^-64, and then the one root of R in the sum of their intervals."""
+    x, z = sympy.symbols("x z")
+    ends, square_free = [], []
+    for p, k in ((pa, ka), (pb, kb)):
+        f = sympy.Poly(list(reversed(p)), x)
+        lo, hi = [interval for interval, m in reversed(f.intervals()) for _ in range(m)][k - 1]
+        square_free.append(f.sqf_part())
+        ends.append(square_free[-1].refine_root(lo, hi, eps=_EPS))
+    (alo, ahi), (blo, bhi) = ends
+    total = sympy.Poly(sympy.resultant(square_free[0].as_expr(), square_free[1].as_expr().subs(x, z - x), x), z)
+    total = total.sqf_part()
+    [(interval, _)] = total.intervals(eps=_EPS, inf=alo + blo, sup=ahi + bhi)
+    return total, interval, (float(alo), float(blo))
+
+
+def _sign_by_sympy(total, interval, c) -> int:
+    """Sign of R's one root in the closed interval minus the rational or ``Surd`` c: 0 when c lies in
+    the interval and R(c) is exactly 0, else read off an interval refined until c lies outside it."""
+    (lo, hi), exact = interval, _sympy_number(c)
+    if lo <= exact <= hi and sympy.expand(total.as_expr().subs(total.gen, exact)) == 0:
+        return 0
+    while lo <= exact <= hi:
+        lo, hi = total.refine_root(lo, hi, eps=(hi - lo) / 4)
+    return 1 if lo > exact else -1
+
+
+def test_root_sum_comparison_against_sympy(graphs_by_order, rng=random.Random(55)):
+    """``compare_root_sum``, unseeded and seeded from sympy's floats of the roots, gives the sign of
+    alpha + beta - c that sympy gives for the root of the resultant (``_root_sum_by_sympy``).  The
+    cases: seeded graphs of order 3 to 6 and their complements with bounds on, 2^-24 off, away from
+    and a surd near the float sum, as in ``test_sum_comparison_matches_the_reference``; the equalities
+    of ``test_a_comparison_signs_each_chain_once_per_point``; and roots 2^-50 apart, whose equalities
+    are certified only after the windows are halved again, against a rational and a surd c."""
+    quad = [-2, 0, 1]
+    step = F(1, 2**50)
+    close_b = from_roots([F(2, 3), F(2, 3) - step])
+    cases = [  # (pa, ka, pb, kb, bounds)
+        (poly_mul(quad, from_roots([10])), 2, reflection_norm(poly_mul(quad, from_roots([-3])), 0), 3, [0]),
+        (from_roots([1, 1, 3, 7]), 2, reflection_norm(from_roots([3, 3, 5]), 0), 2, [0]),
+        (from_roots([1, 3]), 1, from_roots([2, 5]), 2, [F(5), F(11, 2)]),
+        (poly_mul(quad, from_roots([10])), 2, poly_mul(quad, from_roots([-3])), 1, [Surd(F(0), F(2), 2)]),
+    ]
+    above_sqrt2 = poly_mul(quad, from_roots([F(math.isqrt(2 << 100) + 1, 2**50)]))
+    for ka in (1, 2):
+        for kb in (1, 2):
+            cases.append((from_roots([F(1, 3), F(1, 3) + step]), ka, close_b, kb, [1]))
+            cases.append((above_sqrt2, ka, close_b, kb, [Surd(F(2, 3), F(1), 2)]))
+    for _ in range(10):
+        n = rng.randint(3, 6)
+        g, kind, k = rng.choice(graphs_by_order[n]), rng.choice("QLA"), rng.randint(1, n)
+        cases.append((kind_char_poly(g, kind), k, kind_char_poly(complement(g), kind), rng.choice((k, n)), None))
+    signs = Counter()
+    for pa, ka, pb, kb, bounds in cases:
+        total, interval, seeds = _root_sum_by_sympy(pa, ka, pb, kb)
+        if bounds is None:
+            value = sum(seeds)
+            near, s, d = F(round(2 * value), 2), rng.choice((F(1), F(1, 2))), rng.choice((2, 3, 5))
+            bounds = [near, near + rng.choice((-1, 1)) * F(1, 1 << 24), F(rng.randint(-20, 40), rng.randint(1, 7)),
+                      Surd(F(round(2 * (value - float(s) * math.sqrt(d))), 2), s, d)]
+        for c in bounds:
+            want = _sign_by_sympy(total, interval, c)
+            signs[want, isinstance(c, Surd)] += 1
+            for near in ((None, None), seeds):
+                assert compare_root_sum(pa, ka, pb, kb, c, *near) == want, (pa, ka, pb, kb, c, near)
+    assert all(signs[sign, surd] for sign in (-1, 0, 1) for surd in (False, True)), signs

@@ -30,8 +30,6 @@ UNCALLED_ON_PURPOSE = {
     "theorems.check_lemma27": "Lemma 2.7 of the paper, checked per (graph, non-edge) pair by the tests",
     "theorems.check_ng_generic": "the per-graph ``ng`` entry, which the benchmark's registry-n7 workload calls",
     "graph.Graph.without_edge": "the public graph API, the inverse of ``Graph.with_edge``",
-    "polys.RootCounter.count_distinct_halfopen": "the tests' independent recount of the roots in an "
-                                                 "isolating window",
 }
 
 
@@ -120,7 +118,12 @@ def test_float_literals_are_found():
 
 
 def test_one_float_tolerance():
-    """Floats only screen, and ``spectra.ESCALATION_WINDOW`` says how far a float must lie from a
-    bound to decide it: no other nonzero float literal, such as a second tolerance, is in ``qng``."""
+    """Floats only screen, and ``polys.ESCALATION_WINDOW`` says how far a float must lie from a
+    bound to decide it: no other nonzero float literal, such as a second tolerance, is in ``qng``,
+    and the seed's scale, an int, is read off the window rather than written as a second one."""
     found = [f"{p.stem}.{name}" for p in SOURCES for name in float_literals(p.read_text())]
-    assert found == ["spectra.ESCALATION_WINDOW"]
+    assert found == ["polys.ESCALATION_WINDOW"]
+    tree = ast.parse((ROOT / "src" / "qng" / "polys.py").read_text())
+    [scale] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "SEED_SCALE" for t in node.targets)]
+    assert "ESCALATION_WINDOW" in {node.id for node in ast.walk(scale) if isinstance(node, ast.Name)}

@@ -32,7 +32,7 @@ from qng.polys import (
 )
 from qng.spectra import char_poly_exact, kind_char_poly, spectrum
 
-from conftest import surd_sign
+from conftest import from_roots, surd_sign
 
 
 def scaled(coeffs):
@@ -42,14 +42,6 @@ def scaled(coeffs):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def from_roots(roots):
-    """The primitive integer polynomial with these rational roots, positive leading coefficient."""
-    out = [1]
-    for r in map(F, roots):
-        out = poly_mul(out, [-r.numerator, r.denominator])  # primitive factors have a primitive product
-    return out
 
 
 # Comparisons that need hundreds of steps: seeded at 1/3, both windows sit on one dyadic
@@ -262,8 +254,9 @@ def test_compare_kth_roots(compare_kth_roots):
 
 
 def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
-    """A window keeps level 0's counts at its ends, and a comparison those of its common-root
-    gcd at an end that did not move: no polynomial is counted twice at one point."""
+    """A window keeps level 0's counts at its ends: no level of either window's counter is counted
+    twice at one point.  The equality certificate's gcd and reflected polynomial are counted afresh
+    at the windows' current ends, so they may be counted again at an end that did not move."""
     signed = Counter()
     roots_above = polys._roots_above
 
@@ -288,7 +281,34 @@ def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
         signed.clear()
         polys.root_counter.cache_clear()
         assert compare(*args) == sign, args
-        assert signed and max(signed.values()) == 1, args
+        isolated = (args[0], args[2]) if compare is compare_root_sum else (args[0], reflection_norm(args[2], 0))
+        levels = {id(level) for p in isolated for level in polys.root_counter(tuple(p)).levels}
+        assert max(n for (poly_id, _), n in signed.items() if poly_id in levels) == 1, args
+
+
+def test_an_equality_certified_after_bisection(monkeypatch):
+    """Unseeded windows around roots 2^-50 apart: at (k_a, k_b) = (2, 1) the sum window holds c while
+    the certificate's hull still holds two roots of the reflected polynomial, so the comparison halves
+    its isolated windows before it certifies the equality, for a rational c and, with sqrt(2) and a
+    rational just above it, a surd c."""
+    step = F(1, 2**50)
+    above_sqrt2 = poly_mul([-2, 0, 1], from_roots([F(math.isqrt(2 << 100) + 1, 2**50)]))
+    pb = from_roots([F(2, 3), F(2, 3) - step])
+    cases = [(from_roots([F(1, 3), F(1, 3) + step]), 1, [0, 0, -1, 1]),
+             (above_sqrt2, Surd(F(2, 3), F(1), 2), [0, -1, -1, 1])]
+    windows = []
+    isolate = polys.isolate_kth_largest
+
+    def isolating(*args):
+        window = isolate(*args)
+        windows.append((window, window.hi - window.lo))
+        return window
+
+    monkeypatch.setattr(polys, "isolate_kth_largest", isolating)
+    for pa, c, signs in cases:
+        windows.clear()
+        assert [compare_root_sum(pa, ka, pb, kb, c) for ka, kb in ((2, 1), (1, 2), (2, 2), (1, 1))] == signs, c
+        assert all(w.hi - w.lo < width for w, width in windows[:2]), c
 
 
 def _surd_horner_sign(p, a, b, d):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qng import polys
+from qng.polys import ESCALATION_WINDOW
 from qng.enumeration import scan
 from qng.graph import (
     complement,
@@ -27,7 +28,6 @@ from qng.graph import (
     to_graph6,
 )
 from qng.spectra import (
-    ESCALATION_WINDOW,
     char_poly_exact,
     chunk_of,
     compare_q1,
