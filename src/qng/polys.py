@@ -9,13 +9,14 @@ itself: gcds, square-free parts, remainders and compositions come back
 primitive (content 1), and remainders come from pseudo-division scaled by
 positive factors only, so a remainder has the signs of the true one.
 
-On top of this ring one object counts roots: a ``RootCounter`` holds the
-iterated-gcd levels of a real-rooted polynomial, counts each level's roots
-above a point by Descartes' rule of signs, and answers the three questions
-asked of it: distinct roots in a half-open interval, roots above a point
-counted with multiplicity, and the multiplicity of a rational.
-``root_counter`` builds one per polynomial and hands it to every later
-caller.  On the counters rest isolation of the k-th largest real root and
+On top of this ring one object counts roots: a ``RootCounter`` holds a
+real-rooted polynomial p and its square-free part p / gcd(p, p'), and answers
+one question at a point: the roots above it with multiplicity and distinct,
+and the multiplicity of the point as a root.  Descartes' rule of signs on the
+Taylor shift to the point gives the counts, exact with multiplicity for a
+real-rooted polynomial, and the shift's zero low coefficients give the
+multiplicity.  ``root_counter`` builds one per polynomial and hands it to every
+later caller.  On the counters rest isolation of the k-th largest real root and
 one decision procedure that always returns a sign: a root of one polynomial
 plus a root of another against a rational or surd bound.  A root against a
 root is their difference against 0, the second polynomial reflected.
@@ -23,8 +24,9 @@ Isolation is one bisection from the Cauchy bound whose first two cuts a
 float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
 Floats pick only where to cut: every sign comes from counts.  A window keeps
-level 0's counts at its ends, so a bisection counts its polynomial once at
-each cut; an equality certificate counts its two polynomials afresh at the
+the roots above its ends, so a bisection counts its polynomial once at each
+cut, and only its square-free part once the window holds one root or simple
+roots only; an equality certificate counts its two polynomials afresh at the
 windows' current ends.  ``ESCALATION_WINDOW`` is the one float tolerance:
 the screen trusts a float only beyond it, and the seed's window derives from it.
 
@@ -386,66 +388,47 @@ def _shift(p: Sequence, u, v, d, den) -> tuple[list, Optional[list]]:
     return big, small
 
 
-def _roots_above(polys: list[Poly], x: Point) -> list[int]:
-    """The roots above x of each real-rooted polynomial, counted with multiplicity.
+def _roots_above(p: Poly, x: Point) -> tuple[int, int]:
+    """The roots of a real-rooted p above x and at x, each counted with multiplicity.
 
-    Descartes' rule of signs, exact for a real-rooted p: the count is the sign
-    changes, zeros dropped, of the coefficients of p(x + y) in y (a root at x
-    is a zero low coefficient), which ``_shift`` gives up to positive factors;
-    ``_surd_sign`` signs them at a ``Surd``.
+    Descartes' rule of signs, exact for a real-rooted p: the roots above x are
+    the sign changes, zeros dropped, of the coefficients of p(x + y) in y, which
+    ``_shift`` gives up to positive factors and ``_surd_sign`` signs at a
+    ``Surd``; the roots at x are its zero low coefficients.
     """
     *rational, d = _surd_parts(x)
     (u, v), den = _over_common_denominator(rational)
-    counts: list[int] = []
-    for p in polys:
-        big, small = _shift(p, u, v, d, den)
-        signs = ([c > 0 for c in big if c] if small is None
-                 else [s > 0 for s in (_surd_sign(a, b, d) for a, b in zip(big, small)) if s])
-        counts.append(sum(s != t for s, t in zip(signs, signs[1:])))
-    return counts
+    coeffs, small = _shift(p, u, v, d, den)
+    if small is not None:
+        coeffs = [_surd_sign(a, b, d) for a, b in zip(coeffs, small)]
+    at = next(j for j, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs[at:] if c]
+    return sum(s != t for s, t in zip(signs, signs[1:])), at
 
 
 class RootCounter:
-    """Multiplicity-aware root counting of a real-rooted polynomial by its iterated-gcd levels.
+    """Root counts of a real-rooted polynomial at a point, with multiplicity and without.
 
-    Level j is the square-free part of gcd applied j times to p: the primitive
-    product of the roots of multiplicity above j.  The degrees of the levels add
-    up to deg p, so a count summed over the levels counts with multiplicity;
-    level 0 counts distinct roots.  A nonzero constant has no levels.  ``p`` is
-    a nonzero ``int`` sequence with no trailing zeros, and real-rooted, as
-    every caller's is: char polys of the symmetric A, L and Q (``spectra``) and
-    of equitable quotients, which are similar to symmetric matrices (the proof
-    checks in ``theorems``), ``reflection_norm`` of such a p, and gcds of these.
+    ``poly`` is p made primitive with a positive leading coefficient, and
+    ``squarefree`` is poly / gcd(poly, poly'), which has each root of p once; it
+    is ``poly`` itself when the gcd is 1.  ``p`` is a nonzero ``int`` sequence
+    with no trailing zeros, and real-rooted, as every caller's is: char polys of
+    the symmetric A, L and Q (``spectra``), and ``reflection_norm`` of such a p.
     """
 
     def __init__(self, p: Poly):
         if not any(p):
             raise ValueError("zero polynomial")
-        cur = _primitive(list(p) if p[-1] > 0 else [-c for c in p])
-        levels = []
-        while len(cur) > 1:
-            nxt = poly_gcd(cur, _derivative(cur))
-            levels.append(poly_exact_div(cur, nxt))
-            cur = nxt
-        self.levels = levels
+        self.poly = _primitive(list(p) if p[-1] > 0 else [-c for c in p])
+        common = poly_gcd(self.poly, _derivative(self.poly))
+        self.squarefree = poly_exact_div(self.poly, common) if len(common) > 1 else self.poly
 
-    def count_gt(self, x: Point) -> int:
-        """Real roots above x, counted with multiplicity."""
-        return self.counts_at(x)[0]
-
-    def counts_at(self, x: Point) -> tuple[int, int]:
-        """The real roots above x with multiplicity, and the distinct ones (level 0's count)."""
-        counts = _roots_above(self.levels, x)
-        return sum(counts), counts[0] if counts else 0
-
-    def count_distinct_halfopen(self, lo: Point, hi: Point) -> int:
-        """Distinct real roots in (lo, hi]."""
-        return sum(_roots_above(self.levels[:1], lo)) - sum(_roots_above(self.levels[:1], hi))
-
-    def multiplicity(self, r) -> int:
-        """Multiplicity of the int or ``Fraction`` r as a root: the levels that vanish at r."""
-        a, b = r.numerator, r.denominator
-        return sum(1 for level in self.levels if _value_surd(level, a, 0, 0, b)[0] == 0)
+    def counts_at(self, x: Point) -> tuple[int, int, int]:
+        """(above, distinct_above, at): the real roots above x with multiplicity, the distinct
+        ones, and the multiplicity of x as a root, 0 if it is none."""
+        above, at = _roots_above(self.poly, x)
+        distinct = above if self.squarefree is self.poly else _roots_above(self.squarefree, x)[0]
+        return above, distinct, at
 
 
 @lru_cache(maxsize=1 << 12)
@@ -454,7 +437,7 @@ def root_counter(coeffs: tuple) -> RootCounter:
 
     ``coeffs`` is the ascending coefficient tuple.  Counters never change
     after construction, so every caller that meets the same polynomial again
-    reuses its levels.
+    reuses its square-free part.
     """
     return RootCounter(coeffs)
 
@@ -465,15 +448,19 @@ def root_counter(coeffs: tuple) -> RootCounter:
 
 @dataclass
 class RootWindow:
-    """Half-open interval (lo, hi] holding the k-th largest root, with the roots of the
-    counter's level 0 above each end, so that counting the distinct roots in the window
-    shifts nothing again."""
+    """Half-open interval (lo, hi] holding the k-th largest root, with the counter's roots
+    above each end, with multiplicity and distinct, so that counting the roots in the window
+    shifts nothing again.  Once the window holds one distinct root or simple roots only, each
+    of multiplicity (roots in it) / (distinct roots in it), a cut counts the square-free part
+    alone: the distinct roots above the cut give the roots above it with multiplicity."""
 
     lo: Fraction
     hi: Fraction
     k: int
     counter: RootCounter
+    lo_above: int
     lo_changes: int
+    hi_above: int
     hi_changes: int
 
     def distinct(self) -> int:
@@ -482,11 +469,16 @@ class RootWindow:
 
     def cut(self, x: Fraction) -> None:
         """Move the end on x's side of the root to x, for lo < x < hi."""
-        above, changes = self.counter.counts_at(x)
-        if above >= self.k:
-            self.lo, self.lo_changes = x, changes
+        roots, distinct = self.lo_above - self.hi_above, self.distinct()
+        if distinct == 1 or roots == distinct:
+            changes = _roots_above(self.counter.squarefree, x)[0]
+            above = self.hi_above + (changes - self.hi_changes) * roots // distinct
         else:
-            self.hi, self.hi_changes = x, changes
+            above, changes, _ = self.counter.counts_at(x)
+        if above >= self.k:
+            self.lo, self.lo_above, self.lo_changes = x, above, changes
+        else:
+            self.hi, self.hi_above, self.hi_changes = x, above, changes
 
     def refine(self) -> None:
         self.cut((self.lo + self.hi) / 2)
@@ -521,7 +513,7 @@ def isolate_kth_largest(p: Poly, k: int, near: float | None = None) -> RootWindo
         raise ValueError(f"polynomial has fewer than {k} real roots")
     bound = cauchy_root_bound(p)
     # all the roots lie in (-B, B): every one above -B, none above B
-    window = RootWindow(-bound, bound, k, counter, len(counter.levels[0]) - 1, 0)
+    window = RootWindow(-bound, bound, k, counter, len(counter.poly) - 1, len(counter.squarefree) - 1, 0, 0)
     if near is not None and isfinite(near * SEED_SCALE):  # not nan, an infinity, or too large to round
         m = round(near * SEED_SCALE)
         for cut in (Fraction(m - 1, SEED_SCALE), Fraction(m + 1, SEED_SCALE)):
@@ -560,13 +552,13 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
             return -1
         if norm is None:
             norm = root_counter(tuple(reflection_norm(pa, c)))
-            common = poly_gcd(wb.counter.levels[0], norm.levels[0])
-        if _roots_above([common], wb.lo)[0] > _roots_above([common], wb.hi)[0]:
+            common = poly_gcd(wb.counter.squarefree, norm.squarefree)
+        if _roots_above(common, wb.lo)[0] > _roots_above(common, wb.hi)[0]:
             # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
             low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo
             lo = wb.lo if _surd_sign(wb.lo - low, -b, d) <= 0 else Surd(low, b, d)
             hi = wb.hi if _surd_sign(wb.hi - high, -b, d) >= 0 else Surd(high, b, d)
-            if norm.count_distinct_halfopen(lo, hi) == 1:
+            if norm.counts_at(lo)[1] - norm.counts_at(hi)[1] == 1:
                 return 0
         wa.refine()
         wb.refine()

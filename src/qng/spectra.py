@@ -39,7 +39,7 @@ rebuilds each coefficient by CRT; ``qng`` passes it only graph matrices
 over Z[n] with ``polys.char_poly``.  A characteristic polynomial
 is its ascending ``int`` tuple, which every comparison hands to ``polys`` as
 it is; from there on the arithmetic is Python ``int``.  Root counting goes
-through ``polys.root_counter``, which builds the iterated-gcd levels of each
+through ``polys.root_counter``, which builds the square-free part of each
 polynomial once.  ``kind_char_poly`` caches the polynomials, which the registered
 checks' scans of the same graphs read again.  ``Fraction`` and
 ``polys.Surd`` appear only in the bounds of the comparisons.
@@ -348,11 +348,10 @@ def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
     _check_index(g.n, k)
     c = Fraction(c)
-    counter = polys.root_counter(kind_char_poly(g, "Q"))
-    above = counter.count_gt(c)
+    above, _, at = polys.root_counter(kind_char_poly(g, "Q")).counts_at(c)
     if above >= k:
         return 1
-    if above + counter.multiplicity(c) >= k:
+    if above + at >= k:
         return 0
     return -1
 

@@ -71,6 +71,12 @@ def from_roots(roots):
     return out
 
 
+def distinct_in(counter, lo, hi) -> int:
+    """The distinct real roots in (lo, hi] of a counter with ``RootCounter.counts_at``'s
+    query; test modules import it from here."""
+    return counter.counts_at(lo)[1] - counter.counts_at(hi)[1]
+
+
 @pytest.fixture(scope="session")
 def graphs_by_order():
     """All isomorphism-class representatives for n = 1..7."""
@@ -198,9 +204,9 @@ def _compare_kth_roots(pa, ka, pb, kb, near_a=None, near_b=None) -> int:
         if wb.lo >= wa.hi:
             return -1
         if common is None:
-            common = polys.RootCounter(polys.poly_gcd(wa.counter.levels[0], wb.counter.levels[0]))
+            common = polys.RootCounter(polys.poly_gcd(wa.counter.squarefree, wb.counter.squarefree))
         # overlapping windows meet in the nonempty (max lo, min hi]
-        if common.count_distinct_halfopen(max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
+        if distinct_in(common, max(wa.lo, wb.lo), min(wa.hi, wb.hi)) > 0:
             return 0
         wa.refine()
         wb.refine()

@@ -269,7 +269,7 @@ def test_criterion_08_lemma_suite(graphs_by_order, rational_quotient):
             for shift, classes in ((0, independent), (1, clique)):
                 for members in classes:
                     target = g.degree(members[0]) - shift
-                    assert polys.root_counter(kind_char_poly(g, "Q")).multiplicity(target) >= len(members) - 1
+                    assert polys.root_counter(kind_char_poly(g, "Q")).counts_at(target)[2] >= len(members) - 1
 
     # q_1 degree bound with equality characterization (2.6)
     for n in range(2, 8):
@@ -318,7 +318,7 @@ def test_criterion_09_float_exact_agreement(graphs_by_order):
             p = kind_char_poly(g, "Q")
             counter = polys.RootCounter(p)
             bound = polys.cauchy_root_bound(p)
-            assert counter.count_gt(-bound) == n  # count agreement
+            assert counter.counts_at(-bound)[0] == n  # count agreement
             for k in range(1, n + 1):
                 window = polys.isolate_kth_largest(p, k)
                 while window.hi - window.lo >= width:

@@ -33,7 +33,7 @@ from qng.spectra import (
     spectrum,
 )
 
-from conftest import from_roots
+from conftest import distinct_in, from_roots
 
 
 def _mp_eigs(g):
@@ -157,7 +157,7 @@ def test_seeded_and_plain_isolation_agree(graphs_by_order):
                     plain = polys.isolate_kth_largest(p, k)
                     assert seeded.hi - seeded.lo == F(2, polys.SEED_SCALE), (to_graph6(g), kind, k)
                     for w in (seeded, plain):
-                        assert w.counter.count_distinct_halfopen(w.lo, w.hi) == 1
+                        assert distinct_in(w.counter, w.lo, w.hi) == 1
                     assert max(seeded.lo, plain.lo) < min(seeded.hi, plain.hi), (to_graph6(g), kind, k)
 
 
@@ -346,7 +346,8 @@ def test_root_counts_against_sympy(graphs_by_order, rng=random.Random(53)):
                 above = (roots[mid] - exact).is_positive
                 assert above is not None, (to_graph6(g), roots[mid], exact)
                 lo, hi = (lo, mid) if above else (mid + 1, hi)
-            assert counter.counts_at(point) == (len(roots) - lo, len(set(roots[lo:]))), (to_graph6(g), point)
+            want = (len(roots) - lo, len(set(roots[lo:])), roots.count(exact))
+            assert counter.counts_at(point) == want, (to_graph6(g), point)
 
 
 def test_reflection_norm_against_sympy(graphs_by_order, rng=random.Random(54)):

@@ -32,7 +32,7 @@ from qng.polys import (
 )
 from qng.spectra import char_poly_exact, kind_char_poly, spectrum
 
-from conftest import from_roots, surd_sign
+from conftest import distinct_in, from_roots, surd_sign
 
 
 def scaled(coeffs):
@@ -69,12 +69,16 @@ def test_divmod_and_gcd():
 def test_squarefree_and_multiplicity():
     p = poly_mul(from_roots([2, 2, 2]), from_roots([5]))
     counter = RootCounter(p)
-    assert counter.levels[0] == from_roots([2, 5])
-    assert RootCounter([-6 * c for c in p]).levels[0] == from_roots([2, 5])
-    assert counter.multiplicity(F(2)) == 3
-    assert counter.multiplicity(2) == 3
-    assert counter.multiplicity(F(5)) == 1
-    assert counter.multiplicity(F(7)) == 0
+    assert counter.poly == p and counter.squarefree == from_roots([2, 5])
+    negated = RootCounter([-6 * c for c in p])
+    assert negated.poly == p and negated.squarefree == from_roots([2, 5])
+    assert counter.counts_at(F(2)) == counter.counts_at(2) == (1, 1, 3)
+    assert counter.counts_at(F(5)) == (0, 0, 1)
+    assert counter.counts_at(F(7)) == (0, 0, 0)
+    assert counter.counts_at(F(3, 2)) == (4, 2, 0)
+    # a square-free polynomial is its own square-free part, counted once
+    square_free = RootCounter(from_roots([2, 5]))
+    assert square_free.squarefree is square_free.poly
 
 
 def test_zero_polynomial_is_rejected():
@@ -147,18 +151,18 @@ def test_sturm_counts_match_numpy(rng=random.Random(5)):
         distinct = sorted(set(roots))
         for lo, hi in [(-10, 10), (-3, 2), (0, 6), (-10, -4)]:
             want = sum(1 for r in distinct if lo < r <= hi)
-            assert counter.count_distinct_halfopen(F(lo), F(hi)) == want
+            assert distinct_in(counter, F(lo), F(hi)) == want
         for x in (-10, -2, 0, 3):
             want = sum(1 for r in roots if r > x)
-            assert counter.count_gt(F(x)) == want
+            assert counter.counts_at(F(x))[0] == want
 
 
 def test_halfopen_convention_at_root_endpoints():
     p = from_roots([0, 4])
     counter = RootCounter(p)
-    assert counter.count_distinct_halfopen(F(0), F(4)) == 1  # 0 excluded, 4 included
-    assert counter.count_distinct_halfopen(F(-1), F(0)) == 1
-    assert counter.count_distinct_halfopen(F(-1), F(4)) == 2
+    assert distinct_in(counter, F(0), F(4)) == 1  # 0 excluded, 4 included
+    assert distinct_in(counter, F(-1), F(0)) == 1
+    assert distinct_in(counter, F(-1), F(4)) == 2
 
 
 def test_cauchy_bound_really_bounds(rng=random.Random(9)):
@@ -201,7 +205,7 @@ def test_isolation_from_seeds():
         # a seed at the root, a repeated one for k = 3 and 4, keeps its window
         seeded = isolate_kth_largest(p, k, root + 1e-9)
         assert seeded.hi - seeded.lo == width and seeded.lo < root <= seeded.hi
-        assert seeded.counter.count_distinct_halfopen(seeded.lo, seeded.hi) == 1
+        assert distinct_in(seeded.counter, seeded.lo, seeded.hi) == 1
         # no number, or cuts outside the Cauchy window (-53, 53]: the plain bisection
         for none in [math.nan, math.inf, -math.inf, 1e6, -1e300, 1e308]:
             assert isolate_kth_largest(p, k, none) == plain, (k, none)
@@ -209,19 +213,19 @@ def test_isolation_from_seeds():
         others = [float(r) for r in (1, 3, 7) if r != root]
         for bad in [2.0, 5.0, *others]:
             w = isolate_kth_largest(p, k, bad)
-            assert w.lo < root <= w.hi and w.counter.count_distinct_halfopen(w.lo, w.hi) == 1, (k, bad)
+            assert w.lo < root <= w.hi and distinct_in(w.counter, w.lo, w.hi) == 1, (k, bad)
     # two distinct roots, 0 and 2^-22, in the seed's window: narrowed inside it
     close = from_roots([0, F(1, 4 * polys.SEED_SCALE)])
     w = isolate_kth_largest(close, 1, 0.0)
     assert -F(1, polys.SEED_SCALE) <= w.lo < F(1, 4 * polys.SEED_SCALE) <= w.hi <= F(1, polys.SEED_SCALE)
-    assert w.counter.count_distinct_halfopen(w.lo, w.hi) == 1
+    assert distinct_in(w.counter, w.lo, w.hi) == 1
     with pytest.raises(ValueError):
         isolate_kth_largest(p, 5, 1.0)
     # a nonzero constant has no roots, with a seed or without
     with pytest.raises(ValueError, match="fewer than 1 real roots"):
         isolate_kth_largest([5], 1, 0.5)
     constant = polys.root_counter((5,))
-    assert constant.count_distinct_halfopen(F(0), F(1)) == 0 and constant.multiplicity(2) == 0
+    assert constant.counts_at(F(0)) == constant.counts_at(2) == (0, 0, 0)
 
 
 def _root_difference(pa, ka, pb, kb, near_a=None, near_b=None) -> int:
@@ -254,16 +258,16 @@ def test_compare_kth_roots(compare_kth_roots):
 
 
 def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
-    """A window keeps level 0's counts at its ends: no level of either window's counter is counted
-    twice at one point.  The equality certificate's gcd and reflected polynomial are counted afresh
-    at the windows' current ends, so they may be counted again at an end that did not move."""
+    """A window keeps the distinct counts at its ends: neither polynomial of either window's counter,
+    p or its square-free part, is shifted twice at one point.  The equality certificate's gcd and
+    reflected polynomial are counted afresh at the windows' current ends, so they may be counted
+    again at an end that did not move."""
     signed = Counter()
     roots_above = polys._roots_above
 
-    def counting(shifted, x):
-        for p in shifted:
-            signed[id(p), x] += 1
-        return roots_above(shifted, x)
+    def counting(p, x):
+        signed[id(p), x] += 1
+        return roots_above(p, x)
 
     monkeypatch.setattr(polys, "_roots_above", counting)
     quad = [-2, 0, 1]
@@ -282,8 +286,42 @@ def test_a_comparison_signs_each_chain_once_per_point(monkeypatch):
         polys.root_counter.cache_clear()
         assert compare(*args) == sign, args
         isolated = (args[0], args[2]) if compare is compare_root_sum else (args[0], reflection_norm(args[2], 0))
-        levels = {id(level) for p in isolated for level in polys.root_counter(tuple(p)).levels}
-        assert max(n for (poly_id, _), n in signed.items() if poly_id in levels) == 1, args
+        counters = [polys.root_counter(tuple(p)) for p in isolated]
+        shifted = {id(q) for counter in counters for q in (counter.poly, counter.squarefree)}
+        assert max(n for (poly_id, _), n in signed.items() if poly_id in shifted) == 1, args
+
+
+def test_a_window_of_one_root_or_simple_roots_shifts_only_the_square_free_part(monkeypatch):
+    """Once a window holds one distinct root or simple roots only, a cut counts the square-free
+    part alone.  Isolating either root 2^-20 +- 2^-100 of x^20 (x - 1)(2^100 x - 2^80 -+ 1) takes
+    over 80 cuts, and only the first, at 0 with the 20-fold root in the window, shifts p itself;
+    refining a window around the 5-fold root 1/3 of (x - 1/3)^5 (x + 1) never shifts p."""
+    shifted = Counter()
+    roots_above = polys._roots_above
+
+    def counting(p, x):
+        shifted[id(p)] += 1
+        return roots_above(p, x)
+
+    monkeypatch.setattr(polys, "_roots_above", counting)
+    p = poly_mul([0] * 20 + [1], [-1, 1])
+    for factor in ([-(2**80) - 1, 2**100], [-(2**80) + 1, 2**100]):
+        p = poly_mul(p, factor)
+    counter = polys.root_counter(tuple(p))
+    for k, root in ((2, F(1, 2**20) + F(1, 2**100)), (3, F(1, 2**20) - F(1, 2**100))):
+        shifted.clear()
+        w = isolate_kth_largest(p, k)
+        assert w.lo < root <= w.hi and w.distinct() == 1, k
+        assert shifted[id(counter.poly)] == 1 and shifted[id(counter.squarefree)] > 80, (k, shifted)
+    p = from_roots([F(1, 3)] * 5 + [-1])
+    counter = polys.root_counter(tuple(p))
+    for k in (1, 3, 5):
+        w = isolate_kth_largest(p, k)
+        shifted.clear()
+        for _ in range(30):
+            w.refine()
+        assert w.lo < F(1, 3) <= w.hi and w.hi - w.lo < F(1, 2**20), k
+        assert shifted[id(counter.poly)] == 0 and shifted[id(counter.squarefree)] == 30, k
 
 
 def test_an_equality_certified_after_bisection(monkeypatch):
@@ -535,9 +573,9 @@ def test_sturm_chain_with_surd_endpoint():
     p = poly_mul([-2, 0, 1], from_roots([0, 3]))
     counter = RootCounter(p)
     s2 = Surd(F(0), F(1), 2)
-    assert counter.count_gt(s2) == 1
-    assert counter.count_distinct_halfopen(s2, F(10)) == 1
-    assert counter.count_distinct_halfopen(s2, cauchy_root_bound(p)) == 1
+    assert counter.counts_at(s2) == (1, 1, 1)
+    assert distinct_in(counter, s2, F(10)) == 1
+    assert distinct_in(counter, s2, cauchy_root_bound(p)) == 1
 
 
 # --- the Sturm reference, exact with non-real roots too ---
@@ -557,21 +595,28 @@ def _sturm_chain(sf):
     return chain
 
 
-def _sturm_changes(chain, x):
-    """Sign changes of a Sturm sequence at a rational or ``Surd`` x, zeros dropped: none for a constant."""
+def _integer_point(x):
+    """(u, v, d, den) with x = (u + v*sqrt(d)) / den, for a rational or ``Surd`` x."""
     if isinstance(x, Surd):
         den = math.lcm(x.a.denominator, x.b.denominator)
-        u, v, d = int(x.a * den), int(x.b * den), x.d
-    else:
-        u, v, d, den = F(x).numerator, 0, 0, F(x).denominator
-    signs = [s for s in (surd_sign(p, u, v, d, den) for p in chain) if s]
+        return int(x.a * den), int(x.b * den), x.d, den
+    return F(x).numerator, 0, 0, F(x).denominator
+
+
+def _sturm_changes(chain, x):
+    """Sign changes of a Sturm sequence at a rational or ``Surd`` x, zeros dropped: none for a constant."""
+    point = _integer_point(x)
+    signs = [s for s in (surd_sign(p, *point) for p in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 class SturmCounter:
-    """Reference counter with ``RootCounter``'s questions: the same iterated-gcd levels, each
-    counted by its Sturm sequence, with the Cauchy bound B standing in for +infinity (no root
-    lies above it, so a chain changes sign there as often as at +infinity)."""
+    """Reference counter with ``RootCounter``'s query, from the iterated-gcd levels of p: level j
+    is the square-free part of gcd applied j times to p, the product of the roots of multiplicity
+    above j, so a count summed over the levels counts with multiplicity, level 0's counts distinct
+    roots, and the levels that vanish at a point are its multiplicity.  Each level is counted by
+    its Sturm sequence, with the Cauchy bound B standing in for +infinity (no root lies above it,
+    so a chain changes sign there as often as at +infinity)."""
 
     def __init__(self, p):
         cur = polys._primitive(list(p) if p[-1] > 0 else [-c for c in p])
@@ -590,14 +635,12 @@ class SturmCounter:
             self._changes[x] = [_sturm_changes(chain, x) for chain in self.chains]
         return self._changes[x]
 
-    def count_gt(self, x):
-        return sum(self._at(x)) - sum(self._at(self.bound))
-
-    def count_distinct_halfopen(self, lo, hi):
-        return self._at(lo)[0] - self._at(hi)[0] if self.chains else 0
-
-    def multiplicity(self, r):
-        return sum(1 for level in self.levels if poly_eval(level, F(r)) == 0)
+    def counts_at(self, x):
+        """(above, distinct_above, at): the real roots above x summed over the levels, level 0's
+        alone, and the levels that vanish at x."""
+        above = [a - b for a, b in zip(self._at(x), self._at(self.bound))]
+        point = _integer_point(x)
+        return sum(above), above[0] if above else 0, sum(surd_sign(level, *point) == 0 for level in self.levels)
 
 
 # --- integer layer: root counts, multiplicities, surd evaluation ---
@@ -618,15 +661,11 @@ def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
     """The Sturm reference counts only the real roots of a polynomial with non-real ones,
     where Descartes' rule, and so ``RootCounter``, may count too many."""
     x2_plus_1 = [1, 0, 1]
-    top = cauchy_root_bound(x2_plus_1)
-    assert SturmCounter(x2_plus_1).count_distinct_halfopen(F(-3), top) == 0
-    assert SturmCounter(x2_plus_1).count_gt(F(-3)) == 0
+    assert SturmCounter(x2_plus_1).counts_at(F(-3)) == (0, 0, 0)
     p = poly_mul(x2_plus_1, from_roots([1, 1]))
-    top = cauchy_root_bound(p)
-    assert SturmCounter(p).count_distinct_halfopen(F(-3), top) == 1
-    assert SturmCounter(p).count_distinct_halfopen(F(-3), F(1)) == 1
-    assert SturmCounter(p).count_gt(F(-3)) == 2
-    assert SturmCounter(p).count_gt(F(1)) == 0
+    assert SturmCounter(p).counts_at(F(-3)) == (2, 1, 0)
+    assert distinct_in(SturmCounter(p), F(-3), F(1)) == 1
+    assert SturmCounter(p).counts_at(F(1)) == (0, 0, 2)
     checked = 0
     while checked < 300:
         p = scaled([rng.randint(-9, 9) for _ in range(rng.randint(2, 9))])
@@ -641,20 +680,18 @@ def test_sturm_counts_with_complex_roots(rng=random.Random(17)):
             x = F(rng.randint(-80, 80), rng.randint(1, 8))
             if any(abs(r - x) < 1e-6 for r in real):
                 continue
-            assert counter.count_distinct_halfopen(x, top) == sum(1 for r in real if r > x), (p, x)
-        assert counter.count_distinct_halfopen(-top, top) == len(real)
+            assert counter.counts_at(x)[1] == sum(1 for r in real if r > x), (p, x)
+        assert distinct_in(counter, -top, top) == len(real)
         checked += 1
 
 
 def _agrees_with_sturm(p, points):
     """``RootCounter`` and the Sturm reference count the roots of p above each point alike,
-    with multiplicity and without, and the distinct roots between the first and last point."""
+    with multiplicity and without, and the multiplicity of each point as a root."""
     counter, ref = RootCounter(p), SturmCounter(p)
     for x in points:
-        assert counter.counts_at(x) == (ref.count_gt(x), ref.count_distinct_halfopen(x, ref.bound)), (p, x)
-    lo, hi = points[0], points[-1]
-    assert counter.count_distinct_halfopen(lo, hi) == ref.count_distinct_halfopen(lo, hi), (p, lo, hi)
-    return counter, ref
+        assert counter.counts_at(x) == ref.counts_at(x), (p, x)
+    return counter
 
 
 def test_root_counter_matches_the_sturm_reference_on_graph_char_polys(graphs_by_order):
@@ -674,9 +711,9 @@ def test_root_counter_matches_the_sturm_reference_on_graph_char_polys(graphs_by_
                 integers = sorted({round(v) for v in values if poly_eval(p, round(v)) == 0})
                 surds = [Surd(F(rng.randint(-16, 16), 2), F(rng.choice((-1, 1)), rng.randint(1, 3)),
                               rng.choice((2, 3, 5, 7))) for _ in range(2)]
-                counter, ref = _agrees_with_sturm(p, [y for x in near for y in (x - step, x + step)] + integers + surds)
+                counter = _agrees_with_sturm(p, [y for x in near for y in (x - step, x + step)] + integers + surds)
                 for r in integers:
-                    assert counter.multiplicity(r) == ref.multiplicity(r) == sum(abs(v - r) < 1e-6 for v in values)
+                    assert counter.counts_at(r)[2] == sum(abs(v - r) < 1e-6 for v in values)
                 if kind != "ALQ"[i % 3]:
                     continue
                 c = surds[0]
@@ -686,7 +723,8 @@ def test_root_counter_matches_the_sturm_reference_on_graph_char_polys(graphs_by_
 
 def test_root_counter_against_multiplicities(rng=random.Random(23)):
     """``RootCounter`` on products of rational roots, and the Sturm reference on the same
-    products times quadratics without real roots."""
+    products times quadratics without real roots; then both on (x^2 - 2)^3 (x - 1)^2, whose
+    repeated roots include surds."""
     for _ in range(150):
         roots = [F(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(1, 4))]
         roots += rng.choices(roots, k=rng.randint(0, 4))  # repeated roots
@@ -703,10 +741,17 @@ def test_root_counter_against_multiplicities(rng=random.Random(23)):
         want_real = want = from_roots(sorted(distinct))
         for q in sorted(quadratics):
             want = poly_mul(want, list(q))
-        for counter, square_free in ((RootCounter([scale * c for c in real]), want_real),
-                                     (SturmCounter([scale * c for c in p]), want)):
-            for x in points:
-                assert counter.count_gt(x) == sum(1 for r in roots if r > x), (roots, x)
-                assert counter.multiplicity(x) == roots.count(x)
-            assert counter.count_distinct_halfopen(F(-13), F(13)) == len(distinct)
-            assert counter.levels[0] == square_free
+        counter, ref = RootCounter([scale * c for c in real]), SturmCounter([scale * c for c in p])
+        for x in points:
+            counts = (sum(1 for r in roots if r > x), sum(1 for r in distinct if r > x), roots.count(x))
+            assert counter.counts_at(x) == ref.counts_at(x) == counts, (roots, x)
+        assert distinct_in(counter, F(-13), F(13)) == distinct_in(ref, F(-13), F(13)) == len(distinct)
+        assert counter.squarefree == want_real and ref.levels[0] == want
+    quad = [-2, 0, 1]
+    p = poly_mul(poly_mul(poly_mul(quad, quad), quad), from_roots([1, 1]))
+    s2 = Surd(F(0), F(1), 2)
+    counts = {s2: (0, 0, 3), Surd(F(0), F(-1), 2): (5, 2, 3), F(1): (3, 1, 2), F(0): (5, 2, 0),
+              Surd(F(1), F(1), 2): (0, 0, 0)}
+    for counter in (RootCounter(p), SturmCounter(p)):
+        assert {x: counter.counts_at(x) for x in counts} == counts, type(counter)
+    assert RootCounter(p).squarefree == poly_mul(quad, from_roots([1]))

@@ -848,7 +848,7 @@ def _reference_proof_check_thm15(n: int) -> bool:
     phi2, g2 = blow_up_char_poly(hub2, "(n-4,1,1)")
     phi3, g2c = blow_up_char_poly(hub2.complement(), "complement (n-4,1,1)")
     c.expect(sign_at_beta2(phi2) == 0, "beta_2 is a quotient eigenvalue")
-    c.expect(polys.root_counter(phi2).count_gt(beta2) == 1, "exactly one quotient eigenvalue above beta_2")
+    c.expect(polys.root_counter(phi2).counts_at(beta2)[0] == 1, "exactly one quotient eigenvalue above beta_2")
     c.expect(sign_at_beta2([-2, 1]) == 1, "beta_2 exceeds the replicated eigenvalue 2")
     if g2 is not None:
         c.expect(abs(spectrum(g2, "Q").value(2) - (n - 2 + math.sqrt(disc)) / 2) < 1e-8, "float q_2 matches beta_2")
@@ -863,7 +863,7 @@ def _reference_proof_check_thm15(n: int) -> bool:
     claim = [-2 * (n - 4) * (2 * n - 5), 4 * (n - 4), 0, 0]
     c.expect(sign_at_beta2([a - b for a, b in zip(cubic, claim)]) == 0, "f_1(gamma_1') closed form")
     c.expect(sign_at_beta2(cubic) == -1, "f_1(gamma_1') negative")
-    c.expect(polys.root_counter(phi3).count_gt(beta2) == 1, "exactly one complement quotient eigenvalue above gamma_1'")
+    c.expect(polys.root_counter(phi3).counts_at(beta2)[0] == 1, "exactly one complement quotient eigenvalue above gamma_1'")
     c.expect(sign_at_beta2([4 - n, 1]) == 1, "gamma_1' exceeds the replicated eigenvalue n-4")
     if g2c is not None:
         c.expect(abs(spectrum(g2c, "Q").value(2) - (n - 2 + math.sqrt(disc)) / 2) < 1e-8,
