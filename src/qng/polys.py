@@ -23,16 +23,18 @@ root is their difference against 0, the second polynomial reflected.
 Isolation is one bisection from the Cauchy bound whose first two cuts a
 float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
-Floats pick only where to cut: every sign comes from counts.  A window keeps
-the roots above its ends, so a bisection counts its polynomial once at each
-cut, and only its square-free part once the window holds one root or simple
-roots only; an equality certificate counts its two polynomials afresh at the
-windows' current ends.  ``ESCALATION_WINDOW`` is the one float tolerance:
-the screen trusts a float only beyond it, and the seed's window derives from it.
+Floats pick only where to cut: every sign comes from counts.  A question
+shifts each polynomial it reads once: p alone for the roots above and at a
+point; at a bisection's cut, the square-free part alone once the window holds
+one root or simple roots only, as a window keeps the roots above its ends; and
+square-free parts alone in an equality certificate, at the windows' current
+ends.  ``ESCALATION_WINDOW`` is the one float tolerance: the screen trusts a
+float only beyond it, and the seed's window derives from it.
 
 ``Fraction`` appears only in rational points and values (an ``int`` point
-gives an ``int``).  At a point (u + v sqrt(d)) / den, v = 0 if rational, two
-kernels write values a + b sqrt(d) on integer pairs: ``_value_surd`` gives
+gives an ``int``).  ``_point_parts`` writes a point as (u + v sqrt(d)) / den,
+v = 0 if rational, once for every polynomial counted there, and two kernels
+write values a + b sqrt(d) on integer pairs: ``_value_surd`` gives
 den^deg(p) p(point), by Horner's rule, and ``_shift``, the one Taylor shift,
 each coefficient of p(point + z) up to a positive factor.  Root counts,
 reflections and the proof checks' sign facts all read the shift, and
@@ -59,12 +61,6 @@ from math import ceil, gcd, isfinite, isqrt, lcm, log2, prod
 from typing import Optional, Sequence, Union
 
 Poly = list[int]
-
-
-def _over_common_denominator(values: Sequence) -> tuple[list[int], int]:
-    """Integers c and the least L > 0 with values = c / L, for int or Fraction values."""
-    scale = lcm(*(c.denominator for c in values))
-    return [c.numerator * (scale // c.denominator) for c in values], scale
 
 
 def _primitive(p: Poly) -> Poly:
@@ -327,9 +323,12 @@ def _surd_sign(a, b, d, sign=_sign) -> int:
     return sa if norm > 0 else sb if norm < 0 else 0
 
 
-def _surd_parts(c) -> tuple[Fraction, Fraction, int]:
-    """(a, b, d) with c = a + b*sqrt(d), for a rational or ``Surd`` c."""
-    return (c.a, c.b, c.d) if isinstance(c, Surd) else (Fraction(c), Fraction(0), 0)
+def _point_parts(x) -> tuple[int, int, int, int]:
+    """(u, v, d, den), x = (u + v*sqrt(d)) / den with the least den > 0, for an ``int``, ``Fraction`` or ``Surd`` x."""
+    if not isinstance(x, Surd):
+        return x.numerator, 0, 0, x.denominator
+    den = lcm(x.a.denominator, x.b.denominator)
+    return x.a.numerator * (den // x.a.denominator), x.b.numerator * (den // x.b.denominator), x.d, den
 
 
 def base_plus_sqrt(base, rad) -> Union[Fraction, Surd]:
@@ -343,13 +342,12 @@ def base_plus_sqrt(base, rad) -> Union[Fraction, Surd]:
 def reflection_norm(p: Sequence[int], c) -> Poly:
     """The primitive, positively leading N in Z[x] with a root c - alpha for each root alpha of p.
 
-    ``c`` is rational or a ``Surd`` a + b*sqrt(d), (u + v*sqrt(d)) / den over one denominator.
+    ``c`` is rational or a ``Surd``, (u + v*sqrt(d)) / den by ``_point_parts``.
     The Taylor shift of p to c (``_shift``) at z = -den*x writes den^deg(p) * p(c - x) as
     A(x) + sqrt(d)*B(x), coefficient j times (-den)^j.  N is A for a rational c, else the norm
     A^2 - d*B^2, whose roots are the c - alpha and their conjugates.
     """
-    a, b, d = _surd_parts(c)
-    (u, v), den = _over_common_denominator((a, b))
+    u, v, d, den = _point_parts(c)
     big, small = (None if part is None else [x * (-den) ** j for j, x in enumerate(part)]
                   for part in _shift(p, u, v, d, den))
     norm = _primitive(big if small is None else [x - d * y for x, y in zip(poly_mul(big, big), poly_mul(small, small))])
@@ -388,19 +386,18 @@ def _shift(p: Sequence, u, v, d, den) -> tuple[list, Optional[list]]:
     return big, small
 
 
-def _roots_above(p: Poly, x: Point) -> tuple[int, int]:
-    """The roots of a real-rooted p above x and at x, each counted with multiplicity.
+def _roots_above(p: Poly, parts: tuple[int, int, int, int]) -> tuple[int, int]:
+    """The roots of a real-rooted p above x and at x, each counted with multiplicity, from one
+    Taylor shift; ``parts`` are x's ``_point_parts``, converted once per point by the caller.
 
     Descartes' rule of signs, exact for a real-rooted p: the roots above x are
     the sign changes, zeros dropped, of the coefficients of p(x + y) in y, which
     ``_shift`` gives up to positive factors and ``_surd_sign`` signs at a
-    ``Surd``; the roots at x are its zero low coefficients.
+    surd; the roots at x are its zero low coefficients.
     """
-    *rational, d = _surd_parts(x)
-    (u, v), den = _over_common_denominator(rational)
-    coeffs, small = _shift(p, u, v, d, den)
+    coeffs, small = _shift(p, *parts)
     if small is not None:
-        coeffs = [_surd_sign(a, b, d) for a, b in zip(coeffs, small)]
+        coeffs = [_surd_sign(a, b, parts[2]) for a, b in zip(coeffs, small)]
     at = next(j for j, c in enumerate(coeffs) if c)
     signs = [c > 0 for c in coeffs[at:] if c]
     return sum(s != t for s, t in zip(signs, signs[1:])), at
@@ -414,6 +411,8 @@ class RootCounter:
     is ``poly`` itself when the gcd is 1.  ``p`` is a nonzero ``int`` sequence
     with no trailing zeros, and real-rooted, as every caller's is: char polys of
     the symmetric A, L and Q (``spectra``), and ``reflection_norm`` of such a p.
+    ``counts_at`` converts its point once and shifts p, and the square-free part
+    only if it is not p; a caller that reads one of them counts it alone.
     """
 
     def __init__(self, p: Poly):
@@ -426,8 +425,9 @@ class RootCounter:
     def counts_at(self, x: Point) -> tuple[int, int, int]:
         """(above, distinct_above, at): the real roots above x with multiplicity, the distinct
         ones, and the multiplicity of x as a root, 0 if it is none."""
-        above, at = _roots_above(self.poly, x)
-        distinct = above if self.squarefree is self.poly else _roots_above(self.squarefree, x)[0]
+        parts = _point_parts(x)
+        above, at = _roots_above(self.poly, parts)
+        distinct = above if self.squarefree is self.poly else _roots_above(self.squarefree, parts)[0]
         return above, distinct, at
 
 
@@ -471,7 +471,7 @@ class RootWindow:
         """Move the end on x's side of the root to x, for lo < x < hi."""
         roots, distinct = self.lo_above - self.hi_above, self.distinct()
         if distinct == 1 or roots == distinct:
-            changes = _roots_above(self.counter.squarefree, x)[0]
+            changes = _roots_above(self.counter.squarefree, _point_parts(x))[0]
             above = self.hi_above + (changes - self.hi_changes) * roots // distinct
         else:
             above, changes, _ = self.counter.counts_at(x)
@@ -536,12 +536,13 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
     (alpha.lo + beta.lo, alpha.hi + beta.hi] comes to lie on one side of c.
     Equality is certified by N = ``reflection_norm(pa, c)``, built only once
     the window holds c: a root of gcd(pb, N) in beta's window is beta, and if
-    N has one distinct root in the hull of beta's window and c minus alpha's,
-    beta and c - alpha are that root.  If alpha + beta = c, the hull shrinks
-    to beta, and N's other distinct roots lie a positive distance away, so
-    that count reaches 1: the loop ends.
+    N has one distinct root in the hull of beta's window and c minus alpha's
+    (counted on its square-free part alone), beta and c - alpha are that root.
+    If alpha + beta = c, the hull shrinks to beta, and N's other distinct roots
+    lie a positive distance away, so that count reaches 1: the loop ends.
     """
-    a, b, d = _surd_parts(c)
+    u, v, d, den = _point_parts(c)
+    a, b = Fraction(u, den), Fraction(v, den)
     wa = isolate_kth_largest(pa, ka, near_a)
     wb = isolate_kth_largest(pb, kb, near_b)
     norm = common = None
@@ -553,12 +554,13 @@ def compare_root_sum(pa: Poly, ka: int, pb: Poly, kb: int, c,
         if norm is None:
             norm = root_counter(tuple(reflection_norm(pa, c)))
             common = poly_gcd(wb.counter.squarefree, norm.squarefree)
-        if _roots_above(common, wb.lo)[0] > _roots_above(common, wb.hi)[0]:
+        lo, hi = _point_parts(wb.lo), _point_parts(wb.hi)
+        if _roots_above(common, lo)[0] > _roots_above(common, hi)[0]:
             # c - alpha lies in [low, high) + b*sqrt(d); the hull's open end is one alpha-window width below
             low, high = a - wa.hi - (wa.hi - wa.lo), a - wa.lo
-            lo = wb.lo if _surd_sign(wb.lo - low, -b, d) <= 0 else Surd(low, b, d)
-            hi = wb.hi if _surd_sign(wb.hi - high, -b, d) >= 0 else Surd(high, b, d)
-            if norm.counts_at(lo)[1] - norm.counts_at(hi)[1] == 1:
+            lo = lo if _surd_sign(wb.lo - low, -b, d) <= 0 else _point_parts(Surd(low, b, d))
+            hi = hi if _surd_sign(wb.hi - high, -b, d) >= 0 else _point_parts(Surd(high, b, d))
+            if _roots_above(norm.squarefree, lo)[0] - _roots_above(norm.squarefree, hi)[0] == 1:
                 return 0
         wa.refine()
         wb.refine()

@@ -345,15 +345,11 @@ def kind_char_poly(g: Graph, kind: str) -> tuple[int, ...]:
 
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
-    """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c."""
+    """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c: one Taylor shift of the
+    char poly alone to c gives its roots above c and at c, with multiplicity."""
     _check_index(g.n, k)
-    c = Fraction(c)
-    above, _, at = polys.root_counter(kind_char_poly(g, "Q")).counts_at(c)
-    if above >= k:
-        return 1
-    if above + at >= k:
-        return 0
-    return -1
+    above, at = polys._roots_above(polys.root_counter(kind_char_poly(g, "Q")).poly, polys._point_parts(Fraction(c)))
+    return 1 if above >= k else 0 if above + at >= k else -1
 
 
 def compare_sum_with(g: Graph, kind: str, k: int, c) -> int:

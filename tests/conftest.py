@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from qng import polys
 from qng.enumeration import enumerate_graphs
-from qng.graph import complement, from_edges
+from qng.graph import complement, complete, complete_bipartite, cycle, empty_graph, from_edges
 
 
 def twin_classes(rows):
@@ -60,6 +61,15 @@ def random_graph(rng, n, p=0.5):
     """A graph of order n with each vertex pair an edge with probability p, drawn from the
     ``random.Random`` rng in increasing pair order; test modules import it from here."""
     return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def stress_graphs():
+    """The 13-32-vertex stress set: C32, the 5-cube, K32, E32, K16,16 and seeded random graphs of
+    orders 13, 19, 26 and 32; test modules import it from here."""
+    rng = random.Random(34)
+    cube = from_edges(32, [(u, u ^ (1 << i)) for u in range(32) for i in range(5) if u < u ^ (1 << i)])
+    graphs = [cycle(32), cube, complete(32), empty_graph(32), complete_bipartite(16, 16)]
+    return graphs + [random_graph(rng, n) for n in (13, 19, 26, 32)]
 
 
 def from_roots(roots):

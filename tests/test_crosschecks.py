@@ -29,11 +29,12 @@ from qng.spectra import (
     compare_qk_with,
     compare_sum_with,
     kind_char_poly,
+    matrix_of_kind,
     q_matrix,
     spectrum,
 )
 
-from conftest import distinct_in, from_roots
+from conftest import distinct_in, from_roots, stress_graphs
 
 
 def _mp_eigs(g):
@@ -326,28 +327,44 @@ def _points_at_and_between_roots(poly, approx):
     return points
 
 
+def test_kind_char_poly_against_sympy(graphs_by_order):
+    """``kind_char_poly`` of A, L and Q is sympy's ``Matrix.charpoly`` (Berkowitz, which shares no
+    code or method with the Faddeev-LeVerrier recurrence modulo primes), for every class of order at
+    most 7 and the 13-32-vertex stress set."""
+    for g in [g for n in range(1, 8) for g in graphs_by_order[n]] + stress_graphs():
+        for kind in "ALQ":
+            want = sympy.Matrix(matrix_of_kind(g, kind).tolist()).charpoly().all_coeffs()
+            assert kind_char_poly(g, kind) == tuple(int(c) for c in reversed(want)), (to_graph6(g), kind)
+
+
 def test_root_counts_against_sympy(graphs_by_order, rng=random.Random(53)):
     """``RootCounter.counts_at`` is, at rational and surd points at and between the eigenvalues, the
     count of sympy's ``Poly.real_roots()`` above the point, with multiplicity and distinct: the roots
     come sorted, so a bisection by sympy's exact sign of a root minus the point finds the first one
-    above it.  For the Q char polys of every class of order at most 5 and of 20 seeded order-7 classes;
-    the float spectrum only places the points between eigenvalues."""
+    above it.  For the A, L and Q char polys of every class of order at most 5 and of 20 seeded order-7
+    classes; the float spectrum only places the points between eigenvalues.  At each rational point of
+    a Q char poly, ``compare_qk_with`` gives, for every k, the sign of the k-th largest of those roots
+    minus the point."""
     x = sympy.Symbol("x")
     graphs = [g for n in range(1, 6) for g in graphs_by_order[n]] + rng.sample(graphs_by_order[7], 20)
     for g in graphs:
-        p = kind_char_poly(g, "Q")
-        counter = RootCounter(p)
-        poly = sympy.Poly(list(reversed(p)), x)
-        roots = poly.real_roots()
-        for point, exact in _points_at_and_between_roots(poly, [round(v, 9) for v in spectrum(g, "Q").values]):
-            lo, hi = 0, len(roots)  # the first root above the point is in roots[lo:hi + 1]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                above = (roots[mid] - exact).is_positive
-                assert above is not None, (to_graph6(g), roots[mid], exact)
-                lo, hi = (lo, mid) if above else (mid + 1, hi)
-            want = (len(roots) - lo, len(set(roots[lo:])), roots.count(exact))
-            assert counter.counts_at(point) == want, (to_graph6(g), point)
+        for kind in "ALQ":
+            p = kind_char_poly(g, kind)
+            counter = RootCounter(p)
+            poly = sympy.Poly(list(reversed(p)), x)
+            roots = poly.real_roots()
+            for point, exact in _points_at_and_between_roots(poly, [round(v, 9) for v in spectrum(g, kind).values]):
+                lo, hi = 0, len(roots)  # the first root above the point is in roots[lo:hi + 1]
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    above = (roots[mid] - exact).is_positive
+                    assert above is not None, (to_graph6(g), kind, roots[mid], exact)
+                    lo, hi = (lo, mid) if above else (mid + 1, hi)
+                want = (len(roots) - lo, len(set(roots[lo:])), roots.count(exact))
+                assert counter.counts_at(point) == want, (to_graph6(g), kind, point)
+                if kind == "Q" and not isinstance(point, Surd):
+                    signs = [0 if r == exact else 1 if (r - exact).is_positive else -1 for r in reversed(roots)]
+                    assert [compare_qk_with(g, k, point) for k in range(1, g.n + 1)] == signs, (to_graph6(g), point)
 
 
 def test_reflection_norm_against_sympy(graphs_by_order, rng=random.Random(54)):

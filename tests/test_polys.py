@@ -30,7 +30,8 @@ from qng.polys import (
     poly_rem,
     reflection_norm,
 )
-from qng.spectra import char_poly_exact, kind_char_poly, spectrum
+from qng.graph import complete
+from qng.spectra import char_poly_exact, compare_qk_with, kind_char_poly, spectrum
 
 from conftest import distinct_in, from_roots, surd_sign
 
@@ -322,6 +323,41 @@ def test_a_window_of_one_root_or_simple_roots_shifts_only_the_square_free_part(m
             w.refine()
         assert w.lo < F(1, 3) <= w.hi and w.hi - w.lo < F(1, 2**20), k
         assert shifted[id(counter.poly)] == 0 and shifted[id(counter.squarefree)] == 30, k
+
+
+def test_a_count_converts_its_point_once_and_shifts_only_what_it_reads(monkeypatch):
+    """Q(K7) = (x - 12)(x - 5)^6 has a square-free part other than itself.  ``compare_qk_with`` reads
+    the roots above and at its point off one Taylor shift of the char poly alone; ``counts_at``
+    converts its point once for both polynomials it shifts, at a ``Fraction`` and at a ``Surd``.  An
+    equality certificate counts only the square-free part of N = ``reflection_norm(pa, c)``: for pa =
+    (x - 1)^2 (x - 3)(x - 7) and c = 0, N has the double root -1, and N itself is never shifted."""
+    shifted, converted = Counter(), Counter()
+    shift, point_parts = polys._shift, polys._point_parts
+
+    def counting_shift(p, *parts):
+        shifted[id(p)] += 1
+        return shift(p, *parts)
+
+    def counting_parts(x):
+        converted[x] += 1
+        return point_parts(x)
+
+    monkeypatch.setattr(polys, "_shift", counting_shift)
+    monkeypatch.setattr(polys, "_point_parts", counting_parts)
+    counter = polys.root_counter(kind_char_poly(complete(7), "Q"))
+    assert counter.poly is not counter.squarefree
+    assert compare_qk_with(complete(7), 2, F(7, 3)) == 1 and compare_qk_with(complete(7), 7, 5) == 0
+    assert sum(shifted.values()) == 2 and set(shifted) == {id(counter.poly)}, shifted
+    for x, counts in ((F(7, 3), (7, 2, 0)), (Surd(F(5), F(1, 3), 2), (1, 1, 0))):
+        shifted.clear()
+        converted.clear()
+        assert counter.counts_at(x) == counts
+        assert converted == {x: 1} and shifted == {id(counter.poly): 1, id(counter.squarefree): 1}, (x, converted)
+    shifted.clear()
+    pa = from_roots([1, 1, 3, 7])
+    assert _root_difference(pa, 2, from_roots([3, 3, 5]), 2) == 0
+    norm = polys.root_counter(tuple(reflection_norm(pa, 0)))
+    assert norm.poly is not norm.squarefree and shifted[id(norm.squarefree)] > 0 and not shifted[id(norm.poly)]
 
 
 def test_an_equality_certified_after_bisection(monkeypatch):

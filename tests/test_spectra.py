@@ -21,7 +21,6 @@ from qng.graph import (
     component_colorings,
     cycle,
     empty_graph,
-    from_edges,
     from_graph6,
     path,
     star,
@@ -41,7 +40,7 @@ from qng.spectra import (
     spectrum,
 )
 from qng.theorems import EQUALITY, check_thm12
-from conftest import distinct_in, random_graph
+from conftest import distinct_in, random_graph, stress_graphs
 
 
 # --- independent characteristic-polynomial oracle (cofactor expansion) ---
@@ -173,14 +172,8 @@ def test_char_poly_matches_the_int_recurrence_up_to_order_7(graphs_by_order):
                 assert char_poly_exact(mat) == faddeev_leverrier_int(mat.tolist()), (to_graph6(g), kind)
 
 
-def _hypercube(d):
-    return from_edges(1 << d, [(u, u ^ (1 << i)) for u in range(1 << d) for i in range(d) if u < u ^ (1 << i)])
-
-
-def test_char_poly_matches_the_int_recurrence_from_order_13_to_32(rng=random.Random(34)):
-    graphs = [cycle(32), _hypercube(5), complete(32), empty_graph(32), complete_bipartite(16, 16)]
-    graphs += [random_graph(rng, n) for n in (13, 19, 26, 32)]
-    for g in graphs:
+def test_char_poly_matches_the_int_recurrence_from_order_13_to_32():
+    for g in stress_graphs():
         for kind in "ALQ":
             mat = matrix_of_kind(g, kind)
             assert char_poly_exact(mat) == faddeev_leverrier_int(mat.tolist()), (to_graph6(g), kind)
