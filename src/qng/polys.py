@@ -9,17 +9,17 @@ itself: gcds, square-free parts, remainders and compositions come back
 primitive (content 1), and remainders come from pseudo-division scaled by
 positive factors only, so a remainder has the signs of the true one.
 
-On top of this ring one object counts roots: a ``RootCounter`` holds a
-real-rooted polynomial p and its square-free part p / gcd(p, p'), and answers
-one question at a point: the roots above it with multiplicity and distinct,
-and the multiplicity of the point as a root.  Descartes' rule of signs on the
-Taylor shift to the point gives the counts, exact with multiplicity for a
-real-rooted polynomial, and the shift's zero low coefficients give the
-multiplicity.  ``root_counter`` builds one per polynomial and hands it to every
-later caller.  On the counters rest isolation of the k-th largest real root and
-one decision procedure that always returns a sign: a root of one polynomial
-plus a root of another against a rational or surd bound.  A root against a
-root is their difference against 0, the second polynomial reflected.
+On top of this ring roots are counted.  Descartes' rule of signs on the
+Taylor shift of a real-rooted p to a point gives its roots above the point
+with multiplicity, and the shift's zero low coefficients the point's
+multiplicity as a root (``_roots_above``): one eigenvalue against a point
+needs p alone.  Root isolation also counts distinct roots, so a
+``RootCounter`` holds p and its square-free part p / gcd(p, p'), built once
+per polynomial that isolation reads (``root_counter``).  On the counters rest
+isolation of the k-th largest real root and one decision procedure that
+always returns a sign: a root of one polynomial plus a root of another against
+a rational or surd bound.  A root against a root is their difference against
+0, the second polynomial reflected.
 Isolation is one bisection from the Cauchy bound whose first two cuts a
 float seed, such as the screened eigenvalue, may place at the ends of a
 small dyadic window around it; exact counts pick the side at every cut.
@@ -404,7 +404,7 @@ def _roots_above(p: Poly, parts: tuple[int, int, int, int]) -> tuple[int, int]:
 
 
 class RootCounter:
-    """Root counts of a real-rooted polynomial at a point, with multiplicity and without.
+    """Root counts, with multiplicity and without, of a real-rooted polynomial that isolation reads.
 
     ``poly`` is p made primitive with a positive leading coefficient, and
     ``squarefree`` is poly / gcd(poly, poly'), which has each root of p once; it
@@ -435,9 +435,9 @@ class RootCounter:
 def root_counter(coeffs: tuple) -> RootCounter:
     """The one shared ``RootCounter`` of the polynomial with these coefficients.
 
-    ``coeffs`` is the ascending coefficient tuple.  Counters never change
-    after construction, so every caller that meets the same polynomial again
-    reuses its square-free part.
+    ``coeffs`` is the ascending coefficient tuple of a polynomial that root
+    isolation reads.  Counters never change after construction, so every
+    isolation that meets the same polynomial again reuses its square-free part.
     """
     return RootCounter(coeffs)
 

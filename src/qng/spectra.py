@@ -1,27 +1,26 @@
 """Spectra of graph matrices: float screening plus exact certification.
 
 Float eigenvalues come from LAPACK's dense symmetric solver through numpy and
-are used only for screening.  One ``Chunk`` holds the graphs screened
-together: its members, each member's complement from its first read (a
-check's or a screen's, never a filter's), and one screen per (order, kind).
-The first read of a kind on a member stacks the kind-matrices of the
-members of its order as one (B, n, n) array and screens them in one
-eigvalsh call; the complements are screened only when read, in one more.
-A screen is stored whole, rows with their values, once its calls return.
-``Chunk.sum_bounds`` reads an interval of each member's sum lambda_k(G) +
-lambda_k(complement G) off the members' screen alone: M(complement G) =
-cI + sJ - M(G), J rank one, so Weyl's inequalities place the complement's
-eigenvalue between two of G's (for L, J commutes with L(G) and the interval
-is a point).  ``Chunk.sums`` reads the sums of given members off the screen
-of the members and their complements, screening the complements of only
-those members; ``Chunk.spectrum`` reads one row, and its first read of a
-complement's row screens every remaining complement of the order in one
-call.  Only a scan sets the current chunk (``in_chunk``), while its checks
-run, and ``spectrum``, ``ng_sum`` and the exact comparisons read a graph off
-the current chunk's screens, any other graph off its kept chunk of one
-(``holding``): one path for both.  ``chunk_of`` keeps the last 16 chunks,
-complements and screens included, so a later read of the same graphs reads
-them again; no float spectrum is cached by graph.
+are used only for screening.  One ``Chunk`` holds the graphs of one order
+screened together: its members, each member's complement from its first read
+(a check's or a screen's, never a filter's), and one screen per kind.  The
+first read of a kind stacks the members' kind-matrices as one (B, n, n) array
+and screens them in one eigvalsh call; the complements are screened only when
+read, in one more.  A screen is stored whole, rows with their values, once its
+calls return.  ``Chunk.sum_bounds`` reads an interval of each member's sum
+lambda_k(G) + lambda_k(complement G) off the members' screen alone:
+M(complement G) = cI + sJ - M(G), J rank one, so Weyl's inequalities place the
+complement's eigenvalue between two of G's (for L, J commutes with L(G) and
+the interval is a point).  ``Chunk.sums`` reads the sums of given members off
+the screen of the members and their complements, screening the complements of
+only those members; ``Chunk.spectrum`` reads one row, and its first read of a
+complement's row screens every remaining complement in one call.  Only a scan
+sets the current chunk (``in_chunk``), while its checks run, and ``spectrum``,
+``ng_sum`` and the exact comparisons read a graph off the current chunk's
+screens, any other graph off its kept chunk of one (``holding``): one path for
+both.  ``chunk_of`` keeps the last 16 scan chunks and ``lone_chunk`` the last
+16 chunks of one, complements and screens included, so a later read of the
+same graphs reads them again; no float spectrum is cached by graph.
 ``_stacked`` builds A, D + A and D - A.
 Whenever a quantity sits within ``polys.ESCALATION_WINDOW`` of a bound,
 decisions are re-made exactly: integer characteristic polynomials via the
@@ -38,10 +37,10 @@ rebuilds each coefficient by CRT; ``qng`` passes it only graph matrices
 (``kind_char_poly``), as the proof checks build their quotients' char polys
 over Z[n] with ``polys.char_poly``.  A characteristic polynomial
 is its ascending ``int`` tuple, which every comparison hands to ``polys`` as
-it is; from there on the arithmetic is Python ``int``.  Root counting goes
-through ``polys.root_counter``, which builds the square-free part of each
-polynomial once.  ``kind_char_poly`` caches the polynomials, which the registered
-checks' scans of the same graphs read again.  ``Fraction`` and
+it is; from there on the arithmetic is Python ``int``.  ``compare_qk_with``
+counts roots on the char poly itself; only root isolation builds a
+``polys.root_counter``.  ``kind_char_poly`` caches the polynomials, which the
+registered checks' scans of the same graphs read again.  ``Fraction`` and
 ``polys.Surd`` appear only in the bounds of the comparisons.
 """
 
@@ -114,20 +113,21 @@ class Spectrum:
 
 
 class Chunk:
-    """Graphs whose float spectra are screened together: a scan chunk, or one graph.
+    """Graphs of one order ``n`` whose float spectra are screened together: a scan chunk, or one graph.
 
     ``members`` are the graphs, in order and without repeats.  ``complement``
     builds a member's complement at its first read and keeps it; the graphs
-    of the chunk are the members and the complements built so far.  The
-    screens are kept by (order, kind): the kind spectra of the members of
-    that order, stacked in one eigvalsh call at the first read, then those
-    of complements, in one more call per read that needs new ones.
+    of the chunk are the members and the complements built so far.  One
+    screen is kept per kind: the kind spectra of the members, stacked in one
+    eigvalsh call at the first read, then those of complements, in one more
+    call per read that needs new ones.
     """
 
     def __init__(self, members: Iterable[Graph]):
         self._partner: dict[Graph, Optional[Graph]] = dict.fromkeys(members)
         self.members = tuple(self._partner)
-        self._screens: dict[tuple[int, str], tuple[dict[Graph, int], np.ndarray]] = {}
+        self.n = self.members[0].n if self.members else 0
+        self._screens: dict[str, tuple[dict[Graph, int], np.ndarray]] = {}
 
     def complement(self, g: Graph) -> Graph:
         """The complement of g, a graph of the chunk, built once; a complement's is its member."""
@@ -137,38 +137,37 @@ class Chunk:
             self._partner[h] = g
         return h
 
-    def _screen(self, n: int, kind: str, graphs: Sequence[Graph] = ()) -> tuple[dict[Graph, int], np.ndarray]:
-        """The screen of order n and ``kind`` with ``graphs`` on it, as (rows, values): ``rows``
-        maps each screened graph to its row of ``values``, eigenvalues descending.  Graphs not
-        screened yet go in one eigvalsh call, after the members of order n at the first read;
-        the screen is stored when the calls return, so one that raises leaves it as it was."""
-        kept = self._screens.get((n, kind))
+    def _screen(self, kind: str, graphs: Sequence[Graph] = ()) -> tuple[dict[Graph, int], np.ndarray]:
+        """The screen of ``kind`` with ``graphs`` on it, as (rows, values): ``rows`` maps each
+        screened graph to its row of ``values``, eigenvalues descending.  Graphs not screened yet
+        go in one eigvalsh call, after the members at the first read; the screen is stored when
+        the calls return, so one that raises leaves it as it was."""
+        kept = self._screens.get(kind)
         if kept and not graphs:
             return kept
-        rows, values = kept or ({}, np.empty((0, n)))
-        for batch in (graphs,) if kept else ([g for g in self.members if g.n == n], graphs):
+        rows, values = kept or ({}, np.empty((0, self.n)))
+        for batch in (graphs,) if kept else (self.members, graphs):
             new = [h for h in dict.fromkeys(batch) if h not in rows]
             if new:
                 values = np.concatenate((values, np.linalg.eigvalsh(_stacked(new, kind))[:, ::-1]))
                 rows = {**rows, **dict(zip(new, range(len(rows), len(values))))}
-        self._screens[n, kind] = rows, values
+        self._screens[kind] = rows, values
         return rows, values
 
     def spectrum(self, g: Graph, kind: str) -> Spectrum:
         """The float spectrum of the kind-matrix of g, a graph of the chunk: its row of the
-        screen.  The first read of a complement's row screens the complements of every member
-        of its order at once."""
-        rows, values = self._screen(g.n, kind)
+        screen.  The first read of a complement's row screens the complement of every member
+        at once."""
+        rows, values = self._screen(kind)
         if g not in rows:
-            rows, values = self._screen(g.n, kind, [self.complement(h) for h in self.members if h.n == g.n])
+            rows, values = self._screen(kind, [self.complement(h) for h in self.members])
         return Spectrum(tuple(values[rows[g]].tolist()))
 
     def column(self, graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
         """The k-th largest eigenvalue of the kind-matrix of each of ``graphs``: graphs of the
-        chunk of one order that are screened already, as every member is."""
-        n = graphs[0].n
-        _check_index(n, k)
-        rows, values = self._screen(n, kind)
+        chunk that are screened already, as every member is."""
+        _check_index(self.n, k)
+        rows, values = self._screen(kind)
         try:
             return values[[rows[h] for h in graphs], k - 1]
         except KeyError as missing:
@@ -176,8 +175,8 @@ class Chunk:
                              "members of the current chunk (spectra.in_chunk)") from None
 
     def sum_bounds(self, graphs: Sequence[Graph], kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays lo, hi with lo <= ``ng_sum(g, kind, k)`` <= hi for members ``g`` of one order,
-        read off the members' screen only: no complement is built or screened.
+        """Arrays lo, hi with lo <= ``ng_sum(g, kind, k)`` <= hi for members ``g``, read off the
+        members' screen only: no complement is built or screened.
 
         The kind-matrix of the complement is M(complement G) = cI + sJ - M(G), J the
         all-ones matrix, with (c, s) = (-1, 1) for A and (n - 2, 1) for Q (the
@@ -191,7 +190,7 @@ class Chunk:
         lo = hi.  The bounds hold for the exact spectra; the floats carry
         rounding errors far below ``polys.ESCALATION_WINDOW``.
         """
-        n = graphs[0].n
+        n = self.n
         own = self.column(graphs, kind, k)
         if kind == "L":
             point = own + (n - self.column(graphs, kind, n - k) if k < n else 0.0)
@@ -202,18 +201,25 @@ class Chunk:
         return lo, hi
 
     def sums(self, graphs: Sequence[Graph], kind: str, k: int) -> np.ndarray:
-        """``ng_sum(g, kind, k)`` for members ``g`` of one order, as one array, the complements
-        not screened yet in one eigvalsh call: the same screen, added in the same float64."""
+        """``ng_sum(g, kind, k)`` for members ``g``, as one array, the complements not screened
+        yet in one eigvalsh call: the same screen, added in the same float64."""
         others = [self.complement(g) for g in graphs]
-        self._screen(graphs[0].n, kind, others)
+        self._screen(kind, others)
         return self.column(graphs, kind, k) + self.column(others, kind, k)
 
 
 @lru_cache(maxsize=16)
 def chunk_of(members: tuple[Graph, ...]) -> Chunk:
-    """The chunk of ``members``, kept for the last 16 member tuples with the complements and
-    screens built since: a scan's chunk, or a lone graph's chunk of one (``holding``)."""
+    """A scan's chunk of ``members``, kept for the last 16 member tuples with the complements
+    and screens built since."""
     return Chunk(members)
+
+
+@lru_cache(maxsize=16)
+def lone_chunk(g: Graph) -> Chunk:
+    """The chunk of g alone (``holding``), kept for the last 16 lone graphs in slots of its
+    own, so reads of single graphs never evict a scan's chunk."""
+    return Chunk((g,))
 
 
 #: The chunk that ``in_chunk`` sets: the graphs a scan's checks read, or none.
@@ -234,7 +240,7 @@ def in_chunk(graphs: Iterable[Graph]) -> Iterator[Chunk]:
 
 def holding(g: Graph) -> Chunk:
     """The current chunk if g is one of its graphs, else the kept chunk of g alone."""
-    return _current if g in _current._partner else chunk_of((g,))
+    return _current if g in _current._partner else lone_chunk(g)
 
 
 def spectrum(g: Graph, kind: str) -> Spectrum:
@@ -346,9 +352,9 @@ def kind_char_poly(g: Graph, kind: str) -> tuple[int, ...]:
 
 def compare_qk_with(g: Graph, k: int, c) -> int:
     """Exact sign of (k-th largest Q-eigenvalue of g) - c for rational c: one Taylor shift of the
-    char poly alone to c gives its roots above c and at c, with multiplicity."""
+    char poly itself to c gives its roots above c and at c, with multiplicity; no counter is built."""
     _check_index(g.n, k)
-    above, at = polys._roots_above(polys.root_counter(kind_char_poly(g, "Q")).poly, polys._point_parts(Fraction(c)))
+    above, at = polys._roots_above(kind_char_poly(g, "Q"), polys._point_parts(Fraction(c)))
     return 1 if above >= k else 0 if above + at >= k else -1
 
 

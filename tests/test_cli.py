@@ -101,7 +101,7 @@ def test_check_verb_reads_one_chunk_of_its_graph(capsys, monkeypatch):
     eigvalsh, build = np.linalg.eigvalsh, spectra.complement
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(spectra, "complement", lambda g: built.append(g) or build(g))
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     code, out, _ = run_cli(capsys, "check", "--thm", "1.5", "--family", "K3,3")
     assert (code, out) == (0, "EFz_ thm-1.5: equality-certified lhs=7.0 rhs=7 family=K_{3,3}\n")
     assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [complete_bipartite(3, 3)])

@@ -367,6 +367,40 @@ def test_root_counts_against_sympy(graphs_by_order, rng=random.Random(53)):
                     assert [compare_qk_with(g, k, point) for k in range(1, g.n + 1)] == signs, (to_graph6(g), point)
 
 
+def test_stress_root_counts_against_sympy():
+    """``polys._roots_above`` on the A, L and Q char polys of the 13-32-vertex stress set is sympy's
+    count with multiplicity: ``Poly.sqf_list``, then, for each square-free factor of multiplicity m,
+    m times ``count_roots`` on [x, oo) less the root at x, and m at x if it is one.  The points are
+    one below the eigenvalues, one between the middle two distinct ones, one above them, and each
+    rational eigenvalue: a monic integer polynomial has only integer rational roots, so these are the
+    integers nearest a float eigenvalue at which sympy's polynomial vanishes.  At each point of a Q
+    char poly, ``compare_qk_with`` gives, for every k, the sign that those counts give."""
+    x = sympy.Symbol("x")
+    at_eigenvalues = 0
+    for g in stress_graphs():
+        for kind in "ALQ":
+            p = kind_char_poly(g, kind)
+            poly = sympy.Poly(list(reversed(p)), x)
+            _, factors = poly.sqf_list()
+            ends = sorted({round(v, 9) for v in spectrum(g, kind).values})
+            middle = len(ends) // 2
+            points = {F(math.floor(ends[0]) - 1), F(math.ceil(ends[-1]) + 1)}
+            points.update(F(r) for r in {round(v) for v in ends} if poly.eval(r) == 0)
+            if len(ends) > 1:
+                points.add(F(round((ends[middle - 1] + ends[middle]) * 512), 1024))
+            for point in sorted(points):
+                exact = sympy.Rational(point.numerator, point.denominator)
+                roots_at = [m * (f.eval(exact) == 0) for f, m in factors]
+                above = sum(m * f.count_roots(inf=exact) for f, m in factors) - sum(roots_at)
+                want = above, sum(roots_at)
+                assert polys._roots_above(p, polys._point_parts(point)) == want, (to_graph6(g), kind, point)
+                at_eigenvalues += want[1] > 0
+                if kind == "Q":
+                    signs = [1 if k <= above else 0 if k <= sum(want) else -1 for k in range(1, g.n + 1)]
+                    assert [compare_qk_with(g, k, point) for k in range(1, g.n + 1)] == signs, (to_graph6(g), point)
+    assert at_eigenvalues >= 27  # every L char poly has the eigenvalue 0
+
+
 def test_reflection_norm_against_sympy(graphs_by_order, rng=random.Random(54)):
     """``reflection_norm(p, c)`` is the primitive, positively leading form of sympy's p(c - x) for a
     rational c, and of p(c - x) p(c' - x) for a surd c = a + b sqrt(d) with conjugate c', expanded

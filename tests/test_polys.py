@@ -327,7 +327,7 @@ def test_a_window_of_one_root_or_simple_roots_shifts_only_the_square_free_part(m
 
 def test_a_count_converts_its_point_once_and_shifts_only_what_it_reads(monkeypatch):
     """Q(K7) = (x - 12)(x - 5)^6 has a square-free part other than itself.  ``compare_qk_with`` reads
-    the roots above and at its point off one Taylor shift of the char poly alone; ``counts_at``
+    the roots above and at its point off one Taylor shift of the char poly itself; ``counts_at``
     converts its point once for both polynomials it shifts, at a ``Fraction`` and at a ``Surd``.  An
     equality certificate counts only the square-free part of N = ``reflection_norm(pa, c)``: for pa =
     (x - 1)^2 (x - 3)(x - 7) and c = 0, N has the double root -1, and N itself is never shifted."""
@@ -347,7 +347,7 @@ def test_a_count_converts_its_point_once_and_shifts_only_what_it_reads(monkeypat
     counter = polys.root_counter(kind_char_poly(complete(7), "Q"))
     assert counter.poly is not counter.squarefree
     assert compare_qk_with(complete(7), 2, F(7, 3)) == 1 and compare_qk_with(complete(7), 7, 5) == 0
-    assert sum(shifted.values()) == 2 and set(shifted) == {id(counter.poly)}, shifted
+    assert sum(shifted.values()) == 2 and set(shifted) == {id(kind_char_poly(complete(7), "Q"))}, shifted
     for x, counts in ((F(7, 3), (7, 2, 0)), (Surd(F(5), F(1, 3), 2), (1, 1, 0))):
         shifted.clear()
         converted.clear()

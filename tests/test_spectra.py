@@ -34,6 +34,7 @@ from qng.spectra import (
     compare_sum_with,
     in_chunk,
     kind_char_poly,
+    lone_chunk,
     matrix_of_kind,
     ng_sum,
     q_matrix,
@@ -238,13 +239,36 @@ def test_kind_char_poly_digest(graphs_by_order):
 
 
 def test_root_counter_built_once_per_char_poly():
+    """Root isolation builds one ``RootCounter`` per char poly: a second sum comparison of the
+    same graph reuses the counters of both of its char polys."""
     g = complete_bipartite(3, 4)
-    assert compare_qk_with(g, 2, 3) == 1
+    assert compare_sum_with(g, "Q", 2, 3) == 1
     before = polys.root_counter.cache_info()
-    assert compare_qk_with(g, 2, 4) == 0
+    assert compare_sum_with(g, "Q", 2, 9) == -1
     after = polys.root_counter.cache_info()
     assert after.misses == before.misses
-    assert after.hits == before.hits + 1
+    assert after.hits == before.hits + 2
+
+
+def test_a_single_eigenvalue_is_one_count_of_its_char_poly(monkeypatch):
+    """``compare_qk_with`` shifts the Q char poly itself once, to its point, and builds no
+    ``RootCounter``, so no square-free part: Q(K7) = (x - 12)(x - 5)^6 at 7/3."""
+    shifted = []
+    shift = polys._shift
+
+    def counting(p, *parts):
+        shifted.append(p)
+        return shift(p, *parts)
+
+    def forbidden(*args):
+        raise AssertionError("a single eigenvalue built a root counter")
+
+    monkeypatch.setattr(polys, "_shift", counting)
+    monkeypatch.setattr(polys, "root_counter", forbidden)
+    monkeypatch.setattr(polys, "RootCounter", forbidden)
+    g = complete(7)
+    assert compare_qk_with(g, 2, F(7, 3)) == 1
+    assert len(shifted) == 1 and shifted[0] is kind_char_poly(g, "Q")
 
 
 def _counter(g):
@@ -403,7 +427,8 @@ def test_spectrum_accessors():
 
 
 def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
-    """The chunk screen against one eigvalsh call per matrix, for n <= 8.
+    """The chunk screen against one eigvalsh call per matrix, for a chunk of every class of
+    each order n <= 8.
 
     Every graph and its complement get the per-graph spectrum to within
     1e-12.  No q_2 sum of a graph and its complement, and no end of its
@@ -412,12 +437,9 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
     edge of the escalation window around the bound.  So no float decision
     of those rows depends on which of the two computed the spectrum, or on
     how a batch was stacked.  Each kind screens the chunk's members in one
-    stacked eigvalsh call per order, and at the first read of a complement
-    the complements that are not members in one more.
+    stacked eigvalsh call, and at the first read of a complement the
+    complements that are not members in one more.
     """
-    graphs = [g for n in range(1, 8) for g in graphs_by_order[n]] + enum8[0]
-    members = Counter(g.n for g in set(graphs))
-    others = Counter(h.n for h in {complement(g) for g in graphs} - set(graphs))
     stacks = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -428,28 +450,28 @@ def test_prefill_matches_per_graph_spectra(graphs_by_order, enum8, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     chunk_of.cache_clear()
-    with in_chunk(graphs) as chunk:
-        for kind in "QAL":
-            del stacks[:]
-            for g in graphs:
-                for h in (g, chunk.complement(g)):
-                    batched = spectrum(h, kind).values
-                    single = eigvalsh(matrix_of_kind(h, kind))[::-1]
-                    assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
-            assert sorted(stacks) == sorted((count, n, n) for counts in (members, others)
-                                            for n, count in counts.items()), kind
-            if kind == "Q":
-                for n in range(4, 9):
-                    order = [g for g in graphs if g.n == n]
-                    lo, hi = chunk.sum_bounds(order, "Q", 2)
-                    for g, low, high in zip(order, lo.tolist(), hi.tolist()):
+    for n in range(1, 9):
+        graphs = graphs_by_order[n] if n < 8 else enum8[0]
+        others = {complement(g) for g in graphs} - set(graphs)
+        with in_chunk(graphs) as chunk:
+            for kind in "QAL":
+                del stacks[:]
+                for g in graphs:
+                    for h in (g, chunk.complement(g)):
+                        batched = spectrum(h, kind).values
+                        single = eigvalsh(matrix_of_kind(h, kind))[::-1]
+                        assert max(abs(a - b) for a, b in zip(batched, single)) <= 1e-12, (kind, h)
+                assert stacks == [(len(set(graphs)), n, n)] + [(len(others), n, n)] * bool(others), (n, kind)
+                if kind == "Q" and n >= 4:
+                    lo, hi = chunk.sum_bounds(graphs, "Q", 2)
+                    for g, low, high in zip(graphs, lo.tolist(), hi.tolist()):
                         value = ng_sum(g, "Q", 2)
                         for x, rhs in ((value, n - 2), (value, 2 * n - 4), (value, 2 * n - 5),
                                        (low, n - 2), (high, 2 * n - 4), (high, 2 * n - 5)):
                             assert abs(abs(x - rhs) - ESCALATION_WINDOW) > 1e-12, (g, x, rhs)
-        del stacks[:]
-        spectrum(graphs[-1], "L")
-        assert stacks == []
+            del stacks[:]
+            spectrum(graphs[-1], "L")
+            assert stacks == [], n
 
 
 def test_one_spectrum_bounds_contain_the_sum(graphs_by_order, rng=random.Random(23)):
@@ -508,13 +530,13 @@ def test_a_failed_screen_keeps_no_rows_of_a_lone_graph(monkeypatch, at):
     (call 0) or its complement (call 1) stores no row: later reads of the same chunk give
     each graph its own spectrum, the thm-1.2 equality stays certified, and an unknown kind
     raises the same ``ValueError`` every time."""
-    chunk_of.cache_clear()
+    lone_chunk.cache_clear()
     _raising_once(monkeypatch, at)
     g = star(5)
-    chunk = chunk_of((g,))
+    chunk = lone_chunk(g)
     with pytest.raises(np.linalg.LinAlgError, match="raised once"):
         ng_sum(g, "Q", 2)
-    assert chunk_of((g,)) is chunk  # the chunk is kept
+    assert lone_chunk(g) is chunk  # the chunk is kept
     assert spectrum(g, "Q").values == pytest.approx((5, 1, 1, 1, 0), abs=1e-12)
     assert chunk.spectrum(chunk.complement(g), "Q").values == pytest.approx((6, 2, 2, 2, 0), abs=1e-12)
     assert check_thm12(g).verdict == EQUALITY

@@ -573,11 +573,25 @@ def test_run_all_checks_reads_one_chunk_of_its_graph(monkeypatch):
     eigvalsh, build = np.linalg.eigvalsh, spectra.complement
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(spectra, "complement", lambda g: built.append(g) or build(g))
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     g = complete_bipartite(3, 3)
     reports = run_all_checks(g)
     assert (stacks, built) == ([(1, 6, 6), (1, 6, 6)], [g])
     assert reports == [check(g) for check in THEOREM_CHECKS.values()] + [theorems.check_ng_q1(g)]
+
+
+def test_lone_graphs_keep_the_chunks_of_a_scan(monkeypatch):
+    """Chunks of one are kept apart from a scan's chunks: after ``run_all_checks`` on the 16
+    lone graphs C4..C19, a repeated scan of order 7 still reads its kept screens, with no
+    eigvalsh call."""
+    scan(7, "all", check_thm12)
+    for n in range(4, 20):
+        run_all_checks(cycle(n))
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    scan(7, "all", check_thm12)
+    assert stacks == []
 
 
 def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
@@ -586,7 +600,7 @@ def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
     stacks = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     g = cycle(7)
     spectrum(g, "Q"), ng_sum(g), check_thm12(g), theorems.check_ng_q1(g)
     assert stacks == [(1, 7, 7), (1, 7, 7)]
@@ -596,7 +610,7 @@ def test_a_lone_graph_is_screened_once_per_kind_and_side(monkeypatch):
 def test_row_verdicts_of_a_lone_graph_match_its_report(g):
     """Every registered row hands one graph, outside any scan, the verdict it reports on it:
     ``verdicts`` reads the graph's kept chunk of one, as the call does."""
-    spectra.chunk_of.cache_clear()
+    spectra.lone_chunk.cache_clear()
     for row in [*THEOREM_CHECKS.values(), theorems.check_ng_q1, *theorems.NG_BOUNDS.values()]:
         assert row.verdicts([g]) == [row(g).verdict], row.name
 
